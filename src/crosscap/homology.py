@@ -5,10 +5,13 @@ The genus-g closed non-orientable surface has
 coefficient vectors modulo a simultaneous even shift of all coordinates, and
 the normal form fixes the last coordinate to 0 or 1.
 
-Generator actions are recorded as exact g x g integer matrices in the basis
-a_1..a_g (columns are images, so the matrix of the written word ``u v`` is
-``M(u) * M(v)`` with the rightmost letter applied first).  Collapsing the
-total class a_1 + ... + a_g to zero gives the (g-1) x (g-1) reduced action;
+Word actions are exact g x g integer matrices in the basis a_1..a_g
+(columns are images, so the matrix of the written word ``u v`` is
+``M(u) * M(v)`` with the rightmost letter applied first).  A word is
+evaluated by column operations on one mutable matrix: a slide costs O(g)
+and a twist about I costs O(g |I|) integer operations whatever the
+exponent, so powers are exact at any size.  Collapsing the total class
+a_1 + ... + a_g to zero gives the (g-1) x (g-1) reduced action;
 reducing entries mod 2 gives the action on mod-2 homology, which preserves
 the mod-2 intersection pairing.
 
@@ -30,7 +33,6 @@ from .words import (
     BoundaryTwist,
     MCGWord,
     Slide,
-    Symbol,
     TorelliTag,
     Twist,
     validate_symbol,
@@ -150,66 +152,49 @@ def format_h1(x: H1Class) -> str:
 
 
 # ---------------------------------------------------------------------------
-# generator matrices
+# word evaluation
 # ---------------------------------------------------------------------------
 
 
-def twist_matrix(indices: tuple[int, ...], genus: int, exp: int = 1) -> IntMatrix:
-    """Action of the d-th power of a twist about the curve through ``indices``.
-
-    With u the indicator vector of the index set and w the alternating sign
-    vector (-1 at the 1st, 3rd, ... smallest indices, +1 at the rest), the
-    action is I + d u w^T.  Since w . u = 0 this is exactly the d-th power of
-    the single twist.
-    """
-    sym = Twist(indices)
-    validate_symbol(sym, genus)
-    idx = sym.indices
-    rows = [[1 if r == c else 0 for c in range(genus)] for r in range(genus)]
-    in_set = set(idx)
-    for pos, j in enumerate(idx):
-        sign = -1 if pos % 2 == 0 else 1
-        for r in range(genus):
-            if r + 1 in in_set:
-                rows[r][j - 1] += exp * sign
-    return IntMatrix.from_rows(rows)
-
-
-def slide_matrix(moving: int, along: int, genus: int) -> IntMatrix:
-    """a_moving -> -a_moving, a_along -> 2 a_moving + a_along, rest fixed."""
-    sym = Slide(moving, along)
-    validate_symbol(sym, genus)
-    rows = [[1 if r == c else 0 for c in range(genus)] for r in range(genus)]
-    a, b = moving - 1, along - 1
-    rows[a][a] = -1
-    rows[a][b] = 2
-    return IntMatrix.from_rows(rows)
-
-
-def generator_matrix(sym: Symbol, genus: int, exp: int = 1) -> IntMatrix:
-    validate_symbol(sym, genus)
-    if isinstance(sym, Twist):
-        return twist_matrix(sym.indices, genus, exp)
-    if isinstance(sym, Slide):
-        # the slide action is an involution on H_1, so only exp mod 2 matters
-        if exp % 2 == 0:
-            return IntMatrix.identity(genus)
-        return slide_matrix(sym.moving, sym.along, genus)
-    if isinstance(sym, TorelliTag):
-        return IntMatrix.identity(genus)
-    if isinstance(sym, BoundaryTwist):
-        raise NoHomologyActionError(
-            f"{sym.kind} twists live on bounded surfaces and have no action here"
-        )
-    raise TypeError(f"not a generator symbol: {sym!r}")
-
-
 def word_matrix(w: MCGWord) -> IntMatrix:
-    """Exact g x g action of a word (rightmost letter applied first)."""
-    m = IntMatrix.identity(w.genus)
+    """Exact g x g action of a word (rightmost letter applied first).
+
+    The product of the letter matrices is accumulated left to right as one
+    mutable list of columns; multiplying on the right by a letter's matrix
+    only combines columns:
+
+    * ``Y(a, b)^e`` with e odd sends a_a -> -a_a and a_b -> a_b + 2 a_a, so
+      ``col_b += 2 col_a`` and then ``col_a = -col_a``; the slide action is
+      an involution on H_1, so an even power does nothing.
+    * ``T(I)^e`` acts as I + e u w^T, with u the indicator vector of I and w
+      the alternating sign vector (-1 at the 1st, 3rd, ... smallest indices,
+      +1 at the rest).  Since w . u = 0 this is exactly the e-th power of
+      the single twist, and it is the rank-1 update ``col_j += e w_j mu``
+      with ``mu`` the sum of the columns indexed by I.
+    * Torelli tags act trivially; boundary twists have no action here.
+    """
+    g = w.genus
+    cols = [list(col) for col in IntMatrix.identity(g).rows]
     for sym, exp in w.letters:
-        m = m * generator_matrix(sym, w.genus, exp)
-    return m
+        validate_symbol(sym, g)
+        if isinstance(sym, Twist):
+            idx = [j - 1 for j in sym.indices]
+            mu = [sum(entries) for entries in zip(*(cols[j] for j in idx))]
+            for pos, j in enumerate(idx):
+                step = -exp if pos % 2 == 0 else exp
+                cols[j] = [c + step * m for c, m in zip(cols[j], mu)]
+        elif isinstance(sym, Slide):
+            if exp % 2:
+                a, b = sym.moving - 1, sym.along - 1
+                cols[b] = [cb + 2 * ca for cb, ca in zip(cols[b], cols[a])]
+                cols[a] = [-ca for ca in cols[a]]
+        elif isinstance(sym, BoundaryTwist):
+            raise NoHomologyActionError(
+                f"{sym.kind} twists live on bounded surfaces and have no action here"
+            )
+        elif not isinstance(sym, TorelliTag):
+            raise TypeError(f"not a generator symbol: {sym!r}")
+    return IntMatrix(tuple(zip(*cols)))
 
 
 def act(w: MCGWord, x: H1Class) -> H1Class:
@@ -282,18 +267,14 @@ class LiftSearch:
     candidates_checked: int
 
 
-def lift_obstruction(target: IntMatrix, genus: int, parity: str = "even") -> LiftSearch:
+def lift_obstruction(target: IntMatrix, genus: int) -> LiftSearch:
     """Search the 2^g lifts of a (g-1) x (g-1) target for one preserving
     the mod-2 pairing on basis classes.
 
     Each lift sends a_j to the target column optionally plus the total class
-    a_1 + ... + a_g; whether that addition is written with coefficient 1 or d
-    (the even/odd normal forms) does not change the class, so ``parity`` only
-    labels the convention.  Returns the first preserving lift, columns in
-    normal form, or reports the obstruction.
+    a_1 + ... + a_g.  Returns the first preserving lift, columns in normal
+    form, or reports the obstruction.
     """
-    if parity not in ("even", "odd"):
-        raise ValueError(f"parity must be 'even' or 'odd', got {parity!r}")
     if genus < 3:
         raise ValueError("lift search needs genus >= 3")
     if target.n != genus - 1:

@@ -291,8 +291,7 @@ def _check_thm23_elem(p: dict) -> tuple[bool, dict]:
 def _check_thm23_obstruct(p: dict) -> tuple[bool, dict]:
     g, d = p["g"], p["d"]
     target = elementary(g - 1, 1, 2, d)
-    parity = "odd" if d % 2 else "even"
-    result = lift_obstruction(target, g, parity)
+    result = lift_obstruction(target, g)
     expect_obstructed = d % 2 == 1
     ok = result.obstructed == expect_obstructed
     details = {

@@ -33,6 +33,7 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional, Sequence
 
 from .finitegrp import CosetTable, schreier_generators, todd_coxeter
+from .words import word_power
 
 
 class NotTwoSidedError(ValueError):
@@ -85,13 +86,7 @@ class FreeWord:
         return FreeWord(tuple((a, -e) for a, e in reversed(self.letters)))
 
     def __pow__(self, e: int) -> "FreeWord":
-        if e == 0:
-            return FreeWord.identity()
-        base = self if e > 0 else self.inverse()
-        out = base
-        for _ in range(abs(e) - 1):
-            out = out * base
-        return out
+        return word_power(self, e)
 
     def is_identity(self) -> bool:
         return not self.letters

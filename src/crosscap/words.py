@@ -19,7 +19,7 @@ convention used throughout: the matrix of ``u v`` is ``M(u) * M(v)``.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Iterable, Union
 
 
@@ -135,6 +135,29 @@ def _reduce(letters: Iterable[tuple[Symbol, int]]) -> tuple[tuple[Symbol, int], 
     return tuple(stack)
 
 
+def word_power(w, e: int):
+    """``w ** e`` for a freely reduced word dataclass with a ``letters`` field.
+
+    A single letter scales its exponent; a longer word is squared
+    repeatedly, so the number of products grows with log |e|, not |e|.
+    """
+    if e == 0 or not w.letters:
+        return replace(w, letters=())
+    if len(w.letters) == 1:
+        ((sym, exp),) = w.letters
+        return replace(w, letters=((sym, exp * e),))
+    base = w if e > 0 else w.inverse()
+    e = abs(e)
+    out = None
+    while True:
+        if e & 1:
+            out = base if out is None else out * base
+        e >>= 1
+        if not e:
+            return out
+        base = base * base
+
+
 @dataclass(frozen=True)
 class MCGWord:
     """Freely reduced word over the generator alphabet, with a genus context."""
@@ -169,13 +192,7 @@ class MCGWord:
         return MCGWord(self.genus, tuple((s, -e) for s, e in reversed(self.letters)))
 
     def __pow__(self, e: int) -> "MCGWord":
-        if e == 0:
-            return MCGWord.identity(self.genus)
-        base = self if e > 0 else self.inverse()
-        out = base
-        for _ in range(abs(e) - 1):
-            out = out * base
-        return out
+        return word_power(self, e)
 
     def is_identity(self) -> bool:
         return not self.letters

@@ -1,0 +1,76 @@
+"""Reference evaluation of words on H_1 by dense matrix products.
+
+Each letter becomes its own g x g generator matrix and the word's action is
+their product, rightmost letter applied first.  This is the slow, obviously
+correct definition that ``crosscap.homology.word_matrix`` must reproduce.
+"""
+
+from crosscap.homology import NoHomologyActionError
+from crosscap.intmat import IntMatrix
+from crosscap.words import (
+    BoundaryTwist,
+    MCGWord,
+    Slide,
+    Symbol,
+    TorelliTag,
+    Twist,
+    validate_symbol,
+)
+
+
+def twist_matrix(indices: tuple[int, ...], genus: int, exp: int = 1) -> IntMatrix:
+    """Action of the d-th power of a twist about the curve through ``indices``.
+
+    With u the indicator vector of the index set and w the alternating sign
+    vector (-1 at the 1st, 3rd, ... smallest indices, +1 at the rest), the
+    action is I + d u w^T.  Since w . u = 0 this is exactly the d-th power of
+    the single twist.
+    """
+    sym = Twist(indices)
+    validate_symbol(sym, genus)
+    idx = sym.indices
+    rows = [[1 if r == c else 0 for c in range(genus)] for r in range(genus)]
+    in_set = set(idx)
+    for pos, j in enumerate(idx):
+        sign = -1 if pos % 2 == 0 else 1
+        for r in range(genus):
+            if r + 1 in in_set:
+                rows[r][j - 1] += exp * sign
+    return IntMatrix.from_rows(rows)
+
+
+def slide_matrix(moving: int, along: int, genus: int) -> IntMatrix:
+    """a_moving -> -a_moving, a_along -> 2 a_moving + a_along, rest fixed."""
+    sym = Slide(moving, along)
+    validate_symbol(sym, genus)
+    rows = [[1 if r == c else 0 for c in range(genus)] for r in range(genus)]
+    a, b = moving - 1, along - 1
+    rows[a][a] = -1
+    rows[a][b] = 2
+    return IntMatrix.from_rows(rows)
+
+
+def generator_matrix(sym: Symbol, genus: int, exp: int = 1) -> IntMatrix:
+    validate_symbol(sym, genus)
+    if isinstance(sym, Twist):
+        return twist_matrix(sym.indices, genus, exp)
+    if isinstance(sym, Slide):
+        # the slide action is an involution on H_1, so only exp mod 2 matters
+        if exp % 2 == 0:
+            return IntMatrix.identity(genus)
+        return slide_matrix(sym.moving, sym.along, genus)
+    if isinstance(sym, TorelliTag):
+        return IntMatrix.identity(genus)
+    if isinstance(sym, BoundaryTwist):
+        raise NoHomologyActionError(
+            f"{sym.kind} twists live on bounded surfaces and have no action here"
+        )
+    raise TypeError(f"not a generator symbol: {sym!r}")
+
+
+def oracle_word_matrix(w: MCGWord) -> IntMatrix:
+    """Exact g x g action of a word as the dense product of its letters."""
+    m = IntMatrix.identity(w.genus)
+    for sym, exp in w.letters:
+        m = m * generator_matrix(sym, w.genus, exp)
+    return m

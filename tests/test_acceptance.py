@@ -111,12 +111,12 @@ def test_criterion_3_mod2_obstruction():
     with Budget("criterion 3 (mod-2 lifting obstruction)", 5.0):
         for g in (4, 5):
             for d in (3, 5):
-                result = lift_obstruction(elementary(g - 1, 1, 2, d), g, "odd")
+                result = lift_obstruction(elementary(g - 1, 1, 2, d), g)
                 assert result.obstructed
                 assert result.candidates_checked == 2**g
             for d in (2, 4):
                 target = elementary(g - 1, 1, 2, d)
-                result = lift_obstruction(target, g, "even")
+                result = lift_obstruction(target, g)
                 assert not result.obstructed
                 assert collapse_total_class(result.witness).rows == target.rows
 

@@ -122,7 +122,7 @@ def test_lift_obstruction_identity_target():
 @pytest.mark.parametrize("d,expect", ((3, True), (5, True), (2, False), (4, False)))
 def test_lift_obstruction_elementary_targets(g, d, expect):
     target = elementary(g - 1, 1, 2, d)
-    result = lift_obstruction(target, g, "odd" if d % 2 else "even")
+    result = lift_obstruction(target, g)
     assert result.obstructed is expect
     assert result.candidates_checked <= 2**g
     if not expect:

@@ -52,6 +52,25 @@ def test_parse_format_roundtrip():
         parse_free("x1 q2")
 
 
+def test_power_of_one_letter_scales_the_exponent(monkeypatch):
+    monkeypatch.setattr(FreeWord, "__mul__", None)
+    assert x_(1) ** 10**12 == x_(1, 10**12)
+    assert x_(1, -3) ** -(10**12) == x_(1, 3 * 10**12)
+
+
+def test_power_squares_repeatedly(monkeypatch):
+    explicit = FreeWord.from_letters([(("x", 1), 1), (("x", 2), 1)] * 1000)
+    w = x_(1) * x_(2)
+    products = []
+    mul = FreeWord.__mul__
+    monkeypatch.setattr(FreeWord, "__mul__", lambda a, b: products.append(1) or mul(a, b))
+    assert w**1000 == explicit
+    assert w**-1000 == explicit.inverse()
+    # 1000 has 10 bits, 6 of them set: 9 squarings and 5 products per power
+    assert len(products) == 2 * (9 + 5)
+    assert (x_(1) * y_(1) * x_(1, -1)) ** 5 == x_(1) * y_(1, 5) * x_(1, -1)
+
+
 def test_two_sided_examples():
     assert is_two_sided(x_(1) * x_(4))
     assert not is_two_sided(x_(1))

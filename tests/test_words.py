@@ -149,6 +149,23 @@ def test_inverse_and_power():
     assert w**-2 == (w.inverse()) ** 2
 
 
+def test_power_of_one_letter_scales_the_exponent():
+    assert parse("Y(1,2)^30000000", 3).letters == ((Slide(1, 2), 30000000),)
+    n = 10**20 - 1
+    w = parse("T(1,2)^-99999999999999999999", 3)
+    assert w.letters == ((Twist((1, 2)), -n),)
+    assert reduced_action(w).rows == ((1 + n, -n), (n, 1 - n))
+
+
+def test_power_of_a_word_matches_the_explicit_product():
+    w = parse("T(1,2) Y(1,3)", 4)
+    explicit = MCGWord.from_letters(4, w.letters * 1000)
+    assert w**1000 == explicit
+    assert w**-1000 == explicit.inverse()
+    u = parse("conj(T(1,2), Y(1,3))", 4)
+    assert u**7 == MCGWord.from_letters(4, u.letters * 7)
+
+
 def test_genus_mismatch():
     with pytest.raises(GenusMismatchError):
         word(4, Twist((1, 2))) * word(5, Twist((1, 2)))
