@@ -129,17 +129,15 @@ def _cmd_enum(args) -> int:
 def _cmd_fold(args) -> int:
     gens = [pi1free.parse_free(chunk) for chunk in args.words.split(";") if chunk.strip()]
     g, n = args.genus, args.boundaries
+    for w in gens:
+        pi1free.validate_ambient(w, g, n)
     if args.alphabet == "plus":
         graph = pi1free.fold_in_plus_basis(gens, g, n)
     else:
-        for w in gens:
-            pi1free.validate_ambient(w, g, n)
-        alphabet = [("x", i) for i in range(1, g + 1)]
-        alphabet += [("y", k) for k in range(1, n)]
+        alphabet = [("x", i) for i in range(1, g + 1)] + [("y", k) for k in range(1, n)]
         graph = pi1free.StallingsGraph.fold(gens, alphabet)
     data = graph.to_json()
-    index = graph.index()
-    data["index"] = index if index is not None else "infinite"
+    data["index"] = graph.index() or "infinite"
     if args.format == "json":
         print(json.dumps(data))
     else:

@@ -11,6 +11,7 @@ instead of silently truncating.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 from typing import Callable, Hashable, Iterable, Iterator, Sequence, TypeVar
 
@@ -206,9 +207,9 @@ def schreier_generators(
     if quotient(rep0) != start:
         raise SectionError(f"transversal of {start!r} maps to {quotient(rep0)!r}")
     seen = {start}
-    queue = [start]
+    queue = deque([start])
     while queue:
-        key = queue.pop(0)
+        key = queue.popleft()
         y = transversal(key)
         if quotient(y) != key:
             raise SectionError(f"transversal of {key!r} maps to {quotient(y)!r}")
@@ -296,9 +297,9 @@ def todd_coxeter(
         return beta
 
     def coincidence(a: int, b: int) -> None:
-        queue = [(a, b)]
+        queue = deque([(a, b)])
         while queue:
-            a, b = queue.pop(0)
+            a, b = queue.popleft()
             a, b = rep(a), rep(b)
             if a == b:
                 continue

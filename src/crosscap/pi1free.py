@@ -286,8 +286,12 @@ class StallingsGraph:
     """Folded, based subgroup graph over a fixed alphabet.
 
     Vertices are integers with base 0; ``out[v][atom]`` and ``into[v][atom]``
-    are the unique neighbours in each direction (folded).  Folding resolves
-    clashes in discovery order, so graphs are reproducible.
+    are the unique neighbours in each direction (folded).  ``fold`` inserts
+    each generator along existing edges from the base, forwards then
+    backwards, adds vertices only for the unmatched middle, and settles the
+    clashes on a union-find worklist that keeps the smaller id.  Vertices are
+    numbered breadth-first from the base, so a graph depends only on its
+    subgroup.
     """
 
     def __init__(self, alphabet, out, into, generators):
@@ -303,96 +307,93 @@ class StallingsGraph:
     @staticmethod
     def fold(words: Sequence[FreeWord], alphabet: Sequence[Atom]) -> "StallingsGraph":
         alpha = tuple(alphabet)
-        allowed = set(alpha)
-        for w in words:
-            for atom, _ in w.letters:
-                if atom not in allowed:
-                    raise ValueError(f"letter {atom} outside the graph alphabet")
-        # adjacency with multi-edges during construction
+        foreign = {atom for w in words for atom, _ in w.letters} - set(alpha)
+        if foreign:
+            raise ValueError(f"letter {min(foreign)} outside the graph alphabet")
+        # edges join live vertices only and never clash; identifications owed
+        # (a clash, or a word whose two readings meet) wait on the worklist
         parent = [0]
-        out_multi: list[dict[Atom, set[int]]] = [{}]
-        in_multi: list[dict[Atom, set[int]]] = [{}]
-
-        def new_vertex() -> int:
-            parent.append(len(parent))
-            out_multi.append({})
-            in_multi.append({})
-            return len(parent) - 1
+        out: list[dict[Atom, int]] = [{}]
+        into: list[dict[Atom, int]] = [{}]
+        worklist: list[tuple[int, int]] = []
 
         def find(v: int) -> int:
-            root = v
-            while parent[root] != root:
-                root = parent[root]
-            while parent[v] != root:
-                parent[v], v = root, parent[v]
-            return root
+            while parent[v] != v:
+                parent[v] = parent[parent[v]]
+                v = parent[v]
+            return v
+
+        def read(v: int, steps: Iterable[tuple[Atom, int]]) -> tuple[int, int]:
+            """Follow existing edges from v: the vertex reached, letters read."""
+            count = 0
+            for atom, step in steps:
+                nxt = (out if step == 1 else into)[v].get(atom)
+                if nxt is None:
+                    break
+                v, count = nxt, count + 1
+            return v, count
 
         def add_edge(a: int, atom: Atom, b: int) -> None:
-            out_multi[a].setdefault(atom, set()).add(b)
-            in_multi[b].setdefault(atom, set()).add(a)
+            # on a taken slot the existing edge stands in for this one once
+            # its other end is identified with ours
+            taken = out[a].get(atom)
+            if taken is not None:
+                if taken != b:
+                    worklist.append((taken, b))
+            elif atom in into[b]:
+                worklist.append((into[b][atom], a))
+            else:
+                out[a][atom] = b
+                into[b][atom] = a
+
+        def identify_owed() -> None:
+            while worklist:
+                keep, drop = sorted(find(v) for v in worklist.pop())
+                if keep == drop:
+                    continue
+                parent[drop] = keep
+                outs, ins = out[drop], into[drop]
+                for edges, back in ((outs, into), (ins, out)):
+                    for atom, t in edges.items():
+                        if t != drop:
+                            del back[t][atom]
+                for atom, t in outs.items():
+                    add_edge(keep, atom, keep if t == drop else t)
+                for atom, s in ins.items():
+                    add_edge(keep if s == drop else s, atom, keep)
 
         for w in words:
-            if w.is_identity():
-                continue
             steps = list(w.single_letters())
-            current = 0
-            for pos, (atom, step) in enumerate(steps):
-                target = 0 if pos == len(steps) - 1 else new_vertex()
+            head, i = read(0, steps)
+            tail, matched = read(0, ((atom, -step) for atom, step in reversed(steps[i:])))
+            j = len(steps) - matched
+            if i == j:
+                worklist.append((head, tail))
+            fresh = range(len(parent), len(parent) + j - i - 1)
+            parent.extend(fresh)
+            out.extend({} for _ in fresh)
+            into.extend({} for _ in fresh)
+            path = [head, *fresh, tail]
+            for (atom, step), a, b in zip(steps[i:j], path, path[1:]):
                 if step == 1:
-                    add_edge(current, atom, target)
+                    add_edge(a, atom, b)
                 else:
-                    add_edge(target, atom, current)
-                current = target
+                    add_edge(b, atom, a)
+            identify_owed()
 
-        def merge(keep: int, drop: int) -> None:
-            parent[drop] = keep
-            for atom, targets in out_multi[drop].items():
-                out_multi[keep].setdefault(atom, set()).update(targets)
-            for atom, sources in in_multi[drop].items():
-                in_multi[keep].setdefault(atom, set()).update(sources)
-            out_multi[drop] = {}
-            in_multi[drop] = {}
-
-        # fold: merge targets of equal-labelled parallel edges until none
-        # remain; a merge can only create new clashes at the merged vertex
-        queue = list(range(len(parent)))
-        while queue:
-            v = find(queue.pop(0))
-            while True:
-                clash = None
-                for store in (out_multi, in_multi):
-                    for atom, targets in store[v].items():
-                        reps = {find(t) for t in targets}
-                        store[v][atom] = reps
-                        if len(reps) > 1:
-                            ordered = sorted(reps)
-                            clash = (ordered[0], ordered[1])
-                            break
-                    if clash:
-                        break
-                if clash is None:
-                    break
-                merge(*clash)
-                queue.append(clash[0])
-                v = find(v)
-
-        live = sorted({find(v) for v in range(len(parent))})
-        base = find(0)
-        order = [base] + [v for v in live if v != base]
-        relabel = {v: i for i, v in enumerate(order)}
-        out: list[dict[Atom, int]] = [{} for _ in order]
-        into: list[dict[Atom, int]] = [{} for _ in order]
+        order, label = [0], {0: 0}
         for v in order:
-            for atom, targets in out_multi[v].items():
-                reps = {find(t) for t in targets}
-                assert len(reps) <= 1
-                if reps:
-                    out[relabel[v]][atom] = relabel[reps.pop()]
-        for v_idx, row in enumerate(out):
-            for atom, t in row.items():
-                into[t][atom] = v_idx
-        graph = StallingsGraph(alpha, out, into, tuple(words))
-        return graph
+            for atom in alpha:
+                for nbr in (out[v].get(atom), into[v].get(atom)):
+                    if nbr is not None and nbr not in label:
+                        label[nbr] = len(order)
+                        order.append(nbr)
+        return StallingsGraph(
+            alpha,
+            [{a: label[out[v][a]] for a in alpha if a in out[v]} for v in order],
+            [{a: label[into[v][a]] for a in alpha if a in into[v]} for v in order],
+            words,
+        )
 
     def trace(self, w: FreeWord) -> Optional[int]:
         v = 0

@@ -67,6 +67,18 @@ def test_fold(capsys):
     assert data["vertices"] == 2
 
 
+def test_fold_plus_alphabet_rejects_letters_out_of_range(capsys):
+    code, out, err = run_cli(
+        capsys, "fold", "--genus", "2", "--words", "x5 x5", "--alphabet", "plus"
+    )
+    assert code == 2 and out == ""
+    assert "x5 out of range for genus 2" in err
+    code, out, _ = run_cli(
+        capsys, "fold", "--genus", "2", "--words", "x1 x2; x1 x1", "--alphabet", "plus"
+    )
+    assert code == 0 and out.strip() == "vertices: 2  index: infinite"
+
+
 def test_coset(capsys):
     code, out, _ = run_cli(
         capsys, "coset", "--rank", "2", "--relators", "x1^2; x2^2; x1 x2 x1 x2"

@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 
 import pytest
@@ -251,6 +252,19 @@ def test_verify_ker_theta_full():
     assert report["claimed_index"] == report["schreier_index"] == 8
     assert report["coset_count"] == 8
     assert report["subgroups_equal"]
+
+
+@pytest.mark.parametrize("g,n,d,index,count", [(4, 1, 8, 512, 5120), (5, 2, 4, 256, 4352)])
+def test_verify_ker_theta_at_larger_points(g, n, d, index, count):
+    report = verify_ker_theta(g, n, d)
+    assert report["ok"], report
+    assert index == d ** (g - 1)
+    assert report["claimed_index"] == report["schreier_index"] == report["coset_count"] == index
+    # one conjugate per transversal word of each core: x_{i,g}^d, x_{j,j}, y_k,
+    # z_k and x_{i1,i2,g}^2
+    assert count == index * ((g - 1) + g + 2 * (n - 1) + math.comb(g - 1, 2))
+    assert report["claimed_count"] == count
+    assert report["subgroups_equal"] and report["claimed_all_in_kernel"]
 
 
 def test_scale_guard():
