@@ -44,7 +44,7 @@ def _parse_params(text: str | None) -> dict:
         key = key.strip()
         value = value.strip()
         if not key or not value:
-            raise SystemExit(f"bad --params entry {chunk!r} (want k=v)")
+            raise ValueError(f"bad --params entry {chunk!r} (want k=v)")
         try:
             out[key] = int(value)
         except ValueError:
@@ -107,7 +107,7 @@ def _stream_for_set(args):
     if name == "thm-gen-n":
         sets = families.gen_n_sets(g, args.boundaries, args.level)
         return sets.h_stream()
-    raise SystemExit(f"unknown set {name!r}")
+    raise ValueError(f"unknown set {name!r}")
 
 
 def _cmd_enum(args) -> int:
@@ -154,7 +154,7 @@ def _cmd_coset(args) -> int:
         letters = []
         for (kind, idx), step in w.single_letters():
             if kind != "x":
-                raise SystemExit(f"relators use letters x1..x{args.rank}, found {kind}{idx}")
+                raise ValueError(f"relators use letters x1..x{args.rank}, found {kind}{idx}")
             letters.append(idx * step)
         rels.append(letters)
     try:
@@ -171,15 +171,11 @@ def _cmd_coset(args) -> int:
 
 def _cmd_verify(args) -> int:
     params = _parse_params(args.params)
-    if args.seed is not None:
-        params.setdefault("seed", args.seed)
+    params.setdefault("seed", args.seed)
     if args.suite == "all":
         ids = None
     else:
         ids = [chunk.strip() for chunk in args.suite.split(",") if chunk.strip()]
-        for check_id in ids:
-            if check_id not in ledger.CHECKS:
-                raise SystemExit(f"unknown check id {check_id!r}")
     records = ledger.run_suite(ids, params)
 
     if args.format == "json":
@@ -284,7 +280,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (words.WordSyntaxError, ValueError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -490,10 +490,6 @@ def gen_n_sets(g: int, n: int, d: int, base: Sequence[str] = ()) -> GenNSets:
 # ---------------------------------------------------------------------------
 
 
-def y_order_key(idx: tuple[int, int]) -> tuple[int, int]:
-    return idx
-
-
 def _b(g: int, a: int, b: int) -> MCGWord:
     assert a < b
     return named_element("B", (a, b), g).word
@@ -502,10 +498,6 @@ def _b(g: int, a: int, b: int) -> MCGWord:
 def _c(g: int, i: int, j: int, k: int) -> MCGWord:
     assert i < j
     return named_element("C", (i, j, k), g).word
-
-
-def _conj(inner: MCGWord, outer: MCGWord) -> MCGWord:
-    return conjugate(inner, outer)
 
 
 def slide_commutator_rhs(x1_idx: tuple[int, int], x2_idx: tuple[int, int], g: int) -> MCGWord:
@@ -517,7 +509,7 @@ def slide_commutator_rhs(x1_idx: tuple[int, int], x2_idx: tuple[int, int], g: in
     commutator of slides; on homology the factor it wraps is a Torelli
     conjugate, so either reading of the bracket gives the same action.
     """
-    if y_order_key(x1_idx) >= y_order_key(x2_idx):
+    if x1_idx >= x2_idx:
         raise FamilyIndexError("need x1 < x2 in the Y-order")
     i, j = x1_idx
     k, l = x2_idx
@@ -533,18 +525,18 @@ def slide_commutator_rhs(x1_idx: tuple[int, int], x2_idx: tuple[int, int], g: in
         kk = l
         c = _c(g, *sorted((j, kk)), i)
         if i < j < kk:
-            return c * _b(g, i, kk).inverse() * _conj(_b(g, i, j).inverse(), x2)
+            return c * _b(g, i, kk).inverse() * conjugate(_b(g, i, j).inverse(), x2)
         if j < i < kk:
             return (
-                _conj(c, x1)
+                conjugate(c, x1)
                 * _b(g, i, kk).inverse()
-                * _conj(_b(g, j, i).inverse(), x2)
+                * conjugate(_b(g, j, i).inverse(), x2)
             )
         # j < kk < i
-        return c * _b(g, kk, i).inverse() * _conj(_b(g, j, i).inverse(), x2)
+        return c * _b(g, kk, i).inverse() * conjugate(_b(g, j, i).inverse(), x2)
 
     if l == j:  # (Y_{i,j}, Y_{k,j}) with i < k
-        mid = _conj(_b(g, min(i, k), max(i, k)).inverse(), x1)
+        mid = conjugate(_b(g, min(i, k), max(i, k)).inverse(), x1)
         if j < i < k:
             return _b(g, j, i).inverse() * mid * _b(g, j, i)
         if i < j < k:
@@ -555,32 +547,32 @@ def slide_commutator_rhs(x1_idx: tuple[int, int], x2_idx: tuple[int, int], g: in
     if k == j:  # (Y_{i,j}, Y_{j,k'}) with k' = l != i
         kk = l
         if kk < i < j:
-            return _conj(_b(g, kk, i).inverse(), x1) * _c(g, kk, j, i)
+            return conjugate(_b(g, kk, i).inverse(), x1) * _c(g, kk, j, i)
         if i < kk < j:
             return (
                 _b(g, i, j).inverse()
-                * _conj(_b(g, i, kk).inverse(), x1)
-                * _conj(_c(g, kk, j, i), x1)
+                * conjugate(_b(g, i, kk).inverse(), x1)
+                * conjugate(_c(g, kk, j, i), x1)
                 * _b(g, i, j)
             )
         # i < j < kk
-        return _conj(_b(g, i, kk).inverse(), x1) * _c(g, j, kk, i)
+        return conjugate(_b(g, i, kk).inverse(), x1) * _c(g, j, kk, i)
 
     if l == i:  # (Y_{i,j}, Y_{k,i}) with i < k, j != k
         if j < i < k:
             return (
                 _b(g, i, k).inverse()
                 * _b(g, j, k).inverse()
-                * _conj(_b(g, i, k).inverse(), _slide_word(g, k, j))
+                * conjugate(_b(g, i, k).inverse(), _slide_word(g, k, j))
                 * _c(g, j, i, k)
             )
         if i < j < k:
-            return _c(g, i, j, k).inverse() * _conj(_b(g, j, k), x2)
+            return _c(g, i, j, k).inverse() * conjugate(_b(g, j, k), x2)
         # i < k < j
         return (
             _b(g, i, k).inverse()
-            * _conj(_c(g, i, j, k).inverse(), x2)
-            * _conj(_b(g, k, j), x2)
+            * conjugate(_c(g, i, j, k).inverse(), x2)
+            * conjugate(_b(g, k, j), x2)
             * _b(g, i, k)
         )
 
@@ -589,50 +581,50 @@ def slide_commutator_rhs(x1_idx: tuple[int, int], x2_idx: tuple[int, int], g: in
     q = commutator(y_il, x1)
     if i < k < j < l:
         return (
-            _conj(_b(g, i, l).inverse(), x1)
-            * _conj(_conj(_b(g, i, k), y_il), x1)
-            * _conj(_b(g, i, l), x1)
-            * _conj(_b(g, i, k), x1)
+            conjugate(_b(g, i, l).inverse(), x1)
+            * conjugate(conjugate(_b(g, i, k), y_il), x1)
+            * conjugate(_b(g, i, l), x1)
+            * conjugate(_b(g, i, k), x1)
             * _b(g, i, k).inverse()
             * _b(g, i, l).inverse()
-            * _conj(_b(g, i, k).inverse(), x1)
+            * conjugate(_b(g, i, k).inverse(), x1)
             * _b(g, i, l)
         )
     if i < l < j < k:
         return (
-            _conj(_b(g, i, k).inverse(), x1)
-            * _conj(_b(g, i, l).inverse(), x1)
+            conjugate(_b(g, i, k).inverse(), x1)
+            * conjugate(_b(g, i, l).inverse(), x1)
             * q.inverse()
-            * _conj(_conj(_b(g, i, k).inverse(), x1), y_il)
+            * conjugate(conjugate(_b(g, i, k).inverse(), x1), y_il)
             * q
-            * _conj(_b(g, i, l), x1)
+            * conjugate(_b(g, i, l), x1)
             * _b(g, i, l).inverse()
-            * _conj(_b(g, i, k), y_il)
+            * conjugate(_b(g, i, k), y_il)
             * _b(g, i, l)
             * _b(g, i, k)
         )
     if j < l < i < k:
         return (
-            _conj(_b(g, l, i).inverse(), x1)
-            * _conj(_conj(_b(g, i, k), y_il), x1)
-            * _conj(_b(g, l, i), x1)
-            * _conj(_b(g, i, k), x1)
+            conjugate(_b(g, l, i).inverse(), x1)
+            * conjugate(conjugate(_b(g, i, k), y_il), x1)
+            * conjugate(_b(g, l, i), x1)
+            * conjugate(_b(g, i, k), x1)
             * _b(g, i, k).inverse()
             * _b(g, l, i).inverse()
-            * _conj(_b(g, i, k).inverse(), x1)
+            * conjugate(_b(g, i, k).inverse(), x1)
             * _b(g, l, i)
         )
     if l < i < k < j:
         return (
-            _conj(_b(g, l, i).inverse(), x1)
+            conjugate(_b(g, l, i).inverse(), x1)
             * q.inverse()
-            * _conj(_conj(_b(g, i, k), x1), y_il)
+            * conjugate(conjugate(_b(g, i, k), x1), y_il)
             * q
-            * _conj(_b(g, l, i), x1)
-            * _conj(_b(g, i, k), x1)
+            * conjugate(_b(g, l, i), x1)
+            * conjugate(_b(g, i, k), x1)
             * _b(g, i, k).inverse()
             * _b(g, l, i).inverse()
-            * _conj(_b(g, i, k).inverse(), y_il)
+            * conjugate(_b(g, i, k).inverse(), y_il)
             * _b(g, l, i)
         )
     return MCGWord.identity(g)
@@ -665,10 +657,10 @@ def three_chain_words(j: int, k: int, l: int, g: int) -> tuple[MCGWord, MCGWord,
         * yw(1, j)
         * yw(k, j, -1)
         * yw(j, k)
-        * _conj(yw(k, 1, -1) * yw(1, k), yw(j, 1))
+        * conjugate(yw(k, 1, -1) * yw(1, k), yw(j, 1))
         * yw(l, k, -1)
         * yw(k, l)
-        * _conj(yw(l, j, -1) * yw(j, l), yw(k, j))
-        * _conj(yw(l, 1, -1) * yw(1, l), yw(j, 1) * yw(k, l, -1))
+        * conjugate(yw(l, j, -1) * yw(j, l), yw(k, j))
+        * conjugate(yw(l, 1, -1) * yw(1, l), yw(j, 1) * yw(k, l, -1))
     )
     return chain, paired, slide_form

@@ -55,6 +55,19 @@ def _bareiss_det(rows: Sequence[Sequence[int]]) -> int:
     return sign * a[n - 1][n - 1]
 
 
+def _power(m, e: int, identity):
+    """``m ** e`` by square-and-multiply, through the inverse when e < 0."""
+    if e < 0:
+        m, e = m.inverse(), -e
+    result = identity
+    while e:
+        if e & 1:
+            result = result * m
+        m = m * m
+        e >>= 1
+    return result
+
+
 @dataclass(frozen=True)
 class IntMatrix:
     """Immutable square matrix over Z."""
@@ -90,16 +103,7 @@ class IntMatrix:
         )
 
     def __pow__(self, e: int) -> "IntMatrix":
-        if e < 0:
-            return self.inverse() ** (-e)
-        result = IntMatrix.identity(self.n)
-        base = self
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base
-            e >>= 1
-        return result
+        return _power(self, e, IntMatrix.identity(self.n))
 
     def transpose(self) -> "IntMatrix":
         return IntMatrix(tuple(zip(*self.rows)))
@@ -188,16 +192,7 @@ class ModMatrix:
         )
 
     def __pow__(self, e: int) -> "ModMatrix":
-        if e < 0:
-            return self.inverse() ** (-e)
-        result = ModMatrix.identity(self.n, self.modulus)
-        base = self
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base
-            e >>= 1
-        return result
+        return _power(self, e, ModMatrix.identity(self.n, self.modulus))
 
     def transpose(self) -> "ModMatrix":
         return ModMatrix(self.modulus, tuple(zip(*self.rows)))

@@ -722,9 +722,13 @@ def run_check(check_id: str, params: dict | None = None) -> CheckRecord:
 
 
 def run_suite(ids: list[str] | None = None, params: dict | None = None) -> list[CheckRecord]:
-    """Run several checks (all of them by default), sorted by id."""
-    chosen = sorted(CHECKS) if ids is None else list(ids)
-    return [run_check(check_id, params) for check_id in sorted(chosen)]
+    """Run several checks (all of them by default), sorted by id.  Every id
+    is looked up before any check runs, so an unknown one raises at once."""
+    chosen = sorted(CHECKS) if ids is None else sorted(ids)
+    for check_id in chosen:
+        if check_id not in CHECKS:
+            raise UnknownCheckError(f"unknown check id {check_id!r}")
+    return [run_check(check_id, params) for check_id in chosen]
 
 
 def records_to_markdown(records: list[CheckRecord]) -> str:

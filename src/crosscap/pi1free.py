@@ -33,7 +33,7 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional, Sequence
 
 from .finitegrp import CosetTable, schreier_generators, todd_coxeter
-from .words import word_power
+from .words import ReducedWord, _reduce
 
 
 class NotTwoSidedError(ValueError):
@@ -47,24 +47,8 @@ class ScaleGuardError(ValueError):
 Atom = tuple[str, int]  # (kind, index), kind in {"x", "y", "u", "v", "z"}
 
 
-def _reduce(letters: Iterable[tuple[Atom, int]]) -> tuple[tuple[Atom, int], ...]:
-    stack: list[tuple[Atom, int]] = []
-    for atom, exp in letters:
-        exp = int(exp)
-        if exp == 0:
-            continue
-        if stack and stack[-1][0] == atom:
-            merged = stack[-1][1] + exp
-            stack.pop()
-            if merged != 0:
-                stack.append((atom, merged))
-        else:
-            stack.append((atom, exp))
-    return tuple(stack)
-
-
 @dataclass(frozen=True)
-class FreeWord:
+class FreeWord(ReducedWord):
     """Freely reduced word over named letters."""
 
     letters: tuple[tuple[Atom, int], ...]
@@ -77,22 +61,13 @@ class FreeWord:
     def from_letters(letters: Iterable[tuple[Atom, int]]) -> "FreeWord":
         return FreeWord(_reduce(letters))
 
+    def _with(self, letters: tuple[tuple[Atom, int], ...]) -> "FreeWord":
+        return FreeWord(letters)
+
     def __mul__(self, other: "FreeWord") -> "FreeWord":
         if not isinstance(other, FreeWord):
             return NotImplemented
-        return FreeWord(_reduce(self.letters + other.letters))
-
-    def inverse(self) -> "FreeWord":
-        return FreeWord(tuple((a, -e) for a, e in reversed(self.letters)))
-
-    def __pow__(self, e: int) -> "FreeWord":
-        return word_power(self, e)
-
-    def is_identity(self) -> bool:
-        return not self.letters
-
-    def length(self) -> int:
-        return sum(abs(e) for _, e in self.letters)
+        return self._times(other)
 
     def single_letters(self) -> Iterator[tuple[Atom, int]]:
         """Stream (atom, +-1) steps."""
@@ -462,38 +437,38 @@ def gtilde(g: int, d: int) -> list[FreeWord]:
     return out
 
 
-def _guard(g: int, d: int, cap: int) -> None:
-    if d ** (g - 1) > cap:
-        raise ScaleGuardError(f"d^(g-1) = {d ** (g - 1)} exceeds desk-scale cap {cap}")
+# the largest index d^(g-1) the kernel certificates take on
+_KERNEL_INDEX_CAP = 4096
 
 
-def claimed_ker_theta_generators(g: int, n: int, d: int, cap: int = 4096) -> list[FreeWord]:
-    """The conjugated generator list claimed to generate the kernel:
-    w x_{i,g}^d w^-1, w x_{j,j} w^-1, w y_k w^-1, w z_k w^-1 and
-    w x_{i1,i2,g}^2 w^-1 for transversal words w."""
+def _guard(g: int, d: int) -> None:
+    if d ** (g - 1) > _KERNEL_INDEX_CAP:
+        raise ScaleGuardError(
+            f"d^(g-1) = {d ** (g - 1)} exceeds desk-scale cap {_KERNEL_INDEX_CAP}"
+        )
+
+
+def claimed_ker_theta_generators(g: int, n: int, d: int) -> list[FreeWord]:
+    """The conjugated generator list claimed to generate the kernel: w r w^-1
+    for every transversal word w and every normal relator r of
+    :func:`ker_theta_normal_relators`."""
     if n < 1:
         raise ValueError("needs n >= 1")
-    _guard(g, d, cap)
-    cores = [x_run(i, g) ** d for i in range(1, g)]
-    cores += [x_run(j, j) for j in range(1, g + 1)]
-    cores += [y_(k) for k in range(1, n)]
-    cores += [x_(g) * y_(k) * x_(g, -1) for k in range(1, n)]
-    cores += [
-        x_run(i1, i2, g) ** 2 for i1 in range(1, g) for i2 in range(i1 + 1, g)
-    ]
+    _guard(g, d)
+    relators = ker_theta_normal_relators(g, n, d)
     out = []
     for w in gtilde(g, d):
         w_inv = w.inverse()
-        for core in cores:
-            out.append(w * core * w_inv)
+        for relator in relators:
+            out.append(w * relator * w_inv)
     return out
 
 
-def schreier_ker_theta_generators(g: int, n: int, d: int, cap: int = 4096) -> list[FreeWord]:
+def schreier_ker_theta_generators(g: int, n: int, d: int) -> list[FreeWord]:
     """The full Schreier generating set of the kernel from the transversal."""
     if n < 1:
         raise ValueError("needs n >= 1")
-    _guard(g, d, cap)
+    _guard(g, d)
     table = {push_coefficients(w, g, d): w for w in gtilde(g, d)}
     if len(table) != d ** (g - 1):
         raise ValueError("transversal words do not hit distinct cosets")
@@ -546,7 +521,7 @@ def coset_count_ker_theta(g: int, n: int, d: int, cap: int = 100_000) -> CosetTa
     return todd_coxeter(rank, rels, cap)
 
 
-def verify_ker_theta(g: int, n: int, d: int, cap: int = 4096) -> dict:
+def verify_ker_theta(g: int, n: int, d: int) -> dict:
     """Certify the kernel generating claims at one parameter point.
 
     Checks that every claimed generator has zero coefficient vector, that
@@ -554,11 +529,11 @@ def verify_ker_theta(g: int, n: int, d: int, cap: int = 4096) -> dict:
     graph equality), that both have index d^(g-1), and that coset
     enumeration of the normal relators gives the same index.
     """
-    _guard(g, d, cap)
-    claimed = claimed_ker_theta_generators(g, n, d, cap)
+    _guard(g, d)
+    claimed = claimed_ker_theta_generators(g, n, d)
     zero = (0,) * g
     nonzero = [w for w in claimed if push_coefficients(w, g, d) != zero]
-    schreier = schreier_ker_theta_generators(g, n, d, cap)
+    schreier = schreier_ker_theta_generators(g, n, d)
     graph_claimed = fold_in_plus_basis(claimed, g, n)
     graph_schreier = fold_in_plus_basis(schreier, g, n)
     expected_index = d ** (g - 1)

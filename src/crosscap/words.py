@@ -11,16 +11,18 @@ The alphabet has four kinds of letters:
 * ``BoundaryTwist`` -- twists about curves that only exist on surfaces with
   boundary.  They parse, enumerate and count but have no homology action.
 
-Words multiply by concatenation and are kept freely reduced.  In a written
-word the rightmost letter is applied first, matching the composition
-convention used throughout: the matrix of ``u v`` is ``M(u) * M(v)``.
+Words multiply by concatenation and are kept freely reduced; the group
+operations live once in :class:`ReducedWord`, which :class:`MCGWord` shares
+with the free-group words of :mod:`crosscap.pi1free`.  In a written word the
+rightmost letter is applied first, matching the composition convention used
+throughout: the matrix of ``u v`` is ``M(u) * M(v)``.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, replace
-from typing import Iterable, Union
+from dataclasses import dataclass
+from typing import Hashable, Iterable, TypeVar, Union
 
 
 class WordSyntaxError(ValueError):
@@ -86,6 +88,17 @@ class TorelliTag:
 
 _BOUNDARY_ARITY = {"delta": 1, "epsilon": 2, "zeta": 2, "zetabar": 2, "eta": 3, "acurve": 2}
 
+# the written name of each boundary curve kind, and back
+_BOUNDARY_NAME = {
+    "delta": "Delta",
+    "epsilon": "Eps",
+    "zeta": "Zeta",
+    "zetabar": "Zbar",
+    "eta": "Eta",
+    "acurve": "Acurve",
+}
+_BOUNDARY_KIND = {name: kind for kind, name in _BOUNDARY_NAME.items()}
+
 
 @dataclass(frozen=True)
 class BoundaryTwist:
@@ -119,47 +132,75 @@ def validate_symbol(sym: Symbol, genus: int) -> None:
     # boundary indices depend on the boundary count, which words do not carry
 
 
-def _reduce(letters: Iterable[tuple[Symbol, int]]) -> tuple[tuple[Symbol, int], ...]:
-    stack: list[tuple[Symbol, int]] = []
-    for sym, exp in letters:
+def _reduce(letters: Iterable[tuple[Hashable, int]]) -> tuple[tuple[Hashable, int], ...]:
+    stack: list[tuple[Hashable, int]] = []
+    for atom, exp in letters:
         exp = int(exp)
         if exp == 0:
             continue
-        if stack and stack[-1][0] == sym:
+        if stack and stack[-1][0] == atom:
             merged = stack[-1][1] + exp
             stack.pop()
             if merged != 0:
-                stack.append((sym, merged))
+                stack.append((atom, merged))
         else:
-            stack.append((sym, exp))
+            stack.append((atom, exp))
     return tuple(stack)
 
 
-def word_power(w, e: int):
-    """``w ** e`` for a freely reduced word dataclass with a ``letters`` field.
+W = TypeVar("W", bound="ReducedWord")
 
-    A single letter scales its exponent; a longer word is squared
-    repeatedly, so the number of products grows with log |e|, not |e|.
+
+class ReducedWord:
+    """Freely reduced word: a tuple of (atom, nonzero exponent) pairs with no
+    two neighbours on the same atom.
+
+    The group operations live here once; a subclass is a frozen dataclass
+    with a ``letters`` field that adds ``_with``, which rebuilds a word of its
+    own kind (and context) from already reduced letters, and a ``__mul__``
+    that checks its operand before calling ``_times``.
     """
-    if e == 0 or not w.letters:
-        return replace(w, letters=())
-    if len(w.letters) == 1:
-        ((sym, exp),) = w.letters
-        return replace(w, letters=((sym, exp * e),))
-    base = w if e > 0 else w.inverse()
-    e = abs(e)
-    out = None
-    while True:
-        if e & 1:
-            out = base if out is None else out * base
-        e >>= 1
-        if not e:
-            return out
-        base = base * base
+
+    __slots__ = ()
+    letters: tuple[tuple[Hashable, int], ...]
+
+    def _with(self: W, letters: tuple[tuple[Hashable, int], ...]) -> W:
+        raise NotImplementedError
+
+    def _times(self: W, other: W) -> W:
+        return self._with(_reduce(self.letters + other.letters))
+
+    def inverse(self: W) -> W:
+        return self._with(tuple((a, -e) for a, e in reversed(self.letters)))
+
+    def __pow__(self: W, e: int) -> W:
+        """A single letter scales its exponent; a longer word is squared
+        repeatedly, so the number of products grows with log |e|, not |e|."""
+        if e == 0 or not self.letters:
+            return self._with(())
+        if len(self.letters) == 1:
+            ((atom, exp),) = self.letters
+            return self._with(((atom, exp * e),))
+        base = self if e > 0 else self.inverse()
+        e = abs(e)
+        out = None
+        while True:
+            if e & 1:
+                out = base if out is None else out * base
+            e >>= 1
+            if not e:
+                return out
+            base = base * base
+
+    def is_identity(self) -> bool:
+        return not self.letters
+
+    def length(self) -> int:
+        return sum(abs(e) for _, e in self.letters)
 
 
 @dataclass(frozen=True)
-class MCGWord:
+class MCGWord(ReducedWord):
     """Freely reduced word over the generator alphabet, with a genus context."""
 
     genus: int
@@ -178,6 +219,9 @@ class MCGWord:
             validate_symbol(sym, genus)
         return MCGWord(genus, reduced)
 
+    def _with(self, letters: tuple[tuple[Symbol, int], ...]) -> "MCGWord":
+        return MCGWord(self.genus, letters)
+
     def _check(self, other: "MCGWord") -> None:
         if self.genus != other.genus:
             raise GenusMismatchError(f"genus {self.genus} vs {other.genus}")
@@ -186,19 +230,7 @@ class MCGWord:
         if not isinstance(other, MCGWord):
             return NotImplemented
         self._check(other)
-        return MCGWord(self.genus, _reduce(self.letters + other.letters))
-
-    def inverse(self) -> "MCGWord":
-        return MCGWord(self.genus, tuple((s, -e) for s, e in reversed(self.letters)))
-
-    def __pow__(self, e: int) -> "MCGWord":
-        return word_power(self, e)
-
-    def is_identity(self) -> bool:
-        return not self.letters
-
-    def length(self) -> int:
-        return sum(abs(e) for _, e in self.letters)
+        return self._times(other)
 
     def has_boundary_letters(self) -> bool:
         return any(isinstance(s, BoundaryTwist) for s, _ in self.letters)
@@ -361,17 +393,9 @@ class _Parser:
 
             args = self.parse_int_args()
             return families.named_element(name, tuple(args), g).word
-        boundary = {
-            "Delta": "delta",
-            "Eps": "epsilon",
-            "Zeta": "zeta",
-            "Zbar": "zetabar",
-            "Eta": "eta",
-            "Acurve": "acurve",
-        }
-        if name in boundary:
+        if name in _BOUNDARY_KIND:
             args = self.parse_int_args()
-            return word(g, BoundaryTwist(boundary[name], tuple(args)))
+            return word(g, BoundaryTwist(_BOUNDARY_KIND[name], tuple(args)))
         raise WordSyntaxError(f"unknown generator name {name!r}", pos)
 
 
@@ -394,14 +418,7 @@ def _format_symbol(sym: Symbol) -> str:
             return "Gamma"
         return "Bname(" + ",".join(str(i) for i in sym.indices) + ")"
     if isinstance(sym, BoundaryTwist):
-        name = {
-            "delta": "Delta",
-            "epsilon": "Eps",
-            "zeta": "Zeta",
-            "zetabar": "Zbar",
-            "eta": "Eta",
-            "acurve": "Acurve",
-        }[sym.kind]
+        name = _BOUNDARY_NAME[sym.kind]
         idx = sym.indices
         if sym.kind in ("eta", "acurve"):
             head = ",".join(str(i) for i in idx[:-1])

@@ -134,5 +134,30 @@ def test_usage_errors_exit_2(capsys):
 
 
 def test_verify_unknown_suite(capsys):
-    with pytest.raises(SystemExit):
-        main(["verify", "--suite", "NOPE"])
+    code, out, err = run_cli(capsys, "verify", "--suite", "NOPE")
+    assert code == 2 and out == ""
+    assert "unknown check id 'NOPE'" in err
+
+
+def test_verify_unknown_id_stops_before_any_check_runs(capsys, monkeypatch):
+    from crosscap import ledger
+
+    def refuse(*args):
+        raise AssertionError("a check ran")
+
+    monkeypatch.setattr(ledger, "run_check", refuse)
+    code, out, err = run_cli(capsys, "verify", "--suite", "THETA-BASIS,NOPE")
+    assert code == 2 and out == ""
+    assert "unknown check id 'NOPE'" in err
+
+
+def test_verify_bad_params_entry_exits_2(capsys):
+    code, out, err = run_cli(capsys, "verify", "--suite", "THETA-BASIS", "--params", "g")
+    assert code == 2 and out == ""
+    assert "bad --params entry 'g' (want k=v)" in err
+
+
+def test_coset_rejects_letters_other_than_x(capsys):
+    code, out, err = run_cli(capsys, "coset", "--rank", "2", "--relators", "y1")
+    assert code == 2 and out == ""
+    assert "relators use letters x1..x2, found y1" in err

@@ -171,3 +171,23 @@ def test_reduce_mod_is_multiplicative(n, d, data):
     a = IntMatrix.from_rows(data.draw(rows))
     b = IntMatrix.from_rows(data.draw(rows))
     assert (a * b).reduce_mod(d).rows == (a.reduce_mod(d) * b.reduce_mod(d)).rows
+
+
+@pytest.mark.parametrize("cls", [IntMatrix, ModMatrix])
+def test_power_is_the_explicit_product(cls, monkeypatch):
+    a = elementary(3, 1, 2, 2) * elementary(3, 3, 1, -1) * elementary(3, 2, 3, 1)
+    if cls is ModMatrix:
+        a = a.reduce_mod(7)
+    one = a * a.inverse()
+    mul = cls.__mul__
+    products = []
+    monkeypatch.setattr(cls, "__mul__", lambda x, y: products.append(1) or mul(x, y))
+    for e in range(-6, 7):
+        factor = a if e >= 0 else a.inverse()
+        explicit = one
+        for _ in range(abs(e)):
+            explicit = mul(explicit, factor)
+        products.clear()
+        assert (a**e).rows == explicit.rows, e
+        # square-and-multiply: one squaring per bit, one product per set bit
+        assert len(products) == abs(e).bit_length() + bin(abs(e)).count("1"), e

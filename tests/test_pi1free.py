@@ -270,3 +270,25 @@ def test_verify_ker_theta_at_larger_points(g, n, d, index, count):
 def test_scale_guard():
     with pytest.raises(ScaleGuardError):
         claimed_ker_theta_generators(8, 1, 7)
+
+
+@pytest.mark.parametrize(
+    "build", [claimed_ker_theta_generators, schreier_ker_theta_generators, verify_ker_theta]
+)
+def test_scale_guard_names_the_index_and_the_cap(build):
+    with pytest.raises(ScaleGuardError, match=r"^d\^\(g-1\) = 117649 exceeds desk-scale cap 4096$"):
+        build(7, 1, 7)
+    build(4, 1, 2)  # index 8 is inside the cap
+
+
+def test_boundary_count_is_checked_before_the_scale_guard():
+    for build in (claimed_ker_theta_generators, schreier_ker_theta_generators):
+        with pytest.raises(ValueError, match="needs n >= 1"):
+            build(8, 0, 7)
+
+
+def test_claimed_generators_conjugate_the_normal_relators():
+    g, n, d = 4, 2, 3
+    relators = ker_theta_normal_relators(g, n, d)
+    expected = [w * r * w.inverse() for w in gtilde(g, d) for r in relators]
+    assert claimed_ker_theta_generators(g, n, d) == expected
