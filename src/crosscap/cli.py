@@ -171,11 +171,13 @@ def _cmd_coset(args) -> int:
 
 def _cmd_verify(args) -> int:
     params = _parse_params(args.params)
-    params.setdefault("seed", args.seed)
     if args.suite == "all":
         ids = None
     else:
         ids = [chunk.strip() for chunk in args.suite.split(",") if chunk.strip()]
+    # --seed always has a value, so it goes only to suites with a seeded check
+    if "seed" in ledger.suite_params(ids):
+        params.setdefault("seed", args.seed)
     records = ledger.run_suite(ids, params)
 
     if args.format == "json":

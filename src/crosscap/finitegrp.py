@@ -1,12 +1,15 @@
 """Finite-quotient machinery: matrix-group closures, Schreier generators,
 and Todd-Coxeter coset enumeration.
 
-Closures of matrix groups over Z/d are computed by breadth-first orbit
-expansion.  The frontier products are batched through numpy (the only place
-the package uses it); element keys are the little-endian uint16 row-major
-entry bytes, which is canonical because entries live in [0, d).  Caps are
-explicit and hitting one raises, so callers can report "inconclusive"
-instead of silently truncating.
+A matrix group over Z/d is held as the set of its element keys: the
+little-endian uint16 row-major entry bytes, which are canonical because
+entries live in [0, d) with d < 2^16.  ``bfs_closure`` and ``normal_closure``
+drive one closure engine, ``_Closure``, which grows a group in place as
+generators arrive instead of restarting (Dimino's algorithm; Holt-Eick-
+O'Brien, *Handbook of Computational Group Theory*, ch. 4) and forms and keys
+its products through numpy a batch at a time.  Caps are explicit and hitting
+one raises, so callers can report "inconclusive" instead of silently
+truncating.
 """
 
 from __future__ import annotations
@@ -29,14 +32,24 @@ class SectionError(ValueError):
 
 
 MAX_KEY_MODULUS = 1 << 16
+_BATCH = 1 << 15  # matrices per numpy batch
 
 
-def _as_array(m: ModMatrix) -> np.ndarray:
-    return np.array(m.rows, dtype=np.int64)
+def _keys(arrays: np.ndarray) -> list[bytes]:
+    """The key of each matrix in an (N, n, n) stack, whose entries lie in
+    [0, 2^16): its little-endian uint16 row-major entry bytes."""
+    count, n = len(arrays), arrays.shape[-1]
+    flat = arrays.astype("<u2", order="C").reshape(count, n * n)
+    return flat.view(np.dtype((np.void, 2 * n * n))).reshape(count).tolist()
 
 
-def _key(arr: np.ndarray) -> bytes:
-    return arr.astype("<u2").tobytes()
+def _decode(keys: Sequence[bytes], n: int) -> np.ndarray:
+    """The (N, n, n) uint16 stack that ``keys`` encode."""
+    return np.frombuffer(b"".join(keys), dtype="<u2").reshape(len(keys), n, n)
+
+
+def _stack(ms: Sequence[ModMatrix], d: int, n: int) -> np.ndarray:
+    return np.array([m.rows for m in ms], dtype=np.int64).reshape(-1, n, n) % d
 
 
 def _check_gens(gens: Sequence[ModMatrix]) -> tuple[int, int]:
@@ -70,16 +83,12 @@ class FiniteMatrixGroup:
     def contains(self, m: ModMatrix) -> bool:
         if m.modulus != self.modulus or m.n != self.dim:
             return False
-        return _key(_as_array(m)) in self.keys
+        return _keys(np.array([m.rows], dtype=np.int64))[0] in self.keys
 
     def elements(self) -> Iterator[ModMatrix]:
-        n, d = self.dim, self.modulus
-        for key in sorted(self.keys):
-            flat = np.frombuffer(key, dtype="<u2")
-            rows = tuple(
-                tuple(int(flat[r * n + c]) for c in range(n)) for r in range(n)
-            )
-            yield ModMatrix(d, rows)
+        """Every element, in the order of the sorted keys."""
+        for rows in _decode(sorted(self.keys), self.dim).tolist():
+            yield ModMatrix(self.modulus, tuple(map(tuple, rows)))
 
     def same_group(self, other: "FiniteMatrixGroup") -> bool:
         return (
@@ -103,35 +112,65 @@ class FiniteMatrixGroup:
         return data
 
 
-def _closure_arrays(
-    gen_arrays: list[np.ndarray], d: int, n: int, cap: int
-) -> dict[bytes, np.ndarray]:
-    """BFS closure under right multiplication, batched per frontier level."""
-    stack = np.stack(gen_arrays)
-    identity = np.eye(n, dtype=np.int64)
-    elements: dict[bytes, np.ndarray] = {_key(identity): identity}
-    frontier = [identity]
-    while frontier:
-        batch = np.stack(frontier)  # (F, n, n)
-        prods = (batch[:, None, :, :] @ stack[None, :, :, :]) % d
-        prods = prods.reshape(-1, n, n)
-        frontier = []
-        for arr in prods:
-            key = _key(arr)
-            if key not in elements:
-                elements[key] = arr
-                frontier.append(arr)
-        if len(elements) > cap:
-            raise CapExceededError(f"closure exceeded cap of {cap} elements")
-    return elements
+class _Closure:
+    """The subgroup of the n x n matrices over Z/d generated by the
+    generators added so far, held as element keys in discovery order and
+    grown in place as generators are added.
+
+    Invariant: the keys are closed under right multiplication by every kept
+    generator.  Adding a generator outside the group multiplies the old
+    elements by it alone (the old generators keep them inside), then the new
+    elements by every kept generator.
+    """
+
+    def __init__(self, d: int, n: int, cap: int) -> None:
+        self.d, self.n, self.cap = d, n, cap
+        self.gens = np.empty((0, n, n), dtype=np.int64)
+        self.keys = _keys(np.eye(n, dtype=np.int64)[None])
+        self.members = set(self.keys)
+
+    def add(self, gens: np.ndarray) -> np.ndarray:
+        """Add the generators of the (N, n, n) stack in turn, skipping each
+        one the group already contains; returns the stack of those kept."""
+        kept = []
+        for index, key in enumerate(_keys(gens)):
+            if key in self.members:
+                continue
+            kept.append(index)
+            new = gens[index : index + 1]
+            old = len(self.keys)
+            self._multiply(0, old, new)
+            self.gens = np.concatenate((self.gens, new))
+            self._multiply(old, None, self.gens)
+        return gens[kept]
+
+    def _multiply(self, start: int, stop: int | None, gens: np.ndarray) -> None:
+        """Append the unseen right products by ``gens`` of the elements from
+        index ``start`` to ``stop``, or through every element appended on
+        the way when ``stop`` is None."""
+        d, n = self.d, self.n
+        keys, members = self.keys, self.members
+        step = max(1, _BATCH // len(gens))
+        while True:
+            end = min(start + step, len(keys) if stop is None else stop)
+            if start >= end:
+                return
+            batch = _decode(keys[start:end], n)
+            start = end
+            products = _keys((batch[:, None] @ gens % d).reshape(-1, n, n))
+            fresh = [key for key in dict.fromkeys(products) if key not in members]
+            members.update(fresh)
+            keys.extend(fresh)
+            if len(keys) > self.cap:
+                raise CapExceededError(f"closure exceeded cap of {self.cap} elements")
 
 
 def bfs_closure(gens: Sequence[ModMatrix], cap: int = 1 << 22) -> FiniteMatrixGroup:
     """The subgroup generated by ``gens`` as an explicit element set."""
     d, n = _check_gens(gens)
-    arrays = [_as_array(m) % d for m in gens]
-    elements = _closure_arrays(arrays, d, n, cap)
-    return FiniteMatrixGroup(d, n, frozenset(elements), tuple(gens))
+    group = _Closure(d, n, cap)
+    group.add(_stack(gens, d, n))
+    return FiniteMatrixGroup(d, n, frozenset(group.keys), tuple(gens))
 
 
 def normal_closure(
@@ -142,40 +181,26 @@ def normal_closure(
     """Smallest subgroup containing ``normal_gens`` and closed under
     conjugation by the group the ambient generators produce.
 
-    Alternates subgroup closure with conjugation of the current generator
-    list by the ambient generators and their inverses until stable.
+    Each round conjugates the generators the previous round kept by the
+    ambient generators and their inverses, and adds those conjugates to the
+    group; a conjugate already inside is skipped.  When a round keeps none,
+    the conjugates of every kept generator lie in the group, so it is normal.
     """
     d, n = _check_gens(list(ambient_gens) + list(normal_gens))
-    pairs = [
-        ((_as_array(a) % d), (_as_array(a.inverse()) % d)) for a in ambient_gens
-    ]
-
-    seeds: dict[bytes, np.ndarray] = {}
-    for m in normal_gens:
-        arr = _as_array(m) % d
-        seeds.setdefault(_key(arr), arr)
-    gen_list = list(seeds.values())
-    if not gen_list:
-        gen_list = [np.eye(n, dtype=np.int64)]
-
-    while True:
-        elements = _closure_arrays(gen_list, d, n, cap)
-        stack = np.stack(gen_list)
-        fresh: dict[bytes, np.ndarray] = {}
-        for a, a_inv in pairs:
-            for conj in (
-                (a[None, :, :] @ stack @ a_inv[None, :, :]) % d,
-                (a_inv[None, :, :] @ stack @ a[None, :, :]) % d,
-            ):
-                for arr in conj:
-                    key = _key(arr)
-                    if key not in elements and key not in fresh:
-                        fresh[key] = arr
-        if not fresh:
-            return FiniteMatrixGroup(d, n, frozenset(elements), tuple(normal_gens))
-        gen_list.extend(fresh.values())
-        if len(gen_list) > cap:
-            raise CapExceededError("normal closure generator list exceeded cap")
+    ambient = _stack(ambient_gens, d, n)[:, None]
+    inverses = _stack([a.inverse() for a in ambient_gens], d, n)[:, None]
+    group = _Closure(d, n, cap)
+    added = group.add(_stack(normal_gens, d, n))
+    while len(added):
+        conjugates = np.stack(
+            (
+                (ambient @ added % d) @ inverses % d,
+                (inverses @ added % d) @ ambient % d,
+            ),
+            axis=1,
+        )
+        added = group.add(conjugates.reshape(-1, n, n))
+    return FiniteMatrixGroup(d, n, frozenset(group.keys), tuple(normal_gens))
 
 
 # ---------------------------------------------------------------------------

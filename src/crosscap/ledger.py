@@ -11,7 +11,7 @@ from __future__ import annotations
 import random
 import time
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, Iterable
 
 import numpy as np
 
@@ -700,16 +700,28 @@ CHECKS: dict[str, CheckSpec] = {
 }
 
 
+def _reject_unknown_params(params: dict, known: Iterable[str], takers: str) -> None:
+    """Raise a ``ValueError`` naming every key of ``params`` not in ``known``;
+    ``takers`` names who declares ``known`` ("X takes")."""
+    unknown = sorted(set(params) - set(known))
+    if unknown:
+        noun = "parameters" if len(unknown) > 1 else "parameter"
+        raise ValueError(
+            f"unknown {noun} {', '.join(map(repr, unknown))}:"
+            f" {takers} {', '.join(sorted(known)) or 'nothing'}"
+        )
+
+
 def run_check(check_id: str, params: dict | None = None) -> CheckRecord:
-    """Run one catalog check; unknown ids raise, guard violations come back
-    as an ``inconclusive`` record."""
+    """Run one catalog check; unknown ids and parameter keys the check does
+    not declare raise, guard violations come back as an ``inconclusive``
+    record."""
     if check_id not in CHECKS:
         raise UnknownCheckError(f"unknown check id {check_id!r}")
     spec = CHECKS[check_id]
-    effective = dict(spec.defaults)
-    for key, value in (params or {}).items():
-        if key in spec.defaults:
-            effective[key] = value
+    params = params or {}
+    _reject_unknown_params(params, spec.defaults, f"{check_id} takes")
+    effective = {**spec.defaults, **params}
     start = time.perf_counter()
     try:
         passed, details = spec.runner(effective)
@@ -721,14 +733,38 @@ def run_check(check_id: str, params: dict | None = None) -> CheckRecord:
     return CheckRecord(check_id, effective, status, details, runtime_ms, spec.anchor)
 
 
-def run_suite(ids: list[str] | None = None, params: dict | None = None) -> list[CheckRecord]:
-    """Run several checks (all of them by default), sorted by id.  Every id
-    is looked up before any check runs, so an unknown one raises at once."""
+def _chosen_checks(ids: list[str] | None) -> list[str]:
+    """The sorted ids of a suite (every check by default); an unknown id
+    raises."""
     chosen = sorted(CHECKS) if ids is None else sorted(ids)
     for check_id in chosen:
         if check_id not in CHECKS:
             raise UnknownCheckError(f"unknown check id {check_id!r}")
-    return [run_check(check_id, params) for check_id in chosen]
+    return chosen
+
+
+def suite_params(ids: list[str] | None = None) -> set[str]:
+    """The parameter keys that the checks of a suite (every check by
+    default) declare between them; an unknown id raises."""
+    return {key for check_id in _chosen_checks(ids) for key in CHECKS[check_id].defaults}
+
+
+def run_suite(ids: list[str] | None = None, params: dict | None = None) -> list[CheckRecord]:
+    """Run several checks (all of them by default), sorted by id.  Every id
+    and every parameter key is checked before any check runs, so an unknown
+    id, or a key that no chosen check declares, raises at once.  Each check
+    receives only the keys it declares."""
+    chosen = _chosen_checks(ids)
+    params = params or {}
+    takers = f"{chosen[0]} takes" if len(chosen) == 1 else "the chosen checks take"
+    _reject_unknown_params(params, suite_params(chosen), takers)
+    return [
+        run_check(
+            check_id,
+            {k: v for k, v in params.items() if k in CHECKS[check_id].defaults},
+        )
+        for check_id in chosen
+    ]
 
 
 def records_to_markdown(records: list[CheckRecord]) -> str:

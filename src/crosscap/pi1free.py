@@ -27,10 +27,12 @@ all index statements are relative to it.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import re
+import types
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
 from .finitegrp import CosetTable, schreier_generators, todd_coxeter
 from .words import ReducedWord, _reduce
@@ -231,9 +233,15 @@ def derive_theta_basis(g: int) -> dict[Atom, tuple[int, ...]]:
     return values
 
 
+@functools.cache
+def _theta_basis(g: int) -> Mapping[Atom, tuple[int, ...]]:
+    """``derive_theta_basis(g)``, derived once per genus and read-only."""
+    return types.MappingProxyType(derive_theta_basis(g))
+
+
 def push_coefficients_int(w: FreeWord, g: int) -> tuple[int, ...]:
     """The integral coefficient vector of a two-sided word."""
-    values = derive_theta_basis(g)
+    values = _theta_basis(g)
     total = [0] * g
     for atom, exp in rewrite_two_sided(w, g).letters:
         kind = atom[0]
@@ -516,9 +524,9 @@ def relators_for_enumeration(g: int, n: int, d: int) -> tuple[int, list[list[int
     return len(alphabet), rels
 
 
-def coset_count_ker_theta(g: int, n: int, d: int, cap: int = 100_000) -> CosetTable:
+def coset_count_ker_theta(g: int, n: int, d: int) -> CosetTable:
     rank, rels = relators_for_enumeration(g, n, d)
-    return todd_coxeter(rank, rels, cap)
+    return todd_coxeter(rank, rels)
 
 
 def verify_ker_theta(g: int, n: int, d: int) -> dict:

@@ -161,3 +161,48 @@ def test_coset_rejects_letters_other_than_x(capsys):
     code, out, err = run_cli(capsys, "coset", "--rank", "2", "--relators", "y1")
     assert code == 2 and out == ""
     assert "relators use letters x1..x2, found y1" in err
+
+
+def test_verify_unknown_param_exits_2(capsys):
+    code, out, err = run_cli(capsys, "verify", "--suite", "THM41-MEMBER", "--params", "gg=5")
+    assert code == 2 and out == ""
+    assert "unknown parameter 'gg': THM41-MEMBER takes g, sample, seed" in err
+    code, out, err = run_cli(capsys, "verify", "--suite", "PSI-O2", "--params", "seed=1")
+    assert code == 2 and out == ""
+    assert "unknown parameter 'seed': PSI-O2 takes g" in err
+
+
+def test_verify_seed_goes_only_to_checks_that_declare_it(capsys):
+    code, out, _ = run_cli(capsys, "verify", "--suite", "PSI-O2", "--seed", "3", "--format", "json")
+    assert code == 0
+    assert [r["params"] for r in json.loads(out)] == [{"g": 4}]
+    code, out, _ = run_cli(
+        capsys,
+        "verify",
+        "--suite", "PSI-O2,THM41-MEMBER",
+        "--params", "sample=5",
+        "--seed", "3",
+        "--format", "json",
+    )
+    assert code == 0
+    assert [r["params"] for r in json.loads(out)] == [
+        {"g": 4},
+        {"g": 4, "sample": 5, "seed": 3},
+    ]
+
+
+def test_verify_report_file_names_carry_seed_only_for_seeded_suites(capsys, tmp_path):
+    code, _, _ = run_cli(
+        capsys, "verify", "--suite", "THM41-MEMBER", "--params", "sample=2",
+        "--seed", "3", "--out", str(tmp_path),
+    )
+    assert code == 0
+    code, _, _ = run_cli(
+        capsys, "verify", "--suite", "T2-EQ-YY", "--params", "gmax=4",
+        "--seed", "3", "--out", str(tmp_path),
+    )
+    assert code == 0
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "report-T2-EQ-YY-gmax=4.json",
+        "report-THM41-MEMBER-sample=2,seed=3.json",
+    ]

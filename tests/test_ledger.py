@@ -8,6 +8,7 @@ from crosscap.ledger import (
     records_to_markdown,
     run_check,
     run_suite,
+    suite_params,
 )
 
 SPEC_IDS = [
@@ -77,9 +78,37 @@ def test_guard_yields_inconclusive():
     assert run_check("PROP52-STALLINGS", {"g": 8, "d": 7}).status == "inconclusive"
 
 
-def test_unknown_params_are_ignored():
-    record = run_check("THETA-BASIS", {"g": 4, "bogus": 99})
-    assert "bogus" not in record.params
+def test_unknown_params_are_rejected():
+    with pytest.raises(ValueError, match=r"unknown parameter 'bogus': THETA-BASIS takes d, g, n"):
+        run_check("THETA-BASIS", {"g": 4, "bogus": 99})
+
+
+def test_run_suite_rejects_unknown_params_before_any_check_runs(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a check ran")
+
+    monkeypatch.setattr("crosscap.ledger.run_check", refuse)
+    with pytest.raises(ValueError, match=r"unknown parameters 'gg', 'zz': the chosen checks take"):
+        run_suite(["PSI-O2", "T2-EQ-YY"], {"gg": 5, "zz": 1, "g": 4})
+    with pytest.raises(ValueError, match=r"unknown parameter 'gmax': PSI-O2 takes g$"):
+        run_suite(["PSI-O2"], {"gmax": 4})
+
+
+def test_suite_params_is_the_union_of_the_chosen_checks_keys():
+    assert suite_params(["PSI-O2"]) == {"g"}
+    assert suite_params(["PSI-O2", "T2-EQ-YY"]) == {"g", "gmax"}
+    assert suite_params() == {key for spec in CHECKS.values() for key in spec.defaults}
+    with pytest.raises(UnknownCheckError):
+        suite_params(["NO-SUCH-CHECK"])
+
+
+def test_run_suite_passes_each_check_only_its_own_keys():
+    records = run_suite(["PSI-O2", "T2-EQ-YY"], {"g": 4, "gmax": 4})
+    assert [r.params for r in records] == [{"g": 4}, {"gmax": 4}]
+    alone = [run_check("PSI-O2", {"g": 4}), run_check("T2-EQ-YY", {"gmax": 4})]
+    assert [r.to_json() | {"runtime_ms": 0} for r in records] == [
+        r.to_json() | {"runtime_ms": 0} for r in alone
+    ]
 
 
 def test_record_json_schema():

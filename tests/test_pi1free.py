@@ -113,6 +113,29 @@ def test_theta_basis_is_forced():
     assert values[("v", 4)] == (0, 0, 0, 0)
 
 
+def test_theta_basis_is_derived_once_per_genus(monkeypatch):
+    from crosscap import pi1free
+
+    derived = []
+    real = pi1free.derive_theta_basis
+    monkeypatch.setattr(pi1free, "derive_theta_basis", lambda g: derived.append(g) or real(g))
+    pi1free._theta_basis.cache_clear()
+    try:
+        for _ in range(3):
+            assert push_coefficients_int(x_(1) * x_(4), 4) == (-1, 0, 0, 1)
+        assert push_coefficients_int(x_(1) * x_(3), 3) == (-1, 0, 1)
+        assert derived == [4, 3]
+    finally:
+        pi1free._theta_basis.cache_clear()
+    # the derivation still hands out a fresh dict; the cached basis is read-only
+    values = derive_theta_basis(4)
+    values[("u", 1)] = (7, 7, 7, 7)
+    assert derive_theta_basis(4)[("u", 1)] == (-1, 0, 0, 1)
+    assert push_coefficients_int(x_(1) * x_(4), 4) == (-1, 0, 0, 1)
+    with pytest.raises(TypeError):
+        pi1free._theta_basis(4)[("u", 1)] = (7, 7, 7, 7)
+
+
 def test_theta_examples():
     assert push_coefficients(x_(1) * x_(4), 4, 3) == (2, 0, 0, 1)
     for j in range(1, 5):
