@@ -48,7 +48,7 @@ def _parse_params(text: str | None) -> dict:
         try:
             out[key] = int(value)
         except ValueError:
-            out[key] = value
+            raise ValueError(f"bad --params value {value!r} for {key!r} (want an integer)") from None
     return out
 
 

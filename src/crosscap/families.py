@@ -371,7 +371,13 @@ def main3_families(g: int) -> list[NamedFamilyElement]:
     return out
 
 
+def _require_main3_genus(g: int) -> None:
+    if g < 4:
+        raise FamilyIndexError("the level-4 generating set needs genus >= 4")
+
+
 def main3_count(g: int) -> int:
+    _require_main3_genus(g)
     per = sum(len(family_indices(f, g)) for f in ("A", "B", "C", "D"))
     return transversal_count(g) * per
 
@@ -379,6 +385,7 @@ def main3_count(g: int) -> int:
 def main3_generator(g: int, index: int, _families: Optional[list] = None) -> MCGWord:
     """Random access into the generator stream: conjugate of a family element
     by a transversal word, ordered transversal-major."""
+    _require_main3_genus(g)
     fams = _families if _families is not None else main3_families(g)
     per = len(fams)
     total = transversal_count(g) * per
@@ -389,8 +396,7 @@ def main3_generator(g: int, index: int, _families: Optional[list] = None) -> MCG
 
 
 def main3_generators(g: int) -> Iterator[MCGWord]:
-    if g < 4:
-        raise FamilyIndexError("the level-4 generating set needs genus >= 4")
+    _require_main3_genus(g)
     fams = main3_families(g)
     for mask in range(transversal_count(g)):
         y = subset_word(g, mask)

@@ -1,5 +1,5 @@
-"""Finite-quotient machinery: matrix-group closures, Schreier generators,
-and Todd-Coxeter coset enumeration.
+"""Finite-quotient machinery: matrix-group closures, level-layer subspaces,
+Schreier generators, and Todd-Coxeter coset enumeration.
 
 A matrix group over Z/d is held as the set of its element keys: the
 little-endian uint16 row-major entry bytes, which are canonical because
@@ -10,6 +10,14 @@ O'Brien, *Handbook of Computational Group Theory*, ch. 4) and forms and keys
 its products through numpy a batch at a time.  Caps are explicit and hitting
 one raises, so callers can report "inconclusive" instead of silently
 truncating.
+
+For even d the layer Gamma_d / Gamma_2d of matrices congruent to I mod d,
+taken mod 2d, is elementary abelian, so ``layer_closure`` and
+``layer_normal_closure`` decide its subgroups as F_2 subspaces of n x n
+matrices (a ``LevelLayer``) without listing any element: the order is
+2^dim, and equal subgroups have equal reduced echelon bases.  Every
+generator is checked to lie in the layer; one that does not raises
+``LayerError``, and nothing falls back to enumeration.
 """
 
 from __future__ import annotations
@@ -201,6 +209,149 @@ def normal_closure(
         )
         added = group.add(conjugates.reshape(-1, n, n))
     return FiniteMatrixGroup(d, n, frozenset(group.keys), tuple(normal_gens))
+
+
+# ---------------------------------------------------------------------------
+# The level layer Gamma_d / Gamma_2d for even d, as F_2 subspaces
+# ---------------------------------------------------------------------------
+
+
+class LayerError(ValueError):
+    """A generator given for the level-d layer at modulus 2d is not in it;
+    ``index`` is its position in the list it was given in."""
+
+    def __init__(self, index: int, problem: str, name: str | None = None) -> None:
+        super().__init__(f"{name or f'generator {index}'} {problem}")
+        self.index, self.problem = index, problem
+
+
+@dataclass(frozen=True)
+class LevelLayer:
+    """A subgroup of the matrices M = I + dX (mod 2d), d even, held as the
+    F_2 span of the X = (M - I)/d mod 2.
+
+    Bit r*n + c of a vector is entry (r, c) of X.  The basis is in reduced
+    echelon form, each vector's highest bit being its pivot and set in no
+    other vector, sorted by pivot from the top, so equal subgroups have equal
+    bases.
+    """
+
+    modulus: int
+    dim: int
+    basis: tuple[int, ...]
+
+    @property
+    def order(self) -> int:
+        return 1 << len(self.basis)
+
+    def same_group(self, other: "LevelLayer") -> bool:
+        return self == other
+
+
+def _bits(xs: np.ndarray) -> list[int]:
+    """The bit vector of each matrix of an (N, n, n) stack of 0/1 entries."""
+    count, n = len(xs), xs.shape[-1]
+    flat = xs.reshape(count, n * n).astype(np.uint8)
+    return [int.from_bytes(row.tobytes(), "little") for row in np.packbits(flat, 1, "little")]
+
+
+def _unbits(vectors: Sequence[int], n: int) -> np.ndarray:
+    """The (N, n, n) uint8 stack of 0/1 matrices that ``vectors`` encode."""
+    width = (n * n + 7) // 8
+    raw = np.frombuffer(b"".join(v.to_bytes(width, "little") for v in vectors), np.uint8)
+    bits = np.unpackbits(raw.reshape(len(vectors), width), 1, bitorder="little")
+    return bits[:, : n * n].reshape(len(vectors), n, n)
+
+
+def _layer_vectors(gens: Sequence[ModMatrix], d: int) -> list[int]:
+    """The vector X of each generator M = I + dX (mod 2d).  Raises
+    :class:`LayerError` for the first generator whose modulus is not 2d or
+    that is not congruent to I mod d; never falls back to enumeration."""
+    if d < 2 or d % 2:
+        raise ValueError(f"the level layer needs an even level, got d = {d}")
+    for index, m in enumerate(gens):
+        if m.modulus != 2 * d:
+            raise LayerError(index, f"has modulus {m.modulus}, not 2d = {2 * d}")
+    if not gens:
+        return []
+    _, n = _check_gens(gens)
+    offsets = (_stack(gens, 2 * d, n) - np.eye(n, dtype=np.int64)) % (2 * d)
+    outside = np.flatnonzero((offsets % d).any(axis=(1, 2)))
+    if len(outside):
+        raise LayerError(int(outside[0]), f"is not congruent to I mod {d}")
+    return _bits(offsets // d)
+
+
+class _Span:
+    """An F_2 subspace of bit vectors in reduced echelon form, grown in
+    place: ``rows`` maps each pivot to the one basis vector that has it."""
+
+    def __init__(self) -> None:
+        self.rows: dict[int, int] = {}
+
+    def add(self, vectors: Iterable[int]) -> list[int]:
+        """Add the vectors in turn; returns, reduced, those that were not
+        already in the span."""
+        added = []
+        for v in vectors:
+            for pivot, row in self.rows.items():
+                if v >> pivot & 1:
+                    v ^= row
+            if v:
+                # v has no pivot bit, so its top bit is new and lies below the
+                # pivot of every row it is cleared from
+                top = v.bit_length() - 1
+                for pivot, row in self.rows.items():
+                    if row >> top & 1:
+                        self.rows[pivot] = row ^ v
+                self.rows[top] = v
+                added.append(v)
+        return added
+
+    def layer(self, d: int, n: int) -> LevelLayer:
+        return LevelLayer(2 * d, n, tuple(self.rows[p] for p in sorted(self.rows, reverse=True)))
+
+
+def layer_closure(gens: Sequence[ModMatrix], d: int) -> LevelLayer:
+    """The subgroup of Gamma_d / Gamma_2d (d even) that ``gens`` generate.
+
+    Since d^2 = 0 mod 2d, (I + dX)(I + dY) = I + d(X + Y) mod 2d, so the
+    layer is elementary abelian (Lee-Szczarba 1976) and a generated subgroup
+    is the F_2 span of the generators' vectors.
+    """
+    vectors = _layer_vectors(gens, d)
+    _, n = _check_gens(gens)
+    span = _Span()
+    span.add(vectors)
+    return span.layer(d, n)
+
+
+def layer_normal_closure(
+    ambient_gens: Sequence[ModMatrix], normal_gens: Sequence[ModMatrix], d: int
+) -> LevelLayer:
+    """Smallest subgroup of Gamma_d / Gamma_2d (d even) that contains
+    ``normal_gens`` and is closed under conjugation by the ambient group.
+
+    A(I + dX)A^-1 = I + d A X A^-1, so conjugation by A acts on the vectors
+    as the invertible linear map X -> A X A^-1 over F_2.  Each round
+    conjugates the vectors the previous round added by every distinct
+    ambient generator mod 2.  An invertible linear map that sends a finite
+    subspace into itself sends it onto itself, so the span is then stable
+    under the inverses too.
+    """
+    vectors = _layer_vectors(normal_gens, d)
+    _, n = _check_gens(list(ambient_gens) + list(normal_gens))
+    distinct = np.unique(_stack(ambient_gens, 2, n), axis=0)
+    inverses = [ModMatrix.from_rows(2, a.tolist()).inverse() for a in distinct]
+    # uint8 sums wrap modulo 256, which keeps their parity
+    left = distinct.astype(np.uint8)[:, None]
+    right = _stack(inverses, 2, n).astype(np.uint8)[:, None]
+    span = _Span()
+    added = span.add(vectors)
+    while added:
+        xs = _unbits(added, n)
+        added = span.add(_bits((left @ xs % 2 @ right % 2).reshape(-1, n, n)))
+    return span.layer(d, n)
 
 
 # ---------------------------------------------------------------------------

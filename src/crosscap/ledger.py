@@ -18,7 +18,11 @@ import numpy as np
 from . import families
 from .finitegrp import (
     CapExceededError,
+    LayerError,
+    LevelLayer,
     bfs_closure,
+    layer_closure,
+    layer_normal_closure,
     normal_closure,
     schreier_generators,
 )
@@ -45,6 +49,10 @@ from .pi1free import (
     x_run,
 )
 from .words import MCGWord, Slide, TorelliTag, Twist, commutator, word
+
+
+# the most words of the level-4 generating stream a check reads in full
+MAIN3_STREAM_LIMIT = 100_000
 
 
 class UnknownCheckError(ValueError):
@@ -171,6 +179,21 @@ def _y_union_d_words(g: int) -> list[MCGWord]:
     return [el.word for el in families.family_elements("Y", g)] + [
         el.word for el in families.family_elements("D", g)
     ]
+
+
+def _named(names: list[str], closure: Callable[[], LevelLayer]) -> LevelLayer:
+    """Run a level-layer closure; a generator outside the layer raises again
+    under its name from ``names``."""
+    try:
+        return closure()
+    except LayerError as exc:
+        raise LayerError(exc.index, exc.problem, names[exc.index]) from None
+
+
+def _reference_layer(refs: list[ModMatrix], d: int) -> LevelLayer:
+    """The layer closure of the reference generators ``refs``."""
+    names = [f"reference generator {i}" for i in range(len(refs))]
+    return _named(names, lambda: layer_closure(refs, d))
 
 
 def _phi4_transversal_table(g: int) -> dict:
@@ -328,14 +351,6 @@ def _check_psi_o2(p: dict) -> tuple[bool, dict]:
     return ok, {"brute_order": len(brute), "bfs_order": grp.order}
 
 
-def _main2_closed_words(g: int, d: int) -> list[MCGWord]:
-    return [
-        r.word
-        for r in families.main2_normal_generators(g, 0, d)
-        if r.closed_surface
-    ]
-
-
 def _check_thm31_member(p: dict) -> tuple[bool, dict]:
     g, d = p["g"], p["d"]
     gens = families.main2_normal_generators(g, 0, d)
@@ -347,14 +362,19 @@ def _check_thm31_closure(p: dict) -> tuple[bool, dict]:
     g, d = p["g"], p["d"]
     modulus = 2 * d
     ambient = ambient_phi_images(g, modulus)
-    seeds = [phi_mod(w, modulus) for w in _main2_closed_words(g, d)]
-    closure = normal_closure(ambient, seeds)
+    closed = [r for r in families.main2_normal_generators(g, 0, d) if r.closed_surface]
+    seeds = [phi_mod(r.word, modulus) for r in closed]
     if d % 2 == 0:
-        reference = bfs_closure(
-            [m.reduce_mod(modulus) for m in gamma_generators(g - 1, d)]
+        closure = _named(
+            [f"seed {r.name}" for r in closed],
+            lambda: layer_normal_closure(ambient, seeds, d),
+        )
+        reference = _reference_layer(
+            [m.reduce_mod(modulus) for m in gamma_generators(g - 1, d)], d
         )
         ref_kind = "generated congruence family"
     else:
+        closure = normal_closure(ambient, seeds)
         reference = normal_closure(
             ambient,
             [m.reduce_mod(modulus) for m in conjugated_gamma_generators(g - 1, d)],
@@ -465,9 +485,10 @@ def _check_thm41_member(p: dict) -> tuple[bool, dict]:
     rng = random.Random(p["seed"])
     sample = p["sample"]
     if sample <= 0 or sample >= total:
-        if total > 100_000:
+        if total > MAIN3_STREAM_LIMIT:
             raise ScaleGuardError(
-                f"full stream has {total} words; pass a positive sample for genus {g}"
+                f"full stream has {total} words, over the limit of {MAIN3_STREAM_LIMIT};"
+                f" pass a positive sample for genus {g}"
             )
         indices = range(total)
     else:
@@ -485,18 +506,27 @@ def _check_thm41_member(p: dict) -> tuple[bool, dict]:
 
 def _check_thm41_mod8(p: dict) -> tuple[bool, dict]:
     g = p["g"]
-    if g != 4:
-        raise ScaleGuardError("mod-8 closure comparison is pinned at genus 4")
-    seen = {}
+    total = families.main3_count(g)
+    if total > MAIN3_STREAM_LIMIT:
+        raise ScaleGuardError(
+            f"the mod-8 comparison reads the full stream of {total} words,"
+            f" over the limit of {MAIN3_STREAM_LIMIT}"
+        )
+    seen = {}  # image rows -> (stream index of its first word, image)
     fams = families.main3_families(g)
+    index = 0
     for mask in range(families.transversal_count(g)):
         y = families.subset_word(g, mask)
         y_inv = y.inverse()
         for el in fams:
             m = phi_mod(y * el.word * y_inv, 8)
-            seen.setdefault(m.rows, m)
-    closure = bfs_closure(list(seen.values()))
-    reference = bfs_closure([m.reduce_mod(8) for m in gamma_generators(g - 1, 4)])
+            seen.setdefault(m.rows, (index, m))
+            index += 1
+    closure = _named(
+        [f"stream word {i}" for i, _ in seen.values()],
+        lambda: layer_closure([m for _, m in seen.values()], 4),
+    )
+    reference = _reference_layer([m.reduce_mod(8) for m in gamma_generators(g - 1, 4)], 4)
     ok = closure.same_group(reference)
     return ok, {
         "distinct_images": len(seen),
@@ -508,10 +538,10 @@ def _check_thm41_mod8(p: dict) -> tuple[bool, dict]:
 def _check_tower_2l(p: dict) -> tuple[bool, dict]:
     g, l = p["g"], p["l"]
     if l < 2:
-        raise ScaleGuardError("the tower starts at l = 2")
+        raise ValueError(f"the tower starts at l = 2, got l = {l}")
     n = g - 1
     gens = [m.reduce_mod(1 << l) for m in gamma_generators(n, 1 << (l - 1))]
-    grp = bfs_closure(gens)
+    grp = layer_closure(gens, 1 << (l - 1))
     expected = 1 << (n * n - 1)
     return grp.order == expected, {"order": grp.order, "expected": expected}
 
@@ -712,15 +742,29 @@ def _reject_unknown_params(params: dict, known: Iterable[str], takers: str) -> N
         )
 
 
+def _reject_mistyped_params(params: dict, check_id: str) -> None:
+    """Raise a ``ValueError`` naming the first key of ``params`` whose value
+    has another type than the check's default for it."""
+    defaults = CHECKS[check_id].defaults
+    for key, value in sorted(params.items()):
+        want = type(defaults[key])
+        if type(value) is not want:
+            raise ValueError(
+                f"parameter {key!r} of {check_id} must be {want.__name__}, got {value!r}"
+            )
+
+
 def run_check(check_id: str, params: dict | None = None) -> CheckRecord:
-    """Run one catalog check; unknown ids and parameter keys the check does
-    not declare raise, guard violations come back as an ``inconclusive``
-    record."""
+    """Run one catalog check.  Unknown ids, parameter keys the check does not
+    declare and values whose type differs from the default's raise; guard
+    violations come back as an ``inconclusive`` record, and a generator
+    outside the level layer a check works in as a ``fail`` naming it."""
     if check_id not in CHECKS:
         raise UnknownCheckError(f"unknown check id {check_id!r}")
     spec = CHECKS[check_id]
     params = params or {}
     _reject_unknown_params(params, spec.defaults, f"{check_id} takes")
+    _reject_mistyped_params(params, check_id)
     effective = {**spec.defaults, **params}
     start = time.perf_counter()
     try:
@@ -728,6 +772,9 @@ def run_check(check_id: str, params: dict | None = None) -> CheckRecord:
         status = "pass" if passed else "fail"
     except (ScaleGuardError, CapExceededError) as exc:
         status = "inconclusive"
+        details = {"reason": str(exc)}
+    except LayerError as exc:
+        status = "fail"
         details = {"reason": str(exc)}
     runtime_ms = int((time.perf_counter() - start) * 1000)
     return CheckRecord(check_id, effective, status, details, runtime_ms, spec.anchor)
@@ -750,21 +797,21 @@ def suite_params(ids: list[str] | None = None) -> set[str]:
 
 
 def run_suite(ids: list[str] | None = None, params: dict | None = None) -> list[CheckRecord]:
-    """Run several checks (all of them by default), sorted by id.  Every id
-    and every parameter key is checked before any check runs, so an unknown
-    id, or a key that no chosen check declares, raises at once.  Each check
-    receives only the keys it declares."""
+    """Run several checks (all of them by default), sorted by id.  Every id,
+    parameter key and value type is checked before any check runs, so an
+    unknown id, a key that no chosen check declares, or a mistyped value
+    raises at once.  Each check receives only the keys it declares."""
     chosen = _chosen_checks(ids)
     params = params or {}
     takers = f"{chosen[0]} takes" if len(chosen) == 1 else "the chosen checks take"
     _reject_unknown_params(params, suite_params(chosen), takers)
-    return [
-        run_check(
-            check_id,
-            {k: v for k, v in params.items() if k in CHECKS[check_id].defaults},
-        )
+    own = {
+        check_id: {k: v for k, v in params.items() if k in CHECKS[check_id].defaults}
         for check_id in chosen
-    ]
+    }
+    for check_id in chosen:
+        _reject_mistyped_params(own[check_id], check_id)
+    return [run_check(check_id, own[check_id]) for check_id in chosen]
 
 
 def records_to_markdown(records: list[CheckRecord]) -> str:

@@ -6,13 +6,17 @@ after each round of conjugating its generator list.  ``elements`` decodes
 one key at a time.  This is the slow, obviously correct definition that
 ``crosscap.finitegrp`` must reproduce: the same key bytes, so the same key
 sets and element order.
+
+``layer_keys`` spells out a ``crosscap.finitegrp.LevelLayer`` as the keys of
+its 2^dim elements, one element at a time, so a layer can be compared with
+the engine's closure of the same generators.
 """
 
 from typing import Iterator, Sequence
 
 import numpy as np
 
-from crosscap.finitegrp import CapExceededError, FiniteMatrixGroup, _check_gens
+from crosscap.finitegrp import CapExceededError, FiniteMatrixGroup, LevelLayer, _check_gens
 from crosscap.intmat import ModMatrix
 
 
@@ -108,3 +112,23 @@ def elements(group: FiniteMatrixGroup) -> Iterator[ModMatrix]:
             tuple(int(flat[r * n + c]) for c in range(n)) for r in range(n)
         )
         yield ModMatrix(d, rows)
+
+
+def layer_keys(layer: LevelLayer) -> frozenset[bytes]:
+    """The key of I + dX (mod 2d) for every X in the span of the layer's
+    basis, where bit r*n + c of a vector is entry (r, c) of X."""
+    n, modulus = layer.dim, layer.modulus
+    d = modulus // 2
+    keys = set()
+    for mask in range(1 << len(layer.basis)):
+        x = 0
+        for t, vector in enumerate(layer.basis):
+            if mask >> t & 1:
+                x ^= vector
+        entries = [
+            (int(r == c) + d * (x >> (r * n + c) & 1)) % modulus
+            for r in range(n)
+            for c in range(n)
+        ]
+        keys.add(np.array(entries, dtype=np.int64).astype("<u2").tobytes())
+    return frozenset(keys)

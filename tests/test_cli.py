@@ -206,3 +206,24 @@ def test_verify_report_file_names_carry_seed_only_for_seeded_suites(capsys, tmp_
         "report-T2-EQ-YY-gmax=4.json",
         "report-THM41-MEMBER-sample=2,seed=3.json",
     ]
+
+
+def test_verify_non_integer_param_exits_2(capsys):
+    code, out, err = run_cli(capsys, "verify", "--suite", "THM31-CLOSURE", "--params", "g=4,d=x")
+    assert code == 2 and out == ""
+    assert "bad --params value 'x' for 'd' (want an integer)" in err
+
+
+@pytest.mark.parametrize(
+    "suite, params, message",
+    [
+        ("TOWER-2L", "l=1", "the tower starts at l = 2, got l = 1"),
+        ("TOWER-2L", "l=0", "the tower starts at l = 2, got l = 0"),
+        ("THM41-MEMBER", "g=3", "the level-4 generating set needs genus >= 4"),
+        ("THM41-MOD8", "g=3", "the level-4 generating set needs genus >= 4"),
+    ],
+)
+def test_verify_bad_param_values_exit_2(capsys, suite, params, message):
+    code, out, err = run_cli(capsys, "verify", "--suite", suite, "--params", params)
+    assert code == 2 and out == ""
+    assert message in err

@@ -1,7 +1,11 @@
-"""The incremental closure engine against the restarting BFS it replaced.
+"""The incremental closure engine against the restarting BFS it replaced,
+and the level-layer closures against the engine.
 
 ``oracle_finitegrp`` holds the old code.  Every comparison is on key sets,
-so it also checks that the keys keep their byte format.
+so it also checks that the keys keep their byte format.  A level layer is
+spelled out as element keys by ``oracle_finitegrp.layer_keys`` and compared
+with the engine's closure of the same generators, which is in turn compared
+with the restarting BFS.
 """
 
 import random
@@ -17,11 +21,15 @@ RANDOM_POINTS = [(2, 3), (2, 4), (2, 5), (2, 8), (3, 2), (3, 3), (3, 4)]
 RANDOM_CAP = 1 << 17
 
 
+ENGINE_OF = {"layer_closure": "bfs_closure", "layer_normal_closure": "normal_closure"}
+
+
 def record_closures(monkeypatch):
-    """Route the registry's closure calls through recorders; returns the
-    list that collects ``(function name, args)`` per call."""
+    """Route the registry's closure calls, on the engine and on the level
+    layer, through recorders; returns the list that collects
+    ``(function name, args)`` per call."""
     calls = []
-    for name in ("bfs_closure", "normal_closure"):
+    for name in ("bfs_closure", "normal_closure", *ENGINE_OF):
         real = getattr(ledger, name)
 
         def recorder(*args, _name=name, _real=real):
@@ -46,6 +54,25 @@ def assert_matches_oracle(name, args, cap=1 << 22):
         expected.dim,
         expected.generators,
     )
+    return got
+
+
+def assert_layer_matches_engine(name, args):
+    """A level-layer closure, spelled out, has the engine's key set for the
+    same generators, and the engine's closure matches the restarting BFS."""
+    *generators, d = args
+    layer = getattr(finitegrp, name)(*args)
+    group = assert_matches_oracle(ENGINE_OF[name], tuple(generators))
+    assert oracle_finitegrp.layer_keys(layer) == group.keys
+    assert (layer.modulus, layer.dim, layer.order) == (2 * d, group.dim, group.order)
+
+
+def assert_every_call_matches(calls):
+    for name, args in calls:
+        if name in ENGINE_OF:
+            assert_layer_matches_engine(name, args)
+        else:
+            assert_matches_oracle(name, args)
 
 
 @pytest.mark.parametrize(
@@ -59,19 +86,67 @@ def assert_matches_oracle(name, args, cap=1 << 22):
 def test_closure_workload_points_match_the_oracle(monkeypatch, check_id, params):
     calls = record_closures(monkeypatch)
     assert ledger.run_check(check_id, params).status == "pass"
-    assert calls
-    for name, args in calls:
-        assert_matches_oracle(name, args)
+    # THM31-CLOSURE: the normal closure and its reference; TOWER-2L: one span
+    expected = {
+        "THM31-CLOSURE": ["layer_closure", "layer_normal_closure"],
+        "TOWER-2L": ["layer_closure"],
+    }[check_id]
+    assert sorted(name for name, _ in calls) == expected
+    assert_every_call_matches(calls)
 
 
 def test_every_closure_of_the_default_suite_matches_the_oracle(monkeypatch):
     calls = record_closures(monkeypatch)
     assert all(r.status == "pass" for r in ledger.run_suite())
-    # plain: PSI-O2 1, THM31-CLOSURE 1, RS-GAMMA24 2, THM41-MOD8 2, TOWER-2L 1;
-    # normal: THM31-CLOSURE 1
-    assert sorted(name for name, _ in calls) == ["bfs_closure"] * 7 + ["normal_closure"]
-    for name, args in calls:
-        assert_matches_oracle(name, args)
+    # engine: PSI-O2 1, RS-GAMMA24 2; layer, plain: THM31-CLOSURE 1,
+    # THM41-MOD8 2, TOWER-2L 1; layer, normal: THM31-CLOSURE 1
+    assert sorted(name for name, _ in calls) == (
+        ["bfs_closure"] * 3 + ["layer_closure"] * 4 + ["layer_normal_closure"]
+    )
+    assert_every_call_matches(calls)
+
+
+# with the two tests above, every even-level registry point at g <= 5:
+# THM31-CLOSURE at d = 2, 4, TOWER-2L at l = 2, 3 and THM41-MOD8 at g = 4
+@pytest.mark.parametrize(
+    "check_id, params",
+    [
+        ("THM31-CLOSURE", {"g": 4, "d": 4}),
+        ("TOWER-2L", {"g": 4, "l": 2}),
+        ("TOWER-2L", {"g": 5, "l": 2}),
+    ],
+)
+def test_even_level_closures_match_the_engine(monkeypatch, check_id, params):
+    calls = record_closures(monkeypatch)
+    assert ledger.run_check(check_id, params).status == "pass"
+    assert {name for name, _ in calls} <= set(ENGINE_OF)
+    assert calls
+    assert_every_call_matches(calls)
+
+
+def test_odd_level_closure_stays_on_the_engine(monkeypatch):
+    calls = record_closures(monkeypatch)
+    assert ledger.run_check("THM31-CLOSURE", {"g": 5, "d": 3}).status == "pass"
+    assert [name for name, _ in calls] == ["normal_closure", "normal_closure"]
+    assert_every_call_matches(calls)
+
+
+def random_layer_element(rng, n, d):
+    """I + dX (mod 2d) for a random 0/1 matrix X."""
+    return ModMatrix.from_rows(
+        2 * d, [[int(r == c) + d * rng.randrange(2) for c in range(n)] for r in range(n)]
+    )
+
+
+@pytest.mark.parametrize("n, d", [(2, 2), (2, 6), (3, 2), (3, 4), (3, 6)])
+def test_random_layer_generators_match_the_engine(n, d):
+    rng = random.Random(100 * n + d)
+    for _ in range(4):
+        gens = [random_layer_element(rng, n, d) for _ in range(rng.randint(1, 4))]
+        assert_layer_matches_engine("layer_closure", (gens, d))
+        ambient = [random_invertible(rng, n, 2 * d) for _ in range(rng.randint(0, 2))]
+        seeds = gens[: rng.randint(1, 2)]
+        assert_layer_matches_engine("layer_normal_closure", (ambient, seeds, d))
 
 
 def random_invertible(rng, n, d):

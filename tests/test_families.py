@@ -1,6 +1,7 @@
 import pytest
 
 from crosscap import families
+from crosscap.families import FamilyIndexError
 from crosscap.homology import level_member, reduced_action, word_matrix
 from crosscap.words import BoundaryTwist, MCGWord, Slide, Twist, commutator, word
 
@@ -119,6 +120,16 @@ def test_main3_count_and_random_access():
         assert isinstance(w, MCGWord)
     with pytest.raises(IndexError):
         families.main3_generator(4, 12800)
+
+
+def test_main3_stream_refuses_genus_below_four():
+    for call in (
+        lambda: families.main3_count(3),
+        lambda: families.main3_generator(3, 0),
+        lambda: next(families.main3_generators(3)),
+    ):
+        with pytest.raises(FamilyIndexError, match="needs genus >= 4"):
+            call()
 
 
 def test_main3_sample_is_level4():

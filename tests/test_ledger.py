@@ -2,8 +2,10 @@ import json
 
 import pytest
 
+from crosscap.families import FamilyIndexError
 from crosscap.ledger import (
     CHECKS,
+    MAIN3_STREAM_LIMIT,
     UnknownCheckError,
     records_to_markdown,
     run_check,
@@ -124,3 +126,49 @@ def test_run_suite_sorted_and_markdown():
     md = records_to_markdown(records)
     assert md.splitlines()[0].startswith("| check ")
     assert "PROP34-TC" in md
+
+
+def test_mistyped_params_are_rejected():
+    with pytest.raises(ValueError, match=r"parameter 'd' of THM31-CLOSURE must be int, got 'x'"):
+        run_check("THM31-CLOSURE", {"g": 4, "d": "x"})
+    with pytest.raises(ValueError, match=r"parameter 'g' of TOWER-2L must be int, got 4\.0"):
+        run_check("TOWER-2L", {"g": 4.0})
+    with pytest.raises(ValueError, match=r"parameter 'g' of PSI-O2 must be int, got True"):
+        run_check("PSI-O2", {"g": True})
+
+
+def test_run_suite_rejects_mistyped_params_before_any_check_runs(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a check ran")
+
+    monkeypatch.setattr("crosscap.ledger.run_check", refuse)
+    with pytest.raises(ValueError, match=r"parameter 'gmax' of T2-EQ-YY must be int, got '4'"):
+        run_suite(["PSI-O2", "T2-EQ-YY"], {"g": 4, "gmax": "4"})
+
+
+def test_tower_rejects_levels_below_two():
+    for l in (0, 1, -3):
+        with pytest.raises(ValueError, match=rf"the tower starts at l = 2, got l = {l}"):
+            run_check("TOWER-2L", {"l": l})
+
+
+def test_level4_stream_checks_refuse_genus_below_four():
+    for check_id in ("THM41-MEMBER", "THM41-MOD8"):
+        with pytest.raises(FamilyIndexError, match="the level-4 generating set needs genus >= 4"):
+            run_check(check_id, {"g": 3})
+
+
+def test_mod8_comparison_is_bounded_by_the_stream_size():
+    record = run_check("THM41-MOD8", {"g": 5})
+    assert record.status == "inconclusive"
+    # 2^((g-1)^2) transversal words times |A| + |B| + |C| + |D| = 10 + 10 + 30 + 4
+    total = (1 << 16) * 54
+    assert record.details == {
+        "reason": f"the mod-8 comparison reads the full stream of {total} words,"
+        f" over the limit of {MAIN3_STREAM_LIMIT}"
+    }
+    record = run_check("THM41-MEMBER", {"g": 5})
+    assert record.status == "inconclusive"
+    assert f"full stream has {total} words, over the limit of {MAIN3_STREAM_LIMIT}" in (
+        record.details["reason"]
+    )
