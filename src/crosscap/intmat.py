@@ -55,6 +55,41 @@ def _bareiss_det(rows: Sequence[Sequence[int]]) -> int:
     return sign * a[n - 1][n - 1]
 
 
+def _det_adjugate(rows: Sequence[Sequence[int]]) -> tuple[int, list[list[int]] | None]:
+    """``(det A, adj A)`` from one fraction-free (Bareiss) Gauss-Jordan
+    elimination of [A | I] over Z; the adjugate is None when det A = 0.
+
+    Every row is updated at every pivot, so the left half ends as det(PA) I
+    and the right half as det(PA) A^-1 = sign(P) adj A, where P is the row
+    permutation that the pivot search applied; all divisions are exact.
+    """
+    n = len(rows)
+    a = [list(r) + [1 if c == i else 0 for c in range(n)] for i, r in enumerate(rows)]
+    sign = 1
+    prev = 1
+    for k in range(n):
+        if a[k][k] == 0:
+            for r in range(k + 1, n):
+                if a[r][k] != 0:
+                    a[k], a[r] = a[r], a[k]
+                    sign = -sign
+                    break
+            else:
+                return 0, None
+        pivot_row = a[k]
+        pivot = pivot_row[k]
+        for i in range(n):
+            if i == k:
+                continue
+            row = a[i]
+            factor = row[k]
+            for j in range(k + 1, 2 * n):
+                row[j] = (row[j] * pivot - factor * pivot_row[j]) // prev
+            row[k] = 0
+        prev = pivot
+    return sign * prev, [[sign * e for e in row[n:]] for row in a]
+
+
 def _power(m, e: int, identity):
     """``m ** e`` by square-and-multiply, through the inverse when e < 0."""
     if e < 0:
@@ -111,28 +146,12 @@ class IntMatrix:
     def det(self) -> int:
         return _bareiss_det(self.rows)
 
-    def _minor(self, i: int, j: int) -> int:
-        sub = [
-            [self.rows[r][c] for c in range(self.n) if c != j]
-            for r in range(self.n)
-            if r != i
-        ]
-        return _bareiss_det(sub)
-
     def inverse(self) -> "IntMatrix":
-        d = self.det()
+        d, adj = _det_adjugate(self.rows)
         if d not in (1, -1):
             raise NotUnimodularError(f"determinant is {d}, not +-1")
-        n = self.n
-        if n == 1:
-            return IntMatrix(((d,),))
-        # adjugate transposed entry (i,j) = cofactor (j,i); division by det is
-        # multiplication since det = +-1
-        adj = [
-            [((-1) ** (i + j)) * self._minor(j, i) * d for j in range(n)]
-            for i in range(n)
-        ]
-        return IntMatrix.from_rows(adj)
+        # division by det is multiplication since det = +-1
+        return IntMatrix(tuple(tuple(e * d for e in row) for row in adj))
 
     def is_identity(self) -> bool:
         return all(
@@ -202,20 +221,13 @@ class ModMatrix:
 
     def inverse(self) -> "ModMatrix":
         d = self.modulus
-        det = self.det()
+        det, adj = _det_adjugate(self.rows)
+        det %= d
         try:
             det_inv = pow(det, -1, d)
         except ValueError:
             raise NotUnimodularError(f"determinant {det} is not invertible mod {d}")
-        n = self.n
-        if n == 1:
-            return ModMatrix(d, ((det_inv,),))
-        lift = IntMatrix(self.rows)
-        adj = [
-            [(((-1) ** (i + j)) * lift._minor(j, i) * det_inv) % d for j in range(n)]
-            for i in range(n)
-        ]
-        return ModMatrix.from_rows(d, adj)
+        return ModMatrix(d, tuple(tuple(e * det_inv % d for e in row) for row in adj))
 
     def is_identity(self) -> bool:
         return all(

@@ -38,12 +38,11 @@ from .pi1free import (
     ScaleGuardError,
     coset_count_ker_theta,
     derive_theta_basis,
-    fold_in_plus_basis,
     gtilde,
     ker_theta_normal_relators,
     push_coefficients,
     push_coefficients_int,
-    schreier_ker_theta_generators,
+    theta_graph,
     verify_ker_theta,
     x_,
     x_run,
@@ -589,9 +588,8 @@ def _check_theta_basis(p: dict) -> tuple[bool, dict]:
 def _check_prop34_tc(p: dict) -> tuple[bool, dict]:
     g, n, d = p["g"], p["n"], p["d"]
     expected = d ** (g - 1)
+    index = theta_graph(g, n, d).index()
     cosets = coset_count_ker_theta(g, n, d).coset_count
-    graph = fold_in_plus_basis(schreier_ker_theta_generators(g, n, d), g, n)
-    index = graph.index()
     ok = cosets == expected and index == expected
     return ok, {"cosets": cosets, "stallings_index": index, "expected": expected}
 

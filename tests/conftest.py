@@ -1,4 +1,5 @@
 import random
+import time
 
 import pytest
 
@@ -27,3 +28,24 @@ def random_word(rng: random.Random, g: int, length: int, slides_only: bool = Fal
 @pytest.fixture
 def rng():
     return random.Random(0)
+
+
+class Budget:
+    """A time budget around a block: prints the block's pass line and
+    fails it when it ran past ``seconds``."""
+
+    def __init__(self, name: str, seconds: float):
+        self.name = name
+        self.seconds = seconds
+
+    def __enter__(self):
+        self.start = time.perf_counter()
+        return self
+
+    def __exit__(self, exc_type, exc, tb):
+        elapsed = time.perf_counter() - self.start
+        status = "PASS" if exc_type is None else "FAIL"
+        print(f"\n{self.name}: {status} ({elapsed:.2f}s, budget {self.seconds:.0f}s)")
+        if exc_type is None:
+            assert elapsed < self.seconds, f"{self.name} exceeded budget: {elapsed:.2f}s"
+        return False

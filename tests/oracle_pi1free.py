@@ -1,16 +1,36 @@
-"""Reference Stallings folding by rescanning multi-edge sets.
+"""Word-level references for the free-group layer.
 
-The generators are first laid out as loops at the base, one new vertex per
-letter, in a graph that allows several edges with the same label at a vertex.
-Then every vertex is rescanned until no two equally labelled edges leave or
-enter it, merging their far ends each time.  This is the slow, obviously
-correct definition that ``crosscap.pi1free.StallingsGraph.fold`` must
-reproduce up to the numbering of the vertices.
+``fold`` is Stallings folding by rescanning multi-edge sets.  The generators
+are first laid out as loops at the base, one new vertex per letter, in a
+graph that allows several edges with the same label at a vertex.  Then every
+vertex is rescanned until no two equally labelled edges leave or enter it,
+merging their far ends each time.  This is the slow, obviously correct
+definition that ``crosscap.pi1free.StallingsGraph.fold`` must reproduce up to
+the numbering of the vertices.
+
+``certify_in_words`` is the kernel certificate spelled out in words: every
+conjugate w r w^-1 of a normal relator by a transversal word, and every
+Schreier generator of the kernel, is built, rewritten into the plus basis and
+folded.  ``crosscap.pi1free.verify_ker_theta`` reads the same graphs off
+theta and the relator loops and must give the same report.
 """
 
 from typing import Sequence
 
-from crosscap.pi1free import Atom, FreeWord, StallingsGraph
+from crosscap.finitegrp import schreier_generators
+from crosscap.pi1free import (
+    Atom,
+    FreeWord,
+    StallingsGraph,
+    _guard,
+    coset_count_ker_theta,
+    fold_in_plus_basis,
+    gtilde,
+    ker_theta_normal_relators,
+    push_coefficients,
+    x_,
+    y_,
+)
 
 
 def fold(words: Sequence[FreeWord], alphabet: Sequence[Atom]) -> StallingsGraph:
@@ -103,4 +123,80 @@ def fold(words: Sequence[FreeWord], alphabet: Sequence[Atom]) -> StallingsGraph:
     for v_idx, row in enumerate(out):
         for atom, t in row.items():
             into[t][atom] = v_idx
-    return StallingsGraph(alpha, out, into, tuple(words))
+    return StallingsGraph(alpha, out, into)
+
+
+def plus_generators(g: int, n: int) -> list[FreeWord]:
+    """The standard generators of the two-sided subgroup (ambient spelling)."""
+    gens = [x_(i) * x_(g) for i in range(1, g)]
+    gens += [x_(j) * x_(j) for j in range(1, g + 1)]
+    gens += [y_(k) for k in range(1, n)]
+    gens += [x_(g) * y_(k) * x_(g, -1) for k in range(1, n)]
+    return gens
+
+
+def claimed_ker_theta_generators(g: int, n: int, d: int) -> list[FreeWord]:
+    """The conjugated generator list claimed to generate the kernel: w r w^-1
+    for every transversal word w and every normal relator r of
+    ``ker_theta_normal_relators``."""
+    _guard(g, n, d)
+    relators = ker_theta_normal_relators(g, n, d)
+    out = []
+    for w in gtilde(g, d):
+        w_inv = w.inverse()
+        for relator in relators:
+            out.append(w * relator * w_inv)
+    return out
+
+
+def schreier_ker_theta_generators(g: int, n: int, d: int) -> list[FreeWord]:
+    """The full Schreier generating set of the kernel from the transversal."""
+    _guard(g, n, d)
+    table = {push_coefficients(w, g, d): w for w in gtilde(g, d)}
+    if len(table) != d ** (g - 1):
+        raise ValueError("transversal words do not hit distinct cosets")
+    return list(
+        schreier_generators(
+            lambda w: push_coefficients(w, g, d),
+            lambda key: table[key],
+            plus_generators(g, n),
+            FreeWord.identity(),
+        )
+    )
+
+
+def certify_in_words(g: int, n: int, d: int) -> tuple[dict, StallingsGraph, StallingsGraph]:
+    """The kernel certificate on spelled-out words, and the folded graphs of
+    the claimed and of the Schreier generators it compares.  The report has
+    the fields of ``crosscap.pi1free.verify_ker_theta``: the claimed
+    generators have zero coefficient vectors, and their folded graph equals
+    the folded graph of the Schreier generators at index d^(g-1)."""
+    _guard(g, n, d)
+    claimed = claimed_ker_theta_generators(g, n, d)
+    zero = (0,) * g
+    nonzero = [w for w in claimed if push_coefficients(w, g, d) != zero]
+    graph_claimed = fold_in_plus_basis(claimed, g, n)
+    graph_schreier = fold_in_plus_basis(schreier_ker_theta_generators(g, n, d), g, n)
+    expected_index = d ** (g - 1)
+    cosets = coset_count_ker_theta(g, n, d).coset_count
+    report = {
+        "g": g,
+        "n": n,
+        "d": d,
+        "claimed_count": len(claimed),
+        "kernel_rank": graph_schreier.rank(),
+        "claimed_all_in_kernel": not nonzero,
+        "subgroups_equal": graph_claimed.same_subgroup(graph_schreier),
+        "claimed_index": graph_claimed.index(),
+        "schreier_index": graph_schreier.index(),
+        "expected_index": expected_index,
+        "coset_count": cosets,
+    }
+    report["ok"] = (
+        report["claimed_all_in_kernel"]
+        and report["subgroups_equal"]
+        and report["claimed_index"] == expected_index
+        and report["schreier_index"] == expected_index
+        and cosets == expected_index
+    )
+    return report, graph_claimed, graph_schreier

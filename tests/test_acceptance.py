@@ -5,11 +5,10 @@ pass lines and timings.
 """
 
 import random
-import time
 
 import pytest
 
-from conftest import random_word
+from conftest import Budget, random_word
 from crosscap import families
 from crosscap.finitegrp import bfs_closure, schreier_generators, todd_coxeter
 from crosscap.homology import (
@@ -39,24 +38,6 @@ from crosscap.pi1free import (
     y_,
 )
 from crosscap.words import Slide, Twist, commutator, word
-
-
-class Budget:
-    def __init__(self, name: str, seconds: float):
-        self.name = name
-        self.seconds = seconds
-
-    def __enter__(self):
-        self.start = time.perf_counter()
-        return self
-
-    def __exit__(self, exc_type, exc, tb):
-        elapsed = time.perf_counter() - self.start
-        status = "PASS" if exc_type is None else "FAIL"
-        print(f"\n{self.name}: {status} ({elapsed:.2f}s, budget {self.seconds:.0f}s)")
-        if exc_type is None:
-            assert elapsed < self.seconds, f"{self.name} exceeded budget: {elapsed:.2f}s"
-        return False
 
 
 def test_criterion_1_example_matrices():

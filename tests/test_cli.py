@@ -227,3 +227,11 @@ def test_verify_bad_param_values_exit_2(capsys, suite, params, message):
     code, out, err = run_cli(capsys, "verify", "--suite", suite, "--params", params)
     assert code == 2 and out == ""
     assert message in err
+
+
+@pytest.mark.parametrize("suite", ["PROP52-STALLINGS", "PROP34-TC"])
+@pytest.mark.parametrize("d", [-2, 0, 1])
+def test_kernel_checks_refuse_a_modulus_below_two(capsys, suite, d):
+    code, out, err = run_cli(capsys, "verify", "--suite", suite, "--params", f"g=4,n=1,d={d}")
+    assert code == 2 and out == ""
+    assert f"modulus d must be >= 2, got {d}" in err

@@ -9,13 +9,12 @@ import oracle_pi1free
 from crosscap.pi1free import (
     FreeWord,
     StallingsGraph,
-    claimed_ker_theta_generators,
     parse_free,
     plus_basis_alphabet,
     rewrite_two_sided,
-    schreier_ker_theta_generators,
     x_,
 )
+from oracle_pi1free import claimed_ker_theta_generators, schreier_ker_theta_generators
 
 CRITERION_8_POINTS = [(4, 1, 2), (4, 1, 3), (4, 2, 2), (5, 1, 2)]
 KERNEL_CERT_POINTS = [(4, 2, 4), (5, 1, 3), (5, 2, 3)]

@@ -1,7 +1,10 @@
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracle_intmat
 from crosscap.intmat import (
     DimensionError,
     IntMatrix,
@@ -138,6 +141,63 @@ def test_inverse_roundtrip(rng):
             m = m * elementary(n, i, j, rng.randint(-3, 3))
         assert (m.inverse() * m).is_identity()
         assert m.det() in (1, -1)
+
+
+def random_unimodular(n, rng):
+    m = IntMatrix.identity(n)
+    for _ in range(3 * n):
+        if n > 1:
+            i, j = rng.sample(range(1, n + 1), 2)
+            m = m * elementary(n, i, j, rng.randint(-3, 3))
+    if rng.random() < 0.5:
+        flip = [[-1 if r == c == 0 else int(r == c) for c in range(n)] for r in range(n)]
+        m = m * IntMatrix.from_rows(flip)
+    return m
+
+
+def raised(fn, m):
+    with pytest.raises(NotUnimodularError) as info:
+        fn(m)
+    return str(info.value)
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_inverse_matches_the_cofactor_oracle_over_z(n):
+    rng = random.Random(n)
+    for _ in range(60):
+        m = random_unimodular(n, rng)
+        # a row swap before the first pivot exercises the sign of the permutation
+        if n > 1 and rng.random() < 0.5:
+            m = IntMatrix(m.rows[1:] + m.rows[:1])
+        assert m.inverse() == oracle_intmat.int_inverse(m)
+        assert (m * m.inverse()).is_identity()
+        singular = square(n, rng)
+        if singular.det() not in (1, -1):
+            assert raised(IntMatrix.inverse, singular) == raised(oracle_intmat.int_inverse, singular)
+    zero_column = IntMatrix.from_rows([[0] * n] + [[1] * n for _ in range(n - 1)]).transpose()
+    assert raised(IntMatrix.inverse, zero_column) == "determinant is 0, not +-1"
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 8, 251])
+@pytest.mark.parametrize("n", range(1, 7))
+def test_inverse_matches_the_cofactor_oracle_mod_d(n, d):
+    rng = random.Random(1000 * n + d)
+    inverted = refused = 0
+    for _ in range(60):
+        m = ModMatrix.from_rows(d, [[rng.randrange(d) for _ in range(n)] for _ in range(n)])
+        try:
+            expected = oracle_intmat.mod_inverse(m)
+        except NotUnimodularError:
+            assert raised(ModMatrix.inverse, m) == raised(oracle_intmat.mod_inverse, m)
+            refused += 1
+            continue
+        assert m.inverse() == expected
+        assert (m * m.inverse()).is_identity()
+        inverted += 1
+    for _ in range(20):
+        m = random_unimodular(n, rng).reduce_mod(d)
+        assert m.inverse() == oracle_intmat.mod_inverse(m)
+    assert inverted + refused == 60
 
 
 def test_congruence_subgroup_closure(rng):

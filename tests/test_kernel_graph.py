@@ -1,0 +1,93 @@
+"""The kernel certificate on graphs against the word-level oracle.
+
+``theta_graph`` reads the coset graph of ker theta off theta, and
+``claimed_kernel_graph`` folds the normal relators as loops at the ends of
+the transversal paths.  Both must equal the folds of the spelled-out
+Schreier generators and conjugates, and ``verify_ker_theta`` must give the
+oracle's report, also on certificates that are wrong on purpose.
+"""
+
+import pytest
+
+import oracle_pi1free
+from conftest import Budget
+from crosscap import pi1free
+from crosscap.pi1free import (
+    ScaleGuardError,
+    claimed_kernel_graph,
+    theta_graph,
+    verify_ker_theta,
+    x_run,
+)
+
+KERNEL_CERT_POINTS = [(4, 2, 4), (5, 1, 3), (5, 2, 3)]
+CRITERION_8_POINTS = [(4, 1, 2), (4, 1, 3), (4, 2, 2), (5, 1, 2)]
+
+
+@pytest.mark.parametrize("g,n,d", KERNEL_CERT_POINTS + CRITERION_8_POINTS + [(4, 3, 4), (4, 1, 8)])
+def test_graphs_and_report_match_the_word_level_oracle(g, n, d):
+    report, claimed, schreier = oracle_pi1free.certify_in_words(g, n, d)
+    assert theta_graph(g, n, d).to_json() == schreier.to_json()
+    assert claimed_kernel_graph(g, n, d).to_json() == claimed.to_json()
+    assert verify_ker_theta(g, n, d) == report
+    assert report["ok"]
+
+
+def test_kernel_rank_is_the_schreier_formula():
+    for g, n, d in KERNEL_CERT_POINTS:
+        index, rank = d ** (g - 1), len(pi1free.plus_basis_alphabet(g, n))
+        assert verify_ker_theta(g, n, d)["kernel_rank"] == index * (rank - 1) + 1
+
+
+def patch_relators(monkeypatch, change):
+    """Make both certificates use ``change(true relators)``."""
+    real = pi1free.ker_theta_normal_relators
+    fake = lambda g, n, d: change(g, real(g, n, d))  # noqa: E731
+    monkeypatch.setattr(pi1free, "ker_theta_normal_relators", fake)
+    monkeypatch.setattr(oracle_pi1free, "ker_theta_normal_relators", fake)
+
+
+def test_dropping_the_power_family_fails_the_certificate(monkeypatch):
+    g, n, d = 4, 1, 3
+    # without the (x_i x_g)^d family the relators present an infinite group,
+    # on which coset enumeration would only stop at its cap: keep the
+    # cross-check on the true relators
+    cosets = pi1free.coset_count_ker_theta(g, n, d)
+    for module in (pi1free, oracle_pi1free):
+        monkeypatch.setattr(module, "coset_count_ker_theta", lambda *point: cosets)
+    patch_relators(monkeypatch, lambda g, rels: rels[: -(g - 1)])
+    report = verify_ker_theta(g, n, d)
+    assert report["claimed_index"] is None
+    assert report["subgroups_equal"] is False
+    assert report["ok"] is False
+    assert report["claimed_all_in_kernel"] and report["schreier_index"] == d ** (g - 1)
+    assert report == oracle_pi1free.certify_in_words(g, n, d)[0]
+
+
+def test_a_relator_outside_the_kernel_fails_the_certificate(monkeypatch):
+    g, n, d = 4, 1, 3
+    patch_relators(monkeypatch, lambda g, rels: rels + [x_run(1, g)])
+    report = verify_ker_theta(g, n, d)
+    assert report["claimed_all_in_kernel"] is False
+    assert report["subgroups_equal"] is False and report["ok"] is False
+    assert report == oracle_pi1free.certify_in_words(g, n, d)[0]
+
+
+def test_largest_point_under_the_guard():
+    with Budget("kernel certification g=5 n=1 d=8", 5.0):
+        report = verify_ker_theta(5, 1, 8)
+    assert report["ok"], report
+    assert report["claimed_index"] == report["schreier_index"] == report["coset_count"] == 4096
+    assert report["claimed_count"] == 61_440
+
+
+@pytest.mark.parametrize("build", [theta_graph, claimed_kernel_graph, verify_ker_theta])
+def test_modulus_is_checked_after_the_boundary_count_and_before_the_scale_guard(build):
+    for d in (-100, -2, 0, 1):
+        with pytest.raises(ValueError, match=rf"^modulus d must be >= 2, got {d}$") as info:
+            build(5, 1, d)
+        assert not isinstance(info.value, ScaleGuardError)
+    with pytest.raises(ValueError, match="^needs n >= 1$"):
+        build(5, 0, 1)
+    with pytest.raises(ScaleGuardError):
+        build(5, 1, 9)

@@ -9,7 +9,6 @@ from crosscap.pi1free import (
     NotTwoSidedError,
     ScaleGuardError,
     StallingsGraph,
-    claimed_ker_theta_generators,
     coset_count_ker_theta,
     derive_theta_basis,
     expand_basis,
@@ -23,13 +22,13 @@ from crosscap.pi1free import (
     push_coefficients_int,
     relators_for_enumeration,
     rewrite_two_sided,
-    schreier_ker_theta_generators,
     validate_ambient,
     verify_ker_theta,
     x_,
     x_run,
     y_,
 )
+from oracle_pi1free import claimed_ker_theta_generators, schreier_ker_theta_generators
 
 
 def random_two_sided(rng, g, n, length):
@@ -305,7 +304,7 @@ def test_scale_guard_names_the_index_and_the_cap(build):
 
 
 def test_boundary_count_is_checked_before_the_scale_guard():
-    for build in (claimed_ker_theta_generators, schreier_ker_theta_generators):
+    for build in (claimed_ker_theta_generators, schreier_ker_theta_generators, verify_ker_theta):
         with pytest.raises(ValueError, match="needs n >= 1"):
             build(8, 0, 7)
 
