@@ -14,6 +14,8 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Iterator, Optional, Sequence
 
+import numpy as np
+
 from .words import (
     BoundaryTwist,
     MCGWord,
@@ -211,7 +213,9 @@ def transversal_count(g: int) -> int:
 
 
 def subset_word(g: int, mask: int) -> MCGWord:
-    """Ordered product of the Y-elements selected by ``mask`` bits."""
+    """Ordered product of the Y-elements selected by ``mask`` bits: the
+    product of ``subset_word(g, 1 << t)`` over the set bits t, in
+    increasing t."""
     pairs = family_indices("Y", g)
     if not 0 <= mask < (1 << len(pairs)):
         raise FamilyIndexError(f"mask {mask} out of range")
@@ -382,16 +386,28 @@ def main3_count(g: int) -> int:
     return transversal_count(g) * per
 
 
+def main3_position(g: int, index, per: int):
+    """The (transversal mask, family index) of stream position ``index``.
+
+    The stream is ordered transversal-major: position ``mask * per + k`` is
+    the conjugate of the k-th of the ``per`` family elements by
+    ``subset_word(g, mask)``.  ``index`` is an int or an integer numpy array
+    (split elementwise); a position outside the stream raises ``IndexError``.
+    """
+    total = transversal_count(g) * per
+    flat = np.ravel(index)
+    outside = flat[(flat < 0) | (flat >= total)]
+    if len(outside):
+        raise IndexError(f"index {outside[0]} out of range 0..{total - 1}")
+    return divmod(index, per)
+
+
 def main3_generator(g: int, index: int, _families: Optional[list] = None) -> MCGWord:
     """Random access into the generator stream: conjugate of a family element
     by a transversal word, ordered transversal-major."""
     _require_main3_genus(g)
     fams = _families if _families is not None else main3_families(g)
-    per = len(fams)
-    total = transversal_count(g) * per
-    if not 0 <= index < total:
-        raise IndexError(f"index {index} out of range 0..{total - 1}")
-    mask, fam_idx = divmod(index, per)
+    mask, fam_idx = main3_position(g, index, len(fams))
     return conjugate(fams[fam_idx].word, subset_word(g, mask))
 
 

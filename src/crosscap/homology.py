@@ -28,6 +28,8 @@ import re
 from dataclasses import dataclass
 from typing import Optional
 
+import numpy as np
+
 from .intmat import IntMatrix, ModMatrix
 from .words import (
     BoundaryTwist,
@@ -229,23 +231,34 @@ def mod2_action(w: MCGWord) -> ModMatrix:
     return word_matrix(w).reduce_mod(2)
 
 
-def matrix_level_trivial(m: IntMatrix, d: int) -> bool:
-    """Does a g x g action fix every class of H_1 with Z/d coefficients?
+def level_trivial_residues(stack: np.ndarray, d: int) -> np.ndarray:
+    """Which actions of an (..., g, g) integer stack fix every class of H_1
+    with Z/d coefficients, as a boolean array over the leading axes.
 
     Column j must differ from e_j by a constant vector 2l mod d; for odd d
     every constant qualifies (2 is invertible), for even d it must be even.
+    Entries are reduced mod d here: an int64 stack holds residues, an
+    object stack exact integers of any size.
     """
     if d < 2:
         raise ValueError("level must be >= 2")
-    g = m.n
-    for j in range(g):
-        residues = {(m.rows[i][j] - (1 if i == j else 0)) % d for i in range(g)}
-        if len(residues) != 1:
-            return False
-        c = residues.pop()
-        if d % 2 == 0 and c % 2 != 0:
-            return False
-    return True
+    g = stack.shape[-1]
+    shifts = (stack - np.eye(g, dtype=stack.dtype)) % d
+    constant = shifts[..., :1, :]
+    trivial = (shifts == constant).all(axis=(-2, -1))
+    if d % 2 == 0:
+        trivial &= (constant % 2 == 0).all(axis=(-2, -1))
+    return trivial
+
+
+def matrix_level_trivial(m: IntMatrix, d: int) -> bool:
+    """Does a g x g action fix every class of H_1 with Z/d coefficients?
+
+    The exact Python-int entries go to ``level_trivial_residues`` as an
+    object stack of one matrix, which reduces them mod d; it is the one
+    definition of the condition, for single words and for batches alike.
+    """
+    return bool(level_trivial_residues(np.array(m.rows, dtype=object), d))
 
 
 def level_member(w: MCGWord, d: int) -> bool:

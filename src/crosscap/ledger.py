@@ -28,6 +28,7 @@ from .finitegrp import (
 )
 from .homology import (
     level_member,
+    level_trivial_residues,
     lift_obstruction,
     mod2_action,
     reduced_action,
@@ -52,6 +53,9 @@ from .words import MCGWord, Slide, TorelliTag, Twist, commutator, word
 
 # the most words of the level-4 generating stream a check reads in full
 MAIN3_STREAM_LIMIT = 100_000
+# the most stream words whose actions one numpy batch holds, so that a
+# sample as large as the stream at g >= 5 stays within memory
+_STREAM_BATCH = 1 << 16
 
 
 class UnknownCheckError(ValueError):
@@ -193,6 +197,52 @@ def _reference_layer(refs: list[ModMatrix], d: int) -> LevelLayer:
     """The layer closure of the reference generators ``refs``."""
     names = [f"reference generator {i}" for i in range(len(refs))]
     return _named(names, lambda: layer_closure(refs, d))
+
+
+def _require_at_least(p: dict, key: str, low: int) -> None:
+    """Refuse a parameter value below ``low`` by name, before any work."""
+    if p[key] < low:
+        raise ValueError(f"parameter {key!r} must be >= {low}, got {p[key]}")
+
+
+def main3_stream_images(
+    g: int, indices: np.ndarray, action: Callable[[MCGWord], IntMatrix], modulus: int
+) -> np.ndarray:
+    """The residues mod ``modulus`` of ``action`` on the level-4 generating
+    stream's words at ``indices``: an (N, n, n) int64 stack in that order.
+
+    Stream word ``mask * per + k`` is y F y^-1, with F the k-th family
+    element and y = ``subset_word(g, mask)`` the ordered product of the
+    single slides ``subset_word(g, 1 << t)`` over the set bits t, and
+    ``action`` (``word_matrix`` or ``reduced_action``) is multiplicative.
+    So each family element and each single slide is evaluated once, with
+    its inverse; M(y) and M(y^-1) are built for each distinct mask from the
+    slide matrices, and M(y) M(F) M(y^-1) for every index, all as numpy
+    batches.  Every product is reduced mod ``modulus`` at once, so no entry
+    exceeds n (modulus - 1)^2, which must fit in int64.
+    """
+    fams = families.main3_families(g)
+    masks, which = families.main3_position(g, np.asarray(indices), len(fams))
+
+    def residues(ws: list[MCGWord]) -> np.ndarray:
+        return np.array([action(w).reduce_mod(modulus).rows for w in ws], dtype=np.int64)
+
+    middle = residues([el.word for el in fams])
+    n = middle.shape[-1]
+    if n * (modulus - 1) ** 2 > np.iinfo(np.int64).max:
+        raise ValueError(
+            f"products of {n} x {n} residues mod {modulus} can overflow int64"
+        )
+    factors = [families.subset_word(g, 1 << t) for t in range(families.y_count(g))]
+    steps, undo = residues(factors), residues([f.inverse() for f in factors])
+    distinct, slot = np.unique(masks, return_inverse=True)
+    left = np.tile(np.eye(n, dtype=np.int64), (len(distinct), 1, 1))
+    right = left.copy()
+    for t in range(len(factors)):
+        chosen = (distinct >> t & 1).astype(bool)
+        left[chosen] = left[chosen] @ steps[t] % modulus
+        right[chosen] = undo[t] @ right[chosen] % modulus
+    return left[slot] @ middle[which] % modulus @ right[slot] % modulus
 
 
 def _phi4_transversal_table(g: int) -> dict:
@@ -427,6 +477,8 @@ def _check_lem43_comm(p: dict) -> tuple[bool, dict]:
 
 def _check_rs_gamma24(p: dict) -> tuple[bool, dict]:
     g = p["g"]
+    _require_at_least(p, "sample", 1)
+    _require_at_least(p, "rs_cap", 1)
     if g > 4:
         raise ScaleGuardError(
             f"transversal table has 2^{families.y_count(g)} entries at genus {g}"
@@ -480,27 +532,24 @@ def _check_rs_gamma24(p: dict) -> tuple[bool, dict]:
 
 def _check_thm41_member(p: dict) -> tuple[bool, dict]:
     g = p["g"]
+    _require_at_least(p, "sample", 0)
     total = families.main3_count(g)
     rng = random.Random(p["seed"])
     sample = p["sample"]
-    if sample <= 0 or sample >= total:
+    if sample == 0 or sample >= total:
         if total > MAIN3_STREAM_LIMIT:
             raise ScaleGuardError(
                 f"full stream has {total} words, over the limit of {MAIN3_STREAM_LIMIT};"
                 f" pass a positive sample for genus {g}"
             )
-        indices = range(total)
+        indices = np.arange(total)
     else:
-        indices = sorted(rng.sample(range(total), sample))
-    fams = families.main3_families(g)
+        indices = np.array(sorted(rng.sample(range(total), sample)))
     bad = 0
-    checked = 0
-    for idx in indices:
-        w = families.main3_generator(g, idx, fams)
-        checked += 1
-        if not level_member(w, 4):
-            bad += 1
-    return bad == 0, {"stream_size": total, "checked": checked, "failures": bad}
+    for start in range(0, len(indices), _STREAM_BATCH):
+        images = main3_stream_images(g, indices[start : start + _STREAM_BATCH], word_matrix, 4)
+        bad += int(np.count_nonzero(~level_trivial_residues(images, 4)))
+    return bad == 0, {"stream_size": total, "checked": len(indices), "failures": bad}
 
 
 def _check_thm41_mod8(p: dict) -> tuple[bool, dict]:
@@ -511,24 +560,18 @@ def _check_thm41_mod8(p: dict) -> tuple[bool, dict]:
             f"the mod-8 comparison reads the full stream of {total} words,"
             f" over the limit of {MAIN3_STREAM_LIMIT}"
         )
-    seen = {}  # image rows -> (stream index of its first word, image)
-    fams = families.main3_families(g)
-    index = 0
-    for mask in range(families.transversal_count(g)):
-        y = families.subset_word(g, mask)
-        y_inv = y.inverse()
-        for el in fams:
-            m = phi_mod(y * el.word * y_inv, 8)
-            seen.setdefault(m.rows, (index, m))
-            index += 1
+    images = main3_stream_images(g, np.arange(total), reduced_action, 8)
+    # each distinct image once, under the first stream word that has it
+    _, first = np.unique(images.reshape(total, -1), axis=0, return_index=True)
+    first.sort()
     closure = _named(
-        [f"stream word {i}" for i, _ in seen.values()],
-        lambda: layer_closure([m for _, m in seen.values()], 4),
+        [f"stream word {i}" for i in first],
+        lambda: layer_closure([ModMatrix.from_rows(8, images[i].tolist()) for i in first], 4),
     )
     reference = _reference_layer([m.reduce_mod(8) for m in gamma_generators(g - 1, 4)], 4)
     ok = closure.same_group(reference)
     return ok, {
-        "distinct_images": len(seen),
+        "distinct_images": len(first),
         "closure_order": closure.order,
         "reference_order": reference.order,
     }

@@ -495,8 +495,10 @@ _KERNEL_INDEX_CAP = 4096
 
 
 def _guard(g: int, n: int, d: int) -> None:
-    """Refuse a kernel point with no boundary, a modulus below 2 or an index
-    d^(g-1) past the desk-scale cap, in that order."""
+    """Refuse a kernel point with genus below 1, no boundary, a modulus below
+    2 or an index d^(g-1) past the desk-scale cap, in that order."""
+    if g < 1:
+        raise ValueError(f"genus g must be >= 1, got {g}")
     if n < 1:
         raise ValueError("needs n >= 1")
     if d < 2:

@@ -74,3 +74,22 @@ def oracle_word_matrix(w: MCGWord) -> IntMatrix:
     for sym, exp in w.letters:
         m = m * generator_matrix(sym, w.genus, exp)
     return m
+
+
+def matrix_level_trivial(m: IntMatrix, d: int) -> bool:
+    """Does a g x g action fix every class of H_1 with Z/d coefficients?
+
+    Column j must differ from e_j by a constant vector 2l mod d; for odd d
+    every constant qualifies (2 is invertible), for even d it must be even.
+    """
+    if d < 2:
+        raise ValueError("level must be >= 2")
+    g = m.n
+    for j in range(g):
+        residues = {(m.rows[i][j] - (1 if i == j else 0)) % d for i in range(g)}
+        if len(residues) != 1:
+            return False
+        c = residues.pop()
+        if d % 2 == 0 and c % 2 != 0:
+            return False
+    return True

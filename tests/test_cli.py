@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import crosscap
 from crosscap.cli import main
 
 
@@ -221,6 +226,10 @@ def test_verify_non_integer_param_exits_2(capsys):
         ("TOWER-2L", "l=0", "the tower starts at l = 2, got l = 0"),
         ("THM41-MEMBER", "g=3", "the level-4 generating set needs genus >= 4"),
         ("THM41-MOD8", "g=3", "the level-4 generating set needs genus >= 4"),
+        ("THM41-MEMBER", "sample=-5", "parameter 'sample' must be >= 0, got -5"),
+        ("RS-GAMMA24", "sample=0", "parameter 'sample' must be >= 1, got 0"),
+        ("RS-GAMMA24", "sample=-1", "parameter 'sample' must be >= 1, got -1"),
+        ("RS-GAMMA24", "rs_cap=0", "parameter 'rs_cap' must be >= 1, got 0"),
     ],
 )
 def test_verify_bad_param_values_exit_2(capsys, suite, params, message):
@@ -235,3 +244,32 @@ def test_kernel_checks_refuse_a_modulus_below_two(capsys, suite, d):
     code, out, err = run_cli(capsys, "verify", "--suite", suite, "--params", f"g=4,n=1,d={d}")
     assert code == 2 and out == ""
     assert f"modulus d must be >= 2, got {d}" in err
+
+
+@pytest.mark.parametrize("suite", ["PROP52-STALLINGS", "PROP34-TC"])
+@pytest.mark.parametrize("g", [-1, 0])
+def test_kernel_checks_refuse_a_genus_below_one(capsys, suite, g):
+    code, out, err = run_cli(capsys, "verify", "--suite", suite, "--params", f"g={g},n=1,d=2")
+    assert code == 2 and out == ""
+    assert f"genus g must be >= 1, got {g}" in err
+
+
+@pytest.mark.parametrize("suite, code", [("T2-EQ-YY,THM23-KER", 0), ("T2-EQ-YY,NOPE", 2)])
+def test_python_dash_m_runs_the_cli(suite, code):
+    src = Path(crosscap.__file__).resolve().parents[1]
+    path = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-m", "crosscap", "verify", "--suite", suite],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert done.returncode == code, done.stderr
+    if code == 0:
+        assert [line.split()[:2] for line in done.stdout.splitlines()] == [
+            ["T2-EQ-YY", "pass"],
+            ["THM23-KER", "pass"],
+        ]
+    else:
+        assert "unknown check id 'NOPE'" in done.stderr

@@ -1,3 +1,6 @@
+import itertools
+
+import numpy as np
 import pytest
 
 from crosscap import families
@@ -72,6 +75,12 @@ def test_transversal_order_and_count():
     # masks enumerate ordered products with strictly increasing factors
     w = families.subset_word(4, 0b101)
     assert [s for s, _ in w.letters] == [Slide(1, 2), Slide(1, 4)]
+    for mask in (0, 0b101, 0b110011001, 511):
+        product = MCGWord.identity(4)
+        for t in range(9):
+            if mask >> t & 1:
+                product = product * families.subset_word(4, 1 << t)
+        assert families.subset_word(4, mask) == product
 
 
 def test_transversal_2z_count():
@@ -120,6 +129,19 @@ def test_main3_count_and_random_access():
         assert isinstance(w, MCGWord)
     with pytest.raises(IndexError):
         families.main3_generator(4, 12800)
+
+
+def test_main3_position_splits_the_stream_transversal_major():
+    indices = [0, 1, 24, 25, 1000, 12799]
+    masks, which = families.main3_position(4, np.array(indices), 25)
+    assert [families.main3_position(4, i, 25) for i in indices] == list(zip(masks, which))
+    assert list(zip(masks, which)) == [(0, 0), (0, 1), (0, 24), (1, 0), (40, 0), (511, 24)]
+    stream = list(itertools.islice(families.main3_generators(4), 1001))
+    for idx in indices[:-1]:
+        assert families.main3_generator(4, idx) == stream[idx]
+    for bad in (-1, 12800, np.array([5, -2])):
+        with pytest.raises(IndexError, match="out of range 0..12799"):
+            families.main3_position(4, bad, 25)
 
 
 def test_main3_stream_refuses_genus_below_four():

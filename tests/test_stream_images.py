@@ -1,0 +1,256 @@
+"""The batched evaluation of the level-4 generating stream against the
+word-level oracles it replaced (``oracle_ledger``, ``oracle_homology``)."""
+
+import dataclasses
+import random
+
+import numpy as np
+import pytest
+
+import oracle_homology
+import oracle_ledger
+from crosscap import families, ledger
+from crosscap.finitegrp import LayerError
+from crosscap.homology import (
+    level_trivial_residues,
+    matrix_level_trivial,
+    reduced_action,
+    word_matrix,
+)
+from crosscap.intmat import IntMatrix
+from crosscap.ledger import main3_stream_images, run_check
+from crosscap.words import Twist, word
+
+
+def word_level(g, indices, action, modulus):
+    fams = families.main3_families(g)
+    return np.array(
+        [
+            action(families.main3_generator(g, int(i), fams)).reduce_mod(modulus).rows
+            for i in indices
+        ],
+        dtype=np.int64,
+    )
+
+
+@pytest.mark.parametrize("action, modulus", [(word_matrix, 4), (reduced_action, 8)])
+def test_whole_genus4_stream_matches_the_words(action, modulus):
+    indices = np.arange(families.main3_count(4))
+    got = main3_stream_images(4, indices, action, modulus)
+    assert got.dtype == np.int64
+    assert np.array_equal(got, word_level(4, indices, action, modulus))
+
+
+@pytest.mark.parametrize("action, modulus", [(word_matrix, 4), (reduced_action, 8)])
+def test_seeded_genus5_indices_match_the_words(action, modulus):
+    rng = random.Random(5)
+    indices = np.array(sorted(rng.sample(range(families.main3_count(5)), 1000)))
+    got = main3_stream_images(5, indices, action, modulus)
+    assert np.array_equal(got, word_level(5, indices, action, modulus))
+
+
+def test_unsorted_and_repeated_indices_keep_their_order():
+    indices = np.array([12799, 3, 12799, 0, 640, 3])
+    assert np.array_equal(
+        main3_stream_images(4, indices, word_matrix, 4), word_level(4, indices, word_matrix, 4)
+    )
+
+
+def test_the_int64_bound_is_exact():
+    # 4 (m - 1)^2 <= 2^63 - 1 holds up to m - 1 = floor(sqrt((2^63 - 1) / 4))
+    top = 1 + int(np.sqrt((2**63 - 1) // 4))
+    while 4 * top**2 > 2**63 - 1:
+        top -= 1
+    indices = np.array([1, 777, 12799])
+    modulus = top + 1
+    assert np.array_equal(
+        main3_stream_images(4, indices, word_matrix, modulus),
+        word_level(4, indices, word_matrix, modulus),
+    )
+    with pytest.raises(ValueError, match="products of 4 x 4 residues mod .* can overflow int64"):
+        main3_stream_images(4, indices, word_matrix, modulus + 1)
+
+
+def test_indices_outside_the_stream_raise():
+    with pytest.raises(IndexError, match="index 12800 out of range 0..12799"):
+        main3_stream_images(4, np.array([0, 12800]), word_matrix, 4)
+
+
+# ---------------------------------------------------------------------------
+# the level predicate
+# ---------------------------------------------------------------------------
+
+
+def random_matrices(rng, g, count, span):
+    return [
+        IntMatrix.from_rows([[rng.randint(-span, span) for _ in range(g)] for _ in range(g)])
+        for _ in range(count)
+    ]
+
+
+def near_level(rng, g, d, count):
+    """Matrices I + (column constants) + d * noise, half of them trivial mod d."""
+    out = []
+    for _ in range(count):
+        shifts = [rng.randrange(d) for _ in range(g)]
+        rows = [
+            [(1 if i == j else 0) + shifts[j] + d * rng.randint(-3, 3) for j in range(g)]
+            for i in range(g)
+        ]
+        if rng.random() < 0.5:
+            rows[rng.randrange(g)][rng.randrange(g)] += rng.randrange(1, d)
+        out.append(IntMatrix.from_rows(rows))
+    return out
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 8])
+def test_array_predicate_matches_the_scalar_loop(d):
+    rng = random.Random(d)
+    huge = [
+        word_matrix(word(g, (Twist((1, 2)), e)))
+        for g in (2, 4)
+        for e in (-(10**20), 10**20, 4 * 10**20, 2 * 10**20 + 1)
+    ]
+    mats = huge + [
+        m
+        for g in (2, 3, 4, 5)
+        for m in random_matrices(rng, g, 40, 3) + near_level(rng, g, d, 80)
+    ]
+    expected = [oracle_homology.matrix_level_trivial(m, d) for m in mats]
+    assert any(expected) and not all(expected)
+    assert [matrix_level_trivial(m, d) for m in mats] == expected
+    for g in (2, 3, 4, 5):
+        same = [(m, e) for m, e in zip(mats, expected) if m.n == g]
+        stack = np.array([m.reduce_mod(d).rows for m, _ in same], dtype=np.int64)
+        assert level_trivial_residues(stack, d).tolist() == [e for _, e in same]
+
+
+def test_array_predicate_refuses_levels_below_two():
+    for d in (1, 0, -4):
+        with pytest.raises(ValueError, match="level must be >= 2"):
+            level_trivial_residues(np.zeros((1, 3, 3), dtype=np.int64), d)
+        with pytest.raises(ValueError, match="level must be >= 2"):
+            matrix_level_trivial(IntMatrix.identity(3), d)
+
+
+# ---------------------------------------------------------------------------
+# the checks against the word-level oracles
+# ---------------------------------------------------------------------------
+
+
+@pytest.fixture
+def planted(monkeypatch):
+    """Replace family element 7 of the level-4 stream by T(1,2), which acts
+    nontrivially mod 4, for the checks and the oracles alike."""
+    real = families.main3_families
+
+    def with_plant(g):
+        fams = real(g)
+        fams[7] = dataclasses.replace(fams[7], word=word(g, Twist((1, 2))))
+        return fams
+
+    monkeypatch.setattr(families, "main3_families", with_plant)
+
+
+@pytest.mark.parametrize("sample", [0, 300])
+def test_planted_non_member_fails_with_the_oracle_count(planted, sample):
+    record = run_check("THM41-MEMBER", {"sample": sample, "seed": 2})
+    total = families.main3_count(4)
+    if sample:
+        indices = sorted(random.Random(2).sample(range(total), sample))
+    else:
+        indices = range(total)
+    expected = oracle_ledger.thm41_member_failures(4, indices)
+    assert expected > 0
+    assert record.status == "fail"
+    assert record.details == {"stream_size": total, "checked": len(indices), "failures": expected}
+
+
+def test_planted_image_outside_the_layer_is_named_as_by_the_oracle(planted):
+    with pytest.raises(LayerError) as caught:
+        oracle_ledger.thm41_mod8(4)
+    record = run_check("THM41-MOD8", {"g": 4})
+    assert record.status == "fail"
+    assert record.details == {"reason": str(caught.value)}
+    assert "stream word 7" in record.details["reason"]
+
+
+def test_stream_checks_match_the_oracles(monkeypatch):
+    ok, details = oracle_ledger.thm41_mod8(4)
+    calls = []
+    real = ledger.layer_closure
+
+    def recorder(gens, d):
+        calls.append(list(gens))
+        return real(gens, d)
+
+    monkeypatch.setattr(ledger, "layer_closure", recorder)
+    record = run_check("THM41-MOD8", {"g": 4})
+    assert (record.status == "pass", record.details) == (ok, details)
+    # the distinct images reach the closure in stream order, then the reference
+    seen = oracle_ledger.thm41_mod8_images(4)
+    assert details["distinct_images"] == len(seen) == 19
+    assert calls[0] == [m for _, m in seen.values()]
+    record = run_check("THM41-MEMBER", {"sample": 500, "seed": 9})
+    indices = sorted(random.Random(9).sample(range(families.main3_count(4)), 500))
+    assert record.details["failures"] == oracle_ledger.thm41_member_failures(4, indices) == 0
+
+
+def test_member_batches_cover_every_sampled_index(monkeypatch):
+    monkeypatch.setattr(ledger, "_STREAM_BATCH", 7)
+    seen = []
+    real = ledger.main3_stream_images
+
+    def spy(g, indices, action, modulus):
+        seen.extend(indices.tolist())
+        return real(g, indices, action, modulus)
+
+    monkeypatch.setattr(ledger, "main3_stream_images", spy)
+    record = run_check("THM41-MEMBER", {"sample": 50, "seed": 4})
+    assert record.status == "pass" and record.details["checked"] == 50
+    assert seen == sorted(random.Random(4).sample(range(families.main3_count(4)), 50))
+
+
+# ---------------------------------------------------------------------------
+# sample and cap parameters
+# ---------------------------------------------------------------------------
+
+
+def refuse_work(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("work started")
+
+    for name in ("main3_stream_images", "bfs_closure", "phi_mod"):
+        monkeypatch.setattr(ledger, name, refuse)
+    monkeypatch.setattr(families, "main3_count", refuse)
+
+
+@pytest.mark.parametrize(
+    "check_id, params, message",
+    [
+        ("THM41-MEMBER", {"sample": -5}, "parameter 'sample' must be >= 0, got -5"),
+        ("THM41-MEMBER", {"sample": -1}, "parameter 'sample' must be >= 0, got -1"),
+        ("RS-GAMMA24", {"sample": 0}, "parameter 'sample' must be >= 1, got 0"),
+        ("RS-GAMMA24", {"sample": -1}, "parameter 'sample' must be >= 1, got -1"),
+        ("RS-GAMMA24", {"rs_cap": 0}, "parameter 'rs_cap' must be >= 1, got 0"),
+        ("RS-GAMMA24", {"rs_cap": -3}, "parameter 'rs_cap' must be >= 1, got -3"),
+    ],
+)
+def test_sample_and_cap_below_their_floor_raise_before_any_work(
+    monkeypatch, check_id, params, message
+):
+    refuse_work(monkeypatch)
+    with pytest.raises(ValueError, match=message):
+        run_check(check_id, params)
+
+
+def test_sample_zero_reads_the_whole_stream():
+    record = run_check("THM41-MEMBER", {"sample": 0})
+    assert record.status == "pass"
+    assert record.details == {"stream_size": 12800, "checked": 12800, "failures": 0}
+
+
+def test_rs_cap_one_reads_one_output():
+    record = run_check("RS-GAMMA24", {"rs_cap": 1, "sample": 1})
+    assert record.status == "pass"
+    assert record.details["rs_outputs_sampled"] == 1
