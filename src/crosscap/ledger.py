@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import random
 import time
+from collections import deque
 from dataclasses import dataclass, field
 from typing import Callable, Iterable
 
@@ -20,12 +21,14 @@ from .finitegrp import (
     CapExceededError,
     LayerError,
     LevelLayer,
+    SectionError,
     bfs_closure,
+    coset_action_table,
     layer_closure,
     layer_normal_closure,
     normal_closure,
-    schreier_generators,
 )
+from .finitegrp import schreier_generators  # noqa: F401  (still bound here: perfbench's tracer checks it)
 from .homology import (
     level_member,
     level_trivial_residues,
@@ -205,6 +208,44 @@ def _require_at_least(p: dict, key: str, low: int) -> None:
         raise ValueError(f"parameter {key!r} must be >= {low}, got {p[key]}")
 
 
+def _residues(
+    ws: list[MCGWord], action: Callable[[MCGWord], IntMatrix], modulus: int
+) -> np.ndarray:
+    return np.array([action(w).reduce_mod(modulus).rows for w in ws], dtype=np.int64)
+
+
+def subset_images(
+    g: int, masks: np.ndarray, action: Callable[[MCGWord], IntMatrix], modulus: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """The residues mod ``modulus`` of ``action`` on y = ``subset_word(g,
+    mask)`` and on y^-1, for each mask of the 1-d array ``masks``: two
+    (N, n, n) int64 stacks in that order.
+
+    y is the ordered product of the single slides ``subset_word(g, 1 << t)``
+    over the set bits t and ``action`` (``word_matrix`` or
+    ``reduced_action``) is multiplicative, so each single slide is evaluated
+    once, with its inverse, and M(y) and M(y^-1) are built as numpy batches
+    of products of slide matrices.  Every product is reduced mod
+    ``modulus`` at once, so no entry exceeds n (modulus - 1)^2, which must
+    fit in int64.
+    """
+    factors = [families.subset_word(g, 1 << t) for t in range(families.y_count(g))]
+    steps = _residues(factors, action, modulus)
+    undo = _residues([f.inverse() for f in factors], action, modulus)
+    n = steps.shape[-1]
+    if n * (modulus - 1) ** 2 > np.iinfo(np.int64).max:
+        raise ValueError(
+            f"products of {n} x {n} residues mod {modulus} can overflow int64"
+        )
+    left = np.tile(np.eye(n, dtype=np.int64), (len(masks), 1, 1))
+    right = left.copy()
+    for t in range(len(factors)):
+        chosen = (masks >> t & 1).astype(bool)
+        left[chosen] = left[chosen] @ steps[t] % modulus
+        right[chosen] = undo[t] @ right[chosen] % modulus
+    return left, right
+
+
 def main3_stream_images(
     g: int, indices: np.ndarray, action: Callable[[MCGWord], IntMatrix], modulus: int
 ) -> np.ndarray:
@@ -212,45 +253,69 @@ def main3_stream_images(
     stream's words at ``indices``: an (N, n, n) int64 stack in that order.
 
     Stream word ``mask * per + k`` is y F y^-1, with F the k-th family
-    element and y = ``subset_word(g, mask)`` the ordered product of the
-    single slides ``subset_word(g, 1 << t)`` over the set bits t, and
-    ``action`` (``word_matrix`` or ``reduced_action``) is multiplicative.
-    So each family element and each single slide is evaluated once, with
-    its inverse; M(y) and M(y^-1) are built for each distinct mask from the
-    slide matrices, and M(y) M(F) M(y^-1) for every index, all as numpy
-    batches.  Every product is reduced mod ``modulus`` at once, so no entry
-    exceeds n (modulus - 1)^2, which must fit in int64.
+    element and y = ``subset_word(g, mask)``.  Each family element is
+    evaluated once, M(y) and M(y^-1) come from ``subset_images`` for each
+    distinct mask, and M(y) M(F) M(y^-1) is formed for every index as a
+    numpy batch reduced after each product.
     """
     fams = families.main3_families(g)
     masks, which = families.main3_position(g, np.asarray(indices), len(fams))
-
-    def residues(ws: list[MCGWord]) -> np.ndarray:
-        return np.array([action(w).reduce_mod(modulus).rows for w in ws], dtype=np.int64)
-
-    middle = residues([el.word for el in fams])
-    n = middle.shape[-1]
-    if n * (modulus - 1) ** 2 > np.iinfo(np.int64).max:
-        raise ValueError(
-            f"products of {n} x {n} residues mod {modulus} can overflow int64"
-        )
-    factors = [families.subset_word(g, 1 << t) for t in range(families.y_count(g))]
-    steps, undo = residues(factors), residues([f.inverse() for f in factors])
+    middle = _residues([el.word for el in fams], action, modulus)
     distinct, slot = np.unique(masks, return_inverse=True)
-    left = np.tile(np.eye(n, dtype=np.int64), (len(distinct), 1, 1))
-    right = left.copy()
-    for t in range(len(factors)):
-        chosen = (distinct >> t & 1).astype(bool)
-        left[chosen] = left[chosen] @ steps[t] % modulus
-        right[chosen] = undo[t] @ right[chosen] % modulus
+    left, right = subset_images(g, distinct, action, modulus)
     return left[slot] @ middle[which] % modulus @ right[slot] % modulus
 
 
-def _phi4_transversal_table(g: int) -> dict:
-    table = {}
-    for mask in range(families.transversal_count(g)):
-        w = families.subset_word(g, mask)
-        table[phi_mod(w, 4).rows] = w
-    return table
+def rs_stream_factors(
+    g: int, gens: list[MCGWord], images: np.ndarray, cap: int
+) -> list[tuple[MCGWord, MCGWord, MCGWord]]:
+    """The first ``cap`` Schreier generators y s u^-1 of the kernel of phi
+    mod 4 on the group ``gens`` generate, as factor triples (y, s, u) in
+    stream order; the words themselves are not built.
+
+    The transversal is ``subset_word(g, mask)`` for every mask, with phi
+    mod 4 images ``images`` (from ``subset_images``).  Cosets are walked
+    breadth-first from mask 0, the empty word, over the coset action table
+    of the signed generators x, x^-1 in turn; the target coset's
+    representative u is the word of mask ``table[c, j]``.  A product y s
+    that already equals u as a reduced word is skipped, as in
+    ``finitegrp.schreier_generators``.  Each letter of s pops at most one
+    letter of y in free reduction, so y s keeps the first len(y) - len(s)
+    letters of y, and a u that differs there is unequal without forming
+    y s.  Raises :class:`SectionError` naming the coset and the signed
+    generator when a product leaves the transversal image.
+    """
+    signed = [s for x in gens for s in (x, x.inverse())]
+    try:
+        table = coset_action_table(images, _residues(signed, reduced_action, 4), 4)
+    except SectionError as exc:
+        if exc.generator is None:
+            raise
+        raise SectionError(
+            f"coset {exc.coset} times signed generator {exc.generator}"
+            f" ({signed[exc.generator]}) has no transversal key mod 4",
+            exc.coset,
+            exc.generator,
+        ) from None
+    reps = [families.subset_word(g, mask) for mask in range(len(images))]
+    seen = {0}
+    queue = deque([0])
+    outputs: list[tuple[MCGWord, MCGWord, MCGWord]] = []
+    while queue:
+        c = queue.popleft()
+        y = reps[c]
+        for s, target in zip(signed, table[c].tolist()):
+            if target not in seen:
+                seen.add(target)
+                queue.append(target)
+            u = reps[target]
+            kept = max(0, len(y.letters) - len(s.letters))
+            if u.letters[:kept] == y.letters[:kept] and u == y * s:
+                continue
+            outputs.append((y, s, u))
+            if len(outputs) >= cap:
+                return outputs
+    return outputs
 
 
 # ---------------------------------------------------------------------------
@@ -304,6 +369,7 @@ def _check_ex21_matrices(p: dict) -> tuple[bool, dict]:
 
 
 def _check_gen_fix_ones(p: dict) -> tuple[bool, dict]:
+    _require_at_least(p, "gmax", 2)
     bad = []
     checked = 0
     for g in range(2, p["gmax"] + 1):
@@ -321,6 +387,7 @@ def _check_gen_fix_ones(p: dict) -> tuple[bool, dict]:
 
 
 def _check_t2_eq_yy(p: dict) -> tuple[bool, dict]:
+    _require_at_least(p, "gmax", 3)
     bad = []
     pairs = 0
     for g in range(3, p["gmax"] + 1):
@@ -335,6 +402,8 @@ def _check_t2_eq_yy(p: dict) -> tuple[bool, dict]:
 
 
 def _check_thm23_elem(p: dict) -> tuple[bool, dict]:
+    _require_at_least(p, "g", 3)
+    _require_at_least(p, "d", 2)
     g, d = p["g"], p["d"]
     if d % 2 != 0:
         raise ScaleGuardError("the commutator identities need even d")
@@ -361,6 +430,7 @@ def _check_thm23_elem(p: dict) -> tuple[bool, dict]:
 
 
 def _check_thm23_obstruct(p: dict) -> tuple[bool, dict]:
+    _require_at_least(p, "d", 1)
     g, d = p["g"], p["d"]
     target = elementary(g - 1, 1, 2, d)
     result = lift_obstruction(target, g)
@@ -391,6 +461,7 @@ def _check_thm23_ker(p: dict) -> tuple[bool, dict]:
 
 
 def _check_psi_o2(p: dict) -> tuple[bool, dict]:
+    _require_at_least(p, "g", 4)
     g = p["g"]
     brute = brute_force_mod2_orthogonal(g)
     gens = [mod2_action(word(g, Twist((i, i + 1)))) for i in range(1, g)]
@@ -439,6 +510,7 @@ def _check_thm31_closure(p: dict) -> tuple[bool, dict]:
 
 
 def _check_lem42_3chain(p: dict) -> tuple[bool, dict]:
+    _require_at_least(p, "gmax", 4)
     bad = []
     tuples = 0
     for g in range(4, p["gmax"] + 1):
@@ -456,6 +528,7 @@ def _check_lem42_3chain(p: dict) -> tuple[bool, dict]:
 
 
 def _check_lem43_comm(p: dict) -> tuple[bool, dict]:
+    _require_at_least(p, "gmax", 4)
     bad = []
     pairs = 0
     nontrivial = 0
@@ -496,25 +569,17 @@ def _check_rs_gamma24(p: dict) -> tuple[bool, dict]:
     ref_gens.append(IntMatrix.from_rows(flip).reduce_mod(4))
     reference_ok = grp.same_group(bfs_closure(ref_gens))
 
-    table = _phi4_transversal_table(g)
-    section_ok = len(table) == expected
+    images, _ = subset_images(g, np.arange(families.transversal_count(g)), reduced_action, 4)
+    section_ok = len(np.unique(images.reshape(len(images), -1), axis=0)) == expected
     sample_ok = True
     sampled = 0
     if section_ok:
-        stream = schreier_generators(
-            lambda w: phi_mod(w, 4).rows,
-            lambda key: table[key],
-            gens_words,
-            MCGWord.identity(g),
-        )
-        outputs = []
-        for w in stream:
-            outputs.append(w)
-            if len(outputs) >= p["rs_cap"]:
-                break
-        sample = rng.sample(outputs, min(p["sample"], len(outputs)))
-        sampled = len(sample)
-        for w in sample:
+        stream = rs_stream_factors(g, gens_words, images, p["rs_cap"])
+        # the positions rng.sample(stream, k) would pick
+        picked = rng.sample(range(len(stream)), min(p["sample"], len(stream)))
+        sampled = len(picked)
+        for y, s, u in (stream[i] for i in picked):
+            w = y * s * u.inverse()
             if not level_member(w, 4):
                 sample_ok = False
             if phi_mod(w, 4).rows != ModMatrix.identity(g - 1, 4).rows:
@@ -578,6 +643,7 @@ def _check_thm41_mod8(p: dict) -> tuple[bool, dict]:
 
 
 def _check_tower_2l(p: dict) -> tuple[bool, dict]:
+    _require_at_least(p, "g", 3)
     g, l = p["g"], p["l"]
     if l < 2:
         raise ValueError(f"the tower starts at l = 2, got l = {l}")
@@ -589,6 +655,7 @@ def _check_tower_2l(p: dict) -> tuple[bool, dict]:
 
 
 def _check_theta_basis(p: dict) -> tuple[bool, dict]:
+    _require_at_least(p, "g", 2)
     g, n, d = p["g"], p["n"], p["d"]
     values = derive_theta_basis(g)
     ok = True
@@ -799,7 +866,8 @@ def run_check(check_id: str, params: dict | None = None) -> CheckRecord:
     """Run one catalog check.  Unknown ids, parameter keys the check does not
     declare and values whose type differs from the default's raise; guard
     violations come back as an ``inconclusive`` record, and a generator
-    outside the level layer a check works in as a ``fail`` naming it."""
+    outside the level layer a check works in, or a product that leaves a
+    transversal, as a ``fail`` naming it."""
     if check_id not in CHECKS:
         raise UnknownCheckError(f"unknown check id {check_id!r}")
     spec = CHECKS[check_id]
@@ -814,7 +882,7 @@ def run_check(check_id: str, params: dict | None = None) -> CheckRecord:
     except (ScaleGuardError, CapExceededError) as exc:
         status = "inconclusive"
         details = {"reason": str(exc)}
-    except LayerError as exc:
+    except (LayerError, SectionError) as exc:
         status = "fail"
         details = {"reason": str(exc)}
     runtime_ms = int((time.perf_counter() - start) * 1000)

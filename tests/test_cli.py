@@ -230,6 +230,17 @@ def test_verify_non_integer_param_exits_2(capsys):
         ("RS-GAMMA24", "sample=0", "parameter 'sample' must be >= 1, got 0"),
         ("RS-GAMMA24", "sample=-1", "parameter 'sample' must be >= 1, got -1"),
         ("RS-GAMMA24", "rs_cap=0", "parameter 'rs_cap' must be >= 1, got 0"),
+        ("GEN-FIX-ONES", "gmax=1", "parameter 'gmax' must be >= 2, got 1"),
+        ("T2-EQ-YY", "gmax=2", "parameter 'gmax' must be >= 3, got 2"),
+        ("LEM42-3CHAIN", "gmax=3", "parameter 'gmax' must be >= 4, got 3"),
+        ("LEM43-COMM", "gmax=3", "parameter 'gmax' must be >= 4, got 3"),
+        ("THM23-ELEM", "g=2", "parameter 'g' must be >= 3, got 2"),
+        ("THM23-ELEM", "d=0", "parameter 'd' must be >= 2, got 0"),
+        ("THM23-OBSTRUCT", "d=0", "parameter 'd' must be >= 1, got 0"),
+        ("PSI-O2", "g=3", "parameter 'g' must be >= 4, got 3"),
+        ("PSI-O2", "g=2", "parameter 'g' must be >= 4, got 2"),
+        ("TOWER-2L", "g=2", "parameter 'g' must be >= 3, got 2"),
+        ("THETA-BASIS", "g=1", "parameter 'g' must be >= 2, got 1"),
     ],
 )
 def test_verify_bad_param_values_exit_2(capsys, suite, params, message):
