@@ -3,8 +3,9 @@ Schreier generators, and Todd-Coxeter coset enumeration.
 
 A matrix group over Z/d is held as the set of its element keys: the
 little-endian uint16 row-major entry bytes, which are canonical because
-entries live in [0, d) with d < 2^16.  ``bfs_closure`` and ``normal_closure``
-drive one closure engine, ``_Closure``, which grows a group in place as
+entries live in [0, d) with d < 2^16; ``first_distinct`` dedupes any stack
+on the same keys.  ``bfs_closure`` and ``normal_closure`` drive one
+closure engine, ``_Closure``, which grows a group in place as
 generators arrive instead of restarting (Dimino's algorithm; Holt-Eick-
 O'Brien, *Handbook of Computational Group Theory*, ch. 4) and forms and keys
 its products through numpy a batch at a time.  ``has_exponent`` raises a
@@ -60,12 +61,26 @@ MAX_KEY_MODULUS = 1 << 16
 _BATCH = 1 << 15  # matrices per numpy batch
 
 
-def _keys(arrays: np.ndarray) -> list[bytes]:
-    """The key of each matrix in an (N, n, n) stack, whose entries lie in
-    [0, 2^16): its little-endian uint16 row-major entry bytes."""
+def _key_view(arrays: np.ndarray) -> np.ndarray:
+    """The keys of an (N, n, n) stack, whose entries lie in [0, 2^16), as an
+    array of N void scalars: each matrix's little-endian uint16 row-major
+    entry bytes."""
     count, n = len(arrays), arrays.shape[-1]
     flat = arrays.astype("<u2", order="C").reshape(count, n * n)
-    return flat.view(np.dtype((np.void, 2 * n * n))).reshape(count).tolist()
+    return flat.view(np.dtype((np.void, 2 * n * n))).reshape(count)
+
+
+def _keys(arrays: np.ndarray) -> list[bytes]:
+    """The key of each matrix in an (N, n, n) stack, as bytes."""
+    return _key_view(arrays).tolist()
+
+
+def first_distinct(arrays: np.ndarray) -> np.ndarray:
+    """The index of the first matrix with each distinct key in an (N, n, n)
+    stack whose entries lie in [0, 2^16), in increasing order."""
+    _, first = np.unique(_key_view(arrays), return_index=True)
+    first.sort()
+    return first
 
 
 def _decode(keys: Sequence[bytes], n: int) -> np.ndarray:
@@ -376,7 +391,8 @@ def layer_normal_closure(
     """
     vectors = _layer_vectors(normal_gens, d)
     _, n = _check_gens(list(ambient_gens) + list(normal_gens))
-    distinct = np.unique(_stack(ambient_gens, 2, n), axis=0)
+    ambient = _stack(ambient_gens, 2, n)
+    distinct = ambient[first_distinct(ambient)]
     inverses = [ModMatrix.from_rows(2, a.tolist()).inverse() for a in distinct]
     # uint8 sums wrap modulo 256, which keeps their parity
     left = distinct.astype(np.uint8)[:, None]

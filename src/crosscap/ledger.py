@@ -12,7 +12,7 @@ import random
 import time
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Callable, Iterable
+from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
@@ -24,6 +24,7 @@ from .finitegrp import (
     SectionError,
     bfs_closure,
     coset_action_table,
+    first_distinct,
     layer_closure,
     layer_normal_closure,
     normal_closure,
@@ -56,9 +57,10 @@ from .words import MCGWord, Slide, TorelliTag, Twist, commutator, word
 
 # the most words of the level-4 generating stream a check reads in full
 MAIN3_STREAM_LIMIT = 100_000
-# the most stream words whose actions one numpy batch holds, so that a
-# sample as large as the stream at g >= 5 stays within memory
-_STREAM_BATCH = 1 << 16
+# the most stream words whose actions ``main3_stream_images`` forms in one
+# numpy stack; the stream checks read the stream a stack at a time, so their
+# working memory stays a few MiB however many words they read
+_STREAM_BATCH = 1 << 12
 
 
 class UnknownCheckError(ValueError):
@@ -166,19 +168,30 @@ def expected_slide_phi(a: int, b: int, g: int) -> IntMatrix:
 
 
 def brute_force_mod2_orthogonal(g: int) -> frozenset[bytes]:
-    """All g x g matrices over Z/2 preserving the dot pairing, by exhaustion."""
+    """All g x g matrices over Z/2 preserving the dot pairing, by exhaustion.
+
+    Matrix t of the 2^(g^2) has entry (r, c) at bit r g + c of t.  Each
+    column is held as a g-bit integer per matrix, so the Gram entry (i, j)
+    of M^T M is the parity of popcount(col_i & col_j), read from a 2^g
+    table; only the matrices with M^T M = I are decoded into keys.
+    """
     if g > 4:
         raise ScaleGuardError(f"2^(g^2) enumeration unreasonable for g = {g}")
     count = 1 << (g * g)
-    bits = np.arange(count, dtype=np.int64)
-    mats = np.zeros((count, g * g), dtype=np.int64)
-    for t in range(g * g):
-        mats[:, t] = (bits >> t) & 1
-    mats = mats.reshape(count, g, g)
-    gram = np.einsum("nki,nkj->nij", mats, mats) % 2
-    eye = np.eye(g, dtype=np.int64)
-    good = mats[(gram == eye).all(axis=(1, 2))]
-    return frozenset(arr.astype("<u2").tobytes() for arr in good)
+    bits = np.arange(count, dtype=np.uint32)
+    cols = [np.zeros(count, dtype=np.uint16) for _ in range(g)]
+    for r in range(g):
+        for c in range(g):
+            cols[c] |= (bits >> (r * g + c) & 1).astype(np.uint16) << r
+    parity = np.array([v.bit_count() & 1 for v in range(1 << g)], dtype=bool)
+    good = np.ones(count, dtype=bool)
+    for i in range(g):
+        for j in range(i, g):
+            gram = parity[cols[i] & cols[j]]
+            good &= gram if i == j else ~gram
+    survivors = bits[good]
+    entries = (survivors[:, None] >> np.arange(g * g, dtype=np.uint32) & 1).astype("<u2")
+    return frozenset(row.tobytes() for row in entries)
 
 
 def _y_union_d_words(g: int) -> list[MCGWord]:
@@ -214,6 +227,38 @@ def _residues(
     return np.array([action(w).reduce_mod(modulus).rows for w in ws], dtype=np.int64)
 
 
+def _slide_residues(
+    g: int, action: Callable[[MCGWord], IntMatrix], modulus: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """The residues mod ``modulus`` of ``action`` on each single slide
+    ``subset_word(g, 1 << t)`` and on its inverse: two (T, n, n) int64
+    stacks.  Refuses a modulus for which a product of two n x n residues,
+    with entries up to n (modulus - 1)^2, could overflow int64."""
+    factors = [families.subset_word(g, 1 << t) for t in range(families.y_count(g))]
+    steps = _residues(factors, action, modulus)
+    undo = _residues([f.inverse() for f in factors], action, modulus)
+    n = steps.shape[-1]
+    if n * (modulus - 1) ** 2 > np.iinfo(np.int64).max:
+        raise ValueError(
+            f"products of {n} x {n} residues mod {modulus} can overflow int64"
+        )
+    return steps, undo
+
+
+def _subset_products(
+    steps: np.ndarray, undo: np.ndarray, masks: np.ndarray, modulus: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """M(y) and M(y^-1) for each mask of ``masks``, from the slide residues
+    ``_slide_residues`` returns, as products reduced mod ``modulus``."""
+    left = np.tile(np.eye(steps.shape[-1], dtype=np.int64), (len(masks), 1, 1))
+    right = left.copy()
+    for t in range(len(steps)):
+        chosen = (masks >> t & 1).astype(bool)
+        left[chosen] = left[chosen] @ steps[t] % modulus
+        right[chosen] = undo[t] @ right[chosen] % modulus
+    return left, right
+
+
 def subset_images(
     g: int, masks: np.ndarray, action: Callable[[MCGWord], IntMatrix], modulus: int
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -229,41 +274,37 @@ def subset_images(
     ``modulus`` at once, so no entry exceeds n (modulus - 1)^2, which must
     fit in int64.
     """
-    factors = [families.subset_word(g, 1 << t) for t in range(families.y_count(g))]
-    steps = _residues(factors, action, modulus)
-    undo = _residues([f.inverse() for f in factors], action, modulus)
-    n = steps.shape[-1]
-    if n * (modulus - 1) ** 2 > np.iinfo(np.int64).max:
-        raise ValueError(
-            f"products of {n} x {n} residues mod {modulus} can overflow int64"
-        )
-    left = np.tile(np.eye(n, dtype=np.int64), (len(masks), 1, 1))
-    right = left.copy()
-    for t in range(len(factors)):
-        chosen = (masks >> t & 1).astype(bool)
-        left[chosen] = left[chosen] @ steps[t] % modulus
-        right[chosen] = undo[t] @ right[chosen] % modulus
-    return left, right
+    return _subset_products(*_slide_residues(g, action, modulus), masks, modulus)
 
 
 def main3_stream_images(
     g: int, indices: np.ndarray, action: Callable[[MCGWord], IntMatrix], modulus: int
-) -> np.ndarray:
+) -> Iterator[np.ndarray]:
     """The residues mod ``modulus`` of ``action`` on the level-4 generating
-    stream's words at ``indices``: an (N, n, n) int64 stack in that order.
+    stream's words at ``indices``, as (N, n, n) int64 stacks of at most
+    ``_STREAM_BATCH`` words each, in the order of ``indices``.
 
     Stream word ``mask * per + k`` is y F y^-1, with F the k-th family
-    element and y = ``subset_word(g, mask)``.  Each family element is
-    evaluated once, M(y) and M(y^-1) come from ``subset_images`` for each
-    distinct mask, and M(y) M(F) M(y^-1) is formed for every index as a
-    numpy batch reduced after each product.
+    element and y = ``subset_word(g, mask)``.  The indices are checked, and
+    each family element and each single slide, with its inverse, evaluated
+    once, before the first stack is formed; each stack then builds M(y) and
+    M(y^-1) for its distinct masks from the slide residues and forms M(y)
+    M(F) M(y^-1) for its indices as a numpy batch reduced after each
+    product.
     """
     fams = families.main3_families(g)
     masks, which = families.main3_position(g, np.asarray(indices), len(fams))
     middle = _residues([el.word for el in fams], action, modulus)
-    distinct, slot = np.unique(masks, return_inverse=True)
-    left, right = subset_images(g, distinct, action, modulus)
-    return left[slot] @ middle[which] % modulus @ right[slot] % modulus
+    steps, undo = _slide_residues(g, action, modulus)
+
+    def stacks() -> Iterator[np.ndarray]:
+        for start in range(0, len(masks), _STREAM_BATCH):
+            stop = start + _STREAM_BATCH
+            distinct, slot = np.unique(masks[start:stop], return_inverse=True)
+            left, right = _subset_products(steps, undo, distinct, modulus)
+            yield left[slot] @ middle[which[start:stop]] % modulus @ right[slot] % modulus
+
+    return stacks()
 
 
 def rs_stream_factors(
@@ -324,6 +365,8 @@ def rs_stream_factors(
 
 
 def _check_ex21_matrices(p: dict) -> tuple[bool, dict]:
+    _require_at_least(p, "dmax", 1)
+    _require_at_least(p, "gmax", 3)
     g3_slides = {
         (1, 2): ((-1, 2), (0, 1)),
         (2, 1): ((1, 0), (2, -1)),
@@ -430,6 +473,7 @@ def _check_thm23_elem(p: dict) -> tuple[bool, dict]:
 
 
 def _check_thm23_obstruct(p: dict) -> tuple[bool, dict]:
+    _require_at_least(p, "g", 3)
     _require_at_least(p, "d", 1)
     g, d = p["g"], p["d"]
     target = elementary(g - 1, 1, 2, d)
@@ -570,7 +614,7 @@ def _check_rs_gamma24(p: dict) -> tuple[bool, dict]:
     reference_ok = grp.same_group(bfs_closure(ref_gens))
 
     images, _ = subset_images(g, np.arange(families.transversal_count(g)), reduced_action, 4)
-    section_ok = len(np.unique(images.reshape(len(images), -1), axis=0)) == expected
+    section_ok = len(first_distinct(images)) == expected
     sample_ok = True
     sampled = 0
     if section_ok:
@@ -611,8 +655,7 @@ def _check_thm41_member(p: dict) -> tuple[bool, dict]:
     else:
         indices = np.array(sorted(rng.sample(range(total), sample)))
     bad = 0
-    for start in range(0, len(indices), _STREAM_BATCH):
-        images = main3_stream_images(g, indices[start : start + _STREAM_BATCH], word_matrix, 4)
+    for images in main3_stream_images(g, indices, word_matrix, 4):
         bad += int(np.count_nonzero(~level_trivial_residues(images, 4)))
     return bad == 0, {"stream_size": total, "checked": len(indices), "failures": bad}
 
@@ -625,13 +668,20 @@ def _check_thm41_mod8(p: dict) -> tuple[bool, dict]:
             f"the mod-8 comparison reads the full stream of {total} words,"
             f" over the limit of {MAIN3_STREAM_LIMIT}"
         )
-    images = main3_stream_images(g, np.arange(total), reduced_action, 8)
-    # each distinct image once, under the first stream word that has it
-    _, first = np.unique(images.reshape(total, -1), axis=0, return_index=True)
-    first.sort()
+    # each distinct image once, under the first stream word that has it: the
+    # first of each stack, then the first of those across the stacks
+    kept, where, offset = [], [], 0
+    for images in main3_stream_images(g, np.arange(total), reduced_action, 8):
+        first = first_distinct(images)
+        kept.append(images[first])
+        where.append(first + offset)
+        offset += len(images)
+    candidates, where = np.concatenate(kept), np.concatenate(where)
+    keep = first_distinct(candidates)
+    images, first = candidates[keep], where[keep]
     closure = _named(
         [f"stream word {i}" for i in first],
-        lambda: layer_closure([ModMatrix.from_rows(8, images[i].tolist()) for i in first], 4),
+        lambda: layer_closure([ModMatrix.from_rows(8, m.tolist()) for m in images], 4),
     )
     reference = _reference_layer([m.reduce_mod(8) for m in gamma_generators(g - 1, 4)], 4)
     ok = closure.same_group(reference)
@@ -710,6 +760,7 @@ def _check_prop52_stallings(p: dict) -> tuple[bool, dict]:
 
 
 def _check_thm51_counts(p: dict) -> tuple[bool, dict]:
+    _require_at_least(p, "n", 1)
     g, n, d = p["g"], p["n"], p["d"]
     sets = families.gen_n_sets(g, n, d, base=("closed-surface generating set",))
     ok = True

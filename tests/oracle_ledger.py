@@ -8,15 +8,21 @@ here keys every transversal word and every product y x^+-1 through
 ``phi_mod`` and builds every Schreier word through the word-level
 ``finitegrp.schreier_generators``, which ``crosscap.ledger.rs_stream_factors``
 and the registry's runner must reproduce.
+
+The int64 ``einsum`` exhaustion of the mod-2 orthogonal group and
+THM41-MOD8's ``np.unique(..., axis=0)`` dedupe over the whole stream are
+kept here too: the bit-packed ``crosscap.ledger.brute_force_mod2_orthogonal``
+and the stack-by-stack keyed dedupe must reproduce them.
 """
 
 import random
 
+import numpy as np
 from oracle_homology import matrix_level_trivial
 
 from crosscap import families
 from crosscap.finitegrp import bfs_closure, layer_closure, schreier_generators
-from crosscap.homology import level_member, word_matrix
+from crosscap.homology import level_member, reduced_action, word_matrix
 from crosscap.intmat import IntMatrix, ModMatrix
 from crosscap.ledger import (
     _named,
@@ -25,9 +31,42 @@ from crosscap.ledger import (
     _y_union_d_words,
     gamma_generators,
     phi_mod,
+    subset_images,
 )
 from crosscap.pi1free import ScaleGuardError
 from crosscap.words import MCGWord
+
+
+def brute_force_mod2_orthogonal(g: int) -> frozenset[bytes]:
+    """All g x g matrices over Z/2 preserving the dot pairing: every one of
+    the 2^(g^2) matrices as int64 entries, Gram matrices by ``einsum``."""
+    if g > 4:
+        raise ScaleGuardError(f"2^(g^2) enumeration unreasonable for g = {g}")
+    count = 1 << (g * g)
+    bits = np.arange(count, dtype=np.int64)
+    mats = np.zeros((count, g * g), dtype=np.int64)
+    for t in range(g * g):
+        mats[:, t] = (bits >> t) & 1
+    mats = mats.reshape(count, g, g)
+    gram = np.einsum("nki,nkj->nij", mats, mats) % 2
+    eye = np.eye(g, dtype=np.int64)
+    good = mats[(gram == eye).all(axis=(1, 2))]
+    return frozenset(arr.astype("<u2").tobytes() for arr in good)
+
+
+def thm41_mod8_first_images(g: int) -> tuple[np.ndarray, np.ndarray]:
+    """The stream indices at which a new image mod 8 first appears, in
+    increasing order, and the images there: the whole stream as one stack
+    from the slide and family matrices, deduped by ``np.unique(axis=0)``."""
+    fams = families.main3_families(g)
+    masks, which = families.main3_position(g, np.arange(families.main3_count(g)), len(fams))
+    middle = np.array([reduced_action(el.word).reduce_mod(8).rows for el in fams], dtype=np.int64)
+    distinct, slot = np.unique(masks, return_inverse=True)
+    left, right = subset_images(g, distinct, reduced_action, 8)
+    images = left[slot] @ middle[which] % 8 @ right[slot] % 8
+    _, first = np.unique(images.reshape(len(images), -1), axis=0, return_index=True)
+    first.sort()
+    return first, images[first]
 
 
 def thm41_member_failures(g: int, indices) -> int:

@@ -241,6 +241,10 @@ def test_verify_non_integer_param_exits_2(capsys):
         ("PSI-O2", "g=2", "parameter 'g' must be >= 4, got 2"),
         ("TOWER-2L", "g=2", "parameter 'g' must be >= 3, got 2"),
         ("THETA-BASIS", "g=1", "parameter 'g' must be >= 2, got 1"),
+        ("THM23-OBSTRUCT", "g=2", "parameter 'g' must be >= 3, got 2"),
+        ("THM51-COUNTS", "n=0", "parameter 'n' must be >= 1, got 0"),
+        ("EX21-MATRICES", "dmax=0", "parameter 'dmax' must be >= 1, got 0"),
+        ("EX21-MATRICES", "gmax=2", "parameter 'gmax' must be >= 3, got 2"),
     ],
 )
 def test_verify_bad_param_values_exit_2(capsys, suite, params, message):

@@ -33,10 +33,22 @@ def word_level(g, indices, action, modulus):
     )
 
 
+def stacked(g, indices, action, modulus):
+    """The stacks ``main3_stream_images`` yields, joined; every stack but
+    the last holds exactly ``_STREAM_BATCH`` images and the last at most."""
+    stacks = list(main3_stream_images(g, indices, action, modulus))
+    sizes = [len(images) for images in stacks]
+    assert sum(sizes) == len(indices)
+    assert all(size == ledger._STREAM_BATCH for size in sizes[:-1])
+    assert 0 < sizes[-1] <= ledger._STREAM_BATCH
+    assert all(images.dtype == np.int64 for images in stacks)
+    return np.concatenate(stacks)
+
+
 @pytest.mark.parametrize("action, modulus", [(word_matrix, 4), (reduced_action, 8)])
 def test_whole_genus4_stream_matches_the_words(action, modulus):
     indices = np.arange(families.main3_count(4))
-    got = main3_stream_images(4, indices, action, modulus)
+    got = stacked(4, indices, action, modulus)
     assert got.dtype == np.int64
     assert np.array_equal(got, word_level(4, indices, action, modulus))
 
@@ -45,14 +57,14 @@ def test_whole_genus4_stream_matches_the_words(action, modulus):
 def test_seeded_genus5_indices_match_the_words(action, modulus):
     rng = random.Random(5)
     indices = np.array(sorted(rng.sample(range(families.main3_count(5)), 1000)))
-    got = main3_stream_images(5, indices, action, modulus)
+    got = stacked(5, indices, action, modulus)
     assert np.array_equal(got, word_level(5, indices, action, modulus))
 
 
 def test_unsorted_and_repeated_indices_keep_their_order():
     indices = np.array([12799, 3, 12799, 0, 640, 3])
     assert np.array_equal(
-        main3_stream_images(4, indices, word_matrix, 4), word_level(4, indices, word_matrix, 4)
+        stacked(4, indices, word_matrix, 4), word_level(4, indices, word_matrix, 4)
     )
 
 
@@ -64,7 +76,7 @@ def test_the_int64_bound_is_exact():
     indices = np.array([1, 777, 12799])
     modulus = top + 1
     assert np.array_equal(
-        main3_stream_images(4, indices, word_matrix, modulus),
+        stacked(4, indices, word_matrix, modulus),
         word_level(4, indices, word_matrix, modulus),
     )
     with pytest.raises(ValueError, match="products of 4 x 4 residues mod .* can overflow int64"):
@@ -198,17 +210,37 @@ def test_stream_checks_match_the_oracles(monkeypatch):
 
 def test_member_batches_cover_every_sampled_index(monkeypatch):
     monkeypatch.setattr(ledger, "_STREAM_BATCH", 7)
-    seen = []
+    seen, stacks = [], []
     real = ledger.main3_stream_images
 
     def spy(g, indices, action, modulus):
-        seen.extend(indices.tolist())
-        return real(g, indices, action, modulus)
+        seen.append(indices.tolist())
+        for images in real(g, indices, action, modulus):
+            stacks.append(images)
+            yield images
 
     monkeypatch.setattr(ledger, "main3_stream_images", spy)
     record = run_check("THM41-MEMBER", {"sample": 50, "seed": 4})
     assert record.status == "pass" and record.details["checked"] == 50
-    assert seen == sorted(random.Random(4).sample(range(families.main3_count(4)), 50))
+    expected = sorted(random.Random(4).sample(range(families.main3_count(4)), 50))
+    assert seen == [expected]
+    # read a stack at a time, in index order: stack k holds indices 7k .. 7k + 6
+    assert [len(images) for images in stacks] == [7] * 7 + [1]
+    for k, images in enumerate(stacks):
+        assert np.array_equal(images, word_level(4, expected[7 * k : 7 * k + 7], word_matrix, 4))
+
+
+@pytest.mark.parametrize("batch", [1, 7, 4096])
+def test_stacks_follow_the_indices_in_order(monkeypatch, batch):
+    monkeypatch.setattr(ledger, "_STREAM_BATCH", batch)
+    indices = np.array([12799, 3, 12799, 0, 640, 3, 5, 6, 7, 8, 9])
+    stacks = list(main3_stream_images(4, indices, reduced_action, 8))
+    assert [len(images) for images in stacks] == [
+        len(indices[start : start + batch]) for start in range(0, len(indices), batch)
+    ]
+    for k, images in enumerate(stacks):
+        chunk = indices[batch * k : batch * (k + 1)]
+        assert np.array_equal(images, word_level(4, chunk, reduced_action, 8))
 
 
 # ---------------------------------------------------------------------------

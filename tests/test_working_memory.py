@@ -1,0 +1,129 @@
+"""The bounded-memory forms of PSI-O2's exhaustion, the level-4 stream checks
+and the keyed dedupe, against the whole-array oracles they replaced
+(``oracle_ledger``), and the traced working memory of the default suite."""
+
+import tracemalloc
+
+import numpy as np
+import pytest
+
+import oracle_ledger
+from crosscap import homology, ledger
+from crosscap.finitegrp import first_distinct
+from crosscap.intmat import ModMatrix
+from crosscap.ledger import brute_force_mod2_orthogonal, run_check, run_suite
+from crosscap.pi1free import ScaleGuardError
+
+# the traced peak of a default run_suite(); the whole-array forms peaked at
+# 24.6 MiB, almost all of it PSI-O2's int64 exhaustion
+SUITE_BUDGET = 6 << 20
+
+
+@pytest.mark.parametrize("g, order", [(1, 1), (2, 2), (3, 6), (4, 48)])
+def test_bit_packed_exhaustion_matches_the_einsum_oracle(g, order):
+    got = brute_force_mod2_orthogonal(g)
+    expected = oracle_ledger.brute_force_mod2_orthogonal(g)
+    assert len(got) == len(expected) == order
+    assert sorted(got) == sorted(expected)
+    assert all(len(key) == 2 * g * g for key in got)
+
+
+def test_exhaustion_keeps_its_genus_guard():
+    with pytest.raises(ScaleGuardError, match="2\\^\\(g\\^2\\) enumeration unreasonable for g = 5"):
+        brute_force_mod2_orthogonal(5)
+
+
+def axis0_first(stack):
+    _, first = np.unique(stack.reshape(len(stack), -1), axis=0, return_index=True)
+    first.sort()
+    return first
+
+
+@pytest.mark.parametrize("modulus", [2, 8, 251])
+def test_first_distinct_matches_the_row_dedupe(modulus):
+    rng = np.random.default_rng(modulus)
+    for n in (1, 2, 3, 4, 5):
+        for count in (1, 2, 17, 600):
+            pool = rng.integers(0, modulus, size=(max(1, count // 3), n, n))
+            # every row drawn from a small pool, so most of them repeat
+            stack = pool[rng.integers(0, len(pool), size=count)]
+            first = first_distinct(stack)
+            assert first.tolist() == axis0_first(stack).tolist()
+            assert len(first) == len({m.tobytes() for m in stack})
+            assert len(first) < count or count == 1
+
+
+def test_first_distinct_reads_entries_up_to_the_key_range():
+    corners = [(65535, 0), (0, 65535), (65535, 0), (256, 1), (1, 256)]
+    stack = np.array([[[a, b], [0, 1]] for a, b in corners])
+    assert first_distinct(stack).tolist() == axis0_first(stack).tolist() == [0, 1, 3, 4]
+
+
+@pytest.mark.parametrize("batch", [7, ledger._STREAM_BATCH])
+def test_mod8_dedupe_matches_the_axis0_oracle(monkeypatch, batch):
+    monkeypatch.setattr(ledger, "_STREAM_BATCH", batch)
+    first, images = oracle_ledger.thm41_mod8_first_images(4)
+    names, inputs = [], []
+    real_named, real_closure = ledger._named, ledger.layer_closure
+
+    def named(labels, closure):
+        names.append(list(labels))
+        return real_named(labels, closure)
+
+    def closure(gens, d):
+        inputs.append(list(gens))
+        return real_closure(gens, d)
+
+    monkeypatch.setattr(ledger, "_named", named)
+    monkeypatch.setattr(ledger, "layer_closure", closure)
+    record = run_check("THM41-MOD8", {"g": 4})
+    assert record.status == "pass"
+    assert record.details["distinct_images"] == len(first) == 19
+    assert names[0] == [f"stream word {i}" for i in first]
+    assert inputs[0] == [ModMatrix.from_rows(8, m.tolist()) for m in images]
+
+
+@pytest.mark.parametrize(
+    "check_id, params",
+    [("THM41-MEMBER", {"sample": 50, "seed": 4}), ("THM41-MEMBER", {"sample": 0}), ("THM41-MOD8", {})],
+)
+def test_stream_words_are_evaluated_once_per_check(monkeypatch, check_id, params):
+    def calls(batch):
+        monkeypatch.setattr(ledger, "_STREAM_BATCH", batch)
+        count = [0]
+        real = homology.word_matrix
+
+        def spy(w):
+            count[0] += 1
+            return real(w)
+
+        # THM41-MEMBER passes ledger's binding, reduced_action reads homology's
+        with monkeypatch.context() as patch:
+            patch.setattr(ledger, "word_matrix", spy)
+            patch.setattr(homology, "word_matrix", spy)
+            record = run_check(check_id, params)
+        assert record.status == "pass"
+        return count[0]
+
+    # 25 family elements, 9 slides and their 9 inverses at g = 4
+    assert calls(7) == calls(ledger._STREAM_BATCH) == 25 + 2 * 9
+
+
+def test_default_suite_runs_in_a_few_mib():
+    run_suite()  # fills the per-genus caches the checks share
+    tracemalloc.start()
+    try:
+        run_suite()
+        peak = tracemalloc.get_traced_memory()[1]
+        per_check = {}
+        if peak > SUITE_BUDGET:
+            for check_id in sorted(ledger.CHECKS):
+                tracemalloc.reset_peak()
+                held = tracemalloc.get_traced_memory()[0]
+                run_check(check_id)
+                per_check[check_id] = f"{(tracemalloc.get_traced_memory()[1] - held) / 2**20:.2f} MiB"
+    finally:
+        tracemalloc.stop()
+    assert peak <= SUITE_BUDGET, (
+        f"traced peak {peak / 2**20:.2f} MiB over {SUITE_BUDGET >> 20} MiB; per check: {per_check}"
+    )
