@@ -369,6 +369,7 @@ def main2_normal_generators(
 
 
 def main3_families(g: int) -> list[NamedFamilyElement]:
+    _require_main3_genus(g)
     out = []
     for family in ("A", "B", "C", "D"):
         out.extend(family_elements(family, g))
@@ -412,7 +413,6 @@ def main3_generator(g: int, index: int, _families: Optional[list] = None) -> MCG
 
 
 def main3_generators(g: int) -> Iterator[MCGWord]:
-    _require_main3_genus(g)
     fams = main3_families(g)
     for mask in range(transversal_count(g)):
         y = subset_word(g, mask)

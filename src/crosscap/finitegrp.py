@@ -8,28 +8,23 @@ on the same keys.  ``bfs_closure`` and ``normal_closure`` drive one
 closure engine, ``_Closure``, which grows a group in place as
 generators arrive instead of restarting (Dimino's algorithm; Holt-Eick-
 O'Brien, *Handbook of Computational Group Theory*, ch. 4) and forms and keys
-its products through numpy a batch at a time.  ``has_exponent`` raises a
-whole batch of decoded elements to the power at once.  Caps are explicit and
+its products through numpy a batch at a time.  Caps are explicit and
 hitting one raises, so callers can report "inconclusive" instead of silently
 truncating.
-
-Schreier generators come two ways.  ``schreier_generators`` is generic over
-words: it keys every product y x^+-1 through a quotient callback and builds
-every output word.  ``coset_action_table`` works on matrix images instead:
-given the images of a transversal and of the signed generators mod m, it
-forms all the products T_c A_j in numpy batches and returns which coset
-each lands in, so a caller can walk the cosets over the table and build
-only the output words it needs.  A product outside the transversal image,
-or two transversal entries with the same key, raises ``SectionError``
-naming where.
 
 For even d the layer Gamma_d / Gamma_2d of matrices congruent to I mod d,
 taken mod 2d, is elementary abelian, so ``layer_closure`` and
 ``layer_normal_closure`` decide its subgroups as F_2 subspaces of n x n
 matrices (a ``LevelLayer``) without listing any element: the order is
-2^dim, and equal subgroups have equal reduced echelon bases.  Every
+2^dim, and equal subgroups have equal reduced echelon bases.
+``layer_coordinates`` writes layer elements in a basis of given layer
+elements, so a transversal of products of that basis is walked by XOR on
+coordinate masks instead of by a table of matrix products.  Every
 generator is checked to lie in the layer; one that does not raises
 ``LayerError``, and nothing falls back to enumeration.
+
+``schreier_generators`` is generic over words: it keys every product
+y x^+-1 through a quotient callback and builds every output word.
 """
 
 from __future__ import annotations
@@ -48,13 +43,7 @@ class CapExceededError(RuntimeError):
 
 
 class SectionError(ValueError):
-    """A transversal failed to be a section of its quotient map.
-    ``coset_action_table`` sets ``coset`` and ``generator`` to the
-    transversal entry and the signed generator whose product left it."""
-
-    def __init__(self, message: str, coset: int | None = None, generator: int | None = None):
-        super().__init__(message)
-        self.coset, self.generator = coset, generator
+    """A transversal failed to be a section of its quotient map."""
 
 
 MAX_KEY_MODULUS = 1 << 16
@@ -136,27 +125,6 @@ class FiniteMatrixGroup:
             and self.dim == other.dim
             and self.keys == other.keys
         )
-
-    def has_exponent(self, e: int) -> bool:
-        """Whether m^e = I for every element m.  The elements are decoded a
-        batch at a time and each batch is raised to |e| at once by repeated
-        squaring; m^-e = I exactly when m^e = I."""
-        d, n = self.modulus, self.dim
-        keys = list(self.keys)
-        eye = np.eye(n, dtype=np.int64) % d
-        for start in range(0, len(keys), _BATCH):
-            base = _decode(keys[start : start + _BATCH], n).astype(np.int64)
-            power = np.broadcast_to(eye, base.shape)
-            e_left = abs(e)
-            while e_left:
-                if e_left & 1:
-                    power = power @ base % d
-                e_left >>= 1
-                if e_left:
-                    base = base @ base % d
-            if not (power == eye).all():
-                return False
-        return True
 
     def to_json(self, element_limit: int = 512) -> dict:
         data = {
@@ -405,6 +373,45 @@ def layer_normal_closure(
     return span.layer(d, n)
 
 
+def layer_coordinates(
+    basis: Sequence[ModMatrix], gens: Sequence[ModMatrix], d: int
+) -> list[int] | None:
+    """The coordinates of each of ``gens`` in the layer vectors of
+    ``basis`` (d even, modulus 2d), as masks: bit t is set when basis
+    element t is in the sum.  Since the layer is elementary abelian, a
+    product of generators has the XOR of their masks.
+
+    Returns None when the basis vectors are dependent.  Raises
+    :class:`LayerError` for an element outside the layer, or for a
+    generator outside the span, indexed in ``basis`` followed by ``gens``.
+    """
+    vectors = _layer_vectors(list(basis) + list(gens), d)
+    rows: dict[int, tuple[int, int]] = {}  # pivot -> (vector, its mask)
+
+    def reduce(v: int) -> tuple[int, int]:
+        mask = 0
+        # each row's top bit is its pivot, so clearing from the top never
+        # sets a pivot bit that was already passed
+        for pivot in sorted(rows, reverse=True):
+            if v >> pivot & 1:
+                row, row_mask = rows[pivot]
+                v, mask = v ^ row, mask ^ row_mask
+        return v, mask
+
+    for t, v in enumerate(vectors[: len(basis)]):
+        v, mask = reduce(v)
+        if not v:
+            return None
+        rows[v.bit_length() - 1] = (v, mask ^ (1 << t))
+    coords = []
+    for index, v in enumerate(vectors[len(basis) :], len(basis)):
+        v, mask = reduce(v)
+        if v:
+            raise LayerError(index, "is outside the span of the basis")
+        coords.append(mask)
+    return coords
+
+
 # ---------------------------------------------------------------------------
 # Schreier generators over a finite quotient
 # ---------------------------------------------------------------------------
@@ -451,39 +458,6 @@ def schreier_generators(
                 if rep == w:
                     continue
                 yield w * rep.inverse()
-
-
-def coset_action_table(transversal: np.ndarray, gens: np.ndarray, modulus: int) -> np.ndarray:
-    """The right action of signed generators on the cosets a transversal
-    names, as an (N, k) array: entry (c, j) is the index of the transversal
-    entry whose image is T_c A_j mod ``modulus``, for the (N, n, n) stack of
-    transversal images T and the (k, n, n) stack of signed generator images
-    A.  All N k products are formed and keyed a batch at a time.
-
-    Raises :class:`SectionError` when two transversal entries share a key,
-    or naming the first coset c and signed generator j, in row-major order,
-    whose product has no transversal key.
-    """
-    if not 2 <= modulus < MAX_KEY_MODULUS:
-        raise ValueError(f"modulus {modulus} outside [2, {MAX_KEY_MODULUS}) for canonical keys")
-    transversal = np.asarray(transversal, dtype=np.int64) % modulus
-    gens = np.asarray(gens, dtype=np.int64) % modulus
-    n = transversal.shape[-1]
-    index: dict[bytes, int] = {}
-    for c, key in enumerate(_keys(transversal)):
-        if index.setdefault(key, c) != c:
-            raise SectionError(f"transversal entries {index[key]} and {c} share a key")
-    targets = []
-    step = max(1, _BATCH // max(1, len(gens)))
-    for start in range(0, len(transversal), step):
-        products = transversal[start : start + step, None] @ gens % modulus
-        targets += [index.get(key, -1) for key in _keys(products.reshape(-1, n, n))]
-    table = np.array(targets, dtype=np.int64).reshape(len(transversal), len(gens))
-    missing = np.argwhere(table < 0)
-    if len(missing):
-        c, j = map(int, missing[0])
-        raise SectionError(f"coset {c} times signed generator {j} has no transversal key", c, j)
-    return table
 
 
 # ---------------------------------------------------------------------------

@@ -21,11 +21,9 @@ from .finitegrp import (
     CapExceededError,
     LayerError,
     LevelLayer,
-    SectionError,
     bfs_closure,
-    coset_action_table,
-    first_distinct,
     layer_closure,
+    layer_coordinates,
     layer_normal_closure,
     normal_closure,
 )
@@ -55,11 +53,12 @@ from .pi1free import (
 from .words import MCGWord, Slide, TorelliTag, Twist, commutator, word
 
 
-# the most words of the level-4 generating stream a check reads in full
+# the most words of the level-4 generating stream THM41-MEMBER reads in full
 MAIN3_STREAM_LIMIT = 100_000
 # the most stream words whose actions ``main3_stream_images`` forms in one
-# numpy stack; the stream checks read the stream a stack at a time, so their
-# working memory stays a few MiB however many words they read
+# numpy stack; THM41-MEMBER, the one check that reads the stream, reads it a
+# stack at a time, so its working memory stays a few MiB however many words
+# it reads
 _STREAM_BATCH = 1 << 12
 
 
@@ -200,6 +199,11 @@ def _y_union_d_words(g: int) -> list[MCGWord]:
     ]
 
 
+def _single_slides(g: int) -> list[MCGWord]:
+    """The single slides ``subset_word(g, 1 << t)``, one per Y element."""
+    return [families.subset_word(g, 1 << t) for t in range(families.y_count(g))]
+
+
 def _named(names: list[str], closure: Callable[[], LevelLayer]) -> LevelLayer:
     """Run a level-layer closure; a generator outside the layer raises again
     under its name from ``names``."""
@@ -234,7 +238,7 @@ def _slide_residues(
     ``subset_word(g, 1 << t)`` and on its inverse: two (T, n, n) int64
     stacks.  Refuses a modulus for which a product of two n x n residues,
     with entries up to n (modulus - 1)^2, could overflow int64."""
-    factors = [families.subset_word(g, 1 << t) for t in range(families.y_count(g))]
+    factors = _single_slides(g)
     steps = _residues(factors, action, modulus)
     undo = _residues([f.inverse() for f in factors], action, modulus)
     n = steps.shape[-1]
@@ -257,24 +261,6 @@ def _subset_products(
         left[chosen] = left[chosen] @ steps[t] % modulus
         right[chosen] = undo[t] @ right[chosen] % modulus
     return left, right
-
-
-def subset_images(
-    g: int, masks: np.ndarray, action: Callable[[MCGWord], IntMatrix], modulus: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """The residues mod ``modulus`` of ``action`` on y = ``subset_word(g,
-    mask)`` and on y^-1, for each mask of the 1-d array ``masks``: two
-    (N, n, n) int64 stacks in that order.
-
-    y is the ordered product of the single slides ``subset_word(g, 1 << t)``
-    over the set bits t and ``action`` (``word_matrix`` or
-    ``reduced_action``) is multiplicative, so each single slide is evaluated
-    once, with its inverse, and M(y) and M(y^-1) are built as numpy batches
-    of products of slide matrices.  Every product is reduced mod
-    ``modulus`` at once, so no entry exceeds n (modulus - 1)^2, which must
-    fit in int64.
-    """
-    return _subset_products(*_slide_residues(g, action, modulus), masks, modulus)
 
 
 def main3_stream_images(
@@ -307,47 +293,52 @@ def main3_stream_images(
     return stacks()
 
 
+def slide_coordinates(g: int, ws: list[MCGWord]) -> list[int] | None:
+    """The mask of each word's phi mod 4 image in the level-2 layer basis of
+    the single slides' images, so ``subset_word(g, mask)`` has the same
+    image; None when the slides' vectors are dependent.
+
+    The subset products of the slides are a section of phi mod 4 exactly
+    when their (g-1)^2 vectors are independent, and then they are a basis
+    of the whole layer.  A slide or word outside the layer raises
+    :class:`LayerError` under its name.
+    """
+    slides = _single_slides(g)
+    return _named(
+        [f"slide {w}" for w in slides] + [f"signed generator {w}" for w in ws],
+        lambda: layer_coordinates([phi_mod(w, 4) for w in slides], [phi_mod(w, 4) for w in ws], 2),
+    )
+
+
 def rs_stream_factors(
-    g: int, gens: list[MCGWord], images: np.ndarray, cap: int
+    g: int, signed: list[MCGWord], coords: list[int], cap: int
 ) -> list[tuple[MCGWord, MCGWord, MCGWord]]:
     """The first ``cap`` Schreier generators y s u^-1 of the kernel of phi
-    mod 4 on the group ``gens`` generate, as factor triples (y, s, u) in
-    stream order; the words themselves are not built.
+    mod 4 on the group the signed generators ``signed`` (x, x^-1 in turn)
+    generate, as factor triples (y, s, u) in stream order; the words
+    themselves are not built.
 
-    The transversal is ``subset_word(g, mask)`` for every mask, with phi
-    mod 4 images ``images`` (from ``subset_images``).  Cosets are walked
-    breadth-first from mask 0, the empty word, over the coset action table
-    of the signed generators x, x^-1 in turn; the target coset's
-    representative u is the word of mask ``table[c, j]``.  A product y s
-    that already equals u as a reduced word is skipped, as in
+    The transversal is ``subset_word(g, mask)`` for every mask, and
+    ``coords`` holds each signed generator's mask (``slide_coordinates``),
+    so the coset of y_c s_j is c XOR ``coords[j]``.  Cosets are walked
+    breadth-first from mask 0, the empty word, and a coset's word is built
+    when the walk first reaches it.  A product y s that already equals u as
+    a reduced word is skipped, as in
     ``finitegrp.schreier_generators``.  Each letter of s pops at most one
     letter of y in free reduction, so y s keeps the first len(y) - len(s)
     letters of y, and a u that differs there is unequal without forming
-    y s.  Raises :class:`SectionError` naming the coset and the signed
-    generator when a product leaves the transversal image.
+    y s.
     """
-    signed = [s for x in gens for s in (x, x.inverse())]
-    try:
-        table = coset_action_table(images, _residues(signed, reduced_action, 4), 4)
-    except SectionError as exc:
-        if exc.generator is None:
-            raise
-        raise SectionError(
-            f"coset {exc.coset} times signed generator {exc.generator}"
-            f" ({signed[exc.generator]}) has no transversal key mod 4",
-            exc.coset,
-            exc.generator,
-        ) from None
-    reps = [families.subset_word(g, mask) for mask in range(len(images))]
-    seen = {0}
+    reps = {0: families.subset_word(g, 0)}
     queue = deque([0])
     outputs: list[tuple[MCGWord, MCGWord, MCGWord]] = []
     while queue:
         c = queue.popleft()
         y = reps[c]
-        for s, target in zip(signed, table[c].tolist()):
-            if target not in seen:
-                seen.add(target)
+        for s, step in zip(signed, coords):
+            target = c ^ step
+            if target not in reps:
+                reps[target] = families.subset_word(g, target)
                 queue.append(target)
             u = reps[target]
             kept = max(0, len(y.letters) - len(s.letters))
@@ -495,6 +486,7 @@ def _check_thm23_obstruct(p: dict) -> tuple[bool, dict]:
 
 
 def _check_thm23_ker(p: dict) -> tuple[bool, dict]:
+    _require_at_least(p, "g", 2)
     g, d = p["g"], p["d"]
     if g % 2 != 0 or d % 2 != 1:
         raise ScaleGuardError("kernel element exists for even g, odd d")
@@ -516,6 +508,7 @@ def _check_psi_o2(p: dict) -> tuple[bool, dict]:
 
 
 def _check_thm31_member(p: dict) -> tuple[bool, dict]:
+    _require_at_least(p, "d", 2)
     g, d = p["g"], p["d"]
     gens = families.main2_normal_generators(g, 0, d)
     bad = [r.name for r in gens if not level_member(r.word, d)]
@@ -523,6 +516,7 @@ def _check_thm31_member(p: dict) -> tuple[bool, dict]:
 
 
 def _check_thm31_closure(p: dict) -> tuple[bool, dict]:
+    _require_at_least(p, "d", 2)
     g, d = p["g"], p["d"]
     modulus = 2 * d
     ambient = ambient_phi_images(g, modulus)
@@ -596,29 +590,28 @@ def _check_rs_gamma24(p: dict) -> tuple[bool, dict]:
     g = p["g"]
     _require_at_least(p, "sample", 1)
     _require_at_least(p, "rs_cap", 1)
-    if g > 4:
-        raise ScaleGuardError(
-            f"transversal table has 2^{families.y_count(g)} entries at genus {g}"
-        )
     rng = random.Random(p["seed"])
     gens_words = _y_union_d_words(g)
-    grp = bfs_closure([phi_mod(w, 4) for w in gens_words])
+    grp = _named(
+        [f"generator {w}" for w in gens_words],
+        lambda: layer_closure([phi_mod(w, 4) for w in gens_words], 2),
+    )
     expected = 1 << families.y_count(g)
     order_ok = grp.order == expected
-    exponent_ok = grp.has_exponent(2)
     # independent reference: the level-2 GL-congruence image at modulus 4,
     # generated by elementary squares, their conjugates and a determinant flip
     ref_gens = [m.reduce_mod(4) for m in gamma_generators(g - 1, 2)]
     flip = [[-1 if r == c == 0 else (1 if r == c else 0) for c in range(g - 1)] for r in range(g - 1)]
     ref_gens.append(IntMatrix.from_rows(flip).reduce_mod(4))
-    reference_ok = grp.same_group(bfs_closure(ref_gens))
+    reference_ok = grp.same_group(_reference_layer(ref_gens, 2))
 
-    images, _ = subset_images(g, np.arange(families.transversal_count(g)), reduced_action, 4)
-    section_ok = len(first_distinct(images)) == expected
+    signed = [s for x in gens_words for s in (x, x.inverse())]
+    coords = slide_coordinates(g, signed)
+    section_ok = coords is not None
     sample_ok = True
     sampled = 0
     if section_ok:
-        stream = rs_stream_factors(g, gens_words, images, p["rs_cap"])
+        stream = rs_stream_factors(g, signed, coords, p["rs_cap"])
         # the positions rng.sample(stream, k) would pick
         picked = rng.sample(range(len(stream)), min(p["sample"], len(stream)))
         sampled = len(picked)
@@ -628,11 +621,13 @@ def _check_rs_gamma24(p: dict) -> tuple[bool, dict]:
                 sample_ok = False
             if phi_mod(w, 4).rows != ModMatrix.identity(g - 1, 4).rows:
                 sample_ok = False
-    ok = order_ok and exponent_ok and reference_ok and section_ok and sample_ok
+    ok = order_ok and reference_ok and section_ok and sample_ok
     return ok, {
         "order": grp.order,
         "expected_order": expected,
-        "exponent_2": exponent_ok,
+        # the layer precondition: the closure raised unless every generator
+        # is I + 2X mod 4, and (I + 2X)^2 = I + 4X = I mod 4
+        "exponent_2": True,
         "matches_congruence_image": reference_ok,
         "transversal_is_section": section_ok,
         "rs_outputs_sampled": sampled,
@@ -662,31 +657,25 @@ def _check_thm41_member(p: dict) -> tuple[bool, dict]:
 
 def _check_thm41_mod8(p: dict) -> tuple[bool, dict]:
     g = p["g"]
-    total = families.main3_count(g)
-    if total > MAIN3_STREAM_LIMIT:
-        raise ScaleGuardError(
-            f"the mod-8 comparison reads the full stream of {total} words,"
-            f" over the limit of {MAIN3_STREAM_LIMIT}"
-        )
-    # each distinct image once, under the first stream word that has it: the
-    # first of each stack, then the first of those across the stacks
-    kept, where, offset = [], [], 0
-    for images in main3_stream_images(g, np.arange(total), reduced_action, 8):
-        first = first_distinct(images)
-        kept.append(images[first])
-        where.append(first + offset)
-        offset += len(images)
-    candidates, where = np.concatenate(kept), np.concatenate(where)
-    keep = first_distinct(candidates)
-    images, first = candidates[keep], where[keep]
+    fams = families.main3_families(g)
+    # every single slide acts as I mod 2, so a stream word y F y^-1 has the
+    # layer vector M(y) X(F) M(y)^-1 = X(F) mod 2: the stream spans exactly
+    # what its family elements span
+    slides = _single_slides(g)
+    moved = np.flatnonzero(
+        (_residues(slides, reduced_action, 2) != np.eye(g - 1, dtype=np.int64)).any(axis=(1, 2))
+    )
+    if len(moved):
+        t = int(moved[0])
+        raise LayerError(t, "is not congruent to I mod 2", f"slide {slides[t]}")
     closure = _named(
-        [f"stream word {i}" for i in first],
-        lambda: layer_closure([ModMatrix.from_rows(8, m.tolist()) for m in images], 4),
+        [f"family {el.family}{el.indices}" for el in fams],
+        lambda: layer_closure([phi_mod(el.word, 8) for el in fams], 4),
     )
     reference = _reference_layer([m.reduce_mod(8) for m in gamma_generators(g - 1, 4)], 4)
     ok = closure.same_group(reference)
     return ok, {
-        "distinct_images": len(first),
+        "family_images": len(fams),
         "closure_order": closure.order,
         "reference_order": reference.order,
     }
@@ -917,8 +906,7 @@ def run_check(check_id: str, params: dict | None = None) -> CheckRecord:
     """Run one catalog check.  Unknown ids, parameter keys the check does not
     declare and values whose type differs from the default's raise; guard
     violations come back as an ``inconclusive`` record, and a generator
-    outside the level layer a check works in, or a product that leaves a
-    transversal, as a ``fail`` naming it."""
+    outside the level layer a check works in as a ``fail`` naming it."""
     if check_id not in CHECKS:
         raise UnknownCheckError(f"unknown check id {check_id!r}")
     spec = CHECKS[check_id]
@@ -933,7 +921,7 @@ def run_check(check_id: str, params: dict | None = None) -> CheckRecord:
     except (ScaleGuardError, CapExceededError) as exc:
         status = "inconclusive"
         details = {"reason": str(exc)}
-    except (LayerError, SectionError) as exc:
+    except LayerError as exc:
         status = "fail"
         details = {"reason": str(exc)}
     runtime_ms = int((time.perf_counter() - start) * 1000)

@@ -10,13 +10,28 @@ sets and element order.
 ``layer_keys`` spells out a ``crosscap.finitegrp.LevelLayer`` as the keys of
 its 2^dim elements, one element at a time, so a layer can be compared with
 the engine's closure of the same generators.
+
+``has_exponent`` and ``coset_action_table`` are the batched element-power
+test and the transversal action table that enumerated the level-2 image mod
+4 and walked RS-GAMMA24's Schreier stream before it moved to the level
+layer; they are kept as references for that layer walk.
 """
 
 from typing import Iterator, Sequence
 
 import numpy as np
 
-from crosscap.finitegrp import CapExceededError, FiniteMatrixGroup, LevelLayer, _check_gens
+from crosscap import finitegrp
+from crosscap.finitegrp import (
+    MAX_KEY_MODULUS,
+    CapExceededError,
+    FiniteMatrixGroup,
+    LevelLayer,
+    SectionError,
+    _check_gens,
+    _decode,
+    _keys,
+)
 from crosscap.intmat import ModMatrix
 
 
@@ -132,3 +147,59 @@ def layer_keys(layer: LevelLayer) -> frozenset[bytes]:
         ]
         keys.add(np.array(entries, dtype=np.int64).astype("<u2").tobytes())
     return frozenset(keys)
+
+
+def has_exponent(group: FiniteMatrixGroup, e: int) -> bool:
+    """Whether m^e = I for every element m of ``group``.  The elements are
+    decoded ``finitegrp._BATCH`` at a time and each batch is raised to |e|
+    at once by repeated squaring; m^-e = I exactly when m^e = I."""
+    d, n = group.modulus, group.dim
+    keys = list(group.keys)
+    eye = np.eye(n, dtype=np.int64) % d
+    for start in range(0, len(keys), finitegrp._BATCH):
+        base = _decode(keys[start : start + finitegrp._BATCH], n).astype(np.int64)
+        power = np.broadcast_to(eye, base.shape)
+        e_left = abs(e)
+        while e_left:
+            if e_left & 1:
+                power = power @ base % d
+            e_left >>= 1
+            if e_left:
+                base = base @ base % d
+        if not (power == eye).all():
+            return False
+    return True
+
+
+def coset_action_table(transversal: np.ndarray, gens: np.ndarray, modulus: int) -> np.ndarray:
+    """The right action of signed generators on the cosets a transversal
+    names, as an (N, k) array: entry (c, j) is the index of the transversal
+    entry whose image is T_c A_j mod ``modulus``, for the (N, n, n) stack of
+    transversal images T and the (k, n, n) stack of signed generator images
+    A.  All N k products are formed and keyed ``finitegrp._BATCH`` at a
+    time.
+
+    Raises :class:`SectionError` when two transversal entries share a key,
+    or naming the first coset c and signed generator j, in row-major order,
+    whose product has no transversal key.
+    """
+    if not 2 <= modulus < MAX_KEY_MODULUS:
+        raise ValueError(f"modulus {modulus} outside [2, {MAX_KEY_MODULUS}) for canonical keys")
+    transversal = np.asarray(transversal, dtype=np.int64) % modulus
+    gens = np.asarray(gens, dtype=np.int64) % modulus
+    n = transversal.shape[-1]
+    index: dict[bytes, int] = {}
+    for c, key in enumerate(_keys(transversal)):
+        if index.setdefault(key, c) != c:
+            raise SectionError(f"transversal entries {index[key]} and {c} share a key")
+    targets = []
+    step = max(1, finitegrp._BATCH // max(1, len(gens)))
+    for start in range(0, len(transversal), step):
+        products = transversal[start : start + step, None] @ gens % modulus
+        targets += [index.get(key, -1) for key in _keys(products.reshape(-1, n, n))]
+    table = np.array(targets, dtype=np.int64).reshape(len(transversal), len(gens))
+    missing = np.argwhere(table < 0)
+    if len(missing):
+        c, j = map(int, missing[0])
+        raise SectionError(f"coset {c} times signed generator {j} has no transversal key")
+    return table

@@ -9,32 +9,59 @@ here keys every transversal word and every product y x^+-1 through
 ``finitegrp.schreier_generators``, which ``crosscap.ledger.rs_stream_factors``
 and the registry's runner must reproduce.
 
+Two matrix-level forms sit between those and the registry's layer runners.
+``rs_stream_factors`` walks RS-GAMMA24's stream over the coset action table
+of all 2^((g-1)^2) transversal images (``subset_images``), the walk that the
+XOR walk on layer coordinates must reproduce word for word.
+``thm41_mod8_stacked`` reads the whole level-4 stream mod 8 in stacks and
+closes its distinct images, the closure that the family images' closure
+must equal.
+
 The int64 ``einsum`` exhaustion of the mod-2 orthogonal group and
 THM41-MOD8's ``np.unique(..., axis=0)`` dedupe over the whole stream are
 kept here too: the bit-packed ``crosscap.ledger.brute_force_mod2_orthogonal``
-and the stack-by-stack keyed dedupe must reproduce them.
+and the stacked stream's keyed dedupe must reproduce them.
 """
 
 import random
+from collections import deque
 
 import numpy as np
+from oracle_finitegrp import coset_action_table
 from oracle_homology import matrix_level_trivial
 
 from crosscap import families
-from crosscap.finitegrp import bfs_closure, layer_closure, schreier_generators
+from crosscap.finitegrp import (
+    LevelLayer,
+    bfs_closure,
+    first_distinct,
+    layer_closure,
+    schreier_generators,
+)
 from crosscap.homology import level_member, reduced_action, word_matrix
 from crosscap.intmat import IntMatrix, ModMatrix
 from crosscap.ledger import (
     _named,
     _reference_layer,
     _require_at_least,
+    _residues,
+    _slide_residues,
+    _subset_products,
     _y_union_d_words,
     gamma_generators,
+    main3_stream_images,
     phi_mod,
-    subset_images,
 )
 from crosscap.pi1free import ScaleGuardError
 from crosscap.words import MCGWord
+
+
+def subset_images(g: int, masks: np.ndarray, action, modulus: int) -> tuple[np.ndarray, np.ndarray]:
+    """The residues mod ``modulus`` of ``action`` on y = ``subset_word(g,
+    mask)`` and on y^-1, for each mask of the 1-d array ``masks``: two
+    (N, n, n) int64 stacks in that order, built from the single-slide
+    residues as numpy products."""
+    return _subset_products(*_slide_residues(g, action, modulus), masks, modulus)
 
 
 def brute_force_mod2_orthogonal(g: int) -> frozenset[bytes]:
@@ -178,3 +205,67 @@ def rs_gamma24(p: dict) -> tuple[bool, dict]:
         "transversal_is_section": section_ok,
         "rs_outputs_sampled": sampled,
     }
+
+
+def thm41_mod8_stacked_closure(g: int) -> tuple[LevelLayer, int]:
+    """The layer closure of the whole level-4 stream mod 8, read in stacks
+    of ``main3_stream_images``, and how many distinct images it has.  Each
+    stack keeps its first image of every key, then the first of those
+    across the stacks; a distinct image outside the layer raises
+    ``LayerError`` under its ``stream word <i>`` name."""
+    kept, where, offset = [], [], 0
+    for images in main3_stream_images(g, np.arange(families.main3_count(g)), reduced_action, 8):
+        first = first_distinct(images)
+        kept.append(images[first])
+        where.append(first + offset)
+        offset += len(images)
+    candidates, where = np.concatenate(kept), np.concatenate(where)
+    keep = first_distinct(candidates)
+    images, first = candidates[keep], where[keep]
+    closure = _named(
+        [f"stream word {i}" for i in first],
+        lambda: layer_closure([ModMatrix.from_rows(8, m.tolist()) for m in images], 4),
+    )
+    return closure, len(first)
+
+
+def thm41_mod8_stacked(g: int) -> tuple[bool, dict]:
+    """THM41-MOD8 on the distinct images of the whole stream, with no limit
+    on the stream's size."""
+    closure, distinct = thm41_mod8_stacked_closure(g)
+    reference = _reference_layer([m.reduce_mod(8) for m in gamma_generators(g - 1, 4)], 4)
+    return closure.same_group(reference), {
+        "distinct_images": distinct,
+        "closure_order": closure.order,
+        "reference_order": reference.order,
+    }
+
+
+def rs_stream_factors(
+    g: int, gens: list[MCGWord], images: np.ndarray, cap: int
+) -> list[tuple[MCGWord, MCGWord, MCGWord]]:
+    """The first ``cap`` Schreier generators y s u^-1 of RS-GAMMA24's stream
+    as factor triples (y, s, u), walked over the coset action table of the
+    transversal images ``images`` (from ``subset_images``) and the signed
+    generators x, x^-1 in turn; every transversal word is built."""
+    signed = [s for x in gens for s in (x, x.inverse())]
+    table = coset_action_table(images, _residues(signed, reduced_action, 4), 4)
+    reps = [families.subset_word(g, mask) for mask in range(len(images))]
+    seen = {0}
+    queue = deque([0])
+    outputs: list[tuple[MCGWord, MCGWord, MCGWord]] = []
+    while queue:
+        c = queue.popleft()
+        y = reps[c]
+        for s, target in zip(signed, table[c].tolist()):
+            if target not in seen:
+                seen.add(target)
+                queue.append(target)
+            u = reps[target]
+            kept = max(0, len(y.letters) - len(s.letters))
+            if u.letters[:kept] == y.letters[:kept] and u == y * s:
+                continue
+            outputs.append((y, s, u))
+            if len(outputs) >= cap:
+                return outputs
+    return outputs

@@ -8,6 +8,7 @@ import random
 
 import pytest
 
+import oracle_finitegrp
 from conftest import Budget, random_word
 from crosscap import families
 from crosscap.finitegrp import bfs_closure, schreier_generators, todd_coxeter
@@ -142,7 +143,7 @@ def test_criterion_5_finite_quotient_orders():
         gens += [phi_mod(el.word, 4) for el in families.family_elements("D", g)]
         grp = bfs_closure(gens)
         assert grp.order == 512 == 2 ** families.y_count(g)
-        assert grp.has_exponent(2)
+        assert oracle_finitegrp.has_exponent(grp, 2)
         tower = bfs_closure([m.reduce_mod(8) for m in gamma_generators(3, 4)])
         assert tower.order == 256 == 2 ** ((g - 1) ** 2 - 1)
 

@@ -245,6 +245,12 @@ def test_verify_non_integer_param_exits_2(capsys):
         ("THM51-COUNTS", "n=0", "parameter 'n' must be >= 1, got 0"),
         ("EX21-MATRICES", "dmax=0", "parameter 'dmax' must be >= 1, got 0"),
         ("EX21-MATRICES", "gmax=2", "parameter 'gmax' must be >= 3, got 2"),
+        ("THM23-KER", "g=0", "parameter 'g' must be >= 2, got 0"),
+        ("THM23-KER", "g=-2", "parameter 'g' must be >= 2, got -2"),
+        ("THM31-CLOSURE", "d=0", "parameter 'd' must be >= 2, got 0"),
+        ("THM31-CLOSURE", "d=1", "parameter 'd' must be >= 2, got 1"),
+        ("THM31-MEMBER", "d=0", "parameter 'd' must be >= 2, got 0"),
+        ("THM31-MEMBER", "d=1", "parameter 'd' must be >= 2, got 1"),
     ],
 )
 def test_verify_bad_param_values_exit_2(capsys, suite, params, message):

@@ -1,5 +1,6 @@
 import pytest
 
+import oracle_finitegrp
 from crosscap.finitegrp import (
     CapExceededError,
     SectionError,
@@ -24,7 +25,7 @@ def test_bfs_trivial_group():
 def test_bfs_klein_four():
     grp = bfs_closure([diag(3, -1, 1), diag(3, 1, -1)])
     assert grp.order == 4
-    assert grp.has_exponent(2)
+    assert oracle_finitegrp.has_exponent(grp, 2)
     assert grp.contains(diag(3, -1, -1))
 
 

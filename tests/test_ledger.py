@@ -159,14 +159,17 @@ def test_level4_stream_checks_refuse_genus_below_four():
 
 
 def test_mod8_comparison_is_bounded_by_the_stream_size():
+    # the mod-8 comparison reads the family elements, not the stream
     record = run_check("THM41-MOD8", {"g": 5})
-    assert record.status == "inconclusive"
-    # 2^((g-1)^2) transversal words times |A| + |B| + |C| + |D| = 10 + 10 + 30 + 4
-    total = (1 << 16) * 54
+    assert record.status == "pass"
+    # |A| + |B| + |C| + |D| = 10 + 10 + 30 + 4, closing to 2^(4^2 - 1)
     assert record.details == {
-        "reason": f"the mod-8 comparison reads the full stream of {total} words,"
-        f" over the limit of {MAIN3_STREAM_LIMIT}"
+        "family_images": 54,
+        "closure_order": 1 << 15,
+        "reference_order": 1 << 15,
     }
+    # 2^((g-1)^2) transversal words times the 54 family elements
+    total = (1 << 16) * 54
     record = run_check("THM41-MEMBER", {"g": 5})
     assert record.status == "inconclusive"
     assert f"full stream has {total} words, over the limit of {MAIN3_STREAM_LIMIT}" in (

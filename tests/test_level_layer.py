@@ -12,7 +12,7 @@ import pytest
 
 from crosscap import families, ledger
 from crosscap.families import Main2Generator
-from crosscap.finitegrp import LayerError, layer_closure, layer_normal_closure
+from crosscap.finitegrp import LayerError, layer_closure, layer_coordinates, layer_normal_closure
 from crosscap.intmat import ModMatrix, elementary
 from crosscap.words import Twist, word
 
@@ -117,3 +117,33 @@ def test_normal_closure_of_one_elementary_vector_is_the_trace_zero_layer():
     assert layer.order == 1 << (n * n - 1)
     assert layer_normal_closure([], [layer_element(n, d, (1, 2))], d).order == 2
     assert layer_normal_closure(ambient, [ModMatrix.identity(n, 2 * d)], d).order == 1
+
+
+def test_coordinates_rebuild_every_element_from_the_basis():
+    rng = random.Random(11)
+    n, d = 3, 4
+    units = [(r, c) for r in range(1, n + 1) for c in range(1, n + 1)]
+    # the unit vectors in a shuffled order, each mixed with the ones before
+    order = rng.sample(units, len(units))
+    basis = [layer_element(n, d, *order[: t + 1]) for t in range(len(order))]
+    gens = [layer_element(n, d, *rng.sample(units, rng.randrange(len(units)))) for _ in range(40)]
+    gens.append(ModMatrix.identity(n, 2 * d))
+    coords = layer_coordinates(basis, gens, d)
+    for m, mask in zip(gens, coords):
+        product = ModMatrix.identity(n, 2 * d)
+        for t, b in enumerate(basis):
+            if mask >> t & 1:
+                product = product * b
+        assert product == m
+    assert coords[-1] == 0
+
+
+def test_coordinates_refuse_a_dependent_basis_and_name_what_lies_outside():
+    n, d = 3, 2
+    e12, e13 = layer_element(n, d, (1, 2)), layer_element(n, d, (1, 3))
+    assert layer_coordinates([e12, e13, e12 * e13], [e12], d) is None
+    with pytest.raises(LayerError, match="generator 3 is outside the span of the basis") as err:
+        layer_coordinates([e12, e13], [e12 * e13, layer_element(n, d, (2, 1))], d)
+    assert err.value.index == 3
+    with pytest.raises(LayerError, match="generator 1 is not congruent to I mod 2"):
+        layer_coordinates([e12], [elementary(n, 1, 2, 1).reduce_mod(4)], d)

@@ -1,24 +1,33 @@
-"""RS-GAMMA24's Schreier stream on cached matrix images against the
-word-level oracle it replaced (``oracle_ledger``), and the batched coset
-action table and exponent test of ``crosscap.finitegrp``."""
+"""RS-GAMMA24's Schreier stream, walked by XOR on level-layer coordinates,
+against the table walk and the word-level oracle it replaced
+(``oracle_ledger``), and the batched coset action table and exponent test
+kept as references in ``oracle_finitegrp``."""
 
 import dataclasses
 
 import numpy as np
 import pytest
 
+import oracle_finitegrp
 import oracle_ledger
 from crosscap import families, finitegrp, ledger
-from crosscap.finitegrp import SectionError, bfs_closure, coset_action_table
+from crosscap.finitegrp import SectionError, bfs_closure
 from crosscap.homology import reduced_action
 from crosscap.intmat import ModMatrix, elementary
-from crosscap.ledger import phi_mod, rs_stream_factors, run_check, subset_images
+from crosscap.ledger import phi_mod, rs_stream_factors, run_check, slide_coordinates
 from crosscap.words import Twist, word
 
 
 def transversal_images(g):
     masks = np.arange(families.transversal_count(g))
-    return subset_images(g, masks, reduced_action, 4)[0]
+    return oracle_ledger.subset_images(g, masks, reduced_action, 4)[0]
+
+
+def xor_walk(g, cap):
+    """The registry's stream: the signed generators walked on their
+    coordinates in the single-slide basis."""
+    signed = [s for x in ledger._y_union_d_words(g) for s in (x, x.inverse())]
+    return rs_stream_factors(g, signed, slide_coordinates(g, signed), cap)
 
 
 @pytest.mark.parametrize("g", [3, 4])
@@ -36,9 +45,26 @@ def test_transversal_images_are_phi_mod_4_of_the_subset_words(g):
 def test_stream_is_the_oracles_word_for_word(g, cap):
     gens = ledger._y_union_d_words(g)
     expected = oracle_ledger.rs_stream(g, gens, oracle_ledger.phi4_transversal_table(g), cap)
-    factors = rs_stream_factors(g, gens, transversal_images(g), cap)
+    factors = xor_walk(g, cap)
     assert [y * s * u.inverse() for y, s, u in factors] == expected
     assert len(expected) == min(cap, {3: 98, 4: 9218}[g])
+
+
+@pytest.mark.parametrize("g, cap", [(3, 20000), (4, 20000), (5, 3000)])
+def test_xor_walk_is_the_table_walk_factor_for_factor(g, cap):
+    gens = ledger._y_union_d_words(g)
+    expected = oracle_ledger.rs_stream_factors(g, gens, transversal_images(g), cap)
+    assert xor_walk(g, cap) == expected
+    assert len(expected) == min(cap, {3: 98, 4: 9218, 5: cap}[g])
+
+
+def test_signed_generators_sit_at_the_coset_of_their_image():
+    # the coordinates name the transversal word with the same phi mod 4 image
+    g = 4
+    signed = [s for x in ledger._y_union_d_words(g) for s in (x, x.inverse())]
+    images = transversal_images(g).tolist()
+    for s, mask in zip(signed, slide_coordinates(g, signed)):
+        assert images[mask] == [list(row) for row in phi_mod(s, 4).rows]
 
 
 def records(monkeypatch, params):
@@ -63,6 +89,16 @@ def test_records_match_the_oracle(monkeypatch, seed, sample):
     assert got["details"]["rs_outputs_sampled"] == min(sample, 9218)
 
 
+@pytest.mark.parametrize("sample", [1, 200, 20000])
+@pytest.mark.parametrize("seed", [0, 1, 2, 3])
+@pytest.mark.parametrize("g", [3, 4])
+def test_records_match_the_oracle_with_a_cap(monkeypatch, g, seed, sample):
+    params = {"g": g, "seed": seed, "sample": sample, "rs_cap": 777}
+    got, expected = records(monkeypatch, params)
+    assert got == expected
+    assert got["details"]["rs_outputs_sampled"] == min(sample, {3: 98, 4: 777}[g])
+
+
 @pytest.mark.parametrize("params", [{"g": 3, "sample": 20000}, {"rs_cap": 777, "seed": 5}])
 def test_records_match_the_oracle_off_the_defaults(monkeypatch, params):
     got, expected = records(monkeypatch, params)
@@ -74,10 +110,8 @@ def test_a_generator_outside_the_transversal_image_fails_by_name(monkeypatch):
     monkeypatch.setattr(ledger, "_y_union_d_words", lambda g: words(g) + [word(g, Twist((1, 2)))])
     record = run_check("RS-GAMMA24")
     assert record.status == "fail"
-    # the identity's coset times the twist, the 21st signed generator
-    assert record.details == {
-        "reason": "coset 0 times signed generator 20 (T(1,2)) has no transversal key mod 4"
-    }
+    # a single twist acts nontrivially mod 2, so it is outside the level-2 layer
+    assert record.details == {"reason": "generator T(1,2) is not congruent to I mod 2"}
 
 
 def test_a_transversal_with_two_equal_keys_raises():
@@ -85,14 +119,16 @@ def test_a_transversal_with_two_equal_keys_raises():
     images[5] = images[2]
     gens = np.array([phi_mod(w, 4).rows for w in ledger._y_union_d_words(3)])
     with pytest.raises(SectionError, match="transversal entries 2 and 5 share a key"):
-        coset_action_table(images, gens, 4)
+        oracle_finitegrp.coset_action_table(images, gens, 4)
 
 
 def test_the_table_matches_the_products_one_by_one(monkeypatch):
     monkeypatch.setattr(finitegrp, "_BATCH", 7)
     images = transversal_images(3)
     signed = [s for x in ledger._y_union_d_words(3) for s in (x, x.inverse())]
-    table = coset_action_table(images, np.array([phi_mod(s, 4).rows for s in signed]), 4)
+    table = oracle_finitegrp.coset_action_table(
+        images, np.array([phi_mod(s, 4).rows for s in signed]), 4
+    )
     keys = [tuple(map(tuple, m)) for m in images.tolist()]
     for c, row in enumerate(table.tolist()):
         y = families.subset_word(3, c)
@@ -115,9 +151,10 @@ def test_has_exponent_matches_the_element_loop(monkeypatch, name, batch):
     monkeypatch.setattr(finitegrp, "_BATCH", batch)
     group = bfs_closure(GROUPS[name])
     elements = list(group.elements())
+    has_exponent = oracle_finitegrp.has_exponent
     for e in range(-9, 10):
-        assert group.has_exponent(e) == all((m**e).is_identity() for m in elements), e
+        assert has_exponent(group, e) == all((m**e).is_identity() for m in elements), e
     if name == "level-2-mod-4":
-        assert group.order == 512 and group.has_exponent(2)
+        assert group.order == 512 and has_exponent(group, 2)
     if name == "cyclic-4":
-        assert not group.has_exponent(2) and group.has_exponent(4)
+        assert not has_exponent(group, 2) and has_exponent(group, 4)

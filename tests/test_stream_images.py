@@ -10,7 +10,7 @@ import pytest
 import oracle_homology
 import oracle_ledger
 from crosscap import families, ledger
-from crosscap.finitegrp import LayerError
+from crosscap.finitegrp import LayerError, layer_closure
 from crosscap.homology import (
     level_trivial_residues,
     matrix_level_trivial,
@@ -181,28 +181,34 @@ def test_planted_non_member_fails_with_the_oracle_count(planted, sample):
 def test_planted_image_outside_the_layer_is_named_as_by_the_oracle(planted):
     with pytest.raises(LayerError) as caught:
         oracle_ledger.thm41_mod8(4)
+    # stream word 7 is family element 7, B(1,3), under the empty slide word;
+    # the check reads the families, so it names the family
+    assert str(caught.value).startswith("stream word 7 ")
     record = run_check("THM41-MOD8", {"g": 4})
     assert record.status == "fail"
-    assert record.details == {"reason": str(caught.value)}
-    assert "stream word 7" in record.details["reason"]
+    assert record.details == {"reason": f"family B(1, 3) {caught.value.problem}"}
+    assert caught.value.problem == "is not congruent to I mod 4"
 
 
 def test_stream_checks_match_the_oracles(monkeypatch):
     ok, details = oracle_ledger.thm41_mod8(4)
-    calls = []
+    calls, closures = [], []
     real = ledger.layer_closure
 
     def recorder(gens, d):
         calls.append(list(gens))
-        return real(gens, d)
+        closures.append(real(gens, d))
+        return closures[-1]
 
     monkeypatch.setattr(ledger, "layer_closure", recorder)
     record = run_check("THM41-MOD8", {"g": 4})
-    assert (record.status == "pass", record.details) == (ok, details)
-    # the distinct images reach the closure in stream order, then the reference
+    # the 25 family images close to what the 19 distinct stream images close to
     seen = oracle_ledger.thm41_mod8_images(4)
-    assert details["distinct_images"] == len(seen) == 19
-    assert calls[0] == [m for _, m in seen.values()]
+    assert details.pop("distinct_images") == len(seen) == 19
+    assert (record.status == "pass", record.details) == (ok, {"family_images": 25, **details})
+    fams = families.main3_families(4)
+    assert calls[0] == [ledger.phi_mod(el.word, 8) for el in fams]
+    assert closures[0] == layer_closure([m for _, m in seen.values()], 4)
     record = run_check("THM41-MEMBER", {"sample": 500, "seed": 9})
     indices = sorted(random.Random(9).sample(range(families.main3_count(4)), 500))
     assert record.details["failures"] == oracle_ledger.thm41_member_failures(4, indices) == 0
