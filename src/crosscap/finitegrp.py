@@ -21,7 +21,9 @@ matrices (a ``LevelLayer``) without listing any element: the order is
 elements, so a transversal of products of that basis is walked by XOR on
 coordinate masks instead of by a table of matrix products.  Every
 generator is checked to lie in the layer; one that does not raises
-``LayerError``, and nothing falls back to enumeration.
+``LayerError``, and nothing falls back to enumeration.  Layer vectors are
+bit-packed, never keyed, so the layer engine takes any modulus whose
+entries fit int64 (up to 2^62); only ``_Closure`` needs d < 2^16.
 
 ``schreier_generators`` is generic over words: it keys every product
 y x^+-1 through a quotient callback and builds every output word.
@@ -47,6 +49,7 @@ class SectionError(ValueError):
 
 
 MAX_KEY_MODULUS = 1 << 16
+MAX_STACK_MODULUS = 1 << 62
 _BATCH = 1 << 15  # matrices per numpy batch
 
 
@@ -91,8 +94,8 @@ def _check_gens(gens: Sequence[ModMatrix]) -> tuple[int, int]:
             raise ModulusMismatchError("generators carry different moduli")
         if m.n != n:
             raise ValueError("generators have different dimensions")
-    if d >= MAX_KEY_MODULUS:
-        raise ValueError(f"modulus {d} too large for canonical keys")
+    if d > MAX_STACK_MODULUS:
+        raise ValueError(f"modulus {d} is above 2^62, too large for int64 entries")
     return d, n
 
 
@@ -126,17 +129,6 @@ class FiniteMatrixGroup:
             and self.keys == other.keys
         )
 
-    def to_json(self, element_limit: int = 512) -> dict:
-        data = {
-            "modulus": self.modulus,
-            "dim": self.dim,
-            "order": self.order,
-            "generators": [[list(row) for row in m.rows] for m in self.generators],
-        }
-        if self.order <= element_limit:
-            data["elements"] = [[list(row) for row in m.rows] for m in self.elements()]
-        return data
-
 
 class _Closure:
     """The subgroup of the n x n matrices over Z/d generated by the
@@ -150,6 +142,8 @@ class _Closure:
     """
 
     def __init__(self, d: int, n: int, cap: int) -> None:
+        if d >= MAX_KEY_MODULUS:
+            raise ValueError(f"modulus {d} too large for canonical keys")
         self.d, self.n, self.cap = d, n, cap
         self.gens = np.empty((0, n, n), dtype=np.int64)
         self.keys = _keys(np.eye(n, dtype=np.int64)[None])
@@ -307,14 +301,20 @@ class _Span:
     def __init__(self) -> None:
         self.rows: dict[int, int] = {}
 
+    def reduce(self, v: int) -> int:
+        """``v`` with every pivot bit cleared by adding the row that has it;
+        zero exactly when ``v`` lies in the span."""
+        for pivot, row in self.rows.items():
+            if v >> pivot & 1:
+                v ^= row
+        return v
+
     def add(self, vectors: Iterable[int]) -> list[int]:
         """Add the vectors in turn; returns, reduced, those that were not
         already in the span."""
         added = []
         for v in vectors:
-            for pivot, row in self.rows.items():
-                if v >> pivot & 1:
-                    v ^= row
+            v = self.reduce(v)
             if v:
                 # v has no pivot bit, so its top bit is new and lies below the
                 # pivot of every row it is cleared from
@@ -386,29 +386,19 @@ def layer_coordinates(
     generator outside the span, indexed in ``basis`` followed by ``gens``.
     """
     vectors = _layer_vectors(list(basis) + list(gens), d)
-    rows: dict[int, tuple[int, int]] = {}  # pivot -> (vector, its mask)
-
-    def reduce(v: int) -> tuple[int, int]:
-        mask = 0
-        # each row's top bit is its pivot, so clearing from the top never
-        # sets a pivot bit that was already passed
-        for pivot in sorted(rows, reverse=True):
-            if v >> pivot & 1:
-                row, row_mask = rows[pivot]
-                v, mask = v ^ row, mask ^ row_mask
-        return v, mask
-
-    for t, v in enumerate(vectors[: len(basis)]):
-        v, mask = reduce(v)
-        if not v:
-            return None
-        rows[v.bit_length() - 1] = (v, mask ^ (1 << t))
+    k = len(basis)
+    # basis vector t carries bit t below its matrix bits, so a reduced vector
+    # keeps in its low k bits the mask of the basis elements added to it
+    span = _Span()
+    span.add(v << k | 1 << t for t, v in enumerate(vectors[:k]))
+    if min(span.rows, default=k) < k:
+        return None  # a dependent basis vector reduced to its mask alone
     coords = []
-    for index, v in enumerate(vectors[len(basis) :], len(basis)):
-        v, mask = reduce(v)
-        if v:
+    for index, v in enumerate(vectors[k:], k):
+        v = span.reduce(v << k)
+        if v >> k:
             raise LayerError(index, "is outside the span of the basis")
-        coords.append(mask)
+        coords.append(v)
     return coords
 
 

@@ -8,7 +8,7 @@ carries its modulus, and mixing moduli is an error rather than a coercion.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Iterable, Sequence
 
 
@@ -30,29 +30,6 @@ def _freeze(rows: Iterable[Iterable[int]]) -> tuple[tuple[int, ...], ...]:
     if n == 0 or any(len(row) != n for row in frozen):
         raise DimensionError("matrix must be square and non-empty")
     return frozen
-
-
-def _bareiss_det(rows: Sequence[Sequence[int]]) -> int:
-    """Fraction-free Bareiss determinant; all intermediate values stay integral."""
-    n = len(rows)
-    a = [list(r) for r in rows]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            for r in range(k + 1, n):
-                if a[r][k] != 0:
-                    a[k], a[r] = a[r], a[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        pivot = a[k][k]
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * pivot - a[i][k] * a[k][j]) // prev
-        prev = pivot
-    return sign * a[n - 1][n - 1]
 
 
 def _det_adjugate(rows: Sequence[Sequence[int]]) -> tuple[int, list[list[int]] | None]:
@@ -90,21 +67,41 @@ def _det_adjugate(rows: Sequence[Sequence[int]]) -> tuple[int, list[list[int]] |
     return sign * prev, [[sign * e for e in row[n:]] for row in a]
 
 
-def _power(m, e: int, identity):
-    """``m ** e`` by square-and-multiply, through the inverse when e < 0."""
-    if e < 0:
-        m, e = m.inverse(), -e
-    result = identity
-    while e:
-        if e & 1:
-            result = result * m
-        m = m * m
-        e >>= 1
-    return result
+class _Square:
+    """What both matrix types share: a ``rows`` field holding a square
+    matrix, whose identity has the same rows over Z and over Z/d."""
+
+    rows: tuple[tuple[int, ...], ...]
+
+    @property
+    def n(self) -> int:
+        return len(self.rows)
+
+    def transpose(self):
+        return replace(self, rows=tuple(zip(*self.rows)))
+
+    def is_identity(self) -> bool:
+        return all(e == (i == j) for i, row in enumerate(self.rows) for j, e in enumerate(row))
+
+    def __pow__(self, e: int):
+        """``self ** e`` by square-and-multiply, through the inverse when e < 0."""
+        m = self
+        if e < 0:
+            m, e = m.inverse(), -e
+        result = replace(self, rows=IntMatrix.identity(self.n).rows)
+        while e:
+            if e & 1:
+                result = result * m
+            m = m * m
+            e >>= 1
+        return result
+
+    def __str__(self) -> str:
+        return format_matrix(self)
 
 
 @dataclass(frozen=True)
-class IntMatrix:
+class IntMatrix(_Square):
     """Immutable square matrix over Z."""
 
     rows: tuple[tuple[int, ...], ...]
@@ -119,16 +116,11 @@ class IntMatrix:
             raise DimensionError("dimension must be >= 1")
         return IntMatrix(tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n)))
 
-    @property
-    def n(self) -> int:
-        return len(self.rows)
-
     def __mul__(self, other: "IntMatrix") -> "IntMatrix":
         if not isinstance(other, IntMatrix):
             return NotImplemented
         if self.n != other.n:
             raise DimensionError(f"cannot multiply {self.n}x{self.n} by {other.n}x{other.n}")
-        n = self.n
         bt = tuple(zip(*other.rows))
         return IntMatrix(
             tuple(
@@ -137,14 +129,8 @@ class IntMatrix:
             )
         )
 
-    def __pow__(self, e: int) -> "IntMatrix":
-        return _power(self, e, IntMatrix.identity(self.n))
-
-    def transpose(self) -> "IntMatrix":
-        return IntMatrix(tuple(zip(*self.rows)))
-
     def det(self) -> int:
-        return _bareiss_det(self.rows)
+        return _det_adjugate(self.rows)[0]
 
     def inverse(self) -> "IntMatrix":
         d, adj = _det_adjugate(self.rows)
@@ -153,24 +139,14 @@ class IntMatrix:
         # division by det is multiplication since det = +-1
         return IntMatrix(tuple(tuple(e * d for e in row) for row in adj))
 
-    def is_identity(self) -> bool:
-        return all(
-            self.rows[i][j] == (1 if i == j else 0)
-            for i in range(self.n)
-            for j in range(self.n)
-        )
-
     def reduce_mod(self, d: int) -> "ModMatrix":
         if d < 2:
             raise ValueError("modulus must be >= 2")
         return ModMatrix(d, tuple(tuple(e % d for e in row) for row in self.rows))
 
-    def __str__(self) -> str:
-        return format_matrix(self)
-
 
 @dataclass(frozen=True)
-class ModMatrix:
+class ModMatrix(_Square):
     """Square matrix over Z/d; the modulus travels with the value."""
 
     modulus: int
@@ -185,10 +161,6 @@ class ModMatrix:
     @staticmethod
     def identity(n: int, d: int) -> "ModMatrix":
         return IntMatrix.identity(n).reduce_mod(d)
-
-    @property
-    def n(self) -> int:
-        return len(self.rows)
 
     def _check(self, other: "ModMatrix") -> None:
         if self.modulus != other.modulus:
@@ -210,14 +182,8 @@ class ModMatrix:
             ),
         )
 
-    def __pow__(self, e: int) -> "ModMatrix":
-        return _power(self, e, ModMatrix.identity(self.n, self.modulus))
-
-    def transpose(self) -> "ModMatrix":
-        return ModMatrix(self.modulus, tuple(zip(*self.rows)))
-
     def det(self) -> int:
-        return _bareiss_det(self.rows) % self.modulus
+        return _det_adjugate(self.rows)[0] % self.modulus
 
     def inverse(self) -> "ModMatrix":
         d = self.modulus
@@ -228,16 +194,6 @@ class ModMatrix:
         except ValueError:
             raise NotUnimodularError(f"determinant {det} is not invertible mod {d}")
         return ModMatrix(d, tuple(tuple(e * det_inv % d for e in row) for row in adj))
-
-    def is_identity(self) -> bool:
-        return all(
-            self.rows[i][j] == (1 if i == j else 0) % self.modulus
-            for i in range(self.n)
-            for j in range(self.n)
-        )
-
-    def __str__(self) -> str:
-        return format_matrix(self)
 
 
 def elementary(n: int, i: int, j: int, k: int = 1) -> IntMatrix:

@@ -106,16 +106,8 @@ def gamma_generators(n: int, d: int) -> list[IntMatrix]:
     """The standard generating family of the level-d congruence subgroup of
     SL(n, Z) for n >= 3: d-th elementary powers plus their first-row
     conjugates."""
-    gens = []
-    for i in range(1, n + 1):
-        for j in range(1, n + 1):
-            if i != j:
-                gens.append(elementary(n, i, j, d))
-    for k in range(2, n + 1):
-        gens.append(
-            elementary(n, k, 1) * elementary(n, 1, k, d) * elementary(n, k, 1, -1)
-        )
-    return gens
+    plain = [elementary(n, i, j, d) for i in range(1, n + 1) for j in range(1, n + 1) if i != j]
+    return plain + conjugated_gamma_generators(n, d)
 
 
 def conjugated_gamma_generators(n: int, d: int) -> list[IntMatrix]:
@@ -310,41 +302,37 @@ def slide_coordinates(g: int, ws: list[MCGWord]) -> list[int] | None:
     )
 
 
-def rs_stream_factors(
-    g: int, signed: list[MCGWord], coords: list[int], cap: int
-) -> list[tuple[MCGWord, MCGWord, MCGWord]]:
+def rs_stream_factors(g: int, coords: list[int], cap: int) -> list[tuple[int, int]]:
     """The first ``cap`` Schreier generators y s u^-1 of the kernel of phi
-    mod 4 on the group the signed generators ``signed`` (x, x^-1 in turn)
-    generate, as factor triples (y, s, u) in stream order; the words
-    themselves are not built.
+    mod 4 on the group RS-GAMMA24's signed generators generate, as pairs
+    (c, j) in stream order: y is ``subset_word(g, c)``, s is signed
+    generator j and u is ``subset_word(g, c ^ coords[j])``.  No word is
+    built.
 
-    The transversal is ``subset_word(g, mask)`` for every mask, and
-    ``coords`` holds each signed generator's mask (``slide_coordinates``),
-    so the coset of y_c s_j is c XOR ``coords[j]``.  Cosets are walked
-    breadth-first from mask 0, the empty word, and a coset's word is built
-    when the walk first reaches it.  A product y s that already equals u as
-    a reduced word is skipped, as in
-    ``finitegrp.schreier_generators``.  Each letter of s pops at most one
-    letter of y in free reduction, so y s keeps the first len(y) - len(s)
-    letters of y, and a u that differs there is unequal without forming
-    y s.
+    The signed generators are Y_t, Y_t^-1 for each t in subset-bit order,
+    then D, D^-1 for each D element, and ``coords`` holds each one's mask
+    (``slide_coordinates``), so the coset of y_c s_j is c XOR
+    ``coords[j]``.  Cosets are walked breadth-first from mask 0, the empty
+    word.  A product y s that already equals u as a reduced word is
+    skipped, as in ``finitegrp.schreier_generators``.  That happens exactly
+    when s = Y_t and c has no bit at or above t, or s = Y_t^-1 and t is the
+    top bit of c: every other product ends out of order, or with an inverse
+    letter, or with a D letter, and no subset word does.
     """
-    reps = {0: families.subset_word(g, 0)}
+    slides = 2 * families.y_count(g)
+    seen = {0}
     queue = deque([0])
-    outputs: list[tuple[MCGWord, MCGWord, MCGWord]] = []
+    outputs: list[tuple[int, int]] = []
     while queue:
         c = queue.popleft()
-        y = reps[c]
-        for s, step in zip(signed, coords):
+        for j, step in enumerate(coords):
             target = c ^ step
-            if target not in reps:
-                reps[target] = families.subset_word(g, target)
+            if target not in seen:
+                seen.add(target)
                 queue.append(target)
-            u = reps[target]
-            kept = max(0, len(y.letters) - len(s.letters))
-            if u.letters[:kept] == y.letters[:kept] and u == y * s:
+            if j < slides and c >> (j // 2) == j % 2:
                 continue
-            outputs.append((y, s, u))
+            outputs.append((c, j))
             if len(outputs) >= cap:
                 return outputs
     return outputs
@@ -455,9 +443,8 @@ def _check_thm23_elem(p: dict) -> tuple[bool, dict]:
             )
             if lhs.rows != elementary(n, j, i, d).rows:
                 bad.append(("eji", i, j))
-    for k in range(2, g):
+    for k, rhs in enumerate(conjugated_gamma_generators(n, d), 2):
         lhs = reduced_action(word(g, (Twist((1, k)), d)))
-        rhs = elementary(n, k, 1) * elementary(n, 1, k, d) * elementary(n, k, 1, -1)
         if lhs.rows != rhs.rows:
             bad.append(("conj", k))
     return not bad, {"failures": bad}
@@ -487,6 +474,7 @@ def _check_thm23_obstruct(p: dict) -> tuple[bool, dict]:
 
 def _check_thm23_ker(p: dict) -> tuple[bool, dict]:
     _require_at_least(p, "g", 2)
+    _require_at_least(p, "d", 2)
     g, d = p["g"], p["d"]
     if g % 2 != 0 or d % 2 != 1:
         raise ScaleGuardError("kernel element exists for even g, odd d")
@@ -611,12 +599,13 @@ def _check_rs_gamma24(p: dict) -> tuple[bool, dict]:
     sample_ok = True
     sampled = 0
     if section_ok:
-        stream = rs_stream_factors(g, signed, coords, p["rs_cap"])
+        stream = rs_stream_factors(g, coords, p["rs_cap"])
         # the positions rng.sample(stream, k) would pick
         picked = rng.sample(range(len(stream)), min(p["sample"], len(stream)))
         sampled = len(picked)
-        for y, s, u in (stream[i] for i in picked):
-            w = y * s * u.inverse()
+        for c, j in (stream[i] for i in picked):
+            u = families.subset_word(g, c ^ coords[j])
+            w = families.subset_word(g, c) * signed[j] * u.inverse()
             if not level_member(w, 4):
                 sample_ok = False
             if phi_mod(w, 4).rows != ModMatrix.identity(g - 1, 4).rows:
@@ -695,6 +684,8 @@ def _check_tower_2l(p: dict) -> tuple[bool, dict]:
 
 def _check_theta_basis(p: dict) -> tuple[bool, dict]:
     _require_at_least(p, "g", 2)
+    _require_at_least(p, "n", 1)
+    _require_at_least(p, "d", 2)
     g, n, d = p["g"], p["n"], p["d"]
     values = derive_theta_basis(g)
     ok = True
@@ -750,6 +741,7 @@ def _check_prop52_stallings(p: dict) -> tuple[bool, dict]:
 
 def _check_thm51_counts(p: dict) -> tuple[bool, dict]:
     _require_at_least(p, "n", 1)
+    _require_at_least(p, "d", 2)
     g, n, d = p["g"], p["n"], p["d"]
     sets = families.gen_n_sets(g, n, d, base=("closed-surface generating set",))
     ok = True
@@ -929,8 +921,10 @@ def run_check(check_id: str, params: dict | None = None) -> CheckRecord:
 
 
 def _chosen_checks(ids: list[str] | None) -> list[str]:
-    """The sorted ids of a suite (every check by default); an unknown id
-    raises."""
+    """The sorted ids of a suite (every check by default); an empty list
+    or an unknown id raises."""
+    if ids is not None and not ids:
+        raise ValueError("the suite names no check id")
     chosen = sorted(CHECKS) if ids is None else sorted(ids)
     for check_id in chosen:
         if check_id not in CHECKS:

@@ -47,6 +47,8 @@ def _closure_arrays(
     gen_arrays: list[np.ndarray], d: int, n: int, cap: int
 ) -> dict[bytes, np.ndarray]:
     """BFS closure under right multiplication, batched per frontier level."""
+    if d >= MAX_KEY_MODULUS:
+        raise ValueError(f"modulus {d} too large for canonical keys")
     stack = np.stack(gen_arrays)
     identity = np.eye(n, dtype=np.int64)
     elements: dict[bytes, np.ndarray] = {_key(identity): identity}

@@ -1,19 +1,31 @@
-"""Cofactor-expansion inverses: the adjugate from n^2 Bareiss minors.
+"""Cofactor expansion: determinants by Laplace expansion along the first
+row, and inverses as the adjugate of n^2 such minors.
 
 The slow, obviously correct definition that ``IntMatrix.inverse`` and
 ``ModMatrix.inverse`` must reproduce, errors and messages included.
 """
 
-from crosscap.intmat import IntMatrix, ModMatrix, NotUnimodularError, _bareiss_det
+from crosscap.intmat import IntMatrix, ModMatrix, NotUnimodularError
+
+
+def cofactor_det(rows) -> int:
+    n = len(rows)
+    if n == 1:
+        return rows[0][0]
+    total = 0
+    for j in range(n):
+        minor = [row[:j] + row[j + 1 :] for row in rows[1:]]
+        total += (-1) ** j * rows[0][j] * cofactor_det(minor)
+    return total
 
 
 def _minor(rows, i: int, j: int) -> int:
     n = len(rows)
-    return _bareiss_det([[rows[r][c] for c in range(n) if c != j] for r in range(n) if r != i])
+    return cofactor_det([[rows[r][c] for c in range(n) if c != j] for r in range(n) if r != i])
 
 
 def int_inverse(m: IntMatrix) -> IntMatrix:
-    d = m.det()
+    d = cofactor_det(m.rows)
     if d not in (1, -1):
         raise NotUnimodularError(f"determinant is {d}, not +-1")
     n = m.n
@@ -27,7 +39,7 @@ def int_inverse(m: IntMatrix) -> IntMatrix:
 
 def mod_inverse(m: ModMatrix) -> ModMatrix:
     d = m.modulus
-    det = m.det()
+    det = cofactor_det(m.rows) % d
     try:
         det_inv = pow(det, -1, d)
     except ValueError:

@@ -251,12 +251,26 @@ def test_verify_non_integer_param_exits_2(capsys):
         ("THM31-CLOSURE", "d=1", "parameter 'd' must be >= 2, got 1"),
         ("THM31-MEMBER", "d=0", "parameter 'd' must be >= 2, got 0"),
         ("THM31-MEMBER", "d=1", "parameter 'd' must be >= 2, got 1"),
+        ("THM23-KER", "d=1", "parameter 'd' must be >= 2, got 1"),
+        ("THM23-KER", "d=0", "parameter 'd' must be >= 2, got 0"),
+        ("THETA-BASIS", "n=0", "parameter 'n' must be >= 1, got 0"),
+        ("THETA-BASIS", "d=1", "parameter 'd' must be >= 2, got 1"),
+        ("THM51-COUNTS", "d=1", "parameter 'd' must be >= 2, got 1"),
+        ("TOWER-2L", "l=63", f"modulus {1 << 63} is above 2^62, too large for int64 entries"),
+        ("THM31-CLOSURE", "d=32769", "modulus 65538 too large for canonical keys"),
     ],
 )
 def test_verify_bad_param_values_exit_2(capsys, suite, params, message):
     code, out, err = run_cli(capsys, "verify", "--suite", suite, "--params", params)
     assert code == 2 and out == ""
     assert message in err
+
+
+@pytest.mark.parametrize("suite", [",", " , ,"])
+def test_verify_an_empty_suite_exits_2(capsys, suite):
+    code, out, err = run_cli(capsys, "verify", "--suite", suite)
+    assert code == 2 and out == ""
+    assert "the suite names no check id" in err
 
 
 @pytest.mark.parametrize("suite", ["PROP52-STALLINGS", "PROP34-TC"])

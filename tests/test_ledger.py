@@ -96,6 +96,16 @@ def test_run_suite_rejects_unknown_params_before_any_check_runs(monkeypatch):
         run_suite(["PSI-O2"], {"gmax": 4})
 
 
+def test_an_empty_suite_raises_before_any_check_runs(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a check ran")
+
+    monkeypatch.setattr("crosscap.ledger.run_check", refuse)
+    for call in (run_suite, suite_params):
+        with pytest.raises(ValueError, match="the suite names no check id"):
+            call([])
+
+
 def test_suite_params_is_the_union_of_the_chosen_checks_keys():
     assert suite_params(["PSI-O2"]) == {"g"}
     assert suite_params(["PSI-O2", "T2-EQ-YY"]) == {"g", "gmax"}

@@ -26,7 +26,7 @@ def refuse_enumeration(monkeypatch):
 
 
 @pytest.mark.parametrize("g", [6, 7, 8])
-@pytest.mark.parametrize("d", [2, 4])
+@pytest.mark.parametrize("d", [2, 4, 1 << 15])
 def test_thm31_closure_passes_at_the_frontier(monkeypatch, g, d):
     refuse_enumeration(monkeypatch)
     record = ledger.run_check("THM31-CLOSURE", {"g": g, "d": d})
@@ -37,7 +37,8 @@ def test_thm31_closure_passes_at_the_frontier(monkeypatch, g, d):
 
 
 @pytest.mark.parametrize("g", [6, 7, 8])
-@pytest.mark.parametrize("l", [3, 4])
+# layer vectors are bit-packed, never keyed: moduli 2^16 .. 2^62 need no key
+@pytest.mark.parametrize("l", [3, 4, 16, 40, 62])
 def test_tower_passes_at_the_frontier(monkeypatch, g, l):
     refuse_enumeration(monkeypatch)
     record = ledger.run_check("TOWER-2L", {"g": g, "l": l})

@@ -25,9 +25,14 @@ def transversal_images(g):
 
 def xor_walk(g, cap):
     """The registry's stream: the signed generators walked on their
-    coordinates in the single-slide basis."""
+    coordinates in the single-slide basis, each (c, j) pair spelled out as
+    the factor triple (y, s, u)."""
     signed = [s for x in ledger._y_union_d_words(g) for s in (x, x.inverse())]
-    return rs_stream_factors(g, signed, slide_coordinates(g, signed), cap)
+    coords = slide_coordinates(g, signed)
+    return [
+        (families.subset_word(g, c), signed[j], families.subset_word(g, c ^ coords[j]))
+        for c, j in rs_stream_factors(g, coords, cap)
+    ]
 
 
 @pytest.mark.parametrize("g", [3, 4])
