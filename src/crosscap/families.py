@@ -10,12 +10,14 @@ binary counting over that order, so streams are reproducible.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass, field
-from typing import Iterator, Optional, Sequence
+from typing import Callable, Iterator, Optional, Sequence
 
 import numpy as np
 
+from .pi1free import ScaleGuardError
 from .words import (
     BoundaryTwist,
     MCGWord,
@@ -30,6 +32,12 @@ from .words import (
 
 class FamilyIndexError(ValueError):
     """Indices violate a family's constraints."""
+
+
+# the most letters of the explicit even-d seed word of main2_normal_generators
+# (2d letters at level d): THM31-CLOSURE at d = 2^19 builds and evaluates its
+# 2^20 letters in about a second, and a longer word only costs more memory
+SEED_LETTER_LIMIT = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -307,7 +315,13 @@ def main2_normal_generators(
         )
     if not odd:
         # t' is the twist about the slide image of a_{1,2}; the product with
-        # the inverse twist is the commutator [t_{a12}, Y_{3,2}]
+        # the inverse twist is the commutator [t_{a12}, Y_{3,2}], a cyclically
+        # reduced word of 4 letters, so its (d/2)-th power has 2d letters
+        if 2 * d > SEED_LETTER_LIMIT:
+            raise ScaleGuardError(
+                f"the seed (twist(a12) twist(a12')^-1)^(d/2) would have {2 * d} letters,"
+                f" over the limit of {SEED_LETTER_LIMIT}"
+            )
         half = commutator(_twist_word(g, (1, 2)), _slide_word(g, 3, 2)) ** (d // 2)
         out.append(Main2Generator("(twist(a12) twist(a12')^-1)^(d/2)", half, True, "d even"))
     out.append(
@@ -512,90 +526,111 @@ def gen_n_sets(g: int, n: int, d: int, base: Sequence[str] = ()) -> GenNSets:
 # ---------------------------------------------------------------------------
 
 
-def _b(g: int, a: int, b: int) -> MCGWord:
-    assert a < b
-    return named_element("B", (a, b), g).word
+def slide_commutator_rows(g: int) -> Iterator[tuple[tuple[int, int], tuple[int, int], MCGWord]]:
+    """The rows ``(x1, x2, rhs)`` of the slide-commutator table at genus g,
+    one for each pair x1 < x2 of Y indices, in Y order: ``rhs`` is the
+    decomposition of [Y_{x1}, Y_{x2}] as a product of conjugated A/B/C
+    elements, the identity word for the pairs whose slides commute.
+
+    Each A, B and C element is built by :func:`named_element` at most once
+    per call, so its checks run as for any element, and looked up after.
+    """
+
+    @functools.cache
+    def element(family: str, *indices: int) -> MCGWord:
+        return named_element(family, indices, g).word
+
+    ys = family_indices("Y", g)
+    for pos, x1 in enumerate(ys):
+        for x2 in ys[pos + 1 :]:
+            yield x1, x2, _commutator_rhs(x1, x2, g, element)
 
 
-def _c(g: int, i: int, j: int, k: int) -> MCGWord:
-    assert i < j
-    return named_element("C", (i, j, k), g).word
-
-
-def slide_commutator_rhs(x1_idx: tuple[int, int], x2_idx: tuple[int, int], g: int) -> MCGWord:
-    """The decomposition of [Y_{x1}, Y_{x2}] (x1 < x2 in the Y-order) as a
-    product of conjugated A/B/C elements; the identity word for the pairs
-    whose slides commute.
+def _commutator_rhs(
+    x1_idx: tuple[int, int],
+    x2_idx: tuple[int, int],
+    g: int,
+    element: Callable[..., MCGWord],
+) -> MCGWord:
+    """The row of ``slide_commutator_rows`` for x1 < x2, with the A, B and
+    C element words ``element(family, *indices)``.
 
     The bracketed conjugator in the four-distinct-index rows is read as a
     commutator of slides; on homology the factor it wraps is a Torelli
     conjugate, so either reading of the bracket gives the same action.
     """
-    if x1_idx >= x2_idx:
-        raise FamilyIndexError("need x1 < x2 in the Y-order")
+
+    def _b(a: int, b: int) -> MCGWord:
+        assert a < b
+        return element("B", a, b)
+
+    def _c(i: int, j: int, k: int) -> MCGWord:
+        assert i < j
+        return element("C", i, j, k)
+
     i, j = x1_idx
     k, l = x2_idx
     x1 = _slide_word(g, i, j)
     x2 = _slide_word(g, k, l)
 
     if (k, l) == (j, i):
-        b = _b(g, i, j)
-        a = named_element("A", (i, j), g).word
+        b = _b(i, j)
+        a = element("A", i, j)
         return b * a.inverse() * b.inverse()
 
     if k == i:  # (Y_{i,j}, Y_{i,k'}) with j < k' = l
         kk = l
-        c = _c(g, *sorted((j, kk)), i)
+        c = _c(*sorted((j, kk)), i)
         if i < j < kk:
-            return c * _b(g, i, kk).inverse() * conjugate(_b(g, i, j).inverse(), x2)
+            return c * _b(i, kk).inverse() * conjugate(_b(i, j).inverse(), x2)
         if j < i < kk:
             return (
                 conjugate(c, x1)
-                * _b(g, i, kk).inverse()
-                * conjugate(_b(g, j, i).inverse(), x2)
+                * _b(i, kk).inverse()
+                * conjugate(_b(j, i).inverse(), x2)
             )
         # j < kk < i
-        return c * _b(g, kk, i).inverse() * conjugate(_b(g, j, i).inverse(), x2)
+        return c * _b(kk, i).inverse() * conjugate(_b(j, i).inverse(), x2)
 
     if l == j:  # (Y_{i,j}, Y_{k,j}) with i < k
-        mid = conjugate(_b(g, min(i, k), max(i, k)).inverse(), x1)
+        mid = conjugate(_b(min(i, k), max(i, k)).inverse(), x1)
         if j < i < k:
-            return _b(g, j, i).inverse() * mid * _b(g, j, i)
+            return _b(j, i).inverse() * mid * _b(j, i)
         if i < j < k:
             return mid
         # i < k < j
-        return _b(g, i, j).inverse() * mid * _b(g, i, j)
+        return _b(i, j).inverse() * mid * _b(i, j)
 
     if k == j:  # (Y_{i,j}, Y_{j,k'}) with k' = l != i
         kk = l
         if kk < i < j:
-            return conjugate(_b(g, kk, i).inverse(), x1) * _c(g, kk, j, i)
+            return conjugate(_b(kk, i).inverse(), x1) * _c(kk, j, i)
         if i < kk < j:
             return (
-                _b(g, i, j).inverse()
-                * conjugate(_b(g, i, kk).inverse(), x1)
-                * conjugate(_c(g, kk, j, i), x1)
-                * _b(g, i, j)
+                _b(i, j).inverse()
+                * conjugate(_b(i, kk).inverse(), x1)
+                * conjugate(_c(kk, j, i), x1)
+                * _b(i, j)
             )
         # i < j < kk
-        return conjugate(_b(g, i, kk).inverse(), x1) * _c(g, j, kk, i)
+        return conjugate(_b(i, kk).inverse(), x1) * _c(j, kk, i)
 
     if l == i:  # (Y_{i,j}, Y_{k,i}) with i < k, j != k
         if j < i < k:
             return (
-                _b(g, i, k).inverse()
-                * _b(g, j, k).inverse()
-                * conjugate(_b(g, i, k).inverse(), _slide_word(g, k, j))
-                * _c(g, j, i, k)
+                _b(i, k).inverse()
+                * _b(j, k).inverse()
+                * conjugate(_b(i, k).inverse(), _slide_word(g, k, j))
+                * _c(j, i, k)
             )
         if i < j < k:
-            return _c(g, i, j, k).inverse() * conjugate(_b(g, j, k), x2)
+            return _c(i, j, k).inverse() * conjugate(_b(j, k), x2)
         # i < k < j
         return (
-            _b(g, i, k).inverse()
-            * conjugate(_c(g, i, j, k).inverse(), x2)
-            * conjugate(_b(g, k, j), x2)
-            * _b(g, i, k)
+            _b(i, k).inverse()
+            * conjugate(_c(i, j, k).inverse(), x2)
+            * conjugate(_b(k, j), x2)
+            * _b(i, k)
         )
 
     # four distinct indices; nontrivial only when the index pairs interleave
@@ -603,51 +638,51 @@ def slide_commutator_rhs(x1_idx: tuple[int, int], x2_idx: tuple[int, int], g: in
     q = commutator(y_il, x1)
     if i < k < j < l:
         return (
-            conjugate(_b(g, i, l).inverse(), x1)
-            * conjugate(conjugate(_b(g, i, k), y_il), x1)
-            * conjugate(_b(g, i, l), x1)
-            * conjugate(_b(g, i, k), x1)
-            * _b(g, i, k).inverse()
-            * _b(g, i, l).inverse()
-            * conjugate(_b(g, i, k).inverse(), x1)
-            * _b(g, i, l)
+            conjugate(_b(i, l).inverse(), x1)
+            * conjugate(conjugate(_b(i, k), y_il), x1)
+            * conjugate(_b(i, l), x1)
+            * conjugate(_b(i, k), x1)
+            * _b(i, k).inverse()
+            * _b(i, l).inverse()
+            * conjugate(_b(i, k).inverse(), x1)
+            * _b(i, l)
         )
     if i < l < j < k:
         return (
-            conjugate(_b(g, i, k).inverse(), x1)
-            * conjugate(_b(g, i, l).inverse(), x1)
+            conjugate(_b(i, k).inverse(), x1)
+            * conjugate(_b(i, l).inverse(), x1)
             * q.inverse()
-            * conjugate(conjugate(_b(g, i, k).inverse(), x1), y_il)
+            * conjugate(conjugate(_b(i, k).inverse(), x1), y_il)
             * q
-            * conjugate(_b(g, i, l), x1)
-            * _b(g, i, l).inverse()
-            * conjugate(_b(g, i, k), y_il)
-            * _b(g, i, l)
-            * _b(g, i, k)
+            * conjugate(_b(i, l), x1)
+            * _b(i, l).inverse()
+            * conjugate(_b(i, k), y_il)
+            * _b(i, l)
+            * _b(i, k)
         )
     if j < l < i < k:
         return (
-            conjugate(_b(g, l, i).inverse(), x1)
-            * conjugate(conjugate(_b(g, i, k), y_il), x1)
-            * conjugate(_b(g, l, i), x1)
-            * conjugate(_b(g, i, k), x1)
-            * _b(g, i, k).inverse()
-            * _b(g, l, i).inverse()
-            * conjugate(_b(g, i, k).inverse(), x1)
-            * _b(g, l, i)
+            conjugate(_b(l, i).inverse(), x1)
+            * conjugate(conjugate(_b(i, k), y_il), x1)
+            * conjugate(_b(l, i), x1)
+            * conjugate(_b(i, k), x1)
+            * _b(i, k).inverse()
+            * _b(l, i).inverse()
+            * conjugate(_b(i, k).inverse(), x1)
+            * _b(l, i)
         )
     if l < i < k < j:
         return (
-            conjugate(_b(g, l, i).inverse(), x1)
+            conjugate(_b(l, i).inverse(), x1)
             * q.inverse()
-            * conjugate(conjugate(_b(g, i, k), x1), y_il)
+            * conjugate(conjugate(_b(i, k), x1), y_il)
             * q
-            * conjugate(_b(g, l, i), x1)
-            * conjugate(_b(g, i, k), x1)
-            * _b(g, i, k).inverse()
-            * _b(g, l, i).inverse()
-            * conjugate(_b(g, i, k).inverse(), y_il)
-            * _b(g, l, i)
+            * conjugate(_b(l, i), x1)
+            * conjugate(_b(i, k), x1)
+            * _b(i, k).inverse()
+            * _b(l, i).inverse()
+            * conjugate(_b(i, k).inverse(), y_il)
+            * _b(l, i)
         )
     return MCGWord.identity(g)
 

@@ -30,7 +30,7 @@ from typing import Optional
 
 import numpy as np
 
-from .intmat import IntMatrix, ModMatrix
+from .intmat import DimensionError, IntMatrix, ModMatrix
 from .words import (
     BoundaryTwist,
     MCGWord,
@@ -176,7 +176,11 @@ def word_matrix(w: MCGWord) -> IntMatrix:
     * Torelli tags act trivially; boundary twists have no action here.
     """
     g = w.genus
-    cols = [list(col) for col in IntMatrix.identity(g).rows]
+    if g < 1:
+        raise DimensionError("dimension must be >= 1")
+    cols = [[0] * g for _ in range(g)]
+    for j, col in enumerate(cols):
+        col[j] = 1
     for sym, exp in w.letters:
         validate_symbol(sym, g)
         if isinstance(sym, Twist):

@@ -114,7 +114,8 @@ class IntMatrix(_Square):
     def identity(n: int) -> "IntMatrix":
         if n < 1:
             raise DimensionError("dimension must be >= 1")
-        return IntMatrix(tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n)))
+        zeros = (0,) * n
+        return IntMatrix(tuple(zeros[:i] + (1,) + zeros[i + 1 :] for i in range(n)))
 
     def __mul__(self, other: "IntMatrix") -> "IntMatrix":
         if not isinstance(other, IntMatrix):
@@ -160,7 +161,11 @@ class ModMatrix(_Square):
 
     @staticmethod
     def identity(n: int, d: int) -> "ModMatrix":
-        return IntMatrix.identity(n).reduce_mod(d)
+        rows = IntMatrix.identity(n).rows
+        if d < 2:
+            raise ValueError("modulus must be >= 2")
+        # 0 and 1 are already residues mod any d >= 2
+        return ModMatrix(d, rows)
 
     def _check(self, other: "ModMatrix") -> None:
         if self.modulus != other.modulus:

@@ -29,6 +29,7 @@ from .finitegrp import (
 )
 from .finitegrp import schreier_generators  # noqa: F401  (still bound here: perfbench's tracer checks it)
 from .homology import (
+    collapse_total_class,
     level_member,
     level_trivial_residues,
     lift_obstruction,
@@ -64,6 +65,11 @@ _STREAM_BATCH = 1 << 12
 
 class UnknownCheckError(ValueError):
     """The requested check id is not in the catalog."""
+
+
+class ParamRangeError(ValueError):
+    """A parameter value lies below the least value its check accepts;
+    ``run_check`` prefixes the message with the check id."""
 
 
 @dataclass(frozen=True)
@@ -214,7 +220,7 @@ def _reference_layer(refs: list[ModMatrix], d: int) -> LevelLayer:
 def _require_at_least(p: dict, key: str, low: int) -> None:
     """Refuse a parameter value below ``low`` by name, before any work."""
     if p[key] < low:
-        raise ValueError(f"parameter {key!r} must be >= {low}, got {p[key]}")
+        raise ParamRangeError(f"parameter {key!r} must be >= {low}, got {p[key]}")
 
 
 def _residues(
@@ -559,18 +565,13 @@ def _check_lem43_comm(p: dict) -> tuple[bool, dict]:
     pairs = 0
     nontrivial = 0
     for g in range(4, p["gmax"] + 1):
-        ys = families.family_indices("Y", g)
-        for pos, x1 in enumerate(ys):
-            for x2 in ys[pos + 1 :]:
-                pairs += 1
-                lhs = word_matrix(
-                    commutator(word(g, Slide(*x1)), word(g, Slide(*x2)))
-                )
-                rhs_word = families.slide_commutator_rhs(x1, x2, g)
-                if not rhs_word.is_identity():
-                    nontrivial += 1
-                if lhs.rows != word_matrix(rhs_word).rows:
-                    bad.append((g, x1, x2))
+        for x1, x2, rhs_word in families.slide_commutator_rows(g):
+            pairs += 1
+            lhs = word_matrix(commutator(word(g, Slide(*x1)), word(g, Slide(*x2))))
+            if not rhs_word.is_identity():
+                nontrivial += 1
+            if lhs.rows != word_matrix(rhs_word).rows:
+                bad.append((g, x1, x2))
     return not bad, {"pairs": pairs, "nontrivial_rows": nontrivial, "failures": bad[:10]}
 
 
@@ -603,13 +604,17 @@ def _check_rs_gamma24(p: dict) -> tuple[bool, dict]:
         # the positions rng.sample(stream, k) would pick
         picked = rng.sample(range(len(stream)), min(p["sample"], len(stream)))
         sampled = len(picked)
+        actions = []
         for c, j in (stream[i] for i in picked):
             u = families.subset_word(g, c ^ coords[j])
-            w = families.subset_word(g, c) * signed[j] * u.inverse()
-            if not level_member(w, 4):
-                sample_ok = False
-            if phi_mod(w, 4).rows != ModMatrix.identity(g - 1, 4).rows:
-                sample_ok = False
+            actions.append(word_matrix(families.subset_word(g, c) * signed[j] * u.inverse()))
+        # each sampled word is evaluated once: level 4 on its action mod 4,
+        # phi mod 4 on the collapsed action
+        residues = np.array([m.reduce_mod(4).rows for m in actions], dtype=np.int64)
+        one = ModMatrix.identity(g - 1, 4).rows
+        sample_ok = bool(level_trivial_residues(residues.reshape(-1, g, g), 4).all()) and all(
+            collapse_total_class(m).reduce_mod(4).rows == one for m in actions
+        )
     ok = order_ok and reference_ok and section_ok and sample_ok
     return ok, {
         "order": grp.order,
@@ -896,7 +901,8 @@ def _reject_mistyped_params(params: dict, check_id: str) -> None:
 
 def run_check(check_id: str, params: dict | None = None) -> CheckRecord:
     """Run one catalog check.  Unknown ids, parameter keys the check does not
-    declare and values whose type differs from the default's raise; guard
+    declare and values whose type differs from the default's raise, and so
+    does a value below its check's range, under the check id; guard
     violations come back as an ``inconclusive`` record, and a generator
     outside the level layer a check works in as a ``fail`` naming it."""
     if check_id not in CHECKS:
@@ -916,6 +922,8 @@ def run_check(check_id: str, params: dict | None = None) -> CheckRecord:
     except LayerError as exc:
         status = "fail"
         details = {"reason": str(exc)}
+    except ParamRangeError as exc:
+        raise ParamRangeError(f"{check_id}: {exc}") from None
     runtime_ms = int((time.perf_counter() - start) * 1000)
     return CheckRecord(check_id, effective, status, details, runtime_ms, spec.anchor)
 

@@ -168,7 +168,20 @@ class ReducedWord:
         raise NotImplementedError
 
     def _times(self: W, other: W) -> W:
-        return self._with(_reduce(self.letters + other.letters))
+        """Both operands are reduced, so letters cancel or merge only at the
+        seam: pop cancelling pairs off the end of ``self`` and the start of
+        ``other`` until a pair merges to a nonzero exponent or the atoms
+        differ.  A merged letter cannot meet its new neighbours' atoms, which
+        differed from its own in the reduced operands."""
+        left, right = self.letters, other.letters
+        i, j = len(left), 0
+        while i and j < len(right) and left[i - 1][0] == right[j][0]:
+            merged = left[i - 1][1] + right[j][1]
+            if merged:
+                return self._with(left[: i - 1] + ((right[j][0], merged),) + right[j + 1 :])
+            i -= 1
+            j += 1
+        return self._with(left[:i] + right[j:])
 
     def inverse(self: W) -> W:
         return self._with(tuple((a, -e) for a, e in reversed(self.letters)))

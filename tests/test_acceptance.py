@@ -127,13 +127,13 @@ def test_criterion_4_identity_suites():
                         assert mc.rows == word_matrix(paired).rows
                         assert mc.rows == word_matrix(slide_form).rows
             ys = families.family_indices("Y", g)
-            for pos, x1 in enumerate(ys):
-                for x2 in ys[pos + 1 :]:
-                    lhs = word_matrix(
-                        commutator(word(g, Slide(*x1)), word(g, Slide(*x2)))
-                    )
-                    rhs = families.slide_commutator_rhs(x1, x2, g)
-                    assert lhs.rows == word_matrix(rhs).rows
+            rows = list(families.slide_commutator_rows(g))
+            assert [(x1, x2) for x1, x2, _ in rows] == [
+                (x1, x2) for pos, x1 in enumerate(ys) for x2 in ys[pos + 1 :]
+            ]
+            for x1, x2, rhs in rows:
+                lhs = word_matrix(commutator(word(g, Slide(*x1)), word(g, Slide(*x2))))
+                assert lhs.rows == word_matrix(rhs).rows
 
 
 def test_criterion_5_finite_quotient_orders():

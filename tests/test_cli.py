@@ -264,6 +264,31 @@ def test_verify_bad_param_values_exit_2(capsys, suite, params, message):
     code, out, err = run_cli(capsys, "verify", "--suite", suite, "--params", params)
     assert code == 2 and out == ""
     assert message in err
+    # a value below a check's range is refused under the check's id; the
+    # other refusals come from deeper layers and keep their own text
+    if message.startswith("parameter ") and " must be >= " in message:
+        assert f"error: {suite}: {message}" in err
+    else:
+        assert f"{suite}:" not in err
+
+
+def test_verify_all_names_the_check_that_refuses_a_value(capsys):
+    # PSI-O2 is the first check, in id order, that refuses g = 2
+    code, out, err = run_cli(capsys, "verify", "--suite", "all", "--params", "g=2")
+    assert code == 2 and out == ""
+    assert err.strip() == "error: PSI-O2: parameter 'g' must be >= 4, got 2"
+
+
+@pytest.mark.parametrize("suite", ["THM31-CLOSURE", "THM31-MEMBER"])
+def test_verify_thm31_at_level_2_to_the_40_is_inconclusive(capsys, suite):
+    d = 1 << 40
+    code, out, err = run_cli(
+        capsys, "verify", "--suite", suite, "--params", f"g=4,d={d}", "--format", "json"
+    )
+    assert code == 3 and err == ""
+    (record,) = json.loads(out)
+    assert record["status"] == "inconclusive"
+    assert f"would have {2 * d} letters, over the limit of 1048576" in record["details"]["reason"]
 
 
 @pytest.mark.parametrize("suite", [",", " , ,"])

@@ -7,6 +7,7 @@ The comparisons with the enumerating closure engine are in
 """
 
 import random
+import time
 
 import pytest
 
@@ -44,6 +45,25 @@ def test_tower_passes_at_the_frontier(monkeypatch, g, l):
     record = ledger.run_check("TOWER-2L", {"g": g, "l": l})
     assert record.status == "pass"
     assert record.details["order"] == record.details["expected"] == 1 << ((g - 1) ** 2 - 1)
+
+
+@pytest.mark.parametrize("check_id", ["THM31-CLOSURE", "THM31-MEMBER"])
+@pytest.mark.parametrize("d", [1 << 40, 1 << 62])
+def test_thm31_at_a_huge_even_level_stops_before_the_seed_word(monkeypatch, check_id, d):
+    # the even-d seed is a 4-letter commutator to the power d/2; building
+    # it at these levels would need 2d letters
+    def refuse(*args):
+        raise AssertionError("the seed word was built")
+
+    monkeypatch.setattr(families, "commutator", refuse)
+    start = time.perf_counter()
+    record = ledger.run_check(check_id, {"g": 4, "d": d})
+    assert time.perf_counter() - start < 1.0
+    assert record.status == "inconclusive"
+    assert record.details == {
+        "reason": f"the seed (twist(a12) twist(a12')^-1)^(d/2) would have {2 * d} letters,"
+        f" over the limit of {families.SEED_LETTER_LIMIT}"
+    }
 
 
 def test_a_seed_outside_the_layer_fails_and_is_named(monkeypatch):

@@ -99,3 +99,64 @@ def test_length_counts_the_reduced_steps(words):
         assert (w * u).length() == reduced_step_count(list(w.letters) + list(u.letters))
         assert w.inverse().length() == w.length()
     assert make([]).length() == 0 and make([]).is_identity()
+
+
+def reduced_letters(rng, atoms, length):
+    """Random letters that are already freely reduced: no two neighbours
+    share an atom."""
+    letters = []
+    while len(letters) < length:
+        atom, exp = rng.choice(atoms), rng.choice((-3, -2, -1, 1, 2, 3))
+        if not letters or letters[-1][0] != atom:
+            letters.append((atom, exp))
+    return letters
+
+
+def inverse_letters(letters):
+    return [(atom, -exp) for atom, exp in reversed(letters)]
+
+
+@pytest.mark.parametrize("kind", sorted(ALPHABETS))
+def test_seam_product_matches_the_full_reduction(kind):
+    # the product reduces only at the seam; the full reduction of the
+    # concatenated letters is the reference
+    atoms, make = ALPHABETS[kind]
+    rng = random.Random(13)
+    one = make([])
+    merges = 0
+
+    def full(u, v):
+        return make(list(u.letters) + list(v.letters))
+
+    for _ in range(300):
+        u = make(random_letters(rng, atoms, rng.randint(0, 8)))
+        v = make(random_letters(rng, atoms, rng.randint(0, 8)))
+        assert u * v == full(u, v)
+
+        # one empty side
+        assert u * one == full(u, one) == u
+        assert one * u == full(one, u) == u
+
+        # a seam that cancels fully, alone and with v after it (where v's
+        # first letter may also merge into u's first)
+        assert (u * u.inverse()).letters == full(u, u.inverse()).letters == ()
+        w = make(inverse_letters(u.letters) + list(v.letters))
+        assert u * w == full(u, w)
+
+        # a seam that cancels partly and then merges: u = p a^e q and
+        # v = q^-1 a^f r with e + f != 0 keep all their letters, and the
+        # product is p a^(e+f) r
+        p = reduced_letters(rng, atoms, rng.randint(0, 3))
+        q = reduced_letters(rng, atoms, rng.randint(1, 3))
+        r = reduced_letters(rng, atoms, rng.randint(0, 3))
+        a = rng.choice(atoms)
+        e, f = rng.choice([(1, 1), (2, -1), (-3, 1), (1, 2), (-1, -2)])
+        u_letters = p + [(a, e)] + q
+        v_letters = inverse_letters(q) + [(a, f)] + r
+        u, v = make(u_letters), make(v_letters)
+        if u.letters != tuple(u_letters) or v.letters != tuple(v_letters):
+            continue  # a neighbour of a^e or a^f shares its atom
+        assert (u * v).letters == tuple(p + [(a, e + f)] + r)
+        assert u * v == full(u, v)
+        merges += 1
+    assert merges >= 100
