@@ -105,7 +105,7 @@ def _stream_for_set(args):
     if name == "thm-main3":
         return families.main3_generators(g)
     if name == "thm-gen-n":
-        sets = families.gen_n_sets(g, args.boundaries, args.level)
+        sets = families.GenNSets(g, args.boundaries, args.level)
         return sets.h_stream()
     raise ValueError(f"unknown set {name!r}")
 
@@ -157,11 +157,7 @@ def _cmd_coset(args) -> int:
                 raise ValueError(f"relators use letters x1..x{args.rank}, found {kind}{idx}")
             letters.append(idx * step)
         rels.append(letters)
-    try:
-        table = todd_coxeter(args.rank, rels, cap=args.cap)
-    except CapExceededError as exc:
-        print(f"inconclusive: {exc}")
-        return 3
+    table = todd_coxeter(args.rank, rels, cap=args.cap)
     if args.format == "json":
         print(json.dumps(table.to_json()))
     else:
@@ -282,6 +278,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
+    except (pi1free.ScaleGuardError, CapExceededError) as exc:
+        print(f"inconclusive: {exc}")
+        return 3
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

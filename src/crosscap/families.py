@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Iterator, Optional, Sequence
 
 import numpy as np
@@ -286,15 +286,11 @@ class Main2Generator:
     condition: str
 
 
-def main2_normal_generators(
-    g: int, n: int, d: int, include_last_boundary: bool = False
-) -> list[Main2Generator]:
+def main2_normal_generators(g: int, n: int, d: int) -> list[Main2Generator]:
     """The conditional normal-generator list for the level-d group of N_{g,n}.
 
-    Two index conventions for the boundary families are in circulation: the
-    delta/epsilon/zeta twists stop at boundary n-1 (the last boundary's
-    twists being redundant) or run through boundary n.  The default is the
-    tight list; ``include_last_boundary=True`` gives the redundant one.
+    The delta/epsilon/zeta twists stop at boundary n-1: the last boundary's
+    twists are redundant.
     """
     if g < 4:
         raise FamilyIndexError("the normal generating set needs genus >= 4")
@@ -338,9 +334,8 @@ def main2_normal_generators(
     if g == 4:
         out.append(Main2Generator("twist(gamma)", word(g, TorelliTag("gamma")), True, "g = 4"))
 
-    top = n if include_last_boundary else n - 1
     if n >= 2:
-        for k in range(1, top + 1):
+        for k in range(1, n):
             out.append(
                 Main2Generator(
                     f"twist(delta{k})", word(g, BoundaryTwist("delta", (k,))), False, "n >= 2"
@@ -354,16 +349,15 @@ def main2_normal_generators(
                     "n >= 2",
                 )
             )
-    zeta_min = 2 if include_last_boundary else 3
-    if n >= zeta_min:
-        for k in range(1, top + 1):
-            for l in range(k + 1, top + 1):
+    if n >= 3:
+        for k in range(1, n):
+            for l in range(k + 1, n):
                 out.append(
                     Main2Generator(
                         f"twist(zeta{k},{l})",
                         word(g, BoundaryTwist("zeta", (k, l))),
                         False,
-                        f"n >= {zeta_min}",
+                        "n >= 3",
                     )
                 )
                 out.append(
@@ -371,7 +365,7 @@ def main2_normal_generators(
                         f"twist(zetabar{k},{l})",
                         word(g, BoundaryTwist("zetabar", (k, l))),
                         False,
-                        f"n >= {zeta_min}",
+                        "n >= 3",
                     )
                 )
     return out
@@ -441,18 +435,14 @@ def main3_generators(g: int) -> Iterator[MCGWord]:
 
 @dataclass(frozen=True)
 class GenNSets:
-    """The generating data for the level-d group of N_{g,n} with n >= 1.
-
-    The base set for the closed surface enters as opaque lifted names; the
-    boundary families are words in boundary-twist letters (no homology
-    action), with the between-boundary conjugating words built from exact
-    twist powers.
+    """The boundary generating data for the level-d group of N_{g,n} with
+    n >= 1: words in boundary-twist letters (no homology action), with the
+    between-boundary conjugating words built from exact twist powers.
     """
 
     g: int
     n: int
     d: int
-    base: tuple[str, ...] = field(default_factory=tuple)
 
     def __post_init__(self):
         # n = 0 is allowed as the degenerate record with empty boundary sets
@@ -460,9 +450,6 @@ class GenNSets:
             raise ValueError("boundary count must be >= 0")
         if self.d < 2:
             raise ValueError("need d >= 2")
-
-    def e_names(self) -> list[str]:
-        return [f"lift[{name}]" for name in self.base]
 
     def f_set(self, l: int) -> list[MCGWord]:
         g, d = self.g, self.d
@@ -515,10 +502,6 @@ class GenNSets:
             for z in self.g_set(l):
                 for y in f_words:
                     yield conjugate(y, z)
-
-
-def gen_n_sets(g: int, n: int, d: int, base: Sequence[str] = ()) -> GenNSets:
-    return GenNSets(g, n, d, tuple(base))
 
 
 # ---------------------------------------------------------------------------

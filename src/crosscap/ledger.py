@@ -12,7 +12,7 @@ import random
 import time
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -68,8 +68,8 @@ class UnknownCheckError(ValueError):
 
 
 class ParamRangeError(ValueError):
-    """A parameter value lies below the least value its check accepts;
-    ``run_check`` prefixes the message with the check id."""
+    """A parameter value lies below its check's floor; the message names the
+    check, the parameter and the floor."""
 
 
 @dataclass(frozen=True)
@@ -97,6 +97,8 @@ class CheckSpec:
     runner: Callable[[dict], tuple[bool, dict]]
     anchor: str
     defaults: dict = field(default_factory=dict)
+    # the least value of each parameter but ``seed``, checked in this order
+    floors: dict = field(default_factory=dict)
 
 
 # ---------------------------------------------------------------------------
@@ -215,12 +217,6 @@ def _reference_layer(refs: list[ModMatrix], d: int) -> LevelLayer:
     """The layer closure of the reference generators ``refs``."""
     names = [f"reference generator {i}" for i in range(len(refs))]
     return _named(names, lambda: layer_closure(refs, d))
-
-
-def _require_at_least(p: dict, key: str, low: int) -> None:
-    """Refuse a parameter value below ``low`` by name, before any work."""
-    if p[key] < low:
-        raise ParamRangeError(f"parameter {key!r} must be >= {low}, got {p[key]}")
 
 
 def _residues(
@@ -350,8 +346,6 @@ def rs_stream_factors(g: int, coords: list[int], cap: int) -> list[tuple[int, in
 
 
 def _check_ex21_matrices(p: dict) -> tuple[bool, dict]:
-    _require_at_least(p, "dmax", 1)
-    _require_at_least(p, "gmax", 3)
     g3_slides = {
         (1, 2): ((-1, 2), (0, 1)),
         (2, 1): ((1, 0), (2, -1)),
@@ -397,7 +391,6 @@ def _check_ex21_matrices(p: dict) -> tuple[bool, dict]:
 
 
 def _check_gen_fix_ones(p: dict) -> tuple[bool, dict]:
-    _require_at_least(p, "gmax", 2)
     bad = []
     checked = 0
     for g in range(2, p["gmax"] + 1):
@@ -415,7 +408,6 @@ def _check_gen_fix_ones(p: dict) -> tuple[bool, dict]:
 
 
 def _check_t2_eq_yy(p: dict) -> tuple[bool, dict]:
-    _require_at_least(p, "gmax", 3)
     bad = []
     pairs = 0
     for g in range(3, p["gmax"] + 1):
@@ -430,8 +422,6 @@ def _check_t2_eq_yy(p: dict) -> tuple[bool, dict]:
 
 
 def _check_thm23_elem(p: dict) -> tuple[bool, dict]:
-    _require_at_least(p, "g", 3)
-    _require_at_least(p, "d", 2)
     g, d = p["g"], p["d"]
     if d % 2 != 0:
         raise ScaleGuardError("the commutator identities need even d")
@@ -457,8 +447,6 @@ def _check_thm23_elem(p: dict) -> tuple[bool, dict]:
 
 
 def _check_thm23_obstruct(p: dict) -> tuple[bool, dict]:
-    _require_at_least(p, "g", 3)
-    _require_at_least(p, "d", 1)
     g, d = p["g"], p["d"]
     target = elementary(g - 1, 1, 2, d)
     result = lift_obstruction(target, g)
@@ -469,8 +457,6 @@ def _check_thm23_obstruct(p: dict) -> tuple[bool, dict]:
         "candidates": result.candidates_checked,
     }
     if result.witness is not None:
-        from .homology import collapse_total_class
-
         details["witness_projects_to_target"] = (
             collapse_total_class(result.witness).rows == target.rows
         )
@@ -479,8 +465,6 @@ def _check_thm23_obstruct(p: dict) -> tuple[bool, dict]:
 
 
 def _check_thm23_ker(p: dict) -> tuple[bool, dict]:
-    _require_at_least(p, "g", 2)
-    _require_at_least(p, "d", 2)
     g, d = p["g"], p["d"]
     if g % 2 != 0 or d % 2 != 1:
         raise ScaleGuardError("kernel element exists for even g, odd d")
@@ -491,7 +475,6 @@ def _check_thm23_ker(p: dict) -> tuple[bool, dict]:
 
 
 def _check_psi_o2(p: dict) -> tuple[bool, dict]:
-    _require_at_least(p, "g", 4)
     g = p["g"]
     brute = brute_force_mod2_orthogonal(g)
     gens = [mod2_action(word(g, Twist((i, i + 1)))) for i in range(1, g)]
@@ -502,7 +485,6 @@ def _check_psi_o2(p: dict) -> tuple[bool, dict]:
 
 
 def _check_thm31_member(p: dict) -> tuple[bool, dict]:
-    _require_at_least(p, "d", 2)
     g, d = p["g"], p["d"]
     gens = families.main2_normal_generators(g, 0, d)
     bad = [r.name for r in gens if not level_member(r.word, d)]
@@ -510,7 +492,6 @@ def _check_thm31_member(p: dict) -> tuple[bool, dict]:
 
 
 def _check_thm31_closure(p: dict) -> tuple[bool, dict]:
-    _require_at_least(p, "d", 2)
     g, d = p["g"], p["d"]
     modulus = 2 * d
     ambient = ambient_phi_images(g, modulus)
@@ -542,7 +523,6 @@ def _check_thm31_closure(p: dict) -> tuple[bool, dict]:
 
 
 def _check_lem42_3chain(p: dict) -> tuple[bool, dict]:
-    _require_at_least(p, "gmax", 4)
     bad = []
     tuples = 0
     for g in range(4, p["gmax"] + 1):
@@ -560,7 +540,6 @@ def _check_lem42_3chain(p: dict) -> tuple[bool, dict]:
 
 
 def _check_lem43_comm(p: dict) -> tuple[bool, dict]:
-    _require_at_least(p, "gmax", 4)
     bad = []
     pairs = 0
     nontrivial = 0
@@ -577,8 +556,6 @@ def _check_lem43_comm(p: dict) -> tuple[bool, dict]:
 
 def _check_rs_gamma24(p: dict) -> tuple[bool, dict]:
     g = p["g"]
-    _require_at_least(p, "sample", 1)
-    _require_at_least(p, "rs_cap", 1)
     rng = random.Random(p["seed"])
     gens_words = _y_union_d_words(g)
     grp = _named(
@@ -630,7 +607,6 @@ def _check_rs_gamma24(p: dict) -> tuple[bool, dict]:
 
 def _check_thm41_member(p: dict) -> tuple[bool, dict]:
     g = p["g"]
-    _require_at_least(p, "sample", 0)
     total = families.main3_count(g)
     rng = random.Random(p["seed"])
     sample = p["sample"]
@@ -676,10 +652,7 @@ def _check_thm41_mod8(p: dict) -> tuple[bool, dict]:
 
 
 def _check_tower_2l(p: dict) -> tuple[bool, dict]:
-    _require_at_least(p, "g", 3)
     g, l = p["g"], p["l"]
-    if l < 2:
-        raise ValueError(f"the tower starts at l = 2, got l = {l}")
     n = g - 1
     gens = [m.reduce_mod(1 << l) for m in gamma_generators(n, 1 << (l - 1))]
     grp = layer_closure(gens, 1 << (l - 1))
@@ -688,9 +661,6 @@ def _check_tower_2l(p: dict) -> tuple[bool, dict]:
 
 
 def _check_theta_basis(p: dict) -> tuple[bool, dict]:
-    _require_at_least(p, "g", 2)
-    _require_at_least(p, "n", 1)
-    _require_at_least(p, "d", 2)
     g, n, d = p["g"], p["n"], p["d"]
     values = derive_theta_basis(g)
     ok = True
@@ -745,10 +715,8 @@ def _check_prop52_stallings(p: dict) -> tuple[bool, dict]:
 
 
 def _check_thm51_counts(p: dict) -> tuple[bool, dict]:
-    _require_at_least(p, "n", 1)
-    _require_at_least(p, "d", 2)
     g, n, d = p["g"], p["n"], p["d"]
-    sets = families.gen_n_sets(g, n, d, base=("closed-surface generating set",))
+    sets = families.GenNSets(g, n, d)
     ok = True
     details: dict = {"g_count": sets.g_count(), "h_count": sets.h_count()}
     ok = ok and sets.g_count() == d ** (g - 1)
@@ -769,7 +737,7 @@ def _check_thm51_counts(p: dict) -> tuple[bool, dict]:
         getattr(s, "kind", "") in ("zeta", "zetabar") for w in first for s, _ in w.letters
     )
     # the empty-surface convention
-    empty = families.gen_n_sets(g, 0, d)
+    empty = families.GenNSets(g, 0, d)
     ok = ok and empty.h_count() == 0
     g_list = list(sets.g_set(1))
     ok = ok and len(g_list) == sets.g_count()
@@ -781,151 +749,117 @@ CHECKS: dict[str, CheckSpec] = {
         _check_ex21_matrices,
         "reduced twist and slide action matrices, genus-3 table and general-genus closed forms",
         {"dmax": 6, "gmax": 6},
+        {"dmax": 1, "gmax": 3},
     ),
     "GEN-FIX-ONES": CheckSpec(
         _check_gen_fix_ones,
         "every generator fixes the total crosscap class exactly",
         {"gmax": 8},
+        {"gmax": 2},
     ),
     "T2-EQ-YY": CheckSpec(
         _check_t2_eq_yy,
         "twist squares equal opposite slide pairs on homology",
         {"gmax": 6},
+        {"gmax": 3},
     ),
     "THM23-ELEM": CheckSpec(
         _check_thm23_elem,
         "commutator powers and conjugated twist powers hit the elementary congruence generators",
         {"g": 4, "d": 4},
+        {"g": 3, "d": 2},
     ),
     "THM23-OBSTRUCT": CheckSpec(
         _check_thm23_obstruct,
         "odd elementary powers admit no pairing-preserving lift; even ones do",
         {"g": 4, "d": 3},
+        {"g": 3, "d": 1},
     ),
     "THM23-KER": CheckSpec(
         _check_thm23_ker,
         "the full-twist power lies in the level kernel for even genus, odd level",
         {"g": 4, "d": 3},
+        {"g": 2, "d": 2},
     ),
     "PSI-O2": CheckSpec(
         _check_psi_o2,
         "mod-2 actions of consecutive twists and the 4-chain twist generate the full mod-2 orthogonal group",
+        {"g": 4},
         {"g": 4},
     ),
     "THM31-MEMBER": CheckSpec(
         _check_thm31_member,
         "each closed-surface normal generator acts trivially on mod-d homology",
         {"g": 4, "d": 2},
+        {"g": 4, "d": 2},
     ),
     "THM31-CLOSURE": CheckSpec(
         _check_thm31_closure,
         "normal closure of the generator images matches the congruence reference at modulus 2d",
+        {"g": 4, "d": 2},
         {"g": 4, "d": 2},
     ),
     "LEM42-3CHAIN": CheckSpec(
         _check_lem42_3chain,
         "the 4th chain power, the paired-twist form and the slide word agree on homology",
         {"gmax": 6},
+        {"gmax": 4},
     ),
     "LEM43-COMM": CheckSpec(
         _check_lem43_comm,
         "every slide-commutator case row decomposes as stated, verified on homology",
         {"gmax": 6},
+        {"gmax": 4},
     ),
     "RS-GAMMA24": CheckSpec(
         _check_rs_gamma24,
         "the level-2 image mod 4 is elementary abelian of rank equal to the slide family size",
         {"g": 4, "seed": 0, "sample": 200, "rs_cap": 20000},
+        {"g": 3, "sample": 1, "rs_cap": 1},
     ),
     "THM41-MEMBER": CheckSpec(
         _check_thm41_member,
         "the level-4 generating stream lies in the level-4 subgroup",
         {"g": 4, "sample": 0, "seed": 0},
+        {"g": 4, "sample": 0},
     ),
     "THM41-MOD8": CheckSpec(
         _check_thm41_mod8,
         "mod-8 images of the level-4 stream generate the level-4 congruence image",
+        {"g": 4},
         {"g": 4},
     ),
     "TOWER-2L": CheckSpec(
         _check_tower_2l,
         "consecutive power-of-two congruence quotients are elementary abelian of rank (g-1)^2 - 1",
         {"g": 4, "l": 3},
+        {"g": 3, "l": 2},
     ),
     "THETA-BASIS": CheckSpec(
         _check_theta_basis,
         "the push-coefficient basis values are forced and the image is the sum-zero lattice",
         {"g": 4, "n": 1, "d": 2},
+        {"g": 2, "n": 1, "d": 2},
     ),
     "PROP34-TC": CheckSpec(
         _check_prop34_tc,
         "coset enumeration of the kernel relators matches the subgroup-graph index",
         {"g": 4, "n": 1, "d": 2},
+        {"g": 1, "n": 1, "d": 2},
     ),
     "PROP52-STALLINGS": CheckSpec(
         _check_prop52_stallings,
         "the claimed kernel generators give the full kernel subgroup at the expected index",
         {"g": 4, "n": 1, "d": 2},
+        {"g": 1, "n": 1, "d": 2},
     ),
     "THM51-COUNTS": CheckSpec(
         _check_thm51_counts,
         "bounded-surface generating sets have the stated cardinalities and boundary conventions",
         {"g": 4, "n": 1, "d": 2},
+        {"g": 1, "n": 1, "d": 2},
     ),
 }
-
-
-def _reject_unknown_params(params: dict, known: Iterable[str], takers: str) -> None:
-    """Raise a ``ValueError`` naming every key of ``params`` not in ``known``;
-    ``takers`` names who declares ``known`` ("X takes")."""
-    unknown = sorted(set(params) - set(known))
-    if unknown:
-        noun = "parameters" if len(unknown) > 1 else "parameter"
-        raise ValueError(
-            f"unknown {noun} {', '.join(map(repr, unknown))}:"
-            f" {takers} {', '.join(sorted(known)) or 'nothing'}"
-        )
-
-
-def _reject_mistyped_params(params: dict, check_id: str) -> None:
-    """Raise a ``ValueError`` naming the first key of ``params`` whose value
-    has another type than the check's default for it."""
-    defaults = CHECKS[check_id].defaults
-    for key, value in sorted(params.items()):
-        want = type(defaults[key])
-        if type(value) is not want:
-            raise ValueError(
-                f"parameter {key!r} of {check_id} must be {want.__name__}, got {value!r}"
-            )
-
-
-def run_check(check_id: str, params: dict | None = None) -> CheckRecord:
-    """Run one catalog check.  Unknown ids, parameter keys the check does not
-    declare and values whose type differs from the default's raise, and so
-    does a value below its check's range, under the check id; guard
-    violations come back as an ``inconclusive`` record, and a generator
-    outside the level layer a check works in as a ``fail`` naming it."""
-    if check_id not in CHECKS:
-        raise UnknownCheckError(f"unknown check id {check_id!r}")
-    spec = CHECKS[check_id]
-    params = params or {}
-    _reject_unknown_params(params, spec.defaults, f"{check_id} takes")
-    _reject_mistyped_params(params, check_id)
-    effective = {**spec.defaults, **params}
-    start = time.perf_counter()
-    try:
-        passed, details = spec.runner(effective)
-        status = "pass" if passed else "fail"
-    except (ScaleGuardError, CapExceededError) as exc:
-        status = "inconclusive"
-        details = {"reason": str(exc)}
-    except LayerError as exc:
-        status = "fail"
-        details = {"reason": str(exc)}
-    except ParamRangeError as exc:
-        raise ParamRangeError(f"{check_id}: {exc}") from None
-    runtime_ms = int((time.perf_counter() - start) * 1000)
-    return CheckRecord(check_id, effective, status, details, runtime_ms, spec.anchor)
 
 
 def _chosen_checks(ids: list[str] | None) -> list[str]:
@@ -946,22 +880,71 @@ def suite_params(ids: list[str] | None = None) -> set[str]:
     return {key for check_id in _chosen_checks(ids) for key in CHECKS[check_id].defaults}
 
 
-def run_suite(ids: list[str] | None = None, params: dict | None = None) -> list[CheckRecord]:
-    """Run several checks (all of them by default), sorted by id.  Every id,
-    parameter key and value type is checked before any check runs, so an
-    unknown id, a key that no chosen check declares, or a mistyped value
-    raises at once.  Each check receives only the keys it declares."""
+def _validated(ids: list[str] | None, params: dict) -> list[tuple[str, dict]]:
+    """Each check id of a suite, in id order, with the keys of ``params`` it
+    declares, once every id, key, value type and floor has been checked.
+
+    An unknown id, a key that no chosen check declares, or a value whose type
+    differs from the default's raises ``ValueError``; a value, given or
+    default, below its check's floor raises ``ParamRangeError``.
+    """
     chosen = _chosen_checks(ids)
-    params = params or {}
-    takers = f"{chosen[0]} takes" if len(chosen) == 1 else "the chosen checks take"
-    _reject_unknown_params(params, suite_params(chosen), takers)
-    own = {
-        check_id: {k: v for k, v in params.items() if k in CHECKS[check_id].defaults}
-        for check_id in chosen
-    }
+    known = suite_params(chosen)
+    unknown = sorted(set(params) - known)
+    if unknown:
+        noun = "parameters" if len(unknown) > 1 else "parameter"
+        takers = f"{chosen[0]} takes" if len(chosen) == 1 else "the chosen checks take"
+        raise ValueError(
+            f"unknown {noun} {', '.join(map(repr, unknown))}:"
+            f" {takers} {', '.join(sorted(known)) or 'nothing'}"
+        )
+    out = []
     for check_id in chosen:
-        _reject_mistyped_params(own[check_id], check_id)
-    return [run_check(check_id, own[check_id]) for check_id in chosen]
+        spec = CHECKS[check_id]
+        own = {k: v for k, v in sorted(params.items()) if k in spec.defaults}
+        for key, value in own.items():
+            want = type(spec.defaults[key])
+            if type(value) is not want:
+                raise ValueError(
+                    f"parameter {key!r} of {check_id} must be {want.__name__}, got {value!r}"
+                )
+        for key, floor in spec.floors.items():
+            value = own.get(key, spec.defaults[key])
+            if value < floor:
+                raise ParamRangeError(
+                    f"{check_id}: parameter {key!r} must be >= {floor}, got {value}"
+                )
+        out.append((check_id, own))
+    return out
+
+
+def run_check(check_id: str, params: dict | None = None) -> CheckRecord:
+    """Run one catalog check, once ``_validated`` has accepted its id and
+    parameters.  Guard violations come back as an ``inconclusive`` record,
+    and a generator outside the level layer a check works in as a ``fail``
+    naming it."""
+    ((_, own),) = _validated([check_id], params or {})
+    spec = CHECKS[check_id]
+    effective = {**spec.defaults, **own}
+    start = time.perf_counter()
+    try:
+        passed, details = spec.runner(effective)
+        status = "pass" if passed else "fail"
+    except (ScaleGuardError, CapExceededError) as exc:
+        status = "inconclusive"
+        details = {"reason": str(exc)}
+    except LayerError as exc:
+        status = "fail"
+        details = {"reason": str(exc)}
+    runtime_ms = int((time.perf_counter() - start) * 1000)
+    return CheckRecord(check_id, effective, status, details, runtime_ms, spec.anchor)
+
+
+def run_suite(ids: list[str] | None = None, params: dict | None = None) -> list[CheckRecord]:
+    """Run several checks (all of them by default), sorted by id, once
+    ``_validated`` has accepted every id and parameter of them, so no check
+    runs before a refusal.  Each check receives only the keys it declares."""
+    return [run_check(check_id, own) for check_id, own in _validated(ids, params or {})]
 
 
 def records_to_markdown(records: list[CheckRecord]) -> str:

@@ -43,7 +43,6 @@ from crosscap.intmat import IntMatrix, ModMatrix
 from crosscap.ledger import (
     _named,
     _reference_layer,
-    _require_at_least,
     _residues,
     _slide_residues,
     _subset_products,
@@ -166,8 +165,6 @@ def rs_gamma24(p: dict) -> tuple[bool, dict]:
     """RS-GAMMA24 on words: every product keyed through ``phi_mod``, every
     Schreier word built, then ``sample`` of them checked."""
     g = p["g"]
-    _require_at_least(p, "sample", 1)
-    _require_at_least(p, "rs_cap", 1)
     if g > 4:
         raise ScaleGuardError(
             f"transversal table has 2^{families.y_count(g)} entries at genus {g}"

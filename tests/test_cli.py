@@ -58,6 +58,15 @@ def test_enum_main2(capsys):
     assert "T(1,2,3,4)^3" in out
 
 
+def test_enum_seed_guard_is_inconclusive(capsys):
+    code, out, err = run_cli(
+        capsys, "enum", "--set", "thm-main2", "--genus", "4", "--level", str(1 << 40)
+    )
+    assert code == 3 and err == ""
+    assert out.startswith("inconclusive: ")
+    assert f"would have {1 << 41} letters, over the limit of 1048576" in out
+
+
 def test_fold(capsys):
     code, out, _ = run_cli(
         capsys,
@@ -222,10 +231,10 @@ def test_verify_non_integer_param_exits_2(capsys):
 @pytest.mark.parametrize(
     "suite, params, message",
     [
-        ("TOWER-2L", "l=1", "the tower starts at l = 2, got l = 1"),
-        ("TOWER-2L", "l=0", "the tower starts at l = 2, got l = 0"),
-        ("THM41-MEMBER", "g=3", "the level-4 generating set needs genus >= 4"),
-        ("THM41-MOD8", "g=3", "the level-4 generating set needs genus >= 4"),
+        ("TOWER-2L", "l=1", "parameter 'l' must be >= 2, got 1"),
+        ("TOWER-2L", "l=0", "parameter 'l' must be >= 2, got 0"),
+        ("THM41-MEMBER", "g=3", "parameter 'g' must be >= 4, got 3"),
+        ("THM41-MOD8", "g=3", "parameter 'g' must be >= 4, got 3"),
         ("THM41-MEMBER", "sample=-5", "parameter 'sample' must be >= 0, got -5"),
         ("RS-GAMMA24", "sample=0", "parameter 'sample' must be >= 1, got 0"),
         ("RS-GAMMA24", "sample=-1", "parameter 'sample' must be >= 1, got -1"),
@@ -256,6 +265,11 @@ def test_verify_non_integer_param_exits_2(capsys):
         ("THETA-BASIS", "n=0", "parameter 'n' must be >= 1, got 0"),
         ("THETA-BASIS", "d=1", "parameter 'd' must be >= 2, got 1"),
         ("THM51-COUNTS", "d=1", "parameter 'd' must be >= 2, got 1"),
+        ("THM51-COUNTS", "g=0", "parameter 'g' must be >= 1, got 0"),
+        ("THM51-COUNTS", "g=-3", "parameter 'g' must be >= 1, got -3"),
+        ("THM31-MEMBER", "g=3", "parameter 'g' must be >= 4, got 3"),
+        ("THM31-CLOSURE", "g=3", "parameter 'g' must be >= 4, got 3"),
+        ("RS-GAMMA24", "g=2", "parameter 'g' must be >= 3, got 2"),
         ("TOWER-2L", "l=63", f"modulus {1 << 63} is above 2^62, too large for int64 entries"),
         ("THM31-CLOSURE", "d=32769", "modulus 65538 too large for canonical keys"),
     ],
@@ -303,7 +317,7 @@ def test_verify_an_empty_suite_exits_2(capsys, suite):
 def test_kernel_checks_refuse_a_modulus_below_two(capsys, suite, d):
     code, out, err = run_cli(capsys, "verify", "--suite", suite, "--params", f"g=4,n=1,d={d}")
     assert code == 2 and out == ""
-    assert f"modulus d must be >= 2, got {d}" in err
+    assert err.strip() == f"error: {suite}: parameter 'd' must be >= 2, got {d}"
 
 
 @pytest.mark.parametrize("suite", ["PROP52-STALLINGS", "PROP34-TC"])
@@ -311,7 +325,7 @@ def test_kernel_checks_refuse_a_modulus_below_two(capsys, suite, d):
 def test_kernel_checks_refuse_a_genus_below_one(capsys, suite, g):
     code, out, err = run_cli(capsys, "verify", "--suite", suite, "--params", f"g={g},n=1,d=2")
     assert code == 2 and out == ""
-    assert f"genus g must be >= 1, got {g}" in err
+    assert err.strip() == f"error: {suite}: parameter 'g' must be >= 1, got {g}"
 
 
 @pytest.mark.parametrize("suite, code", [("T2-EQ-YY,THM23-KER", 0), ("T2-EQ-YY,NOPE", 2)])

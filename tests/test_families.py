@@ -111,11 +111,8 @@ def test_main2_conditional_entries():
 
 def test_main2_boundary_range_flag():
     tight = families.main2_normal_generators(4, 2, 2)
-    wide = families.main2_normal_generators(4, 2, 2, include_last_boundary=True)
     tight_names = {r.name for r in tight}
-    wide_names = {r.name for r in wide}
     assert "twist(delta2)" not in tight_names
-    assert "twist(delta2)" in wide_names
 
 
 def test_main3_count_and_random_access():
@@ -161,7 +158,7 @@ def test_main3_sample_is_level4():
 
 
 def test_gen_n_counts():
-    sets = families.gen_n_sets(4, 1, 2)
+    sets = families.GenNSets(4, 1, 2)
     assert sets.g_count() == 8
     assert len(list(sets.g_set(1))) == 8
     f1 = sets.f_set(1)
@@ -171,7 +168,7 @@ def test_gen_n_counts():
         for w in f1
         for s, _ in w.letters
     )
-    assert families.gen_n_sets(4, 0, 2).h_count() == 0
+    assert families.GenNSets(4, 0, 2).h_count() == 0
     assert sets.h_count() == sets.f_count(1) * 8
     stream = sets.h_stream()
     w = next(stream)
@@ -179,7 +176,7 @@ def test_gen_n_counts():
 
 
 def test_gen_n_f2_has_between_boundary_curves():
-    sets = families.gen_n_sets(4, 2, 3)
+    sets = families.GenNSets(4, 2, 3)
     f2 = sets.f_set(2)
     kinds = {s.kind for w in f2 for s, _ in w.letters if isinstance(s, BoundaryTwist)}
     assert {"zeta", "zetabar", "delta", "epsilon", "eta", "acurve"} <= kinds

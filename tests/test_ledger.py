@@ -2,10 +2,10 @@ import json
 
 import pytest
 
-from crosscap.families import FamilyIndexError
 from crosscap.ledger import (
     CHECKS,
     MAIN3_STREAM_LIMIT,
+    ParamRangeError,
     UnknownCheckError,
     records_to_markdown,
     run_check,
@@ -45,6 +45,17 @@ def test_every_check_has_anchor_and_defaults():
     for spec in CHECKS.values():
         assert spec.anchor
         assert isinstance(spec.defaults, dict)
+
+
+def test_every_parameter_but_seed_has_a_floor_that_run_check_enforces():
+    for check_id, spec in CHECKS.items():
+        integers = {key for key, value in spec.defaults.items() if type(value) is int}
+        assert set(spec.floors) == integers - {"seed"}, check_id
+        for key, floor in spec.floors.items():
+            assert spec.defaults[key] >= floor, (check_id, key)
+            message = rf"^{check_id}: parameter '{key}' must be >= {floor}, got {floor - 1}$"
+            with pytest.raises(ParamRangeError, match=message):
+                run_check(check_id, {key: floor - 1})
 
 
 def test_unknown_id_raises():
@@ -154,17 +165,21 @@ def test_run_suite_rejects_mistyped_params_before_any_check_runs(monkeypatch):
     monkeypatch.setattr("crosscap.ledger.run_check", refuse)
     with pytest.raises(ValueError, match=r"parameter 'gmax' of T2-EQ-YY must be int, got '4'"):
         run_suite(["PSI-O2", "T2-EQ-YY"], {"g": 4, "gmax": "4"})
+    with pytest.raises(ParamRangeError, match=r"^T2-EQ-YY: parameter 'gmax' must be >= 3, got 2$"):
+        run_suite(["PSI-O2", "T2-EQ-YY"], {"g": 4, "gmax": 2})
 
 
 def test_tower_rejects_levels_below_two():
     for l in (0, 1, -3):
-        with pytest.raises(ValueError, match=rf"the tower starts at l = 2, got l = {l}"):
+        message = rf"^TOWER-2L: parameter 'l' must be >= 2, got {l}$"
+        with pytest.raises(ParamRangeError, match=message):
             run_check("TOWER-2L", {"l": l})
 
 
 def test_level4_stream_checks_refuse_genus_below_four():
     for check_id in ("THM41-MEMBER", "THM41-MOD8"):
-        with pytest.raises(FamilyIndexError, match="the level-4 generating set needs genus >= 4"):
+        message = rf"^{check_id}: parameter 'g' must be >= 4, got 3$"
+        with pytest.raises(ParamRangeError, match=message):
             run_check(check_id, {"g": 3})
 
 
