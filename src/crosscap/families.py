@@ -34,9 +34,11 @@ class FamilyIndexError(ValueError):
     """Indices violate a family's constraints."""
 
 
-# the most letters of the explicit even-d seed word of main2_normal_generators
-# (2d letters at level d): THM31-CLOSURE at d = 2^19 builds and evaluates its
-# 2^20 letters in about a second, and a longer word only costs more memory
+# the most letters of an explicit long word: the even-d seed word of
+# main2_normal_generators (2d letters at level d) and the C words of the tower
+# set zset (2^(l-1) letters at level 2^l).  THM31-CLOSURE at d = 2^19 builds
+# and evaluates its 2^20 letters in about a second, and a longer word only
+# costs more memory
 SEED_LETTER_LIMIT = 1 << 20
 
 
@@ -248,15 +250,23 @@ def zset(g: int, l: int) -> list[MCGWord]:
     """
     if l < 3:
         raise FamilyIndexError("the 2^l tower starts at l = 3")
+    bases = [named_element("A", (i, g - 1), g).word for i in range(1, g - 1)]
+    bases += [
+        named_element("C", (j, g, k), g).word
+        for j in range(1, g)
+        for k in range(1, g)
+        if k != j
+    ]
+    # a power of a word of k letters has at most k * exp of them, and as
+    # many for the cyclically reduced C words
     exp = 1 << (l - 3)
-    out = []
-    for i in range(1, g - 1):
-        out.append(named_element("A", (i, g - 1), g).word ** exp)
-    for j in range(1, g):
-        for k in range(1, g):
-            if k != j:
-                out.append(named_element("C", (j, g, k), g).word ** exp)
-    return out
+    longest = max((len(w.letters) for w in bases), default=0)
+    if longest * exp > SEED_LETTER_LIMIT:
+        raise ScaleGuardError(
+            f"the tower set at l = {l} raises a {longest}-letter word to the power 2^{l - 3},"
+            f" {longest * exp} letters, over SEED_LETTER_LIMIT = {SEED_LETTER_LIMIT}"
+        )
+    return [w**exp for w in bases]
 
 
 def zset_count(g: int) -> int:
@@ -445,6 +455,8 @@ class GenNSets:
     d: int
 
     def __post_init__(self):
+        if self.g < 1:
+            raise ValueError(f"genus g must be >= 1, got {self.g}")
         # n = 0 is allowed as the degenerate record with empty boundary sets
         if self.n < 0:
             raise ValueError("boundary count must be >= 0")

@@ -27,10 +27,15 @@ entries fit int64 (up to 2^62); only ``_Closure`` needs d < 2^16.
 
 ``schreier_generators`` is generic over words: it keys every product
 y x^+-1 through a quotient callback and builds every output word.
+
+``_CosetRows`` is a partial coset table of integer rows with a union-find
+of coincident cosets; ``todd_coxeter`` enumerates on it, and
+``crosscap.pi1free`` folds Stallings graphs on it.
 """
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from dataclasses import dataclass
 from typing import Callable, Hashable, Iterable, Iterator, Sequence, TypeVar
@@ -477,6 +482,120 @@ def _column(letter: int, rank: int) -> int:
     return 2 * (letter - 1) if letter > 0 else 2 * (-letter - 1) + 1
 
 
+class _CosetRows:
+    """A partial coset table, the one table behind :func:`todd_coxeter`,
+    Stallings folding and the kernel graph of ``crosscap.pi1free``.
+
+    ``rows[c][col]`` is the coset that column ``col`` leads to from coset c,
+    or None; column 2t is letter t forwards and 2t + 1 backwards, as in
+    :func:`_column`.  Entries come in inverse pairs: ``rows[c][col] == e``
+    exactly when ``rows[e][col ^ 1] == c``.  Coincident cosets are joined in
+    a union-find ``parent`` that keeps the smaller id, so coset 0 stays
+    live.  Once a coincidence has been processed, live rows point only at
+    live rows, so scans read entries without resolving them.
+    """
+
+    def __init__(self, ncols: int, cap: float = math.inf) -> None:
+        self.ncols, self.cap = ncols, cap
+        self.rows: list[list[int | None]] = [[None] * ncols]
+        self.parent = [0]
+        self.changes = 0  # bumped by every definition and every merge
+
+    def rep(self, c: int) -> int:
+        parent = self.parent
+        root = c
+        while parent[root] != root:
+            root = parent[root]
+        while parent[c] != root:
+            parent[c], c = root, parent[c]
+        return root
+
+    def define(self, alpha: int, col: int) -> int:
+        """A new coset beta with alpha --col--> beta."""
+        rows = self.rows
+        if len(rows) >= self.cap:
+            raise CapExceededError(f"coset table exceeded cap of {self.cap}")
+        beta = len(rows)
+        rows.append([None] * self.ncols)
+        self.parent.append(beta)
+        rows[alpha][col] = beta
+        rows[beta][col ^ 1] = alpha
+        self.changes += 1
+        return beta
+
+    def coincidence(self, a: int, b: int) -> None:
+        """Identify cosets a and b and every pair of cosets this forces."""
+        rows, parent, rep = self.rows, self.parent, self.rep
+        queue = deque([(a, b)])
+        while queue:
+            a, b = queue.popleft()
+            a, b = rep(a), rep(b)
+            if a == b:
+                continue
+            if a > b:
+                a, b = b, a
+            parent[b] = a
+            self.changes += 1
+            for col in range(self.ncols):
+                delta = rows[b][col]
+                if delta is None:
+                    continue
+                rows[b][col] = None
+                delta_r = rep(delta)
+                if rows[delta_r][col ^ 1] == b:
+                    rows[delta_r][col ^ 1] = None
+                mu, nu = rep(a), delta_r
+                existing = rows[mu][col]
+                if existing is not None:
+                    queue.append((existing, nu))
+                else:
+                    back = rows[nu][col ^ 1]
+                    if back is not None:
+                        queue.append((back, mu))
+                    else:
+                        rows[mu][col] = nu
+                        rows[nu][col ^ 1] = mu
+
+    def scan_and_fill(self, alpha: int, rel: Sequence[int]) -> None:
+        """Close the columns ``rel`` into a loop at the live coset alpha (HLT):
+        read forwards from its start and backwards from its end, define a
+        coset while two or more letters are unread, deduce the entry of a
+        single unread letter, and identify the two ends when the readings
+        meet at different cosets."""
+        rows = self.rows
+        f = b = alpha
+        i, j = 0, len(rel) - 1
+        while True:
+            while i <= j and (nxt := rows[f][rel[i]]) is not None:
+                f = nxt
+                i += 1
+            if i > j:
+                if f != b:
+                    self.coincidence(f, b)
+                return
+            while j >= i and (nxt := rows[b][rel[j] ^ 1]) is not None:
+                b = nxt
+                j -= 1
+            if j < i:
+                self.coincidence(f, b)
+                return
+            if j == i:
+                rows[f][rel[i]] = b
+                rows[b][rel[i] ^ 1] = f
+                return
+            f = self.define(f, rel[i])
+            i += 1
+
+    def path(self, alpha: int, cols: Sequence[int]) -> int:
+        """The coset the columns ``cols`` lead to from the live coset alpha,
+        defining a coset at each missing entry on the way."""
+        rows = self.rows
+        for col in cols:
+            nxt = rows[alpha][col]
+            alpha = self.define(alpha, col) if nxt is None else nxt
+        return alpha
+
+
 def todd_coxeter(
     rank: int, relators: Iterable[Sequence[int]], cap: int = 100_000
 ) -> CosetTable:
@@ -497,122 +616,38 @@ def todd_coxeter(
         if not rel:
             raise ValueError("empty relator")
 
-    table: list[list[int | None]] = [[None] * ncols]
-    parent = [0]
-    version = [0]  # bumped by every define and every actual merge
-
-    def rep(c: int) -> int:
-        root = c
-        while parent[root] != root:
-            root = parent[root]
-        while parent[c] != root:
-            parent[c], c = root, parent[c]
-        return root
-
-    def define(alpha: int, col: int) -> int:
-        if len(table) >= cap:
-            raise CapExceededError(f"coset table exceeded cap of {cap}")
-        beta = len(table)
-        table.append([None] * ncols)
-        parent.append(beta)
-        table[alpha][col] = beta
-        table[beta][col ^ 1] = alpha
-        version[0] += 1
-        return beta
-
-    def coincidence(a: int, b: int) -> None:
-        queue = deque([(a, b)])
-        while queue:
-            a, b = queue.popleft()
-            a, b = rep(a), rep(b)
-            if a == b:
-                continue
-            if a > b:
-                a, b = b, a
-            parent[b] = a
-            version[0] += 1
-            for col in range(ncols):
-                delta = table[b][col]
-                if delta is None:
-                    continue
-                table[b][col] = None
-                delta_r = rep(delta)
-                if table[delta_r][col ^ 1] == b:
-                    table[delta_r][col ^ 1] = None
-                mu, nu = rep(a), delta_r
-                existing = table[mu][col]
-                if existing is not None:
-                    queue.append((existing, nu))
-                else:
-                    back = table[nu][col ^ 1]
-                    if back is not None:
-                        queue.append((back, mu))
-                    else:
-                        table[mu][col] = nu
-                        table[nu][col ^ 1] = mu
-
-    def scan_and_fill(alpha: int, rel: tuple[int, ...]) -> None:
-        f, b = alpha, alpha
-        i, j = 0, len(rel) - 1
-        while True:
-            while i <= j and table[f][rel[i]] is not None:
-                f = rep(table[f][rel[i]])
-                i += 1
-            if i > j:
-                if f != b:
-                    coincidence(f, b)
-                return
-            while j >= i and table[b][rel[j] ^ 1] is not None:
-                b = rep(table[b][rel[j] ^ 1])
-                j -= 1
-            if j < i:
-                coincidence(f, b)
-                return
-            if j == i:
-                table[f][rel[i]] = b
-                table[b][rel[i] ^ 1] = f
-                return
-            f = define(f, rel[i])
-            i += 1
-
-    def live(c: int) -> bool:
-        return rep(c) == c
-
+    table = _CosetRows(ncols, cap)
+    rows, parent = table.rows, table.parent
     # repeat full passes until the table is stable: coincidences discovered
     # late can reopen earlier rows, and rescanning is cheap at this scale
     while True:
-        before = version[0]
+        before = table.changes
         alpha = 0
-        while alpha < len(table):
-            if live(alpha):
+        while alpha < len(rows):
+            if parent[alpha] == alpha:
                 for rel in rels:
-                    if not live(alpha):
+                    if parent[alpha] != alpha:
                         break
-                    scan_and_fill(alpha, rel)
+                    table.scan_and_fill(alpha, rel)
             alpha += 1
-        complete = all(
-            table[c][col] is not None
-            for c in range(len(table))
-            if live(c)
-            for col in range(ncols)
-        )
-        if version[0] == before:
-            if complete:
+        if table.changes == before:
+            gap = next(
+                (
+                    (c, col)
+                    for c, row in enumerate(rows)
+                    if parent[c] == c
+                    for col in range(ncols)
+                    if row[col] is None
+                ),
+                None,
+            )
+            if gap is None:
                 break
             # a letter missing from every relator: fill one entry so the scan
             # makes progress; infinite directions eventually hit the cap
-            gap = next(
-                (c, col)
-                for c in range(len(table))
-                if live(c)
-                for col in range(ncols)
-                if table[c][col] is None
-            )
-            define(*gap)
+            table.define(*gap)
 
-    live_cosets = [c for c in range(len(table)) if live(c)]
+    live_cosets = [c for c in range(len(rows)) if parent[c] == c]
     relabel = {c: i for i, c in enumerate(live_cosets)}
-    compact = tuple(
-        tuple(relabel[rep(table[c][col])] for col in range(ncols)) for c in live_cosets
-    )
+    compact = tuple(tuple(relabel[e] for e in rows[c]) for c in live_cosets)
     return CosetTable(rank, len(live_cosets), compact)

@@ -22,13 +22,17 @@ rank-(g-1) sum-zero lattice, a checkable statement.
 
 Subgroup questions are decided on folded graphs over the plus-basis
 alphabet, since the kernel of theta lives inside the two-sided subgroup and
-all index statements are relative to it.  Folded graphs are numbered
-canonically, so two of them are equal exactly when their subgroups are.
-The kernel certificate never spells out a long word: the reference graph of
-ker theta is its coset graph, read off theta (``theta_graph``), and the
-claimed generators w r w^-1 are folded as relator loops r at the ends of
-the transversal paths w (``claimed_kernel_graph``), in O(index x rank)
-work; coset enumeration of the relators is the independent cross-check.
+all index statements are relative to it.  Folding runs on the partial coset
+table of Todd-Coxeter enumeration (``finitegrp._CosetRows``): each letter
+is a pair of integer columns, a generator is closed into a loop at the
+base by the HLT scan, and folds are its coincidences.  Folded graphs are
+numbered canonically, so two of them are equal exactly when their
+subgroups are.  The kernel certificate never spells out a long word: the
+reference graph of ker theta is its coset graph, read off theta
+(``theta_graph``), and the claimed generators w r w^-1 are scanned on the
+table as relator loops r at the ends of the transversal paths w
+(``claimed_kernel_graph``), in O(index x rank) work; coset enumeration of
+the relators is the independent cross-check.
 """
 
 from __future__ import annotations
@@ -40,7 +44,7 @@ import types
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
-from .finitegrp import CosetTable, todd_coxeter
+from .finitegrp import CosetTable, _CosetRows, todd_coxeter
 from .finitegrp import schreier_generators  # noqa: F401  (still bound here: perfbench's tracer checks it)
 from .words import ReducedWord, _reduce
 
@@ -272,123 +276,31 @@ def push_coefficients(w: FreeWord, g: int, d: int) -> tuple[int, ...]:
 # ---------------------------------------------------------------------------
 
 
-class _Folder:
-    """A based graph that stays folded while paths and loops are spelled into
-    it: the one fold implementation behind :meth:`StallingsGraph.fold` and
-    :func:`claimed_kernel_graph`.
-
-    A spelling follows existing edges from its start, forwards, and (for a
-    loop) from its end, backwards, and adds vertices only for the unmatched
-    middle.  Edges join live vertices only and never clash; identifications
-    owed (a clash, or a loop whose two readings meet) wait on a union-find
-    worklist that keeps the smaller id, so the base stays 0.
-    """
-
-    def __init__(self) -> None:
-        self.parent = [0]
-        self.out: list[dict[Atom, int]] = [{}]
-        self.into: list[dict[Atom, int]] = [{}]
-        self.worklist: list[tuple[int, int]] = []
-
-    def find(self, v: int) -> int:
-        parent = self.parent
-        while parent[v] != v:
-            parent[v] = parent[parent[v]]
-            v = parent[v]
-        return v
-
-    def _read(self, v: int, steps: Iterable[tuple[Atom, int]]) -> tuple[int, int]:
-        """Follow existing edges from v: the vertex reached, letters read."""
-        out, into = self.out, self.into
-        count = 0
-        for atom, step in steps:
-            nxt = (out if step == 1 else into)[v].get(atom)
-            if nxt is None:
-                break
-            v, count = nxt, count + 1
-        return v, count
-
-    def _add_edge(self, a: int, atom: Atom, b: int) -> None:
-        # on a taken slot the existing edge stands in for this one once its
-        # other end is identified with ours
-        taken = self.out[a].get(atom)
-        if taken is not None:
-            if taken != b:
-                self.worklist.append((taken, b))
-        elif atom in self.into[b]:
-            self.worklist.append((self.into[b][atom], a))
-        else:
-            self.out[a][atom] = b
-            self.into[b][atom] = a
-
-    def _identify_owed(self) -> None:
-        out, into, worklist = self.out, self.into, self.worklist
-        while worklist:
-            keep, drop = sorted(self.find(v) for v in worklist.pop())
-            if keep == drop:
-                continue
-            self.parent[drop] = keep
-            outs, ins = out[drop], into[drop]
-            for edges, back in ((outs, into), (ins, out)):
-                for atom, t in edges.items():
-                    if t != drop:
-                        del back[t][atom]
-            for atom, t in outs.items():
-                self._add_edge(keep, atom, keep if t == drop else t)
-            for atom, s in ins.items():
-                self._add_edge(keep if s == drop else s, atom, keep)
-
-    def spell(
-        self, steps: Sequence[tuple[Atom, int]], start: int = 0, end: Optional[int] = None
-    ) -> int:
-        """Spell the (atom, +-1) ``steps`` from ``start``: as a loop closing
-        at ``end`` when it is given, else as a path to a vertex it returns."""
-        head, i = self._read(self.find(start), steps)
-        j, tails = len(steps), []
-        if end is not None:
-            tail, matched = self._read(
-                self.find(end), ((atom, -step) for atom, step in reversed(steps[i:]))
-            )
-            j -= matched
-            if i == j:
-                self.worklist.append((head, tail))
-            tails = [tail]
-        # a vertex after each unread letter, except the last one of a loop
-        fresh = range(len(self.parent), len(self.parent) + j - i - len(tails))
-        self.parent.extend(fresh)
-        self.out.extend({} for _ in fresh)
-        self.into.extend({} for _ in fresh)
-        path = [head, *fresh, *tails]
-        for (atom, step), a, b in zip(steps[i:j], path, path[1:]):
-            if step == 1:
-                self._add_edge(a, atom, b)
-            else:
-                self._add_edge(b, atom, a)
-        self._identify_owed()
-        return self.find(path[-1])
-
-    def graph(self, alphabet: Sequence[Atom]) -> "StallingsGraph":
-        return _numbered(tuple(alphabet), self.out, self.into)
-
-
-def _numbered(
-    alpha: tuple[Atom, ...], out: Sequence[Mapping[Atom, int]], into: Sequence[Mapping[Atom, int]]
-) -> "StallingsGraph":
-    """The part of a graph reachable from vertex 0, its vertices numbered
-    breadth-first from there, letters in alphabet order, out-edges before
-    in-edges; folded graphs of one subgroup come out equal."""
+def _numbered(alpha: tuple[Atom, ...], rows: Sequence[Sequence[Optional[int]]]) -> "StallingsGraph":
+    """The graph whose vertex v has the edge labelled ``alpha[t]`` out to
+    ``rows[v][2t]`` and in from ``rows[v][2t + 1]`` (None where missing):
+    the part reachable from vertex 0, its vertices numbered breadth-first
+    from there, letters in alphabet order, out-edges before in-edges;
+    folded graphs of one subgroup come out equal."""
     order, label = [0], {0: 0}
     for v in order:
-        for atom in alpha:
-            for nbr in (out[v].get(atom), into[v].get(atom)):
-                if nbr is not None and nbr not in label:
-                    label[nbr] = len(order)
-                    order.append(nbr)
-    return StallingsGraph(
-        alpha,
-        [{a: label[out[v][a]] for a in alpha if a in out[v]} for v in order],
-        [{a: label[into[v][a]] for a in alpha if a in into[v]} for v in order],
-    )
+        for nbr in rows[v]:
+            if nbr is not None and nbr not in label:
+                label[nbr] = len(order)
+                order.append(nbr)
+    letters = list(enumerate(alpha))
+    out, into = [], []
+    for v in order:
+        row = rows[v]
+        out.append({a: label[row[2 * t]] for t, a in letters if row[2 * t] is not None})
+        into.append({a: label[row[2 * t + 1]] for t, a in letters if row[2 * t + 1] is not None})
+    return StallingsGraph(alpha, out, into)
+
+
+def _columns(steps: Iterable[tuple[Atom, int]], column: Mapping[Atom, int]) -> list[int]:
+    """The (atom, +-1) steps as coset-table columns: ``column[atom]`` = 2t
+    forwards, 2t + 1 backwards."""
+    return [column[atom] + (step < 0) for atom, step in steps]
 
 
 class StallingsGraph:
@@ -412,14 +324,15 @@ class StallingsGraph:
     @staticmethod
     def fold(words: Sequence[FreeWord], alphabet: Sequence[Atom]) -> "StallingsGraph":
         """The folded graph of the subgroup the words generate: each word is
-        spelled as a loop at the base."""
+        scanned into one coset table as a loop at the base."""
         foreign = {atom for w in words for atom, _ in w.letters} - set(alphabet)
         if foreign:
             raise ValueError(f"letter {min(foreign)} outside the graph alphabet")
-        folder = _Folder()
+        column = {atom: 2 * t for t, atom in enumerate(alphabet)}
+        table = _CosetRows(2 * len(column))
         for w in words:
-            folder.spell(list(w.single_letters()), 0, 0)
-        return folder.graph(alphabet)
+            table.scan_and_fill(0, _columns(w.single_letters(), column))
+        return _numbered(tuple(alphabet), table.rows)
 
     def follow(self, v: int, steps: Iterable[tuple[Atom, int]]) -> Optional[int]:
         """The vertex that the (atom, +-1) steps lead to from v, or None where
@@ -455,9 +368,15 @@ class StallingsGraph:
         breadth-first over the same alphabet."""
         if set(self.alphabet) != set(other.alphabet):
             return False
+        def rows(graph: "StallingsGraph") -> list[list[Optional[int]]]:
+            return [
+                [edges.get(atom) for atom in self.alphabet for edges in pair]
+                for pair in zip(graph.out, graph.into)
+            ]
+
         return (
-            _numbered(self.alphabet, self.out, self.into).out
-            == _numbered(self.alphabet, other.out, other.into).out
+            _numbered(self.alphabet, rows(self)).out
+            == _numbered(self.alphabet, rows(other)).out
         )
 
     def to_json(self) -> dict:
@@ -568,21 +487,20 @@ def theta_graph(g: int, n: int, d: int) -> StallingsGraph:
     shifts = [values.get(atom, zero) for atom in alpha]
     label = {zero: 0}
     classes = [zero]
-    out: list[dict[Atom, int]] = []
+    rows: list[list[Optional[int]]] = []
     for k in classes:
-        row = {}
-        for atom, shift in zip(alpha, shifts):
+        row: list[Optional[int]] = [None] * (2 * len(alpha))
+        for col, shift in enumerate(shifts):
             t = tuple((a + b) % d for a, b in zip(k, shift))
             if t not in label:
                 label[t] = len(classes)
                 classes.append(t)
-            row[atom] = label[t]
-        out.append(row)
-    into: list[dict[Atom, int]] = [{} for _ in out]
-    for v, row in enumerate(out):
-        for atom, t in row.items():
-            into[t][atom] = v
-    return _numbered(alpha, out, into)
+            row[2 * col] = label[t]
+        rows.append(row)
+    for v, row in enumerate(rows):
+        for col in range(0, len(row), 2):
+            rows[row[col]][col + 1] = v
+    return _numbered(alpha, rows)
 
 
 def claimed_kernel_graph(g: int, n: int, d: int) -> StallingsGraph:
@@ -595,23 +513,28 @@ def claimed_kernel_graph(g: int, n: int, d: int) -> StallingsGraph:
     folded in as a loop at the end of every path.
     """
     _guard(g, n, d)
-    relators = _plus_steps(ker_theta_normal_relators(g, n, d), g)
-    folder = _Folder()
+    alpha = plus_basis_alphabet(g, n)
+    column = {atom: 2 * t for t, atom in enumerate(alpha)}
+    relators = [
+        _columns(steps, column) for steps in _plus_steps(ker_theta_normal_relators(g, n, d), g)
+    ]
+    table = _CosetRows(2 * len(alpha))
     ends = [0]
     # (x_1 x_g)^{m_1} ... (x_i x_g)^{m_i} extends the path of the words
     # with one block fewer by m_i copies of x_i x_g
-    for block in _plus_steps((x_(i) * x_(g) for i in range(1, g)), g):
+    for steps in _plus_steps((x_(i) * x_(g) for i in range(1, g)), g):
+        block = _columns(steps, column)
         longer = []
         for v in ends:
             longer.append(v)
             for _ in range(d - 1):
-                v = folder.spell(block, v)
+                v = table.path(v, block)
                 longer.append(v)
         ends = longer
     for v in ends:
         for relator in relators:
-            folder.spell(relator, v, v)
-    return folder.graph(plus_basis_alphabet(g, n))
+            table.scan_and_fill(table.rep(v), relator)
+    return _numbered(tuple(alpha), table.rows)
 
 
 def verify_ker_theta(g: int, n: int, d: int) -> dict:

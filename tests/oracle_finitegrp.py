@@ -1,4 +1,5 @@
-"""Reference matrix-group closures by breadth-first search that restarts.
+"""Reference matrix-group closures by breadth-first search that restarts, and
+the reference coset enumeration.
 
 ``bfs_closure`` multiplies every element by every generator, level by level,
 keying each product on its own.  ``normal_closure`` reruns that whole search
@@ -15,9 +16,14 @@ the engine's closure of the same generators.
 test and the transversal action table that enumerated the level-2 image mod
 4 and walked RS-GAMMA24's Schreier stream before it moved to the level
 layer; they are kept as references for that layer walk.
+
+``todd_coxeter`` is the coset enumeration as it was before it moved onto
+``crosscap.finitegrp._CosetRows``: the same HLT scans and coincidence queue
+on a table held in closures.  The engine must give the same ``CosetTable``.
 """
 
-from typing import Iterator, Sequence
+from collections import deque
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -25,10 +31,12 @@ from crosscap import finitegrp
 from crosscap.finitegrp import (
     MAX_KEY_MODULUS,
     CapExceededError,
+    CosetTable,
     FiniteMatrixGroup,
     LevelLayer,
     SectionError,
     _check_gens,
+    _column,
     _decode,
     _keys,
 )
@@ -205,3 +213,145 @@ def coset_action_table(transversal: np.ndarray, gens: np.ndarray, modulus: int) 
         c, j = map(int, missing[0])
         raise SectionError(f"coset {c} times signed generator {j} has no transversal key")
     return table
+
+
+def todd_coxeter(
+    rank: int, relators: Iterable[Sequence[int]], cap: int = 100_000
+) -> CosetTable:
+    """HLT-style enumeration of the cosets of the trivial subgroup in
+    ``<x_1..x_rank | relators>``, on a table held in closures that resolve
+    every entry they read through the union-find.
+
+    Relators are sequences of nonzero signed letters.  Deterministic: cosets
+    are processed in creation order and definitions fill relator scans left
+    to right.  Raises :class:`CapExceededError` when more than ``cap`` cosets
+    would be defined (the enumeration may not terminate for infinite
+    quotients).
+    """
+    if rank < 1:
+        raise ValueError("rank must be >= 1")
+    ncols = 2 * rank
+    rels = [tuple(_column(letter, rank) for letter in rel) for rel in relators]
+    for rel in rels:
+        if not rel:
+            raise ValueError("empty relator")
+
+    table: list[list[int | None]] = [[None] * ncols]
+    parent = [0]
+    version = [0]  # bumped by every define and every actual merge
+
+    def rep(c: int) -> int:
+        root = c
+        while parent[root] != root:
+            root = parent[root]
+        while parent[c] != root:
+            parent[c], c = root, parent[c]
+        return root
+
+    def define(alpha: int, col: int) -> int:
+        if len(table) >= cap:
+            raise CapExceededError(f"coset table exceeded cap of {cap}")
+        beta = len(table)
+        table.append([None] * ncols)
+        parent.append(beta)
+        table[alpha][col] = beta
+        table[beta][col ^ 1] = alpha
+        version[0] += 1
+        return beta
+
+    def coincidence(a: int, b: int) -> None:
+        queue = deque([(a, b)])
+        while queue:
+            a, b = queue.popleft()
+            a, b = rep(a), rep(b)
+            if a == b:
+                continue
+            if a > b:
+                a, b = b, a
+            parent[b] = a
+            version[0] += 1
+            for col in range(ncols):
+                delta = table[b][col]
+                if delta is None:
+                    continue
+                table[b][col] = None
+                delta_r = rep(delta)
+                if table[delta_r][col ^ 1] == b:
+                    table[delta_r][col ^ 1] = None
+                mu, nu = rep(a), delta_r
+                existing = table[mu][col]
+                if existing is not None:
+                    queue.append((existing, nu))
+                else:
+                    back = table[nu][col ^ 1]
+                    if back is not None:
+                        queue.append((back, mu))
+                    else:
+                        table[mu][col] = nu
+                        table[nu][col ^ 1] = mu
+
+    def scan_and_fill(alpha: int, rel: tuple[int, ...]) -> None:
+        f, b = alpha, alpha
+        i, j = 0, len(rel) - 1
+        while True:
+            while i <= j and table[f][rel[i]] is not None:
+                f = rep(table[f][rel[i]])
+                i += 1
+            if i > j:
+                if f != b:
+                    coincidence(f, b)
+                return
+            while j >= i and table[b][rel[j] ^ 1] is not None:
+                b = rep(table[b][rel[j] ^ 1])
+                j -= 1
+            if j < i:
+                coincidence(f, b)
+                return
+            if j == i:
+                table[f][rel[i]] = b
+                table[b][rel[i] ^ 1] = f
+                return
+            f = define(f, rel[i])
+            i += 1
+
+    def live(c: int) -> bool:
+        return rep(c) == c
+
+    # repeat full passes until the table is stable: coincidences discovered
+    # late can reopen earlier rows, and rescanning is cheap at this scale
+    while True:
+        before = version[0]
+        alpha = 0
+        while alpha < len(table):
+            if live(alpha):
+                for rel in rels:
+                    if not live(alpha):
+                        break
+                    scan_and_fill(alpha, rel)
+            alpha += 1
+        complete = all(
+            table[c][col] is not None
+            for c in range(len(table))
+            if live(c)
+            for col in range(ncols)
+        )
+        if version[0] == before:
+            if complete:
+                break
+            # a letter missing from every relator: fill one entry so the scan
+            # makes progress; infinite directions eventually hit the cap
+            gap = next(
+                (c, col)
+                for c in range(len(table))
+                if live(c)
+                for col in range(ncols)
+                if table[c][col] is None
+            )
+            define(*gap)
+
+    live_cosets = [c for c in range(len(table)) if live(c)]
+    relabel = {c: i for i, c in enumerate(live_cosets)}
+    compact = tuple(
+        tuple(relabel[rep(table[c][col])] for col in range(ncols)) for c in live_cosets
+    )
+    return CosetTable(rank, len(live_cosets), compact)

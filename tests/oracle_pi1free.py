@@ -15,7 +15,7 @@ folded.  ``crosscap.pi1free.verify_ker_theta`` reads the same graphs off
 theta and the relator loops and must give the same report.
 """
 
-from typing import Sequence
+from typing import Iterable, Mapping, Optional, Sequence
 
 from crosscap.finitegrp import schreier_generators
 from crosscap.pi1free import (
@@ -23,10 +23,12 @@ from crosscap.pi1free import (
     FreeWord,
     StallingsGraph,
     _guard,
+    _plus_steps,
     coset_count_ker_theta,
     fold_in_plus_basis,
     gtilde,
     ker_theta_normal_relators,
+    plus_basis_alphabet,
     push_coefficients,
     x_,
     y_,
@@ -200,3 +202,159 @@ def certify_in_words(g: int, n: int, d: int) -> tuple[dict, StallingsGraph, Stal
         and cosets == expected_index
     )
     return report, graph_claimed, graph_schreier
+
+
+class Folder:
+    """A based graph that stays folded while paths and loops are spelled into
+    it, behind :func:`folder_fold` and :func:`claimed_kernel_graph`.
+
+    A spelling follows existing edges from its start, forwards, and (for a
+    loop) from its end, backwards, and adds vertices only for the unmatched
+    middle.  Edges join live vertices only and never clash; identifications
+    owed (a clash, or a loop whose two readings meet) wait on a union-find
+    worklist that keeps the smaller id, so the base stays 0.
+    """
+
+    def __init__(self) -> None:
+        self.parent = [0]
+        self.out: list[dict[Atom, int]] = [{}]
+        self.into: list[dict[Atom, int]] = [{}]
+        self.worklist: list[tuple[int, int]] = []
+
+    def find(self, v: int) -> int:
+        parent = self.parent
+        while parent[v] != v:
+            parent[v] = parent[parent[v]]
+            v = parent[v]
+        return v
+
+    def _read(self, v: int, steps: Iterable[tuple[Atom, int]]) -> tuple[int, int]:
+        """Follow existing edges from v: the vertex reached, letters read."""
+        out, into = self.out, self.into
+        count = 0
+        for atom, step in steps:
+            nxt = (out if step == 1 else into)[v].get(atom)
+            if nxt is None:
+                break
+            v, count = nxt, count + 1
+        return v, count
+
+    def _add_edge(self, a: int, atom: Atom, b: int) -> None:
+        # on a taken slot the existing edge stands in for this one once its
+        # other end is identified with ours
+        taken = self.out[a].get(atom)
+        if taken is not None:
+            if taken != b:
+                self.worklist.append((taken, b))
+        elif atom in self.into[b]:
+            self.worklist.append((self.into[b][atom], a))
+        else:
+            self.out[a][atom] = b
+            self.into[b][atom] = a
+
+    def _identify_owed(self) -> None:
+        out, into, worklist = self.out, self.into, self.worklist
+        while worklist:
+            keep, drop = sorted(self.find(v) for v in worklist.pop())
+            if keep == drop:
+                continue
+            self.parent[drop] = keep
+            outs, ins = out[drop], into[drop]
+            for edges, back in ((outs, into), (ins, out)):
+                for atom, t in edges.items():
+                    if t != drop:
+                        del back[t][atom]
+            for atom, t in outs.items():
+                self._add_edge(keep, atom, keep if t == drop else t)
+            for atom, s in ins.items():
+                self._add_edge(keep if s == drop else s, atom, keep)
+
+    def spell(
+        self, steps: Sequence[tuple[Atom, int]], start: int = 0, end: Optional[int] = None
+    ) -> int:
+        """Spell the (atom, +-1) ``steps`` from ``start``: as a loop closing
+        at ``end`` when it is given, else as a path to a vertex it returns."""
+        head, i = self._read(self.find(start), steps)
+        j, tails = len(steps), []
+        if end is not None:
+            tail, matched = self._read(
+                self.find(end), ((atom, -step) for atom, step in reversed(steps[i:]))
+            )
+            j -= matched
+            if i == j:
+                self.worklist.append((head, tail))
+            tails = [tail]
+        # a vertex after each unread letter, except the last one of a loop
+        fresh = range(len(self.parent), len(self.parent) + j - i - len(tails))
+        self.parent.extend(fresh)
+        self.out.extend({} for _ in fresh)
+        self.into.extend({} for _ in fresh)
+        path = [head, *fresh, *tails]
+        for (atom, step), a, b in zip(steps[i:j], path, path[1:]):
+            if step == 1:
+                self._add_edge(a, atom, b)
+            else:
+                self._add_edge(b, atom, a)
+        self._identify_owed()
+        return self.find(path[-1])
+
+    def graph(self, alphabet: Sequence[Atom]) -> StallingsGraph:
+        return _numbered(tuple(alphabet), self.out, self.into)
+
+
+def _numbered(
+    alpha: tuple[Atom, ...], out: Sequence[Mapping[Atom, int]], into: Sequence[Mapping[Atom, int]]
+) -> StallingsGraph:
+    """The part of a graph reachable from vertex 0, its vertices numbered
+    breadth-first from there, letters in alphabet order, out-edges before
+    in-edges."""
+    order, label = [0], {0: 0}
+    for v in order:
+        for atom in alpha:
+            for nbr in (out[v].get(atom), into[v].get(atom)):
+                if nbr is not None and nbr not in label:
+                    label[nbr] = len(order)
+                    order.append(nbr)
+    return StallingsGraph(
+        alpha,
+        [{a: label[out[v][a]] for a in alpha if a in out[v]} for v in order],
+        [{a: label[into[v][a]] for a in alpha if a in into[v]} for v in order],
+    )
+
+
+def folder_fold(words: Sequence[FreeWord], alphabet: Sequence[Atom]) -> StallingsGraph:
+    """``StallingsGraph.fold`` on :class:`Folder`: each word is spelled as a
+    loop at the base."""
+    folder = Folder()
+    for w in words:
+        folder.spell(list(w.single_letters()), 0, 0)
+    return folder.graph(alphabet)
+
+
+def claimed_kernel_graph(g: int, n: int, d: int) -> StallingsGraph:
+    """The folded graph of the claimed generators w r w^-1 (w a transversal
+    word of :func:`gtilde`, r a normal relator of
+    :func:`ker_theta_normal_relators`), built without spelling them out.
+
+    The transversal words are prefix-closed, so their plus-basis spellings
+    form a tree of paths from the base; each relator, rewritten once, is
+    folded in as a loop at the end of every path.
+    """
+    _guard(g, n, d)
+    relators = _plus_steps(ker_theta_normal_relators(g, n, d), g)
+    folder = Folder()
+    ends = [0]
+    # (x_1 x_g)^{m_1} ... (x_i x_g)^{m_i} extends the path of the words
+    # with one block fewer by m_i copies of x_i x_g
+    for block in _plus_steps((x_(i) * x_(g) for i in range(1, g)), g):
+        longer = []
+        for v in ends:
+            longer.append(v)
+            for _ in range(d - 1):
+                v = folder.spell(block, v)
+                longer.append(v)
+        ends = longer
+    for v in ends:
+        for relator in relators:
+            folder.spell(relator, v, v)
+    return folder.graph(plus_basis_alphabet(g, n))

@@ -67,6 +67,38 @@ def test_enum_seed_guard_is_inconclusive(capsys):
     assert f"would have {1 << 41} letters, over the limit of 1048576" in out
 
 
+def test_enum_tower_guard_is_inconclusive(capsys):
+    code, out, err = run_cli(
+        capsys, "enum", "--set", "2Z", "--genus", "4", "--tower", "70", "--limit", "2"
+    )
+    assert code == 3 and err == ""
+    assert out.startswith("inconclusive: the tower set at l = 70 ")
+    assert f"{4 << 67} letters, over SEED_LETTER_LIMIT = 1048576" in out
+
+
+def test_enum_tower_at_the_letter_limit_enumerates(capsys):
+    # the C words of the tower set at l = 21 have 4 * 2^18 = 2^20 letters
+    code, out, err = run_cli(
+        capsys, "enum", "--set", "2Z", "--genus", "4", "--tower", "21", "--limit", "2"
+    )
+    assert code == 0 and err == ""
+    assert out.splitlines() == ["", "T(1,3)^1048576", "... truncated at 2"]
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["--set", "thm-gen-n", "--genus", "0", "--boundaries", "1"], "genus g must be >= 1, got 0"),
+        (["--set", "thm-gen-n", "--genus", "-2", "--boundaries", "1"], "genus g must be >= 1, got -2"),
+        (["--set", "2Z", "--genus", "4", "--tower", "2"], "the 2^l tower starts at l = 3"),
+    ],
+)
+def test_enum_bad_values_exit_2(capsys, argv, message):
+    code, out, err = run_cli(capsys, "enum", *argv)
+    assert code == 2 and out == ""
+    assert err.strip() == f"error: {message}"
+
+
 def test_fold(capsys):
     code, out, _ = run_cli(
         capsys,

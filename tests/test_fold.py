@@ -1,5 +1,6 @@
-"""Incremental Stallings folding against the rescanning oracle, and the
-canonical numbering of folded graphs."""
+"""Stallings folding on the coset table against the rescanning oracle and
+the dict-keyed union-find it replaced, and the canonical numbering of folded
+graphs."""
 
 import random
 
@@ -45,6 +46,7 @@ def renumbered(graph):
 
 def assert_matches_oracle(words, alphabet):
     graph = StallingsGraph.fold(words, alphabet)
+    assert graph.to_json() == oracle_pi1free.folder_fold(words, alphabet).to_json()
     oracle = oracle_pi1free.fold(words, alphabet)
     assert graph.vertex_count == oracle.vertex_count
     assert graph.index() == oracle.index()

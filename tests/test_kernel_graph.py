@@ -3,8 +3,9 @@
 ``theta_graph`` reads the coset graph of ker theta off theta, and
 ``claimed_kernel_graph`` folds the normal relators as loops at the ends of
 the transversal paths.  Both must equal the folds of the spelled-out
-Schreier generators and conjugates, and ``verify_ker_theta`` must give the
-oracle's report, also on certificates that are wrong on purpose.
+Schreier generators and conjugates, the claimed graph must equal the one the
+dict-keyed union-find of the oracle folds, and ``verify_ker_theta`` must
+give the oracle's report, also on certificates that are wrong on purpose.
 """
 
 import pytest
@@ -31,6 +32,14 @@ def test_graphs_and_report_match_the_word_level_oracle(g, n, d):
     assert claimed_kernel_graph(g, n, d).to_json() == claimed.to_json()
     assert verify_ker_theta(g, n, d) == report
     assert report["ok"]
+
+
+@pytest.mark.parametrize(
+    "g,n,d", KERNEL_CERT_POINTS + CRITERION_8_POINTS + [(4, 3, 4), (4, 1, 8), (5, 1, 8)]
+)
+def test_claimed_graph_matches_the_dict_folder(g, n, d):
+    expected = oracle_pi1free.claimed_kernel_graph(g, n, d).to_json()
+    assert claimed_kernel_graph(g, n, d).to_json() == expected
 
 
 def test_kernel_rank_is_the_schreier_formula():
