@@ -111,6 +111,8 @@ def _stream_for_set(args):
 
 
 def _cmd_enum(args) -> int:
+    if args.limit is not None and args.limit < 0:
+        raise ValueError(f"--limit must be >= 0, got {args.limit}")
     stream = _stream_for_set(args)
     emitted = 0
     for w in stream:

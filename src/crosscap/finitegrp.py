@@ -606,10 +606,12 @@ def todd_coxeter(
     are processed in creation order and definitions fill relator scans left
     to right.  Raises :class:`CapExceededError` when more than ``cap`` cosets
     would be defined (the enumeration may not terminate for infinite
-    quotients).
+    quotients), and ValueError for a cap below 1.
     """
     if rank < 1:
         raise ValueError("rank must be >= 1")
+    if cap < 1:
+        raise ValueError(f"cap must be >= 1, got {cap}")
     ncols = 2 * rank
     rels = [tuple(_column(letter, rank) for letter in rel) for rel in relators]
     for rel in rels:
@@ -618,8 +620,9 @@ def todd_coxeter(
 
     table = _CosetRows(ncols, cap)
     rows, parent = table.rows, table.parent
-    # repeat full passes until the table is stable: coincidences discovered
-    # late can reopen earlier rows, and rescanning is cheap at this scale
+    # A pass closes every relator at every coset still live at its end, and
+    # coincidences keep closed loops closed, so a pass that leaves no empty
+    # entry has finished the table.
     while True:
         before = table.changes
         alpha = 0
@@ -630,22 +633,23 @@ def todd_coxeter(
                         break
                     table.scan_and_fill(alpha, rel)
             alpha += 1
+        if all(parent[c] != c or None not in row for c, row in enumerate(rows)):
+            break
         if table.changes == before:
-            gap = next(
-                (
-                    (c, col)
-                    for c, row in enumerate(rows)
-                    if parent[c] == c
-                    for col in range(ncols)
-                    if row[col] is None
-                ),
-                None,
-            )
-            if gap is None:
-                break
-            # a letter missing from every relator: fill one entry so the scan
-            # makes progress; infinite directions eventually hit the cap
-            table.define(*gap)
+            # After a pass that changed nothing, reading a relator up to any
+            # letter is a total injective map on the finite set of cosets, so
+            # every letter of a relator has full columns: the gaps belong to
+            # letters in no relator, and the group is infinite.  Fill them all
+            # at once so that the table grows toward the cap.
+            gaps = [
+                (c, col)
+                for c, row in enumerate(rows)
+                if parent[c] == c
+                for col in range(ncols)
+                if row[col] is None
+            ]
+            for c, col in gaps:
+                table.define(c, col)
 
     live_cosets = [c for c in range(len(rows)) if parent[c] == c]
     relabel = {c: i for i, c in enumerate(live_cosets)}

@@ -22,17 +22,19 @@ rank-(g-1) sum-zero lattice, a checkable statement.
 
 Subgroup questions are decided on folded graphs over the plus-basis
 alphabet, since the kernel of theta lives inside the two-sided subgroup and
-all index statements are relative to it.  Folding runs on the partial coset
-table of Todd-Coxeter enumeration (``finitegrp._CosetRows``): each letter
-is a pair of integer columns, a generator is closed into a loop at the
-base by the HLT scan, and folds are its coincidences.  Folded graphs are
-numbered canonically, so two of them are equal exactly when their
-subgroups are.  The kernel certificate never spells out a long word: the
-reference graph of ker theta is its coset graph, read off theta
-(``theta_graph``), and the claimed generators w r w^-1 are scanned on the
-table as relator loops r at the ends of the transversal paths w
-(``claimed_kernel_graph``), in O(index x rank) work; coset enumeration of
-the relators is the independent cross-check.
+all index statements are relative to it.  A folded graph is the rows of
+the partial coset table of Todd-Coxeter enumeration
+(``finitegrp._CosetRows``): letter t is column 2t forwards and 2t + 1
+backwards, and ``_columns`` is the one encoding of words as columns.  A
+generator is closed into a loop at the base by the HLT scan, folds are its
+coincidences, and the live rows are renumbered breadth-first from the
+base, so two graphs are equal exactly when their subgroups are.  The
+kernel certificate never spells out a long word: the reference graph of
+ker theta is its coset graph, read off theta (``theta_graph``), and the
+claimed generators w r w^-1 are scanned on the table as relator loops r at
+the ends of the transversal paths w (``claimed_kernel_graph``), in
+O(index x rank) work; coset enumeration of the relators is the independent
+cross-check.
 """
 
 from __future__ import annotations
@@ -276,118 +278,103 @@ def push_coefficients(w: FreeWord, g: int, d: int) -> tuple[int, ...]:
 # ---------------------------------------------------------------------------
 
 
+def _columns(words: Iterable[FreeWord], alphabet: Sequence[Atom]) -> list[list[int]]:
+    """Each word as coset-table columns over ``alphabet``: 2t for a step
+    along ``alphabet[t]`` forwards, 2t + 1 backwards."""
+    column = {atom: 2 * t for t, atom in enumerate(alphabet)}
+    try:
+        return [[column[atom] + (step < 0) for atom, step in w.single_letters()] for w in words]
+    except KeyError as exc:
+        raise ValueError(f"letter {exc.args[0]} outside the graph alphabet") from None
+
+
+def _plus_columns(words: Iterable[FreeWord], g: int, n: int) -> list[list[int]]:
+    """Each two-sided word rewritten over the plus basis, as coset-table
+    columns over :func:`plus_basis_alphabet`."""
+    return _columns((rewrite_two_sided(w, g) for w in words), plus_basis_alphabet(g, n))
+
+
 def _numbered(alpha: tuple[Atom, ...], rows: Sequence[Sequence[Optional[int]]]) -> "StallingsGraph":
-    """The graph whose vertex v has the edge labelled ``alpha[t]`` out to
-    ``rows[v][2t]`` and in from ``rows[v][2t + 1]`` (None where missing):
-    the part reachable from vertex 0, its vertices numbered breadth-first
-    from there, letters in alphabet order, out-edges before in-edges;
-    folded graphs of one subgroup come out equal."""
+    """The part of the coset-table ``rows`` reachable from row 0, renumbered
+    breadth-first from there in column order; folded graphs of one subgroup
+    come out equal."""
     order, label = [0], {0: 0}
     for v in order:
         for nbr in rows[v]:
             if nbr is not None and nbr not in label:
                 label[nbr] = len(order)
                 order.append(nbr)
-    letters = list(enumerate(alpha))
-    out, into = [], []
-    for v in order:
-        row = rows[v]
-        out.append({a: label[row[2 * t]] for t, a in letters if row[2 * t] is not None})
-        into.append({a: label[row[2 * t + 1]] for t, a in letters if row[2 * t + 1] is not None})
-    return StallingsGraph(alpha, out, into)
+    # label.get maps a missing entry, None, to None
+    return StallingsGraph(alpha, tuple(tuple(map(label.get, rows[v])) for v in order))
 
 
-def _columns(steps: Iterable[tuple[Atom, int]], column: Mapping[Atom, int]) -> list[int]:
-    """The (atom, +-1) steps as coset-table columns: ``column[atom]`` = 2t
-    forwards, 2t + 1 backwards."""
-    return [column[atom] + (step < 0) for atom, step in steps]
-
-
+@dataclass(frozen=True)
 class StallingsGraph:
-    """Folded, based subgroup graph over a fixed alphabet.
+    """Folded, based subgroup graph over a fixed alphabet, held as the rows
+    of a complete or partial coset table.
 
-    Vertices are integers with base 0; ``out[v][atom]`` and ``into[v][atom]``
-    are the unique neighbours in each direction (folded).  Graphs built here
-    number their vertices breadth-first from the base, so a graph depends
-    only on its subgroup.
+    Vertices are row numbers with base 0; ``rows[v][2t]`` and
+    ``rows[v][2t + 1]`` are the neighbours of v along ``alphabet[t]``
+    forwards and backwards, or None.  Graphs built here number their
+    vertices breadth-first from the base, so two of them are equal exactly
+    when their subgroups are.
     """
 
-    def __init__(self, alphabet, out, into):
-        self.alphabet: tuple[Atom, ...] = tuple(alphabet)
-        self.out: list[dict[Atom, int]] = out
-        self.into: list[dict[Atom, int]] = into
+    alphabet: tuple[Atom, ...]
+    rows: tuple[tuple[Optional[int], ...], ...]
 
     @property
     def vertex_count(self) -> int:
-        return len(self.out)
+        return len(self.rows)
 
     @staticmethod
     def fold(words: Sequence[FreeWord], alphabet: Sequence[Atom]) -> "StallingsGraph":
         """The folded graph of the subgroup the words generate: each word is
         scanned into one coset table as a loop at the base."""
-        foreign = {atom for w in words for atom, _ in w.letters} - set(alphabet)
-        if foreign:
-            raise ValueError(f"letter {min(foreign)} outside the graph alphabet")
-        column = {atom: 2 * t for t, atom in enumerate(alphabet)}
-        table = _CosetRows(2 * len(column))
-        for w in words:
-            table.scan_and_fill(0, _columns(w.single_letters(), column))
-        return _numbered(tuple(alphabet), table.rows)
+        alpha = tuple(alphabet)
+        table = _CosetRows(2 * len(alpha))
+        for cols in _columns(words, alpha):
+            table.scan_and_fill(0, cols)
+        return _numbered(alpha, table.rows)
 
-    def follow(self, v: int, steps: Iterable[tuple[Atom, int]]) -> Optional[int]:
-        """The vertex that the (atom, +-1) steps lead to from v, or None where
-        an edge is missing."""
-        out, into = self.out, self.into
-        for atom, step in steps:
-            v = (out if step == 1 else into)[v].get(atom)
+    def follow(self, v: int, cols: Iterable[int]) -> Optional[int]:
+        """The vertex that the columns lead to from v, or None where an edge
+        is missing."""
+        rows = self.rows
+        for col in cols:
+            v = rows[v][col]
             if v is None:
                 return None
         return v
 
-    def trace(self, w: FreeWord) -> Optional[int]:
-        return self.follow(0, w.single_letters())
-
     def contains(self, w: FreeWord) -> bool:
-        return self.trace(w) == 0
+        try:
+            [cols] = _columns([w], self.alphabet)
+        except ValueError:
+            return False
+        return self.follow(0, cols) == 0
 
     def index(self) -> Optional[int]:
         """Number of vertices when the graph is a complete cover, else None
         (infinite index)."""
-        for row in self.out:
-            for atom in self.alphabet:
-                if atom not in row:
-                    return None
-        return self.vertex_count
+        return None if any(None in row for row in self.rows) else self.vertex_count
 
     def rank(self) -> int:
         """Free rank of the subgroup: edges - vertices + 1."""
-        return sum(len(row) for row in self.out) - self.vertex_count + 1
-
-    def same_subgroup(self, other: "StallingsGraph") -> bool:
-        """Folded graphs of one subgroup agree once both are numbered
-        breadth-first over the same alphabet."""
-        if set(self.alphabet) != set(other.alphabet):
-            return False
-        def rows(graph: "StallingsGraph") -> list[list[Optional[int]]]:
-            return [
-                [edges.get(atom) for atom in self.alphabet for edges in pair]
-                for pair in zip(graph.out, graph.into)
-            ]
-
-        return (
-            _numbered(self.alphabet, rows(self)).out
-            == _numbered(self.alphabet, rows(other)).out
-        )
+        edges = sum(e is not None for row in self.rows for e in row[::2])
+        return edges - self.vertex_count + 1
 
     def to_json(self) -> dict:
+        names = sorted((atom, f"{atom[0]}{atom[1]}", 2 * t) for t, atom in enumerate(self.alphabet))
         return {
             "vertices": self.vertex_count,
             "base": 0,
             "alphabet": [f"{k}{i}" for k, i in self.alphabet],
             "edges": [
-                [v, f"{atom[0]}{atom[1]}", t]
-                for v, row in enumerate(self.out)
-                for atom, t in sorted(row.items())
+                [v, name, row[col]]
+                for v, row in enumerate(self.rows)
+                for _, name, col in names
+                if row[col] is not None
             ],
         }
 
@@ -448,21 +435,14 @@ def ker_theta_normal_relators(g: int, n: int, d: int) -> list[FreeWord]:
     return rels
 
 
-def _plus_steps(words: Iterable[FreeWord], g: int) -> list[list[tuple[Atom, int]]]:
-    """Each two-sided word rewritten over the plus basis, as (atom, +-1) steps."""
-    return [list(rewrite_two_sided(w, g).single_letters()) for w in words]
-
-
 def relators_for_enumeration(g: int, n: int, d: int) -> tuple[int, list[list[int]]]:
     """Prop-style relators rewritten over the plus basis as signed letters,
     ready for coset enumeration; returns (rank, relators)."""
-    alphabet = plus_basis_alphabet(g, n)
-    position = {atom: t + 1 for t, atom in enumerate(alphabet)}
     rels = [
-        [position[atom] * step for atom, step in steps]
-        for steps in _plus_steps(ker_theta_normal_relators(g, n, d), g)
+        [col // 2 + 1 if col % 2 == 0 else -(col // 2 + 1) for col in cols]
+        for cols in _plus_columns(ker_theta_normal_relators(g, n, d), g, n)
     ]
-    return len(alphabet), rels
+    return len(plus_basis_alphabet(g, n)), rels
 
 
 def coset_count_ker_theta(g: int, n: int, d: int) -> CosetTable:
@@ -513,17 +493,13 @@ def claimed_kernel_graph(g: int, n: int, d: int) -> StallingsGraph:
     folded in as a loop at the end of every path.
     """
     _guard(g, n, d)
-    alpha = plus_basis_alphabet(g, n)
-    column = {atom: 2 * t for t, atom in enumerate(alpha)}
-    relators = [
-        _columns(steps, column) for steps in _plus_steps(ker_theta_normal_relators(g, n, d), g)
-    ]
+    alpha = tuple(plus_basis_alphabet(g, n))
+    relators = _plus_columns(ker_theta_normal_relators(g, n, d), g, n)
     table = _CosetRows(2 * len(alpha))
     ends = [0]
     # (x_1 x_g)^{m_1} ... (x_i x_g)^{m_i} extends the path of the words
     # with one block fewer by m_i copies of x_i x_g
-    for steps in _plus_steps((x_(i) * x_(g) for i in range(1, g)), g):
-        block = _columns(steps, column)
+    for block in _plus_columns((x_(i) * x_(g) for i in range(1, g)), g, n):
         longer = []
         for v in ends:
             longer.append(v)
@@ -534,7 +510,7 @@ def claimed_kernel_graph(g: int, n: int, d: int) -> StallingsGraph:
     for v in ends:
         for relator in relators:
             table.scan_and_fill(table.rep(v), relator)
-    return _numbered(tuple(alpha), table.rows)
+    return _numbered(alpha, table.rows)
 
 
 def verify_ker_theta(g: int, n: int, d: int) -> dict:
@@ -543,7 +519,7 @@ def verify_ker_theta(g: int, n: int, d: int) -> dict:
     Checks that every normal relator reads as a loop at every vertex of the
     theta graph (so every claimed generator has zero coefficient vector),
     that the claimed graph equals the theta graph (both are numbered
-    canonically, so their edge maps agree exactly when the subgroups do),
+    canonically, so their rows agree exactly when the subgroups do),
     that both have index d^(g-1), and that coset enumeration of the normal
     relators gives the same index.  ``kernel_rank`` is the free rank of the
     kernel, index * (rank - 1) + 1 by the Schreier formula.
@@ -552,7 +528,7 @@ def verify_ker_theta(g: int, n: int, d: int) -> dict:
     relators = ker_theta_normal_relators(g, n, d)
     reference = theta_graph(g, n, d)
     claimed = claimed_kernel_graph(g, n, d)
-    loops = _plus_steps(relators, g)
+    loops = _plus_columns(relators, g, n)
     expected_index = d ** (g - 1)
     cosets = coset_count_ker_theta(g, n, d).coset_count
     report = {
@@ -562,12 +538,11 @@ def verify_ker_theta(g: int, n: int, d: int) -> dict:
         "claimed_count": expected_index * len(relators),
         "kernel_rank": reference.rank(),
         "claimed_all_in_kernel": all(
-            reference.follow(v, steps) == v
+            reference.follow(v, cols) == v
             for v in range(reference.vertex_count)
-            for steps in loops
+            for cols in loops
         ),
-        "subgroups_equal": claimed.alphabet == reference.alphabet
-        and claimed.out == reference.out,
+        "subgroups_equal": claimed == reference,
         "claimed_index": claimed.index(),
         "schreier_index": reference.index(),
         "expected_index": expected_index,

@@ -23,13 +23,13 @@ from crosscap.pi1free import (
     FreeWord,
     StallingsGraph,
     _guard,
-    _plus_steps,
     coset_count_ker_theta,
     fold_in_plus_basis,
     gtilde,
     ker_theta_normal_relators,
     plus_basis_alphabet,
     push_coefficients,
+    rewrite_two_sided,
     x_,
     y_,
 )
@@ -125,7 +125,23 @@ def fold(words: Sequence[FreeWord], alphabet: Sequence[Atom]) -> StallingsGraph:
     for v_idx, row in enumerate(out):
         for atom, t in row.items():
             into[t][atom] = v_idx
-    return StallingsGraph(alpha, out, into)
+    return StallingsGraph(alpha, _rows(alpha, out, into))
+
+
+def _rows(
+    alpha: Sequence[Atom], out: Sequence[Mapping[Atom, int]], into: Sequence[Mapping[Atom, int]]
+) -> tuple[tuple[Optional[int], ...], ...]:
+    """Per-vertex edge dicts as coset-table rows: the out- then the in-edge
+    of each letter in alphabet order."""
+    return tuple(
+        tuple(edges.get(atom) for atom in alpha for edges in (out_v, into_v))
+        for out_v, into_v in zip(out, into)
+    )
+
+
+def _plus_steps(words: Iterable[FreeWord], g: int) -> list[list[tuple[Atom, int]]]:
+    """Each two-sided word rewritten over the plus basis, as (atom, +-1) steps."""
+    return [list(rewrite_two_sided(w, g).single_letters()) for w in words]
 
 
 def plus_generators(g: int, n: int) -> list[FreeWord]:
@@ -188,7 +204,7 @@ def certify_in_words(g: int, n: int, d: int) -> tuple[dict, StallingsGraph, Stal
         "claimed_count": len(claimed),
         "kernel_rank": graph_schreier.rank(),
         "claimed_all_in_kernel": not nonzero,
-        "subgroups_equal": graph_claimed.same_subgroup(graph_schreier),
+        "subgroups_equal": graph_claimed == graph_schreier,
         "claimed_index": graph_claimed.index(),
         "schreier_index": graph_schreier.index(),
         "expected_index": expected_index,
@@ -317,8 +333,11 @@ def _numbered(
                     order.append(nbr)
     return StallingsGraph(
         alpha,
-        [{a: label[out[v][a]] for a in alpha if a in out[v]} for v in order],
-        [{a: label[into[v][a]] for a in alpha if a in into[v]} for v in order],
+        _rows(
+            alpha,
+            [{a: label[t] for a, t in out[v].items()} for v in order],
+            [{a: label[s] for a, s in into[v].items()} for v in order],
+        ),
     )
 
 

@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 import crosscap
+from conftest import Budget
 from crosscap.cli import main
 
 
@@ -91,6 +92,8 @@ def test_enum_tower_at_the_letter_limit_enumerates(capsys):
         (["--set", "thm-gen-n", "--genus", "0", "--boundaries", "1"], "genus g must be >= 1, got 0"),
         (["--set", "thm-gen-n", "--genus", "-2", "--boundaries", "1"], "genus g must be >= 1, got -2"),
         (["--set", "2Z", "--genus", "4", "--tower", "2"], "the 2^l tower starts at l = 3"),
+        (["--set", "Y", "--genus", "3", "--limit", "-1"], "--limit must be >= 0, got -1"),
+        (["--set", "2Z", "--genus", "4", "--tower", "70", "--limit", "-3"], "--limit must be >= 0, got -3"),
     ],
 )
 def test_enum_bad_values_exit_2(capsys, argv, message):
@@ -111,6 +114,40 @@ def test_fold(capsys):
     data = json.loads(out)
     assert data["index"] == 2
     assert data["vertices"] == 2
+
+
+@pytest.mark.parametrize(
+    "argv, edges",
+    [
+        (
+            ["--genus", "1", "--boundaries", "2", "--words", "x1^2; y1; x1 y1 x1^-1"],
+            [[0, "x1", 1], [0, "y1", 0], [1, "x1", 0], [1, "y1", 1]],
+        ),
+        (
+            ["--genus", "2", "--words", "x1 x2^-1; x2^3"],
+            [[0, "x1", 1], [0, "x2", 1], [1, "x2", 2], [2, "x2", 0]],
+        ),
+        (
+            ["--genus", "2", "--boundaries", "2", "--words", "x1 x2; x2^2; y1", "--alphabet", "plus"],
+            [[0, "u1", 0], [0, "v2", 0], [0, "y1", 0]],
+        ),
+        (
+            ["--genus", "2", "--words", "x1 x2 x1 x2; x1 x1; x2 x2", "--alphabet", "plus"],
+            [[0, "u1", 1], [0, "v2", 0], [1, "v1", 0], [1, "v2", 2], [2, "u1", 0]],
+        ),
+        (
+            ["--genus", "3", "--words", "x1 x3; x2^2 x3^-2", "--alphabet", "plus"],
+            [[0, "u1", 1], [0, "u2", 2], [0, "v3", 3], [1, "v3", 0], [2, "v2", 3]],
+        ),
+    ],
+)
+def test_fold_json_edge_lists(capsys, argv, edges):
+    code, out, err = run_cli(capsys, "fold", *argv, "--format", "json")
+    assert code == 0 and err == ""
+    data = json.loads(out)
+    assert data["edges"] == edges
+    assert data["vertices"] == 1 + max(max(v, t) for v, _, t in edges)
+    assert data["base"] == 0
 
 
 def test_fold_plus_alphabet_rejects_letters_out_of_range(capsys):
@@ -201,6 +238,24 @@ def test_verify_bad_params_entry_exits_2(capsys):
     code, out, err = run_cli(capsys, "verify", "--suite", "THETA-BASIS", "--params", "g")
     assert code == 2 and out == ""
     assert "bad --params entry 'g' (want k=v)" in err
+
+
+@pytest.mark.parametrize("cap", ["0", "-5"])
+def test_coset_bad_cap_exits_2(capsys, cap):
+    code, out, err = run_cli(
+        capsys, "coset", "--rank", "2", "--relators", "x1^2; x2^2", "--cap", cap
+    )
+    assert code == 2 and out == ""
+    assert err.strip() == f"error: cap must be >= 1, got {cap}"
+
+
+@pytest.mark.parametrize("relators", ["x1^2", ""])
+def test_coset_with_a_free_letter_ends_inconclusive(capsys, relators):
+    # x2 is in no relator, so the group is infinite at any cap
+    with Budget(f"coset --rank 2 --relators {relators!r}", 5.0):
+        code, out, err = run_cli(capsys, "coset", "--rank", "2", "--relators", relators)
+    assert code == 3 and err == ""
+    assert out.strip() == "inconclusive: coset table exceeded cap of 100000"
 
 
 def test_coset_rejects_letters_other_than_x(capsys):

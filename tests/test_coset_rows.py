@@ -13,6 +13,7 @@ import random
 import pytest
 
 import oracle_finitegrp
+from conftest import Budget
 from crosscap import finitegrp
 from crosscap.finitegrp import CapExceededError, todd_coxeter
 from crosscap.pi1free import (
@@ -57,6 +58,36 @@ def test_todd_coxeter_hits_the_cap_where_the_oracle_does(rank, rels, cap):
             enumerate_(rank, rels, cap=cap)
         messages.append(str(info.value))
     assert messages[0] == messages[1] == f"coset table exceeded cap of {cap}"
+
+
+@pytest.mark.parametrize("g,n,d,cosets,scans", [(4, 2, 4, 64, 768), (5, 1, 8, 4096, 61_440)])
+def test_todd_coxeter_scans_each_live_coset_and_relator_once(monkeypatch, g, n, d, cosets, scans):
+    rank, rels = relators_for_enumeration(g, n, d)
+    scanned = []
+    original = finitegrp._CosetRows.scan_and_fill
+
+    def counted(table, alpha, rel):
+        scanned.append(alpha)
+        original(table, alpha, rel)
+
+    monkeypatch.setattr(finitegrp._CosetRows, "scan_and_fill", counted)
+    assert todd_coxeter(rank, rels).coset_count == cosets
+    assert len(scanned) == cosets * len(rels) == scans
+
+
+@pytest.mark.parametrize("rank, rels", [(2, [[1, 1]]), (3, [[1, 2, -1, -2], [1, 1, 1]]), (2, [])])
+def test_todd_coxeter_ends_inconclusive_on_a_free_letter(rank, rels):
+    # the last letter is in no relator, so the group is infinite
+    with Budget(f"todd_coxeter({rank}, {rels})", 5.0):
+        with pytest.raises(CapExceededError, match="exceeded cap of 100000"):
+            todd_coxeter(rank, rels)
+
+
+@pytest.mark.parametrize("cap", [0, -5])
+def test_todd_coxeter_refuses_a_cap_below_one(cap):
+    with pytest.raises(ValueError, match=f"cap must be >= 1, got {cap}"):
+        todd_coxeter(1, [[1]], cap=cap)
+    assert todd_coxeter(1, [[1]], cap=1).coset_count == 1
 
 
 def assert_sound(table):

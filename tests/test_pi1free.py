@@ -174,6 +174,13 @@ def test_fold_contains_examples():
     assert graph.index() is None
 
 
+def test_contains_is_false_for_a_letter_outside_the_alphabet():
+    graph = StallingsGraph.fold([parse_free("x1^2")], [("x", 1)])
+    assert graph.contains(parse_free("x1^-2"))
+    for text in ("x2", "x1^2 y1", "y1 x1^2 y1^-1", "u1"):
+        assert not graph.contains(parse_free(text))
+
+
 def test_fold_rejects_foreign_letters():
     with pytest.raises(ValueError):
         StallingsGraph.fold([parse_free("x2")], [("x", 1)])
@@ -207,8 +214,8 @@ def test_subgroup_equality():
     g1 = StallingsGraph.fold([x_(1) ** 2, x_(2)], alphabet)
     g2 = StallingsGraph.fold([x_(2), x_(1) ** 2, x_(1) ** 4], alphabet)
     g3 = StallingsGraph.fold([x_(1), x_(2)], alphabet)
-    assert g1.same_subgroup(g2)
-    assert not g1.same_subgroup(g3)
+    assert g1 == g2
+    assert g1 != g3
 
 
 def test_fold_index_matches_quotient_order(rng):
