@@ -129,8 +129,13 @@ def _cmd_enum(args) -> int:
 
 
 def _cmd_fold(args) -> int:
-    gens = [pi1free.parse_free(chunk) for chunk in args.words.split(";") if chunk.strip()]
+    # the free group pi_1 of N_{g,n} needs a crosscap and a boundary
     g, n = args.genus, args.boundaries
+    if g < 1:
+        raise ValueError(f"--genus must be >= 1, got {g}")
+    if n < 1:
+        raise ValueError(f"--boundaries must be >= 1, got {n}")
+    gens = [pi1free.parse_free(chunk) for chunk in args.words.split(";") if chunk.strip()]
     for w in gens:
         pi1free.validate_ambient(w, g, n)
     if args.alphabet == "plus":

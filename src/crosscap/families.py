@@ -521,165 +521,166 @@ class GenNSets:
 # ---------------------------------------------------------------------------
 
 
-def slide_commutator_rows(g: int) -> Iterator[tuple[tuple[int, int], tuple[int, int], MCGWord]]:
-    """The rows ``(x1, x2, rhs)`` of the slide-commutator table at genus g,
-    one for each pair x1 < x2 of Y indices, in Y order: ``rhs`` is the
-    decomposition of [Y_{x1}, Y_{x2}] as a product of conjugated A/B/C
-    elements, the identity word for the pairs whose slides commute.
+# a product w_1^s_1 ... w_k^s_k of words, each sign 1 or -1, as the
+# (word, sign) pairs ``homology.product_matrix`` evaluates without forming it
+Factors = tuple[tuple[MCGWord, int], ...]
 
-    Each A, B and C element is built by :func:`named_element` at most once
-    per call, so its checks run as for any element, and looked up after.
+
+def _conj(a: Factors, x: MCGWord) -> Factors:
+    """x a x^-1 (apply the conjugator last), left unexpanded."""
+    return ((x, 1),) + a + ((x, -1),)
+
+
+def _inv(a: Factors) -> Factors:
+    """a^-1: the factors reversed, each with its sign negated."""
+    return tuple((w, -s) for w, s in reversed(a))
+
+
+def slide_commutator_rows(g: int) -> Iterator[tuple[tuple[int, int], tuple[int, int], Factors]]:
+    """The rows ``(x1, x2, factors)`` of the slide-commutator table at genus
+    g, one for each pair x1 < x2 of Y indices, in Y order: ``factors`` is
+    the decomposition of [Y_{x1}, Y_{x2}] as a product of conjugated A/B/C
+    elements, with every conjugate left unexpanded, and empty for the pairs
+    whose slides commute.
+
+    Each A, B and C element is built by :func:`named_element` and each slide
+    word by ``word`` at most once per call, and looked up after; no row
+    forms a word product or inverse.
     """
 
     @functools.cache
     def element(family: str, *indices: int) -> MCGWord:
         return named_element(family, indices, g).word
 
+    @functools.cache
+    def slide(a: int, b: int) -> MCGWord:
+        return _slide_word(g, a, b)
+
     ys = family_indices("Y", g)
     for pos, x1 in enumerate(ys):
         for x2 in ys[pos + 1 :]:
-            yield x1, x2, _commutator_rhs(x1, x2, g, element)
+            yield x1, x2, _commutator_factors(x1, x2, element, slide)
 
 
-def _commutator_rhs(
+def _commutator_factors(
     x1_idx: tuple[int, int],
     x2_idx: tuple[int, int],
-    g: int,
     element: Callable[..., MCGWord],
-) -> MCGWord:
+    slide: Callable[[int, int], MCGWord],
+) -> Factors:
     """The row of ``slide_commutator_rows`` for x1 < x2, with the A, B and
-    C element words ``element(family, *indices)``.
+    C element words ``element(family, *indices)`` and the slide words
+    ``slide(a, b)``.
 
     The bracketed conjugator in the four-distinct-index rows is read as a
     commutator of slides; on homology the factor it wraps is a Torelli
     conjugate, so either reading of the bracket gives the same action.
     """
 
-    def _b(a: int, b: int) -> MCGWord:
-        assert a < b
-        return element("B", a, b)
+    def b(a: int, c: int, sign: int = 1) -> Factors:
+        assert a < c
+        return ((element("B", a, c), sign),)
 
-    def _c(i: int, j: int, k: int) -> MCGWord:
+    def c(i: int, j: int, k: int, sign: int = 1) -> Factors:
         assert i < j
-        return element("C", i, j, k)
+        return ((element("C", i, j, k), sign),)
 
     i, j = x1_idx
     k, l = x2_idx
-    x1 = _slide_word(g, i, j)
-    x2 = _slide_word(g, k, l)
+    x1 = slide(i, j)
+    x2 = slide(k, l)
 
     if (k, l) == (j, i):
-        b = _b(i, j)
-        a = element("A", i, j)
-        return b * a.inverse() * b.inverse()
+        return b(i, j) + ((element("A", i, j), -1),) + b(i, j, -1)
 
     if k == i:  # (Y_{i,j}, Y_{i,k'}) with j < k' = l
         kk = l
-        c = _c(*sorted((j, kk)), i)
+        cc = c(*sorted((j, kk)), i)
         if i < j < kk:
-            return c * _b(i, kk).inverse() * conjugate(_b(i, j).inverse(), x2)
+            return cc + b(i, kk, -1) + _conj(b(i, j, -1), x2)
         if j < i < kk:
-            return (
-                conjugate(c, x1)
-                * _b(i, kk).inverse()
-                * conjugate(_b(j, i).inverse(), x2)
-            )
+            return _conj(cc, x1) + b(i, kk, -1) + _conj(b(j, i, -1), x2)
         # j < kk < i
-        return c * _b(kk, i).inverse() * conjugate(_b(j, i).inverse(), x2)
+        return cc + b(kk, i, -1) + _conj(b(j, i, -1), x2)
 
     if l == j:  # (Y_{i,j}, Y_{k,j}) with i < k
-        mid = conjugate(_b(min(i, k), max(i, k)).inverse(), x1)
+        mid = _conj(b(min(i, k), max(i, k), -1), x1)
         if j < i < k:
-            return _b(j, i).inverse() * mid * _b(j, i)
+            return b(j, i, -1) + mid + b(j, i)
         if i < j < k:
             return mid
         # i < k < j
-        return _b(i, j).inverse() * mid * _b(i, j)
+        return b(i, j, -1) + mid + b(i, j)
 
     if k == j:  # (Y_{i,j}, Y_{j,k'}) with k' = l != i
         kk = l
         if kk < i < j:
-            return conjugate(_b(kk, i).inverse(), x1) * _c(kk, j, i)
+            return _conj(b(kk, i, -1), x1) + c(kk, j, i)
         if i < kk < j:
-            return (
-                _b(i, j).inverse()
-                * conjugate(_b(i, kk).inverse(), x1)
-                * conjugate(_c(kk, j, i), x1)
-                * _b(i, j)
-            )
+            return b(i, j, -1) + _conj(b(i, kk, -1), x1) + _conj(c(kk, j, i), x1) + b(i, j)
         # i < j < kk
-        return conjugate(_b(i, kk).inverse(), x1) * _c(j, kk, i)
+        return _conj(b(i, kk, -1), x1) + c(j, kk, i)
 
     if l == i:  # (Y_{i,j}, Y_{k,i}) with i < k, j != k
         if j < i < k:
-            return (
-                _b(i, k).inverse()
-                * _b(j, k).inverse()
-                * conjugate(_b(i, k).inverse(), _slide_word(g, k, j))
-                * _c(j, i, k)
-            )
+            return b(i, k, -1) + b(j, k, -1) + _conj(b(i, k, -1), slide(k, j)) + c(j, i, k)
         if i < j < k:
-            return _c(i, j, k).inverse() * conjugate(_b(j, k), x2)
+            return c(i, j, k, -1) + _conj(b(j, k), x2)
         # i < k < j
-        return (
-            _b(i, k).inverse()
-            * conjugate(_c(i, j, k).inverse(), x2)
-            * conjugate(_b(k, j), x2)
-            * _b(i, k)
-        )
+        return b(i, k, -1) + _conj(c(i, j, k, -1), x2) + _conj(b(k, j), x2) + b(i, k)
 
     # four distinct indices; nontrivial only when the index pairs interleave
-    y_il = _slide_word(g, i, l)
-    q = commutator(y_il, x1)
+    y_il = slide(i, l)
+    q = ((y_il, 1), (x1, 1), (y_il, -1), (x1, -1))  # [y_il, x1]
     if i < k < j < l:
         return (
-            conjugate(_b(i, l).inverse(), x1)
-            * conjugate(conjugate(_b(i, k), y_il), x1)
-            * conjugate(_b(i, l), x1)
-            * conjugate(_b(i, k), x1)
-            * _b(i, k).inverse()
-            * _b(i, l).inverse()
-            * conjugate(_b(i, k).inverse(), x1)
-            * _b(i, l)
+            _conj(b(i, l, -1), x1)
+            + _conj(_conj(b(i, k), y_il), x1)
+            + _conj(b(i, l), x1)
+            + _conj(b(i, k), x1)
+            + b(i, k, -1)
+            + b(i, l, -1)
+            + _conj(b(i, k, -1), x1)
+            + b(i, l)
         )
     if i < l < j < k:
         return (
-            conjugate(_b(i, k).inverse(), x1)
-            * conjugate(_b(i, l).inverse(), x1)
-            * q.inverse()
-            * conjugate(conjugate(_b(i, k).inverse(), x1), y_il)
-            * q
-            * conjugate(_b(i, l), x1)
-            * _b(i, l).inverse()
-            * conjugate(_b(i, k), y_il)
-            * _b(i, l)
-            * _b(i, k)
+            _conj(b(i, k, -1), x1)
+            + _conj(b(i, l, -1), x1)
+            + _inv(q)
+            + _conj(_conj(b(i, k, -1), x1), y_il)
+            + q
+            + _conj(b(i, l), x1)
+            + b(i, l, -1)
+            + _conj(b(i, k), y_il)
+            + b(i, l)
+            + b(i, k)
         )
     if j < l < i < k:
         return (
-            conjugate(_b(l, i).inverse(), x1)
-            * conjugate(conjugate(_b(i, k), y_il), x1)
-            * conjugate(_b(l, i), x1)
-            * conjugate(_b(i, k), x1)
-            * _b(i, k).inverse()
-            * _b(l, i).inverse()
-            * conjugate(_b(i, k).inverse(), x1)
-            * _b(l, i)
+            _conj(b(l, i, -1), x1)
+            + _conj(_conj(b(i, k), y_il), x1)
+            + _conj(b(l, i), x1)
+            + _conj(b(i, k), x1)
+            + b(i, k, -1)
+            + b(l, i, -1)
+            + _conj(b(i, k, -1), x1)
+            + b(l, i)
         )
     if l < i < k < j:
         return (
-            conjugate(_b(l, i).inverse(), x1)
-            * q.inverse()
-            * conjugate(conjugate(_b(i, k), x1), y_il)
-            * q
-            * conjugate(_b(l, i), x1)
-            * conjugate(_b(i, k), x1)
-            * _b(i, k).inverse()
-            * _b(l, i).inverse()
-            * conjugate(_b(i, k).inverse(), y_il)
-            * _b(l, i)
+            _conj(b(l, i, -1), x1)
+            + _inv(q)
+            + _conj(_conj(b(i, k), x1), y_il)
+            + q
+            + _conj(b(l, i), x1)
+            + _conj(b(i, k), x1)
+            + b(i, k, -1)
+            + b(l, i, -1)
+            + _conj(b(i, k, -1), y_il)
+            + b(l, i)
         )
-    return MCGWord.identity(g)
+    return ()
 
 
 # ---------------------------------------------------------------------------

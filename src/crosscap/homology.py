@@ -7,13 +7,15 @@ the normal form fixes the last coordinate to 0 or 1.
 
 Word actions are exact g x g integer matrices in the basis a_1..a_g
 (columns are images, so the matrix of the written word ``u v`` is
-``M(u) * M(v)`` with the rightmost letter applied first).  A word is
-evaluated by column operations on one mutable matrix: a slide costs O(g)
-and a twist about I costs O(g |I|) integer operations whatever the
-exponent, so powers are exact at any size.  Collapsing the total class
-a_1 + ... + a_g to zero gives the (g-1) x (g-1) reduced action;
-reducing entries mod 2 gives the action on mod-2 homology, which preserves
-the mod-2 intersection pairing.
+``M(u) * M(v)`` with the rightmost letter applied first).  A product of
+words, each taken once or inverted, is evaluated by column operations on
+one mutable matrix, factor by factor, without forming the product or the
+inverses as words (``product_matrix``; a single word is its one-factor
+case, ``word_matrix``): a slide costs O(g) and a twist about I costs
+O(g |I|) integer operations whatever the exponent, so powers are exact at
+any size.  Collapsing the total class a_1 + ... + a_g to zero gives the
+(g-1) x (g-1) reduced action; reducing entries mod 2 gives the action on
+mod-2 homology, which preserves the mod-2 intersection pairing.
 
 The basis pairing a_i * a_j = delta_ij is reconstructed, not axiomatic: it
 is the unique choice under which even shifts pair to zero and the twist and
@@ -26,13 +28,14 @@ from __future__ import annotations
 import itertools
 import re
 from dataclasses import dataclass
-from typing import Optional
+from typing import Iterable, Optional
 
 import numpy as np
 
 from .intmat import DimensionError, IntMatrix, ModMatrix
 from .words import (
     BoundaryTwist,
+    GenusMismatchError,
     MCGWord,
     Slide,
     TorelliTag,
@@ -158,12 +161,15 @@ def format_h1(x: H1Class) -> str:
 # ---------------------------------------------------------------------------
 
 
-def word_matrix(w: MCGWord) -> IntMatrix:
-    """Exact g x g action of a word (rightmost letter applied first).
+def product_matrix(genus: int, factors: Iterable[tuple[MCGWord, int]]) -> IntMatrix:
+    """Exact g x g action of the product w_1^s_1 ... w_k^s_k of the
+    ``(word, sign)`` pairs in ``factors``, each sign 1 or -1, without
+    forming the product (rightmost letter applied first).
 
     The product of the letter matrices is accumulated left to right as one
-    mutable list of columns; multiplying on the right by a letter's matrix
-    only combines columns:
+    mutable list of columns, factor after factor; a -1 factor is read as its
+    letters reversed with negated exponents.  Multiplying on the right by a
+    letter's matrix only combines columns:
 
     * ``Y(a, b)^e`` with e odd sends a_a -> -a_a and a_b -> a_b + 2 a_a, so
       ``col_b += 2 col_a`` and then ``col_a = -col_a``; the slide action is
@@ -174,33 +180,50 @@ def word_matrix(w: MCGWord) -> IntMatrix:
       the single twist, and it is the rank-1 update ``col_j += e w_j mu``
       with ``mu`` the sum of the columns indexed by I.
     * Torelli tags act trivially; boundary twists have no action here.
+
+    A factor of another genus raises :class:`GenusMismatchError`.
     """
-    g = w.genus
+    g = genus
     if g < 1:
         raise DimensionError("dimension must be >= 1")
     cols = [[0] * g for _ in range(g)]
     for j, col in enumerate(cols):
         col[j] = 1
-    for sym, exp in w.letters:
-        validate_symbol(sym, g)
-        if isinstance(sym, Twist):
-            idx = [j - 1 for j in sym.indices]
-            mu = [sum(entries) for entries in zip(*(cols[j] for j in idx))]
-            for pos, j in enumerate(idx):
-                step = -exp if pos % 2 == 0 else exp
-                cols[j] = [c + step * m for c, m in zip(cols[j], mu)]
-        elif isinstance(sym, Slide):
-            if exp % 2:
-                a, b = sym.moving - 1, sym.along - 1
-                cols[b] = [cb + 2 * ca for cb, ca in zip(cols[b], cols[a])]
-                cols[a] = [-ca for ca in cols[a]]
-        elif isinstance(sym, BoundaryTwist):
-            raise NoHomologyActionError(
-                f"{sym.kind} twists live on bounded surfaces and have no action here"
-            )
-        elif not isinstance(sym, TorelliTag):
-            raise TypeError(f"not a generator symbol: {sym!r}")
+    for w, sign in factors:
+        if w.genus != g:
+            raise GenusMismatchError(f"factor of genus {w.genus} in a product of genus {g}")
+        if sign == 1:
+            letters = w.letters
+        elif sign == -1:
+            letters = [(sym, -exp) for sym, exp in reversed(w.letters)]
+        else:
+            raise ValueError(f"factor sign must be 1 or -1, got {sign!r}")
+        for sym, exp in letters:
+            validate_symbol(sym, g)
+            if isinstance(sym, Slide):
+                if exp % 2:
+                    a, b = sym.moving - 1, sym.along - 1
+                    cols[b] = [cb + 2 * ca for cb, ca in zip(cols[b], cols[a])]
+                    cols[a] = [-ca for ca in cols[a]]
+            elif isinstance(sym, Twist):
+                idx = [j - 1 for j in sym.indices]
+                mu = [sum(entries) for entries in zip(*(cols[j] for j in idx))]
+                for pos, j in enumerate(idx):
+                    step = -exp if pos % 2 == 0 else exp
+                    cols[j] = [c + step * m for c, m in zip(cols[j], mu)]
+            elif isinstance(sym, BoundaryTwist):
+                raise NoHomologyActionError(
+                    f"{sym.kind} twists live on bounded surfaces and have no action here"
+                )
+            elif not isinstance(sym, TorelliTag):
+                raise TypeError(f"not a generator symbol: {sym!r}")
     return IntMatrix(tuple(zip(*cols)))
+
+
+def word_matrix(w: MCGWord) -> IntMatrix:
+    """Exact g x g action of a word: :func:`product_matrix` of the one
+    factor ``w``."""
+    return product_matrix(w.genus, ((w, 1),))
 
 
 def act(w: MCGWord, x: H1Class) -> H1Class:

@@ -34,6 +34,7 @@ from .homology import (
     level_trivial_residues,
     lift_obstruction,
     mod2_action,
+    product_matrix,
     reduced_action,
     word_matrix,
 )
@@ -544,12 +545,14 @@ def _check_lem43_comm(p: dict) -> tuple[bool, dict]:
     pairs = 0
     nontrivial = 0
     for g in range(4, p["gmax"] + 1):
-        for x1, x2, rhs_word in families.slide_commutator_rows(g):
+        slides = {x: word(g, Slide(*x)) for x in families.family_indices("Y", g)}
+        for x1, x2, factors in families.slide_commutator_rows(g):
             pairs += 1
-            lhs = word_matrix(commutator(word(g, Slide(*x1)), word(g, Slide(*x2))))
-            if not rhs_word.is_identity():
+            y1, y2 = slides[x1], slides[x2]
+            lhs = product_matrix(g, ((y1, 1), (y2, 1), (y1, -1), (y2, -1)))
+            if factors:
                 nontrivial += 1
-            if lhs.rows != word_matrix(rhs_word).rows:
+            if lhs.rows != product_matrix(g, factors).rows:
                 bad.append((g, x1, x2))
     return not bad, {"pairs": pairs, "nontrivial_rows": nontrivial, "failures": bad[:10]}
 
@@ -581,16 +584,23 @@ def _check_rs_gamma24(p: dict) -> tuple[bool, dict]:
         # the positions rng.sample(stream, k) would pick
         picked = rng.sample(range(len(stream)), min(p["sample"], len(stream)))
         sampled = len(picked)
-        actions = []
+        slides = _single_slides(g)
+        residues = []
         for c, j in (stream[i] for i in picked):
-            u = families.subset_word(g, c ^ coords[j])
-            actions.append(word_matrix(families.subset_word(g, c) * signed[j] * u.inverse()))
+            # y s u^-1 as factors: the slides of y's bits in increasing
+            # order, s, then the slides of u's bits inverted, decreasing
+            u = c ^ coords[j]
+            factors = [(slides[t], 1) for t in range(len(slides)) if c >> t & 1]
+            factors.append((signed[j], 1))
+            factors += [(slides[t], -1) for t in reversed(range(len(slides))) if u >> t & 1]
+            residues.append(product_matrix(g, factors).reduce_mod(4).rows)
         # each sampled word is evaluated once: level 4 on its action mod 4,
-        # phi mod 4 on the collapsed action
-        residues = np.array([m.reduce_mod(4).rows for m in actions], dtype=np.int64)
-        one = ModMatrix.identity(g - 1, 4).rows
-        sample_ok = bool(level_trivial_residues(residues.reshape(-1, g, g), 4).all()) and all(
-            collapse_total_class(m).reduce_mod(4).rows == one for m in actions
+        # phi mod 4 on that action with the total class collapsed, which is
+        # linear and so commutes with reducing mod 4
+        stack = np.array(residues, dtype=np.int64).reshape(-1, g, g)
+        collapsed = (stack[:, :-1, :-1] - stack[:, -1:, :-1]) % 4
+        sample_ok = bool(level_trivial_residues(stack, 4).all()) and bool(
+            (collapsed == np.eye(g - 1, dtype=np.int64)).all()
         )
     ok = order_ok and reference_ok and section_ok and sample_ok
     return ok, {

@@ -1,0 +1,180 @@
+"""Reference slide-commutator table, each row spelled out as one freely
+reduced word.
+
+This is the word-level definition that ``crosscap.families.slide_commutator_rows``
+must reproduce: the factors of each of its rows, multiplied out with word
+products, are the word this table gives for that row.
+"""
+
+from __future__ import annotations
+
+import functools
+from typing import Callable, Iterator
+
+from crosscap.families import family_indices, named_element
+from crosscap.words import MCGWord, Slide, commutator, conjugate, word
+
+
+def _slide(g: int, a: int, b: int) -> MCGWord:
+    return word(g, Slide(a, b))
+
+
+def slide_commutator_rows(g: int) -> Iterator[tuple[tuple[int, int], tuple[int, int], MCGWord]]:
+    """The rows ``(x1, x2, rhs)`` of the slide-commutator table at genus g,
+    one for each pair x1 < x2 of Y indices, in Y order: ``rhs`` is the
+    decomposition of [Y_{x1}, Y_{x2}] as a product of conjugated A/B/C
+    elements, the identity word for the pairs whose slides commute.
+
+    Each A, B and C element is built by :func:`named_element` at most once
+    per call, so its checks run as for any element, and looked up after.
+    """
+
+    @functools.cache
+    def element(family: str, *indices: int) -> MCGWord:
+        return named_element(family, indices, g).word
+
+    ys = family_indices("Y", g)
+    for pos, x1 in enumerate(ys):
+        for x2 in ys[pos + 1 :]:
+            yield x1, x2, _commutator_rhs(x1, x2, g, element)
+
+
+def _commutator_rhs(
+    x1_idx: tuple[int, int],
+    x2_idx: tuple[int, int],
+    g: int,
+    element: Callable[..., MCGWord],
+) -> MCGWord:
+    """The row of ``slide_commutator_rows`` for x1 < x2, with the A, B and
+    C element words ``element(family, *indices)``.
+
+    The bracketed conjugator in the four-distinct-index rows is read as a
+    commutator of slides; on homology the factor it wraps is a Torelli
+    conjugate, so either reading of the bracket gives the same action.
+    """
+
+    def _b(a: int, b: int) -> MCGWord:
+        assert a < b
+        return element("B", a, b)
+
+    def _c(i: int, j: int, k: int) -> MCGWord:
+        assert i < j
+        return element("C", i, j, k)
+
+    i, j = x1_idx
+    k, l = x2_idx
+    x1 = _slide(g, i, j)
+    x2 = _slide(g, k, l)
+
+    if (k, l) == (j, i):
+        b = _b(i, j)
+        a = element("A", i, j)
+        return b * a.inverse() * b.inverse()
+
+    if k == i:  # (Y_{i,j}, Y_{i,k'}) with j < k' = l
+        kk = l
+        c = _c(*sorted((j, kk)), i)
+        if i < j < kk:
+            return c * _b(i, kk).inverse() * conjugate(_b(i, j).inverse(), x2)
+        if j < i < kk:
+            return (
+                conjugate(c, x1)
+                * _b(i, kk).inverse()
+                * conjugate(_b(j, i).inverse(), x2)
+            )
+        # j < kk < i
+        return c * _b(kk, i).inverse() * conjugate(_b(j, i).inverse(), x2)
+
+    if l == j:  # (Y_{i,j}, Y_{k,j}) with i < k
+        mid = conjugate(_b(min(i, k), max(i, k)).inverse(), x1)
+        if j < i < k:
+            return _b(j, i).inverse() * mid * _b(j, i)
+        if i < j < k:
+            return mid
+        # i < k < j
+        return _b(i, j).inverse() * mid * _b(i, j)
+
+    if k == j:  # (Y_{i,j}, Y_{j,k'}) with k' = l != i
+        kk = l
+        if kk < i < j:
+            return conjugate(_b(kk, i).inverse(), x1) * _c(kk, j, i)
+        if i < kk < j:
+            return (
+                _b(i, j).inverse()
+                * conjugate(_b(i, kk).inverse(), x1)
+                * conjugate(_c(kk, j, i), x1)
+                * _b(i, j)
+            )
+        # i < j < kk
+        return conjugate(_b(i, kk).inverse(), x1) * _c(j, kk, i)
+
+    if l == i:  # (Y_{i,j}, Y_{k,i}) with i < k, j != k
+        if j < i < k:
+            return (
+                _b(i, k).inverse()
+                * _b(j, k).inverse()
+                * conjugate(_b(i, k).inverse(), _slide(g, k, j))
+                * _c(j, i, k)
+            )
+        if i < j < k:
+            return _c(i, j, k).inverse() * conjugate(_b(j, k), x2)
+        # i < k < j
+        return (
+            _b(i, k).inverse()
+            * conjugate(_c(i, j, k).inverse(), x2)
+            * conjugate(_b(k, j), x2)
+            * _b(i, k)
+        )
+
+    # four distinct indices; nontrivial only when the index pairs interleave
+    y_il = _slide(g, i, l)
+    q = commutator(y_il, x1)
+    if i < k < j < l:
+        return (
+            conjugate(_b(i, l).inverse(), x1)
+            * conjugate(conjugate(_b(i, k), y_il), x1)
+            * conjugate(_b(i, l), x1)
+            * conjugate(_b(i, k), x1)
+            * _b(i, k).inverse()
+            * _b(i, l).inverse()
+            * conjugate(_b(i, k).inverse(), x1)
+            * _b(i, l)
+        )
+    if i < l < j < k:
+        return (
+            conjugate(_b(i, k).inverse(), x1)
+            * conjugate(_b(i, l).inverse(), x1)
+            * q.inverse()
+            * conjugate(conjugate(_b(i, k).inverse(), x1), y_il)
+            * q
+            * conjugate(_b(i, l), x1)
+            * _b(i, l).inverse()
+            * conjugate(_b(i, k), y_il)
+            * _b(i, l)
+            * _b(i, k)
+        )
+    if j < l < i < k:
+        return (
+            conjugate(_b(l, i).inverse(), x1)
+            * conjugate(conjugate(_b(i, k), y_il), x1)
+            * conjugate(_b(l, i), x1)
+            * conjugate(_b(i, k), x1)
+            * _b(i, k).inverse()
+            * _b(l, i).inverse()
+            * conjugate(_b(i, k).inverse(), x1)
+            * _b(l, i)
+        )
+    if l < i < k < j:
+        return (
+            conjugate(_b(l, i).inverse(), x1)
+            * q.inverse()
+            * conjugate(conjugate(_b(i, k), x1), y_il)
+            * q
+            * conjugate(_b(l, i), x1)
+            * conjugate(_b(i, k), x1)
+            * _b(i, k).inverse()
+            * _b(l, i).inverse()
+            * conjugate(_b(i, k).inverse(), y_il)
+            * _b(l, i)
+        )
+    return MCGWord.identity(g)

@@ -150,6 +150,23 @@ def test_fold_json_edge_lists(capsys, argv, edges):
     assert data["base"] == 0
 
 
+@pytest.mark.parametrize("alphabet", ["ambient", "plus"])
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["--genus", "2", "--boundaries", "0", "--words", "x1"], "--boundaries must be >= 1, got 0"),
+        (["--genus", "2", "--boundaries", "-3", "--words", "x1 x1"], "--boundaries must be >= 1, got -3"),
+        (["--genus", "0", "--boundaries", "1", "--words", ";"], "--genus must be >= 1, got 0"),
+        (["--genus", "-1", "--words", "x1"], "--genus must be >= 1, got -1"),
+        (["--genus", "0", "--boundaries", "0", "--words", "x1"], "--genus must be >= 1, got 0"),
+    ],
+)
+def test_fold_bad_values_exit_2(capsys, argv, message, alphabet):
+    code, out, err = run_cli(capsys, "fold", *argv, "--alphabet", alphabet)
+    assert code == 2 and out == ""
+    assert err.strip() == f"error: {message}"
+
+
 def test_fold_plus_alphabet_rejects_letters_out_of_range(capsys):
     code, out, err = run_cli(
         capsys, "fold", "--genus", "2", "--words", "x5 x5", "--alphabet", "plus"

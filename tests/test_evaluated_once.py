@@ -1,10 +1,14 @@
 """The hot checks build each word once: LEM43-COMM looks every A, B and C
 element up in one table per genus, and RS-GAMMA24 evaluates each sampled
-Schreier word once, deciding level 4 and phi mod 4 on that one action."""
+Schreier word once, deciding level 4 and phi mod 4 on that one action.
+Neither forms a word product or inverse per row or sample: both hand
+factor lists to ``product_matrix``."""
 
 from collections import Counter
 
-from crosscap import families, homology, ledger
+import pytest
+
+from crosscap import families, homology, ledger, words
 from crosscap.ledger import run_check
 
 
@@ -29,26 +33,68 @@ def test_lem43_comm_builds_each_element_once_per_genus(monkeypatch):
 def test_rs_gamma24_evaluates_each_sampled_word_once(monkeypatch):
     g = 4
     run_check("RS-GAMMA24", {"g": g})  # fills the per-genus family caches
-    seen = {"ledger": 0, "homology": 0}
-    real = homology.word_matrix
+    seen = Counter()
 
-    def spy(binding):
-        def evaluate(w):
+    def spy(binding, real):
+        def evaluate(*args):
             seen[binding] += 1
-            return real(w)
+            return real(*args)
 
         return evaluate
 
-    # the sampled words go to ledger's binding; phi_mod's closure and
-    # coordinate images go through reduced_action, which reads homology's
-    monkeypatch.setattr(ledger, "word_matrix", spy("ledger"))
-    monkeypatch.setattr(homology, "word_matrix", spy("homology"))
+    # the sampled words go to ledger's product_matrix as factor lists;
+    # phi_mod's closure and coordinate images go through reduced_action,
+    # which reads homology's word_matrix
+    monkeypatch.setattr(ledger, "product_matrix", spy("ledger", homology.product_matrix))
+    monkeypatch.setattr(ledger, "word_matrix", spy("ledger word_matrix", homology.word_matrix))
+    monkeypatch.setattr(homology, "word_matrix", spy("homology", homology.word_matrix))
     record = run_check("RS-GAMMA24", {"g": g})
     assert record.status == "pass"
     sampled = record.details["rs_outputs_sampled"]
     assert sampled == 200
     assert seen["ledger"] == sampled
+    assert seen["ledger word_matrix"] == 0
     # the generators Y and D for the closure, then the single slides and
     # the signed generators for the coordinates: one image each
     gens = len(ledger._y_union_d_words(g))
     assert seen["homology"] == gens + families.y_count(g) + 2 * gens
+
+
+@pytest.mark.parametrize(
+    "check_id, params, inverses",
+    [
+        ("LEM43-COMM", {"gmax": 6}, 0),
+        # the signed generators x, x^-1 of Y and D, built once per call
+        ("RS-GAMMA24", {"g": 4}, len(ledger._y_union_d_words(4))),
+        ("RS-GAMMA24", {"g": 6}, len(ledger._y_union_d_words(6))),
+    ],
+)
+def test_hot_checks_form_no_words_per_row(monkeypatch, check_id, params, inverses):
+    formed = Counter()
+    depth = [0]
+    real_named = families.named_element
+
+    def named(*args):
+        depth[0] += 1
+        try:
+            return real_named(*args)
+        finally:
+            depth[0] -= 1
+
+    def spy(kind, real):
+        def method(self, *args):
+            if not depth[0]:
+                formed[kind] += 1
+            return real(self, *args)
+
+        return method
+
+    # the A, B, C and D elements build and check their words inside
+    # named_element; everything else counts
+    monkeypatch.setattr(families, "named_element", named)
+    monkeypatch.setattr(words.MCGWord, "__mul__", spy("product", words.MCGWord.__mul__))
+    monkeypatch.setattr(words.ReducedWord, "inverse", spy("inverse", words.ReducedWord.inverse))
+    record = run_check(check_id, params)
+    assert record.status == "pass"
+    assert formed["product"] == 0
+    assert formed["inverse"] == inverses

@@ -1,0 +1,161 @@
+"""``product_matrix`` (the action of a product of words, read factor by
+factor) against the dense-product oracle of the spelled product, and the
+slide-commutator rows' factors against the word-spelling oracle table."""
+
+import itertools
+import random
+
+import pytest
+
+from crosscap import families
+from crosscap.homology import NoHomologyActionError, product_matrix, word_matrix
+from crosscap.intmat import DimensionError, IntMatrix
+from crosscap.words import (
+    BoundaryTwist,
+    GenusMismatchError,
+    InvalidSymbolError,
+    MCGWord,
+    ReducedWord,
+    Slide,
+    TorelliTag,
+    Twist,
+    word,
+)
+from oracle_families import slide_commutator_rows as oracle_rows
+from oracle_homology import oracle_word_matrix
+
+HUGE = 10**20
+EXPONENTS = (0, 1, -1, 2, -2, 3, -5, HUGE, -HUGE - 1)
+SIGNS = (1, -1)
+
+
+def _symbols(g: int) -> list:
+    out = [
+        Twist(c)
+        for size in range(2, g + 1, 2)
+        for c in itertools.combinations(range(1, g + 1), size)
+    ]
+    out += [Slide(a, b) for a, b in itertools.permutations(range(1, g + 1), 2)]
+    out += [TorelliTag("beta", (1, 2)), TorelliTag("gamma")]
+    return out
+
+
+def _random_word(rng: random.Random, g: int) -> MCGWord:
+    symbols = _symbols(g)
+    letters = [(rng.choice(symbols), rng.choice(EXPONENTS)) for _ in range(rng.randint(0, 6))]
+    return MCGWord.from_letters(g, letters)
+
+
+def spelled(g: int, factors) -> MCGWord:
+    """The product w_1^s_1 ... w_k^s_k as one freely reduced word."""
+    out = MCGWord.identity(g)
+    for w, sign in factors:
+        out = out * (w if sign == 1 else w.inverse())
+    return out
+
+
+@pytest.mark.parametrize("g", range(2, 9))
+def test_random_factor_lists_match_the_spelled_product(g):
+    rng = random.Random(2000 + g)
+    for _ in range(60):
+        ws = [_random_word(rng, g) for _ in range(rng.randint(0, 5))]
+        factors = [(w, rng.choice(SIGNS)) for w in ws]
+        # a word next to its own inverse or itself, so seams cancel or merge
+        if ws:
+            w = rng.choice(ws)
+            factors.insert(rng.randrange(len(factors) + 1), (w, rng.choice(SIGNS)))
+        assert product_matrix(g, factors) == oracle_word_matrix(spelled(g, factors)), factors
+
+
+@pytest.mark.parametrize("sign", SIGNS)
+def test_empty_factor_lists_and_empty_factors_give_the_identity(sign):
+    assert product_matrix(4, []) == IntMatrix.identity(4)
+    assert product_matrix(4, [(MCGWord.identity(4), sign)]) == IntMatrix.identity(4)
+    assert product_matrix(1, [(MCGWord.identity(1), sign)]) == IntMatrix.identity(1)
+
+
+@pytest.mark.parametrize("sign", SIGNS)
+def test_inverse_twist_powers(sign):
+    g = 5
+    for sym, exp in ((Twist((1, 2)), -3), (Twist((1, 2, 3, 5)), -HUGE), (Twist((2, 4)), -1)):
+        w = word(g, (Slide(2, 1), 1), (sym, exp))
+        assert product_matrix(g, [(w, sign)]) == oracle_word_matrix(w if sign == 1 else w.inverse())
+        # a twist power against its own inverse power cancels exactly
+        t = word(g, (sym, exp))
+        assert product_matrix(g, [(t, sign), (word(g, (sym, -exp)), sign)]).is_identity()
+
+
+@pytest.mark.parametrize("sign", SIGNS)
+def test_torelli_tags_act_trivially(sign):
+    g = 4
+    tags = word(g, TorelliTag("gamma"), (TorelliTag("beta", (1, 3)), -2))
+    assert product_matrix(g, [(tags, sign)]).is_identity()
+    slide = word(g, Slide(1, 2))
+    assert product_matrix(g, [(slide, 1), (tags, sign), (slide, -1)]).is_identity()
+
+
+@pytest.mark.parametrize("sign", SIGNS)
+def test_seams_that_would_cancel(sign):
+    g = 5
+    u = word(g, (Slide(1, 2), 1), (Twist((1, 3)), 2), (Slide(4, 5), -1))
+    v = word(g, (Slide(4, 5), 1), (Twist((1, 3)), -2), (Slide(2, 3), 1))
+    # u v cancels two letters at the seam; u u^-1 cancels to the empty word
+    assert product_matrix(g, [(u, sign), (u, -sign)]).is_identity()
+    for factors in ([(u, 1), (v, sign)], [(v, sign), (u, sign), (v, -sign)]):
+        assert product_matrix(g, factors) == oracle_word_matrix(spelled(g, factors))
+
+
+@pytest.mark.parametrize("sign", SIGNS)
+@pytest.mark.parametrize(
+    "bad, error",
+    [
+        (MCGWord(4, ((Slide(1, 2), 1), (Slide(2, 5), 2))), InvalidSymbolError),
+        (MCGWord(4, ((Slide(1, 2), 1), (Twist((1, 5)), -1))), InvalidSymbolError),
+        (MCGWord(4, ((Twist((1, 2)), 1), (BoundaryTwist("delta", (1,)), 1))), NoHomologyActionError),
+        (MCGWord.from_letters(5, [(Slide(1, 2), 1)]), GenusMismatchError),
+    ],
+)
+def test_errors_match_word_matrix(sign, bad, error):
+    good = word(4, Slide(3, 1))
+    with pytest.raises(error):
+        product_matrix(4, [(good, 1), (bad, sign), (good, -1)])
+    if error is not GenusMismatchError:
+        with pytest.raises(error):
+            word_matrix(bad if sign == 1 else bad.inverse())
+
+
+def test_genus_and_sign_are_checked():
+    with pytest.raises(DimensionError):
+        product_matrix(0, [])
+    with pytest.raises(DimensionError):
+        word_matrix(MCGWord(0, ()))
+    with pytest.raises(ValueError, match="sign must be 1 or -1"):
+        product_matrix(3, [(word(3, Slide(1, 2)), 2)])
+
+
+def test_no_word_or_matrix_products(monkeypatch):
+    g = 5
+    u = word(g, (Twist((1, 2)), 3), (Slide(2, 4), 1), (TorelliTag("gamma"), 1))
+    v = word(g, (Twist((1, 2, 3, 5)), -HUGE), (Slide(5, 1), 2), (Slide(3, 1), -3))
+    factors = [(u, 1), (v, -1), (u, -1), (v, 1)]
+    expected = oracle_word_matrix(spelled(g, factors))
+
+    def refuse(*args):
+        raise AssertionError("product_matrix must not form words or matrix products")
+
+    monkeypatch.setattr(IntMatrix, "__mul__", refuse)
+    monkeypatch.setattr(MCGWord, "__mul__", refuse)
+    monkeypatch.setattr(ReducedWord, "inverse", refuse)
+    assert product_matrix(g, factors) == expected
+
+
+@pytest.mark.parametrize("g", range(4, 9))
+def test_commutator_rows_spell_the_oracle_words(g):
+    rows = list(families.slide_commutator_rows(g))
+    reference = list(oracle_rows(g))
+    assert [(x1, x2) for x1, x2, _ in rows] == [(x1, x2) for x1, x2, _ in reference]
+    for (x1, x2, factors), (_, _, rhs) in zip(rows, reference):
+        assert spelled(g, factors) == rhs, (x1, x2)
+        assert (factors == ()) == rhs.is_identity(), (x1, x2)
+    # the pairs of commuting slides, whose rows are empty
+    assert sum(factors == () for _, _, factors in rows) == {4: 4, 5: 24, 6: 80, 7: 200, 8: 420}[g]
