@@ -1,12 +1,12 @@
 """Finite-quotient machinery: matrix-group closures, level-layer subspaces,
 Schreier generators, and Todd-Coxeter coset enumeration.
 
-A matrix group over Z/d is held as the set of its element keys: the
-little-endian uint16 row-major entry bytes, which are canonical because
-entries live in [0, d) with d < 2^16; ``first_distinct`` dedupes any stack
-on the same keys.  ``bfs_closure`` and ``normal_closure`` drive one
-closure engine, ``_Closure``, which grows a group in place as
-generators arrive instead of restarting (Dimino's algorithm; Holt-Eick-
+One encoding serves every matrix group here: a 0/1 matrix is keyed by its
+entries as little-endian packed bits, bit r*n + c being entry (r, c).
+``bfs_closure`` and ``normal_closure`` hold a group over F_2, and refuse
+any other modulus, as the set of its element keys.  They drive one closure
+engine, ``_Closure``, which grows a group in place as generators arrive
+instead of restarting (Dimino's algorithm; Holt-Eick-
 O'Brien, *Handbook of Computational Group Theory*, ch. 4) and forms and keys
 its products through numpy a batch at a time.  Caps are explicit and
 hitting one raises, so callers can report "inconclusive" instead of silently
@@ -16,14 +16,14 @@ For even d the layer Gamma_d / Gamma_2d of matrices congruent to I mod d,
 taken mod 2d, is elementary abelian, so ``layer_closure`` and
 ``layer_normal_closure`` decide its subgroups as F_2 subspaces of n x n
 matrices (a ``LevelLayer``) without listing any element: the order is
-2^dim, and equal subgroups have equal reduced echelon bases.
-``layer_coordinates`` writes layer elements in a basis of given layer
-elements, so a transversal of products of that basis is walked by XOR on
-coordinate masks instead of by a table of matrix products.  Every
-generator is checked to lie in the layer; one that does not raises
-``LayerError``, and nothing falls back to enumeration.  Layer vectors are
-bit-packed, never keyed, so the layer engine takes any modulus whose
-entries fit int64 (up to 2^62); only ``_Closure`` needs d < 2^16.
+2^dim, and equal subgroups have equal reduced echelon bases.  The vector X
+of I + dX is the integer its key reads as, and both normal closures share
+one conjugation step.  ``layer_coordinates`` writes layer elements in a
+basis of given layer elements, so a transversal of products of that basis
+is walked by XOR on coordinate masks instead of by a table of matrix
+products.  Every generator is checked to lie in the layer; one that does
+not raises ``LayerError``, and nothing falls back to enumeration.  The
+layer engine takes any modulus whose entries fit int64 (up to 2^62).
 
 ``schreier_generators`` is generic over words: it keys every product
 y x^+-1 through a quotient callback and builds every output word.
@@ -53,36 +53,22 @@ class SectionError(ValueError):
     """A transversal failed to be a section of its quotient map."""
 
 
-MAX_KEY_MODULUS = 1 << 16
 MAX_STACK_MODULUS = 1 << 62
 _BATCH = 1 << 15  # matrices per numpy batch
 
 
-def _key_view(arrays: np.ndarray) -> np.ndarray:
-    """The keys of an (N, n, n) stack, whose entries lie in [0, 2^16), as an
-    array of N void scalars: each matrix's little-endian uint16 row-major
-    entry bytes."""
-    count, n = len(arrays), arrays.shape[-1]
-    flat = arrays.astype("<u2", order="C").reshape(count, n * n)
-    return flat.view(np.dtype((np.void, 2 * n * n))).reshape(count)
+def _pack(xs: np.ndarray) -> list[bytes]:
+    """The key of each matrix of an (N, n, n) stack of 0/1 entries: its
+    entries as little-endian packed bits, bit r*n + c being entry (r, c)."""
+    count, n = len(xs), xs.shape[-1]
+    packed = np.packbits(xs.reshape(count, n * n).astype(np.uint8), 1, "little")
+    return packed.view(np.dtype((np.void, packed.shape[1]))).reshape(count).tolist()
 
 
-def _keys(arrays: np.ndarray) -> list[bytes]:
-    """The key of each matrix in an (N, n, n) stack, as bytes."""
-    return _key_view(arrays).tolist()
-
-
-def first_distinct(arrays: np.ndarray) -> np.ndarray:
-    """The index of the first matrix with each distinct key in an (N, n, n)
-    stack whose entries lie in [0, 2^16), in increasing order."""
-    _, first = np.unique(_key_view(arrays), return_index=True)
-    first.sort()
-    return first
-
-
-def _decode(keys: Sequence[bytes], n: int) -> np.ndarray:
-    """The (N, n, n) uint16 stack that ``keys`` encode."""
-    return np.frombuffer(b"".join(keys), dtype="<u2").reshape(len(keys), n, n)
+def _unpack(keys: Sequence[bytes], n: int) -> np.ndarray:
+    """The (N, n, n) uint8 stack of 0/1 matrices that ``keys`` encode."""
+    raw = np.frombuffer(b"".join(keys), np.uint8).reshape(len(keys), (n * n + 7) // 8)
+    return np.unpackbits(raw, 1, n * n, "little").reshape(len(keys), n, n)
 
 
 def _stack(ms: Sequence[ModMatrix], d: int, n: int) -> np.ndarray:
@@ -106,9 +92,9 @@ def _check_gens(gens: Sequence[ModMatrix]) -> tuple[int, int]:
 
 @dataclass(frozen=True)
 class FiniteMatrixGroup:
-    """An explicitly enumerated subgroup of matrices over Z/d."""
+    """An explicitly enumerated subgroup of the n x n matrices over F_2,
+    held as the keys of its elements."""
 
-    modulus: int
     dim: int
     keys: frozenset[bytes]
     generators: tuple[ModMatrix, ...]
@@ -117,26 +103,20 @@ class FiniteMatrixGroup:
     def order(self) -> int:
         return len(self.keys)
 
-    def contains(self, m: ModMatrix) -> bool:
-        if m.modulus != self.modulus or m.n != self.dim:
-            return False
-        return _keys(np.array([m.rows], dtype=np.int64))[0] in self.keys
-
-    def elements(self) -> Iterator[ModMatrix]:
-        """Every element, in the order of the sorted keys."""
-        for rows in _decode(sorted(self.keys), self.dim).tolist():
-            yield ModMatrix(self.modulus, tuple(map(tuple, rows)))
-
     def same_group(self, other: "FiniteMatrixGroup") -> bool:
-        return (
-            self.modulus == other.modulus
-            and self.dim == other.dim
-            and self.keys == other.keys
-        )
+        return self.dim == other.dim and self.keys == other.keys
+
+
+def _mod2_gens(gens: Sequence[ModMatrix]) -> int:
+    """The dimension of generators over F_2; any other modulus is refused."""
+    d, n = _check_gens(gens)
+    if d != 2:
+        raise ValueError(f"the closure engine works over F_2, got modulus {d}")
+    return n
 
 
 class _Closure:
-    """The subgroup of the n x n matrices over Z/d generated by the
+    """The subgroup of the n x n matrices over F_2 generated by the
     generators added so far, held as element keys in discovery order and
     grown in place as generators are added.
 
@@ -146,19 +126,19 @@ class _Closure:
     elements by every kept generator.
     """
 
-    def __init__(self, d: int, n: int, cap: int) -> None:
-        if d >= MAX_KEY_MODULUS:
-            raise ValueError(f"modulus {d} too large for canonical keys")
-        self.d, self.n, self.cap = d, n, cap
-        self.gens = np.empty((0, n, n), dtype=np.int64)
-        self.keys = _keys(np.eye(n, dtype=np.int64)[None])
+    def __init__(self, n: int, cap: int) -> None:
+        self.n, self.cap = n, cap
+        self.gens = np.empty((0, n, n), dtype=np.uint8)
+        self.keys = _pack(np.eye(n, dtype=np.uint8)[None])
         self.members = set(self.keys)
 
     def add(self, gens: np.ndarray) -> np.ndarray:
-        """Add the generators of the (N, n, n) stack in turn, skipping each
-        one the group already contains; returns the stack of those kept."""
+        """Add the generators of the (N, n, n) 0/1 stack in turn, skipping
+        each one the group already contains; returns the stack of those
+        kept."""
+        gens = gens.astype(np.uint8)
         kept = []
-        for index, key in enumerate(_keys(gens)):
+        for index, key in enumerate(_pack(gens)):
             if key in self.members:
                 continue
             kept.append(index)
@@ -173,16 +153,17 @@ class _Closure:
         """Append the unseen right products by ``gens`` of the elements from
         index ``start`` to ``stop``, or through every element appended on
         the way when ``stop`` is None."""
-        d, n = self.d, self.n
+        n = self.n
         keys, members = self.keys, self.members
         step = max(1, _BATCH // len(gens))
         while True:
             end = min(start + step, len(keys) if stop is None else stop)
             if start >= end:
                 return
-            batch = _decode(keys[start:end], n)
+            batch = _unpack(keys[start:end], n)
             start = end
-            products = _keys((batch[:, None] @ gens % d).reshape(-1, n, n))
+            # uint8 sums wrap modulo 256, which keeps their parity
+            products = _pack((batch[:, None] @ gens & 1).reshape(-1, n, n))
             fresh = [key for key in dict.fromkeys(products) if key not in members]
             members.update(fresh)
             keys.extend(fresh)
@@ -190,12 +171,30 @@ class _Closure:
                 raise CapExceededError(f"closure exceeded cap of {self.cap} elements")
 
 
+def _conjugation(ambient_gens: Sequence[ModMatrix], n: int) -> Callable[[np.ndarray], np.ndarray]:
+    """The map sending an (N, n, n) 0/1 stack of matrices X to the stack of
+    every A X A^-1 mod 2, for A running over the distinct ambient
+    generators mod 2.
+
+    Only A, never A^-1, is needed by the normal closures: an invertible map
+    that sends a finite set into itself sends it onto itself, so a finite
+    group or span stable under X -> A X A^-1 is stable under its inverse.
+    """
+    distinct = _unpack(list(dict.fromkeys(_pack(_stack(ambient_gens, 2, n)))), n)
+    inverses = [ModMatrix.from_rows(2, a.tolist()).inverse() for a in distinct]
+    left = distinct[:, None]
+    right = _stack(inverses, 2, n).astype(np.uint8)[:, None]
+    # uint8 sums wrap modulo 256, which keeps their parity
+    return lambda xs: ((left @ xs & 1) @ right & 1).reshape(-1, n, n)
+
+
 def bfs_closure(gens: Sequence[ModMatrix], cap: int = 1 << 22) -> FiniteMatrixGroup:
-    """The subgroup generated by ``gens`` as an explicit element set."""
-    d, n = _check_gens(gens)
-    group = _Closure(d, n, cap)
-    group.add(_stack(gens, d, n))
-    return FiniteMatrixGroup(d, n, frozenset(group.keys), tuple(gens))
+    """The subgroup of the matrices over F_2 that ``gens`` generate, as an
+    explicit element set."""
+    n = _mod2_gens(gens)
+    group = _Closure(n, cap)
+    group.add(_stack(gens, 2, n))
+    return FiniteMatrixGroup(n, frozenset(group.keys), tuple(gens))
 
 
 def normal_closure(
@@ -203,29 +202,22 @@ def normal_closure(
     normal_gens: Sequence[ModMatrix],
     cap: int = 1 << 22,
 ) -> FiniteMatrixGroup:
-    """Smallest subgroup containing ``normal_gens`` and closed under
-    conjugation by the group the ambient generators produce.
+    """Smallest subgroup of the matrices over F_2 containing ``normal_gens``
+    and closed under conjugation by the group the ambient generators
+    produce.
 
     Each round conjugates the generators the previous round kept by the
-    ambient generators and their inverses, and adds those conjugates to the
-    group; a conjugate already inside is skipped.  When a round keeps none,
-    the conjugates of every kept generator lie in the group, so it is normal.
+    ambient generators and adds those conjugates to the group; a conjugate
+    already inside is skipped.  When a round keeps none, the conjugates of
+    every kept generator lie in the group, so it is normal.
     """
-    d, n = _check_gens(list(ambient_gens) + list(normal_gens))
-    ambient = _stack(ambient_gens, d, n)[:, None]
-    inverses = _stack([a.inverse() for a in ambient_gens], d, n)[:, None]
-    group = _Closure(d, n, cap)
-    added = group.add(_stack(normal_gens, d, n))
+    n = _mod2_gens(list(ambient_gens) + list(normal_gens))
+    conjugate = _conjugation(ambient_gens, n)
+    group = _Closure(n, cap)
+    added = group.add(_stack(normal_gens, 2, n))
     while len(added):
-        conjugates = np.stack(
-            (
-                (ambient @ added % d) @ inverses % d,
-                (inverses @ added % d) @ ambient % d,
-            ),
-            axis=1,
-        )
-        added = group.add(conjugates.reshape(-1, n, n))
-    return FiniteMatrixGroup(d, n, frozenset(group.keys), tuple(normal_gens))
+        added = group.add(conjugate(added))
+    return FiniteMatrixGroup(n, frozenset(group.keys), tuple(normal_gens))
 
 
 # ---------------------------------------------------------------------------
@@ -265,25 +257,23 @@ class LevelLayer:
         return self == other
 
 
-def _bits(xs: np.ndarray) -> list[int]:
-    """The bit vector of each matrix of an (N, n, n) stack of 0/1 entries."""
-    count, n = len(xs), xs.shape[-1]
-    flat = xs.reshape(count, n * n).astype(np.uint8)
-    return [int.from_bytes(row.tobytes(), "little") for row in np.packbits(flat, 1, "little")]
-
-
-def _unbits(vectors: Sequence[int], n: int) -> np.ndarray:
-    """The (N, n, n) uint8 stack of 0/1 matrices that ``vectors`` encode."""
-    width = (n * n + 7) // 8
-    raw = np.frombuffer(b"".join(v.to_bytes(width, "little") for v in vectors), np.uint8)
-    bits = np.unpackbits(raw.reshape(len(vectors), width), 1, bitorder="little")
-    return bits[:, : n * n].reshape(len(vectors), n, n)
+def identity_offsets(gens: Sequence[ModMatrix], d: int) -> np.ndarray:
+    """The (N, n, n) int64 stack of the M - I of the generators M, once each
+    is congruent to I mod d.  Raises :class:`LayerError` for the first that
+    is not."""
+    modulus, n = _check_gens(gens)
+    offsets = _stack(gens, modulus, n) - np.eye(n, dtype=np.int64)
+    outside = np.flatnonzero((offsets % d).any(axis=(1, 2)))
+    if len(outside):
+        raise LayerError(int(outside[0]), f"is not congruent to I mod {d}")
+    return offsets
 
 
 def _layer_vectors(gens: Sequence[ModMatrix], d: int) -> list[int]:
-    """The vector X of each generator M = I + dX (mod 2d).  Raises
-    :class:`LayerError` for the first generator whose modulus is not 2d or
-    that is not congruent to I mod d; never falls back to enumeration."""
+    """The vector X of each generator M = I + dX (mod 2d), read from the
+    key of X.  Raises :class:`LayerError` for the first generator whose
+    modulus is not 2d or that is not congruent to I mod d; never falls back
+    to enumeration."""
     if d < 2 or d % 2:
         raise ValueError(f"the level layer needs an even level, got d = {d}")
     for index, m in enumerate(gens):
@@ -291,12 +281,7 @@ def _layer_vectors(gens: Sequence[ModMatrix], d: int) -> list[int]:
             raise LayerError(index, f"has modulus {m.modulus}, not 2d = {2 * d}")
     if not gens:
         return []
-    _, n = _check_gens(gens)
-    offsets = (_stack(gens, 2 * d, n) - np.eye(n, dtype=np.int64)) % (2 * d)
-    outside = np.flatnonzero((offsets % d).any(axis=(1, 2)))
-    if len(outside):
-        raise LayerError(int(outside[0]), f"is not congruent to I mod {d}")
-    return _bits(offsets // d)
+    return [int.from_bytes(key, "little") for key in _pack(identity_offsets(gens, d) // d)]
 
 
 class _Span:
@@ -358,23 +343,17 @@ def layer_normal_closure(
     A(I + dX)A^-1 = I + d A X A^-1, so conjugation by A acts on the vectors
     as the invertible linear map X -> A X A^-1 over F_2.  Each round
     conjugates the vectors the previous round added by every distinct
-    ambient generator mod 2.  An invertible linear map that sends a finite
-    subspace into itself sends it onto itself, so the span is then stable
-    under the inverses too.
+    ambient generator mod 2, until the span stops growing.
     """
     vectors = _layer_vectors(normal_gens, d)
     _, n = _check_gens(list(ambient_gens) + list(normal_gens))
-    ambient = _stack(ambient_gens, 2, n)
-    distinct = ambient[first_distinct(ambient)]
-    inverses = [ModMatrix.from_rows(2, a.tolist()).inverse() for a in distinct]
-    # uint8 sums wrap modulo 256, which keeps their parity
-    left = distinct.astype(np.uint8)[:, None]
-    right = _stack(inverses, 2, n).astype(np.uint8)[:, None]
+    conjugate = _conjugation(ambient_gens, n)
+    width = (n * n + 7) // 8
     span = _Span()
     added = span.add(vectors)
     while added:
-        xs = _unbits(added, n)
-        added = span.add(_bits((left @ xs % 2 @ right % 2).reshape(-1, n, n)))
+        xs = _unpack([v.to_bytes(width, "little") for v in added], n)
+        added = span.add(int.from_bytes(key, "little") for key in _pack(conjugate(xs)))
     return span.layer(d, n)
 
 

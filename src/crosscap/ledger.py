@@ -12,7 +12,7 @@ import random
 import time
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Callable, Iterator
+from typing import Callable, Iterator, TypeVar
 
 import numpy as np
 
@@ -22,6 +22,7 @@ from .finitegrp import (
     LayerError,
     LevelLayer,
     bfs_closure,
+    identity_offsets,
     layer_closure,
     layer_coordinates,
     layer_normal_closure,
@@ -54,6 +55,8 @@ from .pi1free import (
 )
 from .words import MCGWord, Slide, TorelliTag, Twist, commutator, word
 
+
+T = TypeVar("T")
 
 # the most words of the level-4 generating stream THM41-MEMBER reads in full
 MAIN3_STREAM_LIMIT = 100_000
@@ -100,6 +103,8 @@ class CheckSpec:
     defaults: dict = field(default_factory=dict)
     # the least value of each parameter but ``seed``, checked in this order
     floors: dict = field(default_factory=dict)
+    # the greatest value of a floored parameter, where the check has one
+    ceilings: dict = field(default_factory=dict)
 
 
 # ---------------------------------------------------------------------------
@@ -173,7 +178,8 @@ def brute_force_mod2_orthogonal(g: int) -> frozenset[bytes]:
     Matrix t of the 2^(g^2) has entry (r, c) at bit r g + c of t.  Each
     column is held as a g-bit integer per matrix, so the Gram entry (i, j)
     of M^T M is the parity of popcount(col_i & col_j), read from a 2^g
-    table; only the matrices with M^T M = I are decoded into keys.
+    table.  Numbered so, t is the key ``finitegrp`` gives the matrix, and
+    the survivors, the t with M^T M = I, are written out as keys directly.
     """
     if g > 4:
         raise ScaleGuardError(f"2^(g^2) enumeration unreasonable for g = {g}")
@@ -189,9 +195,8 @@ def brute_force_mod2_orthogonal(g: int) -> frozenset[bytes]:
         for j in range(i, g):
             gram = parity[cols[i] & cols[j]]
             good &= gram if i == j else ~gram
-    survivors = bits[good]
-    entries = (survivors[:, None] >> np.arange(g * g, dtype=np.uint32) & 1).astype("<u2")
-    return frozenset(row.tobytes() for row in entries)
+    width = (g * g + 7) // 8
+    return frozenset(int(t).to_bytes(width, "little") for t in bits[good])
 
 
 def _y_union_d_words(g: int) -> list[MCGWord]:
@@ -205,11 +210,11 @@ def _single_slides(g: int) -> list[MCGWord]:
     return [families.subset_word(g, 1 << t) for t in range(families.y_count(g))]
 
 
-def _named(names: list[str], closure: Callable[[], LevelLayer]) -> LevelLayer:
-    """Run a level-layer closure; a generator outside the layer raises again
-    under its name from ``names``."""
+def _named(names: list[str], run: Callable[[], T]) -> T:
+    """Call ``run``; a generator it finds outside a level layer raises
+    again under its name from ``names``."""
     try:
-        return closure()
+        return run()
     except LayerError as exc:
         raise LayerError(exc.index, exc.problem, names[exc.index]) from None
 
@@ -495,24 +500,27 @@ def _check_thm31_member(p: dict) -> tuple[bool, dict]:
 def _check_thm31_closure(p: dict) -> tuple[bool, dict]:
     g, d = p["g"], p["d"]
     modulus = 2 * d
-    ambient = ambient_phi_images(g, modulus)
     closed = [r for r in families.main2_normal_generators(g, 0, d) if r.closed_surface]
     seeds = [phi_mod(r.word, modulus) for r in closed]
+    seed_names = [f"seed {r.name}" for r in closed]
     if d % 2 == 0:
-        closure = _named(
-            [f"seed {r.name}" for r in closed],
-            lambda: layer_normal_closure(ambient, seeds, d),
-        )
+        ambient = ambient_phi_images(g, modulus)
+        closure = _named(seed_names, lambda: layer_normal_closure(ambient, seeds, d))
         reference = _reference_layer(
             [m.reduce_mod(modulus) for m in gamma_generators(g - 1, d)], d
         )
         ref_kind = "generated congruence family"
     else:
-        closure = normal_closure(ambient, seeds)
-        reference = normal_closure(
-            ambient,
-            [m.reduce_mod(modulus) for m in conjugated_gamma_generators(g - 1, d)],
-        )
+        # Z/2d = Z/2 x Z/d for odd d: the seeds and the reference generators
+        # are I mod d, hence so is all they generate under conjugation, and
+        # reduction mod 2 is injective on that kernel of reduction mod d
+        refs = [m.reduce_mod(modulus) for m in conjugated_gamma_generators(g - 1, d)]
+        ref_names = [f"reference generator {i}" for i in range(len(refs))]
+        _named(seed_names, lambda: identity_offsets(seeds, d))
+        _named(ref_names, lambda: identity_offsets(refs, d))
+        ambient = ambient_phi_images(g, 2)
+        closure = normal_closure(ambient, [ModMatrix.from_rows(2, m.rows) for m in seeds])
+        reference = normal_closure(ambient, [ModMatrix.from_rows(2, m.rows) for m in refs])
         ref_kind = "conjugated elementary family (plain d-th powers are obstructed)"
     ok = closure.same_group(reference)
     return ok, {
@@ -642,12 +650,10 @@ def _check_thm41_mod8(p: dict) -> tuple[bool, dict]:
     # layer vector M(y) X(F) M(y)^-1 = X(F) mod 2: the stream spans exactly
     # what its family elements span
     slides = _single_slides(g)
-    moved = np.flatnonzero(
-        (_residues(slides, reduced_action, 2) != np.eye(g - 1, dtype=np.int64)).any(axis=(1, 2))
+    _named(
+        [f"slide {w}" for w in slides],
+        lambda: identity_offsets([phi_mod(w, 2) for w in slides], 2),
     )
-    if len(moved):
-        t = int(moved[0])
-        raise LayerError(t, "is not congruent to I mod 2", f"slide {slides[t]}")
     closure = _named(
         [f"family {el.family}{el.indices}" for el in fams],
         lambda: layer_closure([phi_mod(el.word, 8) for el in fams], 4),
@@ -844,6 +850,8 @@ CHECKS: dict[str, CheckSpec] = {
         "consecutive power-of-two congruence quotients are elementary abelian of rank (g-1)^2 - 1",
         {"g": 4, "l": 3},
         {"g": 3, "l": 2},
+        # the layer's entries are int64 residues mod 2^l
+        {"l": 62},
     ),
     "THETA-BASIS": CheckSpec(
         _check_theta_basis,
@@ -896,7 +904,8 @@ def _validated(ids: list[str] | None, params: dict) -> list[tuple[str, dict]]:
 
     An unknown id, a key that no chosen check declares, or a value whose type
     differs from the default's raises ``ValueError``; a value, given or
-    default, below its check's floor raises ``ParamRangeError``.
+    default, below its check's floor or above its ceiling raises
+    ``ParamRangeError``.
     """
     chosen = _chosen_checks(ids)
     known = suite_params(chosen)
@@ -920,10 +929,10 @@ def _validated(ids: list[str] | None, params: dict) -> list[tuple[str, dict]]:
                 )
         for key, floor in spec.floors.items():
             value = own.get(key, spec.defaults[key])
-            if value < floor:
-                raise ParamRangeError(
-                    f"{check_id}: parameter {key!r} must be >= {floor}, got {value}"
-                )
+            ceiling = spec.ceilings.get(key, value)
+            if not floor <= value <= ceiling:
+                bound = f">= {floor}" if value < floor else f"<= {ceiling}"
+                raise ParamRangeError(f"{check_id}: parameter {key!r} must be {bound}, got {value}")
         out.append((check_id, own))
     return out
 

@@ -1,16 +1,19 @@
 """Reference matrix-group closures by breadth-first search that restarts, and
 the reference coset enumeration.
 
+The closures here work over any Z/d with d < 2^16 and key an element by its
+little-endian uint16 row-major entry bytes, an encoding of their own.
 ``bfs_closure`` multiplies every element by every generator, level by level,
 keying each product on its own.  ``normal_closure`` reruns that whole search
-after each round of conjugating its generator list.  ``elements`` decodes
-one key at a time.  This is the slow, obviously correct definition that
-``crosscap.finitegrp`` must reproduce: the same key bytes, so the same key
-sets and element order.
+after each round of conjugating its generator list by the ambient
+generators and their inverses.  This is the slow, obviously correct
+definition that ``crosscap.finitegrp``'s engine must reproduce over F_2.
+``elements`` decodes either kind of group one key at a time, so the two are
+compared as matrices, not as key bytes.
 
 ``layer_keys`` spells out a ``crosscap.finitegrp.LevelLayer`` as the keys of
 its 2^dim elements, one element at a time, so a layer can be compared with
-the engine's closure of the same generators.
+this module's closure of the same generators.
 
 ``has_exponent`` and ``coset_action_table`` are the batched element-power
 test and the transversal action table that enumerated the level-2 image mod
@@ -23,13 +26,12 @@ on a table held in closures.  The engine must give the same ``CosetTable``.
 """
 
 from collections import deque
-from typing import Iterable, Iterator, Sequence
+from dataclasses import dataclass
+from typing import Iterable, Sequence
 
 import numpy as np
 
-from crosscap import finitegrp
 from crosscap.finitegrp import (
-    MAX_KEY_MODULUS,
     CapExceededError,
     CosetTable,
     FiniteMatrixGroup,
@@ -37,10 +39,29 @@ from crosscap.finitegrp import (
     SectionError,
     _check_gens,
     _column,
-    _decode,
-    _keys,
 )
 from crosscap.intmat import ModMatrix
+
+MAX_KEY_MODULUS = 1 << 16
+_BATCH = 1 << 15  # matrices per numpy batch
+
+
+@dataclass(frozen=True)
+class Group:
+    """An explicitly enumerated subgroup of the matrices over Z/d, held as
+    the uint16 keys of its elements."""
+
+    modulus: int
+    dim: int
+    keys: frozenset[bytes]
+    generators: tuple[ModMatrix, ...]
+
+    @property
+    def order(self) -> int:
+        return len(self.keys)
+
+    def same_group(self, other: "Group") -> bool:
+        return (self.modulus, self.dim, self.keys) == (other.modulus, other.dim, other.keys)
 
 
 def _as_array(m: ModMatrix) -> np.ndarray:
@@ -49,6 +70,16 @@ def _as_array(m: ModMatrix) -> np.ndarray:
 
 def _key(arr: np.ndarray) -> bytes:
     return arr.astype("<u2").tobytes()
+
+
+def _keys(arrays: np.ndarray) -> list[bytes]:
+    """The key of each matrix in an (N, n, n) stack with entries in [0, 2^16)."""
+    return [_key(arr) for arr in arrays]
+
+
+def _decode(keys: Sequence[bytes], n: int) -> np.ndarray:
+    """The (N, n, n) uint16 stack that ``keys`` encode."""
+    return np.frombuffer(b"".join(keys), dtype="<u2").reshape(len(keys), n, n)
 
 
 def _closure_arrays(
@@ -76,19 +107,19 @@ def _closure_arrays(
     return elements
 
 
-def bfs_closure(gens: Sequence[ModMatrix], cap: int = 1 << 22) -> FiniteMatrixGroup:
+def bfs_closure(gens: Sequence[ModMatrix], cap: int = 1 << 22) -> Group:
     """The subgroup generated by ``gens`` as an explicit element set."""
     d, n = _check_gens(gens)
     arrays = [_as_array(m) % d for m in gens]
     elements = _closure_arrays(arrays, d, n, cap)
-    return FiniteMatrixGroup(d, n, frozenset(elements), tuple(gens))
+    return Group(d, n, frozenset(elements), tuple(gens))
 
 
 def normal_closure(
     ambient_gens: Sequence[ModMatrix],
     normal_gens: Sequence[ModMatrix],
     cap: int = 1 << 22,
-) -> FiniteMatrixGroup:
+) -> Group:
     """Smallest subgroup containing ``normal_gens`` and closed under
     conjugation by the group the ambient generators produce.
 
@@ -122,21 +153,30 @@ def normal_closure(
                     if key not in elements and key not in fresh:
                         fresh[key] = arr
         if not fresh:
-            return FiniteMatrixGroup(d, n, frozenset(elements), tuple(normal_gens))
+            return Group(d, n, frozenset(elements), tuple(normal_gens))
         gen_list.extend(fresh.values())
         if len(gen_list) > cap:
             raise CapExceededError("normal closure generator list exceeded cap")
 
 
-def elements(group: FiniteMatrixGroup) -> Iterator[ModMatrix]:
-    """``FiniteMatrixGroup.elements``: sorted keys, decoded one at a time."""
-    n, d = group.dim, group.modulus
-    for key in sorted(group.keys):
-        flat = np.frombuffer(key, dtype="<u2")
-        rows = tuple(
-            tuple(int(flat[r * n + c]) for c in range(n)) for r in range(n)
-        )
-        yield ModMatrix(d, rows)
+def elements(group: Group | FiniteMatrixGroup) -> list[ModMatrix]:
+    """Every element of ``group``, decoded one key at a time, sorted by
+    rows: an oracle ``Group`` from its uint16 entries, a
+    ``crosscap.finitegrp.FiniteMatrixGroup`` over F_2 from its key read as
+    an integer whose bit r*n + c is entry (r, c)."""
+    n = group.dim
+    out = []
+    for key in group.keys:
+        if isinstance(group, Group):
+            flat = np.frombuffer(key, dtype="<u2")
+            rows = tuple(tuple(int(flat[r * n + c]) for c in range(n)) for r in range(n))
+            out.append(ModMatrix(group.modulus, rows))
+        else:
+            bits = int.from_bytes(key, "little")
+            assert bits >> (n * n) == 0 and len(key) == (n * n + 7) // 8
+            rows = tuple(tuple(bits >> (r * n + c) & 1 for c in range(n)) for r in range(n))
+            out.append(ModMatrix(2, rows))
+    return sorted(out, key=lambda m: m.rows)
 
 
 def layer_keys(layer: LevelLayer) -> frozenset[bytes]:
@@ -159,15 +199,15 @@ def layer_keys(layer: LevelLayer) -> frozenset[bytes]:
     return frozenset(keys)
 
 
-def has_exponent(group: FiniteMatrixGroup, e: int) -> bool:
+def has_exponent(group: Group, e: int) -> bool:
     """Whether m^e = I for every element m of ``group``.  The elements are
-    decoded ``finitegrp._BATCH`` at a time and each batch is raised to |e|
+    decoded ``_BATCH`` at a time and each batch is raised to |e|
     at once by repeated squaring; m^-e = I exactly when m^e = I."""
     d, n = group.modulus, group.dim
     keys = list(group.keys)
     eye = np.eye(n, dtype=np.int64) % d
-    for start in range(0, len(keys), finitegrp._BATCH):
-        base = _decode(keys[start : start + finitegrp._BATCH], n).astype(np.int64)
+    for start in range(0, len(keys), _BATCH):
+        base = _decode(keys[start : start + _BATCH], n).astype(np.int64)
         power = np.broadcast_to(eye, base.shape)
         e_left = abs(e)
         while e_left:
@@ -186,7 +226,7 @@ def coset_action_table(transversal: np.ndarray, gens: np.ndarray, modulus: int) 
     names, as an (N, k) array: entry (c, j) is the index of the transversal
     entry whose image is T_c A_j mod ``modulus``, for the (N, n, n) stack of
     transversal images T and the (k, n, n) stack of signed generator images
-    A.  All N k products are formed and keyed ``finitegrp._BATCH`` at a
+    A.  All N k products are formed and keyed ``_BATCH`` at a
     time.
 
     Raises :class:`SectionError` when two transversal entries share a key,
@@ -203,7 +243,7 @@ def coset_action_table(transversal: np.ndarray, gens: np.ndarray, modulus: int) 
         if index.setdefault(key, c) != c:
             raise SectionError(f"transversal entries {index[key]} and {c} share a key")
     targets = []
-    step = max(1, finitegrp._BATCH // max(1, len(gens)))
+    step = max(1, _BATCH // max(1, len(gens)))
     for start in range(0, len(transversal), step):
         products = transversal[start : start + step, None] @ gens % modulus
         targets += [index.get(key, -1) for key in _keys(products.reshape(-1, n, n))]

@@ -17,27 +17,22 @@ XOR walk on layer coordinates must reproduce word for word.
 closes its distinct images, the closure that the family images' closure
 must equal.
 
-The int64 ``einsum`` exhaustion of the mod-2 orthogonal group and
-THM41-MOD8's ``np.unique(..., axis=0)`` dedupe over the whole stream are
-kept here too: the bit-packed ``crosscap.ledger.brute_force_mod2_orthogonal``
-and the stacked stream's keyed dedupe must reproduce them.
+The int64 ``einsum`` exhaustion of the mod-2 orthogonal group, keyed by
+uint16 entries, and THM41-MOD8's ``np.unique(..., axis=0)`` dedupe over the
+whole stream are kept here too: the bit-packed
+``crosscap.ledger.brute_force_mod2_orthogonal`` must give the same matrices,
+and the stacked stream's dedupe, a stack at a time, the same images.
 """
 
 import random
 from collections import deque
 
 import numpy as np
-from oracle_finitegrp import coset_action_table
+from oracle_finitegrp import bfs_closure, coset_action_table, elements
 from oracle_homology import matrix_level_trivial
 
 from crosscap import families
-from crosscap.finitegrp import (
-    LevelLayer,
-    bfs_closure,
-    first_distinct,
-    layer_closure,
-    schreier_generators,
-)
+from crosscap.finitegrp import LevelLayer, layer_closure, schreier_generators
 from crosscap.homology import level_member, reduced_action, word_matrix
 from crosscap.intmat import IntMatrix, ModMatrix
 from crosscap.ledger import (
@@ -174,7 +169,7 @@ def rs_gamma24(p: dict) -> tuple[bool, dict]:
     grp = bfs_closure([phi_mod(w, 4) for w in gens_words])
     expected = 1 << families.y_count(g)
     order_ok = grp.order == expected
-    exponent_ok = all((m**2).is_identity() for m in grp.elements())
+    exponent_ok = all((m**2).is_identity() for m in elements(grp))
     ref_gens = [m.reduce_mod(4) for m in gamma_generators(g - 1, 2)]
     flip = [[-1 if r == c == 0 else (1 if r == c else 0) for c in range(g - 1)] for r in range(g - 1)]
     ref_gens.append(IntMatrix.from_rows(flip).reduce_mod(4))
@@ -202,6 +197,14 @@ def rs_gamma24(p: dict) -> tuple[bool, dict]:
         "transversal_is_section": section_ok,
         "rs_outputs_sampled": sampled,
     }
+
+
+def first_distinct(stack: np.ndarray) -> np.ndarray:
+    """The index of the first matrix with each distinct entry array in an
+    (N, n, n) stack, in increasing order."""
+    _, first = np.unique(stack.reshape(len(stack), -1), axis=0, return_index=True)
+    first.sort()
+    return first
 
 
 def thm41_mod8_stacked_closure(g: int) -> tuple[LevelLayer, int]:

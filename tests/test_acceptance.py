@@ -11,7 +11,7 @@ import pytest
 import oracle_finitegrp
 from conftest import Budget, random_word
 from crosscap import families
-from crosscap.finitegrp import bfs_closure, schreier_generators, todd_coxeter
+from crosscap.finitegrp import bfs_closure, layer_closure, schreier_generators, todd_coxeter
 from crosscap.homology import (
     H1Class,
     act,
@@ -142,11 +142,15 @@ def test_criterion_5_finite_quotient_orders():
         g = 4
         gens = [phi_mod(el.word, 4) for el in families.family_elements("Y", g)]
         gens += [phi_mod(el.word, 4) for el in families.family_elements("D", g)]
-        grp = bfs_closure(gens)
+        # enumerated over Z/4 and Z/8 by the oracle, and as level layers
+        grp = oracle_finitegrp.bfs_closure(gens)
         assert grp.order == 512 == 2 ** families.y_count(g)
         assert oracle_finitegrp.has_exponent(grp, 2)
-        tower = bfs_closure([m.reduce_mod(8) for m in gamma_generators(3, 4)])
+        assert oracle_finitegrp.layer_keys(layer_closure(gens, 2)) == grp.keys
+        tower_gens = [m.reduce_mod(8) for m in gamma_generators(3, 4)]
+        tower = oracle_finitegrp.bfs_closure(tower_gens)
         assert tower.order == 256 == 2 ** ((g - 1) ** 2 - 1)
+        assert oracle_finitegrp.layer_keys(layer_closure(tower_gens, 4)) == tower.keys
 
 
 def test_criterion_6_level4_generating_stream():

@@ -374,17 +374,16 @@ def test_verify_non_integer_param_exits_2(capsys):
         ("THM31-MEMBER", "g=3", "parameter 'g' must be >= 4, got 3"),
         ("THM31-CLOSURE", "g=3", "parameter 'g' must be >= 4, got 3"),
         ("RS-GAMMA24", "g=2", "parameter 'g' must be >= 3, got 2"),
-        ("TOWER-2L", "l=63", f"modulus {1 << 63} is above 2^62, too large for int64 entries"),
-        ("THM31-CLOSURE", "d=32769", "modulus 65538 too large for canonical keys"),
+        ("TOWER-2L", "l=63", "parameter 'l' must be <= 62, got 63"),
     ],
 )
 def test_verify_bad_param_values_exit_2(capsys, suite, params, message):
     code, out, err = run_cli(capsys, "verify", "--suite", suite, "--params", params)
     assert code == 2 and out == ""
     assert message in err
-    # a value below a check's range is refused under the check's id; the
+    # a value outside a check's range is refused under the check's id; the
     # other refusals come from deeper layers and keep their own text
-    if message.startswith("parameter ") and " must be >= " in message:
+    if message.startswith("parameter ") and (" must be >= " in message or " must be <= " in message):
         assert f"error: {suite}: {message}" in err
     else:
         assert f"{suite}:" not in err
@@ -395,6 +394,34 @@ def test_verify_all_names_the_check_that_refuses_a_value(capsys):
     code, out, err = run_cli(capsys, "verify", "--suite", "all", "--params", "g=2")
     assert code == 2 and out == ""
     assert err.strip() == "error: PSI-O2: parameter 'g' must be >= 4, got 2"
+
+
+def test_verify_all_refuses_a_tower_past_2_to_the_62_before_any_check(capsys):
+    code, out, err = run_cli(capsys, "verify", "--suite", "all", "--params", "l=63")
+    assert code == 2 and out == ""
+    assert err.strip() == "error: TOWER-2L: parameter 'l' must be <= 62, got 63"
+
+
+@pytest.mark.parametrize(
+    "g, d, order", [(4, 32769, 24), (4, (1 << 61) - 1, 24), (5, 32769, 720)]
+)
+def test_verify_thm31_at_an_odd_level_past_2_to_the_15_passes(capsys, g, d, order):
+    # odd levels close on their images mod 2, whatever the modulus 2d
+    code, out, err = run_cli(
+        capsys,
+        "verify",
+        "--suite",
+        "THM31-MEMBER,THM31-CLOSURE",
+        "--params",
+        f"g={g},d={d}",
+        "--format",
+        "json",
+    )
+    assert code == 0 and err == ""
+    closure, member = json.loads(out)
+    assert closure["status"] == member["status"] == "pass"
+    assert closure["details"]["closure_order"] == closure["details"]["reference_order"] == order
+    assert closure["details"]["modulus"] == 2 * d
 
 
 @pytest.mark.parametrize("suite", ["THM31-CLOSURE", "THM31-MEMBER"])

@@ -1,11 +1,15 @@
-"""The incremental closure engine against the restarting BFS it replaced,
-and the level-layer closures against the engine.
+"""The incremental F_2 closure engine and the level-layer closures against
+the restarting BFS of ``oracle_finitegrp``.
 
-``oracle_finitegrp`` holds the old code.  Every comparison is on key sets,
-so it also checks that the keys keep their byte format.  A level layer is
-spelled out as element keys by ``oracle_finitegrp.layer_keys`` and compared
-with the engine's closure of the same generators, which is in turn compared
-with the restarting BFS.
+The oracle keeps its own uint16 encoding and works over any Z/d, so every
+engine-vs-oracle comparison goes through decoded matrices
+(``oracle_finitegrp.elements``).  A level layer at modulus 2d is spelled
+out as oracle keys by ``oracle_finitegrp.layer_keys`` and compared with the
+oracle's enumerating closure of the same generators, the closure the layer
+replaced on the engine.  At an odd level d the engine closes the images mod
+2 of generators that are I mod d; the oracle closes the generators
+themselves over Z/2d, and the two must agree element for element once the
+oracle's elements are reduced mod 2.
 """
 
 import random
@@ -15,13 +19,17 @@ import pytest
 import oracle_finitegrp
 from crosscap import finitegrp, ledger
 from crosscap.finitegrp import CapExceededError, bfs_closure, normal_closure
+from crosscap.families import Main2Generator
 from crosscap.intmat import ModMatrix, NotUnimodularError, elementary
+from crosscap.words import Twist, word
 
 RANDOM_POINTS = [(2, 3), (2, 4), (2, 5), (2, 8), (3, 2), (3, 3), (3, 4)]
 RANDOM_CAP = 1 << 17
+# below |GL(4, 2)| = 20160, so that most sets at n >= 4 meet the cap
+F2_CAP = 1 << 12
 
 
-ENGINE_OF = {"layer_closure": "bfs_closure", "layer_normal_closure": "normal_closure"}
+ORACLE_OF = {"layer_closure": "bfs_closure", "layer_normal_closure": "normal_closure"}
 
 
 def record_closures(monkeypatch):
@@ -29,7 +37,7 @@ def record_closures(monkeypatch):
     layer, through recorders; returns the list that collects
     ``(function name, args)`` per call."""
     calls = []
-    for name in ("bfs_closure", "normal_closure", *ENGINE_OF):
+    for name in ("bfs_closure", "normal_closure", *ORACLE_OF):
         real = getattr(ledger, name)
 
         def recorder(*args, _name=name, _real=real):
@@ -40,7 +48,13 @@ def record_closures(monkeypatch):
     return calls
 
 
+def mod2(ms):
+    return [ModMatrix.from_rows(2, m.rows) for m in ms]
+
+
 def assert_matches_oracle(name, args, cap=1 << 22):
+    """The engine's closure over F_2 has the oracle's elements, dimension
+    and generators, or both raise at the cap."""
     try:
         expected = getattr(oracle_finitegrp, name)(*args, cap=cap)
     except CapExceededError:
@@ -48,29 +62,44 @@ def assert_matches_oracle(name, args, cap=1 << 22):
             getattr(finitegrp, name)(*args, cap=cap)
         return
     got = getattr(finitegrp, name)(*args, cap=cap)
-    assert got.keys == expected.keys
-    assert (got.modulus, got.dim, got.generators) == (
-        expected.modulus,
+    assert expected.modulus == 2
+    assert oracle_finitegrp.elements(got) == oracle_finitegrp.elements(expected)
+    assert (got.order, got.dim, got.generators) == (
+        expected.order,
         expected.dim,
         expected.generators,
     )
     return got
 
 
-def assert_layer_matches_engine(name, args):
-    """A level-layer closure, spelled out, has the engine's key set for the
-    same generators, and the engine's closure matches the restarting BFS."""
+def assert_reduction_matches_oracle(name, args, d, cap=RANDOM_CAP):
+    """At an odd level d, the engine's closure of the images mod 2 of
+    generators that are I mod d, at modulus 2d, has as many elements as the
+    oracle's closure of the generators themselves, and those reduce mod 2
+    to the engine's elements."""
+    expected = getattr(oracle_finitegrp, name)(*args, cap=cap)
+    assert expected.modulus == 2 * d and d % 2
+    got = getattr(finitegrp, name)(*map(mod2, args), cap=cap)
+    assert got.order == expected.order
+    reduced = {m.rows for m in mod2(oracle_finitegrp.elements(expected))}
+    assert reduced == {m.rows for m in oracle_finitegrp.elements(got)}
+    return got
+
+
+def assert_layer_matches_oracle(name, args):
+    """A level-layer closure, spelled out, has the key set of the oracle's
+    enumerating closure of the same generators."""
     *generators, d = args
     layer = getattr(finitegrp, name)(*args)
-    group = assert_matches_oracle(ENGINE_OF[name], tuple(generators))
+    group = getattr(oracle_finitegrp, ORACLE_OF[name])(*generators)
     assert oracle_finitegrp.layer_keys(layer) == group.keys
     assert (layer.modulus, layer.dim, layer.order) == (2 * d, group.dim, group.order)
 
 
 def assert_every_call_matches(calls):
     for name, args in calls:
-        if name in ENGINE_OF:
-            assert_layer_matches_engine(name, args)
+        if name in ORACLE_OF:
+            assert_layer_matches_oracle(name, args)
         else:
             assert_matches_oracle(name, args)
 
@@ -108,7 +137,7 @@ def test_every_closure_of_the_default_suite_matches_the_oracle(monkeypatch):
 
 # with the two tests above, every even-level registry point at g <= 5:
 # THM31-CLOSURE at d = 2, 4, TOWER-2L at l = 2, 3 and THM41-MOD8 and
-# RS-GAMMA24 at g = 4
+# RS-GAMMA24 at g = 4; "the engine" is the oracle's enumerating closure
 @pytest.mark.parametrize(
     "check_id, params",
     [
@@ -120,16 +149,49 @@ def test_every_closure_of_the_default_suite_matches_the_oracle(monkeypatch):
 def test_even_level_closures_match_the_engine(monkeypatch, check_id, params):
     calls = record_closures(monkeypatch)
     assert ledger.run_check(check_id, params).status == "pass"
-    assert {name for name, _ in calls} <= set(ENGINE_OF)
+    assert {name for name, _ in calls} <= set(ORACLE_OF)
     assert calls
     assert_every_call_matches(calls)
 
 
 def test_odd_level_closure_stays_on_the_engine(monkeypatch):
     calls = record_closures(monkeypatch)
-    assert ledger.run_check("THM31-CLOSURE", {"g": 5, "d": 3}).status == "pass"
+    record = ledger.run_check("THM31-CLOSURE", {"g": 5, "d": 3})
+    assert record.status == "pass"
     assert [name for name, _ in calls] == ["normal_closure", "normal_closure"]
+    assert all(m.modulus == 2 for _, args in calls for gens in args for m in gens)
     assert_every_call_matches(calls)
+    # the same closures over Z/6, on the images the registry reduced mod 2
+    ambient = ledger.ambient_phi_images(5, 6)
+    closed = [r for r in ledger.families.main2_normal_generators(5, 0, 3) if r.closed_surface]
+    refs = [m.reduce_mod(6) for m in ledger.conjugated_gamma_generators(4, 3)]
+    for (_, args), seeds in zip(calls, ([ledger.phi_mod(r.word, 6) for r in closed], refs)):
+        assert list(args) == [mod2(ambient), mod2(seeds)]
+        group = assert_reduction_matches_oracle("normal_closure", (ambient, seeds), 3)
+        assert group.order == record.details["closure_order"] == 720
+
+
+@pytest.mark.parametrize("d", [3, 5])
+def test_an_odd_level_generator_not_congruent_to_i_fails_by_name(monkeypatch, d):
+    real = ledger.families.main2_normal_generators
+
+    def with_a_twist(g, n, d):
+        # a single twist acts nontrivially mod 2, so it is I mod no level
+        twist = Main2Generator("twist(a12)", word(g, Twist((1, 2))), True, "never")
+        return real(g, n, d) + [twist]
+
+    monkeypatch.setattr(ledger.families, "main2_normal_generators", with_a_twist)
+    record = ledger.run_check("THM31-CLOSURE", {"g": 4, "d": d})
+    assert record.status == "fail"
+    assert record.details == {"reason": f"seed twist(a12) is not congruent to I mod {d}"}
+    monkeypatch.setattr(ledger.families, "main2_normal_generators", real)
+    refs = ledger.conjugated_gamma_generators
+    monkeypatch.setattr(
+        ledger, "conjugated_gamma_generators", lambda n, d: refs(n, d) + [elementary(n, 1, 2, 1)]
+    )
+    record = ledger.run_check("THM31-CLOSURE", {"g": 4, "d": d})
+    assert record.status == "fail"
+    assert record.details == {"reason": f"reference generator 2 is not congruent to I mod {d}"}
 
 
 def random_layer_element(rng, n, d):
@@ -144,10 +206,10 @@ def test_random_layer_generators_match_the_engine(n, d):
     rng = random.Random(100 * n + d)
     for _ in range(4):
         gens = [random_layer_element(rng, n, d) for _ in range(rng.randint(1, 4))]
-        assert_layer_matches_engine("layer_closure", (gens, d))
+        assert_layer_matches_oracle("layer_closure", (gens, d))
         ambient = [random_invertible(rng, n, 2 * d) for _ in range(rng.randint(0, 2))]
         seeds = gens[: rng.randint(1, 2)]
-        assert_layer_matches_engine("layer_normal_closure", (ambient, seeds, d))
+        assert_layer_matches_oracle("layer_normal_closure", (ambient, seeds, d))
 
 
 def random_invertible(rng, n, d):
@@ -160,15 +222,44 @@ def random_invertible(rng, n, d):
         return m
 
 
+def random_odd_level_element(rng, n, d):
+    """The matrix over Z/2d that is I mod the odd level d and a random
+    invertible matrix B mod 2: I + d((B - I) mod 2)."""
+    b = random_invertible(rng, n, 2)
+    return ModMatrix.from_rows(
+        2 * d, [[int(r == c) + d * ((b.rows[r][c] - (r == c)) % 2) for c in range(n)] for r in range(n)]
+    )
+
+
 @pytest.mark.parametrize("n, d", RANDOM_POINTS)
 def test_random_generator_sets_match_the_oracle(n, d):
+    """At an odd level d, random generators that are I mod d, closed by the
+    engine on their images mod 2 and by the oracle over Z/2d; at an even
+    level, random layer generators and ambient matrices over Z/2d, closed on
+    the layer and by the oracle."""
     rng = random.Random(1000 * n + d)
     for _ in range(6):
-        gens = [random_invertible(rng, n, d) for _ in range(rng.randint(1, 3))]
-        assert_matches_oracle("bfs_closure", (gens,), cap=RANDOM_CAP)
-        ambient = [random_invertible(rng, n, d) for _ in range(rng.randint(0, 2))]
-        seeds = [random_invertible(rng, n, d) for _ in range(rng.randint(1, 2))]
-        assert_matches_oracle("normal_closure", (ambient, seeds), cap=RANDOM_CAP)
+        ambient = [random_invertible(rng, n, 2 * d) for _ in range(rng.randint(0, 2))]
+        if d % 2:
+            gens = [random_odd_level_element(rng, n, d) for _ in range(rng.randint(1, 3))]
+            seeds = [random_odd_level_element(rng, n, d) for _ in range(rng.randint(1, 2))]
+            assert_reduction_matches_oracle("bfs_closure", (gens,), d)
+            assert_reduction_matches_oracle("normal_closure", (ambient, seeds), d)
+        else:
+            gens = [random_layer_element(rng, n, d) for _ in range(rng.randint(1, 3))]
+            assert_layer_matches_oracle("layer_closure", (gens, d))
+            assert_layer_matches_oracle("layer_normal_closure", (ambient, gens[:2], d))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_random_f2_generator_sets_match_the_oracle(n):
+    rng = random.Random(7 * n)
+    for _ in range(6):
+        gens = [random_invertible(rng, n, 2) for _ in range(rng.randint(1, 3))]
+        assert_matches_oracle("bfs_closure", (gens,), cap=F2_CAP)
+        ambient = [random_invertible(rng, n, 2) for _ in range(rng.randint(0, 2))]
+        seeds = [random_invertible(rng, n, 2) for _ in range(rng.randint(1, 2))]
+        assert_matches_oracle("normal_closure", (ambient, seeds), cap=F2_CAP)
 
 
 @pytest.mark.parametrize("n, d", [(2, 5), (3, 3)])
@@ -176,54 +267,79 @@ def test_batch_boundaries_do_not_matter(monkeypatch, n, d):
     monkeypatch.setattr(finitegrp, "_BATCH", 5)
     rng = random.Random(d)
     for _ in range(4):
-        gens = [random_invertible(rng, n, d) for _ in range(rng.randint(1, 3))]
-        assert_matches_oracle("bfs_closure", (gens,), cap=RANDOM_CAP)
-        ambient = [random_invertible(rng, n, d) for _ in range(2)]
-        assert_matches_oracle("normal_closure", (ambient, gens[:1]), cap=RANDOM_CAP)
+        gens = [random_odd_level_element(rng, n, d) for _ in range(rng.randint(1, 3))]
+        assert_reduction_matches_oracle("bfs_closure", (gens,), d)
+        ambient = [random_invertible(rng, n, 2 * d) for _ in range(2)]
+        assert_reduction_matches_oracle("normal_closure", (ambient, gens[:1]), d)
+        assert_matches_oracle("bfs_closure", (mod2(ambient + gens),), cap=RANDOM_CAP)
 
 
 def test_empty_and_identity_normal_generators():
-    ambient = [elementary(2, 1, 2, 1).reduce_mod(4), elementary(2, 2, 1, 1).reduce_mod(4)]
-    identity = ModMatrix.identity(2, 4)
+    ambient = [elementary(3, 1, 2, 1).reduce_mod(2), elementary(3, 2, 1, 1).reduce_mod(2)]
+    identity = ModMatrix.identity(3, 2)
     for seeds in ([], [identity], [identity, identity]):
         assert_matches_oracle("normal_closure", (ambient, seeds))
         assert normal_closure(ambient, seeds).order == 1
 
 
 def test_repeated_generators():
-    t = elementary(3, 1, 2, 1).reduce_mod(3)
-    u = elementary(3, 2, 3, 1).reduce_mod(3)
-    gens = [t, t, u, t * u, u, ModMatrix.identity(3, 3), t]
+    # the unitriangular 4 x 4 matrices over F_2: order 2^6
+    t = elementary(4, 1, 2, 1).reduce_mod(2)
+    u = elementary(4, 2, 3, 1).reduce_mod(2)
+    v = elementary(4, 3, 4, 1).reduce_mod(2)
+    gens = [t, t, u, t * u, v, u, ModMatrix.identity(4, 2), t, v * t]
     assert_matches_oracle("bfs_closure", (gens,))
-    assert bfs_closure(gens).order == 27
-    ambient = [t, u, elementary(3, 3, 1, 1).reduce_mod(3)]
+    assert bfs_closure(gens).order == 64
+    ambient = [t, u, elementary(4, 3, 1, 1).reduce_mod(2)]
     assert_matches_oracle("normal_closure", (ambient, [t, t, t.inverse(), t]))
 
 
+def block_matrix(n, blocks):
+    """The n x n 0/1 matrix with the 3 x 3 block ``blocks[(i, j)]`` at
+    block position (i, j) and zeros elsewhere."""
+    rows = [[0] * n for _ in range(n)]
+    for (i, j), block in blocks.items():
+        for r in range(3):
+            for c in range(3):
+                rows[3 * i + r][3 * j + c] = block[r][c]
+    return ModMatrix.from_rows(2, rows)
+
+
 def test_keys_hold_more_than_64_bits():
-    # n^2 log2(d) = 25 * 7.97 > 64: a cyclic group of order 251 at n = 5
-    gen = (elementary(5, 1, 5, 1) * elementary(5, 2, 4, 3)).reduce_mod(251)
-    assert_matches_oracle("bfs_closure", ([gen],))
-    group = bfs_closure([gen])
-    assert group.order == 251
-    assert all(len(key) == 2 * 5 * 5 for key in group.keys)
-    # conjugating by diag(2, 1, 1, 1, 1) doubles the exponent of e_15
-    scale = ModMatrix.from_rows(251, [[2 if r == c == 0 else int(r == c) for c in range(5)] for r in range(5)])
-    seed = elementary(5, 1, 5, 1).reduce_mod(251)
-    assert_matches_oracle("normal_closure", ([scale], [seed]))
-    assert normal_closure([scale], [seed]).order == 251
+    # n^2 = 81 > 64 bits, 11-byte keys: P cycles three 3 x 3 blocks, and
+    # the conjugates of diag(A, I, I), with A of order 7, commute
+    n = 9
+    eye = [[int(r == c) for c in range(3)] for r in range(3)]
+    a = [[0, 0, 1], [1, 0, 1], [0, 1, 0]]  # the companion matrix of x^3 + x + 1
+    cycle = block_matrix(n, {(1, 0): eye, (2, 1): eye, (0, 2): eye})
+    seed = block_matrix(n, {(0, 0): a, (1, 1): eye, (2, 2): eye})
+    assert_matches_oracle("bfs_closure", ([cycle, seed],))
+    group = bfs_closure([cycle, seed])
+    assert group.order == 3 * 7**3
+    assert all(len(key) == 11 for key in group.keys)
+    assert_matches_oracle("normal_closure", ([cycle], [seed]))
+    assert normal_closure([cycle], [seed]).order == 7**3
 
 
 def test_caps_raise():
-    gen = elementary(2, 1, 2, 1).reduce_mod(251)
+    # GL(3, 2), of order 168, from the elementary matrices e_12 and e_23, e_31
+    gens = [elementary(3, 1, 2, 1).reduce_mod(2), elementary(3, 2, 3, 1).reduce_mod(2)]
+    gens.append(elementary(3, 3, 1, 1).reduce_mod(2))
     with pytest.raises(CapExceededError, match="closure exceeded cap of 100 elements"):
-        bfs_closure([gen], cap=100)
-    assert bfs_closure([gen], cap=251).order == 251
-    ambient = [elementary(2, 2, 1, 1).reduce_mod(251)]
+        bfs_closure(gens, cap=100)
+    assert bfs_closure(gens, cap=168).order == 168
     with pytest.raises(CapExceededError, match="closure exceeded cap of 100 elements"):
-        normal_closure(ambient, [gen], cap=100)
+        normal_closure(gens[1:], gens[:1], cap=100)
     with pytest.raises(CapExceededError):
-        oracle_finitegrp.normal_closure(ambient, [gen], cap=100)
+        oracle_finitegrp.normal_closure(gens[1:], gens[:1], cap=100)
+
+
+def test_the_engine_refuses_a_modulus_other_than_2():
+    for m in (elementary(2, 1, 2, 1).reduce_mod(3), ModMatrix.identity(2, 4)):
+        with pytest.raises(ValueError, match=f"works over F_2, got modulus {m.modulus}"):
+            bfs_closure([m])
+        with pytest.raises(ValueError, match=f"works over F_2, got modulus {m.modulus}"):
+            normal_closure([m], [m])
 
 
 SMALL_GROUPS = {
@@ -238,10 +354,13 @@ SMALL_GROUPS = {
 
 @pytest.mark.parametrize("name", sorted(SMALL_GROUPS))
 def test_elements_and_exponents_match_the_explicit_powers(name):
-    group = bfs_closure(SMALL_GROUPS[name])
-    elements = list(group.elements())
-    assert elements == list(oracle_finitegrp.elements(group))
-    assert len(elements) == group.order
+    # the oracle's general-modulus closures, decoding and exponent test
+    group = oracle_finitegrp.bfs_closure(SMALL_GROUPS[name])
+    elements = oracle_finitegrp.elements(group)
+    assert len(elements) == len(set(elements)) == group.order
+    for a in elements:
+        for b in elements:
+            assert a * b in elements
     exponents = set()
     for e in range(-6, 7):
         expected = all((m**e).is_identity() for m in elements)

@@ -18,51 +18,62 @@ def diag(d, *entries):
     return ModMatrix.from_rows(d, [[entries[i] if i == j else 0 for j in range(n)] for i in range(n)])
 
 
+def e(n, i, j):
+    return elementary(n, i, j, 1).reduce_mod(2)
+
+
 def test_bfs_trivial_group():
-    assert bfs_closure([ModMatrix.identity(2, 5)]).order == 1
+    assert bfs_closure([ModMatrix.identity(2, 2)]).order == 1
 
 
 def test_bfs_klein_four():
-    grp = bfs_closure([diag(3, -1, 1), diag(3, 1, -1)])
+    # e_12 and e_13 commute and square to I over F_2
+    grp = bfs_closure([e(3, 1, 2), e(3, 1, 3)])
     assert grp.order == 4
-    assert oracle_finitegrp.has_exponent(grp, 2)
-    assert grp.contains(diag(3, -1, -1))
+    elements = oracle_finitegrp.elements(grp)
+    assert all((m * m).is_identity() for m in elements)
+    assert e(3, 1, 2) * e(3, 1, 3) in elements
 
 
 def test_bfs_closure_is_closed(rng):
-    gens = [elementary(3, 1, 2, 1).reduce_mod(5), elementary(3, 2, 3, 1).reduce_mod(5)]
-    grp = bfs_closure(gens)
-    elements = list(grp.elements())
+    # GL(3, 2), of order 168
+    grp = bfs_closure([e(3, 1, 2), e(3, 2, 3), e(3, 3, 1)])
+    assert grp.order == 168
+    elements = oracle_finitegrp.elements(grp)
     for _ in range(100):
         a, b = rng.choice(elements), rng.choice(elements)
-        assert grp.contains(a * b)
-        assert grp.contains(a.inverse())
+        assert a * b in elements
+        assert a.inverse() in elements
 
 
 def test_bfs_cap():
     with pytest.raises(CapExceededError):
-        bfs_closure([elementary(2, 1, 2, 1).reduce_mod(251)], cap=100)
+        bfs_closure([e(3, 1, 2), e(3, 2, 3), e(3, 3, 1)], cap=100)
 
 
 def test_normal_closure_trivial_and_central():
-    amb = [elementary(2, 1, 2, 1).reduce_mod(4), elementary(2, 2, 1, 1).reduce_mod(4)]
-    assert normal_closure(amb, [ModMatrix.identity(2, 4)]).order == 1
-    assert normal_closure(amb, [diag(4, -1, -1)]).order == 2
+    # e_13 is central in the unitriangular group that e_12 and e_23 generate
+    amb = [e(3, 1, 2), e(3, 2, 3)]
+    assert normal_closure(amb, [ModMatrix.identity(3, 2)]).order == 1
+    assert normal_closure(amb, [e(3, 1, 3)]).order == 2
 
 
 def test_normal_closure_contains_conjugates(rng):
-    amb = [elementary(3, i, j, 1).reduce_mod(3) for i, j in ((1, 2), (2, 3), (3, 1))]
-    seed = elementary(3, 1, 3, 1).reduce_mod(3)
+    amb = [e(3, i, j) for i, j in ((1, 2), (2, 3), (3, 1))]
+    seed = e(3, 1, 3)
     grp = normal_closure(amb, [seed])
+    elements = oracle_finitegrp.elements(grp)
     for a in amb:
-        assert grp.contains(a * seed * a.inverse())
+        assert a * seed * a.inverse() in elements
+        assert a.inverse() * seed * a in elements
 
 
 def test_lagrange_consistency(rng):
-    amb = [elementary(2, 1, 2, 1).reduce_mod(4), elementary(2, 2, 1, 1).reduce_mod(4)]
-    sub = normal_closure(amb, [elementary(2, 1, 2, 2).reduce_mod(4)])
-    full = bfs_closure(amb + [elementary(2, 1, 2, 2).reduce_mod(4)])
+    amb = [e(3, 1, 2), e(3, 2, 1), e(3, 2, 3)]
+    sub = normal_closure(amb, [e(3, 1, 3)])
+    full = bfs_closure(amb + [e(3, 1, 3)])
     assert full.order % sub.order == 0
+    assert sub.order < full.order
 
 
 def test_schreier_trivial_quotient_returns_generators():
@@ -121,12 +132,14 @@ def test_todd_coxeter_cap_is_inconclusive():
 
 
 def test_todd_coxeter_matches_matrix_order():
-    # cross-oracle: the Klein four group as mod-3 diagonal matrices
-    grp = bfs_closure([diag(3, -1, 1), diag(3, 1, -1)])
+    # cross-oracle: the Klein four group over F_2 and as mod-3 diagonal
+    # matrices, closed by the oracle
     table = todd_coxeter(2, [[1, 1], [2, 2], [1, 2, 1, 2]])
+    assert bfs_closure([e(3, 1, 2), e(3, 1, 3)]).order == table.coset_count
+    grp = oracle_finitegrp.bfs_closure([diag(3, -1, 1), diag(3, 1, -1)])
     assert grp.order == table.coset_count
     # and (Z/3)^2 both ways
-    grp2 = bfs_closure([diag(9, 4, 1), diag(9, 1, 4)])
+    grp2 = oracle_finitegrp.bfs_closure([diag(9, 4, 1), diag(9, 1, 4)])
     rels = [[1] * 3, [2] * 3, [1, 2, -1, -2]]
     assert todd_coxeter(2, rels).coset_count == grp2.order == 9
 

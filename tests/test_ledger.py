@@ -58,6 +58,18 @@ def test_every_parameter_but_seed_has_a_floor_that_run_check_enforces():
                 run_check(check_id, {key: floor - 1})
 
 
+def test_every_ceiling_lies_above_its_default_and_run_check_enforces_it():
+    ceilings = {check_id: spec.ceilings for check_id, spec in CHECKS.items() if spec.ceilings}
+    assert ceilings == {"TOWER-2L": {"l": 62}}
+    for check_id, bounds in ceilings.items():
+        spec = CHECKS[check_id]
+        for key, ceiling in bounds.items():
+            assert spec.floors[key] <= spec.defaults[key] <= ceiling, (check_id, key)
+            message = rf"^{check_id}: parameter '{key}' must be <= {ceiling}, got {ceiling + 1}$"
+            with pytest.raises(ParamRangeError, match=message):
+                run_check(check_id, {key: ceiling + 1})
+
+
 def test_unknown_id_raises():
     with pytest.raises(UnknownCheckError):
         run_check("NOPE")

@@ -1,15 +1,15 @@
-"""The bounded-memory forms of PSI-O2's exhaustion, the level-4 stream checks
-and the keyed dedupe, against the whole-array oracles they replaced
-(``oracle_ledger``), and the traced working memory of the default suite."""
+"""The bounded-memory forms of PSI-O2's exhaustion and the level-4 stream
+checks, against the whole-array oracles they replaced (``oracle_ledger``),
+and the traced working memory of the default suite."""
 
 import tracemalloc
 
-import numpy as np
 import pytest
 
+import oracle_finitegrp
 import oracle_ledger
 from crosscap import homology, ledger
-from crosscap.finitegrp import first_distinct
+from crosscap.finitegrp import FiniteMatrixGroup
 from crosscap.intmat import ModMatrix
 from crosscap.ledger import brute_force_mod2_orthogonal, run_check, run_suite
 from crosscap.pi1free import ScaleGuardError
@@ -24,39 +24,16 @@ def test_bit_packed_exhaustion_matches_the_einsum_oracle(g, order):
     got = brute_force_mod2_orthogonal(g)
     expected = oracle_ledger.brute_force_mod2_orthogonal(g)
     assert len(got) == len(expected) == order
-    assert sorted(got) == sorted(expected)
-    assert all(len(key) == 2 * g * g for key in got)
+    # the engine's keys, packed bits, against the oracle's uint16 entries
+    assert oracle_finitegrp.elements(FiniteMatrixGroup(g, got, ())) == oracle_finitegrp.elements(
+        oracle_finitegrp.Group(2, g, expected, ())
+    )
+    assert all(len(key) == (g * g + 7) // 8 for key in got)
 
 
 def test_exhaustion_keeps_its_genus_guard():
     with pytest.raises(ScaleGuardError, match="2\\^\\(g\\^2\\) enumeration unreasonable for g = 5"):
         brute_force_mod2_orthogonal(5)
-
-
-def axis0_first(stack):
-    _, first = np.unique(stack.reshape(len(stack), -1), axis=0, return_index=True)
-    first.sort()
-    return first
-
-
-@pytest.mark.parametrize("modulus", [2, 8, 251])
-def test_first_distinct_matches_the_row_dedupe(modulus):
-    rng = np.random.default_rng(modulus)
-    for n in (1, 2, 3, 4, 5):
-        for count in (1, 2, 17, 600):
-            pool = rng.integers(0, modulus, size=(max(1, count // 3), n, n))
-            # every row drawn from a small pool, so most of them repeat
-            stack = pool[rng.integers(0, len(pool), size=count)]
-            first = first_distinct(stack)
-            assert first.tolist() == axis0_first(stack).tolist()
-            assert len(first) == len({m.tobytes() for m in stack})
-            assert len(first) < count or count == 1
-
-
-def test_first_distinct_reads_entries_up_to_the_key_range():
-    corners = [(65535, 0), (0, 65535), (65535, 0), (256, 1), (1, 256)]
-    stack = np.array([[[a, b], [0, 1]] for a, b in corners])
-    assert first_distinct(stack).tolist() == axis0_first(stack).tolist() == [0, 1, 3, 4]
 
 
 @pytest.mark.parametrize("batch", [7, ledger._STREAM_BATCH])
