@@ -21,7 +21,7 @@ import sys
 from typing import Sequence
 
 from . import families, ledger, pi1free, words
-from .finitegrp import CapExceededError, todd_coxeter
+from .finitegrp import ScaleGuardError, todd_coxeter
 from .homology import (
     act,
     format_h1,
@@ -285,7 +285,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (pi1free.ScaleGuardError, CapExceededError) as exc:
+    except ScaleGuardError as exc:
         print(f"inconclusive: {exc}")
         return 3
     except ValueError as exc:

@@ -17,7 +17,7 @@ from typing import Callable, Iterator, Optional, Sequence
 
 import numpy as np
 
-from .pi1free import ScaleGuardError
+from .finitegrp import ScaleGuardError
 from .words import (
     BoundaryTwist,
     MCGWord,
@@ -46,7 +46,6 @@ SEED_LETTER_LIMIT = 1 << 20
 class NamedFamilyElement:
     family: str
     indices: tuple[int, ...]
-    genus: int
     word: MCGWord
     alternates: tuple[MCGWord, ...] = ()
     sign: Optional[int] = None  # conjugated-twist exponent chosen for D
@@ -117,19 +116,19 @@ def named_element(family: str, indices: tuple[int, ...], g: int) -> NamedFamilyE
         i, j = _expect(idx, 2, family)
         if not (1 <= i <= g - 1 and 1 <= j <= g and i != j):
             raise FamilyIndexError(f"Y{idx} out of range for genus {g}")
-        return NamedFamilyElement("Y", idx, g, _slide_word(g, i, j))
+        return NamedFamilyElement("Y", idx, _slide_word(g, i, j))
     if family == "A":
         i, j = _expect(idx, 2, family)
         _require_increasing(idx[:2], g, family)
         alt1 = (_slide_word(g, j, i).inverse() * _slide_word(g, i, j)) ** 2
         alt2 = (_slide_word(g, j, i) * _slide_word(g, i, j).inverse()) ** 2
-        return NamedFamilyElement("A", idx, g, _twist_word(g, (i, j), 4), (alt1, alt2))
+        return NamedFamilyElement("A", idx, _twist_word(g, (i, j), 4), (alt1, alt2))
     if family == "B":
         i, j = _expect(idx, 2, family)
         _require_increasing(idx[:2], g, family)
         primary = _slide_word(g, i, j) ** 2
         alt = _slide_word(g, j, i) ** 2
-        return NamedFamilyElement("B", idx, g, primary, (alt,))
+        return NamedFamilyElement("B", idx, primary, (alt,))
     if family == "C":
         i, j, k = _expect(idx, 3, family)
         _require_increasing((i, j), g, family)
@@ -143,16 +142,14 @@ def named_element(family: str, indices: tuple[int, ...], g: int) -> NamedFamilyE
             primary = (_slide_word(g, k, i) * _slide_word(g, k, j)) ** 2
             twist_form = t2 * conjugate(t2.inverse(), _slide_word(g, k, i).inverse())
         _check_c_realizations(g, idx, primary, twist_form)
-        return NamedFamilyElement("C", idx, g, primary, (twist_form,))
+        return NamedFamilyElement("C", idx, primary, (twist_form,))
     if family == "D":
         i, j, k, l = _expect(idx, 4, family)
         _require_increasing(idx, g, family)
         sign = _resolve_d_sign(g, idx)
         conjugator = _slide_word(g, j, i) * _slide_word(g, k, l).inverse()
         twist = _twist_word(g, idx)
-        return NamedFamilyElement(
-            "D", idx, g, twist * conjugate(twist**sign, conjugator), sign=sign
-        )
+        return NamedFamilyElement("D", idx, twist * conjugate(twist**sign, conjugator), sign=sign)
     raise FamilyIndexError(f"unknown family {family!r}")
 
 
@@ -269,10 +266,6 @@ def zset(g: int, l: int) -> list[MCGWord]:
     return [w**exp for w in bases]
 
 
-def zset_count(g: int) -> int:
-    return (g - 2) + (g - 1) * (g - 2)
-
-
 def transversal_2z(g: int, l: int) -> Iterator[MCGWord]:
     elements = zset(g, l)
     for mask in range(1 << len(elements)):
@@ -293,7 +286,6 @@ class Main2Generator:
     name: str
     word: MCGWord
     closed_surface: bool
-    condition: str
 
 
 def main2_normal_generators(g: int, n: int, d: int) -> list[Main2Generator]:
@@ -310,15 +302,9 @@ def main2_normal_generators(g: int, n: int, d: int) -> list[Main2Generator]:
     odd = d % 2 == 1
 
     if odd or n >= 1:
-        out.append(
-            Main2Generator("twist(a12)^d", _twist_word(g, (1, 2), d), True, "d odd or n >= 1")
-        )
+        out.append(Main2Generator("twist(a12)^d", _twist_word(g, (1, 2), d), True))
     if odd and g == 4:
-        out.append(
-            Main2Generator(
-                "twist(a1234)^d", _twist_word(g, (1, 2, 3, 4), d), True, "d odd and g = 4"
-            )
-        )
+        out.append(Main2Generator("twist(a1234)^d", _twist_word(g, (1, 2, 3, 4), d), True))
     if not odd:
         # t' is the twist about the slide image of a_{1,2}; the product with
         # the inverse twist is the commutator [t_{a12}, Y_{3,2}], a cyclically
@@ -329,55 +315,24 @@ def main2_normal_generators(g: int, n: int, d: int) -> list[Main2Generator]:
                 f" over the limit of {SEED_LETTER_LIMIT}"
             )
         half = commutator(_twist_word(g, (1, 2)), _slide_word(g, 3, 2)) ** (d // 2)
-        out.append(Main2Generator("(twist(a12) twist(a12')^-1)^(d/2)", half, True, "d even"))
-    out.append(
-        Main2Generator(
-            "twist(a1234) twist(a1234')",
-            named_element("D", (1, 2, 3, 4), g).word,
-            True,
-            "always",
-        )
-    )
-    out.append(
-        Main2Generator("twist(beta12)", word(g, TorelliTag("beta", (1, 2))), True, "always")
-    )
+        out.append(Main2Generator("(twist(a12) twist(a12')^-1)^(d/2)", half, True))
+    paired = named_element("D", (1, 2, 3, 4), g).word
+    out.append(Main2Generator("twist(a1234) twist(a1234')", paired, True))
+    out.append(Main2Generator("twist(beta12)", word(g, TorelliTag("beta", (1, 2))), True))
     if g == 4:
-        out.append(Main2Generator("twist(gamma)", word(g, TorelliTag("gamma")), True, "g = 4"))
+        out.append(Main2Generator("twist(gamma)", word(g, TorelliTag("gamma")), True))
 
-    if n >= 2:
-        for k in range(1, n):
-            out.append(
-                Main2Generator(
-                    f"twist(delta{k})", word(g, BoundaryTwist("delta", (k,))), False, "n >= 2"
-                )
-            )
-            out.append(
-                Main2Generator(
-                    f"twist(eps{g},{k})",
-                    word(g, BoundaryTwist("epsilon", (g, k))),
-                    False,
-                    "n >= 2",
-                )
-            )
-    if n >= 3:
-        for k in range(1, n):
-            for l in range(k + 1, n):
-                out.append(
-                    Main2Generator(
-                        f"twist(zeta{k},{l})",
-                        word(g, BoundaryTwist("zeta", (k, l))),
-                        False,
-                        "n >= 3",
-                    )
-                )
-                out.append(
-                    Main2Generator(
-                        f"twist(zetabar{k},{l})",
-                        word(g, BoundaryTwist("zetabar", (k, l))),
-                        False,
-                        "n >= 3",
-                    )
-                )
+    # the boundary twists: none for n <= 1, and zeta twists only from n = 3
+    for k in range(1, n):
+        delta = word(g, BoundaryTwist("delta", (k,)))
+        out.append(Main2Generator(f"twist(delta{k})", delta, False))
+        epsilon = word(g, BoundaryTwist("epsilon", (g, k)))
+        out.append(Main2Generator(f"twist(eps{g},{k})", epsilon, False))
+    for k in range(1, n):
+        for l in range(k + 1, n):
+            for kind in ("zeta", "zetabar"):
+                twist = word(g, BoundaryTwist(kind, (k, l)))
+                out.append(Main2Generator(f"twist({kind}{k},{l})", twist, False))
     return out
 
 

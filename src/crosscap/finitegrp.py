@@ -9,8 +9,9 @@ engine, ``_Closure``, which grows a group in place as generators arrive
 instead of restarting (Dimino's algorithm; Holt-Eick-
 O'Brien, *Handbook of Computational Group Theory*, ch. 4) and forms and keys
 its products through numpy a batch at a time.  Caps are explicit and
-hitting one raises, so callers can report "inconclusive" instead of silently
-truncating.
+hitting one raises ``ScaleGuardError``, the one exception that marks a
+computation stopped by a guard or cap, so callers report "inconclusive"
+instead of silently truncating.
 
 For even d the layer Gamma_d / Gamma_2d of matrices congruent to I mod d,
 taken mod 2d, is elementary abelian, so ``layer_closure`` and
@@ -45,8 +46,8 @@ import numpy as np
 from .intmat import ModMatrix, ModulusMismatchError
 
 
-class CapExceededError(RuntimeError):
-    """An explicit size cap was hit; the computation is inconclusive."""
+class ScaleGuardError(ValueError):
+    """A scale guard or size cap was hit; the computation is inconclusive."""
 
 
 class SectionError(ValueError):
@@ -93,18 +94,14 @@ def _check_gens(gens: Sequence[ModMatrix]) -> tuple[int, int]:
 @dataclass(frozen=True)
 class FiniteMatrixGroup:
     """An explicitly enumerated subgroup of the n x n matrices over F_2,
-    held as the keys of its elements."""
+    held as the keys of its elements; equal exactly when the groups are."""
 
     dim: int
     keys: frozenset[bytes]
-    generators: tuple[ModMatrix, ...]
 
     @property
     def order(self) -> int:
         return len(self.keys)
-
-    def same_group(self, other: "FiniteMatrixGroup") -> bool:
-        return self.dim == other.dim and self.keys == other.keys
 
 
 def _mod2_gens(gens: Sequence[ModMatrix]) -> int:
@@ -168,7 +165,7 @@ class _Closure:
             members.update(fresh)
             keys.extend(fresh)
             if len(keys) > self.cap:
-                raise CapExceededError(f"closure exceeded cap of {self.cap} elements")
+                raise ScaleGuardError(f"closure exceeded cap of {self.cap} elements")
 
 
 def _conjugation(ambient_gens: Sequence[ModMatrix], n: int) -> Callable[[np.ndarray], np.ndarray]:
@@ -194,7 +191,7 @@ def bfs_closure(gens: Sequence[ModMatrix], cap: int = 1 << 22) -> FiniteMatrixGr
     n = _mod2_gens(gens)
     group = _Closure(n, cap)
     group.add(_stack(gens, 2, n))
-    return FiniteMatrixGroup(n, frozenset(group.keys), tuple(gens))
+    return FiniteMatrixGroup(n, frozenset(group.keys))
 
 
 def normal_closure(
@@ -217,7 +214,7 @@ def normal_closure(
     added = group.add(_stack(normal_gens, 2, n))
     while len(added):
         added = group.add(conjugate(added))
-    return FiniteMatrixGroup(n, frozenset(group.keys), tuple(normal_gens))
+    return FiniteMatrixGroup(n, frozenset(group.keys))
 
 
 # ---------------------------------------------------------------------------
@@ -252,9 +249,6 @@ class LevelLayer:
     @property
     def order(self) -> int:
         return 1 << len(self.basis)
-
-    def same_group(self, other: "LevelLayer") -> bool:
-        return self == other
 
 
 def identity_offsets(gens: Sequence[ModMatrix], d: int) -> np.ndarray:
@@ -493,7 +487,7 @@ class _CosetRows:
         """A new coset beta with alpha --col--> beta."""
         rows = self.rows
         if len(rows) >= self.cap:
-            raise CapExceededError(f"coset table exceeded cap of {self.cap}")
+            raise ScaleGuardError(f"coset table exceeded cap of {self.cap}")
         beta = len(rows)
         rows.append([None] * self.ncols)
         self.parent.append(beta)
@@ -583,7 +577,7 @@ def todd_coxeter(
 
     Relators are sequences of nonzero signed letters.  Deterministic: cosets
     are processed in creation order and definitions fill relator scans left
-    to right.  Raises :class:`CapExceededError` when more than ``cap`` cosets
+    to right.  Raises :class:`ScaleGuardError` when more than ``cap`` cosets
     would be defined (the enumeration may not terminate for infinite
     quotients), and ValueError for a cap below 1.
     """

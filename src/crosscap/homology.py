@@ -102,12 +102,6 @@ class H1Class:
         return format_h1(self)
 
 
-def basis_class(genus: int, i: int) -> H1Class:
-    if not 1 <= i <= genus:
-        raise ValueError(f"basis index {i} out of range")
-    return H1Class(genus, tuple(1 if j == i - 1 else 0 for j in range(genus)))
-
-
 def mod2_pairing(x: H1Class, y: H1Class) -> int:
     """Mod-2 intersection number; well defined on the quotient by even shifts."""
     x._check(y)

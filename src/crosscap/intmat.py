@@ -240,14 +240,6 @@ def format_matrix(m: IntMatrix | ModMatrix) -> str:
     return ";".join(",".join(str(e) for e in row) for row in m.rows)
 
 
-def parse_matrix(text: str) -> IntMatrix:
-    try:
-        rows = [[int(e) for e in row.split(",")] for row in text.strip().split(";")]
-    except ValueError as exc:
-        raise ValueError(f"bad matrix literal {text!r}: {exc}") from None
-    return IntMatrix.from_rows(rows)
-
-
 def matrix_json(m: IntMatrix | ModMatrix) -> list[list[str]]:
     """JSON form: array of arrays of decimal strings (arbitrary precision safe)."""
     return [[str(e) for e in row] for row in m.rows]

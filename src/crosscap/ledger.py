@@ -18,9 +18,9 @@ import numpy as np
 
 from . import families
 from .finitegrp import (
-    CapExceededError,
     LayerError,
     LevelLayer,
+    ScaleGuardError,
     bfs_closure,
     identity_offsets,
     layer_closure,
@@ -41,7 +41,6 @@ from .homology import (
 )
 from .intmat import IntMatrix, ModMatrix, elementary
 from .pi1free import (
-    ScaleGuardError,
     coset_count_ker_theta,
     derive_theta_basis,
     gtilde,
@@ -58,7 +57,8 @@ from .words import MCGWord, Slide, TorelliTag, Twist, commutator, word
 
 T = TypeVar("T")
 
-# the most words of the level-4 generating stream THM41-MEMBER reads in full
+# the most words of the level-4 generating stream THM41-MEMBER reads, in
+# full or as a sample
 MAIN3_STREAM_LIMIT = 100_000
 # the most stream words whose actions ``main3_stream_images`` forms in one
 # numpy stack; THM41-MEMBER, the one check that reads the stream, reads it a
@@ -522,7 +522,7 @@ def _check_thm31_closure(p: dict) -> tuple[bool, dict]:
         closure = normal_closure(ambient, [ModMatrix.from_rows(2, m.rows) for m in seeds])
         reference = normal_closure(ambient, [ModMatrix.from_rows(2, m.rows) for m in refs])
         ref_kind = "conjugated elementary family (plain d-th powers are obstructed)"
-    ok = closure.same_group(reference)
+    ok = closure == reference
     return ok, {
         "closure_order": closure.order,
         "reference_order": reference.order,
@@ -580,7 +580,7 @@ def _check_rs_gamma24(p: dict) -> tuple[bool, dict]:
     ref_gens = [m.reduce_mod(4) for m in gamma_generators(g - 1, 2)]
     flip = [[-1 if r == c == 0 else (1 if r == c else 0) for c in range(g - 1)] for r in range(g - 1)]
     ref_gens.append(IntMatrix.from_rows(flip).reduce_mod(4))
-    reference_ok = grp.same_group(_reference_layer(ref_gens, 2))
+    reference_ok = grp == _reference_layer(ref_gens, 2)
 
     signed = [s for x in gens_words for s in (x, x.inverse())]
     coords = slide_coordinates(g, signed)
@@ -628,12 +628,20 @@ def _check_thm41_member(p: dict) -> tuple[bool, dict]:
     total = families.main3_count(g)
     rng = random.Random(p["seed"])
     sample = p["sample"]
-    if sample == 0 or sample >= total:
-        if total > MAIN3_STREAM_LIMIT:
-            raise ScaleGuardError(
-                f"full stream has {total} words, over the limit of {MAIN3_STREAM_LIMIT};"
-                f" pass a positive sample for genus {g}"
-            )
+    full = sample == 0 or sample >= total
+    if (total if full else sample) > MAIN3_STREAM_LIMIT:
+        raise ScaleGuardError(
+            f"full stream has {total} words, over the limit of {MAIN3_STREAM_LIMIT};"
+            f" pass a positive sample for genus {g}"
+            if full
+            else f"a sample of {sample} words is over the limit of {MAIN3_STREAM_LIMIT}"
+        )
+    int64_max = np.iinfo(np.int64).max
+    if total > int64_max:
+        raise ScaleGuardError(
+            f"the stream has {total} words, over the int64 limit of {int64_max} on its positions"
+        )
+    if full:
         indices = np.arange(total)
     else:
         indices = np.array(sorted(rng.sample(range(total), sample)))
@@ -659,7 +667,7 @@ def _check_thm41_mod8(p: dict) -> tuple[bool, dict]:
         lambda: layer_closure([phi_mod(el.word, 8) for el in fams], 4),
     )
     reference = _reference_layer([m.reduce_mod(8) for m in gamma_generators(g - 1, 4)], 4)
-    ok = closure.same_group(reference)
+    ok = closure == reference
     return ok, {
         "family_images": len(fams),
         "closure_order": closure.order,
@@ -814,6 +822,8 @@ CHECKS: dict[str, CheckSpec] = {
         "normal closure of the generator images matches the congruence reference at modulus 2d",
         {"g": 4, "d": 2},
         {"g": 4, "d": 2},
+        # the entries are int64 residues mod 2d <= 2^62
+        {"d": 1 << 61},
     ),
     "LEM42-3CHAIN": CheckSpec(
         _check_lem42_3chain,
@@ -832,6 +842,8 @@ CHECKS: dict[str, CheckSpec] = {
         "the level-2 image mod 4 is elementary abelian of rank equal to the slide family size",
         {"g": 4, "seed": 0, "sample": 200, "rs_cap": 20000},
         {"g": 3, "sample": 1, "rs_cap": 1},
+        # the walk keeps about 100 bytes per Schreier output it lists
+        {"rs_cap": 1_000_000},
     ),
     "THM41-MEMBER": CheckSpec(
         _check_thm41_member,
@@ -949,7 +961,7 @@ def run_check(check_id: str, params: dict | None = None) -> CheckRecord:
     try:
         passed, details = spec.runner(effective)
         status = "pass" if passed else "fail"
-    except (ScaleGuardError, CapExceededError) as exc:
+    except ScaleGuardError as exc:
         status = "inconclusive"
         details = {"reason": str(exc)}
     except LayerError as exc:

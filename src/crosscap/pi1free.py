@@ -46,17 +46,13 @@ import types
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
-from .finitegrp import CosetTable, _CosetRows, todd_coxeter
+from .finitegrp import CosetTable, ScaleGuardError, _CosetRows, todd_coxeter
 from .finitegrp import schreier_generators  # noqa: F401  (still bound here: perfbench's tracer checks it)
 from .words import ReducedWord, _reduce
 
 
 class NotTwoSidedError(ValueError):
     """A one-sided loop was used where a two-sided one is required."""
-
-
-class ScaleGuardError(ValueError):
-    """A desk-scale guard (on d^(g-1) or similar) was exceeded."""
 
 
 Atom = tuple[str, int]  # (kind, index), kind in {"x", "y", "u", "v", "z"}
@@ -201,24 +197,6 @@ def rewrite_two_sided(w: FreeWord, g: int) -> FreeWord:
             at_xg = False
     assert not at_xg
     return FreeWord.from_letters(out)
-
-
-def expand_basis(w: FreeWord, g: int) -> FreeWord:
-    """Inverse substitution of the basis letters, for verification."""
-    out = FreeWord.identity()
-    for (kind, idx), exp in w.letters:
-        if kind == "u":
-            piece = x_(idx) * x_(g, -1)
-        elif kind == "v":
-            piece = x_(g) * x_(idx)
-        elif kind == "y":
-            piece = y_(idx)
-        elif kind == "z":
-            piece = x_(g) * y_(idx) * x_(g, -1)
-        else:
-            raise ValueError(f"not a basis letter: {kind}{idx}")
-        out = out * piece**exp
-    return out
 
 
 # ---------------------------------------------------------------------------

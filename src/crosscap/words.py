@@ -245,9 +245,6 @@ class MCGWord(ReducedWord):
         self._check(other)
         return self._times(other)
 
-    def has_boundary_letters(self) -> bool:
-        return any(isinstance(s, BoundaryTwist) for s, _ in self.letters)
-
     def __str__(self) -> str:
         return format_word(self)
 
@@ -298,15 +295,14 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
     pos = 0
     while pos < len(text):
         m = _TOKEN.match(text, pos)
-        if not m or m.end() == m.start():
+        if not m:
             if text[pos:].strip() == "":
                 break
             bad = pos + len(text[pos:]) - len(text[pos:].lstrip())
             raise WordSyntaxError(f"unexpected character {text[bad]!r}", bad)
-        if m.lastgroup is None:  # pure whitespace tail
-            break
-        kind = m.lastgroup
-        tokens.append((kind, m.group(kind), m.start(kind)))
+        # every alternative consumes a character, so exactly one group is set
+        ((kind, value),) = ((k, v) for k, v in m.groupdict().items() if v is not None)
+        tokens.append((kind, value, m.start(kind)))
         pos = m.end()
     return tokens
 

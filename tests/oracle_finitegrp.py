@@ -32,10 +32,10 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from crosscap.finitegrp import (
-    CapExceededError,
     CosetTable,
     FiniteMatrixGroup,
     LevelLayer,
+    ScaleGuardError,
     SectionError,
     _check_gens,
     _column,
@@ -103,7 +103,7 @@ def _closure_arrays(
                 elements[key] = arr
                 frontier.append(arr)
         if len(elements) > cap:
-            raise CapExceededError(f"closure exceeded cap of {cap} elements")
+            raise ScaleGuardError(f"closure exceeded cap of {cap} elements")
     return elements
 
 
@@ -156,7 +156,7 @@ def normal_closure(
             return Group(d, n, frozenset(elements), tuple(normal_gens))
         gen_list.extend(fresh.values())
         if len(gen_list) > cap:
-            raise CapExceededError("normal closure generator list exceeded cap")
+            raise ScaleGuardError("normal closure generator list exceeded cap")
 
 
 def elements(group: Group | FiniteMatrixGroup) -> list[ModMatrix]:
@@ -264,7 +264,7 @@ def todd_coxeter(
 
     Relators are sequences of nonzero signed letters.  Deterministic: cosets
     are processed in creation order and definitions fill relator scans left
-    to right.  Raises :class:`CapExceededError` when more than ``cap`` cosets
+    to right.  Raises :class:`ScaleGuardError` when more than ``cap`` cosets
     would be defined (the enumeration may not terminate for infinite
     quotients).
     """
@@ -290,7 +290,7 @@ def todd_coxeter(
 
     def define(alpha: int, col: int) -> int:
         if len(table) >= cap:
-            raise CapExceededError(f"coset table exceeded cap of {cap}")
+            raise ScaleGuardError(f"coset table exceeded cap of {cap}")
         beta = len(table)
         table.append([None] * ncols)
         parent.append(beta)

@@ -124,7 +124,7 @@ def thm41_mod8(g: int) -> tuple[bool, dict]:
         lambda: layer_closure([m for _, m in seen.values()], 4),
     )
     reference = _reference_layer([m.reduce_mod(8) for m in gamma_generators(g - 1, 4)], 4)
-    return closure.same_group(reference), {
+    return closure == reference, {
         "distinct_images": len(seen),
         "closure_order": closure.order,
         "reference_order": reference.order,
@@ -234,7 +234,7 @@ def thm41_mod8_stacked(g: int) -> tuple[bool, dict]:
     on the stream's size."""
     closure, distinct = thm41_mod8_stacked_closure(g)
     reference = _reference_layer([m.reduce_mod(8) for m in gamma_generators(g - 1, 4)], 4)
-    return closure.same_group(reference), {
+    return closure == reference, {
         "distinct_images": distinct,
         "closure_order": closure.order,
         "reference_order": reference.order,

@@ -8,6 +8,9 @@ merging their far ends each time.  This is the slow, obviously correct
 definition that ``crosscap.pi1free.StallingsGraph.fold`` must reproduce up to
 the numbering of the vertices.
 
+``expand_basis`` substitutes the ambient spelling of each plus-basis letter,
+the inverse of ``crosscap.pi1free.rewrite_two_sided``.
+
 ``certify_in_words`` is the kernel certificate spelled out in words: every
 conjugate w r w^-1 of a normal relator by a transversal word, and every
 Schreier generator of the kernel, is built, rewritten into the plus basis and
@@ -33,6 +36,24 @@ from crosscap.pi1free import (
     x_,
     y_,
 )
+
+
+def expand_basis(w: FreeWord, g: int) -> FreeWord:
+    """Inverse substitution of the basis letters, for verification."""
+    out = FreeWord.identity()
+    for (kind, idx), exp in w.letters:
+        if kind == "u":
+            piece = x_(idx) * x_(g, -1)
+        elif kind == "v":
+            piece = x_(g) * x_(idx)
+        elif kind == "y":
+            piece = y_(idx)
+        elif kind == "z":
+            piece = x_(g) * y_(idx) * x_(g, -1)
+        else:
+            raise ValueError(f"not a basis letter: {kind}{idx}")
+        out = out * piece**exp
+    return out
 
 
 def fold(words: Sequence[FreeWord], alphabet: Sequence[Atom]) -> StallingsGraph:

@@ -375,6 +375,12 @@ def test_verify_non_integer_param_exits_2(capsys):
         ("THM31-CLOSURE", "g=3", "parameter 'g' must be >= 4, got 3"),
         ("RS-GAMMA24", "g=2", "parameter 'g' must be >= 3, got 2"),
         ("TOWER-2L", "l=63", "parameter 'l' must be <= 62, got 63"),
+        (
+            "THM31-CLOSURE",
+            f"d={(1 << 61) + 1}",
+            f"parameter 'd' must be <= {1 << 61}, got {(1 << 61) + 1}",
+        ),
+        ("RS-GAMMA24", "rs_cap=1000001", "parameter 'rs_cap' must be <= 1000000, got 1000001"),
     ],
 )
 def test_verify_bad_param_values_exit_2(capsys, suite, params, message):
@@ -400,6 +406,23 @@ def test_verify_all_refuses_a_tower_past_2_to_the_62_before_any_check(capsys):
     code, out, err = run_cli(capsys, "verify", "--suite", "all", "--params", "l=63")
     assert code == 2 and out == ""
     assert err.strip() == "error: TOWER-2L: parameter 'l' must be <= 62, got 63"
+
+
+def test_verify_all_at_genus_9_with_a_sample_records_every_check(capsys):
+    code, out, err = run_cli(
+        capsys, "verify", "--suite", "all", "--params", "g=9,sample=5", "--format", "json"
+    )
+    assert code == 3 and err == ""
+    records = {r["id"]: r for r in json.loads(out)}
+    assert len(records) == 19
+    # THM41-MEMBER's stream has 2^((g-1)^2) = 2^64 transversal words times
+    # |A| + |B| + |C| + |D| = 36 + 36 + 252 + 56 family elements, more than
+    # int64 positions reach
+    assert records["THM41-MEMBER"]["status"] == "inconclusive"
+    assert records["THM41-MEMBER"]["details"] == {
+        "reason": f"the stream has {(1 << 64) * 380} words,"
+        f" over the int64 limit of {(1 << 63) - 1} on its positions"
+    }
 
 
 @pytest.mark.parametrize(

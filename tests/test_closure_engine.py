@@ -18,7 +18,7 @@ import pytest
 
 import oracle_finitegrp
 from crosscap import finitegrp, ledger
-from crosscap.finitegrp import CapExceededError, bfs_closure, normal_closure
+from crosscap.finitegrp import ScaleGuardError, bfs_closure, normal_closure
 from crosscap.families import Main2Generator
 from crosscap.intmat import ModMatrix, NotUnimodularError, elementary
 from crosscap.words import Twist, word
@@ -53,22 +53,18 @@ def mod2(ms):
 
 
 def assert_matches_oracle(name, args, cap=1 << 22):
-    """The engine's closure over F_2 has the oracle's elements, dimension
-    and generators, or both raise at the cap."""
+    """The engine's closure over F_2 has the oracle's elements and
+    dimension, or both raise at the cap."""
     try:
         expected = getattr(oracle_finitegrp, name)(*args, cap=cap)
-    except CapExceededError:
-        with pytest.raises(CapExceededError):
+    except ScaleGuardError:
+        with pytest.raises(ScaleGuardError):
             getattr(finitegrp, name)(*args, cap=cap)
         return
     got = getattr(finitegrp, name)(*args, cap=cap)
     assert expected.modulus == 2
     assert oracle_finitegrp.elements(got) == oracle_finitegrp.elements(expected)
-    assert (got.order, got.dim, got.generators) == (
-        expected.order,
-        expected.dim,
-        expected.generators,
-    )
+    assert (got.order, got.dim) == (expected.order, expected.dim)
     return got
 
 
@@ -177,7 +173,7 @@ def test_an_odd_level_generator_not_congruent_to_i_fails_by_name(monkeypatch, d)
 
     def with_a_twist(g, n, d):
         # a single twist acts nontrivially mod 2, so it is I mod no level
-        twist = Main2Generator("twist(a12)", word(g, Twist((1, 2))), True, "never")
+        twist = Main2Generator("twist(a12)", word(g, Twist((1, 2))), True)
         return real(g, n, d) + [twist]
 
     monkeypatch.setattr(ledger.families, "main2_normal_generators", with_a_twist)
@@ -325,12 +321,12 @@ def test_caps_raise():
     # GL(3, 2), of order 168, from the elementary matrices e_12 and e_23, e_31
     gens = [elementary(3, 1, 2, 1).reduce_mod(2), elementary(3, 2, 3, 1).reduce_mod(2)]
     gens.append(elementary(3, 3, 1, 1).reduce_mod(2))
-    with pytest.raises(CapExceededError, match="closure exceeded cap of 100 elements"):
+    with pytest.raises(ScaleGuardError, match="closure exceeded cap of 100 elements"):
         bfs_closure(gens, cap=100)
     assert bfs_closure(gens, cap=168).order == 168
-    with pytest.raises(CapExceededError, match="closure exceeded cap of 100 elements"):
+    with pytest.raises(ScaleGuardError, match="closure exceeded cap of 100 elements"):
         normal_closure(gens[1:], gens[:1], cap=100)
-    with pytest.raises(CapExceededError):
+    with pytest.raises(ScaleGuardError):
         oracle_finitegrp.normal_closure(gens[1:], gens[:1], cap=100)
 
 

@@ -15,7 +15,7 @@ import pytest
 import oracle_finitegrp
 from conftest import Budget
 from crosscap import finitegrp
-from crosscap.finitegrp import CapExceededError, todd_coxeter
+from crosscap.finitegrp import ScaleGuardError, todd_coxeter
 from crosscap.pi1free import (
     StallingsGraph,
     claimed_kernel_graph,
@@ -54,7 +54,7 @@ def test_todd_coxeter_matches_the_oracle_at_kernel_points(g, n, d):
 def test_todd_coxeter_hits_the_cap_where_the_oracle_does(rank, rels, cap):
     messages = []
     for enumerate_ in (todd_coxeter, oracle_finitegrp.todd_coxeter):
-        with pytest.raises(CapExceededError) as info:
+        with pytest.raises(ScaleGuardError) as info:
             enumerate_(rank, rels, cap=cap)
         messages.append(str(info.value))
     assert messages[0] == messages[1] == f"coset table exceeded cap of {cap}"
@@ -79,7 +79,7 @@ def test_todd_coxeter_scans_each_live_coset_and_relator_once(monkeypatch, g, n, 
 def test_todd_coxeter_ends_inconclusive_on_a_free_letter(rank, rels):
     # the last letter is in no relator, so the group is infinite
     with Budget(f"todd_coxeter({rank}, {rels})", 5.0):
-        with pytest.raises(CapExceededError, match="exceeded cap of 100000"):
+        with pytest.raises(ScaleGuardError, match="exceeded cap of 100000"):
             todd_coxeter(rank, rels)
 
 

@@ -15,7 +15,6 @@ def test_family_counts_g4():
     assert len(families.family_indices("B", 4)) == 6
     assert len(families.family_indices("C", 4)) == 12
     assert len(families.family_indices("D", 4)) == 1
-    assert families.zset_count(4) == 8
     assert len(families.zset(4, 3)) == 8
 
 
@@ -26,8 +25,7 @@ def test_family_counts_general():
         assert len(families.family_indices("Y", g)) == (g - 1) ** 2
         assert len(families.family_indices("C", g)) == comb(g, 2) * (g - 2)
         assert len(families.family_indices("D", g)) == comb(g - 1, 3)
-        assert families.zset_count(g) == (g - 1) ** 2 - 1
-        assert len(families.zset(g, 3)) == families.zset_count(g)
+        assert len(families.zset(g, 3)) == (g - 1) ** 2 - 1
 
 
 def test_named_a_matches_twist_power():
@@ -85,7 +83,7 @@ def test_transversal_order_and_count():
 
 def test_transversal_2z_count():
     count = sum(1 for _ in families.transversal_2z(4, 3))
-    assert count == 2 ** families.zset_count(4) == 256
+    assert count == 2 ** len(families.zset(4, 3)) == 256
 
 
 def test_main2_conditional_entries():
@@ -106,7 +104,7 @@ def test_main2_conditional_entries():
     assert "twist(delta1)" in names_422
     assert "twist(eps4,1)" in names_422
     boundary = [r for r in recs_422 if not r.closed_surface]
-    assert all(r.word.has_boundary_letters() for r in boundary)
+    assert all(isinstance(s, BoundaryTwist) for r in boundary for s, _ in r.word.letters)
 
 
 def test_main2_boundary_range_flag():

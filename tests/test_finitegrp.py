@@ -2,7 +2,7 @@ import pytest
 
 import oracle_finitegrp
 from crosscap.finitegrp import (
-    CapExceededError,
+    ScaleGuardError,
     SectionError,
     bfs_closure,
     normal_closure,
@@ -47,7 +47,7 @@ def test_bfs_closure_is_closed(rng):
 
 
 def test_bfs_cap():
-    with pytest.raises(CapExceededError):
+    with pytest.raises(ScaleGuardError):
         bfs_closure([e(3, 1, 2), e(3, 2, 3), e(3, 3, 1)], cap=100)
 
 
@@ -127,7 +127,7 @@ def test_todd_coxeter_symmetric_groups():
 
 
 def test_todd_coxeter_cap_is_inconclusive():
-    with pytest.raises(CapExceededError):
+    with pytest.raises(ScaleGuardError):
         todd_coxeter(2, [[1, 1]], cap=64)
 
 

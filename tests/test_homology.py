@@ -5,7 +5,6 @@ from crosscap.homology import (
     H1Class,
     NoHomologyActionError,
     act,
-    basis_class,
     collapse_total_class,
     format_h1,
     level_member,
@@ -33,6 +32,10 @@ def test_equality_is_even_shift():
     assert H1Class(4, (1, 1, 1, 1)) == H1Class(4, (3, 3, 3, 3))
     assert H1Class(4, (1, 1, 1, 1)) != H1Class(4, (2, 2, 2, 2))
     assert hash(H1Class(4, (1, 1, 1, 1))) == hash(H1Class(4, (-1, -1, -1, -1)))
+
+
+def basis_class(genus: int, i: int) -> H1Class:
+    return H1Class(genus, tuple(1 if j == i - 1 else 0 for j in range(genus)))
 
 
 def test_mod2_pairing_examples():

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from crosscap import finitegrp, ledger
 from crosscap.ledger import (
     CHECKS,
     MAIN3_STREAM_LIMIT,
@@ -60,7 +61,11 @@ def test_every_parameter_but_seed_has_a_floor_that_run_check_enforces():
 
 def test_every_ceiling_lies_above_its_default_and_run_check_enforces_it():
     ceilings = {check_id: spec.ceilings for check_id, spec in CHECKS.items() if spec.ceilings}
-    assert ceilings == {"TOWER-2L": {"l": 62}}
+    assert ceilings == {
+        "RS-GAMMA24": {"rs_cap": 1_000_000},
+        "THM31-CLOSURE": {"d": 1 << 61},
+        "TOWER-2L": {"l": 62},
+    }
     for check_id, bounds in ceilings.items():
         spec = CHECKS[check_id]
         for key, ceiling in bounds.items():
@@ -101,6 +106,13 @@ def test_guard_yields_inconclusive():
     assert run_check("THM23-ELEM", {"g": 4, "d": 3}).status == "inconclusive"
     assert run_check("PSI-O2", {"g": 5}).status == "inconclusive"
     assert run_check("PROP52-STALLINGS", {"g": 8, "d": 7}).status == "inconclusive"
+
+
+def test_a_closure_cap_makes_the_record_inconclusive(monkeypatch):
+    monkeypatch.setattr(ledger, "bfs_closure", lambda gens: finitegrp.bfs_closure(gens, cap=10))
+    record = run_check("PSI-O2")
+    assert record.status == "inconclusive"
+    assert record.details == {"reason": "closure exceeded cap of 10 elements"}
 
 
 def test_unknown_params_are_rejected():
@@ -212,3 +224,12 @@ def test_mod8_comparison_is_bounded_by_the_stream_size():
     assert f"full stream has {total} words, over the limit of {MAIN3_STREAM_LIMIT}" in (
         record.details["reason"]
     )
+
+
+def test_a_sample_is_held_to_the_stream_limit():
+    sample = MAIN3_STREAM_LIMIT + 1
+    record = run_check("THM41-MEMBER", {"g": 6, "sample": sample})
+    assert record.status == "inconclusive"
+    assert record.details == {
+        "reason": f"a sample of {sample} words is over the limit of {MAIN3_STREAM_LIMIT}"
+    }

@@ -11,7 +11,6 @@ from crosscap.pi1free import (
     StallingsGraph,
     coset_count_ker_theta,
     derive_theta_basis,
-    expand_basis,
     format_free,
     gtilde,
     is_two_sided,
@@ -28,7 +27,7 @@ from crosscap.pi1free import (
     x_run,
     y_,
 )
-from oracle_pi1free import claimed_ker_theta_generators, schreier_ker_theta_generators
+from oracle_pi1free import claimed_ker_theta_generators, expand_basis, schreier_ker_theta_generators
 
 
 def random_two_sided(rng, g, n, length):

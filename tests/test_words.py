@@ -184,5 +184,5 @@ def test_symbol_validation():
 
 def test_boundary_words_parse_and_count():
     w = parse("Delta(1)^3 Zbar(1,2)", 4)
-    assert w.has_boundary_letters()
+    assert all(isinstance(s, BoundaryTwist) for s, _ in w.letters)
     assert w.length() == 4
