@@ -32,6 +32,8 @@ y x^+-1 through a quotient callback and builds every output word.
 ``_CosetRows`` is a partial coset table of integer rows with a union-find
 of coincident cosets; ``todd_coxeter`` enumerates on it, and
 ``crosscap.pi1free`` folds Stallings graphs on it.
+``eliminate_generators`` shrinks a presentation by Tietze moves before an
+enumeration.
 """
 
 from __future__ import annotations
@@ -569,6 +571,87 @@ class _CosetRows:
         return alpha
 
 
+def _cyclically_reduced(rel: Iterable[int]) -> list[int]:
+    """A signed-letter relator freely and then cyclically reduced."""
+    out: list[int] = []
+    for letter in rel:
+        if out and out[-1] == -letter:
+            out.pop()
+        else:
+            out.append(letter)
+    start, stop = 0, len(out)
+    while stop - start > 1 and out[start] == -out[stop - 1]:
+        start, stop = start + 1, stop - 1
+    return out[start:stop]
+
+
+def _elimination(rel: Sequence[int]) -> tuple[int, list[int]] | None:
+    """The generator y that a cyclically reduced relator eliminates, with
+    the word that replaces the letter ``+y``, or None.  ``y^+-1`` gives
+    y = 1; ``x^a y^b`` on two distinct generators, read cyclically, with
+    b = +-1 gives y = x^(-a*b), and when a = +-1 too the later generator
+    goes."""
+    if len(rel) == 1:
+        return abs(rel[0]), []
+    if len({abs(letter) for letter in rel}) != 2:
+        return None
+    # rotate the relator to start where its generator changes
+    turn = next(i for i in range(len(rel)) if abs(rel[i]) != abs(rel[i - 1]))
+    rel = [*rel[turn:], *rel[:turn]]
+    split = next(i for i, letter in enumerate(rel) if abs(letter) != abs(rel[0]))
+    head, tail = rel[:split], rel[split:]
+    if any(abs(letter) != abs(tail[0]) for letter in tail):
+        return None  # more than two syllables
+    if len(tail) > 1 or len(head) == 1 and abs(head[0]) > abs(tail[0]):
+        head, tail = tail, head
+    if len(tail) > 1:
+        return None
+    # a reduced syllable repeats one signed letter: head = x^a, tail = y^b
+    b = 1 if tail[0] > 0 else -1
+    return abs(tail[0]), [-b * head[0]] * len(head)
+
+
+def eliminate_generators(
+    rank: int, relators: Iterable[Sequence[int]]
+) -> tuple[int, list[list[int]]]:
+    """A Tietze-reduced presentation of ``<x_1..x_rank | relators>``, of the
+    same group; returns (rank, relators) in the signed letters of
+    :func:`todd_coxeter`.
+
+    Relators are freely and cyclically reduced and empty ones dropped.  Then,
+    while more than one generator is left, the shortest relator that reads
+    ``y^+-1``, or ``x^a y^+-1`` on two distinct generators, eliminates y:
+    y = 1 or y = x^(-a*b) is substituted everywhere, the relators are
+    reduced again, and the later generators are renumbered down by one
+    (Sims, *Computation with Finitely Presented Groups*, 1994, ch. 1).  The
+    last generator is never eliminated, and a generator in no relator is
+    kept: dropping a free letter would change the group.
+    """
+    if rank < 1:
+        raise ValueError("rank must be >= 1")
+    rels = [list(rel) for rel in relators]
+    for rel in rels:
+        for letter in rel:
+            _column(letter, rank)
+    rels = [rel for rel in map(_cyclically_reduced, rels) if rel]
+    while rank > 1:
+        # sorted() is stable: the first of the shortest eliminating relators
+        found = next(filter(None, map(_elimination, sorted(rels, key=len))), None)
+        if found is None:
+            break
+        y, word = found
+        # spell[a] is the image of the signed letter a, renumbered; a list
+        # read at a negative index counts from its end
+        spell: list[list[int]] = [[]] * (2 * rank + 1)
+        for x in range(1, rank + 1):
+            image = [a - (a > y) if a > 0 else a + (-a > y) for a in (word if x == y else [x])]
+            spell[x], spell[-x] = image, [-a for a in reversed(image)]
+        spelled = ([letter for a in rel for letter in spell[a]] for rel in rels)
+        rels = [rel for rel in map(_cyclically_reduced, spelled) if rel]
+        rank -= 1
+    return rank, rels
+
+
 def todd_coxeter(
     rank: int, relators: Iterable[Sequence[int]], cap: int = 100_000
 ) -> CosetTable:
@@ -612,17 +695,16 @@ def todd_coxeter(
             # After a pass that changed nothing, reading a relator up to any
             # letter is a total injective map on the finite set of cosets, so
             # every letter of a relator has full columns: the gaps belong to
-            # letters in no relator, and the group is infinite.  Fill them all
-            # at once so that the table grows toward the cap.
-            gaps = [
-                (c, col)
-                for c, row in enumerate(rows)
-                if parent[c] == c
-                for col in range(ncols)
-                if row[col] is None
-            ]
-            for c, col in gaps:
-                table.define(c, col)
+            # letters in no relator, and the group is infinite.  Fill the gaps
+            # breadth-first, those of new rows too, until ``define`` raises at
+            # the cap: every new row has a gap, so the rows never run out.
+            c = 0
+            while True:
+                if parent[c] == c:
+                    for col in range(ncols):
+                        if rows[c][col] is None:
+                            table.define(c, col)
+                c += 1
 
     live_cosets = [c for c in range(len(rows)) if parent[c] == c]
     relabel = {c: i for i, c in enumerate(live_cosets)}

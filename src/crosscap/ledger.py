@@ -431,6 +431,13 @@ def _check_thm23_elem(p: dict) -> tuple[bool, dict]:
     g, d = p["g"], p["d"]
     if d % 2 != 0:
         raise ScaleGuardError("the commutator identities need even d")
+    # (g-1)(g-2) words, each a 4-letter commutator to the power d/2
+    letters = 2 * d * (g - 1) * (g - 2)
+    if letters > families.SEED_LETTER_LIMIT:
+        raise ScaleGuardError(
+            f"the {(g - 1) * (g - 2)} commutator powers would have {letters} letters,"
+            f" over the limit of {families.SEED_LETTER_LIMIT}"
+        )
     n = g - 1
     bad = []
     for i in range(1, g):
@@ -726,8 +733,8 @@ def _check_theta_basis(p: dict) -> tuple[bool, dict]:
 
 def _check_prop34_tc(p: dict) -> tuple[bool, dict]:
     g, n, d = p["g"], p["n"], p["d"]
-    expected = d ** (g - 1)
     index = theta_graph(g, n, d).index()
+    expected = d ** (g - 1)
     cosets = coset_count_ker_theta(g, n, d).coset_count
     ok = cosets == expected and index == expected
     return ok, {"cosets": cosets, "stallings_index": index, "expected": expected}

@@ -41,12 +41,19 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 import re
 import types
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
-from .finitegrp import CosetTable, ScaleGuardError, _CosetRows, todd_coxeter
+from .finitegrp import (
+    CosetTable,
+    ScaleGuardError,
+    _CosetRows,
+    eliminate_generators,
+    todd_coxeter,
+)
 from .finitegrp import schreier_generators  # noqa: F401  (still bound here: perfbench's tracer checks it)
 from .words import ReducedWord, _reduce
 
@@ -374,22 +381,41 @@ def gtilde(g: int, d: int) -> list[FreeWord]:
     return out
 
 
-# the largest index d^(g-1) the kernel certificates take on
-_KERNEL_INDEX_CAP = 4096
+# the largest work d^(g-1) x (plus-basis letters of the normal relators) the
+# kernel certificates take on: the claimed graph and the loop check read
+# every relator letter at every vertex
+_KERNEL_WORK_BUDGET = 1 << 22
+
+
+def _relator_letters(g: int, n: int, d: int) -> int:
+    """The plus-basis letters of :func:`ker_theta_normal_relators`, counted
+    without spelling them: x_j^2 rewrites to u_j v_j (v_g alone for j = g),
+    y_k and z_k to one letter, (x_i x_j x_g)^2 to u_i v_j v_i u_j v_g and
+    (x_i x_g)^d to (u_i v_g)^d."""
+    return 2 * (g - 1) + 1 + 2 * (n - 1) + 5 * math.comb(g - 1, 2) + 2 * d * (g - 1)
 
 
 def _guard(g: int, n: int, d: int) -> None:
     """Refuse a kernel point with genus below 1, no boundary, a modulus below
-    2 or an index d^(g-1) past the desk-scale cap, in that order."""
+    2 or a work estimate past the budget, in that order."""
     if g < 1:
         raise ValueError(f"genus g must be >= 1, got {g}")
     if n < 1:
         raise ValueError("needs n >= 1")
     if d < 2:
         raise ValueError(f"modulus d must be >= 2, got {d}")
-    if d ** (g - 1) > _KERNEL_INDEX_CAP:
+    letters = _relator_letters(g, n, d)
+    # d >= 2, so the work is at least 2^(g-1) x 2^(bits of letters - 1); far
+    # past the budget the power d^(g-1) is neither formed nor printed
+    if g - 1 + letters.bit_length() - 1 > 64:
         raise ScaleGuardError(
-            f"d^(g-1) = {d ** (g - 1)} exceeds desk-scale cap {_KERNEL_INDEX_CAP}"
+            f"kernel work d^(g-1) x relator letters > 2^64 exceeds budget {_KERNEL_WORK_BUDGET}"
+        )
+    index = d ** (g - 1)
+    if index * letters > _KERNEL_WORK_BUDGET:
+        raise ScaleGuardError(
+            f"kernel work d^(g-1) x relator letters = {index} x {letters} = {index * letters}"
+            f" exceeds budget {_KERNEL_WORK_BUDGET}"
         )
 
 
@@ -424,8 +450,11 @@ def relators_for_enumeration(g: int, n: int, d: int) -> tuple[int, list[list[int
 
 
 def coset_count_ker_theta(g: int, n: int, d: int) -> CosetTable:
-    rank, rels = relators_for_enumeration(g, n, d)
-    return todd_coxeter(rank, rels)
+    """Todd-Coxeter on the relators of :func:`relators_for_enumeration`
+    after Tietze elimination (``finitegrp.eliminate_generators``): the
+    coset count is the index d^(g-1), and the table is over the reduced
+    generators, not the plus basis."""
+    return todd_coxeter(*eliminate_generators(*relators_for_enumeration(g, n, d)))
 
 
 def theta_graph(g: int, n: int, d: int) -> StallingsGraph:
@@ -436,20 +465,24 @@ def theta_graph(g: int, n: int, d: int) -> StallingsGraph:
     sum-zero ones) and each plus-basis letter a is the edge k -> k + theta(a)
     mod d.  A finite-index subgroup's folded graph is its coset graph
     (Stallings 1983), so with the fold's numbering this is the graph that
-    folding the Schreier generators gives.
+    folding the Schreier generators gives.  A class k is held as the integer
+    sum of k_t d^t, so a letter moves the digits where theta(a) is nonzero
+    (two at most), each with wrap-around.
     """
     _guard(g, n, d)
     alpha = tuple(plus_basis_alphabet(g, n))
-    zero = (0,) * g
     values = _theta_basis(g)
-    shifts = [values.get(atom, zero) for atom in alpha]
-    label = {zero: 0}
-    classes = [zero]
+    moves = [[(d**t, v % d) for t, v in enumerate(values.get(atom, ())) if v % d] for atom in alpha]
+    label = {0: 0}
+    classes = [0]
     rows: list[list[Optional[int]]] = []
     for k in classes:
         row: list[Optional[int]] = [None] * (2 * len(alpha))
-        for col, shift in enumerate(shifts):
-            t = tuple((a + b) % d for a, b in zip(k, shift))
+        for col, letter in enumerate(moves):
+            t = k
+            for place, v in letter:
+                digit = k // place % d
+                t += (v - d if digit + v >= d else v) * place
             if t not in label:
                 label[t] = len(classes)
                 classes.append(t)

@@ -15,23 +15,25 @@ the inverse of ``crosscap.pi1free.rewrite_two_sided``.
 conjugate w r w^-1 of a normal relator by a transversal word, and every
 Schreier generator of the kernel, is built, rewritten into the plus basis and
 folded.  ``crosscap.pi1free.verify_ker_theta`` reads the same graphs off
-theta and the relator loops and must give the same report.
+theta and the relator loops and must give the same report.  Its coset count
+is ``coset_count_ker_theta`` here: Todd-Coxeter on the plus-basis relators
+without the Tietze elimination that the package runs first.
 """
 
 from typing import Iterable, Mapping, Optional, Sequence
 
-from crosscap.finitegrp import schreier_generators
+from crosscap.finitegrp import CosetTable, schreier_generators, todd_coxeter
 from crosscap.pi1free import (
     Atom,
     FreeWord,
     StallingsGraph,
     _guard,
-    coset_count_ker_theta,
     fold_in_plus_basis,
     gtilde,
     ker_theta_normal_relators,
     plus_basis_alphabet,
     push_coefficients,
+    relators_for_enumeration,
     rewrite_two_sided,
     x_,
     y_,
@@ -202,6 +204,13 @@ def schreier_ker_theta_generators(g: int, n: int, d: int) -> list[FreeWord]:
             FreeWord.identity(),
         )
     )
+
+
+def coset_count_ker_theta(g: int, n: int, d: int) -> CosetTable:
+    """Todd-Coxeter on the plus-basis relators as they are, the enumeration
+    that ``crosscap.pi1free.coset_count_ker_theta`` runs after Tietze
+    elimination."""
+    return todd_coxeter(*relators_for_enumeration(g, n, d))
 
 
 def certify_in_words(g: int, n: int, d: int) -> tuple[dict, StallingsGraph, StallingsGraph]:

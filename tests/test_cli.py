@@ -275,6 +275,15 @@ def test_coset_with_a_free_letter_ends_inconclusive(capsys, relators):
     assert out.strip() == "inconclusive: coset table exceeded cap of 100000"
 
 
+def test_coset_of_the_free_cyclic_group_ends_inconclusive(capsys):
+    # one free letter adds two cosets a pass; the table is filled to its cap
+    # breadth-first once a pass changes nothing
+    with Budget("coset --rank 1 --relators ''", 5.0):
+        code, out, err = run_cli(capsys, "coset", "--rank", "1", "--relators", "")
+    assert code == 3 and err == ""
+    assert out.strip() == "inconclusive: coset table exceeded cap of 100000"
+
+
 def test_coset_rejects_letters_other_than_x(capsys):
     code, out, err = run_cli(capsys, "coset", "--rank", "2", "--relators", "y1")
     assert code == 2 and out == ""

@@ -12,7 +12,8 @@ import pytest
 
 import oracle_pi1free
 from conftest import Budget
-from crosscap import pi1free
+from crosscap import finitegrp, pi1free
+from crosscap.ledger import run_check
 from crosscap.pi1free import (
     ScaleGuardError,
     claimed_kernel_graph,
@@ -90,6 +91,73 @@ def test_largest_point_under_the_guard():
     assert report["claimed_count"] == 61_440
 
 
+def test_the_certificate_reaches_index_15625():
+    with Budget("kernel certification g=7 n=1 d=5", 15.0):
+        report = verify_ker_theta(7, 1, 5)
+    assert report["ok"], report
+    assert report["claimed_index"] == report["schreier_index"] == report["coset_count"] == 15625
+    record = run_check("PROP34-TC", {"g": 7, "n": 1, "d": 5})
+    assert record.status == "pass"
+    assert record.details == {"cosets": 15625, "stallings_index": 15625, "expected": 15625}
+
+
+@pytest.mark.parametrize("g", range(1, 7))
+@pytest.mark.parametrize("n", (1, 2, 3))
+@pytest.mark.parametrize("d", (2, 3, 5))
+def test_the_work_estimate_counts_the_relator_letters(g, n, d):
+    loops = pi1free._plus_columns(pi1free.ker_theta_normal_relators(g, n, d), g, n)
+    assert pi1free._relator_letters(g, n, d) == sum(map(len, loops))
+
+
+@pytest.mark.parametrize(
+    "g,n,d,work",
+    # (2,1,1447) and (8,1,4) are the last points in, at the budget 2^22 = 4194304
+    [(5, 1, 8, 421_888), (7, 1, 5, 2_312_500), (8, 1, 4, 2_883_584), (2, 1, 1447, 4_191_959)],
+)
+def test_points_inside_the_work_budget(g, n, d, work):
+    assert d ** (g - 1) * pi1free._relator_letters(g, n, d) == work
+    pi1free._guard(g, n, d)
+
+
+@pytest.mark.parametrize(
+    "g,n,d,index,letters",
+    [
+        (2, 1, 1448, 1448, 2899),
+        (4, 1, 32, 32768, 214),
+        (5, 1, 16, 65536, 167),
+        (7, 1, 7, 117649, 172),
+    ],
+)
+def test_points_past_the_work_budget_end_inconclusive_before_any_enumeration(
+    monkeypatch, g, n, d, index, letters
+):
+    def refuse(*args):
+        raise AssertionError("a coset table was started")
+
+    monkeypatch.setattr(finitegrp._CosetRows, "__init__", refuse)
+    reason = (
+        f"kernel work d^(g-1) x relator letters = {index} x {letters} = {index * letters}"
+        " exceeds budget 4194304"
+    )
+    for check_id in ("PROP34-TC", "PROP52-STALLINGS"):
+        record = run_check(check_id, {"g": g, "n": n, "d": d})
+        assert record.status == "inconclusive"
+        assert record.details == {"reason": reason}
+
+
+@pytest.mark.parametrize("g,n,d", [(100_000, 1, 3), (10**7, 1, 3), (2, 1, 10**40), (1, 10**40, 2)])
+def test_huge_points_end_inconclusive_without_forming_the_index(g, n, d):
+    # 3^(10^7 - 1) would take seconds to form, and 3^99999 has too many
+    # digits for Python to print
+    with Budget(f"kernel guard g={g} n={n} d={d}", 1.0):
+        for check_id in ("PROP34-TC", "PROP52-STALLINGS"):
+            record = run_check(check_id, {"g": g, "n": n, "d": d})
+            assert record.status == "inconclusive"
+            assert record.details == {
+                "reason": "kernel work d^(g-1) x relator letters > 2^64 exceeds budget 4194304"
+            }
+
+
 @pytest.mark.parametrize("build", [theta_graph, claimed_kernel_graph, verify_ker_theta])
 def test_modulus_is_checked_after_the_boundary_count_and_before_the_scale_guard(build):
     for d in (-100, -2, 0, 1):
@@ -99,4 +167,4 @@ def test_modulus_is_checked_after_the_boundary_count_and_before_the_scale_guard(
     with pytest.raises(ValueError, match="^needs n >= 1$"):
         build(5, 0, 1)
     with pytest.raises(ScaleGuardError):
-        build(5, 1, 9)
+        build(5, 1, 16)

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from crosscap import finitegrp, ledger
+from crosscap import families, finitegrp, ledger
 from crosscap.ledger import (
     CHECKS,
     MAIN3_STREAM_LIMIT,
@@ -106,6 +106,21 @@ def test_guard_yields_inconclusive():
     assert run_check("THM23-ELEM", {"g": 4, "d": 3}).status == "inconclusive"
     assert run_check("PSI-O2", {"g": 5}).status == "inconclusive"
     assert run_check("PROP52-STALLINGS", {"g": 8, "d": 7}).status == "inconclusive"
+
+
+@pytest.mark.parametrize("g, d", [(4, 1 << 18), (3, 1 << 30)])
+def test_thm23_elem_stops_before_spelling_its_commutator_powers(monkeypatch, g, d):
+    def refuse(*args):
+        raise AssertionError("a commutator word was built")
+
+    monkeypatch.setattr(ledger, "commutator", refuse)
+    record = run_check("THM23-ELEM", {"g": g, "d": d})
+    assert record.status == "inconclusive"
+    words = (g - 1) * (g - 2)
+    assert record.details == {
+        "reason": f"the {words} commutator powers would have {2 * d * words} letters,"
+        f" over the limit of {families.SEED_LETTER_LIMIT}"
+    }
 
 
 def test_a_closure_cap_makes_the_record_inconclusive(monkeypatch):

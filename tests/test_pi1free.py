@@ -304,9 +304,14 @@ def test_scale_guard():
     "build", [claimed_ker_theta_generators, schreier_ker_theta_generators, verify_ker_theta]
 )
 def test_scale_guard_names_the_index_and_the_cap(build):
-    with pytest.raises(ScaleGuardError, match=r"^d\^\(g-1\) = 117649 exceeds desk-scale cap 4096$"):
+    # index 7^6 and 2(g-1) + 1 + 5 C(g-1, 2) + 2d(g-1) = 172 relator letters
+    message = (
+        r"^kernel work d\^\(g-1\) x relator letters = 117649 x 172 = 20235628"
+        r" exceeds budget 4194304$"
+    )
+    with pytest.raises(ScaleGuardError, match=message):
         build(7, 1, 7)
-    build(4, 1, 2)  # index 8 is inside the cap
+    build(4, 1, 2)  # work 8 x 34 is inside the budget
 
 
 def test_boundary_count_is_checked_before_the_scale_guard():
