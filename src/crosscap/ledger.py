@@ -12,7 +12,7 @@ import random
 import time
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Callable, Iterator, TypeVar
+from typing import Callable, TypeVar
 
 import numpy as np
 
@@ -45,6 +45,7 @@ from .pi1free import (
     derive_theta_basis,
     gtilde,
     ker_theta_normal_relators,
+    kernel_guard,
     push_coefficients,
     push_coefficients_int,
     theta_graph,
@@ -56,16 +57,6 @@ from .words import MCGWord, Slide, TorelliTag, Twist, commutator, word
 
 
 T = TypeVar("T")
-
-# the most words of the level-4 generating stream THM41-MEMBER reads, in
-# full or as a sample
-MAIN3_STREAM_LIMIT = 100_000
-# the most stream words whose actions ``main3_stream_images`` forms in one
-# numpy stack; THM41-MEMBER, the one check that reads the stream, reads it a
-# stack at a time, so its working memory stays a few MiB however many words
-# it reads
-_STREAM_BATCH = 1 << 12
-
 
 class UnknownCheckError(ValueError):
     """The requested check id is not in the catalog."""
@@ -223,74 +214,6 @@ def _reference_layer(refs: list[ModMatrix], d: int) -> LevelLayer:
     """The layer closure of the reference generators ``refs``."""
     names = [f"reference generator {i}" for i in range(len(refs))]
     return _named(names, lambda: layer_closure(refs, d))
-
-
-def _residues(
-    ws: list[MCGWord], action: Callable[[MCGWord], IntMatrix], modulus: int
-) -> np.ndarray:
-    return np.array([action(w).reduce_mod(modulus).rows for w in ws], dtype=np.int64)
-
-
-def _slide_residues(
-    g: int, action: Callable[[MCGWord], IntMatrix], modulus: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """The residues mod ``modulus`` of ``action`` on each single slide
-    ``subset_word(g, 1 << t)`` and on its inverse: two (T, n, n) int64
-    stacks.  Refuses a modulus for which a product of two n x n residues,
-    with entries up to n (modulus - 1)^2, could overflow int64."""
-    factors = _single_slides(g)
-    steps = _residues(factors, action, modulus)
-    undo = _residues([f.inverse() for f in factors], action, modulus)
-    n = steps.shape[-1]
-    if n * (modulus - 1) ** 2 > np.iinfo(np.int64).max:
-        raise ValueError(
-            f"products of {n} x {n} residues mod {modulus} can overflow int64"
-        )
-    return steps, undo
-
-
-def _subset_products(
-    steps: np.ndarray, undo: np.ndarray, masks: np.ndarray, modulus: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """M(y) and M(y^-1) for each mask of ``masks``, from the slide residues
-    ``_slide_residues`` returns, as products reduced mod ``modulus``."""
-    left = np.tile(np.eye(steps.shape[-1], dtype=np.int64), (len(masks), 1, 1))
-    right = left.copy()
-    for t in range(len(steps)):
-        chosen = (masks >> t & 1).astype(bool)
-        left[chosen] = left[chosen] @ steps[t] % modulus
-        right[chosen] = undo[t] @ right[chosen] % modulus
-    return left, right
-
-
-def main3_stream_images(
-    g: int, indices: np.ndarray, action: Callable[[MCGWord], IntMatrix], modulus: int
-) -> Iterator[np.ndarray]:
-    """The residues mod ``modulus`` of ``action`` on the level-4 generating
-    stream's words at ``indices``, as (N, n, n) int64 stacks of at most
-    ``_STREAM_BATCH`` words each, in the order of ``indices``.
-
-    Stream word ``mask * per + k`` is y F y^-1, with F the k-th family
-    element and y = ``subset_word(g, mask)``.  The indices are checked, and
-    each family element and each single slide, with its inverse, evaluated
-    once, before the first stack is formed; each stack then builds M(y) and
-    M(y^-1) for its distinct masks from the slide residues and forms M(y)
-    M(F) M(y^-1) for its indices as a numpy batch reduced after each
-    product.
-    """
-    fams = families.main3_families(g)
-    masks, which = families.main3_position(g, np.asarray(indices), len(fams))
-    middle = _residues([el.word for el in fams], action, modulus)
-    steps, undo = _slide_residues(g, action, modulus)
-
-    def stacks() -> Iterator[np.ndarray]:
-        for start in range(0, len(masks), _STREAM_BATCH):
-            stop = start + _STREAM_BATCH
-            distinct, slot = np.unique(masks[start:stop], return_inverse=True)
-            left, right = _subset_products(steps, undo, distinct, modulus)
-            yield left[slot] @ middle[which[start:stop]] % modulus @ right[slot] % modulus
-
-    return stacks()
 
 
 def slide_coordinates(g: int, ws: list[MCGWord]) -> list[int] | None:
@@ -632,30 +555,19 @@ def _check_rs_gamma24(p: dict) -> tuple[bool, dict]:
 
 def _check_thm41_member(p: dict) -> tuple[bool, dict]:
     g = p["g"]
+    fams = families.main3_families(g)
+    # the level-4 subgroup is the kernel of the action on H_1(N_g; Z/4), so
+    # it is normal: a stream word y F y^-1 is level 4 exactly when its family
+    # element F is, and the whole stream is decided by its family elements
+    bad = [f"{el.family}{el.indices}" for el in fams if not level_member(el.word, 4)]
     total = families.main3_count(g)
-    rng = random.Random(p["seed"])
-    sample = p["sample"]
-    full = sample == 0 or sample >= total
-    if (total if full else sample) > MAIN3_STREAM_LIMIT:
-        raise ScaleGuardError(
-            f"full stream has {total} words, over the limit of {MAIN3_STREAM_LIMIT};"
-            f" pass a positive sample for genus {g}"
-            if full
-            else f"a sample of {sample} words is over the limit of {MAIN3_STREAM_LIMIT}"
-        )
-    int64_max = np.iinfo(np.int64).max
-    if total > int64_max:
-        raise ScaleGuardError(
-            f"the stream has {total} words, over the int64 limit of {int64_max} on its positions"
-        )
-    if full:
-        indices = np.arange(total)
-    else:
-        indices = np.array(sorted(rng.sample(range(total), sample)))
-    bad = 0
-    for images in main3_stream_images(g, indices, word_matrix, 4):
-        bad += int(np.count_nonzero(~level_trivial_residues(images, 4)))
-    return bad == 0, {"stream_size": total, "checked": len(indices), "failures": bad}
+    return not bad, {
+        "stream_size": total,
+        "checked": total,
+        "failures": len(bad) * families.transversal_count(g),
+        "family_elements": len(fams),
+        "failing_families": bad,
+    }
 
 
 def _check_thm41_mod8(p: dict) -> tuple[bool, dict]:
@@ -693,6 +605,7 @@ def _check_tower_2l(p: dict) -> tuple[bool, dict]:
 
 def _check_theta_basis(p: dict) -> tuple[bool, dict]:
     g, n, d = p["g"], p["n"], p["d"]
+    kernel_guard(g, n, d)
     values = derive_theta_basis(g)
     ok = True
     details: dict = {}
@@ -855,8 +768,8 @@ CHECKS: dict[str, CheckSpec] = {
     "THM41-MEMBER": CheckSpec(
         _check_thm41_member,
         "the level-4 generating stream lies in the level-4 subgroup",
-        {"g": 4, "sample": 0, "seed": 0},
-        {"g": 4, "sample": 0},
+        {"g": 4},
+        {"g": 4},
     ),
     "THM41-MOD8": CheckSpec(
         _check_thm41_mod8,

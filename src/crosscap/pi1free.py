@@ -383,7 +383,8 @@ def gtilde(g: int, d: int) -> list[FreeWord]:
 
 # the largest work d^(g-1) x (plus-basis letters of the normal relators) the
 # kernel certificates take on: the claimed graph and the loop check read
-# every relator letter at every vertex
+# every relator letter at every vertex.  THETA-BASIS, which spells all
+# d^(g-1) transversal words, is held to it too
 _KERNEL_WORK_BUDGET = 1 << 22
 
 
@@ -395,9 +396,10 @@ def _relator_letters(g: int, n: int, d: int) -> int:
     return 2 * (g - 1) + 1 + 2 * (n - 1) + 5 * math.comb(g - 1, 2) + 2 * d * (g - 1)
 
 
-def _guard(g: int, n: int, d: int) -> None:
+def kernel_guard(g: int, n: int, d: int) -> None:
     """Refuse a kernel point with genus below 1, no boundary, a modulus below
-    2 or a work estimate past the budget, in that order."""
+    2 or a work estimate past the budget, in that order; the kernel
+    certificates and THETA-BASIS call it before building any word."""
     if g < 1:
         raise ValueError(f"genus g must be >= 1, got {g}")
     if n < 1:
@@ -469,7 +471,7 @@ def theta_graph(g: int, n: int, d: int) -> StallingsGraph:
     sum of k_t d^t, so a letter moves the digits where theta(a) is nonzero
     (two at most), each with wrap-around.
     """
-    _guard(g, n, d)
+    kernel_guard(g, n, d)
     alpha = tuple(plus_basis_alphabet(g, n))
     values = _theta_basis(g)
     moves = [[(d**t, v % d) for t, v in enumerate(values.get(atom, ())) if v % d] for atom in alpha]
@@ -503,7 +505,7 @@ def claimed_kernel_graph(g: int, n: int, d: int) -> StallingsGraph:
     form a tree of paths from the base; each relator, rewritten once, is
     folded in as a loop at the end of every path.
     """
-    _guard(g, n, d)
+    kernel_guard(g, n, d)
     alpha = tuple(plus_basis_alphabet(g, n))
     relators = _plus_columns(ker_theta_normal_relators(g, n, d), g, n)
     table = _CosetRows(2 * len(alpha))
@@ -535,7 +537,7 @@ def verify_ker_theta(g: int, n: int, d: int) -> dict:
     relators gives the same index.  ``kernel_rank`` is the free rank of the
     kernel, index * (rank - 1) + 1 by the Schreier formula.
     """
-    _guard(g, n, d)
+    kernel_guard(g, n, d)
     relators = ker_theta_normal_relators(g, n, d)
     reference = theta_graph(g, n, d)
     claimed = claimed_kernel_graph(g, n, d)

@@ -3,11 +3,17 @@ stream, one word at a time.
 
 Each stream word is built in full and read letter by letter through
 ``word_matrix``; this is the slow, obviously correct evaluation that the
-batched ``crosscap.ledger.main3_stream_images`` must reproduce.  RS-GAMMA24
+batched ``main3_stream_images`` below must reproduce.  RS-GAMMA24
 here keys every transversal word and every product y x^+-1 through
 ``phi_mod`` and builds every Schreier word through the word-level
 ``finitegrp.schreier_generators``, which ``crosscap.ledger.rs_stream_factors``
 and the registry's runner must reproduce.
+
+``main3_stream_images`` evaluates the level-4 stream in numpy stacks, and
+``thm41_member_stacked`` counts the words it reads that act nontrivially
+mod 4: the count THM41-MEMBER's decision on the family elements must give,
+since the level-4 subgroup is normal and y F y^-1 is level 4 exactly when
+F is.
 
 Two matrix-level forms sit between those and the registry's layer runners.
 ``rs_stream_factors`` walks RS-GAMMA24's stream over the coset action table
@@ -26,6 +32,7 @@ and the stacked stream's dedupe, a stack at a time, the same images.
 
 import random
 from collections import deque
+from typing import Callable, Iterator
 
 import numpy as np
 from oracle_finitegrp import bfs_closure, coset_action_table, elements
@@ -33,21 +40,100 @@ from oracle_homology import matrix_level_trivial
 
 from crosscap import families
 from crosscap.finitegrp import LevelLayer, layer_closure, schreier_generators
-from crosscap.homology import level_member, reduced_action, word_matrix
+from crosscap.homology import level_member, level_trivial_residues, reduced_action, word_matrix
 from crosscap.intmat import IntMatrix, ModMatrix
 from crosscap.ledger import (
     _named,
     _reference_layer,
-    _residues,
-    _slide_residues,
-    _subset_products,
+    _single_slides,
     _y_union_d_words,
     gamma_generators,
-    main3_stream_images,
     phi_mod,
 )
 from crosscap.pi1free import ScaleGuardError
 from crosscap.words import MCGWord
+
+
+# the most stream words whose actions ``main3_stream_images`` forms in one
+# numpy stack, so a reading of the whole stream takes a few MiB at a time
+_STREAM_BATCH = 1 << 12
+
+
+def _residues(
+    ws: list[MCGWord], action: Callable[[MCGWord], IntMatrix], modulus: int
+) -> np.ndarray:
+    return np.array([action(w).reduce_mod(modulus).rows for w in ws], dtype=np.int64)
+
+
+def _slide_residues(
+    g: int, action: Callable[[MCGWord], IntMatrix], modulus: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """The residues mod ``modulus`` of ``action`` on each single slide
+    ``subset_word(g, 1 << t)`` and on its inverse: two (T, n, n) int64
+    stacks.  Refuses a modulus for which a product of two n x n residues,
+    with entries up to n (modulus - 1)^2, could overflow int64."""
+    factors = _single_slides(g)
+    steps = _residues(factors, action, modulus)
+    undo = _residues([f.inverse() for f in factors], action, modulus)
+    n = steps.shape[-1]
+    if n * (modulus - 1) ** 2 > np.iinfo(np.int64).max:
+        raise ValueError(
+            f"products of {n} x {n} residues mod {modulus} can overflow int64"
+        )
+    return steps, undo
+
+
+def _subset_products(
+    steps: np.ndarray, undo: np.ndarray, masks: np.ndarray, modulus: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """M(y) and M(y^-1) for each mask of ``masks``, from the slide residues
+    ``_slide_residues`` returns, as products reduced mod ``modulus``."""
+    left = np.tile(np.eye(steps.shape[-1], dtype=np.int64), (len(masks), 1, 1))
+    right = left.copy()
+    for t in range(len(steps)):
+        chosen = (masks >> t & 1).astype(bool)
+        left[chosen] = left[chosen] @ steps[t] % modulus
+        right[chosen] = undo[t] @ right[chosen] % modulus
+    return left, right
+
+
+def main3_stream_images(
+    g: int, indices: np.ndarray, action: Callable[[MCGWord], IntMatrix], modulus: int
+) -> Iterator[np.ndarray]:
+    """The residues mod ``modulus`` of ``action`` on the level-4 generating
+    stream's words at ``indices``, as (N, n, n) int64 stacks of at most
+    ``_STREAM_BATCH`` words each, in the order of ``indices``.
+
+    Stream word ``mask * per + k`` is y F y^-1, with F the k-th family
+    element and y = ``subset_word(g, mask)``.  The indices are checked, and
+    each family element and each single slide, with its inverse, evaluated
+    once, before the first stack is formed; each stack then builds M(y) and
+    M(y^-1) for its distinct masks from the slide residues and forms M(y)
+    M(F) M(y^-1) for its indices as a numpy batch reduced after each
+    product.
+    """
+    fams = families.main3_families(g)
+    masks, which = families.main3_position(g, np.asarray(indices), len(fams))
+    middle = _residues([el.word for el in fams], action, modulus)
+    steps, undo = _slide_residues(g, action, modulus)
+
+    def stacks() -> Iterator[np.ndarray]:
+        for start in range(0, len(masks), _STREAM_BATCH):
+            stop = start + _STREAM_BATCH
+            distinct, slot = np.unique(masks[start:stop], return_inverse=True)
+            left, right = _subset_products(steps, undo, distinct, modulus)
+            yield left[slot] @ middle[which[start:stop]] % modulus @ right[slot] % modulus
+
+    return stacks()
+
+
+def thm41_member_stacked(g: int, indices) -> int:
+    """How many stream words at ``indices`` act nontrivially mod 4, read a
+    stack of ``main3_stream_images`` at a time."""
+    bad = 0
+    for images in main3_stream_images(g, np.asarray(indices), word_matrix, 4):
+        bad += int(np.count_nonzero(~level_trivial_residues(images, 4)))
+    return bad
 
 
 def subset_images(g: int, masks: np.ndarray, action, modulus: int) -> tuple[np.ndarray, np.ndarray]:

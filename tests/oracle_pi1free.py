@@ -27,9 +27,9 @@ from crosscap.pi1free import (
     Atom,
     FreeWord,
     StallingsGraph,
-    _guard,
     fold_in_plus_basis,
     gtilde,
+    kernel_guard,
     ker_theta_normal_relators,
     plus_basis_alphabet,
     push_coefficients,
@@ -180,7 +180,7 @@ def claimed_ker_theta_generators(g: int, n: int, d: int) -> list[FreeWord]:
     """The conjugated generator list claimed to generate the kernel: w r w^-1
     for every transversal word w and every normal relator r of
     ``ker_theta_normal_relators``."""
-    _guard(g, n, d)
+    kernel_guard(g, n, d)
     relators = ker_theta_normal_relators(g, n, d)
     out = []
     for w in gtilde(g, d):
@@ -192,7 +192,7 @@ def claimed_ker_theta_generators(g: int, n: int, d: int) -> list[FreeWord]:
 
 def schreier_ker_theta_generators(g: int, n: int, d: int) -> list[FreeWord]:
     """The full Schreier generating set of the kernel from the transversal."""
-    _guard(g, n, d)
+    kernel_guard(g, n, d)
     table = {push_coefficients(w, g, d): w for w in gtilde(g, d)}
     if len(table) != d ** (g - 1):
         raise ValueError("transversal words do not hit distinct cosets")
@@ -219,7 +219,7 @@ def certify_in_words(g: int, n: int, d: int) -> tuple[dict, StallingsGraph, Stal
     the fields of ``crosscap.pi1free.verify_ker_theta``: the claimed
     generators have zero coefficient vectors, and their folded graph equals
     the folded graph of the Schreier generators at index d^(g-1)."""
-    _guard(g, n, d)
+    kernel_guard(g, n, d)
     claimed = claimed_ker_theta_generators(g, n, d)
     zero = (0,) * g
     nonzero = [w for w in claimed if push_coefficients(w, g, d) != zero]
@@ -389,7 +389,7 @@ def claimed_kernel_graph(g: int, n: int, d: int) -> StallingsGraph:
     form a tree of paths from the base; each relator, rewritten once, is
     folded in as a loop at the end of every path.
     """
-    _guard(g, n, d)
+    kernel_guard(g, n, d)
     relators = _plus_steps(ker_theta_normal_relators(g, n, d), g)
     folder = Folder()
     ends = [0]

@@ -224,6 +224,19 @@ def test_verify_inconclusive_exit_code(capsys):
     assert code == 3
 
 
+def test_verify_theta_basis_past_the_kernel_work_budget_exits_3_at_once(capsys):
+    # 8^7 transversal words would take minutes to spell
+    with Budget("verify THETA-BASIS g=8,d=8", 1.0):
+        code, out, err = run_cli(
+            capsys, "verify", "--suite", "THETA-BASIS", "--params", "g=8,d=8", "--format", "json"
+        )
+    assert code == 3 and err == ""
+    assert json.loads(out)[0]["details"] == {
+        "reason": "kernel work d^(g-1) x relator letters = 2097152 x 232 = 486539264"
+        " exceeds budget 4194304"
+    }
+
+
 def test_usage_errors_exit_2(capsys):
     with pytest.raises(SystemExit) as err:
         main(["phi", "--genus", "3"])  # missing --word
@@ -293,7 +306,7 @@ def test_coset_rejects_letters_other_than_x(capsys):
 def test_verify_unknown_param_exits_2(capsys):
     code, out, err = run_cli(capsys, "verify", "--suite", "THM41-MEMBER", "--params", "gg=5")
     assert code == 2 and out == ""
-    assert "unknown parameter 'gg': THM41-MEMBER takes g, sample, seed" in err
+    assert "unknown parameter 'gg': THM41-MEMBER takes g" in err
     code, out, err = run_cli(capsys, "verify", "--suite", "PSI-O2", "--params", "seed=1")
     assert code == 2 and out == ""
     assert "unknown parameter 'seed': PSI-O2 takes g" in err
@@ -306,7 +319,7 @@ def test_verify_seed_goes_only_to_checks_that_declare_it(capsys):
     code, out, _ = run_cli(
         capsys,
         "verify",
-        "--suite", "PSI-O2,THM41-MEMBER",
+        "--suite", "PSI-O2,RS-GAMMA24",
         "--params", "sample=5",
         "--seed", "3",
         "--format", "json",
@@ -314,13 +327,13 @@ def test_verify_seed_goes_only_to_checks_that_declare_it(capsys):
     assert code == 0
     assert [r["params"] for r in json.loads(out)] == [
         {"g": 4},
-        {"g": 4, "sample": 5, "seed": 3},
+        {"g": 4, "rs_cap": 20000, "sample": 5, "seed": 3},
     ]
 
 
 def test_verify_report_file_names_carry_seed_only_for_seeded_suites(capsys, tmp_path):
     code, _, _ = run_cli(
-        capsys, "verify", "--suite", "THM41-MEMBER", "--params", "sample=2",
+        capsys, "verify", "--suite", "RS-GAMMA24", "--params", "sample=2",
         "--seed", "3", "--out", str(tmp_path),
     )
     assert code == 0
@@ -330,8 +343,8 @@ def test_verify_report_file_names_carry_seed_only_for_seeded_suites(capsys, tmp_
     )
     assert code == 0
     assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "report-RS-GAMMA24-sample=2,seed=3.json",
         "report-T2-EQ-YY-gmax=4.json",
-        "report-THM41-MEMBER-sample=2,seed=3.json",
     ]
 
 
@@ -348,7 +361,7 @@ def test_verify_non_integer_param_exits_2(capsys):
         ("TOWER-2L", "l=0", "parameter 'l' must be >= 2, got 0"),
         ("THM41-MEMBER", "g=3", "parameter 'g' must be >= 4, got 3"),
         ("THM41-MOD8", "g=3", "parameter 'g' must be >= 4, got 3"),
-        ("THM41-MEMBER", "sample=-5", "parameter 'sample' must be >= 0, got -5"),
+        ("THM41-MEMBER", "sample=-5", "unknown parameter 'sample': THM41-MEMBER takes g"),
         ("RS-GAMMA24", "sample=0", "parameter 'sample' must be >= 1, got 0"),
         ("RS-GAMMA24", "sample=-1", "parameter 'sample' must be >= 1, got -1"),
         ("RS-GAMMA24", "rs_cap=0", "parameter 'rs_cap' must be >= 1, got 0"),
@@ -425,12 +438,15 @@ def test_verify_all_at_genus_9_with_a_sample_records_every_check(capsys):
     records = {r["id"]: r for r in json.loads(out)}
     assert len(records) == 19
     # THM41-MEMBER's stream has 2^((g-1)^2) = 2^64 transversal words times
-    # |A| + |B| + |C| + |D| = 36 + 36 + 252 + 56 family elements, more than
-    # int64 positions reach
-    assert records["THM41-MEMBER"]["status"] == "inconclusive"
+    # |A| + |B| + |C| + |D| = 36 + 36 + 252 + 56 family elements, every one
+    # decided by its family element
+    assert records["THM41-MEMBER"]["status"] == "pass"
     assert records["THM41-MEMBER"]["details"] == {
-        "reason": f"the stream has {(1 << 64) * 380} words,"
-        f" over the int64 limit of {(1 << 63) - 1} on its positions"
+        "stream_size": (1 << 64) * 380,
+        "checked": (1 << 64) * 380,
+        "failures": 0,
+        "family_elements": 380,
+        "failing_families": [],
     }
 
 

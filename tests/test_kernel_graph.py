@@ -12,7 +12,7 @@ import pytest
 
 import oracle_pi1free
 from conftest import Budget
-from crosscap import finitegrp, pi1free
+from crosscap import finitegrp, ledger, pi1free
 from crosscap.ledger import run_check
 from crosscap.pi1free import (
     ScaleGuardError,
@@ -116,7 +116,7 @@ def test_the_work_estimate_counts_the_relator_letters(g, n, d):
 )
 def test_points_inside_the_work_budget(g, n, d, work):
     assert d ** (g - 1) * pi1free._relator_letters(g, n, d) == work
-    pi1free._guard(g, n, d)
+    pi1free.kernel_guard(g, n, d)
 
 
 @pytest.mark.parametrize(
@@ -125,21 +125,24 @@ def test_points_inside_the_work_budget(g, n, d, work):
         (2, 1, 1448, 1448, 2899),
         (4, 1, 32, 32768, 214),
         (5, 1, 16, 65536, 167),
+        (6, 1, 8, 32768, 141),
         (7, 1, 7, 117649, 172),
+        (8, 1, 8, 2097152, 232),
     ],
 )
 def test_points_past_the_work_budget_end_inconclusive_before_any_enumeration(
     monkeypatch, g, n, d, index, letters
 ):
     def refuse(*args):
-        raise AssertionError("a coset table was started")
+        raise AssertionError("a coset table was started or a transversal word built")
 
     monkeypatch.setattr(finitegrp._CosetRows, "__init__", refuse)
+    monkeypatch.setattr(ledger, "gtilde", refuse)
     reason = (
         f"kernel work d^(g-1) x relator letters = {index} x {letters} = {index * letters}"
         " exceeds budget 4194304"
     )
-    for check_id in ("PROP34-TC", "PROP52-STALLINGS"):
+    for check_id in ("PROP34-TC", "PROP52-STALLINGS", "THETA-BASIS"):
         record = run_check(check_id, {"g": g, "n": n, "d": d})
         assert record.status == "inconclusive"
         assert record.details == {"reason": reason}

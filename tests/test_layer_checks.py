@@ -1,7 +1,8 @@
 """RS-GAMMA24 and THM41-MOD8 on the level layers Gamma_2/Gamma_4 and
-Gamma_4/Gamma_8: the frontier genera they now reach without reading the
-level-4 stream or listing a group, the closure the stacked stream oracle
-gives, and slides that would break the reduction failing by name."""
+Gamma_4/Gamma_8, and THM41-MEMBER on the family elements: the frontier
+genera they now reach without reading the level-4 stream or listing a
+group, the closure the stacked stream oracle gives, and slides that would
+break the reduction failing by name."""
 
 import pytest
 
@@ -16,7 +17,7 @@ def refuse_the_old_paths(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("the stream was read or a group enumerated")
 
-    monkeypatch.setattr(ledger, "main3_stream_images", refuse)
+    monkeypatch.setattr(oracle_ledger, "main3_stream_images", refuse)
     monkeypatch.setattr(ledger, "bfs_closure", refuse)
     monkeypatch.setattr(oracle_finitegrp, "coset_action_table", refuse)
     monkeypatch.setattr(oracle_ledger, "coset_action_table", refuse)
@@ -50,6 +51,22 @@ def test_thm41_mod8_passes_at_the_frontier(monkeypatch, g):
         "family_images": len(families.main3_families(g)),
         "closure_order": order,
         "reference_order": order,
+    }
+
+
+@pytest.mark.parametrize("g", [5, 8, 12, 16])
+def test_thm41_member_passes_at_the_frontier(monkeypatch, g):
+    refuse_the_old_paths(monkeypatch)
+    with Budget(f"THM41-MEMBER g={g}", 2.0):
+        record = ledger.run_check("THM41-MEMBER", {"g": g})
+    assert record.status == "pass"
+    total = families.main3_count(g)
+    assert record.details == {
+        "stream_size": total,
+        "checked": total,
+        "failures": 0,
+        "family_elements": len(families.main3_families(g)),
+        "failing_families": [],
     }
 
 

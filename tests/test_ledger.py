@@ -5,7 +5,6 @@ import pytest
 from crosscap import families, finitegrp, ledger
 from crosscap.ledger import (
     CHECKS,
-    MAIN3_STREAM_LIMIT,
     ParamRangeError,
     UnknownCheckError,
     records_to_markdown,
@@ -232,19 +231,40 @@ def test_mod8_comparison_is_bounded_by_the_stream_size():
         "closure_order": 1 << 15,
         "reference_order": 1 << 15,
     }
-    # 2^((g-1)^2) transversal words times the 54 family elements
+    # 2^((g-1)^2) transversal words times the 54 family elements, every one
+    # decided by its family element
     total = (1 << 16) * 54
     record = run_check("THM41-MEMBER", {"g": 5})
-    assert record.status == "inconclusive"
-    assert f"full stream has {total} words, over the limit of {MAIN3_STREAM_LIMIT}" in (
-        record.details["reason"]
-    )
-
-
-def test_a_sample_is_held_to_the_stream_limit():
-    sample = MAIN3_STREAM_LIMIT + 1
-    record = run_check("THM41-MEMBER", {"g": 6, "sample": sample})
-    assert record.status == "inconclusive"
+    assert record.status == "pass"
     assert record.details == {
-        "reason": f"a sample of {sample} words is over the limit of {MAIN3_STREAM_LIMIT}"
+        "stream_size": total,
+        "checked": total,
+        "failures": 0,
+        "family_elements": 54,
+        "failing_families": [],
     }
+
+
+class ReadRecorder(dict):
+    """A parameter dict that records every key a runner reads."""
+
+    def __init__(self, params: dict):
+        super().__init__(params)
+        self.read: set = set()
+
+    def __getitem__(self, key):
+        self.read.add(key)
+        return super().__getitem__(key)
+
+    def get(self, key, default=None):
+        self.read.add(key)
+        return super().get(key, default)
+
+
+@pytest.mark.parametrize("check_id", sorted(CHECKS))
+def test_every_declared_parameter_is_read_at_the_defaults(check_id):
+    spec = CHECKS[check_id]
+    params = ReadRecorder(spec.defaults)
+    spec.runner(params)
+    unread = set(spec.defaults) - params.read
+    assert not unread, f"{check_id} declares {sorted(unread)} but never reads them"

@@ -1,5 +1,7 @@
-"""The batched evaluation of the level-4 generating stream against the
-word-level oracles it replaced (``oracle_ledger``, ``oracle_homology``)."""
+"""The batched evaluation of the level-4 generating stream
+(``oracle_ledger.main3_stream_images``) against the word-level oracles
+(``oracle_ledger``, ``oracle_homology``), and THM41-MEMBER's decision on the
+family elements against both."""
 
 import dataclasses
 import random
@@ -9,6 +11,7 @@ import pytest
 
 import oracle_homology
 import oracle_ledger
+from oracle_ledger import main3_stream_images
 from crosscap import families, ledger
 from crosscap.finitegrp import LayerError, layer_closure
 from crosscap.homology import (
@@ -18,7 +21,7 @@ from crosscap.homology import (
     word_matrix,
 )
 from crosscap.intmat import IntMatrix
-from crosscap.ledger import main3_stream_images, run_check
+from crosscap.ledger import run_check
 from crosscap.words import Twist, word
 
 
@@ -39,8 +42,8 @@ def stacked(g, indices, action, modulus):
     stacks = list(main3_stream_images(g, indices, action, modulus))
     sizes = [len(images) for images in stacks]
     assert sum(sizes) == len(indices)
-    assert all(size == ledger._STREAM_BATCH for size in sizes[:-1])
-    assert 0 < sizes[-1] <= ledger._STREAM_BATCH
+    assert all(size == oracle_ledger._STREAM_BATCH for size in sizes[:-1])
+    assert 0 < sizes[-1] <= oracle_ledger._STREAM_BATCH
     assert all(images.dtype == np.int64 for images in stacks)
     return np.concatenate(stacks)
 
@@ -164,18 +167,54 @@ def planted(monkeypatch):
     monkeypatch.setattr(families, "main3_families", with_plant)
 
 
-@pytest.mark.parametrize("sample", [0, 300])
-def test_planted_non_member_fails_with_the_oracle_count(planted, sample):
-    record = run_check("THM41-MEMBER", {"sample": sample, "seed": 2})
+def test_planted_non_member_fails_with_the_oracle_count(planted):
+    record = run_check("THM41-MEMBER", {"g": 4})
     total = families.main3_count(4)
-    if sample:
-        indices = sorted(random.Random(2).sample(range(total), sample))
-    else:
-        indices = range(total)
-    expected = oracle_ledger.thm41_member_failures(4, indices)
-    assert expected > 0
+    expected = oracle_ledger.thm41_member_failures(4, range(total))
+    # the planted element fails under every one of the 512 transversal words
+    assert expected == families.transversal_count(4) == 512
     assert record.status == "fail"
-    assert record.details == {"stream_size": total, "checked": len(indices), "failures": expected}
+    assert record.details == {
+        "stream_size": total,
+        "checked": total,
+        "failures": expected,
+        "family_elements": 25,
+        "failing_families": ["B(1, 3)"],
+    }
+
+
+@pytest.mark.parametrize("plant", [False, True], ids=["as-built", "planted"])
+def test_exact_record_matches_the_whole_genus4_stream(request, plant):
+    if plant:
+        request.getfixturevalue("planted")
+    total = families.main3_count(4)
+    details = dict(run_check("THM41-MEMBER", {"g": 4}).details)
+    assert details.pop("family_elements") == 25
+    assert details.pop("failing_families") == (["B(1, 3)"] if plant else [])
+    assert details == {
+        "stream_size": total,
+        "checked": total,
+        "failures": oracle_ledger.thm41_member_stacked(4, np.arange(total)),
+    }
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+@pytest.mark.parametrize("plant", [False, True], ids=["as-built", "planted"])
+def test_exact_record_matches_seeded_genus5_samples(request, plant, seed):
+    if plant:
+        request.getfixturevalue("planted")
+    fams = families.main3_families(5)
+    failing = [7] if plant else []
+    record = run_check("THM41-MEMBER", {"g": 5})
+    assert record.details["failing_families"] == [
+        f"{fams[k].family}{fams[k].indices}" for k in failing
+    ]
+    total = record.details["stream_size"]
+    assert record.details["failures"] * len(fams) == len(failing) * total
+    # a sampled stream word fails exactly when its family element does
+    indices = sorted(random.Random(seed).sample(range(total), 2000))
+    _, which = families.main3_position(5, np.array(indices), len(fams))
+    assert oracle_ledger.thm41_member_stacked(5, indices) == int(np.isin(which, failing).sum())
 
 
 def test_planted_image_outside_the_layer_is_named_as_by_the_oracle(planted):
@@ -209,15 +248,15 @@ def test_stream_checks_match_the_oracles(monkeypatch):
     fams = families.main3_families(4)
     assert calls[0] == [ledger.phi_mod(el.word, 8) for el in fams]
     assert closures[0] == layer_closure([m for _, m in seen.values()], 4)
-    record = run_check("THM41-MEMBER", {"sample": 500, "seed": 9})
+    record = run_check("THM41-MEMBER", {"g": 4})
     indices = sorted(random.Random(9).sample(range(families.main3_count(4)), 500))
     assert record.details["failures"] == oracle_ledger.thm41_member_failures(4, indices) == 0
 
 
 def test_member_batches_cover_every_sampled_index(monkeypatch):
-    monkeypatch.setattr(ledger, "_STREAM_BATCH", 7)
+    monkeypatch.setattr(oracle_ledger, "_STREAM_BATCH", 7)
     seen, stacks = [], []
-    real = ledger.main3_stream_images
+    real = oracle_ledger.main3_stream_images
 
     def spy(g, indices, action, modulus):
         seen.append(indices.tolist())
@@ -225,10 +264,9 @@ def test_member_batches_cover_every_sampled_index(monkeypatch):
             stacks.append(images)
             yield images
 
-    monkeypatch.setattr(ledger, "main3_stream_images", spy)
-    record = run_check("THM41-MEMBER", {"sample": 50, "seed": 4})
-    assert record.status == "pass" and record.details["checked"] == 50
+    monkeypatch.setattr(oracle_ledger, "main3_stream_images", spy)
     expected = sorted(random.Random(4).sample(range(families.main3_count(4)), 50))
+    assert oracle_ledger.thm41_member_stacked(4, expected) == 0
     assert seen == [expected]
     # read a stack at a time, in index order: stack k holds indices 7k .. 7k + 6
     assert [len(images) for images in stacks] == [7] * 7 + [1]
@@ -238,7 +276,7 @@ def test_member_batches_cover_every_sampled_index(monkeypatch):
 
 @pytest.mark.parametrize("batch", [1, 7, 4096])
 def test_stacks_follow_the_indices_in_order(monkeypatch, batch):
-    monkeypatch.setattr(ledger, "_STREAM_BATCH", batch)
+    monkeypatch.setattr(oracle_ledger, "_STREAM_BATCH", batch)
     indices = np.array([12799, 3, 12799, 0, 640, 3, 5, 6, 7, 8, 9])
     stacks = list(main3_stream_images(4, indices, reduced_action, 8))
     assert [len(images) for images in stacks] == [
@@ -258,16 +296,13 @@ def refuse_work(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("work started")
 
-    for name in ("main3_stream_images", "bfs_closure", "phi_mod"):
+    for name in ("bfs_closure", "phi_mod"):
         monkeypatch.setattr(ledger, name, refuse)
-    monkeypatch.setattr(families, "main3_count", refuse)
 
 
 @pytest.mark.parametrize(
     "check_id, params, message",
     [
-        ("THM41-MEMBER", {"sample": -5}, "parameter 'sample' must be >= 0, got -5"),
-        ("THM41-MEMBER", {"sample": -1}, "parameter 'sample' must be >= 0, got -1"),
         ("RS-GAMMA24", {"sample": 0}, "parameter 'sample' must be >= 1, got 0"),
         ("RS-GAMMA24", {"sample": -1}, "parameter 'sample' must be >= 1, got -1"),
         ("RS-GAMMA24", {"rs_cap": 0}, "parameter 'rs_cap' must be >= 1, got 0"),
@@ -282,10 +317,16 @@ def test_sample_and_cap_below_their_floor_raise_before_any_work(
         run_check(check_id, params)
 
 
-def test_sample_zero_reads_the_whole_stream():
-    record = run_check("THM41-MEMBER", {"sample": 0})
+def test_the_default_record_decides_the_whole_stream():
+    record = run_check("THM41-MEMBER")
     assert record.status == "pass"
-    assert record.details == {"stream_size": 12800, "checked": 12800, "failures": 0}
+    assert record.details == {
+        "stream_size": 12800,
+        "checked": 12800,
+        "failures": 0,
+        "family_elements": 25,
+        "failing_families": [],
+    }
 
 
 def test_rs_cap_one_reads_one_output():

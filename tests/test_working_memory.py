@@ -8,7 +8,7 @@ import pytest
 
 import oracle_finitegrp
 import oracle_ledger
-from crosscap import homology, ledger
+from crosscap import families, homology, ledger
 from crosscap.finitegrp import FiniteMatrixGroup
 from crosscap.intmat import ModMatrix
 from crosscap.ledger import brute_force_mod2_orthogonal, run_check, run_suite
@@ -36,11 +36,11 @@ def test_exhaustion_keeps_its_genus_guard():
         brute_force_mod2_orthogonal(5)
 
 
-@pytest.mark.parametrize("batch", [7, ledger._STREAM_BATCH])
+@pytest.mark.parametrize("batch", [7, oracle_ledger._STREAM_BATCH])
 def test_mod8_dedupe_matches_the_axis0_oracle(monkeypatch, batch):
     # the stacked stream, the reference THM41-MOD8's family closure is held
     # to at g = 5, dedupes as the whole-array oracle does
-    monkeypatch.setattr(ledger, "_STREAM_BATCH", batch)
+    monkeypatch.setattr(oracle_ledger, "_STREAM_BATCH", batch)
     first, images = oracle_ledger.thm41_mod8_first_images(4)
     names, inputs = [], []
     real_named, real_closure = oracle_ledger._named, oracle_ledger.layer_closure
@@ -64,30 +64,28 @@ def test_mod8_dedupe_matches_the_axis0_oracle(monkeypatch, batch):
 
 @pytest.mark.parametrize(
     "check_id, params",
-    [("THM41-MEMBER", {"sample": 50, "seed": 4}), ("THM41-MEMBER", {"sample": 0}), ("THM41-MOD8", {})],
+    [("THM41-MEMBER", {}), ("THM41-MEMBER", {"g": 5}), ("THM41-MOD8", {})],
 )
 def test_stream_words_are_evaluated_once_per_check(monkeypatch, check_id, params):
-    def calls(batch):
-        monkeypatch.setattr(ledger, "_STREAM_BATCH", batch)
-        count = [0]
-        real = homology.word_matrix
+    # the first build of a genus's families checks its C and D elements on
+    # homology; those checks are kept per genus, so build them before counting
+    families.main3_families(params.get("g", 4))
+    count = [0]
+    real = homology.word_matrix
 
-        def spy(w):
-            count[0] += 1
-            return real(w)
+    def spy(w):
+        count[0] += 1
+        return real(w)
 
-        # THM41-MEMBER passes ledger's binding, reduced_action reads homology's
-        with monkeypatch.context() as patch:
-            patch.setattr(ledger, "word_matrix", spy)
-            patch.setattr(homology, "word_matrix", spy)
-            record = run_check(check_id, params)
-        assert record.status == "pass"
-        return count[0]
-
-    # 25 family elements and 9 slides at g = 4; THM41-MEMBER also evaluates
-    # the 9 slides' inverses, THM41-MOD8 reads the slides only mod 2
-    words = 25 + 2 * 9 if check_id == "THM41-MEMBER" else 25 + 9
-    assert calls(7) == calls(ledger._STREAM_BATCH) == words
+    # level_member and reduced_action read homology's binding
+    monkeypatch.setattr(ledger, "word_matrix", spy)
+    monkeypatch.setattr(homology, "word_matrix", spy)
+    record = run_check(check_id, params)
+    assert record.status == "pass"
+    # 25 family elements at g = 4 and 54 at g = 5, each evaluated once;
+    # THM41-MOD8 also reads the 9 single slides mod 2
+    words = {4: 25, 5: 54}[record.params["g"]] + (9 if check_id == "THM41-MOD8" else 0)
+    assert count[0] == words
 
 
 def test_default_suite_runs_in_a_few_mib():
