@@ -15,8 +15,6 @@ import itertools
 from dataclasses import dataclass
 from typing import Callable, Iterator, Optional, Sequence
 
-import numpy as np
-
 from .finitegrp import ScaleGuardError
 from .words import (
     BoundaryTwist,
@@ -360,19 +358,17 @@ def main3_count(g: int) -> int:
     return transversal_count(g) * per
 
 
-def main3_position(g: int, index, per: int):
+def main3_position(g: int, index: int, per: int) -> tuple[int, int]:
     """The (transversal mask, family index) of stream position ``index``.
 
     The stream is ordered transversal-major: position ``mask * per + k`` is
     the conjugate of the k-th of the ``per`` family elements by
-    ``subset_word(g, mask)``.  ``index`` is an int or an integer numpy array
-    (split elementwise); a position outside the stream raises ``IndexError``.
+    ``subset_word(g, mask)``.  A position outside the stream raises
+    ``IndexError``.
     """
     total = transversal_count(g) * per
-    flat = np.ravel(index)
-    outside = flat[(flat < 0) | (flat >= total)]
-    if len(outside):
-        raise IndexError(f"index {outside[0]} out of range 0..{total - 1}")
+    if not 0 <= index < total:
+        raise IndexError(f"index {index} out of range 0..{total - 1}")
     return divmod(index, per)
 
 

@@ -1,30 +1,30 @@
 """Finite-quotient machinery: matrix-group closures, level-layer subspaces,
 Schreier generators, and Todd-Coxeter coset enumeration.
 
-One encoding serves every matrix group here: a 0/1 matrix is keyed by its
-entries as little-endian packed bits, bit r*n + c being entry (r, c).
-``bfs_closure`` and ``normal_closure`` hold a group over F_2, and refuse
-any other modulus, as the set of its element keys.  They drive one closure
-engine, ``_Closure``, which grows a group in place as generators arrive
-instead of restarting (Dimino's algorithm; Holt-Eick-
-O'Brien, *Handbook of Computational Group Theory*, ch. 4) and forms and keys
-its products through numpy a batch at a time.  Caps are explicit and
-hitting one raises ``ScaleGuardError``, the one exception that marks a
-computation stopped by a guard or cap, so callers report "inconclusive"
-instead of silently truncating.
+One encoding serves every matrix group here: a 0/1 matrix is keyed by the
+Python int whose bit r*n + c is entry (r, c), so row r is the n-bit field
+at r*n.  ``bfs_closure`` and ``normal_closure`` hold a group over F_2, and
+refuse any other modulus, as the set of its element keys.  They drive one
+closure engine, ``_Closure``, which grows a group in place as generators
+arrive instead of restarting, coset by coset (Dimino's algorithm; Holt-Eick-
+O'Brien, *Handbook of Computational Group Theory*, 2005, ch. 4).  A product
+x G is n lookups of the rows of x in a 2^n-entry table of G's row
+combinations.  Caps are explicit and hitting one raises
+``ScaleGuardError``, the one exception that marks a computation stopped by
+a guard or cap, so callers report "inconclusive" instead of silently
+truncating.
 
 For even d the layer Gamma_d / Gamma_2d of matrices congruent to I mod d,
 taken mod 2d, is elementary abelian, so ``layer_closure`` and
 ``layer_normal_closure`` decide its subgroups as F_2 subspaces of n x n
 matrices (a ``LevelLayer``) without listing any element: the order is
 2^dim, and equal subgroups have equal reduced echelon bases.  The vector X
-of I + dX is the integer its key reads as, and both normal closures share
-one conjugation step.  ``layer_coordinates`` writes layer elements in a
+of I + dX is keyed as a matrix is, and both normal closures share one
+conjugation step.  ``layer_coordinates`` writes layer elements in a
 basis of given layer elements, so a transversal of products of that basis
 is walked by XOR on coordinate masks instead of by a table of matrix
 products.  Every generator is checked to lie in the layer; one that does
-not raises ``LayerError``, and nothing falls back to enumeration.  The
-layer engine takes any modulus whose entries fit int64 (up to 2^62).
+not raises ``LayerError``, and nothing falls back to enumeration.
 
 ``schreier_generators`` is generic over words: it keys every product
 y x^+-1 through a quotient callback and builds every output word.
@@ -43,9 +43,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Callable, Hashable, Iterable, Iterator, Sequence, TypeVar
 
-import numpy as np
-
-from .intmat import ModMatrix, ModulusMismatchError
+from .intmat import ModMatrix, ModulusMismatchError, NotUnimodularError
 
 
 class ScaleGuardError(ValueError):
@@ -54,28 +52,6 @@ class ScaleGuardError(ValueError):
 
 class SectionError(ValueError):
     """A transversal failed to be a section of its quotient map."""
-
-
-MAX_STACK_MODULUS = 1 << 62
-_BATCH = 1 << 15  # matrices per numpy batch
-
-
-def _pack(xs: np.ndarray) -> list[bytes]:
-    """The key of each matrix of an (N, n, n) stack of 0/1 entries: its
-    entries as little-endian packed bits, bit r*n + c being entry (r, c)."""
-    count, n = len(xs), xs.shape[-1]
-    packed = np.packbits(xs.reshape(count, n * n).astype(np.uint8), 1, "little")
-    return packed.view(np.dtype((np.void, packed.shape[1]))).reshape(count).tolist()
-
-
-def _unpack(keys: Sequence[bytes], n: int) -> np.ndarray:
-    """The (N, n, n) uint8 stack of 0/1 matrices that ``keys`` encode."""
-    raw = np.frombuffer(b"".join(keys), np.uint8).reshape(len(keys), (n * n + 7) // 8)
-    return np.unpackbits(raw, 1, n * n, "little").reshape(len(keys), n, n)
-
-
-def _stack(ms: Sequence[ModMatrix], d: int, n: int) -> np.ndarray:
-    return np.array([m.rows for m in ms], dtype=np.int64).reshape(-1, n, n) % d
 
 
 def _check_gens(gens: Sequence[ModMatrix]) -> tuple[int, int]:
@@ -88,9 +64,54 @@ def _check_gens(gens: Sequence[ModMatrix]) -> tuple[int, int]:
             raise ModulusMismatchError("generators carry different moduli")
         if m.n != n:
             raise ValueError("generators have different dimensions")
-    if d > MAX_STACK_MODULUS:
-        raise ValueError(f"modulus {d} is above 2^62, too large for int64 entries")
     return d, n
+
+
+def _key(m: ModMatrix) -> int:
+    """The key of a matrix mod 2: bit r*n + c is entry (r, c) mod 2."""
+    n = m.n
+    return sum((x & 1) << (r * n + c) for r, row in enumerate(m.rows) for c, x in enumerate(row))
+
+
+def _rows(key: int, n: int) -> list[int]:
+    """The n-bit rows of the matrix that ``key`` encodes."""
+    mask = (1 << n) - 1
+    return [key >> r * n & mask for r in range(n)]
+
+
+def _row_table(rows: Sequence[int]) -> list[int]:
+    """Entry v is the XOR of the rows that the bits of v pick: the row
+    vector v times the matrix of those rows, over F_2."""
+    table = [0] * (1 << len(rows))
+    for v in range(1, len(table)):
+        low = v & -v
+        table[v] = table[v ^ low] ^ rows[low.bit_length() - 1]
+    return table
+
+
+def _times(xs: Sequence[int], table: list[int], n: int) -> list[int]:
+    """The keys x G of the matrices x of ``xs``, for the matrix G whose
+    ``_row_table`` is ``table``: row r of x G is row r of x looked up."""
+    mask = (1 << n) - 1
+    out = [table[x & mask] for x in xs]
+    for shift in range(n, n * n, n):
+        out = [o | table[x >> shift & mask] << shift for o, x in zip(out, xs)]
+    return out
+
+
+def _inverse(key: int, n: int) -> int:
+    """The key of the inverse over F_2 of the matrix that ``key`` encodes,
+    by Gauss-Jordan elimination on its rows beside those of I."""
+    rows = [row | 1 << (n + r) for r, row in enumerate(_rows(key, n))]
+    for c in range(n):
+        pivot = next((r for r in range(c, n) if rows[r] >> c & 1), None)
+        if pivot is None:
+            raise NotUnimodularError("the matrix is not invertible mod 2")
+        rows[c], rows[pivot] = rows[pivot], rows[c]
+        for r in range(n):
+            if r != c and rows[r] >> c & 1:
+                rows[r] ^= rows[c]
+    return sum(row >> n << r * n for r, row in enumerate(rows))
 
 
 @dataclass(frozen=True)
@@ -99,7 +120,7 @@ class FiniteMatrixGroup:
     held as the keys of its elements; equal exactly when the groups are."""
 
     dim: int
-    keys: frozenset[bytes]
+    keys: frozenset[int]
 
     @property
     def order(self) -> int:
@@ -116,75 +137,97 @@ def _mod2_gens(gens: Sequence[ModMatrix]) -> int:
 
 class _Closure:
     """The subgroup of the n x n matrices over F_2 generated by the
-    generators added so far, held as element keys in discovery order and
-    grown in place as generators are added.
+    generators added so far, held as element keys and grown in place as
+    generators are added.
 
-    Invariant: the keys are closed under right multiplication by every kept
-    generator.  Adding a generator outside the group multiplies the old
-    elements by it alone (the old generators keep them inside), then the new
-    elements by every kept generator.
+    The keys of the group H before a generator s joins are listed first;
+    Dimino's algorithm then lists <H, s> as right cosets of H, each a block
+    of |H| keys whose first key is its representative.  Block by block, and
+    for every kept generator t, a representative x with x t outside the keys
+    so far gives the new coset H x t, which is the block of x times t.  When
+    no block gives one, the keys are closed under right multiplication by
+    every generator, so they are the group.
     """
 
     def __init__(self, n: int, cap: int) -> None:
         self.n, self.cap = n, cap
-        self.gens = np.empty((0, n, n), dtype=np.uint8)
-        self.keys = _pack(np.eye(n, dtype=np.uint8)[None])
+        self.tables: list[list[int]] = []
+        self.keys = [sum(1 << (r * n + r) for r in range(n))]
         self.members = set(self.keys)
 
-    def add(self, gens: np.ndarray) -> np.ndarray:
-        """Add the generators of the (N, n, n) 0/1 stack in turn, skipping
-        each one the group already contains; returns the stack of those
-        kept."""
-        gens = gens.astype(np.uint8)
+    def add(self, gens: Iterable[int]) -> list[int]:
+        """Add the generator keys in turn, skipping each one the group
+        already contains; returns those kept."""
         kept = []
-        for index, key in enumerate(_pack(gens)):
+        for key in gens:
             if key in self.members:
                 continue
-            kept.append(index)
-            new = gens[index : index + 1]
-            old = len(self.keys)
-            self._multiply(0, old, new)
-            self.gens = np.concatenate((self.gens, new))
-            self._multiply(old, None, self.gens)
-        return gens[kept]
+            kept.append(key)
+            self.tables.append(_row_table(_rows(key, self.n)))
+            self._cosets()
+        return kept
 
-    def _multiply(self, start: int, stop: int | None, gens: np.ndarray) -> None:
-        """Append the unseen right products by ``gens`` of the elements from
-        index ``start`` to ``stop``, or through every element appended on
-        the way when ``stop`` is None."""
-        n = self.n
-        keys, members = self.keys, self.members
-        step = max(1, _BATCH // len(gens))
-        while True:
-            end = min(start + step, len(keys) if stop is None else stop)
-            if start >= end:
-                return
-            batch = _unpack(keys[start:end], n)
-            start = end
-            # uint8 sums wrap modulo 256, which keeps their parity
-            products = _pack((batch[:, None] @ gens & 1).reshape(-1, n, n))
-            fresh = [key for key in dict.fromkeys(products) if key not in members]
-            members.update(fresh)
-            keys.extend(fresh)
-            if len(keys) > self.cap:
-                raise ScaleGuardError(f"closure exceeded cap of {self.cap} elements")
+    def freeze(self) -> FiniteMatrixGroup:
+        """The group as a ``FiniteMatrixGroup``, ending the closure: the
+        member set goes before the frozen set is built, so that two sets of
+        every key are never held at once."""
+        self.members.clear()
+        return FiniteMatrixGroup(self.n, frozenset(self.keys))
+
+    def _cosets(self) -> None:
+        n, keys, members = self.n, self.keys, self.members
+        size, start = len(keys), 0
+        while start < len(keys):
+            block = keys[start : start + size]
+            start += size
+            for table in self.tables:
+                # the block's first key is its representative
+                if _times(block[:1], table, n)[0] in members:
+                    continue
+                coset = _times(block, table, n)
+                members.update(coset)
+                keys.extend(coset)
+                if len(keys) > self.cap:
+                    raise ScaleGuardError(f"closure exceeded cap of {self.cap} elements")
 
 
-def _conjugation(ambient_gens: Sequence[ModMatrix], n: int) -> Callable[[np.ndarray], np.ndarray]:
-    """The map sending an (N, n, n) 0/1 stack of matrices X to the stack of
-    every A X A^-1 mod 2, for A running over the distinct ambient
-    generators mod 2.
+def _conjugation(ambient_gens: Sequence[ModMatrix], n: int) -> Callable[[Sequence[int]], list[int]]:
+    """The map sending a list of keys of matrices X over F_2 to the keys of
+    every A X A^-1, for A running over the distinct ambient generators mod 2
+    (A-major).
+
+    Row r of X A^-1 is looked up in two ``_row_table``s, of the first n/2
+    rows of A^-1 and of the rest, so that each A costs about 2^(n/2 + 1)
+    entries: there can be thousands of A.  A (X A^-1) is the XOR over r of column r of A times
+    that row: column r, held with entry k at bit k*n, times an n-bit row
+    spreads the row over the rows k of A X A^-1 without carries.
 
     Only A, never A^-1, is needed by the normal closures: an invertible map
     that sends a finite set into itself sends it onto itself, so a finite
     group or span stable under X -> A X A^-1 is stable under its inverse.
     """
-    distinct = _unpack(list(dict.fromkeys(_pack(_stack(ambient_gens, 2, n)))), n)
-    inverses = [ModMatrix.from_rows(2, a.tolist()).inverse() for a in distinct]
-    left = distinct[:, None]
-    right = _stack(inverses, 2, n).astype(np.uint8)[:, None]
-    # uint8 sums wrap modulo 256, which keeps their parity
-    return lambda xs: ((left @ xs & 1) @ right & 1).reshape(-1, n, n)
+    half = n // 2
+    mask, low = (1 << n) - 1, (1 << half) - 1
+    actions = []
+    for key in dict.fromkeys(map(_key, ambient_gens)):
+        columns = [sum((key >> k * n + c & 1) << k * n for k in range(n)) for c in range(n)]
+        inverse = _rows(_inverse(key, n), n)
+        actions.append((columns, _row_table(inverse[:half]), _row_table(inverse[half:])))
+    shifts = range(0, n * n, n)
+
+    def conjugate(xs: Sequence[int]) -> list[int]:
+        out = []
+        for columns, first, rest in actions:
+            for x in xs:
+                y = 0
+                for column, shift in zip(columns, shifts):
+                    v = x >> shift & mask
+                    if v:
+                        y ^= column * (first[v & low] ^ rest[v >> half])
+                out.append(y)
+        return out
+
+    return conjugate
 
 
 def bfs_closure(gens: Sequence[ModMatrix], cap: int = 1 << 22) -> FiniteMatrixGroup:
@@ -192,8 +235,8 @@ def bfs_closure(gens: Sequence[ModMatrix], cap: int = 1 << 22) -> FiniteMatrixGr
     explicit element set."""
     n = _mod2_gens(gens)
     group = _Closure(n, cap)
-    group.add(_stack(gens, 2, n))
-    return FiniteMatrixGroup(n, frozenset(group.keys))
+    group.add(map(_key, gens))
+    return group.freeze()
 
 
 def normal_closure(
@@ -213,10 +256,10 @@ def normal_closure(
     n = _mod2_gens(list(ambient_gens) + list(normal_gens))
     conjugate = _conjugation(ambient_gens, n)
     group = _Closure(n, cap)
-    added = group.add(_stack(normal_gens, 2, n))
-    while len(added):
+    added = group.add(map(_key, normal_gens))
+    while added:
         added = group.add(conjugate(added))
-    return FiniteMatrixGroup(n, frozenset(group.keys))
+    return group.freeze()
 
 
 # ---------------------------------------------------------------------------
@@ -253,31 +296,34 @@ class LevelLayer:
         return 1 << len(self.basis)
 
 
-def identity_offsets(gens: Sequence[ModMatrix], d: int) -> np.ndarray:
-    """The (N, n, n) int64 stack of the M - I of the generators M, once each
-    is congruent to I mod d.  Raises :class:`LayerError` for the first that
-    is not."""
+def identity_offsets(gens: Sequence[ModMatrix], d: int) -> list[int]:
+    """The vector of X = (M - I)/d mod 2 for each generator M, once each is
+    congruent to I mod d, bit r*n + c being entry (r, c) of X.  Raises
+    :class:`LayerError` for the first that is not."""
     modulus, n = _check_gens(gens)
-    offsets = _stack(gens, modulus, n) - np.eye(n, dtype=np.int64)
-    outside = np.flatnonzero((offsets % d).any(axis=(1, 2)))
-    if len(outside):
-        raise LayerError(int(outside[0]), f"is not congruent to I mod {d}")
-    return offsets
+    vectors = []
+    for index, m in enumerate(gens):
+        x = 0
+        for r, row in enumerate(m.rows):
+            for c, e in enumerate(row):
+                q, rest = divmod(e % modulus - (r == c), d)
+                if rest:
+                    raise LayerError(index, f"is not congruent to I mod {d}")
+                x |= (q & 1) << (r * n + c)
+        vectors.append(x)
+    return vectors
 
 
 def _layer_vectors(gens: Sequence[ModMatrix], d: int) -> list[int]:
-    """The vector X of each generator M = I + dX (mod 2d), read from the
-    key of X.  Raises :class:`LayerError` for the first generator whose
-    modulus is not 2d or that is not congruent to I mod d; never falls back
-    to enumeration."""
+    """The vector X of each generator M = I + dX (mod 2d).  Raises
+    :class:`LayerError` for the first generator whose modulus is not 2d or
+    that is not congruent to I mod d; never falls back to enumeration."""
     if d < 2 or d % 2:
         raise ValueError(f"the level layer needs an even level, got d = {d}")
     for index, m in enumerate(gens):
         if m.modulus != 2 * d:
             raise LayerError(index, f"has modulus {m.modulus}, not 2d = {2 * d}")
-    if not gens:
-        return []
-    return [int.from_bytes(key, "little") for key in _pack(identity_offsets(gens, d) // d)]
+    return identity_offsets(gens, d) if gens else []
 
 
 class _Span:
@@ -344,12 +390,10 @@ def layer_normal_closure(
     vectors = _layer_vectors(normal_gens, d)
     _, n = _check_gens(list(ambient_gens) + list(normal_gens))
     conjugate = _conjugation(ambient_gens, n)
-    width = (n * n + 7) // 8
     span = _Span()
     added = span.add(vectors)
     while added:
-        xs = _unpack([v.to_bytes(width, "little") for v in added], n)
-        added = span.add(int.from_bytes(key, "little") for key in _pack(conjugate(xs)))
+        added = span.add(conjugate(added))
     return span.layer(d, n)
 
 

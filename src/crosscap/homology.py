@@ -15,7 +15,10 @@ case, ``word_matrix``): a slide costs O(g) and a twist about I costs
 O(g |I|) integer operations whatever the exponent, so powers are exact at
 any size.  Collapsing the total class a_1 + ... + a_g to zero gives the
 (g-1) x (g-1) reduced action; reducing entries mod 2 gives the action on
-mod-2 homology, which preserves the mod-2 intersection pairing.
+mod-2 homology, which preserves the mod-2 intersection pairing.  Level-d
+membership is read from the exact entries of one action at a time, in
+plain Python ints: each column of M - I must be a constant vector mod d,
+and an even one for even d.
 
 The basis pairing a_i * a_j = delta_ij is reconstructed, not axiomatic: it
 is the unique choice under which even shifts pair to zero and the twist and
@@ -29,8 +32,6 @@ import itertools
 import re
 from dataclasses import dataclass
 from typing import Iterable, Optional
-
-import numpy as np
 
 from .intmat import DimensionError, IntMatrix, ModMatrix
 from .words import (
@@ -252,34 +253,21 @@ def mod2_action(w: MCGWord) -> ModMatrix:
     return word_matrix(w).reduce_mod(2)
 
 
-def level_trivial_residues(stack: np.ndarray, d: int) -> np.ndarray:
-    """Which actions of an (..., g, g) integer stack fix every class of H_1
-    with Z/d coefficients, as a boolean array over the leading axes.
-
-    Column j must differ from e_j by a constant vector 2l mod d; for odd d
-    every constant qualifies (2 is invertible), for even d it must be even.
-    Entries are reduced mod d here: an int64 stack holds residues, an
-    object stack exact integers of any size.
-    """
-    if d < 2:
-        raise ValueError("level must be >= 2")
-    g = stack.shape[-1]
-    shifts = (stack - np.eye(g, dtype=stack.dtype)) % d
-    constant = shifts[..., :1, :]
-    trivial = (shifts == constant).all(axis=(-2, -1))
-    if d % 2 == 0:
-        trivial &= (constant % 2 == 0).all(axis=(-2, -1))
-    return trivial
-
-
 def matrix_level_trivial(m: IntMatrix, d: int) -> bool:
     """Does a g x g action fix every class of H_1 with Z/d coefficients?
 
-    The exact Python-int entries go to ``level_trivial_residues`` as an
-    object stack of one matrix, which reduces them mod d; it is the one
-    definition of the condition, for single words and for batches alike.
+    Column j must differ from e_j by a constant vector 2l mod d; for odd d
+    every constant qualifies (2 is invertible), for even d it must be even.
+    Entries are exact integers of any size or residues, reduced mod d here.
     """
-    return bool(level_trivial_residues(np.array(m.rows, dtype=object), d))
+    if d < 2:
+        raise ValueError("level must be >= 2")
+    first = [(e - (c == 0)) % d for c, e in enumerate(m.rows[0])]
+    if d % 2 == 0 and any(e % 2 for e in first):
+        return False
+    return all(
+        (e - (r == c)) % d == first[c] for r, row in enumerate(m.rows) for c, e in enumerate(row)
+    )
 
 
 def level_member(w: MCGWord, d: int) -> bool:

@@ -14,8 +14,6 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Callable, TypeVar
 
-import numpy as np
-
 from . import families
 from .finitegrp import (
     LayerError,
@@ -32,8 +30,8 @@ from .finitegrp import schreier_generators  # noqa: F401  (still bound here: per
 from .homology import (
     collapse_total_class,
     level_member,
-    level_trivial_residues,
     lift_obstruction,
+    matrix_level_trivial,
     mod2_action,
     product_matrix,
     reduced_action,
@@ -63,8 +61,9 @@ class UnknownCheckError(ValueError):
 
 
 class ParamRangeError(ValueError):
-    """A parameter value lies below its check's floor; the message names the
-    check, the parameter and the floor."""
+    """A parameter value lies outside its check's floor and ceiling, or has
+    the wrong parity; the message names the check, the parameter and the
+    bound."""
 
 
 @dataclass(frozen=True)
@@ -96,6 +95,8 @@ class CheckSpec:
     floors: dict = field(default_factory=dict)
     # the greatest value of a floored parameter, where the check has one
     ceilings: dict = field(default_factory=dict)
+    # the residue mod 2 a parameter must have, where the check needs one
+    parities: dict = field(default_factory=dict)
 
 
 # ---------------------------------------------------------------------------
@@ -163,31 +164,42 @@ def expected_slide_phi(a: int, b: int, g: int) -> IntMatrix:
     return IntMatrix.from_rows(rows)
 
 
-def brute_force_mod2_orthogonal(g: int) -> frozenset[bytes]:
+def brute_force_mod2_orthogonal(g: int) -> frozenset[int]:
     """All g x g matrices over Z/2 preserving the dot pairing, by exhaustion.
 
-    Matrix t of the 2^(g^2) has entry (r, c) at bit r g + c of t.  Each
-    column is held as a g-bit integer per matrix, so the Gram entry (i, j)
-    of M^T M is the parity of popcount(col_i & col_j), read from a 2^g
-    table.  Numbered so, t is the key ``finitegrp`` gives the matrix, and
-    the survivors, the t with M^T M = I, are written out as keys directly.
+    Matrix t of the 2^(g^2) has entry (r, c) at bit r g + c of t, so t is
+    the key ``finitegrp`` gives the matrix.  The exhaustion is bit-sliced:
+    entry k = r g + c of every matrix at once is one 2^(g^2)-bit int whose
+    bit t is bit k of t, so the Gram entry (i, j) of M^T M of every matrix
+    is the XOR over r of the AND of entries (r, i) and (r, j).  The
+    survivors, the t with M^T M = I, are the set bits of the AND of the
+    Gram conditions.
     """
     if g > 4:
         raise ScaleGuardError(f"2^(g^2) enumeration unreasonable for g = {g}")
     count = 1 << (g * g)
-    bits = np.arange(count, dtype=np.uint32)
-    cols = [np.zeros(count, dtype=np.uint16) for _ in range(g)]
-    for r in range(g):
-        for c in range(g):
-            cols[c] |= (bits >> (r * g + c) & 1).astype(np.uint16) << r
-    parity = np.array([v.bit_count() & 1 for v in range(1 << g)], dtype=bool)
-    good = np.ones(count, dtype=bool)
+    entries = []
+    for k in range(g * g):
+        # 2^k clear bits then 2^k set bits, doubled until it fills count bits
+        run = 1 << k
+        entry, width = ((1 << run) - 1) << run, 2 * run
+        while width < count:
+            entry |= entry << width
+            width *= 2
+        entries.append(entry)
+    good = (1 << count) - 1
     for i in range(g):
         for j in range(i, g):
-            gram = parity[cols[i] & cols[j]]
+            gram = 0
+            for r in range(g):
+                gram ^= entries[r * g + i] & entries[r * g + j]
             good &= gram if i == j else ~gram
-    width = (g * g + 7) // 8
-    return frozenset(int(t).to_bytes(width, "little") for t in bits[good])
+    survivors = []
+    while good:
+        low = good & -good
+        survivors.append(low.bit_length() - 1)
+        good ^= low
+    return frozenset(survivors)
 
 
 def _y_union_d_words(g: int) -> list[MCGWord]:
@@ -352,8 +364,6 @@ def _check_t2_eq_yy(p: dict) -> tuple[bool, dict]:
 
 def _check_thm23_elem(p: dict) -> tuple[bool, dict]:
     g, d = p["g"], p["d"]
-    if d % 2 != 0:
-        raise ScaleGuardError("the commutator identities need even d")
     # (g-1)(g-2) words, each a 4-letter commutator to the power d/2
     letters = 2 * d * (g - 1) * (g - 2)
     if letters > families.SEED_LETTER_LIMIT:
@@ -402,8 +412,6 @@ def _check_thm23_obstruct(p: dict) -> tuple[bool, dict]:
 
 def _check_thm23_ker(p: dict) -> tuple[bool, dict]:
     g, d = p["g"], p["d"]
-    if g % 2 != 0 or d % 2 != 1:
-        raise ScaleGuardError("kernel element exists for even g, odd d")
     w = word(g, (Twist(tuple(range(1, g + 1))), d))
     member = level_member(w, d)
     nontrivial = not word_matrix(w).is_identity()
@@ -523,7 +531,7 @@ def _check_rs_gamma24(p: dict) -> tuple[bool, dict]:
         picked = rng.sample(range(len(stream)), min(p["sample"], len(stream)))
         sampled = len(picked)
         slides = _single_slides(g)
-        residues = []
+        images = []
         for c, j in (stream[i] for i in picked):
             # y s u^-1 as factors: the slides of y's bits in increasing
             # order, s, then the slides of u's bits inverted, decreasing
@@ -531,14 +539,13 @@ def _check_rs_gamma24(p: dict) -> tuple[bool, dict]:
             factors = [(slides[t], 1) for t in range(len(slides)) if c >> t & 1]
             factors.append((signed[j], 1))
             factors += [(slides[t], -1) for t in reversed(range(len(slides))) if u >> t & 1]
-            residues.append(product_matrix(g, factors).reduce_mod(4).rows)
+            images.append(product_matrix(g, factors).reduce_mod(4))
         # each sampled word is evaluated once: level 4 on its action mod 4,
         # phi mod 4 on that action with the total class collapsed, which is
         # linear and so commutes with reducing mod 4
-        stack = np.array(residues, dtype=np.int64).reshape(-1, g, g)
-        collapsed = (stack[:, :-1, :-1] - stack[:, -1:, :-1]) % 4
-        sample_ok = bool(level_trivial_residues(stack, 4).all()) and bool(
-            (collapsed == np.eye(g - 1, dtype=np.int64)).all()
+        sample_ok = all(
+            matrix_level_trivial(m, 4) and collapse_total_class(m).reduce_mod(4).is_identity()
+            for m in images
         )
     ok = order_ok and reference_ok and section_ok and sample_ok
     return ok, {
@@ -712,6 +719,7 @@ CHECKS: dict[str, CheckSpec] = {
         "commutator powers and conjugated twist powers hit the elementary congruence generators",
         {"g": 4, "d": 4},
         {"g": 3, "d": 2},
+        parities={"d": 0},
     ),
     "THM23-OBSTRUCT": CheckSpec(
         _check_thm23_obstruct,
@@ -724,6 +732,7 @@ CHECKS: dict[str, CheckSpec] = {
         "the full-twist power lies in the level kernel for even genus, odd level",
         {"g": 4, "d": 3},
         {"g": 2, "d": 2},
+        parities={"g": 0, "d": 1},
     ),
     "PSI-O2": CheckSpec(
         _check_psi_o2,
@@ -742,8 +751,6 @@ CHECKS: dict[str, CheckSpec] = {
         "normal closure of the generator images matches the congruence reference at modulus 2d",
         {"g": 4, "d": 2},
         {"g": 4, "d": 2},
-        # the entries are int64 residues mod 2d <= 2^62
-        {"d": 1 << 61},
     ),
     "LEM42-3CHAIN": CheckSpec(
         _check_lem42_3chain,
@@ -782,8 +789,6 @@ CHECKS: dict[str, CheckSpec] = {
         "consecutive power-of-two congruence quotients are elementary abelian of rank (g-1)^2 - 1",
         {"g": 4, "l": 3},
         {"g": 3, "l": 2},
-        # the layer's entries are int64 residues mod 2^l
-        {"l": 62},
     ),
     "THETA-BASIS": CheckSpec(
         _check_theta_basis,
@@ -836,8 +841,8 @@ def _validated(ids: list[str] | None, params: dict) -> list[tuple[str, dict]]:
 
     An unknown id, a key that no chosen check declares, or a value whose type
     differs from the default's raises ``ValueError``; a value, given or
-    default, below its check's floor or above its ceiling raises
-    ``ParamRangeError``.
+    default, below its check's floor, above its ceiling or of the wrong
+    parity raises ``ParamRangeError``.
     """
     chosen = _chosen_checks(ids)
     known = suite_params(chosen)
@@ -865,6 +870,11 @@ def _validated(ids: list[str] | None, params: dict) -> list[tuple[str, dict]]:
             if not floor <= value <= ceiling:
                 bound = f">= {floor}" if value < floor else f"<= {ceiling}"
                 raise ParamRangeError(f"{check_id}: parameter {key!r} must be {bound}, got {value}")
+        for key, parity in spec.parities.items():
+            value = own.get(key, spec.defaults[key])
+            if value % 2 != parity:
+                want = "odd" if parity else "even"
+                raise ParamRangeError(f"{check_id}: parameter {key!r} must be {want}, got {value}")
         out.append((check_id, own))
     return out
 

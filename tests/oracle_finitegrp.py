@@ -162,8 +162,8 @@ def normal_closure(
 def elements(group: Group | FiniteMatrixGroup) -> list[ModMatrix]:
     """Every element of ``group``, decoded one key at a time, sorted by
     rows: an oracle ``Group`` from its uint16 entries, a
-    ``crosscap.finitegrp.FiniteMatrixGroup`` over F_2 from its key read as
-    an integer whose bit r*n + c is entry (r, c)."""
+    ``crosscap.finitegrp.FiniteMatrixGroup`` over F_2 from its int key,
+    whose bit r*n + c is entry (r, c)."""
     n = group.dim
     out = []
     for key in group.keys:
@@ -172,9 +172,8 @@ def elements(group: Group | FiniteMatrixGroup) -> list[ModMatrix]:
             rows = tuple(tuple(int(flat[r * n + c]) for c in range(n)) for r in range(n))
             out.append(ModMatrix(group.modulus, rows))
         else:
-            bits = int.from_bytes(key, "little")
-            assert bits >> (n * n) == 0 and len(key) == (n * n + 7) // 8
-            rows = tuple(tuple(bits >> (r * n + c) & 1 for c in range(n)) for r in range(n))
+            assert 0 <= key < 1 << (n * n)
+            rows = tuple(tuple(key >> (r * n + c) & 1 for c in range(n)) for r in range(n))
             out.append(ModMatrix(2, rows))
     return sorted(out, key=lambda m: m.rows)
 

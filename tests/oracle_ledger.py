@@ -25,7 +25,7 @@ must equal.
 
 The int64 ``einsum`` exhaustion of the mod-2 orthogonal group, keyed by
 uint16 entries, and THM41-MOD8's ``np.unique(..., axis=0)`` dedupe over the
-whole stream are kept here too: the bit-packed
+whole stream are kept here too: the bit-sliced
 ``crosscap.ledger.brute_force_mod2_orthogonal`` must give the same matrices,
 and the stacked stream's dedupe, a stack at a time, the same images.
 """
@@ -37,10 +37,11 @@ from typing import Callable, Iterator
 import numpy as np
 from oracle_finitegrp import bfs_closure, coset_action_table, elements
 from oracle_homology import matrix_level_trivial
+from oracle_packed import level_trivial_residues
 
 from crosscap import families
 from crosscap.finitegrp import LevelLayer, layer_closure, schreier_generators
-from crosscap.homology import level_member, level_trivial_residues, reduced_action, word_matrix
+from crosscap.homology import level_member, reduced_action, word_matrix
 from crosscap.intmat import IntMatrix, ModMatrix
 from crosscap.ledger import (
     _named,
@@ -57,6 +58,18 @@ from crosscap.words import MCGWord
 # the most stream words whose actions ``main3_stream_images`` forms in one
 # numpy stack, so a reading of the whole stream takes a few MiB at a time
 _STREAM_BATCH = 1 << 12
+
+
+def main3_positions(g: int, indices, per: int) -> tuple[np.ndarray, np.ndarray]:
+    """``families.main3_position`` elementwise on an integer array: the
+    transversal masks and family indices of the stream positions
+    ``indices``.  A position outside the stream raises ``IndexError``."""
+    total = families.transversal_count(g) * per
+    flat = np.ravel(indices)
+    outside = flat[(flat < 0) | (flat >= total)]
+    if len(outside):
+        raise IndexError(f"index {outside[0]} out of range 0..{total - 1}")
+    return divmod(indices, per)
 
 
 def _residues(
@@ -113,7 +126,7 @@ def main3_stream_images(
     product.
     """
     fams = families.main3_families(g)
-    masks, which = families.main3_position(g, np.asarray(indices), len(fams))
+    masks, which = main3_positions(g, np.asarray(indices), len(fams))
     middle = _residues([el.word for el in fams], action, modulus)
     steps, undo = _slide_residues(g, action, modulus)
 
@@ -166,7 +179,7 @@ def thm41_mod8_first_images(g: int) -> tuple[np.ndarray, np.ndarray]:
     increasing order, and the images there: the whole stream as one stack
     from the slide and family matrices, deduped by ``np.unique(axis=0)``."""
     fams = families.main3_families(g)
-    masks, which = families.main3_position(g, np.arange(families.main3_count(g)), len(fams))
+    masks, which = main3_positions(g, np.arange(families.main3_count(g)), len(fams))
     middle = np.array([reduced_action(el.word).reduce_mod(8).rows for el in fams], dtype=np.int64)
     distinct, slot = np.unique(masks, return_inverse=True)
     left, right = subset_images(g, distinct, reduced_action, 8)

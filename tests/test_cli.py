@@ -8,6 +8,7 @@ import pytest
 
 import crosscap
 from conftest import Budget
+from crosscap import families
 from crosscap.cli import main
 
 
@@ -220,8 +221,10 @@ def test_verify_report_dir_env(capsys, tmp_path, monkeypatch):
 
 
 def test_verify_inconclusive_exit_code(capsys):
-    code, _, _ = run_cli(capsys, "verify", "--suite", "THM23-ELEM", "--params", "g=4,d=3")
+    # PSI-O2's exhaustion of the 2^(g^2) matrices is guarded above g = 4
+    code, out, _ = run_cli(capsys, "verify", "--suite", "PSI-O2", "--params", "g=5", "--format", "json")
     assert code == 3
+    assert json.loads(out)[0]["status"] == "inconclusive"
 
 
 def test_verify_theta_basis_past_the_kernel_work_budget_exits_3_at_once(capsys):
@@ -396,12 +399,9 @@ def test_verify_non_integer_param_exits_2(capsys):
         ("THM31-MEMBER", "g=3", "parameter 'g' must be >= 4, got 3"),
         ("THM31-CLOSURE", "g=3", "parameter 'g' must be >= 4, got 3"),
         ("RS-GAMMA24", "g=2", "parameter 'g' must be >= 3, got 2"),
-        ("TOWER-2L", "l=63", "parameter 'l' must be <= 62, got 63"),
-        (
-            "THM31-CLOSURE",
-            f"d={(1 << 61) + 1}",
-            f"parameter 'd' must be <= {1 << 61}, got {(1 << 61) + 1}",
-        ),
+        ("THM23-ELEM", "d=3", "parameter 'd' must be even, got 3"),
+        ("THM23-KER", "g=5", "parameter 'g' must be even, got 5"),
+        ("THM23-KER", "d=4", "parameter 'd' must be odd, got 4"),
         ("RS-GAMMA24", "rs_cap=1000001", "parameter 'rs_cap' must be <= 1000000, got 1000001"),
     ],
 )
@@ -409,9 +409,12 @@ def test_verify_bad_param_values_exit_2(capsys, suite, params, message):
     code, out, err = run_cli(capsys, "verify", "--suite", suite, "--params", params)
     assert code == 2 and out == ""
     assert message in err
-    # a value outside a check's range is refused under the check's id; the
-    # other refusals come from deeper layers and keep their own text
-    if message.startswith("parameter ") and (" must be >= " in message or " must be <= " in message):
+    # a value outside a check's range or of the wrong parity is refused under
+    # the check's id; the other refusals come from deeper layers and keep
+    # their own text
+    if message.startswith("parameter ") and any(
+        bound in message for bound in (" must be >= ", " must be <= ", " must be even", " must be odd")
+    ):
         assert f"error: {suite}: {message}" in err
     else:
         assert f"{suite}:" not in err
@@ -424,34 +427,51 @@ def test_verify_all_names_the_check_that_refuses_a_value(capsys):
     assert err.strip() == "error: PSI-O2: parameter 'g' must be >= 4, got 2"
 
 
-def test_verify_all_refuses_a_tower_past_2_to_the_62_before_any_check(capsys):
-    code, out, err = run_cli(capsys, "verify", "--suite", "all", "--params", "l=63")
+def test_verify_all_runs_a_tower_past_2_to_the_62(capsys):
+    # the layer's entries are Python ints, so no modulus 2^l is too large
+    for l in (63, 100):
+        code, out, err = run_cli(
+            capsys, "verify", "--suite", "all", "--params", f"l={l}", "--format", "json"
+        )
+        assert code == 0 and err == ""
+        records = {r["id"]: r for r in json.loads(out)}
+        assert records["TOWER-2L"]["params"] == {"g": 4, "l": l}
+        assert records["TOWER-2L"]["details"] == {"order": 1 << 8, "expected": 1 << 8}
+
+
+def test_verify_all_at_genus_10_with_a_sample_records_every_check(capsys):
+    # THM23-KER's kernel element needs an even genus, so g = 9 is refused
+    code, out, err = run_cli(capsys, "verify", "--suite", "all", "--params", "g=9,sample=5")
     assert code == 2 and out == ""
-    assert err.strip() == "error: TOWER-2L: parameter 'l' must be <= 62, got 63"
-
-
-def test_verify_all_at_genus_9_with_a_sample_records_every_check(capsys):
+    assert err.strip() == "error: THM23-KER: parameter 'g' must be even, got 9"
     code, out, err = run_cli(
-        capsys, "verify", "--suite", "all", "--params", "g=9,sample=5", "--format", "json"
+        capsys, "verify", "--suite", "all", "--params", "g=10,sample=5", "--format", "json"
     )
     assert code == 3 and err == ""
     records = {r["id"]: r for r in json.loads(out)}
     assert len(records) == 19
-    # THM41-MEMBER's stream has 2^((g-1)^2) = 2^64 transversal words times
-    # |A| + |B| + |C| + |D| = 36 + 36 + 252 + 56 family elements, every one
+    # THM41-MEMBER's stream has 2^((g-1)^2) = 2^81 transversal words times
+    # |A| + |B| + |C| + |D| = 45 + 45 + 360 + 84 family elements, every one
     # decided by its family element
     assert records["THM41-MEMBER"]["status"] == "pass"
     assert records["THM41-MEMBER"]["details"] == {
-        "stream_size": (1 << 64) * 380,
-        "checked": (1 << 64) * 380,
+        "stream_size": (1 << 81) * 534,
+        "checked": (1 << 81) * 534,
         "failures": 0,
-        "family_elements": 380,
+        "family_elements": 534,
         "failing_families": [],
     }
 
 
 @pytest.mark.parametrize(
-    "g, d, order", [(4, 32769, 24), (4, (1 << 61) - 1, 24), (5, 32769, 720)]
+    "g, d, order",
+    [
+        (4, 32769, 24),
+        (4, (1 << 61) - 1, 24),
+        (4, (1 << 61) + 1, 24),
+        (4, (1 << 89) - 1, 24),
+        (5, 32769, 720),
+    ],
 )
 def test_verify_thm31_at_an_odd_level_past_2_to_the_15_passes(capsys, g, d, order):
     # odd levels close on their images mod 2, whatever the modulus 2d
@@ -482,6 +502,18 @@ def test_verify_thm31_at_level_2_to_the_40_is_inconclusive(capsys, suite):
     (record,) = json.loads(out)
     assert record["status"] == "inconclusive"
     assert f"would have {2 * d} letters, over the limit of 1048576" in record["details"]["reason"]
+
+
+def test_verify_thm31_at_an_even_level_2_to_the_62_stops_at_the_seed_letter_limit(capsys):
+    d = 1 << 62
+    code, out, err = run_cli(
+        capsys, "verify", "--suite", "THM31-CLOSURE", "--params", f"g=4,d={d}", "--format", "json"
+    )
+    assert code == 3 and err == ""
+    (record,) = json.loads(out)
+    assert record["status"] == "inconclusive"
+    limit = families.SEED_LETTER_LIMIT
+    assert record["details"]["reason"].endswith(f"would have {2 * d} letters, over the limit of {limit}")
 
 
 @pytest.mark.parametrize("suite", [",", " , ,"])

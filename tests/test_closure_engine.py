@@ -17,6 +17,7 @@ import random
 import pytest
 
 import oracle_finitegrp
+import oracle_packed
 from crosscap import finitegrp, ledger
 from crosscap.finitegrp import ScaleGuardError, bfs_closure, normal_closure
 from crosscap.families import Main2Generator
@@ -260,13 +261,17 @@ def test_random_f2_generator_sets_match_the_oracle(n):
 
 @pytest.mark.parametrize("n, d", [(2, 5), (3, 3)])
 def test_batch_boundaries_do_not_matter(monkeypatch, n, d):
-    monkeypatch.setattr(finitegrp, "_BATCH", 5)
+    # the numpy engine the int engine replaced, in batches of 5 matrices
+    monkeypatch.setattr(oracle_packed, "_BATCH", 5)
     rng = random.Random(d)
     for _ in range(4):
         gens = [random_odd_level_element(rng, n, d) for _ in range(rng.randint(1, 3))]
-        assert_reduction_matches_oracle("bfs_closure", (gens,), d)
+        group = assert_reduction_matches_oracle("bfs_closure", (gens,), d)
+        assert group.keys == oracle_packed.int_keys(oracle_packed.bfs_closure(mod2(gens)))
         ambient = [random_invertible(rng, n, 2 * d) for _ in range(2)]
-        assert_reduction_matches_oracle("normal_closure", (ambient, gens[:1]), d)
+        group = assert_reduction_matches_oracle("normal_closure", (ambient, gens[:1]), d)
+        packed = oracle_packed.normal_closure(mod2(ambient), mod2(gens[:1]))
+        assert group.keys == oracle_packed.int_keys(packed)
         assert_matches_oracle("bfs_closure", (mod2(ambient + gens),), cap=RANDOM_CAP)
 
 
@@ -302,7 +307,7 @@ def block_matrix(n, blocks):
 
 
 def test_keys_hold_more_than_64_bits():
-    # n^2 = 81 > 64 bits, 11-byte keys: P cycles three 3 x 3 blocks, and
+    # n^2 = 81 > 64 key bits: P cycles three 3 x 3 blocks, and
     # the conjugates of diag(A, I, I), with A of order 7, commute
     n = 9
     eye = [[int(r == c) for c in range(3)] for r in range(3)]
@@ -312,7 +317,8 @@ def test_keys_hold_more_than_64_bits():
     assert_matches_oracle("bfs_closure", ([cycle, seed],))
     group = bfs_closure([cycle, seed])
     assert group.order == 3 * 7**3
-    assert all(len(key) == 11 for key in group.keys)
+    assert all(0 <= key < 1 << 81 for key in group.keys)
+    assert max(group.keys) >> 64
     assert_matches_oracle("normal_closure", ([cycle], [seed]))
     assert normal_closure([cycle], [seed]).order == 7**3
 

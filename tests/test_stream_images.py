@@ -12,10 +12,10 @@ import pytest
 import oracle_homology
 import oracle_ledger
 from oracle_ledger import main3_stream_images
+from oracle_packed import level_trivial_residues
 from crosscap import families, ledger
 from crosscap.finitegrp import LayerError, layer_closure
 from crosscap.homology import (
-    level_trivial_residues,
     matrix_level_trivial,
     reduced_action,
     word_matrix,
@@ -213,7 +213,7 @@ def test_exact_record_matches_seeded_genus5_samples(request, plant, seed):
     assert record.details["failures"] * len(fams) == len(failing) * total
     # a sampled stream word fails exactly when its family element does
     indices = sorted(random.Random(seed).sample(range(total), 2000))
-    _, which = families.main3_position(5, np.array(indices), len(fams))
+    _, which = oracle_ledger.main3_positions(5, np.array(indices), len(fams))
     assert oracle_ledger.thm41_member_stacked(5, indices) == int(np.isin(which, failing).sum())
 
 

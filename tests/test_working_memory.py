@@ -8,6 +8,7 @@ import pytest
 
 import oracle_finitegrp
 import oracle_ledger
+import oracle_packed
 from crosscap import families, homology, ledger
 from crosscap.finitegrp import FiniteMatrixGroup
 from crosscap.intmat import ModMatrix
@@ -24,11 +25,12 @@ def test_bit_packed_exhaustion_matches_the_einsum_oracle(g, order):
     got = brute_force_mod2_orthogonal(g)
     expected = oracle_ledger.brute_force_mod2_orthogonal(g)
     assert len(got) == len(expected) == order
-    # the engine's keys, packed bits, against the oracle's uint16 entries
+    # the engine's int keys against the oracle's uint16 entries
     assert oracle_finitegrp.elements(FiniteMatrixGroup(g, got)) == oracle_finitegrp.elements(
         oracle_finitegrp.Group(2, g, expected, ())
     )
-    assert all(len(key) == (g * g + 7) // 8 for key in got)
+    # and against the numpy exhaustion's packed-byte keys
+    assert got == {int.from_bytes(key, "little") for key in oracle_packed.brute_force_mod2_orthogonal(g)}
 
 
 def test_exhaustion_keeps_its_genus_guard():
