@@ -439,6 +439,19 @@ def test_verify_all_runs_a_tower_past_2_to_the_62(capsys):
         assert records["TOWER-2L"]["details"] == {"order": 1 << 8, "expected": 1 << 8}
 
 
+@pytest.mark.parametrize("g, l, order", [(4, 63, 1 << 8), (4, 100, 1 << 8), (5, 63, 1 << 15)])
+def test_verify_tower_past_2_to_the_62_passes(capsys, g, l, order):
+    # the layer ker(Z/2^l -> Z/2^(l-1)) is elementary abelian of rank (g-1)^2 - 1
+    code, out, err = run_cli(
+        capsys, "verify", "--suite", "TOWER-2L", "--params", f"g={g},l={l}", "--format", "json"
+    )
+    assert code == 0 and err == ""
+    (record,) = json.loads(out)
+    assert record["status"] == "pass"
+    assert record["params"] == {"g": g, "l": l}
+    assert record["details"] == {"order": order, "expected": order}
+
+
 def test_verify_all_at_genus_10_with_a_sample_records_every_check(capsys):
     # THM23-KER's kernel element needs an even genus, so g = 9 is refused
     code, out, err = run_cli(capsys, "verify", "--suite", "all", "--params", "g=9,sample=5")
