@@ -12,9 +12,9 @@ from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass
 from typing import Callable, Iterator, Optional, Sequence
 
+from ._frozen import Frozen, set_field
 from .finitegrp import ScaleGuardError
 from .words import (
     BoundaryTwist,
@@ -40,13 +40,23 @@ class FamilyIndexError(ValueError):
 SEED_LETTER_LIMIT = 1 << 20
 
 
-@dataclass(frozen=True)
-class NamedFamilyElement:
-    family: str
-    indices: tuple[int, ...]
-    word: MCGWord
-    alternates: tuple[MCGWord, ...] = ()
-    sign: Optional[int] = None  # conjugated-twist exponent chosen for D
+class NamedFamilyElement(Frozen):
+    __slots__ = ("family", "indices", "word", "alternates", "sign")
+
+    def __init__(
+        self,
+        family: str,
+        indices: tuple[int, ...],
+        word: MCGWord,
+        alternates: tuple[MCGWord, ...] = (),
+        sign: Optional[int] = None,
+    ) -> None:
+        set_field(self, "family", family)
+        set_field(self, "indices", indices)
+        set_field(self, "word", word)
+        set_field(self, "alternates", alternates)
+        # the conjugated-twist exponent chosen for D
+        set_field(self, "sign", sign)
 
 
 def _slide_word(g: int, a: int, b: int, exp: int = 1) -> MCGWord:
@@ -279,11 +289,13 @@ def transversal_2z(g: int, l: int) -> Iterator[MCGWord]:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Main2Generator:
-    name: str
-    word: MCGWord
-    closed_surface: bool
+class Main2Generator(Frozen):
+    __slots__ = ("name", "word", "closed_surface")
+
+    def __init__(self, name: str, word: MCGWord, closed_surface: bool) -> None:
+        set_field(self, "name", name)
+        set_field(self, "word", word)
+        set_field(self, "closed_surface", closed_surface)
 
 
 def main2_normal_generators(g: int, n: int, d: int) -> list[Main2Generator]:
@@ -394,25 +406,25 @@ def main3_generators(g: int) -> Iterator[MCGWord]:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class GenNSets:
+class GenNSets(Frozen):
     """The boundary generating data for the level-d group of N_{g,n} with
     n >= 1: words in boundary-twist letters (no homology action), with the
     between-boundary conjugating words built from exact twist powers.
     """
 
-    g: int
-    n: int
-    d: int
+    __slots__ = ("g", "n", "d")
 
-    def __post_init__(self):
-        if self.g < 1:
-            raise ValueError(f"genus g must be >= 1, got {self.g}")
+    def __init__(self, g: int, n: int, d: int) -> None:
+        if g < 1:
+            raise ValueError(f"genus g must be >= 1, got {g}")
         # n = 0 is allowed as the degenerate record with empty boundary sets
-        if self.n < 0:
+        if n < 0:
             raise ValueError("boundary count must be >= 0")
-        if self.d < 2:
+        if d < 2:
             raise ValueError("need d >= 2")
+        set_field(self, "g", g)
+        set_field(self, "n", n)
+        set_field(self, "d", d)
 
     def f_set(self, l: int) -> list[MCGWord]:
         g, d = self.g, self.d

@@ -40,9 +40,9 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from dataclasses import dataclass
 from typing import Callable, Hashable, Iterable, Iterator, Sequence, TypeVar
 
+from ._frozen import Frozen, set_field
 from .intmat import ModMatrix, ModulusMismatchError, NotUnimodularError
 
 
@@ -114,13 +114,15 @@ def _inverse(key: int, n: int) -> int:
     return sum(row >> n << r * n for r, row in enumerate(rows))
 
 
-@dataclass(frozen=True)
-class FiniteMatrixGroup:
+class FiniteMatrixGroup(Frozen):
     """An explicitly enumerated subgroup of the n x n matrices over F_2,
     held as the keys of its elements; equal exactly when the groups are."""
 
-    dim: int
-    keys: frozenset[int]
+    __slots__ = ("dim", "keys")
+
+    def __init__(self, dim: int, keys: frozenset[int]) -> None:
+        set_field(self, "dim", dim)
+        set_field(self, "keys", keys)
 
     @property
     def order(self) -> int:
@@ -276,8 +278,7 @@ class LayerError(ValueError):
         self.index, self.problem = index, problem
 
 
-@dataclass(frozen=True)
-class LevelLayer:
+class LevelLayer(Frozen):
     """A subgroup of the matrices M = I + dX (mod 2d), d even, held as the
     F_2 span of the X = (M - I)/d mod 2.
 
@@ -287,9 +288,12 @@ class LevelLayer:
     bases.
     """
 
-    modulus: int
-    dim: int
-    basis: tuple[int, ...]
+    __slots__ = ("modulus", "dim", "basis")
+
+    def __init__(self, modulus: int, dim: int, basis: tuple[int, ...]) -> None:
+        set_field(self, "modulus", modulus)
+        set_field(self, "dim", dim)
+        set_field(self, "basis", basis)
 
     @property
     def order(self) -> int:
@@ -479,13 +483,16 @@ def schreier_generators(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class CosetTable:
+class CosetTable(Frozen):
     """Completed coset table for the trivial subgroup of a finite presentation."""
 
-    rank: int
-    coset_count: int
-    table: tuple[tuple[int, ...], ...]  # rows indexed by coset; 2*rank columns
+    __slots__ = ("rank", "coset_count", "table")
+
+    def __init__(self, rank: int, coset_count: int, table: tuple[tuple[int, ...], ...]) -> None:
+        set_field(self, "rank", rank)
+        set_field(self, "coset_count", coset_count)
+        # rows indexed by coset; 2*rank columns
+        set_field(self, "table", table)
 
     def to_json(self) -> dict:
         return {

@@ -30,9 +30,9 @@ from __future__ import annotations
 
 import itertools
 import re
-from dataclasses import dataclass
 from typing import Iterable, Optional
 
+from ._frozen import Frozen, set_field
 from .intmat import DimensionError, IntMatrix, ModMatrix
 from .words import (
     BoundaryTwist,
@@ -280,13 +280,17 @@ def level_member(w: MCGWord, d: int) -> bool:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class LiftSearch:
+class LiftSearch(Frozen):
     """Outcome of the exhaustive lift search for a reduced-action target."""
 
-    obstructed: bool
-    witness: Optional[IntMatrix]
-    candidates_checked: int
+    __slots__ = ("obstructed", "witness", "candidates_checked")
+
+    def __init__(
+        self, obstructed: bool, witness: Optional[IntMatrix], candidates_checked: int
+    ) -> None:
+        set_field(self, "obstructed", obstructed)
+        set_field(self, "witness", witness)
+        set_field(self, "candidates_checked", candidates_checked)
 
 
 def lift_obstruction(target: IntMatrix, genus: int) -> LiftSearch:

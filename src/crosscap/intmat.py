@@ -8,8 +8,9 @@ carries its modulus, and mixing moduli is an error rather than a coercion.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
 from typing import Iterable, Sequence
+
+from ._frozen import Frozen, set_field
 
 
 class DimensionError(ValueError):
@@ -69,16 +70,22 @@ def _det_adjugate(rows: Sequence[Sequence[int]]) -> tuple[int, list[list[int]] |
 
 class _Square:
     """What both matrix types share: a ``rows`` field holding a square
-    matrix, whose identity has the same rows over Z and over Z/d."""
+    matrix, whose identity has the same rows over Z and over Z/d, and
+    ``_with``, which builds a matrix of the same kind (and modulus) from
+    other rows."""
 
+    __slots__ = ()
     rows: tuple[tuple[int, ...], ...]
+
+    def _with(self, rows: tuple[tuple[int, ...], ...]):
+        raise NotImplementedError
 
     @property
     def n(self) -> int:
         return len(self.rows)
 
     def transpose(self):
-        return replace(self, rows=tuple(zip(*self.rows)))
+        return self._with(tuple(zip(*self.rows)))
 
     def is_identity(self) -> bool:
         return all(e == (i == j) for i, row in enumerate(self.rows) for j, e in enumerate(row))
@@ -88,7 +95,7 @@ class _Square:
         m = self
         if e < 0:
             m, e = m.inverse(), -e
-        result = replace(self, rows=IntMatrix.identity(self.n).rows)
+        result = self._with(IntMatrix.identity(self.n).rows)
         while e:
             if e & 1:
                 result = result * m
@@ -100,11 +107,16 @@ class _Square:
         return format_matrix(self)
 
 
-@dataclass(frozen=True)
-class IntMatrix(_Square):
+class IntMatrix(_Square, Frozen):
     """Immutable square matrix over Z."""
 
-    rows: tuple[tuple[int, ...], ...]
+    __slots__ = ("rows",)
+
+    def __init__(self, rows: tuple[tuple[int, ...], ...]) -> None:
+        set_field(self, "rows", rows)
+
+    def _with(self, rows: tuple[tuple[int, ...], ...]) -> "IntMatrix":
+        return IntMatrix(rows)
 
     @staticmethod
     def from_rows(rows: Iterable[Iterable[int]]) -> "IntMatrix":
@@ -146,12 +158,17 @@ class IntMatrix(_Square):
         return ModMatrix(d, tuple(tuple(e % d for e in row) for row in self.rows))
 
 
-@dataclass(frozen=True)
-class ModMatrix(_Square):
+class ModMatrix(_Square, Frozen):
     """Square matrix over Z/d; the modulus travels with the value."""
 
-    modulus: int
-    rows: tuple[tuple[int, ...], ...]
+    __slots__ = ("modulus", "rows")
+
+    def __init__(self, modulus: int, rows: tuple[tuple[int, ...], ...]) -> None:
+        set_field(self, "modulus", modulus)
+        set_field(self, "rows", rows)
+
+    def _with(self, rows: tuple[tuple[int, ...], ...]) -> "ModMatrix":
+        return ModMatrix(self.modulus, rows)
 
     @staticmethod
     def from_rows(d: int, rows: Iterable[Iterable[int]]) -> "ModMatrix":

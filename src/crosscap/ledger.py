@@ -11,10 +11,10 @@ from __future__ import annotations
 import random
 import time
 from collections import deque
-from dataclasses import dataclass, field
-from typing import Callable, TypeVar
+from typing import Callable, Optional, TypeVar
 
 from . import families
+from ._frozen import Frozen, set_field
 from .finitegrp import (
     LayerError,
     LevelLayer,
@@ -66,14 +66,19 @@ class ParamRangeError(ValueError):
     bound."""
 
 
-@dataclass(frozen=True)
-class CheckRecord:
-    id: str
-    params: dict
-    status: str  # pass / fail / inconclusive
-    details: dict
-    runtime_ms: int
-    anchor: str
+class CheckRecord(Frozen):
+    __slots__ = ("id", "params", "status", "details", "runtime_ms", "anchor")
+
+    def __init__(
+        self, id: str, params: dict, status: str, details: dict, runtime_ms: int, anchor: str
+    ) -> None:
+        set_field(self, "id", id)
+        set_field(self, "params", params)
+        # pass / fail / inconclusive
+        set_field(self, "status", status)
+        set_field(self, "details", details)
+        set_field(self, "runtime_ms", runtime_ms)
+        set_field(self, "anchor", anchor)
 
     def to_json(self) -> dict:
         return {
@@ -86,17 +91,30 @@ class CheckRecord:
         }
 
 
-@dataclass(frozen=True)
-class CheckSpec:
-    runner: Callable[[dict], tuple[bool, dict]]
-    anchor: str
-    defaults: dict = field(default_factory=dict)
-    # the least value of each parameter but ``seed``, checked in this order
-    floors: dict = field(default_factory=dict)
-    # the greatest value of a floored parameter, where the check has one
-    ceilings: dict = field(default_factory=dict)
-    # the residue mod 2 a parameter must have, where the check needs one
-    parities: dict = field(default_factory=dict)
+class CheckSpec(Frozen):
+    """A registry entry; each of the four parameter dicts left out is a new,
+    empty one."""
+
+    __slots__ = ("runner", "anchor", "defaults", "floors", "ceilings", "parities")
+
+    def __init__(
+        self,
+        runner: Callable[[dict], tuple[bool, dict]],
+        anchor: str,
+        defaults: Optional[dict] = None,
+        floors: Optional[dict] = None,
+        ceilings: Optional[dict] = None,
+        parities: Optional[dict] = None,
+    ) -> None:
+        set_field(self, "runner", runner)
+        set_field(self, "anchor", anchor)
+        set_field(self, "defaults", {} if defaults is None else defaults)
+        # the least value of each parameter but ``seed``, checked in this order
+        set_field(self, "floors", {} if floors is None else floors)
+        # the greatest value of a floored parameter, where the check has one
+        set_field(self, "ceilings", {} if ceilings is None else ceilings)
+        # the residue mod 2 a parameter must have, where the check needs one
+        set_field(self, "parities", {} if parities is None else parities)
 
 
 # ---------------------------------------------------------------------------

@@ -44,9 +44,9 @@ import itertools
 import math
 import re
 import types
-from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
+from ._frozen import Frozen, set_field
 from .finitegrp import (
     CosetTable,
     ScaleGuardError,
@@ -65,11 +65,13 @@ class NotTwoSidedError(ValueError):
 Atom = tuple[str, int]  # (kind, index), kind in {"x", "y", "u", "v", "z"}
 
 
-@dataclass(frozen=True)
-class FreeWord(ReducedWord):
+class FreeWord(ReducedWord, Frozen):
     """Freely reduced word over named letters."""
 
-    letters: tuple[tuple[Atom, int], ...]
+    __slots__ = ("letters",)
+
+    def __init__(self, letters: tuple[tuple[Atom, int], ...]) -> None:
+        set_field(self, "letters", letters)
 
     @staticmethod
     def identity() -> "FreeWord":
@@ -293,8 +295,7 @@ def _numbered(alpha: tuple[Atom, ...], rows: Sequence[Sequence[Optional[int]]]) 
     return StallingsGraph(alpha, tuple(tuple(map(label.get, rows[v])) for v in order))
 
 
-@dataclass(frozen=True)
-class StallingsGraph:
+class StallingsGraph(Frozen):
     """Folded, based subgroup graph over a fixed alphabet, held as the rows
     of a complete or partial coset table.
 
@@ -305,8 +306,13 @@ class StallingsGraph:
     when their subgroups are.
     """
 
-    alphabet: tuple[Atom, ...]
-    rows: tuple[tuple[Optional[int], ...], ...]
+    __slots__ = ("alphabet", "rows")
+
+    def __init__(
+        self, alphabet: tuple[Atom, ...], rows: tuple[tuple[Optional[int], ...], ...]
+    ) -> None:
+        set_field(self, "alphabet", alphabet)
+        set_field(self, "rows", rows)
 
     @property
     def vertex_count(self) -> int:
@@ -441,14 +447,23 @@ def ker_theta_normal_relators(g: int, n: int, d: int) -> list[FreeWord]:
     return rels
 
 
+def _relator_loops(g: int, n: int, d: int) -> list[list[int]]:
+    """The normal relators rewritten over the plus basis, as coset-table
+    columns; the kernel certificate reads them as loops, as the relators of
+    the enumeration and as the claimed generators' tails."""
+    return _plus_columns(ker_theta_normal_relators(g, n, d), g, n)
+
+
+def _signed_letters(loops: list[list[int]]) -> list[list[int]]:
+    """Coset-table columns as the signed letters of coset enumeration:
+    column 2t is letter t + 1 and column 2t + 1 its inverse."""
+    return [[col // 2 + 1 if col % 2 == 0 else -(col // 2 + 1) for col in cols] for cols in loops]
+
+
 def relators_for_enumeration(g: int, n: int, d: int) -> tuple[int, list[list[int]]]:
     """Prop-style relators rewritten over the plus basis as signed letters,
     ready for coset enumeration; returns (rank, relators)."""
-    rels = [
-        [col // 2 + 1 if col % 2 == 0 else -(col // 2 + 1) for col in cols]
-        for cols in _plus_columns(ker_theta_normal_relators(g, n, d), g, n)
-    ]
-    return len(plus_basis_alphabet(g, n)), rels
+    return len(plus_basis_alphabet(g, n)), _signed_letters(_relator_loops(g, n, d))
 
 
 def coset_count_ker_theta(g: int, n: int, d: int) -> CosetTable:
@@ -456,7 +471,12 @@ def coset_count_ker_theta(g: int, n: int, d: int) -> CosetTable:
     after Tietze elimination (``finitegrp.eliminate_generators``): the
     coset count is the index d^(g-1), and the table is over the reduced
     generators, not the plus basis."""
-    return todd_coxeter(*eliminate_generators(*relators_for_enumeration(g, n, d)))
+    return _enumerate_kernel(*relators_for_enumeration(g, n, d))
+
+
+def _enumerate_kernel(rank: int, relators: list[list[int]]) -> CosetTable:
+    """Todd-Coxeter on signed-letter relators after Tietze elimination."""
+    return todd_coxeter(*eliminate_generators(rank, relators))
 
 
 def theta_graph(g: int, n: int, d: int) -> StallingsGraph:
@@ -506,8 +526,12 @@ def claimed_kernel_graph(g: int, n: int, d: int) -> StallingsGraph:
     folded in as a loop at the end of every path.
     """
     kernel_guard(g, n, d)
+    return _claimed_graph(g, n, d, _relator_loops(g, n, d))
+
+
+def _claimed_graph(g: int, n: int, d: int, relators: list[list[int]]) -> StallingsGraph:
+    """:func:`claimed_kernel_graph` from its relators, already rewritten."""
     alpha = tuple(plus_basis_alphabet(g, n))
-    relators = _plus_columns(ker_theta_normal_relators(g, n, d), g, n)
     table = _CosetRows(2 * len(alpha))
     ends = [0]
     # (x_1 x_g)^{m_1} ... (x_i x_g)^{m_i} extends the path of the words
@@ -536,19 +560,21 @@ def verify_ker_theta(g: int, n: int, d: int) -> dict:
     that both have index d^(g-1), and that coset enumeration of the normal
     relators gives the same index.  ``kernel_rank`` is the free rank of the
     kernel, index * (rank - 1) + 1 by the Schreier formula.
+
+    ``theta_graph`` guards the point before any word is built, and the
+    relators are rewritten once for the loop check, the claimed graph and
+    the enumeration.
     """
-    kernel_guard(g, n, d)
-    relators = ker_theta_normal_relators(g, n, d)
     reference = theta_graph(g, n, d)
-    claimed = claimed_kernel_graph(g, n, d)
-    loops = _plus_columns(relators, g, n)
+    loops = _relator_loops(g, n, d)
+    claimed = _claimed_graph(g, n, d, loops)
     expected_index = d ** (g - 1)
-    cosets = coset_count_ker_theta(g, n, d).coset_count
+    cosets = _enumerate_kernel(len(plus_basis_alphabet(g, n)), _signed_letters(loops)).coset_count
     report = {
         "g": g,
         "n": n,
         "d": d,
-        "claimed_count": expected_index * len(relators),
+        "claimed_count": expected_index * len(loops),
         "kernel_rank": reference.rank(),
         "claimed_all_in_kernel": all(
             reference.follow(v, cols) == v

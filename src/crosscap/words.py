@@ -21,8 +21,9 @@ throughout: the matrix of ``u v`` is ``M(u) * M(v)``.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from typing import Hashable, Iterable, TypeVar, Union
+
+from ._frozen import Frozen, set_field
 
 
 class WordSyntaxError(ValueError):
@@ -41,12 +42,11 @@ class InvalidSymbolError(ValueError):
     """A generator symbol does not fit the surface it is used on."""
 
 
-@dataclass(frozen=True)
-class Twist:
-    indices: tuple[int, ...]
+class Twist(Frozen):
+    __slots__ = ("indices",)
 
-    def __post_init__(self):
-        idx = tuple(sorted(int(i) for i in self.indices))
+    def __init__(self, indices: tuple[int, ...]) -> None:
+        idx = tuple(sorted(int(i) for i in indices))
         if len(set(idx)) != len(idx):
             raise InvalidSymbolError(f"repeated twist index in {idx}")
         if len(idx) % 2 != 0 or len(idx) < 2:
@@ -55,35 +55,35 @@ class Twist:
             )
         if any(i < 1 for i in idx):
             raise InvalidSymbolError(f"twist indices must be >= 1, got {idx}")
-        object.__setattr__(self, "indices", idx)
+        set_field(self, "indices", idx)
 
 
-@dataclass(frozen=True)
-class Slide:
-    moving: int
-    along: int
+class Slide(Frozen):
+    __slots__ = ("moving", "along")
 
-    def __post_init__(self):
-        if self.moving == self.along:
+    def __init__(self, moving: int, along: int) -> None:
+        if moving == along:
             raise InvalidSymbolError("slide requires two distinct crosscap indices")
-        if self.moving < 1 or self.along < 1:
+        if moving < 1 or along < 1:
             raise InvalidSymbolError("slide indices must be >= 1")
+        set_field(self, "moving", moving)
+        set_field(self, "along", along)
 
 
-@dataclass(frozen=True)
-class TorelliTag:
-    kind: str  # "beta" or "gamma"
-    indices: tuple[int, ...] = ()
+class TorelliTag(Frozen):
+    __slots__ = ("kind", "indices")
 
-    def __post_init__(self):
-        if self.kind == "beta":
-            if len(self.indices) != 2:
+    def __init__(self, kind: str, indices: tuple[int, ...] = ()) -> None:
+        if kind == "beta":
+            if len(indices) != 2:
                 raise InvalidSymbolError("beta tag takes two indices")
-        elif self.kind == "gamma":
-            if self.indices:
+        elif kind == "gamma":
+            if indices:
                 raise InvalidSymbolError("gamma tag takes no indices")
         else:
-            raise InvalidSymbolError(f"unknown Torelli tag {self.kind!r}")
+            raise InvalidSymbolError(f"unknown Torelli tag {kind!r}")
+        set_field(self, "kind", kind)
+        set_field(self, "indices", indices)
 
 
 _BOUNDARY_ARITY = {"delta": 1, "epsilon": 2, "zeta": 2, "zetabar": 2, "eta": 3, "acurve": 2}
@@ -100,20 +100,20 @@ _BOUNDARY_NAME = {
 _BOUNDARY_KIND = {name: kind for kind, name in _BOUNDARY_NAME.items()}
 
 
-@dataclass(frozen=True)
-class BoundaryTwist:
-    kind: str
-    indices: tuple[int, ...]
+class BoundaryTwist(Frozen):
+    __slots__ = ("kind", "indices")
 
-    def __post_init__(self):
-        if self.kind not in _BOUNDARY_ARITY:
-            raise InvalidSymbolError(f"unknown boundary curve kind {self.kind!r}")
-        if len(self.indices) != _BOUNDARY_ARITY[self.kind]:
+    def __init__(self, kind: str, indices: tuple[int, ...]) -> None:
+        if kind not in _BOUNDARY_ARITY:
+            raise InvalidSymbolError(f"unknown boundary curve kind {kind!r}")
+        if len(indices) != _BOUNDARY_ARITY[kind]:
             raise InvalidSymbolError(
-                f"{self.kind} takes {_BOUNDARY_ARITY[self.kind]} indices, got {self.indices}"
+                f"{kind} takes {_BOUNDARY_ARITY[kind]} indices, got {indices}"
             )
-        if any(i < 1 for i in self.indices):
+        if any(i < 1 for i in indices):
             raise InvalidSymbolError("boundary curve indices must be >= 1")
+        set_field(self, "kind", kind)
+        set_field(self, "indices", indices)
 
 
 Symbol = Union[Twist, Slide, TorelliTag, BoundaryTwist]
@@ -155,10 +155,11 @@ class ReducedWord:
     """Freely reduced word: a tuple of (atom, nonzero exponent) pairs with no
     two neighbours on the same atom.
 
-    The group operations live here once; a subclass is a frozen dataclass
-    with a ``letters`` field that adds ``_with``, which rebuilds a word of its
-    own kind (and context) from already reduced letters, and a ``__mul__``
-    that checks its operand before calling ``_times``.
+    The group operations live here once; a subclass is a frozen value type
+    (``_frozen.Frozen``) with a ``letters`` field that adds ``_with``, which
+    rebuilds a word of its own kind (and context) from already reduced
+    letters, and a ``__mul__`` that checks its operand before calling
+    ``_times``.
     """
 
     __slots__ = ()
@@ -212,12 +213,14 @@ class ReducedWord:
         return sum(abs(e) for _, e in self.letters)
 
 
-@dataclass(frozen=True)
-class MCGWord(ReducedWord):
+class MCGWord(ReducedWord, Frozen):
     """Freely reduced word over the generator alphabet, with a genus context."""
 
-    genus: int
-    letters: tuple[tuple[Symbol, int], ...]
+    __slots__ = ("genus", "letters")
+
+    def __init__(self, genus: int, letters: tuple[tuple[Symbol, int], ...]) -> None:
+        set_field(self, "genus", genus)
+        set_field(self, "letters", letters)
 
     @staticmethod
     def identity(genus: int) -> "MCGWord":

@@ -1,7 +1,11 @@
 """crosscap runs without numpy: importing it loads no numpy, and with numpy
 made unimportable the CLI's verify, enum and coset commands and the closure
 checks still end as they always do.  A lazy ``import numpy`` anywhere on
-these paths fails here instead of moving its cost into a run."""
+these paths fails here instead of moving its cost into a run.
+
+Importing crosscap also loads neither ``dataclasses`` nor the ``inspect``
+module it pulls in: a ``from dataclasses import ...`` in ``src/`` fails
+here instead of bringing back their import cost."""
 
 import json
 import os
@@ -37,6 +41,17 @@ def test_importing_the_package_and_its_cli_loads_no_numpy():
         """
     )
     assert out.split() == ["False"]
+
+
+def test_importing_the_package_and_its_cli_loads_no_dataclasses_or_inspect():
+    out = run_python(
+        """
+        import sys
+        import crosscap, crosscap.cli
+        print("dataclasses" in sys.modules, "inspect" in sys.modules)
+        """
+    )
+    assert out.split() == ["False", "False"]
 
 
 def test_the_cli_and_the_closure_checks_run_with_numpy_unimportable():

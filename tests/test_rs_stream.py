@@ -3,8 +3,6 @@ against the table walk and the word-level oracle it replaced
 (``oracle_ledger``), and the batched coset action table and exponent test
 kept as references in ``oracle_finitegrp``."""
 
-import dataclasses
-
 import numpy as np
 import pytest
 
@@ -77,9 +75,10 @@ def records(monkeypatch, params):
     ``params``, each without its runtime."""
     got = run_check("RS-GAMMA24", params).to_json()
     spec = ledger.CHECKS["RS-GAMMA24"]
-    monkeypatch.setitem(
-        ledger.CHECKS, "RS-GAMMA24", dataclasses.replace(spec, runner=oracle_ledger.rs_gamma24)
+    oracle_spec = ledger.CheckSpec(
+        oracle_ledger.rs_gamma24, spec.anchor, spec.defaults, spec.floors, spec.ceilings, spec.parities
     )
+    monkeypatch.setitem(ledger.CHECKS, "RS-GAMMA24", oracle_spec)
     expected = run_check("RS-GAMMA24", params).to_json()
     del got["runtime_ms"], expected["runtime_ms"]
     return got, expected

@@ -3,7 +3,6 @@
 (``oracle_ledger``, ``oracle_homology``), and THM41-MEMBER's decision on the
 family elements against both."""
 
-import dataclasses
 import random
 
 import numpy as np
@@ -161,7 +160,10 @@ def planted(monkeypatch):
 
     def with_plant(g):
         fams = real(g)
-        fams[7] = dataclasses.replace(fams[7], word=word(g, Twist((1, 2))))
+        old = fams[7]
+        fams[7] = families.NamedFamilyElement(
+            old.family, old.indices, word(g, Twist((1, 2))), old.alternates, old.sign
+        )
         return fams
 
     monkeypatch.setattr(families, "main3_families", with_plant)
