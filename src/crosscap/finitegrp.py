@@ -413,8 +413,14 @@ def layer_coordinates(
     :class:`LayerError` for an element outside the layer, or for a
     generator outside the span, indexed in ``basis`` followed by ``gens``.
     """
-    vectors = _layer_vectors(list(basis) + list(gens), d)
-    k = len(basis)
+    return vector_coordinates(_layer_vectors(list(basis) + list(gens), d), len(basis))
+
+
+def vector_coordinates(vectors: Sequence[int], k: int) -> list[int] | None:
+    """:func:`layer_coordinates` on layer vectors: the masks of
+    ``vectors[k:]`` in the first ``k``, or None when those are dependent.
+    One outside their span raises :class:`LayerError` at its index in
+    ``vectors``."""
     # basis vector t carries bit t below its matrix bits, so a reduced vector
     # keeps in its low k bits the mask of the basis elements added to it
     span = _Span()

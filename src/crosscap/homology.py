@@ -13,12 +13,14 @@ one mutable matrix, factor by factor, without forming the product or the
 inverses as words (``product_matrix``; a single word is its one-factor
 case, ``word_matrix``): a slide costs O(g) and a twist about I costs
 O(g |I|) integer operations whatever the exponent, so powers are exact at
-any size.  Collapsing the total class a_1 + ... + a_g to zero gives the
-(g-1) x (g-1) reduced action; reducing entries mod 2 gives the action on
-mod-2 homology, which preserves the mod-2 intersection pairing.  Level-d
-membership is read from the exact entries of one action at a time, in
-plain Python ints: each column of M - I must be a constant vector mod d,
-and an even one for even d.
+any size.  The image of one class (``act``) needs no matrix: the letters
+are applied right to left to its coefficient vector, a slide in O(1) and
+a twist about I in O(|I|).  Collapsing the total class a_1 + ... + a_g to
+zero gives the (g-1) x (g-1) reduced action; reducing entries mod 2 gives
+the action on mod-2 homology, which preserves the mod-2 intersection
+pairing.  Level-d membership is read from the exact entries of one action
+at a time, in plain Python ints: each column of M - I must be a constant
+vector mod d, and an even one for even d.
 
 The basis pairing a_i * a_j = delta_ij is reconstructed, not axiomatic: it
 is the unique choice under which even shifts pair to zero and the twist and
@@ -54,17 +56,19 @@ class NoHomologyActionError(ValueError):
 # ---------------------------------------------------------------------------
 
 
-class H1Class:
+class H1Class(Frozen):
     """Element of H_1, stored as raw coefficients; equality uses normal forms."""
 
     __slots__ = ("genus", "coeffs")
 
-    def __init__(self, genus: int, coeffs):
+    def __init__(self, genus: int, coeffs) -> None:
+        if genus < 1:
+            raise ValueError("genus must be >= 1")
         coeffs = tuple(int(c) for c in coeffs)
-        if genus < 1 or len(coeffs) != genus:
+        if len(coeffs) != genus:
             raise ValueError(f"need {genus} coefficients, got {len(coeffs)}")
-        self.genus = genus
-        self.coeffs = coeffs
+        set_field(self, "genus", genus)
+        set_field(self, "coeffs", coeffs)
 
     def normalize(self) -> "H1Class":
         """Representative with last coordinate 0 or 1 (shift by an even integer)."""
@@ -156,6 +160,19 @@ def format_h1(x: H1Class) -> str:
 # ---------------------------------------------------------------------------
 
 
+def _check_letter(sym, genus: int) -> None:
+    """Raise for a letter that has no action at ``genus``: an index past
+    the genus (:func:`validate_symbol`), a boundary twist or a non-symbol.
+    A Torelli tag at its genus passes; it acts trivially."""
+    validate_symbol(sym, genus)
+    if isinstance(sym, BoundaryTwist):
+        raise NoHomologyActionError(
+            f"{sym.kind} twists live on bounded surfaces and have no action here"
+        )
+    if not isinstance(sym, (Slide, Twist, TorelliTag)):
+        raise TypeError(f"not a generator symbol: {sym!r}")
+
+
 def product_matrix(genus: int, factors: Iterable[tuple[MCGWord, int]]) -> IntMatrix:
     """Exact g x g action of the product w_1^s_1 ... w_k^s_k of the
     ``(word, sign)`` pairs in ``factors``, each sign 1 or -1, without
@@ -176,42 +193,52 @@ def product_matrix(genus: int, factors: Iterable[tuple[MCGWord, int]]) -> IntMat
       with ``mu`` the sum of the columns indexed by I.
     * Torelli tags act trivially; boundary twists have no action here.
 
-    A factor of another genus raises :class:`GenusMismatchError`.
+    A factor of another genus raises :class:`GenusMismatchError`, and the
+    first letter without an action raises as :func:`_check_letter` does.
     """
     g = genus
     if g < 1:
         raise DimensionError("dimension must be >= 1")
-    cols = [[0] * g for _ in range(g)]
-    for j, col in enumerate(cols):
-        col[j] = 1
+    cols = [[0] * j + [1] + [0] * (g - 1 - j) for j in range(g)]
     for w, sign in factors:
         if w.genus != g:
             raise GenusMismatchError(f"factor of genus {w.genus} in a product of genus {g}")
         if sign == 1:
             letters = w.letters
         elif sign == -1:
-            letters = [(sym, -exp) for sym, exp in reversed(w.letters)]
+            letters = reversed(w.letters)
         else:
             raise ValueError(f"factor sign must be 1 or -1, got {sign!r}")
         for sym, exp in letters:
-            validate_symbol(sym, g)
             if isinstance(sym, Slide):
+                a, b = sym.moving, sym.along
+                if a > g or b > g:
+                    _check_letter(sym, g)
                 if exp % 2:
-                    a, b = sym.moving - 1, sym.along - 1
-                    cols[b] = [cb + 2 * ca for cb, ca in zip(cols[b], cols[a])]
-                    cols[a] = [-ca for ca in cols[a]]
+                    ca = cols[a - 1]
+                    cols[b - 1] = [cb + 2 * c for cb, c in zip(cols[b - 1], ca)]
+                    cols[a - 1] = [-c for c in ca]
             elif isinstance(sym, Twist):
-                idx = [j - 1 for j in sym.indices]
-                mu = [sum(entries) for entries in zip(*(cols[j] for j in idx))]
-                for pos, j in enumerate(idx):
-                    step = -exp if pos % 2 == 0 else exp
-                    cols[j] = [c + step * m for c, m in zip(cols[j], mu)]
-            elif isinstance(sym, BoundaryTwist):
-                raise NoHomologyActionError(
-                    f"{sym.kind} twists live on bounded surfaces and have no action here"
-                )
-            elif not isinstance(sym, TorelliTag):
-                raise TypeError(f"not a generator symbol: {sym!r}")
+                idx = sym.indices
+                if idx[-1] > g:
+                    _check_letter(sym, g)
+                e = sign * exp
+                if len(idx) == 2:
+                    i, j = idx[0] - 1, idx[1] - 1
+                    ci, cj = cols[i], cols[j]
+                    mu = [e * (x + y) for x, y in zip(ci, cj)]
+                    cols[i] = [x - m for x, m in zip(ci, mu)]
+                    cols[j] = [y + m for y, m in zip(cj, mu)]
+                else:
+                    idx = [j - 1 for j in idx]
+                    mu = [e * sum(entries) for entries in zip(*(cols[j] for j in idx))]
+                    for pos, j in enumerate(idx):
+                        if pos % 2:
+                            cols[j] = [c + m for c, m in zip(cols[j], mu)]
+                        else:
+                            cols[j] = [c - m for c, m in zip(cols[j], mu)]
+            else:
+                _check_letter(sym, g)
     return IntMatrix(tuple(zip(*cols)))
 
 
@@ -222,13 +249,32 @@ def word_matrix(w: MCGWord) -> IntMatrix:
 
 
 def act(w: MCGWord, x: H1Class) -> H1Class:
-    if w.genus != x.genus:
-        raise ValueError(f"genus mismatch: word {w.genus}, class {x.genus}")
-    m = word_matrix(w)
-    coeffs = tuple(
-        sum(m.rows[r][c] * x.coeffs[c] for c in range(w.genus)) for r in range(w.genus)
-    )
-    return H1Class(w.genus, coeffs)
+    """The image of ``x`` under ``w``, applied letter by letter to its one
+    coefficient vector, rightmost letter first, with no matrix.
+
+    ``Y(a, b)^e`` with e odd sets x_a to 2 x_b - x_a; ``T(I)^e`` adds
+    e (w . x) to x_j for each j in I, with w the alternating sign vector of
+    :func:`product_matrix`; Torelli tags change nothing.  The letters are
+    checked left to right first, so the leftmost letter without an action
+    raises, as in :func:`word_matrix`.
+    """
+    g = w.genus
+    if g != x.genus:
+        raise ValueError(f"genus mismatch: word {g}, class {x.genus}")
+    for sym, _ in w.letters:
+        _check_letter(sym, g)
+    v = list(x.coeffs)
+    for sym, exp in reversed(w.letters):
+        if isinstance(sym, Slide):
+            if exp % 2:
+                a = sym.moving - 1
+                v[a] = 2 * v[sym.along - 1] - v[a]
+        elif isinstance(sym, Twist):
+            idx = sym.indices
+            step = exp * sum(v[j - 1] if pos % 2 else -v[j - 1] for pos, j in enumerate(idx))
+            for j in idx:
+                v[j - 1] += step
+    return H1Class(g, v)
 
 
 def collapse_total_class(m: IntMatrix) -> IntMatrix:

@@ -22,16 +22,17 @@ from .finitegrp import (
     bfs_closure,
     identity_offsets,
     layer_closure,
-    layer_coordinates,
     layer_normal_closure,
     normal_closure,
+    vector_coordinates,
 )
 from .finitegrp import schreier_generators  # noqa: F401  (still bound here: perfbench's tracer checks it)
 from .homology import (
+    H1Class,
+    act,
     collapse_total_class,
     level_member,
     lift_obstruction,
-    matrix_level_trivial,
     mod2_action,
     product_matrix,
     reduced_action,
@@ -246,21 +247,60 @@ def _reference_layer(refs: list[ModMatrix], d: int) -> LevelLayer:
     return _named(names, lambda: layer_closure(refs, d))
 
 
-def slide_coordinates(g: int, ws: list[MCGWord]) -> list[int] | None:
-    """The mask of each word's phi mod 4 image in the level-2 layer basis of
-    the single slides' images, so ``subset_word(g, mask)`` has the same
-    image; None when the slides' vectors are dependent.
+def slide_layer(g: int, ws: list[MCGWord]) -> tuple[list[int], list[int]] | None:
+    """The mask c of each word's phi mod 4 image in the level-2 layer basis
+    of the single slides' images, so ``subset_word(g, c)`` has the same
+    image, and the layer vector V of w y_c^-1 on the full action mod 4,
+    which is I + 2V; None when the slides' phi mod 4 vectors are dependent.
 
     The subset products of the slides are a section of phi mod 4 exactly
     when their (g-1)^2 vectors are independent, and then they are a basis
-    of the whole layer.  A slide or word outside the layer raises
-    :class:`LayerError` under its name.
+    of the whole layer.  Each single slide and each word is evaluated once,
+    by ``word_matrix``, and its full action mod 4 read as I + 2X; one that
+    is not I mod 2 raises :class:`LayerError` under its name, as does a
+    word outside the slides' span.  Its phi mod 4 image, the action with
+    the total class collapsed, is then I + 2Y with Y read off X
+    (``_collapsed``).  A product of such actions adds their X mod 2 and an
+    inverse keeps it, so V is X(w) plus the X of the slides in c.
     """
     slides = _single_slides(g)
-    return _named(
-        [f"slide {w}" for w in slides] + [f"signed generator {w}" for w in ws],
-        lambda: layer_coordinates([phi_mod(w, 4) for w in slides], [phi_mod(w, 4) for w in ws], 2),
-    )
+    names = [f"slide {w}" for w in slides] + [f"signed generator {w}" for w in ws]
+    actions = [word_matrix(w).reduce_mod(4) for w in slides + ws]
+    full = _named(names, lambda: identity_offsets(actions, 2))
+    k = len(slides)
+    coords = _named(names, lambda: vector_coordinates([_collapsed(x, g) for x in full], k))
+    if coords is None:
+        return None
+    outputs = []
+    for v, mask in zip(full[k:], coords):
+        while mask:
+            low = mask & -mask
+            v ^= full[low.bit_length() - 1]
+            mask ^= low
+        outputs.append(v)
+    return coords, outputs
+
+
+def _collapsed(x: int, g: int) -> int:
+    """The layer vector Y of the collapsed action I + 2Y, for the layer
+    vector ``x`` of a g x g action I + 2X mod 4: collapsing the total class
+    subtracts the last row from the others and drops the last column, so
+    entry (r, c) of Y is X[r][c] XOR X[g-1][c] for r, c < g - 1."""
+    n = g - 1
+    low = (1 << n) - 1
+    last = x >> n * g & low
+    return sum(((x >> r * g ^ last) & low) << r * n for r in range(n))
+
+
+def _level_4_offset(v: int, g: int) -> bool:
+    """Is I + 2V level 4, for the layer vector ``v`` of a g x g V?
+
+    It is when every column of V is constant, that is when every row
+    equals the last.  Then phi mod 4 is trivial too: collapsing the total
+    class subtracts the last row from the others.
+    """
+    last = v >> (g - 1) * g
+    return v == last * sum(1 << r * g for r in range(g))
 
 
 def rs_stream_factors(g: int, coords: list[int], cap: int) -> list[tuple[int, int]]:
@@ -272,7 +312,7 @@ def rs_stream_factors(g: int, coords: list[int], cap: int) -> list[tuple[int, in
 
     The signed generators are Y_t, Y_t^-1 for each t in subset-bit order,
     then D, D^-1 for each D element, and ``coords`` holds each one's mask
-    (``slide_coordinates``), so the coset of y_c s_j is c XOR
+    (``slide_layer``), so the coset of y_c s_j is c XOR
     ``coords[j]``.  Cosets are walked breadth-first from mask 0, the empty
     word.  A product y s that already equals u as a reduced word is
     skipped, as in ``finitegrp.schreier_generators``.  That happens exactly
@@ -353,15 +393,15 @@ def _check_gen_fix_ones(p: dict) -> tuple[bool, dict]:
     bad = []
     checked = 0
     for g in range(2, p["gmax"] + 1):
-        ones = tuple(1 for _ in range(g))
+        ones = (1,) * g
+        total = H1Class(g, ones)
         for w in families.generator_alphabet(g) + [
             word(g, TorelliTag("beta", (1, 2))),
             word(g, TorelliTag("gamma")),
         ]:
-            m = word_matrix(w)
-            image = tuple(sum(m.rows[r][c] for c in range(g)) for r in range(g))
             checked += 1
-            if image != ones:
+            # raw coefficients: H1Class's == would forgive an even shift
+            if act(w, total).coeffs != ones:
                 bad.append((g, str(w)))
     return not bad, {"generators_checked": checked, "failures": bad[:10]}
 
@@ -539,32 +579,20 @@ def _check_rs_gamma24(p: dict) -> tuple[bool, dict]:
     reference_ok = grp == _reference_layer(ref_gens, 2)
 
     signed = [s for x in gens_words for s in (x, x.inverse())]
-    coords = slide_coordinates(g, signed)
-    section_ok = coords is not None
+    layer = slide_layer(g, signed)
+    section_ok = layer is not None
     sample_ok = True
     sampled = 0
     if section_ok:
+        coords, outputs = layer
         stream = rs_stream_factors(g, coords, p["rs_cap"])
         # the positions rng.sample(stream, k) would pick
         picked = rng.sample(range(len(stream)), min(p["sample"], len(stream)))
         sampled = len(picked)
-        slides = _single_slides(g)
-        images = []
-        for c, j in (stream[i] for i in picked):
-            # y s u^-1 as factors: the slides of y's bits in increasing
-            # order, s, then the slides of u's bits inverted, decreasing
-            u = c ^ coords[j]
-            factors = [(slides[t], 1) for t in range(len(slides)) if c >> t & 1]
-            factors.append((signed[j], 1))
-            factors += [(slides[t], -1) for t in reversed(range(len(slides))) if u >> t & 1]
-            images.append(product_matrix(g, factors).reduce_mod(4))
-        # each sampled word is evaluated once: level 4 on its action mod 4,
-        # phi mod 4 on that action with the total class collapsed, which is
-        # linear and so commutes with reducing mod 4
-        sample_ok = all(
-            matrix_level_trivial(m, 4) and collapse_total_class(m).reduce_mod(4).is_identity()
-            for m in images
-        )
+        # an output y s_j u^-1 acts mod 4 as I + 2 outputs[j] whatever y is,
+        # so each signed generator is decided once
+        passes = [_level_4_offset(v, g) for v in outputs]
+        sample_ok = all(passes[stream[i][1]] for i in picked)
     ok = order_ok and reference_ok and section_ok and sample_ok
     return ok, {
         "order": grp.order,

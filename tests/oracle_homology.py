@@ -3,9 +3,12 @@
 Each letter becomes its own g x g generator matrix and the word's action is
 their product, rightmost letter applied first.  This is the slow, obviously
 correct definition that ``crosscap.homology.word_matrix`` must reproduce.
+``oracle_act`` is the image of a class as ``word_matrix`` times its
+coefficient vector, which the matrix-free ``crosscap.homology.act`` must
+reproduce, errors included.
 """
 
-from crosscap.homology import NoHomologyActionError
+from crosscap.homology import H1Class, NoHomologyActionError, word_matrix
 from crosscap.intmat import IntMatrix
 from crosscap.words import (
     BoundaryTwist,
@@ -93,3 +96,15 @@ def matrix_level_trivial(m: IntMatrix, d: int) -> bool:
         if d % 2 == 0 and c % 2 != 0:
             return False
     return True
+
+
+def oracle_act(w: MCGWord, x: H1Class) -> H1Class:
+    """The image of ``x`` under ``w``: the word's whole matrix times the
+    coefficient vector."""
+    if w.genus != x.genus:
+        raise ValueError(f"genus mismatch: word {w.genus}, class {x.genus}")
+    m = word_matrix(w)
+    coeffs = tuple(
+        sum(m.rows[r][c] * x.coeffs[c] for c in range(w.genus)) for r in range(w.genus)
+    )
+    return H1Class(w.genus, coeffs)

@@ -23,6 +23,14 @@ XOR walk on layer coordinates must reproduce word for word.
 closes its distinct images, the closure that the family images' closure
 must equal.
 
+``rs_gamma24_products`` is RS-GAMMA24 on the XOR walk with each sampled
+output y s u^-1 evaluated whole by ``product_matrix``, at any genus, and
+the coordinates read from ``phi_mod`` images (``slide_coordinates``); the
+registry's runner, which decides each signed generator once on its layer
+vector mod 4, must give the same record.  ``gen_fix_ones`` sums the rows
+of each generator's matrix, where the registry's runner applies ``act`` to
+the total class.
+
 The int64 ``einsum`` exhaustion of the mod-2 orthogonal group, keyed by
 uint16 entries, and THM41-MOD8's ``np.unique(..., axis=0)`` dedupe over the
 whole stream are kept here too: the bit-sliced
@@ -40,8 +48,14 @@ from oracle_homology import matrix_level_trivial
 from oracle_packed import level_trivial_residues
 
 from crosscap import families
-from crosscap.finitegrp import LevelLayer, layer_closure, schreier_generators
-from crosscap.homology import level_member, reduced_action, word_matrix
+from crosscap.finitegrp import LevelLayer, layer_closure, layer_coordinates, schreier_generators
+from crosscap.homology import (
+    collapse_total_class,
+    level_member,
+    product_matrix,
+    reduced_action,
+    word_matrix,
+)
 from crosscap.intmat import IntMatrix, ModMatrix
 from crosscap.ledger import (
     _named,
@@ -50,9 +64,10 @@ from crosscap.ledger import (
     _y_union_d_words,
     gamma_generators,
     phi_mod,
+    rs_stream_factors as xor_stream_factors,
 )
 from crosscap.pi1free import ScaleGuardError
-from crosscap.words import MCGWord
+from crosscap.words import MCGWord, TorelliTag, word
 
 
 # the most stream words whose actions ``main3_stream_images`` forms in one
@@ -296,6 +311,89 @@ def rs_gamma24(p: dict) -> tuple[bool, dict]:
         "transversal_is_section": section_ok,
         "rs_outputs_sampled": sampled,
     }
+
+
+def slide_coordinates(g: int, ws: list[MCGWord]) -> list[int] | None:
+    """The mask of each word's phi mod 4 image in the level-2 layer basis of
+    the single slides' images, each image formed by ``phi_mod``; None when
+    the slides' vectors are dependent.  ``ledger.slide_layer`` must give
+    the same masks from the full actions."""
+    slides = _single_slides(g)
+    return _named(
+        [f"slide {w}" for w in slides] + [f"signed generator {w}" for w in ws],
+        lambda: layer_coordinates([phi_mod(w, 4) for w in slides], [phi_mod(w, 4) for w in ws], 2),
+    )
+
+
+def rs_gamma24_products(p: dict) -> tuple[bool, dict]:
+    """RS-GAMMA24 with every sampled Schreier word y s u^-1 evaluated once
+    by ``product_matrix`` and decided on its action mod 4."""
+    g = p["g"]
+    rng = random.Random(p["seed"])
+    gens_words = _y_union_d_words(g)
+    grp = _named(
+        [f"generator {w}" for w in gens_words],
+        lambda: layer_closure([phi_mod(w, 4) for w in gens_words], 2),
+    )
+    expected = 1 << families.y_count(g)
+    order_ok = grp.order == expected
+    ref_gens = [m.reduce_mod(4) for m in gamma_generators(g - 1, 2)]
+    flip = [[-1 if r == c == 0 else (1 if r == c else 0) for c in range(g - 1)] for r in range(g - 1)]
+    ref_gens.append(IntMatrix.from_rows(flip).reduce_mod(4))
+    reference_ok = grp == _reference_layer(ref_gens, 2)
+
+    signed = [s for x in gens_words for s in (x, x.inverse())]
+    coords = slide_coordinates(g, signed)
+    section_ok = coords is not None
+    sample_ok = True
+    sampled = 0
+    if section_ok:
+        stream = xor_stream_factors(g, coords, p["rs_cap"])
+        # the positions rng.sample(stream, k) would pick
+        picked = rng.sample(range(len(stream)), min(p["sample"], len(stream)))
+        sampled = len(picked)
+        slides = _single_slides(g)
+        images = []
+        for c, j in (stream[i] for i in picked):
+            # y s u^-1 as factors: the slides of y's bits in increasing
+            # order, s, then the slides of u's bits inverted, decreasing
+            u = c ^ coords[j]
+            factors = [(slides[t], 1) for t in range(len(slides)) if c >> t & 1]
+            factors.append((signed[j], 1))
+            factors += [(slides[t], -1) for t in reversed(range(len(slides))) if u >> t & 1]
+            images.append(product_matrix(g, factors).reduce_mod(4))
+        sample_ok = all(
+            matrix_level_trivial(m, 4) and collapse_total_class(m).reduce_mod(4).is_identity()
+            for m in images
+        )
+    ok = order_ok and reference_ok and section_ok and sample_ok
+    return ok, {
+        "order": grp.order,
+        "expected_order": expected,
+        "exponent_2": True,
+        "matches_congruence_image": reference_ok,
+        "transversal_is_section": section_ok,
+        "rs_outputs_sampled": sampled,
+    }
+
+
+def gen_fix_ones(p: dict) -> tuple[bool, dict]:
+    """GEN-FIX-ONES on whole matrices: the row sums of each generator's
+    action must all be 1."""
+    bad = []
+    checked = 0
+    for g in range(2, p["gmax"] + 1):
+        ones = tuple(1 for _ in range(g))
+        for w in families.generator_alphabet(g) + [
+            word(g, TorelliTag("beta", (1, 2))),
+            word(g, TorelliTag("gamma")),
+        ]:
+            m = word_matrix(w)
+            image = tuple(sum(m.rows[r][c] for c in range(g)) for r in range(g))
+            checked += 1
+            if image != ones:
+                bad.append((g, str(w)))
+    return not bad, {"generators_checked": checked, "failures": bad[:10]}
 
 
 def first_distinct(stack: np.ndarray) -> np.ndarray:

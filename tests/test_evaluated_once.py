@@ -1,8 +1,10 @@
-"""The hot checks build each word once: LEM43-COMM looks every A, B and C
-element up in one table per genus, and RS-GAMMA24 evaluates each sampled
-Schreier word once, deciding level 4 and phi mod 4 on that one action.
-Neither forms a word product or inverse per row or sample: both hand
-factor lists to ``product_matrix``."""
+"""The hot checks build and evaluate each word once: LEM43-COMM looks every
+A, B and C element up in one table per genus and hands its rows to
+``product_matrix`` as factor lists; RS-GAMMA24 evaluates each single slide
+and each signed generator once and decides its sampled Schreier words on
+their layer vectors mod 4, with no ``product_matrix`` call; GEN-FIX-ONES
+applies each generator to the total class with ``act``, which builds no
+matrix.  None of them forms a word product or inverse per row or sample."""
 
 from collections import Counter
 
@@ -42,9 +44,10 @@ def test_rs_gamma24_evaluates_each_sampled_word_once(monkeypatch):
 
         return evaluate
 
-    # the sampled words go to ledger's product_matrix as factor lists;
-    # phi_mod's closure and coordinate images go through reduced_action,
-    # which reads homology's word_matrix
+    # no sampled word is evaluated: each is decided on the layer vectors of
+    # its signed generator and single slides.  phi_mod's closure images go
+    # through reduced_action, which reads homology's word_matrix; the single
+    # slides and signed generators go to ledger's word_matrix
     monkeypatch.setattr(ledger, "product_matrix", spy("ledger", homology.product_matrix))
     monkeypatch.setattr(ledger, "word_matrix", spy("ledger word_matrix", homology.word_matrix))
     monkeypatch.setattr(homology, "word_matrix", spy("homology", homology.word_matrix))
@@ -52,12 +55,34 @@ def test_rs_gamma24_evaluates_each_sampled_word_once(monkeypatch):
     assert record.status == "pass"
     sampled = record.details["rs_outputs_sampled"]
     assert sampled == 200
-    assert seen["ledger"] == sampled
-    assert seen["ledger word_matrix"] == 0
+    assert seen["ledger"] == 0
     # the generators Y and D for the closure, then the single slides and
-    # the signed generators for the coordinates: one image each
+    # the signed generators for the coordinates and layer vectors: one
+    # action each
     gens = len(ledger._y_union_d_words(g))
-    assert seen["homology"] == gens + families.y_count(g) + 2 * gens
+    assert seen["homology"] + seen["ledger word_matrix"] == gens + families.y_count(g) + 2 * gens
+    assert seen["ledger word_matrix"] == families.y_count(g) + 2 * gens
+
+
+def test_gen_fix_ones_builds_no_matrix(monkeypatch):
+    seen = Counter()
+
+    def spy(binding, real):
+        def evaluate(*args):
+            seen[binding] += 1
+            return real(*args)
+
+        return evaluate
+
+    for module in (ledger, homology):
+        for name in ("word_matrix", "product_matrix"):
+            monkeypatch.setattr(module, name, spy("matrix", getattr(module, name)))
+    # the parent had no ledger.act, and its count of matrices fails there
+    monkeypatch.setattr(ledger, "act", spy("act", homology.act), raising=False)
+    record = run_check("GEN-FIX-ONES", {"gmax": 8})
+    assert record.status == "pass"
+    assert seen["matrix"] == 0
+    assert seen["act"] == record.details["generators_checked"] > 0
 
 
 @pytest.mark.parametrize(

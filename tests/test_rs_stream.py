@@ -12,7 +12,7 @@ from crosscap import families, ledger
 from crosscap.finitegrp import SectionError
 from crosscap.homology import reduced_action
 from crosscap.intmat import ModMatrix, elementary
-from crosscap.ledger import phi_mod, rs_stream_factors, run_check, slide_coordinates
+from crosscap.ledger import phi_mod, rs_stream_factors, run_check
 from crosscap.words import Twist, word
 
 
@@ -26,7 +26,7 @@ def xor_walk(g, cap):
     coordinates in the single-slide basis, each (c, j) pair spelled out as
     the factor triple (y, s, u)."""
     signed = [s for x in ledger._y_union_d_words(g) for s in (x, x.inverse())]
-    coords = slide_coordinates(g, signed)
+    coords = ledger.slide_layer(g, signed)[0]
     return [
         (families.subset_word(g, c), signed[j], families.subset_word(g, c ^ coords[j]))
         for c, j in rs_stream_factors(g, coords, cap)
@@ -66,7 +66,7 @@ def test_signed_generators_sit_at_the_coset_of_their_image():
     g = 4
     signed = [s for x in ledger._y_union_d_words(g) for s in (x, x.inverse())]
     images = transversal_images(g).tolist()
-    for s, mask in zip(signed, slide_coordinates(g, signed)):
+    for s, mask in zip(signed, ledger.slide_layer(g, signed)[0]):
         assert images[mask] == [list(row) for row in phi_mod(s, 4).rows]
 
 
