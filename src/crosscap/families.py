@@ -41,22 +41,12 @@ SEED_LETTER_LIMIT = 1 << 20
 
 
 class NamedFamilyElement(Frozen):
-    __slots__ = ("family", "indices", "word", "alternates", "sign")
+    __slots__ = ("family", "indices", "word")
 
-    def __init__(
-        self,
-        family: str,
-        indices: tuple[int, ...],
-        word: MCGWord,
-        alternates: tuple[MCGWord, ...] = (),
-        sign: Optional[int] = None,
-    ) -> None:
+    def __init__(self, family: str, indices: tuple[int, ...], word: MCGWord) -> None:
         set_field(self, "family", family)
         set_field(self, "indices", indices)
         set_field(self, "word", word)
-        set_field(self, "alternates", alternates)
-        # the conjugated-twist exponent chosen for D
-        set_field(self, "sign", sign)
 
 
 def _slide_word(g: int, a: int, b: int, exp: int = 1) -> MCGWord:
@@ -70,22 +60,6 @@ def _twist_word(g: int, indices: Sequence[int], exp: int = 1) -> MCGWord:
 # chosen exponent for the conjugated twist inside D, per (genus, indices);
 # resolved once by requiring the full word to act as the identity matrix
 _D_SIGN_CACHE: dict[tuple[int, tuple[int, ...]], int] = {}
-
-# C elements whose two realizations have been confirmed equal on homology
-_C_CHECKED: set[tuple[int, tuple[int, ...]]] = set()
-
-
-def _check_c_realizations(
-    g: int, idx: tuple[int, ...], primary: MCGWord, twist_form: MCGWord
-) -> None:
-    key = (g, idx)
-    if key in _C_CHECKED:
-        return
-    from .homology import word_matrix
-
-    if word_matrix(primary).rows != word_matrix(twist_form).rows:
-        raise FamilyIndexError(f"C{idx}: slide and twist realizations disagree on homology")
-    _C_CHECKED.add(key)
 
 
 def _resolve_d_sign(g: int, indices: tuple[int, ...]) -> int:
@@ -114,10 +88,10 @@ def named_element(family: str, indices: tuple[int, ...], g: int) -> NamedFamilyE
     """Build one family element with its realization word.
 
     ``Y(i,j)`` is the slide itself; ``A(i,j)`` the 4th twist power; ``B(i,j)``
-    a slide square; ``C(i,j;k)`` comes in a slide form (primary) and a twist
-    form (alternate) whose equality on homology is a checked identity;
-    ``D(i,j,k,l)`` pairs a twist with a conjugated twist whose exponent is
-    chosen so the whole word acts trivially on homology.
+    a slide square; ``C(i,j;k)`` is a slide form, checked on every build to
+    act on homology as a twist form does; ``D(i,j,k,l)`` pairs a twist with
+    a conjugated twist whose exponent is chosen so the whole word acts
+    trivially on homology.
     """
     idx = tuple(int(v) for v in indices)
     if family == "Y":
@@ -128,20 +102,18 @@ def named_element(family: str, indices: tuple[int, ...], g: int) -> NamedFamilyE
     if family == "A":
         i, j = _expect(idx, 2, family)
         _require_increasing(idx[:2], g, family)
-        alt1 = (_slide_word(g, j, i).inverse() * _slide_word(g, i, j)) ** 2
-        alt2 = (_slide_word(g, j, i) * _slide_word(g, i, j).inverse()) ** 2
-        return NamedFamilyElement("A", idx, _twist_word(g, (i, j), 4), (alt1, alt2))
+        return NamedFamilyElement("A", idx, _twist_word(g, (i, j), 4))
     if family == "B":
         i, j = _expect(idx, 2, family)
         _require_increasing(idx[:2], g, family)
-        primary = _slide_word(g, i, j) ** 2
-        alt = _slide_word(g, j, i) ** 2
-        return NamedFamilyElement("B", idx, primary, (alt,))
+        return NamedFamilyElement("B", idx, _slide_word(g, i, j) ** 2)
     if family == "C":
         i, j, k = _expect(idx, 3, family)
         _require_increasing((i, j), g, family)
         if not 1 <= k <= g or k in (i, j):
             raise FamilyIndexError(f"C{idx}: third index must avoid {{{i},{j}}}")
+        from .homology import word_matrix
+
         t2 = _twist_word(g, (i, j), 2)
         if i < k < j:
             primary = (_slide_word(g, k, j) * _slide_word(g, k, i)) ** 2
@@ -149,15 +121,16 @@ def named_element(family: str, indices: tuple[int, ...], g: int) -> NamedFamilyE
         else:
             primary = (_slide_word(g, k, i) * _slide_word(g, k, j)) ** 2
             twist_form = t2 * conjugate(t2.inverse(), _slide_word(g, k, i).inverse())
-        _check_c_realizations(g, idx, primary, twist_form)
-        return NamedFamilyElement("C", idx, primary, (twist_form,))
+        if word_matrix(primary).rows != word_matrix(twist_form).rows:
+            raise FamilyIndexError(f"C{idx}: slide and twist realizations disagree on homology")
+        return NamedFamilyElement("C", idx, primary)
     if family == "D":
         i, j, k, l = _expect(idx, 4, family)
         _require_increasing(idx, g, family)
         sign = _resolve_d_sign(g, idx)
         conjugator = _slide_word(g, j, i) * _slide_word(g, k, l).inverse()
         twist = _twist_word(g, idx)
-        return NamedFamilyElement("D", idx, twist * conjugate(twist**sign, conjugator), sign=sign)
+        return NamedFamilyElement("D", idx, twist * conjugate(twist**sign, conjugator))
     raise FamilyIndexError(f"unknown family {family!r}")
 
 

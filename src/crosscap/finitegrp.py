@@ -20,11 +20,12 @@ taken mod 2d, is elementary abelian, so ``layer_closure`` and
 matrices (a ``LevelLayer``) without listing any element: the order is
 2^dim, and equal subgroups have equal reduced echelon bases.  The vector X
 of I + dX is keyed as a matrix is, and both normal closures share one
-conjugation step.  ``layer_coordinates`` writes layer elements in a
-basis of given layer elements, so a transversal of products of that basis
-is walked by XOR on coordinate masks instead of by a table of matrix
-products.  Every generator is checked to lie in the layer; one that does
-not raises ``LayerError``, and nothing falls back to enumeration.
+conjugation step.  ``layer_span`` is the subgroup that given vectors
+span, and ``vector_coordinates`` writes vectors in a basis of given
+vectors, so a transversal of products of that basis is walked by XOR on
+coordinate masks instead of by a table of matrix products.  Every
+generator is checked to lie in the layer; one that does not raises
+``LayerError``, and nothing falls back to enumeration.
 
 ``schreier_generators`` is generic over words: it keys every product
 y x^+-1 through a quotient callback and builds every output word.
@@ -375,6 +376,12 @@ def layer_closure(gens: Sequence[ModMatrix], d: int) -> LevelLayer:
     """
     vectors = _layer_vectors(gens, d)
     _, n = _check_gens(gens)
+    return layer_span(vectors, d, n)
+
+
+def layer_span(vectors: Iterable[int], d: int, n: int) -> LevelLayer:
+    """The subgroup of Gamma_d / Gamma_2d (d even) of n x n matrices that
+    the layer vectors ``vectors`` span."""
     span = _Span()
     span.add(vectors)
     return span.layer(d, n)
@@ -401,26 +408,14 @@ def layer_normal_closure(
     return span.layer(d, n)
 
 
-def layer_coordinates(
-    basis: Sequence[ModMatrix], gens: Sequence[ModMatrix], d: int
-) -> list[int] | None:
-    """The coordinates of each of ``gens`` in the layer vectors of
-    ``basis`` (d even, modulus 2d), as masks: bit t is set when basis
-    element t is in the sum.  Since the layer is elementary abelian, a
-    product of generators has the XOR of their masks.
-
-    Returns None when the basis vectors are dependent.  Raises
-    :class:`LayerError` for an element outside the layer, or for a
-    generator outside the span, indexed in ``basis`` followed by ``gens``.
-    """
-    return vector_coordinates(_layer_vectors(list(basis) + list(gens), d), len(basis))
-
-
 def vector_coordinates(vectors: Sequence[int], k: int) -> list[int] | None:
-    """:func:`layer_coordinates` on layer vectors: the masks of
-    ``vectors[k:]`` in the first ``k``, or None when those are dependent.
-    One outside their span raises :class:`LayerError` at its index in
-    ``vectors``."""
+    """The coordinates of each of the layer vectors ``vectors[k:]`` in the
+    first ``k``, as masks: bit t is set when vector t is in the sum.  Since
+    the layer is elementary abelian, a product has the XOR of its factors'
+    masks.
+
+    Returns None when the first ``k`` are dependent.  One outside their
+    span raises :class:`LayerError` at its index in ``vectors``."""
     # basis vector t carries bit t below its matrix bits, so a reduced vector
     # keeps in its low k bits the mask of the basis elements added to it
     span = _Span()

@@ -23,6 +23,7 @@ from .finitegrp import (
     identity_offsets,
     layer_closure,
     layer_normal_closure,
+    layer_span,
     normal_closure,
     vector_coordinates,
 )
@@ -247,40 +248,6 @@ def _reference_layer(refs: list[ModMatrix], d: int) -> LevelLayer:
     return _named(names, lambda: layer_closure(refs, d))
 
 
-def slide_layer(g: int, ws: list[MCGWord]) -> tuple[list[int], list[int]] | None:
-    """The mask c of each word's phi mod 4 image in the level-2 layer basis
-    of the single slides' images, so ``subset_word(g, c)`` has the same
-    image, and the layer vector V of w y_c^-1 on the full action mod 4,
-    which is I + 2V; None when the slides' phi mod 4 vectors are dependent.
-
-    The subset products of the slides are a section of phi mod 4 exactly
-    when their (g-1)^2 vectors are independent, and then they are a basis
-    of the whole layer.  Each single slide and each word is evaluated once,
-    by ``word_matrix``, and its full action mod 4 read as I + 2X; one that
-    is not I mod 2 raises :class:`LayerError` under its name, as does a
-    word outside the slides' span.  Its phi mod 4 image, the action with
-    the total class collapsed, is then I + 2Y with Y read off X
-    (``_collapsed``).  A product of such actions adds their X mod 2 and an
-    inverse keeps it, so V is X(w) plus the X of the slides in c.
-    """
-    slides = _single_slides(g)
-    names = [f"slide {w}" for w in slides] + [f"signed generator {w}" for w in ws]
-    actions = [word_matrix(w).reduce_mod(4) for w in slides + ws]
-    full = _named(names, lambda: identity_offsets(actions, 2))
-    k = len(slides)
-    coords = _named(names, lambda: vector_coordinates([_collapsed(x, g) for x in full], k))
-    if coords is None:
-        return None
-    outputs = []
-    for v, mask in zip(full[k:], coords):
-        while mask:
-            low = mask & -mask
-            v ^= full[low.bit_length() - 1]
-            mask ^= low
-        outputs.append(v)
-    return coords, outputs
-
-
 def _collapsed(x: int, g: int) -> int:
     """The layer vector Y of the collapsed action I + 2Y, for the layer
     vector ``x`` of a g x g action I + 2X mod 4: collapsing the total class
@@ -312,7 +279,7 @@ def rs_stream_factors(g: int, coords: list[int], cap: int) -> list[tuple[int, in
 
     The signed generators are Y_t, Y_t^-1 for each t in subset-bit order,
     then D, D^-1 for each D element, and ``coords`` holds each one's mask
-    (``slide_layer``), so the coset of y_c s_j is c XOR
+    in the single slides' basis, so the coset of y_c s_j is c XOR
     ``coords[j]``.  Cosets are walked breadth-first from mask 0, the empty
     word.  A product y s that already equals u as a reduced word is
     skipped, as in ``finitegrp.schreier_generators``.  That happens exactly
@@ -422,26 +389,17 @@ def _check_t2_eq_yy(p: dict) -> tuple[bool, dict]:
 
 def _check_thm23_elem(p: dict) -> tuple[bool, dict]:
     g, d = p["g"], p["d"]
-    # (g-1)(g-2) words, each a 4-letter commutator to the power d/2
-    letters = 2 * d * (g - 1) * (g - 2)
-    if letters > families.SEED_LETTER_LIMIT:
-        raise ScaleGuardError(
-            f"the {(g - 1) * (g - 2)} commutator powers would have {letters} letters,"
-            f" over the limit of {families.SEED_LETTER_LIMIT}"
-        )
     n = g - 1
     bad = []
     for i in range(1, g):
         for j in range(i + 1, g):
-            lhs = reduced_action(
-                commutator(word(g, Twist((j, g))), word(g, Slide(i, j))) ** (d // 2)
-            )
-            if lhs.rows != elementary(n, i, j, d).rows:
+            # each 4-letter commutator is evaluated once, and its action
+            # raised to the power d/2 by square-and-multiply
+            eij = commutator(word(g, Twist((j, g))), word(g, Slide(i, j)))
+            if (reduced_action(eij) ** (d // 2)).rows != elementary(n, i, j, d).rows:
                 bad.append(("eij", i, j))
-            lhs = reduced_action(
-                commutator(word(g, Twist((i, g))), word(g, Slide(j, i))) ** (d // 2)
-            )
-            if lhs.rows != elementary(n, j, i, d).rows:
+            eji = commutator(word(g, Twist((i, g))), word(g, Slide(j, i)))
+            if (reduced_action(eji) ** (d // 2)).rows != elementary(n, j, i, d).rows:
                 bad.append(("eji", i, j))
     for k, rhs in enumerate(conjugated_gamma_generators(n, d), 2):
         lhs = reduced_action(word(g, (Twist((1, k)), d)))
@@ -565,11 +523,16 @@ def _check_rs_gamma24(p: dict) -> tuple[bool, dict]:
     g = p["g"]
     rng = random.Random(p["seed"])
     gens_words = _y_union_d_words(g)
-    grp = _named(
-        [f"generator {w}" for w in gens_words],
-        lambda: layer_closure([phi_mod(w, 4) for w in gens_words], 2),
-    )
-    expected = 1 << families.y_count(g)
+    names = [f"generator {w}" for w in gens_words]
+    # each Y and D word is evaluated once: its action mod 4 is I + 2X, and
+    # its phi mod 4 image, the action with the total class collapsed, is
+    # I + 2Y with Y read off X
+    actions = [word_matrix(w).reduce_mod(4) for w in gens_words]
+    full = _named(names, lambda: identity_offsets(actions, 2))
+    phis = [_collapsed(x, g) for x in full]
+    grp = layer_span(phis, 2, g - 1)
+    k = families.y_count(g)
+    expected = 1 << k
     order_ok = grp.order == expected
     # independent reference: the level-2 GL-congruence image at modulus 4,
     # generated by elementary squares, their conjugates and a determinant flip
@@ -578,27 +541,39 @@ def _check_rs_gamma24(p: dict) -> tuple[bool, dict]:
     ref_gens.append(IntMatrix.from_rows(flip).reduce_mod(4))
     reference_ok = grp == _reference_layer(ref_gens, 2)
 
-    signed = [s for x in gens_words for s in (x, x.inverse())]
-    layer = slide_layer(g, signed)
-    section_ok = layer is not None
+    # the first k generators are the single slides subset_word(g, 1 << t);
+    # their subset products are a section of phi mod 4 exactly when their
+    # vectors are independent, and then a basis of the whole layer
+    coords = _named(names, lambda: vector_coordinates(phis, k))
+    section_ok = coords is not None
     sample_ok = True
     sampled = 0
     if section_ok:
-        coords, outputs = layer
-        stream = rs_stream_factors(g, coords, p["rs_cap"])
-        # the positions rng.sample(stream, k) would pick
+        masks = [1 << t for t in range(k)] + coords
+        # the signed generators x, x^-1 in turn: an inverse has the same
+        # image mod 4, since (I + 2X)^2 = I mod 4
+        stream = rs_stream_factors(g, [m for m in masks for _ in (1, -1)], p["rs_cap"])
+        # the positions rng.sample(stream, n) would pick
         picked = rng.sample(range(len(stream)), min(p["sample"], len(stream)))
         sampled = len(picked)
-        # an output y s_j u^-1 acts mod 4 as I + 2 outputs[j] whatever y is,
-        # so each signed generator is decided once
-        passes = [_level_4_offset(v, g) for v in outputs]
-        sample_ok = all(passes[stream[i][1]] for i in picked)
+        # Gamma_2 / Gamma_4 is elementary abelian and u = y_(c XOR mask), so
+        # an output y x^+-1 u^-1 acts mod 4 as I + 2V whatever y is, with V
+        # the X of x plus the X of the slides in its mask: each generator is
+        # decided once
+        passes = []
+        for v, mask in zip(full, masks):
+            while mask:
+                low = mask & -mask
+                v ^= full[low.bit_length() - 1]
+                mask ^= low
+            passes.append(_level_4_offset(v, g))
+        sample_ok = all(passes[stream[i][1] // 2] for i in picked)
     ok = order_ok and reference_ok and section_ok and sample_ok
     return ok, {
         "order": grp.order,
         "expected_order": expected,
-        # the layer precondition: the closure raised unless every generator
-        # is I + 2X mod 4, and (I + 2X)^2 = I + 4X = I mod 4
+        # the layer precondition: every generator is I + 2X mod 4, or the
+        # check failed by name, and (I + 2X)^2 = I + 4X = I mod 4
         "exponent_2": True,
         "matches_congruence_image": reference_ok,
         "transversal_is_section": section_ok,

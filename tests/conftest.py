@@ -3,6 +3,7 @@ import time
 
 import pytest
 
+from crosscap import ledger
 from crosscap.words import MCGWord, Slide, Twist
 
 
@@ -28,6 +29,35 @@ def random_word(rng: random.Random, g: int, length: int, slides_only: bool = Fal
 @pytest.fixture
 def rng():
     return random.Random(0)
+
+
+@pytest.fixture
+def rs_runner_layer(monkeypatch):
+    """``run(g)`` runs the registry's RS-GAMMA24 at genus g and returns the
+    mask of each signed generator that it walks its stream on and its
+    verdict on each generator of ``_y_union_d_words``, read by spying on
+    ``rs_stream_factors`` and ``_level_4_offset``."""
+    stream, offset = ledger.rs_stream_factors, ledger._level_4_offset
+
+    def run(g):
+        walked, verdicts = [], []
+
+        def walk(genus, coords, cap):
+            walked.append(list(coords))
+            return stream(genus, coords, cap)
+
+        def decide(v, genus):
+            verdicts.append(offset(v, genus))
+            return verdicts[-1]
+
+        monkeypatch.setattr(ledger, "rs_stream_factors", walk)
+        monkeypatch.setattr(ledger, "_level_4_offset", decide)
+        ledger.run_check("RS-GAMMA24", {"g": g})
+        assert len(walked) == 1
+        assert len(verdicts) == len(ledger._y_union_d_words(g))
+        return walked[0], verdicts
+
+    return run
 
 
 class Budget:

@@ -1,9 +1,13 @@
 """Reference slide-commutator table, each row spelled out as one freely
-reduced word.
+reduced word, and the alternate realizations of the A, B and C elements.
 
-This is the word-level definition that ``crosscap.families.slide_commutator_rows``
-must reproduce: the factors of each of its rows, multiplied out with word
-products, are the word this table gives for that row.
+The table is the word-level definition that
+``crosscap.families.slide_commutator_rows`` must reproduce: the factors of
+each of its rows, multiplied out with word products, are the word this
+table gives for that row.
+
+``alternates`` gives the other words that realize an A, B or C element,
+each of which must act on homology as ``named_element``'s word does.
 """
 
 from __future__ import annotations
@@ -12,11 +16,33 @@ import functools
 from typing import Callable, Iterator
 
 from crosscap.families import family_indices, named_element
-from crosscap.words import MCGWord, Slide, commutator, conjugate, word
+from crosscap.words import MCGWord, Slide, Twist, commutator, conjugate, word
 
 
 def _slide(g: int, a: int, b: int) -> MCGWord:
     return word(g, Slide(a, b))
+
+
+def alternates(family: str, indices: tuple[int, ...], g: int) -> list[MCGWord]:
+    """The alternate realizations of A(i,j) = T(i,j)^4 as squares of slide
+    products, of B(i,j) = Y(i,j)^2 as Y(j,i)^2, and of the slide form of
+    C(i,j;k) as a product of a squared twist and its conjugate."""
+    if family == "A":
+        i, j = indices
+        return [
+            (_slide(g, j, i).inverse() * _slide(g, i, j)) ** 2,
+            (_slide(g, j, i) * _slide(g, i, j).inverse()) ** 2,
+        ]
+    if family == "B":
+        i, j = indices
+        return [_slide(g, j, i) ** 2]
+    if family == "C":
+        i, j, k = indices
+        t2 = word(g, (Twist((i, j)), 2))
+        if i < k < j:
+            return [t2.inverse() * conjugate(t2, _slide(g, k, i))]
+        return [t2 * conjugate(t2.inverse(), _slide(g, k, i).inverse())]
+    raise ValueError(f"family {family!r} has no alternate realization")
 
 
 def slide_commutator_rows(g: int) -> Iterator[tuple[tuple[int, int], tuple[int, int], MCGWord]]:

@@ -26,8 +26,10 @@ must equal.
 ``rs_gamma24_products`` is RS-GAMMA24 on the XOR walk with each sampled
 output y s u^-1 evaluated whole by ``product_matrix``, at any genus, and
 the coordinates read from ``phi_mod`` images (``slide_coordinates``); the
-registry's runner, which decides each signed generator once on its layer
-vector mod 4, must give the same record.  ``gen_fix_ones`` sums the rows
+registry's runner, which evaluates each Y and D word once and decides each
+generator on its layer vector mod 4, must give the same record.
+``slide_layer`` is the step between them, which evaluated each single
+slide and each signed generator once.  ``gen_fix_ones`` sums the rows
 of each generator's matrix, where the registry's runner applies ``act`` to
 the total class.
 
@@ -48,7 +50,13 @@ from oracle_homology import matrix_level_trivial
 from oracle_packed import level_trivial_residues
 
 from crosscap import families
-from crosscap.finitegrp import LevelLayer, layer_closure, layer_coordinates, schreier_generators
+from crosscap.finitegrp import (
+    LevelLayer,
+    identity_offsets,
+    layer_closure,
+    schreier_generators,
+    vector_coordinates,
+)
 from crosscap.homology import (
     collapse_total_class,
     level_member,
@@ -58,6 +66,7 @@ from crosscap.homology import (
 )
 from crosscap.intmat import IntMatrix, ModMatrix
 from crosscap.ledger import (
+    _collapsed,
     _named,
     _reference_layer,
     _single_slides,
@@ -316,13 +325,47 @@ def rs_gamma24(p: dict) -> tuple[bool, dict]:
 def slide_coordinates(g: int, ws: list[MCGWord]) -> list[int] | None:
     """The mask of each word's phi mod 4 image in the level-2 layer basis of
     the single slides' images, each image formed by ``phi_mod``; None when
-    the slides' vectors are dependent.  ``ledger.slide_layer`` must give
-    the same masks from the full actions."""
+    the slides' vectors are dependent.  The registry's RS-GAMMA24 must walk
+    its stream on the same masks, read from the full actions."""
     slides = _single_slides(g)
+    images = [phi_mod(w, 4) for w in slides + ws]
     return _named(
         [f"slide {w}" for w in slides] + [f"signed generator {w}" for w in ws],
-        lambda: layer_coordinates([phi_mod(w, 4) for w in slides], [phi_mod(w, 4) for w in ws], 2),
+        lambda: vector_coordinates(identity_offsets(images, 2), len(slides)),
     )
+
+
+def slide_layer(g: int, ws: list[MCGWord]) -> tuple[list[int], list[int]] | None:
+    """The mask c of each word's phi mod 4 image in the level-2 layer basis
+    of the single slides' images, so ``subset_word(g, c)`` has the same
+    image, and the layer vector V of w y_c^-1 on the full action mod 4,
+    which is I + 2V; None when the slides' phi mod 4 vectors are dependent.
+
+    This is RS-GAMMA24's layer step as it was before the runner evaluated
+    each Y and D word once: here each single slide and each signed word is
+    evaluated by ``word_matrix``, and its full action mod 4 read as I + 2X;
+    one that is not I mod 2 raises ``LayerError`` under its name, as does a
+    word outside the slides' span.  A product of such actions adds their X
+    mod 2 and an inverse keeps it, so V is X(w) plus the X of the slides
+    in c, and an output y_c w u^-1 is level 4 with trivial phi mod 4
+    exactly when ``ledger._level_4_offset`` holds for V.
+    """
+    slides = _single_slides(g)
+    names = [f"slide {w}" for w in slides] + [f"signed generator {w}" for w in ws]
+    actions = [word_matrix(w).reduce_mod(4) for w in slides + ws]
+    full = _named(names, lambda: identity_offsets(actions, 2))
+    k = len(slides)
+    coords = _named(names, lambda: vector_coordinates([_collapsed(x, g) for x in full], k))
+    if coords is None:
+        return None
+    outputs = []
+    for v, mask in zip(full[k:], coords):
+        while mask:
+            low = mask & -mask
+            v ^= full[low.bit_length() - 1]
+            mask ^= low
+        outputs.append(v)
+    return coords, outputs
 
 
 def rs_gamma24_products(p: dict) -> tuple[bool, dict]:

@@ -166,8 +166,6 @@ class NamedFamilyElement:
     family: str
     indices: tuple[int, ...]
     word: MCGWord
-    alternates: tuple[MCGWord, ...] = ()
-    sign: Optional[int] = None  # conjugated-twist exponent chosen for D
 
 
 @dataclass(frozen=True)

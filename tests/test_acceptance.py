@@ -8,6 +8,7 @@ import random
 
 import pytest
 
+import oracle_families
 import oracle_finitegrp
 from conftest import Budget, random_word
 from crosscap import families
@@ -114,9 +115,8 @@ def test_criterion_4_identity_suites():
                     assert lhs.rows == rhs.rows
             for family in ("A", "B", "C"):
                 for idx in families.family_indices(family, g):
-                    el = families.named_element(family, idx, g)
-                    m = word_matrix(el.word)
-                    for alt in el.alternates:
+                    m = word_matrix(families.named_element(family, idx, g).word)
+                    for alt in oracle_families.alternates(family, idx, g):
                         assert word_matrix(alt).rows == m.rows
             for idx in families.family_indices("D", g):
                 assert word_matrix(families.named_element("D", idx, g).word).is_identity()

@@ -38,7 +38,7 @@ def record_closures(monkeypatch):
     layer, through recorders; returns the list that collects
     ``(function name, args)`` per call."""
     calls = []
-    for name in ("bfs_closure", "normal_closure", *ORACLE_OF):
+    for name in ("bfs_closure", "normal_closure", "layer_span", *ORACLE_OF):
         real = getattr(ledger, name)
 
         def recorder(*args, _name=name, _real=real):
@@ -93,9 +93,25 @@ def assert_layer_matches_oracle(name, args):
     assert (layer.modulus, layer.dim, layer.order) == (2 * d, group.dim, group.order)
 
 
+def assert_span_matches_oracle(args):
+    """A span of layer vectors X is the layer closure of the matrices
+    I + dX (mod 2d) they stand for, which must match the oracle."""
+    vectors, d, n = args
+    gens = [
+        ModMatrix.from_rows(
+            2 * d, [[(r == c) + d * (x >> r * n + c & 1) for c in range(n)] for r in range(n)]
+        )
+        for x in vectors
+    ]
+    assert finitegrp.layer_span(vectors, d, n) == finitegrp.layer_closure(gens, d)
+    assert_layer_matches_oracle("layer_closure", (gens, d))
+
+
 def assert_every_call_matches(calls):
     for name, args in calls:
-        if name in ORACLE_OF:
+        if name == "layer_span":
+            assert_span_matches_oracle(args)
+        elif name in ORACLE_OF:
             assert_layer_matches_oracle(name, args)
         else:
             assert_matches_oracle(name, args)
@@ -124,10 +140,11 @@ def test_closure_workload_points_match_the_oracle(monkeypatch, check_id, params)
 def test_every_closure_of_the_default_suite_matches_the_oracle(monkeypatch):
     calls = record_closures(monkeypatch)
     assert all(r.status == "pass" for r in ledger.run_suite())
-    # engine: PSI-O2 1; layer, plain: RS-GAMMA24 2, THM31-CLOSURE 1,
-    # THM41-MOD8 2, TOWER-2L 1; layer, normal: THM31-CLOSURE 1
+    # engine: PSI-O2 1; layer, plain: RS-GAMMA24 1 (its reference),
+    # THM31-CLOSURE 1, THM41-MOD8 2, TOWER-2L 1; layer, normal:
+    # THM31-CLOSURE 1; span of vectors: RS-GAMMA24's phi mod 4 images
     assert sorted(name for name, _ in calls) == (
-        ["bfs_closure"] + ["layer_closure"] * 6 + ["layer_normal_closure"]
+        ["bfs_closure"] + ["layer_closure"] * 5 + ["layer_normal_closure", "layer_span"]
     )
     assert_every_call_matches(calls)
 

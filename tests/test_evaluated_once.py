@@ -1,10 +1,14 @@
 """The hot checks build and evaluate each word once: LEM43-COMM looks every
 A, B and C element up in one table per genus and hands its rows to
-``product_matrix`` as factor lists; RS-GAMMA24 evaluates each single slide
-and each signed generator once and decides its sampled Schreier words on
-their layer vectors mod 4, with no ``product_matrix`` call; GEN-FIX-ONES
-applies each generator to the total class with ``act``, which builds no
-matrix.  None of them forms a word product or inverse per row or sample."""
+``product_matrix`` as factor lists; RS-GAMMA24 evaluates each Y and D word
+once, k + |D| actions in all, and reads its closure, section and the
+verdicts on its sampled Schreier words from their layer vectors mod 4,
+with no ``phi_mod``, ``reduced_action`` or ``product_matrix`` call;
+GEN-FIX-ONES applies each generator to the total class with ``act``,
+which builds no matrix.  None of them forms a word product or inverse per
+row or sample.  A C element compares its two realizations on homology on
+every build, so how many words a check evaluates does not depend on what
+ran before it."""
 
 from collections import Counter
 
@@ -32,53 +36,55 @@ def test_lem43_comm_builds_each_element_once_per_genus(monkeypatch):
     assert sum(built.values()) == 133
 
 
+def spy(seen, binding, real):
+    def evaluate(*args):
+        seen[binding] += 1
+        return real(*args)
+
+    return evaluate
+
+
 def test_rs_gamma24_evaluates_each_sampled_word_once(monkeypatch):
     g = 4
-    run_check("RS-GAMMA24", {"g": g})  # fills the per-genus family caches
+    run_check("RS-GAMMA24", {"g": g})  # fills the per-genus D sign cache
     seen = Counter()
-
-    def spy(binding, real):
-        def evaluate(*args):
-            seen[binding] += 1
-            return real(*args)
-
-        return evaluate
-
-    # no sampled word is evaluated: each is decided on the layer vectors of
-    # its signed generator and single slides.  phi_mod's closure images go
-    # through reduced_action, which reads homology's word_matrix; the single
-    # slides and signed generators go to ledger's word_matrix
-    monkeypatch.setattr(ledger, "product_matrix", spy("ledger", homology.product_matrix))
-    monkeypatch.setattr(ledger, "word_matrix", spy("ledger word_matrix", homology.word_matrix))
-    monkeypatch.setattr(homology, "word_matrix", spy("homology", homology.word_matrix))
+    # no sampled word is evaluated, and no generator twice: each Y and D
+    # word is evaluated once by ledger's word_matrix, and its closure
+    # image, coordinates and verdict are read off that one action mod 4
+    monkeypatch.setattr(ledger, "product_matrix", spy(seen, "product", homology.product_matrix))
+    monkeypatch.setattr(ledger, "word_matrix", spy(seen, "ledger", homology.word_matrix))
+    monkeypatch.setattr(homology, "word_matrix", spy(seen, "homology", homology.word_matrix))
+    monkeypatch.setattr(ledger, "phi_mod", spy(seen, "phi_mod", ledger.phi_mod))
+    for module in (ledger, homology):
+        monkeypatch.setattr(module, "reduced_action", spy(seen, "reduced", module.reduced_action))
     record = run_check("RS-GAMMA24", {"g": g})
     assert record.status == "pass"
-    sampled = record.details["rs_outputs_sampled"]
-    assert sampled == 200
-    assert seen["ledger"] == 0
-    # the generators Y and D for the closure, then the single slides and
-    # the signed generators for the coordinates and layer vectors: one
-    # action each
-    gens = len(ledger._y_union_d_words(g))
-    assert seen["homology"] + seen["ledger word_matrix"] == gens + families.y_count(g) + 2 * gens
-    assert seen["ledger word_matrix"] == families.y_count(g) + 2 * gens
+    assert record.details["rs_outputs_sampled"] == 200
+    # one action per Y and D word: the k = (g - 1)^2 single slides and the
+    # D elements, 10 at g = 4
+    words = families.y_count(g) + len(families.family_indices("D", g))
+    assert words == len(ledger._y_union_d_words(g)) == 10
+    assert seen == Counter({"ledger": words})
+
+
+def test_a_c_element_evaluates_its_two_realizations_on_every_build(monkeypatch):
+    seen = Counter()
+    monkeypatch.setattr(homology, "word_matrix", spy(seen, "word_matrix", homology.word_matrix))
+    counts = []
+    for _ in range(2):
+        families.named_element("C", (1, 3, 2), 5)
+        counts.append(seen["word_matrix"])
+        seen.clear()
+    # the slide form and the twist form, compared on homology each time
+    assert counts == [2, 2]
 
 
 def test_gen_fix_ones_builds_no_matrix(monkeypatch):
     seen = Counter()
-
-    def spy(binding, real):
-        def evaluate(*args):
-            seen[binding] += 1
-            return real(*args)
-
-        return evaluate
-
     for module in (ledger, homology):
         for name in ("word_matrix", "product_matrix"):
-            monkeypatch.setattr(module, name, spy("matrix", getattr(module, name)))
-    # the parent had no ledger.act, and its count of matrices fails there
-    monkeypatch.setattr(ledger, "act", spy("act", homology.act), raising=False)
+            monkeypatch.setattr(module, name, spy(seen, "matrix", getattr(module, name)))
+    monkeypatch.setattr(ledger, "act", spy(seen, "act", homology.act))
     record = run_check("GEN-FIX-ONES", {"gmax": 8})
     assert record.status == "pass"
     assert seen["matrix"] == 0
@@ -89,9 +95,9 @@ def test_gen_fix_ones_builds_no_matrix(monkeypatch):
     "check_id, params, inverses",
     [
         ("LEM43-COMM", {"gmax": 6}, 0),
-        # the signed generators x, x^-1 of Y and D, built once per call
-        ("RS-GAMMA24", {"g": 4}, len(ledger._y_union_d_words(4))),
-        ("RS-GAMMA24", {"g": 6}, len(ledger._y_union_d_words(6))),
+        # x and x^-1 share one mask, so no inverse word is built
+        ("RS-GAMMA24", {"g": 4}, 0),
+        ("RS-GAMMA24", {"g": 6}, 0),
     ],
 )
 def test_hot_checks_form_no_words_per_row(monkeypatch, check_id, params, inverses):

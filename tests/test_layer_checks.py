@@ -91,17 +91,34 @@ def test_family_closure_is_the_whole_streams_at_genus_5(monkeypatch):
 @pytest.fixture
 def planted_slide(monkeypatch):
     """Replace the fourth single slide, Y(2,1), by T(1,2), which acts
-    nontrivially mod 2."""
-    real = families.subset_word
+    nontrivially mod 2: in the subset words, and in the generator list
+    whose first (g - 1)^2 words RS-GAMMA24 reads as the single slides."""
+    real, gens = families.subset_word, ledger._y_union_d_words
 
     def with_plant(g, mask):
         return word(g, Twist((1, 2))) if mask == 1 << 3 else real(g, mask)
 
+    def planted_gens(g):
+        words = gens(g)
+        words[3] = word(g, Twist((1, 2)))
+        return words
+
     monkeypatch.setattr(families, "subset_word", with_plant)
+    monkeypatch.setattr(ledger, "_y_union_d_words", planted_gens)
 
 
 @pytest.mark.parametrize("check_id", ["RS-GAMMA24", "THM41-MOD8"])
 def test_a_slide_outside_the_level_2_layer_fails_by_name(planted_slide, check_id):
     record = ledger.run_check(check_id, {"g": 4})
     assert record.status == "fail"
-    assert record.details == {"reason": "slide T(1,2) is not congruent to I mod 2"}
+    # RS-GAMMA24 names every Y and D word a generator
+    kind = {"RS-GAMMA24": "generator", "THM41-MOD8": "slide"}[check_id]
+    assert record.details == {"reason": f"{kind} T(1,2) is not congruent to I mod 2"}
+
+
+@pytest.mark.parametrize("g", range(3, 9))
+def test_the_single_slides_are_the_first_generators(g):
+    # RS-GAMMA24 reads the first (g - 1)^2 Y and D words as the single
+    # slides that build its transversal subset_word(g, mask)
+    k = families.y_count(g)
+    assert ledger._y_union_d_words(g)[:k] == ledger._single_slides(g)

@@ -13,7 +13,13 @@ import pytest
 
 from crosscap import families, ledger
 from crosscap.families import Main2Generator
-from crosscap.finitegrp import LayerError, layer_closure, layer_coordinates, layer_normal_closure
+from crosscap.finitegrp import (
+    LayerError,
+    identity_offsets,
+    layer_closure,
+    layer_normal_closure,
+    vector_coordinates,
+)
 from crosscap.intmat import ModMatrix, elementary
 from crosscap.words import Twist, word
 
@@ -146,6 +152,11 @@ def test_normal_closure_of_one_elementary_vector_is_the_trace_zero_layer():
     assert layer.order == 1 << (n * n - 1)
     assert layer_normal_closure([], [layer_element(n, d, (1, 2))], d).order == 2
     assert layer_normal_closure(ambient, [ModMatrix.identity(n, 2 * d)], d).order == 1
+
+
+def layer_coordinates(basis, gens, d):
+    """The masks of ``gens`` in the layer vectors of ``basis``."""
+    return vector_coordinates(identity_offsets(basis + gens, d), len(basis))
 
 
 def test_coordinates_rebuild_every_element_from_the_basis():

@@ -1,8 +1,10 @@
-"""RS-GAMMA24 decided once per signed generator on its layer vector mod 4,
-and GEN-FIX-ONES on ``act``.
+"""RS-GAMMA24 decided once per generator on its layer vector mod 4, and
+GEN-FIX-ONES on ``act``.
 
-RS-GAMMA24's verdict on each signed generator is checked against the
-word-level products y s u^-1 it stands for, and its records against
+RS-GAMMA24's verdict on each generator, shared by x and x^-1, is checked
+against the word-level products y x^+-1 u^-1 it stands for and against
+the earlier per-signed-generator evaluation ``oracle_ledger.slide_layer``,
+and its records against
 ``oracle_ledger.rs_gamma24_products`` (each sampled word evaluated whole by
 ``product_matrix``) and the word-level ``oracle_ledger.rs_gamma24``,
 also with a planted generator whose outputs are not level 4.  GEN-FIX-ONES'
@@ -18,6 +20,7 @@ import oracle_ledger
 from crosscap import families, homology, ledger
 from crosscap.homology import H1Class, collapse_total_class
 from crosscap.intmat import IntMatrix
+from crosscap.ledger import _level_4_offset as level_4_offset
 from crosscap.ledger import run_check
 from crosscap.words import MCGWord, TorelliTag, word
 
@@ -70,33 +73,38 @@ def output_verdict(g, c, s, mask):
 
 
 @pytest.mark.parametrize("g", [3, 4, 5, 6])
-def test_coordinates_are_those_of_the_phi_images(g):
+def test_coordinates_are_those_of_the_phi_images(rs_runner_layer, g):
     signed = signed_generators(g)
-    assert ledger.slide_layer(g, signed)[0] == oracle_ledger.slide_coordinates(g, signed)
+    coords, _ = rs_runner_layer(g)
+    assert coords == oracle_ledger.slide_coordinates(g, signed)
+    assert coords == oracle_ledger.slide_layer(g, signed)[0]
 
 
-def check_verdicts(g):
+def check_verdicts(rs_runner_layer, g):
     signed = signed_generators(g)
-    coords, outputs = ledger.slide_layer(g, signed)
-    ok = [ledger._level_4_offset(v, g) for v in outputs]
+    coords, ok = rs_runner_layer(g)
+    # the layer vectors of the earlier evaluation, one per signed generator
+    _, outputs = oracle_ledger.slide_layer(g, signed)
+    assert [level_4_offset(v, g) for v in outputs] == [ok[j // 2] for j in range(len(signed))]
     top = families.transversal_count(g) - 1
     cosets = [0, top] + random.Random(g).sample(range(1, top), 3)
     for j, s in enumerate(signed):
+        # x and x^-1 share one verdict
         for c in cosets:
-            assert ok[j] == output_verdict(g, c, s, coords[j]), (str(s), c)
+            assert ok[j // 2] == output_verdict(g, c, s, coords[j]), (str(s), c)
     return ok
 
 
 @pytest.mark.parametrize("g", [3, 4, 5, 6])
-def test_each_generators_verdict_is_that_of_its_outputs(g):
-    assert all(check_verdicts(g))
+def test_each_generators_verdict_is_that_of_its_outputs(rs_runner_layer, g):
+    assert all(check_verdicts(rs_runner_layer, g))
 
 
 @pytest.mark.parametrize("g", [3, 4, 5, 6])
-def test_a_planted_generators_verdict_is_that_of_its_outputs(planted, g):
-    ok = check_verdicts(g)
-    # Gamma and its inverse, the last two signed generators, are refused
-    assert ok[-2:] == [False, False] and all(ok[:-2])
+def test_a_planted_generators_verdict_is_that_of_its_outputs(planted, rs_runner_layer, g):
+    ok = check_verdicts(rs_runner_layer, g)
+    # Gamma, the last generator, is refused
+    assert ok[-1] is False and all(ok[:-1])
 
 
 def records(monkeypatch, oracle, params, check_id="RS-GAMMA24"):
@@ -173,7 +181,7 @@ def test_a_generator_acting_outside_the_level_2_layer_fails_by_name(monkeypatch)
     monkeypatch.setattr(ledger, "_y_union_d_words", lambda g: gens(g) + [word(g, PLANT)])
     record = run_check("RS-GAMMA24")
     assert record.status == "fail"
-    assert record.details == {"reason": "signed generator Gamma is not congruent to I mod 2"}
+    assert record.details == {"reason": "generator Gamma is not congruent to I mod 2"}
 
 
 @pytest.mark.parametrize("gmax", range(2, 11))

@@ -24,9 +24,10 @@ def transversal_images(g):
 def xor_walk(g, cap):
     """The registry's stream: the signed generators walked on their
     coordinates in the single-slide basis, each (c, j) pair spelled out as
-    the factor triple (y, s, u)."""
+    the factor triple (y, s, u).  The coordinates are read from ``phi_mod``
+    images; ``test_rs_layer`` checks that the runner walks on the same."""
     signed = [s for x in ledger._y_union_d_words(g) for s in (x, x.inverse())]
-    coords = ledger.slide_layer(g, signed)[0]
+    coords = oracle_ledger.slide_coordinates(g, signed)
     return [
         (families.subset_word(g, c), signed[j], families.subset_word(g, c ^ coords[j]))
         for c, j in rs_stream_factors(g, coords, cap)
@@ -61,12 +62,12 @@ def test_xor_walk_is_the_table_walk_factor_for_factor(g, cap):
     assert len(expected) == min(cap, {3: 98, 4: 9218, 5: cap}[g])
 
 
-def test_signed_generators_sit_at_the_coset_of_their_image():
+def test_signed_generators_sit_at_the_coset_of_their_image(rs_runner_layer):
     # the coordinates name the transversal word with the same phi mod 4 image
     g = 4
     signed = [s for x in ledger._y_union_d_words(g) for s in (x, x.inverse())]
     images = transversal_images(g).tolist()
-    for s, mask in zip(signed, ledger.slide_layer(g, signed)[0]):
+    for s, mask in zip(signed, rs_runner_layer(g)[0]):
         assert images[mask] == [list(row) for row in phi_mod(s, 4).rows]
 
 

@@ -161,9 +161,7 @@ def planted(monkeypatch):
     def with_plant(g):
         fams = real(g)
         old = fams[7]
-        fams[7] = families.NamedFamilyElement(
-            old.family, old.indices, word(g, Twist((1, 2))), old.alternates, old.sign
-        )
+        fams[7] = families.NamedFamilyElement(old.family, old.indices, word(g, Twist((1, 2))))
         return fams
 
     monkeypatch.setattr(families, "main3_families", with_plant)

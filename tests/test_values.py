@@ -53,10 +53,10 @@ SAMPLES = {
         families,
         [
             ("A", (1, 2), W1),
-            ("A", (1, 2), W1, ()),
-            ("A", (1, 2), W1, (W2,)),
-            ("D", (1, 2, 3), W2, (), -1),
-            ("D", (1, 2, 3), W2, (), 1),
+            ("A", (2, 1), W1),
+            ("B", (1, 2), W1),
+            ("A", (1, 2), W2),
+            ("D", (1, 2, 3), W2),
         ],
     ),
     "Main2Generator": (families, [("a", W1, True), ("a", W1, False), ("b", W2, True)]),

@@ -69,8 +69,8 @@ def test_mod8_dedupe_matches_the_axis0_oracle(monkeypatch, batch):
     [("THM41-MEMBER", {}), ("THM41-MEMBER", {"g": 5}), ("THM41-MOD8", {})],
 )
 def test_stream_words_are_evaluated_once_per_check(monkeypatch, check_id, params):
-    # the first build of a genus's families checks its C and D elements on
-    # homology; those checks are kept per genus, so build them before counting
+    # the first build of a genus's families resolves its D signs, which are
+    # kept per genus, so build them before counting
     families.main3_families(params.get("g", 4))
     count = [0]
     real = homology.word_matrix
@@ -84,9 +84,12 @@ def test_stream_words_are_evaluated_once_per_check(monkeypatch, check_id, params
     monkeypatch.setattr(homology, "word_matrix", spy)
     record = run_check(check_id, params)
     assert record.status == "pass"
-    # 25 family elements at g = 4 and 54 at g = 5, each evaluated once;
-    # THM41-MOD8 also reads the 9 single slides mod 2
-    words = {4: 25, 5: 54}[record.params["g"]] + (9 if check_id == "THM41-MOD8" else 0)
+    # 25 family elements at g = 4 and 54 at g = 5, each evaluated once, and
+    # the slide and twist forms of each of their 12 and 30 C elements,
+    # compared on every build; THM41-MOD8 also reads the 9 single slides
+    # mod 2
+    g = record.params["g"]
+    words = {4: 25, 5: 54}[g] + 2 * {4: 12, 5: 30}[g] + (9 if check_id == "THM41-MOD8" else 0)
     assert count[0] == words
 
 
