@@ -1,10 +1,13 @@
 """Finite-quotient machinery: matrix-group closures, level-layer subspaces,
 Schreier generators, and Todd-Coxeter coset enumeration.
 
-One encoding serves every matrix group here: a 0/1 matrix is keyed by the
-Python int whose bit r*n + c is entry (r, c), so row r is the n-bit field
-at r*n.  ``bfs_closure`` and ``normal_closure`` hold a group over F_2, and
-refuse any other modulus, as the set of its element keys.  They drive one
+Every closure and layer function takes exact ``IntMatrix`` generators,
+and takes the residues it needs itself: no caller reduces a matrix first,
+so no caller can pair a reduction with the wrong level.  One encoding serves
+every matrix group here: a matrix over F_2 is keyed by the Python int whose
+bit r*n + c is entry (r, c) mod 2, so row r is the n-bit field at r*n.
+``bfs_closure`` and ``normal_closure`` hold the group that the generators
+mod 2 generate as the set of its element keys.  They drive one
 closure engine, ``_Closure``, which grows a group in place as generators
 arrive instead of restarting, coset by coset (Dimino's algorithm; Holt-Eick-
 O'Brien, *Handbook of Computational Group Theory*, 2005, ch. 4).  A product
@@ -16,9 +19,10 @@ truncating.
 
 For even d the layer Gamma_d / Gamma_2d of matrices congruent to I mod d,
 taken mod 2d, is elementary abelian, so ``layer_closure`` and
-``layer_normal_closure`` decide its subgroups as F_2 subspaces of n x n
-matrices (a ``LevelLayer``) without listing any element: the order is
-2^dim, and equal subgroups have equal reduced echelon bases.  The vector X
+``layer_normal_closure`` decide the subgroups that exact generators
+I + dX generate there as F_2 subspaces of n x n matrices (a
+``LevelLayer``) without listing any element: the order is 2^dim, and equal
+subgroups have equal reduced echelon bases.  The vector X
 of I + dX is keyed as a matrix is, and both normal closures share one
 conjugation step.  ``layer_span`` is the subgroup that given vectors
 span, and ``vector_coordinates`` writes vectors in a basis of given
@@ -44,7 +48,7 @@ from collections import deque
 from typing import Callable, Hashable, Iterable, Iterator, Sequence, TypeVar
 
 from ._frozen import Frozen, set_field
-from .intmat import ModMatrix, ModulusMismatchError, NotUnimodularError
+from .intmat import IntMatrix, NotUnimodularError
 
 
 class ScaleGuardError(ValueError):
@@ -55,20 +59,20 @@ class SectionError(ValueError):
     """A transversal failed to be a section of its quotient map."""
 
 
-def _check_gens(gens: Sequence[ModMatrix]) -> tuple[int, int]:
+def _check_gens(gens: Sequence[IntMatrix]) -> int:
+    """The dimension of the generators, which must be exact: a reduced copy
+    would be read as if its residues were the entries."""
     if not gens:
         raise ValueError("need at least one generator")
-    d = gens[0].modulus
-    n = gens[0].n
     for m in gens:
-        if m.modulus != d:
-            raise ModulusMismatchError("generators carry different moduli")
-        if m.n != n:
+        if not isinstance(m, IntMatrix):
+            raise TypeError(f"generators must be exact IntMatrix values, got {type(m).__name__}")
+        if m.n != gens[0].n:
             raise ValueError("generators have different dimensions")
-    return d, n
+    return gens[0].n
 
 
-def _key(m: ModMatrix) -> int:
+def _key(m: IntMatrix) -> int:
     """The key of a matrix mod 2: bit r*n + c is entry (r, c) mod 2."""
     n = m.n
     return sum((x & 1) << (r * n + c) for r, row in enumerate(m.rows) for c, x in enumerate(row))
@@ -130,14 +134,6 @@ class FiniteMatrixGroup(Frozen):
         return len(self.keys)
 
 
-def _mod2_gens(gens: Sequence[ModMatrix]) -> int:
-    """The dimension of generators over F_2; any other modulus is refused."""
-    d, n = _check_gens(gens)
-    if d != 2:
-        raise ValueError(f"the closure engine works over F_2, got modulus {d}")
-    return n
-
-
 class _Closure:
     """The subgroup of the n x n matrices over F_2 generated by the
     generators added so far, held as element keys and grown in place as
@@ -194,7 +190,7 @@ class _Closure:
                     raise ScaleGuardError(f"closure exceeded cap of {self.cap} elements")
 
 
-def _conjugation(ambient_gens: Sequence[ModMatrix], n: int) -> Callable[[Sequence[int]], list[int]]:
+def _conjugation(ambient_gens: Sequence[IntMatrix], n: int) -> Callable[[Sequence[int]], list[int]]:
     """The map sending a list of keys of matrices X over F_2 to the keys of
     every A X A^-1, for A running over the distinct ambient generators mod 2
     (A-major).
@@ -233,30 +229,30 @@ def _conjugation(ambient_gens: Sequence[ModMatrix], n: int) -> Callable[[Sequenc
     return conjugate
 
 
-def bfs_closure(gens: Sequence[ModMatrix], cap: int = 1 << 22) -> FiniteMatrixGroup:
-    """The subgroup of the matrices over F_2 that ``gens`` generate, as an
-    explicit element set."""
-    n = _mod2_gens(gens)
+def bfs_closure(gens: Sequence[IntMatrix], cap: int = 1 << 22) -> FiniteMatrixGroup:
+    """The subgroup of the matrices over F_2 that ``gens`` mod 2 generate,
+    as an explicit element set."""
+    n = _check_gens(gens)
     group = _Closure(n, cap)
     group.add(map(_key, gens))
     return group.freeze()
 
 
 def normal_closure(
-    ambient_gens: Sequence[ModMatrix],
-    normal_gens: Sequence[ModMatrix],
+    ambient_gens: Sequence[IntMatrix],
+    normal_gens: Sequence[IntMatrix],
     cap: int = 1 << 22,
 ) -> FiniteMatrixGroup:
     """Smallest subgroup of the matrices over F_2 containing ``normal_gens``
-    and closed under conjugation by the group the ambient generators
-    produce.
+    mod 2 and closed under conjugation by the group the ambient generators
+    produce mod 2.
 
     Each round conjugates the generators the previous round kept by the
     ambient generators and adds those conjugates to the group; a conjugate
     already inside is skipped.  When a round keeps none, the conjugates of
     every kept generator lie in the group, so it is normal.
     """
-    n = _mod2_gens(list(ambient_gens) + list(normal_gens))
+    n = _check_gens(list(ambient_gens) + list(normal_gens))
     conjugate = _conjugation(ambient_gens, n)
     group = _Closure(n, cap)
     added = group.add(map(_key, normal_gens))
@@ -271,7 +267,7 @@ def normal_closure(
 
 
 class LayerError(ValueError):
-    """A generator given for the level-d layer at modulus 2d is not in it;
+    """A generator given for the level-d layer is not congruent to I mod d;
     ``index`` is its position in the list it was given in."""
 
     def __init__(self, index: int, problem: str, name: str | None = None) -> None:
@@ -301,17 +297,17 @@ class LevelLayer(Frozen):
         return 1 << len(self.basis)
 
 
-def identity_offsets(gens: Sequence[ModMatrix], d: int) -> list[int]:
-    """The vector of X = (M - I)/d mod 2 for each generator M, once each is
-    congruent to I mod d, bit r*n + c being entry (r, c) of X.  Raises
-    :class:`LayerError` for the first that is not."""
-    modulus, n = _check_gens(gens)
+def identity_offsets(gens: Sequence[IntMatrix], d: int) -> list[int]:
+    """The vector of X = (M - I)/d mod 2 for each exact generator M, once
+    each is congruent to I mod d, bit r*n + c being entry (r, c) of X.
+    Raises :class:`LayerError` for the first that is not."""
+    n = _check_gens(gens)
     vectors = []
     for index, m in enumerate(gens):
         x = 0
         for r, row in enumerate(m.rows):
             for c, e in enumerate(row):
-                q, rest = divmod(e % modulus - (r == c), d)
+                q, rest = divmod(e - (r == c), d)
                 if rest:
                     raise LayerError(index, f"is not congruent to I mod {d}")
                 x |= (q & 1) << (r * n + c)
@@ -319,15 +315,12 @@ def identity_offsets(gens: Sequence[ModMatrix], d: int) -> list[int]:
     return vectors
 
 
-def _layer_vectors(gens: Sequence[ModMatrix], d: int) -> list[int]:
-    """The vector X of each generator M = I + dX (mod 2d).  Raises
-    :class:`LayerError` for the first generator whose modulus is not 2d or
-    that is not congruent to I mod d; never falls back to enumeration."""
+def _layer_vectors(gens: Sequence[IntMatrix], d: int) -> list[int]:
+    """The vector X of each exact generator M = I + dX, read mod 2.  Raises
+    :class:`LayerError` for the first generator that is not congruent to
+    I mod d; never falls back to enumeration."""
     if d < 2 or d % 2:
         raise ValueError(f"the level layer needs an even level, got d = {d}")
-    for index, m in enumerate(gens):
-        if m.modulus != 2 * d:
-            raise LayerError(index, f"has modulus {m.modulus}, not 2d = {2 * d}")
     return identity_offsets(gens, d) if gens else []
 
 
@@ -367,16 +360,14 @@ class _Span:
         return LevelLayer(2 * d, n, tuple(self.rows[p] for p in sorted(self.rows, reverse=True)))
 
 
-def layer_closure(gens: Sequence[ModMatrix], d: int) -> LevelLayer:
+def layer_closure(gens: Sequence[IntMatrix], d: int) -> LevelLayer:
     """The subgroup of Gamma_d / Gamma_2d (d even) that ``gens`` generate.
 
     Since d^2 = 0 mod 2d, (I + dX)(I + dY) = I + d(X + Y) mod 2d, so the
     layer is elementary abelian (Lee-Szczarba 1976) and a generated subgroup
     is the F_2 span of the generators' vectors.
     """
-    vectors = _layer_vectors(gens, d)
-    _, n = _check_gens(gens)
-    return layer_span(vectors, d, n)
+    return layer_span(_layer_vectors(gens, d), d, _check_gens(gens))
 
 
 def layer_span(vectors: Iterable[int], d: int, n: int) -> LevelLayer:
@@ -388,7 +379,7 @@ def layer_span(vectors: Iterable[int], d: int, n: int) -> LevelLayer:
 
 
 def layer_normal_closure(
-    ambient_gens: Sequence[ModMatrix], normal_gens: Sequence[ModMatrix], d: int
+    ambient_gens: Sequence[IntMatrix], normal_gens: Sequence[IntMatrix], d: int
 ) -> LevelLayer:
     """Smallest subgroup of Gamma_d / Gamma_2d (d even) that contains
     ``normal_gens`` and is closed under conjugation by the ambient group.
@@ -399,7 +390,7 @@ def layer_normal_closure(
     ambient generator mod 2, until the span stops growing.
     """
     vectors = _layer_vectors(normal_gens, d)
-    _, n = _check_gens(list(ambient_gens) + list(normal_gens))
+    n = _check_gens(list(ambient_gens) + list(normal_gens))
     conjugate = _conjugation(ambient_gens, n)
     span = _Span()
     added = span.add(vectors)

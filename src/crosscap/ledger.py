@@ -34,12 +34,11 @@ from .homology import (
     collapse_total_class,
     level_member,
     lift_obstruction,
-    mod2_action,
     product_matrix,
     reduced_action,
     word_matrix,
 )
-from .intmat import IntMatrix, ModMatrix, elementary
+from .intmat import IntMatrix, elementary
 from .pi1free import (
     coset_count_ker_theta,
     derive_theta_basis,
@@ -124,10 +123,6 @@ class CheckSpec(Frozen):
 # ---------------------------------------------------------------------------
 
 
-def phi_mod(w: MCGWord, modulus: int) -> ModMatrix:
-    return reduced_action(w).reduce_mod(modulus)
-
-
 def gamma_generators(n: int, d: int) -> list[IntMatrix]:
     """The standard generating family of the level-d congruence subgroup of
     SL(n, Z) for n >= 3: d-th elementary powers plus their first-row
@@ -146,8 +141,8 @@ def conjugated_gamma_generators(n: int, d: int) -> list[IntMatrix]:
     ]
 
 
-def ambient_phi_images(g: int, modulus: int) -> list[ModMatrix]:
-    return [phi_mod(w, modulus) for w in families.generator_alphabet(g)]
+def ambient_phi_images(g: int) -> list[IntMatrix]:
+    return [reduced_action(w) for w in families.generator_alphabet(g)]
 
 
 def expected_twist_phi(i: int, j: int, d: int, g: int) -> IntMatrix:
@@ -242,7 +237,7 @@ def _named(names: list[str], run: Callable[[], T]) -> T:
         raise LayerError(exc.index, exc.problem, names[exc.index]) from None
 
 
-def _reference_layer(refs: list[ModMatrix], d: int) -> LevelLayer:
+def _reference_layer(refs: list[IntMatrix], d: int) -> LevelLayer:
     """The layer closure of the reference generators ``refs``."""
     names = [f"reference generator {i}" for i in range(len(refs))]
     return _named(names, lambda: layer_closure(refs, d))
@@ -437,8 +432,8 @@ def _check_thm23_ker(p: dict) -> tuple[bool, dict]:
 def _check_psi_o2(p: dict) -> tuple[bool, dict]:
     g = p["g"]
     brute = brute_force_mod2_orthogonal(g)
-    gens = [mod2_action(word(g, Twist((i, i + 1)))) for i in range(1, g)]
-    gens.append(mod2_action(word(g, Twist((1, 2, 3, 4)))))
+    gens = [word_matrix(word(g, Twist((i, i + 1)))) for i in range(1, g)]
+    gens.append(word_matrix(word(g, Twist((1, 2, 3, 4)))))
     grp = bfs_closure(gens)
     ok = grp.keys == brute
     return ok, {"brute_order": len(brute), "bfs_order": grp.order}
@@ -453,35 +448,31 @@ def _check_thm31_member(p: dict) -> tuple[bool, dict]:
 
 def _check_thm31_closure(p: dict) -> tuple[bool, dict]:
     g, d = p["g"], p["d"]
-    modulus = 2 * d
     closed = [r for r in families.main2_normal_generators(g, 0, d) if r.closed_surface]
-    seeds = [phi_mod(r.word, modulus) for r in closed]
+    seeds = [reduced_action(r.word) for r in closed]
     seed_names = [f"seed {r.name}" for r in closed]
+    ambient = ambient_phi_images(g)
     if d % 2 == 0:
-        ambient = ambient_phi_images(g, modulus)
         closure = _named(seed_names, lambda: layer_normal_closure(ambient, seeds, d))
-        reference = _reference_layer(
-            [m.reduce_mod(modulus) for m in gamma_generators(g - 1, d)], d
-        )
+        reference = _reference_layer(gamma_generators(g - 1, d), d)
         ref_kind = "generated congruence family"
     else:
         # Z/2d = Z/2 x Z/d for odd d: the seeds and the reference generators
         # are I mod d, hence so is all they generate under conjugation, and
         # reduction mod 2 is injective on that kernel of reduction mod d
-        refs = [m.reduce_mod(modulus) for m in conjugated_gamma_generators(g - 1, d)]
+        refs = conjugated_gamma_generators(g - 1, d)
         ref_names = [f"reference generator {i}" for i in range(len(refs))]
         _named(seed_names, lambda: identity_offsets(seeds, d))
         _named(ref_names, lambda: identity_offsets(refs, d))
-        ambient = ambient_phi_images(g, 2)
-        closure = normal_closure(ambient, [ModMatrix.from_rows(2, m.rows) for m in seeds])
-        reference = normal_closure(ambient, [ModMatrix.from_rows(2, m.rows) for m in refs])
+        closure = normal_closure(ambient, seeds)
+        reference = normal_closure(ambient, refs)
         ref_kind = "conjugated elementary family (plain d-th powers are obstructed)"
     ok = closure == reference
     return ok, {
         "closure_order": closure.order,
         "reference_order": reference.order,
         "reference": ref_kind,
-        "modulus": modulus,
+        "modulus": 2 * d,
     }
 
 
@@ -527,7 +518,7 @@ def _check_rs_gamma24(p: dict) -> tuple[bool, dict]:
     # each Y and D word is evaluated once: its action mod 4 is I + 2X, and
     # its phi mod 4 image, the action with the total class collapsed, is
     # I + 2Y with Y read off X
-    actions = [word_matrix(w).reduce_mod(4) for w in gens_words]
+    actions = [word_matrix(w) for w in gens_words]
     full = _named(names, lambda: identity_offsets(actions, 2))
     phis = [_collapsed(x, g) for x in full]
     grp = layer_span(phis, 2, g - 1)
@@ -536,9 +527,8 @@ def _check_rs_gamma24(p: dict) -> tuple[bool, dict]:
     order_ok = grp.order == expected
     # independent reference: the level-2 GL-congruence image at modulus 4,
     # generated by elementary squares, their conjugates and a determinant flip
-    ref_gens = [m.reduce_mod(4) for m in gamma_generators(g - 1, 2)]
     flip = [[-1 if r == c == 0 else (1 if r == c else 0) for c in range(g - 1)] for r in range(g - 1)]
-    ref_gens.append(IntMatrix.from_rows(flip).reduce_mod(4))
+    ref_gens = gamma_generators(g - 1, 2) + [IntMatrix.from_rows(flip)]
     reference_ok = grp == _reference_layer(ref_gens, 2)
 
     # the first k generators are the single slides subset_word(g, 1 << t);
@@ -607,13 +597,13 @@ def _check_thm41_mod8(p: dict) -> tuple[bool, dict]:
     slides = _single_slides(g)
     _named(
         [f"slide {w}" for w in slides],
-        lambda: identity_offsets([phi_mod(w, 2) for w in slides], 2),
+        lambda: identity_offsets([reduced_action(w) for w in slides], 2),
     )
     closure = _named(
         [f"family {el.family}{el.indices}" for el in fams],
-        lambda: layer_closure([phi_mod(el.word, 8) for el in fams], 4),
+        lambda: layer_closure([reduced_action(el.word) for el in fams], 4),
     )
-    reference = _reference_layer([m.reduce_mod(8) for m in gamma_generators(g - 1, 4)], 4)
+    reference = _reference_layer(gamma_generators(g - 1, 4), 4)
     ok = closure == reference
     return ok, {
         "family_images": len(fams),
@@ -625,8 +615,7 @@ def _check_thm41_mod8(p: dict) -> tuple[bool, dict]:
 def _check_tower_2l(p: dict) -> tuple[bool, dict]:
     g, l = p["g"], p["l"]
     n = g - 1
-    gens = [m.reduce_mod(1 << l) for m in gamma_generators(n, 1 << (l - 1))]
-    grp = layer_closure(gens, 1 << (l - 1))
+    grp = layer_closure(gamma_generators(n, 1 << (l - 1)), 1 << (l - 1))
     expected = 1 << (n * n - 1)
     return grp.order == expected, {"order": grp.order, "expected": expected}
 

@@ -13,7 +13,13 @@ compared as matrices, not as key bytes.
 
 ``layer_keys`` spells out a ``crosscap.finitegrp.LevelLayer`` as the keys of
 its 2^dim elements, one element at a time, so a layer can be compared with
-this module's closure of the same generators.
+this module's closure of the same generators reduced mod 2d.
+
+``identity_offsets`` is the layer reader as it was when the engine took
+reduced copies: it reads each residue, entry mod the copy's modulus, and
+must agree with the engine's reader of the exact matrices.  ``_check_gens``
+is the generator check that went with it, which every closure here still
+uses.
 
 ``has_exponent`` and ``coset_action_table`` are the batched element-power
 test and the transversal action table that enumerated the level-2 image mod
@@ -34,13 +40,13 @@ import numpy as np
 from crosscap.finitegrp import (
     CosetTable,
     FiniteMatrixGroup,
+    LayerError,
     LevelLayer,
     ScaleGuardError,
     SectionError,
-    _check_gens,
     _column,
 )
-from crosscap.intmat import ModMatrix
+from crosscap.intmat import ModMatrix, ModulusMismatchError
 
 MAX_KEY_MODULUS = 1 << 16
 _BATCH = 1 << 15  # matrices per numpy batch
@@ -62,6 +68,37 @@ class Group:
 
     def same_group(self, other: "Group") -> bool:
         return (self.modulus, self.dim, self.keys) == (other.modulus, other.dim, other.keys)
+
+
+def _check_gens(gens: Sequence[ModMatrix]) -> tuple[int, int]:
+    if not gens:
+        raise ValueError("need at least one generator")
+    d = gens[0].modulus
+    n = gens[0].n
+    for m in gens:
+        if m.modulus != d:
+            raise ModulusMismatchError("generators carry different moduli")
+        if m.n != n:
+            raise ValueError("generators have different dimensions")
+    return d, n
+
+
+def identity_offsets(gens: Sequence[ModMatrix], d: int) -> list[int]:
+    """The vector of X = (M - I)/d mod 2 for each generator M, once each is
+    congruent to I mod d, bit r*n + c being entry (r, c) of X.  Raises
+    :class:`LayerError` for the first that is not."""
+    modulus, n = _check_gens(gens)
+    vectors = []
+    for index, m in enumerate(gens):
+        x = 0
+        for r, row in enumerate(m.rows):
+            for c, e in enumerate(row):
+                q, rest = divmod(e % modulus - (r == c), d)
+                if rest:
+                    raise LayerError(index, f"is not congruent to I mod {d}")
+                x |= (q & 1) << (r * n + c)
+        vectors.append(x)
+    return vectors
 
 
 def _as_array(m: ModMatrix) -> np.ndarray:

@@ -5,9 +5,10 @@ Each stream word is built in full and read letter by letter through
 ``word_matrix``; this is the slow, obviously correct evaluation that the
 batched ``main3_stream_images`` below must reproduce.  RS-GAMMA24
 here keys every transversal word and every product y x^+-1 through
-``phi_mod`` and builds every Schreier word through the word-level
-``finitegrp.schreier_generators``, which ``crosscap.ledger.rs_stream_factors``
-and the registry's runner must reproduce.
+``phi_mod``, the reduced action reduced mod a modulus, and builds every
+Schreier word through the word-level ``finitegrp.schreier_generators``,
+which ``crosscap.ledger.rs_stream_factors`` and the registry's runner must
+reproduce.
 
 ``main3_stream_images`` evaluates the level-4 stream in numpy stacks, and
 ``thm41_member_stacked`` counts the words it reads that act nontrivially
@@ -25,13 +26,19 @@ must equal.
 
 ``rs_gamma24_products`` is RS-GAMMA24 on the XOR walk with each sampled
 output y s u^-1 evaluated whole by ``product_matrix``, at any genus, and
-the coordinates read from ``phi_mod`` images (``slide_coordinates``); the
+the coordinates read from ``phi_mod`` images by the residue-reading
+``oracle_finitegrp.identity_offsets`` (``slide_coordinates``); the
 registry's runner, which evaluates each Y and D word once and decides each
 generator on its layer vector mod 4, must give the same record.
 ``slide_layer`` is the step between them, which evaluated each single
 slide and each signed generator once.  ``gen_fix_ones`` sums the rows
 of each generator's matrix, where the registry's runner applies ``act`` to
 the total class.
+
+Where these references hand residues mod 8 (or 4) to the registry's layer
+closures, which take exact matrices, they pass each residue matrix as an
+``IntMatrix``: it is congruent to the exact image, so it has the same layer
+vector.
 
 The int64 ``einsum`` exhaustion of the mod-2 orthogonal group, keyed by
 uint16 entries, and THM41-MOD8's ``np.unique(..., axis=0)`` dedupe over the
@@ -45,14 +52,13 @@ from collections import deque
 from typing import Callable, Iterator
 
 import numpy as np
-from oracle_finitegrp import bfs_closure, coset_action_table, elements
+from oracle_finitegrp import bfs_closure, coset_action_table, elements, identity_offsets
 from oracle_homology import matrix_level_trivial
 from oracle_packed import level_trivial_residues
 
 from crosscap import families
 from crosscap.finitegrp import (
     LevelLayer,
-    identity_offsets,
     layer_closure,
     schreier_generators,
     vector_coordinates,
@@ -72,7 +78,6 @@ from crosscap.ledger import (
     _single_slides,
     _y_union_d_words,
     gamma_generators,
-    phi_mod,
     rs_stream_factors as xor_stream_factors,
 )
 from crosscap.pi1free import ScaleGuardError
@@ -82,6 +87,10 @@ from crosscap.words import MCGWord, TorelliTag, word
 # the most stream words whose actions ``main3_stream_images`` forms in one
 # numpy stack, so a reading of the whole stream takes a few MiB at a time
 _STREAM_BATCH = 1 << 12
+
+
+def phi_mod(w: MCGWord, modulus: int) -> ModMatrix:
+    return reduced_action(w).reduce_mod(modulus)
 
 
 def main3_positions(g: int, indices, per: int) -> tuple[np.ndarray, np.ndarray]:
@@ -244,9 +253,9 @@ def thm41_mod8(g: int) -> tuple[bool, dict]:
     seen = thm41_mod8_images(g)
     closure = _named(
         [f"stream word {i}" for i, _ in seen.values()],
-        lambda: layer_closure([m for _, m in seen.values()], 4),
+        lambda: layer_closure([IntMatrix(m.rows) for _, m in seen.values()], 4),
     )
-    reference = _reference_layer([m.reduce_mod(8) for m in gamma_generators(g - 1, 4)], 4)
+    reference = _reference_layer(gamma_generators(g - 1, 4), 4)
     return closure == reference, {
         "distinct_images": len(seen),
         "closure_order": closure.order,
@@ -376,13 +385,12 @@ def rs_gamma24_products(p: dict) -> tuple[bool, dict]:
     gens_words = _y_union_d_words(g)
     grp = _named(
         [f"generator {w}" for w in gens_words],
-        lambda: layer_closure([phi_mod(w, 4) for w in gens_words], 2),
+        lambda: layer_closure([IntMatrix(phi_mod(w, 4).rows) for w in gens_words], 2),
     )
     expected = 1 << families.y_count(g)
     order_ok = grp.order == expected
-    ref_gens = [m.reduce_mod(4) for m in gamma_generators(g - 1, 2)]
     flip = [[-1 if r == c == 0 else (1 if r == c else 0) for c in range(g - 1)] for r in range(g - 1)]
-    ref_gens.append(IntMatrix.from_rows(flip).reduce_mod(4))
+    ref_gens = gamma_generators(g - 1, 2) + [IntMatrix.from_rows(flip)]
     reference_ok = grp == _reference_layer(ref_gens, 2)
 
     signed = [s for x in gens_words for s in (x, x.inverse())]
@@ -464,7 +472,7 @@ def thm41_mod8_stacked_closure(g: int) -> tuple[LevelLayer, int]:
     images, first = candidates[keep], where[keep]
     closure = _named(
         [f"stream word {i}" for i in first],
-        lambda: layer_closure([ModMatrix.from_rows(8, m.tolist()) for m in images], 4),
+        lambda: layer_closure([IntMatrix.from_rows(m.tolist()) for m in images], 4),
     )
     return closure, len(first)
 
@@ -473,7 +481,7 @@ def thm41_mod8_stacked(g: int) -> tuple[bool, dict]:
     """THM41-MOD8 on the distinct images of the whole stream, with no limit
     on the stream's size."""
     closure, distinct = thm41_mod8_stacked_closure(g)
-    reference = _reference_layer([m.reduce_mod(8) for m in gamma_generators(g - 1, 4)], 4)
+    reference = _reference_layer(gamma_generators(g - 1, 4), 4)
     return closure == reference, {
         "distinct_images": distinct,
         "closure_order": closure.order,

@@ -29,7 +29,6 @@ from crosscap.intmat import elementary
 from crosscap.ledger import (
     brute_force_mod2_orthogonal,
     gamma_generators,
-    phi_mod,
     run_check,
 )
 from crosscap.pi1free import (
@@ -140,15 +139,15 @@ def test_criterion_4_identity_suites():
 def test_criterion_5_finite_quotient_orders():
     with Budget("criterion 5 (finite quotient orders)", 10.0):
         g = 4
-        gens = [phi_mod(el.word, 4) for el in families.family_elements("Y", g)]
-        gens += [phi_mod(el.word, 4) for el in families.family_elements("D", g)]
+        gens = [reduced_action(el.word) for el in families.family_elements("Y", g)]
+        gens += [reduced_action(el.word) for el in families.family_elements("D", g)]
         # enumerated over Z/4 and Z/8 by the oracle, and as level layers
-        grp = oracle_finitegrp.bfs_closure(gens)
+        grp = oracle_finitegrp.bfs_closure([m.reduce_mod(4) for m in gens])
         assert grp.order == 512 == 2 ** families.y_count(g)
         assert oracle_finitegrp.has_exponent(grp, 2)
         assert oracle_finitegrp.layer_keys(layer_closure(gens, 2)) == grp.keys
-        tower_gens = [m.reduce_mod(8) for m in gamma_generators(3, 4)]
-        tower = oracle_finitegrp.bfs_closure(tower_gens)
+        tower_gens = gamma_generators(3, 4)
+        tower = oracle_finitegrp.bfs_closure([m.reduce_mod(8) for m in tower_gens])
         assert tower.order == 256 == 2 ** ((g - 1) ** 2 - 1)
         assert oracle_finitegrp.layer_keys(layer_closure(tower_gens, 4)) == tower.keys
 
@@ -176,8 +175,8 @@ def test_criterion_7_mod2_orthogonal_group():
     with Budget("criterion 7 (mod-2 orthogonal group)", 60.0):
         g = 4
         brute = brute_force_mod2_orthogonal(g)
-        gens = [mod2_action(word(g, Twist((i, i + 1)))) for i in range(1, g)]
-        gens.append(mod2_action(word(g, Twist((1, 2, 3, 4)))))
+        gens = [word_matrix(word(g, Twist((i, i + 1)))) for i in range(1, g)]
+        gens.append(word_matrix(word(g, Twist((1, 2, 3, 4)))))
         grp = bfs_closure(gens)
         assert grp.keys == brute
         assert grp.order == 48

@@ -1,15 +1,16 @@
 """The incremental F_2 closure engine and the level-layer closures against
 the restarting BFS of ``oracle_finitegrp``.
 
-The oracle keeps its own uint16 encoding and works over any Z/d, so every
-engine-vs-oracle comparison goes through decoded matrices
-(``oracle_finitegrp.elements``).  A level layer at modulus 2d is spelled
-out as oracle keys by ``oracle_finitegrp.layer_keys`` and compared with the
-oracle's enumerating closure of the same generators, the closure the layer
-replaced on the engine.  At an odd level d the engine closes the images mod
-2 of generators that are I mod d; the oracle closes the generators
-themselves over Z/2d, and the two must agree element for element once the
-oracle's elements are reduced mod 2.
+The engine takes exact integer generators; the oracle keeps its own uint16
+encoding and works over any Z/d, so it is handed the same generators
+reduced mod 2 (or mod 2d on a layer), and every engine-vs-oracle comparison
+goes through decoded matrices (``oracle_finitegrp.elements``).  A level
+layer at modulus 2d is spelled out as oracle keys by
+``oracle_finitegrp.layer_keys`` and compared with the oracle's enumerating
+closure of the generators mod 2d, the closure the layer replaced on the
+engine.  At an odd level d the engine closes generators that are I mod d,
+reading them mod 2; the oracle closes them over Z/2d, and the two must
+agree element for element once the oracle's elements are reduced mod 2.
 """
 
 import random
@@ -21,7 +22,7 @@ import oracle_packed
 from crosscap import finitegrp, ledger
 from crosscap.finitegrp import ScaleGuardError, bfs_closure, normal_closure
 from crosscap.families import Main2Generator
-from crosscap.intmat import ModMatrix, NotUnimodularError, elementary
+from crosscap.intmat import IntMatrix, ModMatrix, NotUnimodularError, elementary
 from crosscap.words import Twist, word
 
 RANDOM_POINTS = [(2, 3), (2, 4), (2, 5), (2, 8), (3, 2), (3, 3), (3, 4)]
@@ -49,15 +50,20 @@ def record_closures(monkeypatch):
     return calls
 
 
+def reduced(ms, modulus):
+    return [m.reduce_mod(modulus) for m in ms]
+
+
 def mod2(ms):
-    return [ModMatrix.from_rows(2, m.rows) for m in ms]
+    return reduced(ms, 2)
 
 
 def assert_matches_oracle(name, args, cap=1 << 22):
-    """The engine's closure over F_2 has the oracle's elements and
-    dimension, or both raise at the cap."""
+    """The engine's closure over F_2 of exact generators has the elements
+    and dimension of the oracle's closure of them mod 2, or both raise at
+    the cap."""
     try:
-        expected = getattr(oracle_finitegrp, name)(*args, cap=cap)
+        expected = getattr(oracle_finitegrp, name)(*map(mod2, args), cap=cap)
     except ScaleGuardError:
         with pytest.raises(ScaleGuardError):
             getattr(finitegrp, name)(*args, cap=cap)
@@ -70,37 +76,34 @@ def assert_matches_oracle(name, args, cap=1 << 22):
 
 
 def assert_reduction_matches_oracle(name, args, d, cap=RANDOM_CAP):
-    """At an odd level d, the engine's closure of the images mod 2 of
-    generators that are I mod d, at modulus 2d, has as many elements as the
-    oracle's closure of the generators themselves, and those reduce mod 2
-    to the engine's elements."""
-    expected = getattr(oracle_finitegrp, name)(*args, cap=cap)
+    """At an odd level d, the engine's closure of exact generators that are
+    I mod d has as many elements as the oracle's closure of them mod 2d,
+    and those reduce mod 2 to the engine's elements."""
+    expected = getattr(oracle_finitegrp, name)(*(reduced(gens, 2 * d) for gens in args), cap=cap)
     assert expected.modulus == 2 * d and d % 2
-    got = getattr(finitegrp, name)(*map(mod2, args), cap=cap)
+    got = getattr(finitegrp, name)(*args, cap=cap)
     assert got.order == expected.order
-    reduced = {m.rows for m in mod2(oracle_finitegrp.elements(expected))}
-    assert reduced == {m.rows for m in oracle_finitegrp.elements(got)}
+    halves = {ModMatrix.from_rows(2, m.rows).rows for m in oracle_finitegrp.elements(expected)}
+    assert halves == {m.rows for m in oracle_finitegrp.elements(got)}
     return got
 
 
 def assert_layer_matches_oracle(name, args):
     """A level-layer closure, spelled out, has the key set of the oracle's
-    enumerating closure of the same generators."""
+    enumerating closure of the same generators mod 2d."""
     *generators, d = args
     layer = getattr(finitegrp, name)(*args)
-    group = getattr(oracle_finitegrp, ORACLE_OF[name])(*generators)
+    group = getattr(oracle_finitegrp, ORACLE_OF[name])(*(reduced(gens, 2 * d) for gens in generators))
     assert oracle_finitegrp.layer_keys(layer) == group.keys
     assert (layer.modulus, layer.dim, layer.order) == (2 * d, group.dim, group.order)
 
 
 def assert_span_matches_oracle(args):
     """A span of layer vectors X is the layer closure of the matrices
-    I + dX (mod 2d) they stand for, which must match the oracle."""
+    I + dX they stand for, which must match the oracle."""
     vectors, d, n = args
     gens = [
-        ModMatrix.from_rows(
-            2 * d, [[(r == c) + d * (x >> r * n + c & 1) for c in range(n)] for r in range(n)]
-        )
+        IntMatrix.from_rows([[(r == c) + d * (x >> r * n + c & 1) for c in range(n)] for r in range(n)])
         for x in vectors
     ]
     assert finitegrp.layer_span(vectors, d, n) == finitegrp.layer_closure(gens, d)
@@ -173,14 +176,14 @@ def test_odd_level_closure_stays_on_the_engine(monkeypatch):
     record = ledger.run_check("THM31-CLOSURE", {"g": 5, "d": 3})
     assert record.status == "pass"
     assert [name for name, _ in calls] == ["normal_closure", "normal_closure"]
-    assert all(m.modulus == 2 for _, args in calls for gens in args for m in gens)
+    assert all(type(m) is IntMatrix for _, args in calls for gens in args for m in gens)
     assert_every_call_matches(calls)
-    # the same closures over Z/6, on the images the registry reduced mod 2
-    ambient = ledger.ambient_phi_images(5, 6)
+    # the same closures over Z/6, on the exact images the registry closed
+    ambient = ledger.ambient_phi_images(5)
     closed = [r for r in ledger.families.main2_normal_generators(5, 0, 3) if r.closed_surface]
-    refs = [m.reduce_mod(6) for m in ledger.conjugated_gamma_generators(4, 3)]
-    for (_, args), seeds in zip(calls, ([ledger.phi_mod(r.word, 6) for r in closed], refs)):
-        assert list(args) == [mod2(ambient), mod2(seeds)]
+    refs = ledger.conjugated_gamma_generators(4, 3)
+    for (_, args), seeds in zip(calls, ([ledger.reduced_action(r.word) for r in closed], refs)):
+        assert list(args) == [ambient, seeds]
         group = assert_reduction_matches_oracle("normal_closure", (ambient, seeds), 3)
         assert group.order == record.details["closure_order"] == 720
 
@@ -209,10 +212,8 @@ def test_an_odd_level_generator_not_congruent_to_i_fails_by_name(monkeypatch, d)
 
 
 def random_layer_element(rng, n, d):
-    """I + dX (mod 2d) for a random 0/1 matrix X."""
-    return ModMatrix.from_rows(
-        2 * d, [[int(r == c) + d * rng.randrange(2) for c in range(n)] for r in range(n)]
-    )
+    """I + dX for a random 0/1 matrix X."""
+    return IntMatrix.from_rows([[int(r == c) + d * rng.randrange(2) for c in range(n)] for r in range(n)])
 
 
 @pytest.mark.parametrize("n, d", [(2, 2), (2, 6), (3, 2), (3, 4), (3, 6)])
@@ -227,21 +228,22 @@ def test_random_layer_generators_match_the_engine(n, d):
 
 
 def random_invertible(rng, n, d):
+    """A matrix of residues in [0, d) that is invertible mod d."""
     while True:
         m = ModMatrix.from_rows(d, [[rng.randrange(d) for _ in range(n)] for _ in range(n)])
         try:
             m.inverse()
         except NotUnimodularError:
             continue
-        return m
+        return IntMatrix(m.rows)
 
 
 def random_odd_level_element(rng, n, d):
-    """The matrix over Z/2d that is I mod the odd level d and a random
-    invertible matrix B mod 2: I + d((B - I) mod 2)."""
+    """The matrix that is I mod the odd level d and a random invertible
+    matrix B mod 2: I + d((B - I) mod 2)."""
     b = random_invertible(rng, n, 2)
-    return ModMatrix.from_rows(
-        2 * d, [[int(r == c) + d * ((b.rows[r][c] - (r == c)) % 2) for c in range(n)] for r in range(n)]
+    return IntMatrix.from_rows(
+        [[int(r == c) + d * ((b.rows[r][c] - (r == c)) % 2) for c in range(n)] for r in range(n)]
     )
 
 
@@ -289,12 +291,12 @@ def test_batch_boundaries_do_not_matter(monkeypatch, n, d):
         group = assert_reduction_matches_oracle("normal_closure", (ambient, gens[:1]), d)
         packed = oracle_packed.normal_closure(mod2(ambient), mod2(gens[:1]))
         assert group.keys == oracle_packed.int_keys(packed)
-        assert_matches_oracle("bfs_closure", (mod2(ambient + gens),), cap=RANDOM_CAP)
+        assert_matches_oracle("bfs_closure", (ambient + gens,), cap=RANDOM_CAP)
 
 
 def test_empty_and_identity_normal_generators():
-    ambient = [elementary(3, 1, 2, 1).reduce_mod(2), elementary(3, 2, 1, 1).reduce_mod(2)]
-    identity = ModMatrix.identity(3, 2)
+    ambient = [elementary(3, 1, 2, 1), elementary(3, 2, 1, 1)]
+    identity = IntMatrix.identity(3)
     for seeds in ([], [identity], [identity, identity]):
         assert_matches_oracle("normal_closure", (ambient, seeds))
         assert normal_closure(ambient, seeds).order == 1
@@ -302,13 +304,13 @@ def test_empty_and_identity_normal_generators():
 
 def test_repeated_generators():
     # the unitriangular 4 x 4 matrices over F_2: order 2^6
-    t = elementary(4, 1, 2, 1).reduce_mod(2)
-    u = elementary(4, 2, 3, 1).reduce_mod(2)
-    v = elementary(4, 3, 4, 1).reduce_mod(2)
-    gens = [t, t, u, t * u, v, u, ModMatrix.identity(4, 2), t, v * t]
+    t = elementary(4, 1, 2, 1)
+    u = elementary(4, 2, 3, 1)
+    v = elementary(4, 3, 4, 1)
+    gens = [t, t, u, t * u, v, u, IntMatrix.identity(4), t, v * t]
     assert_matches_oracle("bfs_closure", (gens,))
     assert bfs_closure(gens).order == 64
-    ambient = [t, u, elementary(4, 3, 1, 1).reduce_mod(2)]
+    ambient = [t, u, elementary(4, 3, 1, 1)]
     assert_matches_oracle("normal_closure", (ambient, [t, t, t.inverse(), t]))
 
 
@@ -320,7 +322,7 @@ def block_matrix(n, blocks):
         for r in range(3):
             for c in range(3):
                 rows[3 * i + r][3 * j + c] = block[r][c]
-    return ModMatrix.from_rows(2, rows)
+    return IntMatrix.from_rows(rows)
 
 
 def test_keys_hold_more_than_64_bits():
@@ -342,23 +344,35 @@ def test_keys_hold_more_than_64_bits():
 
 def test_caps_raise():
     # GL(3, 2), of order 168, from the elementary matrices e_12 and e_23, e_31
-    gens = [elementary(3, 1, 2, 1).reduce_mod(2), elementary(3, 2, 3, 1).reduce_mod(2)]
-    gens.append(elementary(3, 3, 1, 1).reduce_mod(2))
+    gens = [elementary(3, 1, 2, 1), elementary(3, 2, 3, 1), elementary(3, 3, 1, 1)]
     with pytest.raises(ScaleGuardError, match="closure exceeded cap of 100 elements"):
         bfs_closure(gens, cap=100)
     assert bfs_closure(gens, cap=168).order == 168
     with pytest.raises(ScaleGuardError, match="closure exceeded cap of 100 elements"):
         normal_closure(gens[1:], gens[:1], cap=100)
     with pytest.raises(ScaleGuardError):
-        oracle_finitegrp.normal_closure(gens[1:], gens[:1], cap=100)
+        oracle_finitegrp.normal_closure(mod2(gens[1:]), mod2(gens[:1]), cap=100)
 
 
-def test_the_engine_refuses_a_modulus_other_than_2():
-    for m in (elementary(2, 1, 2, 1).reduce_mod(3), ModMatrix.identity(2, 4)):
-        with pytest.raises(ValueError, match=f"works over F_2, got modulus {m.modulus}"):
-            bfs_closure([m])
-        with pytest.raises(ValueError, match=f"works over F_2, got modulus {m.modulus}"):
-            normal_closure([m], [m])
+@pytest.mark.parametrize(
+    "name, call",
+    [
+        ("bfs_closure", lambda gens: bfs_closure(gens)),
+        ("normal_closure", lambda gens: normal_closure(gens, gens)),
+        ("layer_closure", lambda gens: finitegrp.layer_closure(gens, 2)),
+        ("layer_normal_closure", lambda gens: finitegrp.layer_normal_closure(gens, gens, 2)),
+        ("identity_offsets", lambda gens: finitegrp.identity_offsets(gens, 2)),
+    ],
+)
+def test_closures_and_layers_refuse_a_reduced_copy(name, call):
+    # a residue copy would be read as if its residues were the entries,
+    # right or wrong for its modulus: every copy is refused by its type,
+    # beside an exact generator too
+    exact = elementary(2, 1, 2, 2)
+    for m in (exact.reduce_mod(4), exact.reduce_mod(8), ModMatrix.identity(2, 2)):
+        for gens in ([m], [exact, m]):
+            with pytest.raises(TypeError, match="must be exact IntMatrix values, got ModMatrix"):
+                call(gens)
 
 
 SMALL_GROUPS = {

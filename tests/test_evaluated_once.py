@@ -3,18 +3,20 @@ A, B and C element up in one table per genus and hands its rows to
 ``product_matrix`` as factor lists; RS-GAMMA24 evaluates each Y and D word
 once, k + |D| actions in all, and reads its closure, section and the
 verdicts on its sampled Schreier words from their layer vectors mod 4,
-with no ``phi_mod``, ``reduced_action`` or ``product_matrix`` call;
+with no ``reduced_action`` or ``product_matrix`` call;
 GEN-FIX-ONES applies each generator to the total class with ``act``,
 which builds no matrix.  None of them forms a word product or inverse per
 row or sample.  A C element compares its two realizations on homology on
 every build, so how many words a check evaluates does not depend on what
-ran before it."""
+ran before it.  No modular check makes a reduced copy of an exact action:
+the closures and layers read the exact matrices themselves."""
 
 from collections import Counter
 
 import pytest
 
 from crosscap import families, homology, ledger, words
+from crosscap.intmat import IntMatrix, ModMatrix
 from crosscap.ledger import run_check
 
 
@@ -54,7 +56,6 @@ def test_rs_gamma24_evaluates_each_sampled_word_once(monkeypatch):
     monkeypatch.setattr(ledger, "product_matrix", spy(seen, "product", homology.product_matrix))
     monkeypatch.setattr(ledger, "word_matrix", spy(seen, "ledger", homology.word_matrix))
     monkeypatch.setattr(homology, "word_matrix", spy(seen, "homology", homology.word_matrix))
-    monkeypatch.setattr(ledger, "phi_mod", spy(seen, "phi_mod", ledger.phi_mod))
     for module in (ledger, homology):
         monkeypatch.setattr(module, "reduced_action", spy(seen, "reduced", module.reduced_action))
     record = run_check("RS-GAMMA24", {"g": g})
@@ -65,6 +66,25 @@ def test_rs_gamma24_evaluates_each_sampled_word_once(monkeypatch):
     words = families.y_count(g) + len(families.family_indices("D", g))
     assert words == len(ledger._y_union_d_words(g)) == 10
     assert seen == Counter({"ledger": words})
+
+
+def test_modular_checks_make_no_reduced_copy(monkeypatch):
+    points = [
+        ("THM31-CLOSURE", {"g": 4, "d": 2}),
+        ("THM31-CLOSURE", {"g": 4, "d": 4}),
+        ("THM31-CLOSURE", {"g": 5, "d": 3}),
+        ("TOWER-2L", {"g": 4, "l": 3}),
+        ("THM41-MOD8", {"g": 4}),
+        ("RS-GAMMA24", {"g": 4}),
+        ("PSI-O2", {"g": 4}),
+    ]
+    seen = Counter()
+    monkeypatch.setattr(IntMatrix, "reduce_mod", spy(seen, "reduce_mod", IntMatrix.reduce_mod))
+    from_rows = spy(seen, "from_rows", ModMatrix.from_rows)
+    monkeypatch.setattr(ModMatrix, "from_rows", staticmethod(from_rows))
+    for check_id, params in points:
+        assert run_check(check_id, params).status == "pass", check_id
+    assert seen == Counter()
 
 
 def test_a_c_element_evaluates_its_two_realizations_on_every_build(monkeypatch):

@@ -11,6 +11,8 @@ import time
 
 import pytest
 
+import oracle_finitegrp
+from conftest import random_word
 from crosscap import families, ledger
 from crosscap.families import Main2Generator
 from crosscap.finitegrp import (
@@ -20,8 +22,9 @@ from crosscap.finitegrp import (
     layer_normal_closure,
     vector_coordinates,
 )
-from crosscap.intmat import ModMatrix, elementary
-from crosscap.words import Twist, word
+from crosscap.homology import word_matrix
+from crosscap.intmat import IntMatrix, elementary
+from crosscap.words import MCGWord, Twist, word
 
 
 def refuse_enumeration(monkeypatch):
@@ -58,7 +61,6 @@ def test_tower_passes_at_the_frontier(monkeypatch, g, l):
     [
         (1 << 40, "THM31-CLOSURE"),
         (1 << 40, "THM31-MEMBER"),
-        # THM31-CLOSURE's ceiling: its entries are int64 residues mod 2d
         (1 << 61, "THM31-CLOSURE"),
         (1 << 62, "THM31-MEMBER"),
     ],
@@ -96,26 +98,24 @@ def test_a_seed_outside_the_layer_fails_and_is_named(monkeypatch):
 
 
 def layer_element(n, d, *entries):
-    """I + d(sum of the unit matrices E_rc) mod 2d, 1-based (r, c)."""
+    """I + d(sum of the unit matrices E_rc), 1-based (r, c)."""
     rows = [[int(r == c) for c in range(n)] for r in range(n)]
     for r, c in entries:
         rows[r - 1][c - 1] += d
-    return ModMatrix.from_rows(2 * d, rows)
+    return IntMatrix.from_rows(rows)
 
 
 def test_generators_outside_the_layer_raise_with_their_index():
     good = layer_element(3, 2, (1, 2))
     with pytest.raises(LayerError, match="generator 1 is not congruent to I mod 2") as err:
-        layer_closure([good, elementary(3, 1, 2, 1).reduce_mod(4)], 2)
+        layer_closure([good, elementary(3, 1, 2, 1)], 2)
     assert err.value.index == 1
-    with pytest.raises(LayerError, match="generator 0 has modulus 8, not 2d = 4"):
-        layer_closure([layer_element(3, 4, (1, 2)), good], 2)
-    half_step = ModMatrix.from_rows(8, [[1, 2, 0], [0, 1, 0], [0, 0, 1]])
-    ambient = [elementary(3, 2, 1, 1).reduce_mod(8)]
+    half_step = IntMatrix.from_rows([[1, 2, 0], [0, 1, 0], [0, 0, 1]])
+    ambient = [elementary(3, 2, 1, 1)]
     with pytest.raises(LayerError, match="generator 1 is not congruent to I mod 4"):
         layer_normal_closure(ambient, [layer_element(3, 4, (2, 3)), half_step], 4)
     with pytest.raises(ValueError, match="even level, got d = 3"):
-        layer_closure([elementary(3, 1, 2, 3).reduce_mod(6)], 3)
+        layer_closure([elementary(3, 1, 2, 3)], 3)
     with pytest.raises(ValueError, match="need at least one generator"):
         layer_closure([], 2)
 
@@ -143,15 +143,51 @@ def test_normal_closure_of_one_elementary_vector_is_the_trace_zero_layer():
     # unit and every E_ii - E_jj: the n^2 - 1 dimensional trace-zero layer
     n, d = 3, 2
     ambient = [
-        elementary(n, i, j, 1).reduce_mod(2 * d)
-        for i in range(1, n + 1)
-        for j in range(1, n + 1)
-        if i != j
+        elementary(n, i, j, 1) for i in range(1, n + 1) for j in range(1, n + 1) if i != j
     ]
     layer = layer_normal_closure(ambient, [layer_element(n, d, (1, 2))], d)
     assert layer.order == 1 << (n * n - 1)
     assert layer_normal_closure([], [layer_element(n, d, (1, 2))], d).order == 2
-    assert layer_normal_closure(ambient, [ModMatrix.identity(n, 2 * d)], d).order == 1
+    assert layer_normal_closure(ambient, [IntMatrix.identity(n)], d).order == 1
+
+
+def conjugated_twist_action(rng, g, multiple):
+    """The action of u v u^-1, for a random word u and a product v of
+    twists, each to a random multiple of ``multiple``: I mod ``multiple``,
+    since the level subgroup is normal, with entries of both signs."""
+    u = random_word(rng, g, rng.randint(1, 4))
+    twists = [
+        (Twist(tuple(rng.sample(range(1, g + 1), rng.choice(range(2, g + 1, 2))))), multiple * k)
+        for k in rng.choices((-2, -1, 1, 2), k=rng.randint(1, 3))
+    ]
+    return word_matrix(u * MCGWord.from_letters(g, twists) * u.inverse())
+
+
+@pytest.mark.parametrize("d", [2, 4, 6, 1 << 40, 3, 5])
+def test_the_exact_reader_matches_the_residue_reader(d):
+    # the layer vectors at even d, the I-mod-d test at odd d; the residue
+    # reader is handed each action reduced mod 2d, as the registry once did
+    rng = random.Random(d % 1000)
+    for g in (3, 4, 5, 6):
+        actions = [conjugated_twist_action(rng, g, d) for _ in range(6)]
+        assert any(e < 0 for m in actions for row in m.rows for e in row)
+        residues = [m.reduce_mod(2 * d) for m in actions]
+        vectors = identity_offsets(actions, d)
+        assert vectors == oracle_finitegrp.identity_offsets(residues, d)
+        assert any(vectors)
+        # a single twist is I mod no level, and so is any conjugate of it
+        u = random_word(rng, g, rng.randint(1, 4))
+        planted = word_matrix(u * word(g, Twist((1, 2))) * u.inverse())
+        at = rng.randrange(len(actions) + 1)
+        actions.insert(at, planted)
+        residues.insert(at, planted.reduce_mod(2 * d))
+        with pytest.raises(LayerError) as exact:
+            identity_offsets(actions, d)
+        with pytest.raises(LayerError) as residue:
+            oracle_finitegrp.identity_offsets(residues, d)
+        expected = (at, f"generator {at} is not congruent to I mod {d}")
+        assert (exact.value.index, str(exact.value)) == expected
+        assert (residue.value.index, str(residue.value)) == expected
 
 
 def layer_coordinates(basis, gens, d):
@@ -167,14 +203,15 @@ def test_coordinates_rebuild_every_element_from_the_basis():
     order = rng.sample(units, len(units))
     basis = [layer_element(n, d, *order[: t + 1]) for t in range(len(order))]
     gens = [layer_element(n, d, *rng.sample(units, rng.randrange(len(units)))) for _ in range(40)]
-    gens.append(ModMatrix.identity(n, 2 * d))
+    gens.append(IntMatrix.identity(n))
     coords = layer_coordinates(basis, gens, d)
     for m, mask in zip(gens, coords):
-        product = ModMatrix.identity(n, 2 * d)
+        product = IntMatrix.identity(n)
         for t, b in enumerate(basis):
             if mask >> t & 1:
                 product = product * b
-        assert product == m
+        # equal in the layer: equal mod 2d
+        assert product.reduce_mod(2 * d) == m.reduce_mod(2 * d)
     assert coords[-1] == 0
 
 
@@ -186,4 +223,4 @@ def test_coordinates_refuse_a_dependent_basis_and_name_what_lies_outside():
         layer_coordinates([e12, e13], [e12 * e13, layer_element(n, d, (2, 1))], d)
     assert err.value.index == 3
     with pytest.raises(LayerError, match="generator 1 is not congruent to I mod 2"):
-        layer_coordinates([e12], [elementary(n, 1, 2, 1).reduce_mod(4)], d)
+        layer_coordinates([e12], [elementary(n, 1, 2, 1)], d)

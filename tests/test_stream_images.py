@@ -246,8 +246,8 @@ def test_stream_checks_match_the_oracles(monkeypatch):
     assert details.pop("distinct_images") == len(seen) == 19
     assert (record.status == "pass", record.details) == (ok, {"family_images": 25, **details})
     fams = families.main3_families(4)
-    assert calls[0] == [ledger.phi_mod(el.word, 8) for el in fams]
-    assert closures[0] == layer_closure([m for _, m in seen.values()], 4)
+    assert calls[0] == [reduced_action(el.word) for el in fams]
+    assert closures[0] == layer_closure([IntMatrix(m.rows) for _, m in seen.values()], 4)
     record = run_check("THM41-MEMBER", {"g": 4})
     indices = sorted(random.Random(9).sample(range(families.main3_count(4)), 500))
     assert record.details["failures"] == oracle_ledger.thm41_member_failures(4, indices) == 0
@@ -296,7 +296,7 @@ def refuse_work(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("work started")
 
-    for name in ("bfs_closure", "phi_mod"):
+    for name in ("bfs_closure", "word_matrix"):
         monkeypatch.setattr(ledger, name, refuse)
 
 

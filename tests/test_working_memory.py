@@ -11,7 +11,7 @@ import oracle_ledger
 import oracle_packed
 from crosscap import families, homology, ledger
 from crosscap.finitegrp import FiniteMatrixGroup
-from crosscap.intmat import ModMatrix
+from crosscap.intmat import IntMatrix
 from crosscap.ledger import brute_force_mod2_orthogonal, run_check, run_suite
 from crosscap.pi1free import ScaleGuardError
 
@@ -61,7 +61,7 @@ def test_mod8_dedupe_matches_the_axis0_oracle(monkeypatch, batch):
     assert ok
     assert details["distinct_images"] == len(first) == 19
     assert names[0] == [f"stream word {i}" for i in first]
-    assert inputs[0] == [ModMatrix.from_rows(8, m.tolist()) for m in images]
+    assert inputs[0] == [IntMatrix.from_rows(m.tolist()) for m in images]
 
 
 @pytest.mark.parametrize(
