@@ -354,17 +354,29 @@ def test_caps_raise():
         oracle_finitegrp.normal_closure(mod2(gens[1:]), mod2(gens[:1]), cap=100)
 
 
+def test_the_engine_refuses_a_modulus_other_than_2():
+    # the engine reads exact matrices mod 2 itself: a residue copy, of any
+    # modulus, is refused by its type rather than read as mod-2 entries
+    for m in (elementary(2, 1, 2, 1).reduce_mod(3), ModMatrix.identity(2, 4)):
+        with pytest.raises(TypeError, match="must be exact IntMatrix values, got ModMatrix"):
+            bfs_closure([m])
+        with pytest.raises(TypeError, match="must be exact IntMatrix values, got ModMatrix"):
+            normal_closure([m], [m])
+
+
 @pytest.mark.parametrize(
-    "name, call",
+    "call",
     [
-        ("bfs_closure", lambda gens: bfs_closure(gens)),
-        ("normal_closure", lambda gens: normal_closure(gens, gens)),
-        ("layer_closure", lambda gens: finitegrp.layer_closure(gens, 2)),
-        ("layer_normal_closure", lambda gens: finitegrp.layer_normal_closure(gens, gens, 2)),
-        ("identity_offsets", lambda gens: finitegrp.identity_offsets(gens, 2)),
+        pytest.param(lambda gens: bfs_closure(gens), id="bfs_closure"),
+        pytest.param(lambda gens: normal_closure(gens, gens), id="normal_closure"),
+        pytest.param(lambda gens: finitegrp.layer_closure(gens, 2), id="layer_closure"),
+        pytest.param(
+            lambda gens: finitegrp.layer_normal_closure(gens, gens, 2), id="layer_normal_closure"
+        ),
+        pytest.param(lambda gens: finitegrp.identity_offsets(gens, 2), id="identity_offsets"),
     ],
 )
-def test_closures_and_layers_refuse_a_reduced_copy(name, call):
+def test_closures_and_layers_refuse_a_reduced_copy(call):
     # a residue copy would be read as if its residues were the entries,
     # right or wrong for its modulus: every copy is refused by its type,
     # beside an exact generator too
