@@ -45,6 +45,8 @@ def _parse_params(text: str | None) -> dict:
         value = value.strip()
         if not key or not value:
             raise ValueError(f"bad --params entry {chunk!r} (want k=v)")
+        if key in out:
+            raise ValueError(f"bad --params: key {key!r} is given more than once")
         try:
             out[key] = int(value)
         except ValueError:

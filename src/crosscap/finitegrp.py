@@ -55,6 +55,10 @@ class ScaleGuardError(ValueError):
     """A scale guard or size cap was hit; the computation is inconclusive."""
 
 
+# the most elements a matrix-group closure lists before it stops
+CLOSURE_CAP = 1 << 22
+
+
 class SectionError(ValueError):
     """A transversal failed to be a section of its quotient map."""
 
@@ -229,7 +233,7 @@ def _conjugation(ambient_gens: Sequence[IntMatrix], n: int) -> Callable[[Sequenc
     return conjugate
 
 
-def bfs_closure(gens: Sequence[IntMatrix], cap: int = 1 << 22) -> FiniteMatrixGroup:
+def bfs_closure(gens: Sequence[IntMatrix], cap: int = CLOSURE_CAP) -> FiniteMatrixGroup:
     """The subgroup of the matrices over F_2 that ``gens`` mod 2 generate,
     as an explicit element set."""
     n = _check_gens(gens)
@@ -241,7 +245,7 @@ def bfs_closure(gens: Sequence[IntMatrix], cap: int = 1 << 22) -> FiniteMatrixGr
 def normal_closure(
     ambient_gens: Sequence[IntMatrix],
     normal_gens: Sequence[IntMatrix],
-    cap: int = 1 << 22,
+    cap: int = CLOSURE_CAP,
 ) -> FiniteMatrixGroup:
     """Smallest subgroup of the matrices over F_2 containing ``normal_gens``
     mod 2 and closed under conjugation by the group the ambient generators

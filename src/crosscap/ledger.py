@@ -16,6 +16,7 @@ from typing import Callable, Optional, TypeVar
 from . import families
 from ._frozen import Frozen, set_field
 from .finitegrp import (
+    CLOSURE_CAP,
     LayerError,
     LevelLayer,
     ScaleGuardError,
@@ -141,8 +142,27 @@ def conjugated_gamma_generators(n: int, d: int) -> list[IntMatrix]:
     ]
 
 
+def alphabet_size(g: int) -> int:
+    """The number of letters of ``families.generator_alphabet(g)``: the
+    2^(g-1) - 1 twists about even index sets and the g(g-1) slides."""
+    return (1 << g - 1) - 1 + g * (g - 1)
+
+
 def ambient_phi_images(g: int) -> list[IntMatrix]:
+    """The reduced actions of the whole generator alphabet, ``alphabet_size(g)``
+    matrices: 35 at g = 5 and 33,007 at g = 16.  Only odd-d THM31-CLOSURE
+    conjugates by them; even d conjugates by ``conjugating_letters(g)``."""
     return [reduced_action(w) for w in families.generator_alphabet(g)]
+
+
+def conjugating_letters(g: int) -> list[MCGWord]:
+    """The g + 1 letters even-d THM31-CLOSURE conjugates by: the twists
+    T(i, i+1) for i < g, T(1,2,3,4) and the slide Y(g-1, g), a generating set
+    of Chillingworth's form (Proc. Cambridge Philos. Soc. 65, 1969).  The
+    check's certificate does not rest on their generating: a closure under
+    any subset of the alphabet lies in the closure under all of it."""
+    twists = [(i, i + 1) for i in range(1, g)] + [(1, 2, 3, 4)]
+    return [word(g, Twist(t)) for t in twists] + [word(g, Slide(g - 1, g))]
 
 
 def expected_twist_phi(i: int, j: int, d: int, g: int) -> IntMatrix:
@@ -446,20 +466,52 @@ def _check_thm31_member(p: dict) -> tuple[bool, dict]:
     return not bad, {"generators": [r.name for r in gens], "failures": bad}
 
 
+def _trace_bound(layer: LevelLayer) -> int:
+    """The greatest dimension a normal closure containing ``layer`` can have
+    on the n x n layer: n^2 - 1 when every basis vector has trace 0, else n^2.
+
+    The trace mod 2 is linear on the layer and invariant under X -> A X A^-1,
+    so when the seeds, and hence this closure under part of the ambient
+    group, lie in its kernel, so do all their conjugates."""
+    n = layer.dim
+    diagonal = sum(1 << r * (n + 1) for r in range(n))
+    traceless = not any((v & diagonal).bit_count() & 1 for v in layer.basis)
+    return n * n - traceless
+
+
 def _check_thm31_closure(p: dict) -> tuple[bool, dict]:
     g, d = p["g"], p["d"]
+    if d % 2 and alphabet_size(g) > CLOSURE_CAP:
+        raise ScaleGuardError(
+            f"the generator alphabet at g = {g} has {alphabet_size(g)} letters,"
+            f" over the closure cap of {CLOSURE_CAP} elements"
+        )
     closed = [r for r in families.main2_normal_generators(g, 0, d) if r.closed_surface]
     seeds = [reduced_action(r.word) for r in closed]
     seed_names = [f"seed {r.name}" for r in closed]
-    ambient = ambient_phi_images(g)
+    extra = {}
     if d % 2 == 0:
-        closure = _named(seed_names, lambda: layer_normal_closure(ambient, seeds, d))
+        # the closure N_S under the letters S lies in the closure N under the
+        # whole alphabet, and N in the trace bound's space, so N_S = N once
+        # N_S fills that space
+        letters = conjugating_letters(g)
+        conjugators = [reduced_action(w) for w in letters]
+        names = [str(w) for w in letters]
+        closure = _named(seed_names, lambda: layer_normal_closure(conjugators, seeds, d))
+        bound = _trace_bound(closure)
+        if len(closure.basis) < bound:
+            raise ScaleGuardError(
+                f"the seeds' closure under conjugation by {', '.join(names)} reached dimension"
+                f" {len(closure.basis)}, below the trace bound of dimension {bound}"
+            )
         reference = _reference_layer(gamma_generators(g - 1, d), d)
         ref_kind = "generated congruence family"
+        extra = {"ambient": names, "bound": {"kind": "trace", "dim": bound}}
     else:
         # Z/2d = Z/2 x Z/d for odd d: the seeds and the reference generators
         # are I mod d, hence so is all they generate under conjugation, and
         # reduction mod 2 is injective on that kernel of reduction mod d
+        ambient = ambient_phi_images(g)
         refs = conjugated_gamma_generators(g - 1, d)
         ref_names = [f"reference generator {i}" for i in range(len(refs))]
         _named(seed_names, lambda: identity_offsets(seeds, d))
@@ -473,6 +525,7 @@ def _check_thm31_closure(p: dict) -> tuple[bool, dict]:
         "reference_order": reference.order,
         "reference": ref_kind,
         "modulus": 2 * d,
+        **extra,
     }
 
 

@@ -40,6 +40,11 @@ closures, which take exact matrices, they pass each residue matrix as an
 ``IntMatrix``: it is congruent to the exact image, so it has the same layer
 vector.
 
+``thm31_whole_alphabet_closure`` is even-d THM31-CLOSURE's normal closure
+under the reduced actions of the whole generator alphabet; the registry's
+runner conjugates by g + 1 letters and certifies the result by the trace
+bound, and must reach the same layer.
+
 The int64 ``einsum`` exhaustion of the mod-2 orthogonal group, keyed by
 uint16 entries, and THM41-MOD8's ``np.unique(..., axis=0)`` dedupe over the
 whole stream are kept here too: the bit-sliced
@@ -60,6 +65,7 @@ from crosscap import families
 from crosscap.finitegrp import (
     LevelLayer,
     layer_closure,
+    layer_normal_closure,
     schreier_generators,
     vector_coordinates,
 )
@@ -486,6 +492,32 @@ def thm41_mod8_stacked(g: int) -> tuple[bool, dict]:
         "distinct_images": distinct,
         "closure_order": closure.order,
         "reference_order": reference.order,
+    }
+
+
+def thm31_whole_alphabet_closure(g: int, d: int) -> LevelLayer:
+    """Even-d THM31-CLOSURE's normal closure as the registry took it before
+    the trace certificate: the layer normal closure of the closed-surface
+    seeds under the reduced actions of the whole generator alphabet,
+    2^(g-1) - 1 + g(g-1) matrices, each seed named if it is outside the
+    layer."""
+    closed = [r for r in families.main2_normal_generators(g, 0, d) if r.closed_surface]
+    seeds = [reduced_action(r.word) for r in closed]
+    alphabet = [reduced_action(w) for w in families.generator_alphabet(g)]
+    names = [f"seed {r.name}" for r in closed]
+    return _named(names, lambda: layer_normal_closure(alphabet, seeds, d))
+
+
+def thm31_closure_even(g: int, d: int) -> tuple[bool, dict]:
+    """Even-d THM31-CLOSURE on the whole-alphabet closure, with the record
+    it gave then: the registry's adds only ``ambient`` and ``bound``."""
+    closure = thm31_whole_alphabet_closure(g, d)
+    reference = _reference_layer(gamma_generators(g - 1, d), d)
+    return closure == reference, {
+        "closure_order": closure.order,
+        "reference_order": reference.order,
+        "reference": "generated congruence family",
+        "modulus": 2 * d,
     }
 
 

@@ -357,6 +357,14 @@ def test_verify_non_integer_param_exits_2(capsys):
     assert "bad --params value 'x' for 'd' (want an integer)" in err
 
 
+@pytest.mark.parametrize("params, key", [("d=2,d=4", "d"), ("g=4,d=2, d=2", "d"), ("g=4,g=5", "g")])
+def test_verify_repeated_param_key_exits_2(capsys, params, key):
+    # the last value used to win silently, so d=2,d=4 ran d = 4 and passed
+    code, out, err = run_cli(capsys, "verify", "--suite", "THM31-CLOSURE", "--params", params)
+    assert code == 2 and out == ""
+    assert f"bad --params: key {key!r} is given more than once" in err
+
+
 @pytest.mark.parametrize(
     "suite, params, message",
     [
