@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import functools
 import itertools
-from typing import Callable, Iterator, Optional, Sequence
+from typing import Callable, Iterator, Sequence
 
 from ._frozen import Frozen, set_field
 from .finitegrp import ScaleGuardError
@@ -357,11 +357,10 @@ def main3_position(g: int, index: int, per: int) -> tuple[int, int]:
     return divmod(index, per)
 
 
-def main3_generator(g: int, index: int, _families: Optional[list] = None) -> MCGWord:
+def main3_generator(g: int, index: int) -> MCGWord:
     """Random access into the generator stream: conjugate of a family element
     by a transversal word, ordered transversal-major."""
-    _require_main3_genus(g)
-    fams = _families if _families is not None else main3_families(g)
+    fams = main3_families(g)
     mask, fam_idx = main3_position(g, index, len(fams))
     return conjugate(fams[fam_idx].word, subset_word(g, mask))
 

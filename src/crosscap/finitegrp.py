@@ -137,6 +137,9 @@ class FiniteMatrixGroup(Frozen):
     def order(self) -> int:
         return len(self.keys)
 
+    def __contains__(self, m: IntMatrix) -> bool:
+        return _key(m) in self.keys
+
 
 class _Closure:
     """The subgroup of the n x n matrices over F_2 generated by the
@@ -201,9 +204,9 @@ def _conjugation(ambient_gens: Sequence[IntMatrix], n: int) -> Callable[[Sequenc
 
     Row r of X A^-1 is looked up in two ``_row_table``s, of the first n/2
     rows of A^-1 and of the rest, so that each A costs about 2^(n/2 + 1)
-    entries: there can be thousands of A.  A (X A^-1) is the XOR over r of column r of A times
-    that row: column r, held with entry k at bit k*n, times an n-bit row
-    spreads the row over the rows k of A X A^-1 without carries.
+    entries.  A (X A^-1) is the XOR over r of column r of A times that row:
+    column r, held with entry k at bit k*n, times an n-bit row spreads the
+    row over the rows k of A X A^-1 without carries.
 
     Only A, never A^-1, is needed by the normal closures: an invertible map
     that sends a finite set into itself sends it onto itself, so a finite

@@ -83,14 +83,7 @@ class CheckRecord(Frozen):
         set_field(self, "anchor", anchor)
 
     def to_json(self) -> dict:
-        return {
-            "id": self.id,
-            "params": self.params,
-            "status": self.status,
-            "details": self.details,
-            "runtime_ms": self.runtime_ms,
-            "anchor": self.anchor,
-        }
+        return dict(zip(self.__slots__, self._values(self)))
 
 
 class CheckSpec(Frozen):
@@ -142,24 +135,11 @@ def conjugated_gamma_generators(n: int, d: int) -> list[IntMatrix]:
     ]
 
 
-def alphabet_size(g: int) -> int:
-    """The number of letters of ``families.generator_alphabet(g)``: the
-    2^(g-1) - 1 twists about even index sets and the g(g-1) slides."""
-    return (1 << g - 1) - 1 + g * (g - 1)
-
-
-def ambient_phi_images(g: int) -> list[IntMatrix]:
-    """The reduced actions of the whole generator alphabet, ``alphabet_size(g)``
-    matrices: 35 at g = 5 and 33,007 at g = 16.  Only odd-d THM31-CLOSURE
-    conjugates by them; even d conjugates by ``conjugating_letters(g)``."""
-    return [reduced_action(w) for w in families.generator_alphabet(g)]
-
-
 def conjugating_letters(g: int) -> list[MCGWord]:
-    """The g + 1 letters even-d THM31-CLOSURE conjugates by: the twists
-    T(i, i+1) for i < g, T(1,2,3,4) and the slide Y(g-1, g), a generating set
-    of Chillingworth's form (Proc. Cambridge Philos. Soc. 65, 1969).  The
-    check's certificate does not rest on their generating: a closure under
+    """The g + 1 letters THM31-CLOSURE conjugates by: the twists T(i, i+1)
+    for i < g, T(1,2,3,4) and the slide Y(g-1, g), a generating set of
+    Chillingworth's form (Proc. Cambridge Philos. Soc. 65, 1969).  The
+    check's certificates do not rest on their generating: a closure under
     any subset of the alphabet lies in the closure under all of it."""
     twists = [(i, i + 1) for i in range(1, g)] + [(1, 2, 3, 4)]
     return [word(g, Twist(t)) for t in twists] + [word(g, Slide(g - 1, g))]
@@ -452,9 +432,8 @@ def _check_thm23_ker(p: dict) -> tuple[bool, dict]:
 def _check_psi_o2(p: dict) -> tuple[bool, dict]:
     g = p["g"]
     brute = brute_force_mod2_orthogonal(g)
-    gens = [word_matrix(word(g, Twist((i, i + 1)))) for i in range(1, g)]
-    gens.append(word_matrix(word(g, Twist((1, 2, 3, 4)))))
-    grp = bfs_closure(gens)
+    # THM31-CLOSURE's conjugating twists, without its slide
+    grp = bfs_closure([word_matrix(w) for w in conjugating_letters(g)[:-1]])
     ok = grp.keys == brute
     return ok, {"brute_order": len(brute), "bfs_order": grp.order}
 
@@ -479,53 +458,74 @@ def _trace_bound(layer: LevelLayer) -> int:
     return n * n - traceless
 
 
+def _orthogonal_bound(g: int) -> int:
+    """|O(g, F_2)| / k_g (k_g = 2 for even g, else 1), the order of the
+    image in GL(F_2^g / <1>) of the dot form's orthogonal group, which
+    holds the reduced actions mod 2: a twist is a transvection isometry, a
+    slide is I.  |O(2m+1, F_2)| = |Sp(2m, 2)|, |O(2m, F_2)| = 2^(2m-1)
+    |Sp(2m-2, 2)| (MacWilliams, Amer. Math. Monthly 76, 1969) and
+    |Sp(2m, 2)| = 2^(m^2) prod_{i<=m} (4^i - 1); the bound grows with g."""
+    m = (g - 1) // 2
+    order = 1 << m * m
+    for i in range(1, m + 1):
+        order *= (1 << 2 * i) - 1
+    return order if g % 2 else order << g - 2
+
+
 def _check_thm31_closure(p: dict) -> tuple[bool, dict]:
     g, d = p["g"], p["d"]
-    if d % 2 and alphabet_size(g) > CLOSURE_CAP:
+    # the bound grows with g, so the search stops at a small genus
+    first = next((h for h in range(2, g + 1) if _orthogonal_bound(h) > CLOSURE_CAP), None)
+    if d % 2 and first:
         raise ScaleGuardError(
-            f"the generator alphabet at g = {g} has {alphabet_size(g)} letters,"
-            f" over the closure cap of {CLOSURE_CAP} elements"
+            f"the orthogonal bound at g = {g} exceeds the closure cap of {CLOSURE_CAP}"
+            f" elements: it is {_orthogonal_bound(first)} at g = {first} and grows with g"
         )
     closed = [r for r in families.main2_normal_generators(g, 0, d) if r.closed_surface]
     seeds = [reduced_action(r.word) for r in closed]
     seed_names = [f"seed {r.name}" for r in closed]
-    extra = {}
+    letters = conjugating_letters(g)
+    conjugators, names = [reduced_action(w) for w in letters], [str(w) for w in letters]
     if d % 2 == 0:
-        # the closure N_S under the letters S lies in the closure N under the
-        # whole alphabet, and N in the trace bound's space, so N_S = N once
-        # N_S fills that space
-        letters = conjugating_letters(g)
-        conjugators = [reduced_action(w) for w in letters]
-        names = [str(w) for w in letters]
         closure = _named(seed_names, lambda: layer_normal_closure(conjugators, seeds, d))
-        bound = _trace_bound(closure)
-        if len(closure.basis) < bound:
-            raise ScaleGuardError(
-                f"the seeds' closure under conjugation by {', '.join(names)} reached dimension"
-                f" {len(closure.basis)}, below the trace bound of dimension {bound}"
-            )
+        measure, size = "dimension", _trace_bound(closure)
+        bound, reached = {"kind": "trace", "dim": size}, {"seeds'": len(closure.basis)}
         reference = _reference_layer(gamma_generators(g - 1, d), d)
+        ok, order = closure == reference, closure.order
         ref_kind = "generated congruence family"
-        extra = {"ambient": names, "bound": {"kind": "trace", "dim": bound}}
     else:
         # Z/2d = Z/2 x Z/d for odd d: the seeds and the reference generators
         # are I mod d, hence so is all they generate under conjugation, and
         # reduction mod 2 is injective on that kernel of reduction mod d
-        ambient = ambient_phi_images(g)
         refs = conjugated_gamma_generators(g - 1, d)
-        ref_names = [f"reference generator {i}" for i in range(len(refs))]
-        _named(seed_names, lambda: identity_offsets(seeds, d))
-        _named(ref_names, lambda: identity_offsets(refs, d))
-        closure = normal_closure(ambient, seeds)
-        reference = normal_closure(ambient, refs)
+        gen_names = seed_names + [f"reference generator {i}" for i in range(len(refs))]
+        _named(gen_names, lambda: identity_offsets(seeds + refs, d))
+        closure = normal_closure(conjugators, seeds)
+        # the closure is normal under the letters: once it holds the references
+        # it holds their closure, which it equals when the orders agree
+        ok, order = all(m in closure for m in refs), closure.order
+        del closure
+        reference = normal_closure(conjugators, refs)
+        ok = ok and reference.order == order
+        measure, size = "order", _orthogonal_bound(g)
+        bound, reached = {"kind": "orthogonal", "order": size}, {"seeds'": order}
+        reached["reference generators'"] = reference.order
         ref_kind = "conjugated elementary family (plain d-th powers are obstructed)"
-    ok = closure == reference
+    # the closure N_S under the letters S lies in the closure N under the
+    # whole alphabet, and N in the bound, so N_S = N once N_S reaches it
+    for who, got in reached.items():
+        if got < size:
+            raise ScaleGuardError(
+                f"the {who} closure under conjugation by {', '.join(names)} reached {measure}"
+                f" {got}, below the {bound['kind']} bound of {measure} {size}"
+            )
     return ok, {
-        "closure_order": closure.order,
+        "closure_order": order,
         "reference_order": reference.order,
         "reference": ref_kind,
         "modulus": 2 * d,
-        **extra,
+        "ambient": names,
+        "bound": bound,
     }
 
 

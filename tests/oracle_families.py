@@ -8,6 +8,9 @@ table gives for that row.
 
 ``alternates`` gives the other words that realize an A, B or C element,
 each of which must act on homology as ``named_element``'s word does.
+
+``main3_word`` indexes the level-4 generating stream on family elements
+built once by the caller.
 """
 
 from __future__ import annotations
@@ -15,7 +18,13 @@ from __future__ import annotations
 import functools
 from typing import Callable, Iterator
 
-from crosscap.families import family_indices, named_element
+from crosscap.families import (
+    NamedFamilyElement,
+    family_indices,
+    main3_position,
+    named_element,
+    subset_word,
+)
 from crosscap.words import MCGWord, Slide, Twist, commutator, conjugate, word
 
 
@@ -43,6 +52,13 @@ def alternates(family: str, indices: tuple[int, ...], g: int) -> list[MCGWord]:
             return [t2.inverse() * conjugate(t2, _slide(g, k, i))]
         return [t2 * conjugate(t2.inverse(), _slide(g, k, i).inverse())]
     raise ValueError(f"family {family!r} has no alternate realization")
+
+
+def main3_word(g: int, index: int, fams: list[NamedFamilyElement]) -> MCGWord:
+    """Stream word ``index`` of ``crosscap.families.main3_generator``, on the
+    family elements ``fams`` (``main3_families(g)``) built once."""
+    mask, k = main3_position(g, index, len(fams))
+    return conjugate(fams[k].word, subset_word(g, mask))
 
 
 def slide_commutator_rows(g: int) -> Iterator[tuple[tuple[int, int], tuple[int, int], MCGWord]]:

@@ -40,10 +40,11 @@ closures, which take exact matrices, they pass each residue matrix as an
 ``IntMatrix``: it is congruent to the exact image, so it has the same layer
 vector.
 
-``thm31_whole_alphabet_closure`` is even-d THM31-CLOSURE's normal closure
-under the reduced actions of the whole generator alphabet; the registry's
-runner conjugates by g + 1 letters and certifies the result by the trace
-bound, and must reach the same layer.
+``thm31_whole_alphabet_closure`` is THM31-CLOSURE's normal closure of the
+seeds under ``ambient_phi_images``, the reduced actions of the whole
+generator alphabet; the registry's runner conjugates by g + 1 letters and
+certifies the result by the trace bound at even d and by the orthogonal
+bound at odd d, and must reach the same layer or group.
 
 The int64 ``einsum`` exhaustion of the mod-2 orthogonal group, keyed by
 uint16 entries, and THM41-MOD8's ``np.unique(..., axis=0)`` dedupe over the
@@ -57,15 +58,18 @@ from collections import deque
 from typing import Callable, Iterator
 
 import numpy as np
+from oracle_families import main3_word
 from oracle_finitegrp import bfs_closure, coset_action_table, elements, identity_offsets
 from oracle_homology import matrix_level_trivial
 from oracle_packed import level_trivial_residues
 
 from crosscap import families
 from crosscap.finitegrp import (
+    FiniteMatrixGroup,
     LevelLayer,
     layer_closure,
     layer_normal_closure,
+    normal_closure,
     schreier_generators,
     vector_coordinates,
 )
@@ -83,6 +87,7 @@ from crosscap.ledger import (
     _reference_layer,
     _single_slides,
     _y_union_d_words,
+    conjugated_gamma_generators,
     gamma_generators,
     rs_stream_factors as xor_stream_factors,
 )
@@ -232,7 +237,7 @@ def thm41_member_failures(g: int, indices) -> int:
     """How many stream words at ``indices`` act nontrivially mod 4."""
     fams = families.main3_families(g)
     return sum(
-        not matrix_level_trivial(word_matrix(families.main3_generator(g, int(idx), fams)), 4)
+        not matrix_level_trivial(word_matrix(main3_word(g, int(idx), fams)), 4)
         for idx in indices
     )
 
@@ -495,15 +500,22 @@ def thm41_mod8_stacked(g: int) -> tuple[bool, dict]:
     }
 
 
-def thm31_whole_alphabet_closure(g: int, d: int) -> LevelLayer:
-    """Even-d THM31-CLOSURE's normal closure as the registry took it before
-    the trace certificate: the layer normal closure of the closed-surface
-    seeds under the reduced actions of the whole generator alphabet,
-    2^(g-1) - 1 + g(g-1) matrices, each seed named if it is outside the
-    layer."""
+def ambient_phi_images(g: int) -> list[IntMatrix]:
+    """The reduced actions of the whole generator alphabet, 2^(g-1) - 1 +
+    g(g-1) matrices: 35 at g = 5 and 33,007 at g = 16."""
+    return [reduced_action(w) for w in families.generator_alphabet(g)]
+
+
+def thm31_whole_alphabet_closure(g: int, d: int) -> LevelLayer | FiniteMatrixGroup:
+    """THM31-CLOSURE's normal closure as the registry took it before its
+    bounds: the normal closure of the closed-surface seeds under the whole
+    alphabet, on the layer at even d (each seed named if it is outside the
+    layer) and mod 2 at odd d."""
     closed = [r for r in families.main2_normal_generators(g, 0, d) if r.closed_surface]
     seeds = [reduced_action(r.word) for r in closed]
-    alphabet = [reduced_action(w) for w in families.generator_alphabet(g)]
+    alphabet = ambient_phi_images(g)
+    if d % 2:
+        return normal_closure(alphabet, seeds)
     names = [f"seed {r.name}" for r in closed]
     return _named(names, lambda: layer_normal_closure(alphabet, seeds, d))
 
@@ -517,6 +529,20 @@ def thm31_closure_even(g: int, d: int) -> tuple[bool, dict]:
         "closure_order": closure.order,
         "reference_order": reference.order,
         "reference": "generated congruence family",
+        "modulus": 2 * d,
+    }
+
+
+def thm31_closure_odd(g: int, d: int) -> tuple[bool, dict]:
+    """Odd-d THM31-CLOSURE on the whole-alphabet closures of the seeds and of
+    the conjugated reference generators, with the record it gave then: the
+    registry's adds only ``ambient`` and ``bound``."""
+    closure = thm31_whole_alphabet_closure(g, d)
+    reference = normal_closure(ambient_phi_images(g), conjugated_gamma_generators(g - 1, d))
+    return closure == reference, {
+        "closure_order": closure.order,
+        "reference_order": reference.order,
+        "reference": "conjugated elementary family (plain d-th powers are obstructed)",
         "modulus": 2 * d,
     }
 

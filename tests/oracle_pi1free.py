@@ -18,10 +18,15 @@ folded.  ``crosscap.pi1free.verify_ker_theta`` reads the same graphs off
 theta and the relator loops and must give the same report.  Its coset count
 is ``coset_count_ker_theta`` here: Todd-Coxeter on the plus-basis relators
 without the Tietze elimination that the package runs first.
+
+``loops_at_every_vertex`` is the loop check as ``verify_ker_theta`` read it
+before it read the base alone: every relator followed from every vertex of
+the theta graph.
 """
 
 from typing import Iterable, Mapping, Optional, Sequence
 
+from crosscap import pi1free
 from crosscap.finitegrp import CosetTable, schreier_generators, todd_coxeter
 from crosscap.pi1free import (
     Atom,
@@ -248,6 +253,14 @@ def certify_in_words(g: int, n: int, d: int) -> tuple[dict, StallingsGraph, Stal
         and cosets == expected_index
     )
     return report, graph_claimed, graph_schreier
+
+
+def loops_at_every_vertex(g: int, n: int, d: int) -> bool:
+    """Whether every normal relator, as coset-table columns, reads as a loop
+    at every vertex of ``crosscap.pi1free.theta_graph``."""
+    graph = pi1free.theta_graph(g, n, d)
+    loops = pi1free._relator_loops(g, n, d)
+    return all(graph.follow(v, cols) == v for v in range(graph.vertex_count) for cols in loops)
 
 
 class Folder:

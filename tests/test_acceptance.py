@@ -164,7 +164,7 @@ def test_criterion_6_level4_generating_stream():
         fams5 = families.main3_families(5)
         count5 = families.main3_count(5)
         for idx in rng.sample(range(count5), 1000):
-            assert level_member(families.main3_generator(5, idx, fams5), 4)
+            assert level_member(oracle_families.main3_word(5, idx, fams5), 4)
 
         record = run_check("THM41-MOD8", {"g": 4})
         assert record.status == "pass"

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -225,6 +226,22 @@ def test_verify_inconclusive_exit_code(capsys):
     code, out, _ = run_cli(capsys, "verify", "--suite", "PSI-O2", "--params", "g=5", "--format", "json")
     assert code == 3
     assert json.loads(out)[0]["status"] == "inconclusive"
+
+
+def test_verify_odd_level_closure_past_the_orthogonal_bound_exits_3_at_once(capsys):
+    # the bound at g = 100000 has billions of digits; it is never formed
+    start = time.perf_counter()
+    code, out, err = run_cli(
+        capsys, "verify", "--suite", "THM31-CLOSURE", "--params", "g=100000,d=3", "--format", "json"
+    )
+    assert time.perf_counter() - start < 0.1
+    assert code == 3 and err == ""
+    (record,) = json.loads(out)
+    assert record["status"] == "inconclusive"
+    assert record["details"]["reason"] == (
+        "the orthogonal bound at g = 100000 exceeds the closure cap of 4194304 elements:"
+        " it is 92897280 at g = 8 and grows with g"
+    )
 
 
 def test_verify_theta_basis_past_the_kernel_work_budget_exits_3_at_once(capsys):

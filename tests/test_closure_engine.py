@@ -179,7 +179,7 @@ def test_odd_level_closure_stays_on_the_engine(monkeypatch):
     assert all(type(m) is IntMatrix for _, args in calls for gens in args for m in gens)
     assert_every_call_matches(calls)
     # the same closures over Z/6, on the exact images the registry closed
-    ambient = ledger.ambient_phi_images(5)
+    ambient = [ledger.reduced_action(w) for w in ledger.conjugating_letters(5)]
     closed = [r for r in ledger.families.main2_normal_generators(5, 0, 3) if r.closed_surface]
     refs = ledger.conjugated_gamma_generators(4, 3)
     for (_, args), seeds in zip(calls, ([ledger.reduced_action(r.word) for r in closed], refs)):

@@ -32,7 +32,7 @@ def test_graphs_and_report_match_the_word_level_oracle(g, n, d):
     assert theta_graph(g, n, d).to_json() == schreier.to_json()
     assert claimed_kernel_graph(g, n, d).to_json() == claimed.to_json()
     assert verify_ker_theta(g, n, d) == report
-    assert report["ok"]
+    assert report["ok"] and oracle_pi1free.loops_at_every_vertex(g, n, d)
 
 
 @pytest.mark.parametrize(
@@ -79,6 +79,7 @@ def test_a_relator_outside_the_kernel_fails_the_certificate(monkeypatch):
     patch_relators(monkeypatch, lambda g, rels: rels + [x_run(1, g)])
     report = verify_ker_theta(g, n, d)
     assert report["claimed_all_in_kernel"] is False
+    assert oracle_pi1free.loops_at_every_vertex(g, n, d) is False
     assert report["subgroups_equal"] is False and report["ok"] is False
     assert report == oracle_pi1free.certify_in_words(g, n, d)[0]
 

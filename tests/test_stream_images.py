@@ -8,6 +8,7 @@ import random
 import numpy as np
 import pytest
 
+import oracle_families
 import oracle_homology
 import oracle_ledger
 from oracle_ledger import main3_stream_images
@@ -28,7 +29,7 @@ def word_level(g, indices, action, modulus):
     fams = families.main3_families(g)
     return np.array(
         [
-            action(families.main3_generator(g, int(i), fams)).reduce_mod(modulus).rows
+            action(oracle_families.main3_word(g, int(i), fams)).reduce_mod(modulus).rows
             for i in indices
         ],
         dtype=np.int64,
