@@ -202,34 +202,39 @@ def _conjugation(ambient_gens: Sequence[IntMatrix], n: int) -> Callable[[Sequenc
     every A X A^-1, for A running over the distinct ambient generators mod 2
     (A-major).
 
-    Row r of X A^-1 is looked up in two ``_row_table``s, of the first n/2
-    rows of A^-1 and of the rest, so that each A costs about 2^(n/2 + 1)
-    entries.  A (X A^-1) is the XOR over r of column r of A times that row:
-    column r, held with entry k at bit k*n, times an n-bit row spreads the
-    row over the rows k of A X A^-1 without carries.
+    Row r of X A^-1 is the XOR of one lookup per 8-bit chunk of row r of X,
+    in the ``_row_table`` of the 8 rows of A^-1 that the chunk picks, so
+    that each A costs ceil(n/8) tables of at most 256 entries.  A (X A^-1)
+    is the XOR over r of column r of A times that row: column r, held with
+    entry k at bit k*n, times an n-bit row spreads the row over the rows k
+    of A X A^-1 without carries.
 
     Only A, never A^-1, is needed by the normal closures: an invertible map
     that sends a finite set into itself sends it onto itself, so a finite
     group or span stable under X -> A X A^-1 is stable under its inverse.
     """
-    half = n // 2
-    mask, low = (1 << n) - 1, (1 << half) - 1
+    mask = (1 << n) - 1
     actions = []
     for key in dict.fromkeys(map(_key, ambient_gens)):
         columns = [sum((key >> k * n + c & 1) << k * n for k in range(n)) for c in range(n)]
         inverse = _rows(_inverse(key, n), n)
-        actions.append((columns, _row_table(inverse[:half]), _row_table(inverse[half:])))
+        tables = [_row_table(inverse[c : c + 8]) for c in range(0, n, 8)]
+        actions.append((columns, tables))
     shifts = range(0, n * n, n)
 
     def conjugate(xs: Sequence[int]) -> list[int]:
         out = []
-        for columns, first, rest in actions:
+        for columns, tables in actions:
             for x in xs:
                 y = 0
                 for column, shift in zip(columns, shifts):
                     v = x >> shift & mask
                     if v:
-                        y ^= column * (first[v & low] ^ rest[v >> half])
+                        row = 0
+                        for table in tables:
+                            row ^= table[v & 255]
+                            v >>= 8
+                        y ^= column * row
                 out.append(y)
         return out
 
@@ -333,17 +338,23 @@ def _layer_vectors(gens: Sequence[IntMatrix], d: int) -> list[int]:
 
 class _Span:
     """An F_2 subspace of bit vectors in reduced echelon form, grown in
-    place: ``rows`` maps each pivot to the one basis vector that has it."""
+    place: ``rows`` maps each pivot to the one basis vector that has it,
+    and ``pivots`` is the OR of the pivot bits."""
 
     def __init__(self) -> None:
         self.rows: dict[int, int] = {}
+        self.pivots = 0
 
     def reduce(self, v: int) -> int:
         """``v`` with every pivot bit cleared by adding the row that has it;
-        zero exactly when ``v`` lies in the span."""
-        for pivot, row in self.rows.items():
-            if v >> pivot & 1:
-                v ^= row
+        zero exactly when ``v`` lies in the span.  A row sets no pivot bit
+        but its own, so the rows to add are those at the pivot bits of v."""
+        rows = self.rows
+        hits = v & self.pivots
+        while hits:
+            low = hits & -hits
+            v ^= rows[low.bit_length() - 1]
+            hits ^= low
         return v
 
     def add(self, vectors: Iterable[int]) -> list[int]:
@@ -360,6 +371,7 @@ class _Span:
                     if row >> top & 1:
                         self.rows[pivot] = row ^ v
                 self.rows[top] = v
+                self.pivots |= 1 << top
                 added.append(v)
         return added
 

@@ -8,8 +8,8 @@ the normal form fixes the last coordinate to 0 or 1.
 Word actions are exact g x g integer matrices in the basis a_1..a_g
 (columns are images, so the matrix of the written word ``u v`` is
 ``M(u) * M(v)`` with the rightmost letter applied first).  A product of
-words, each taken once or inverted, is evaluated by column operations on
-one mutable matrix, factor by factor, without forming the product or the
+words, each taken once or inverted, is evaluated by row operations on
+one mutable matrix, last letter first, without forming the product or the
 inverses as words (``product_matrix``; a single word is its one-factor
 case, ``word_matrix``): a slide costs O(g) and a twist about I costs
 O(g |I|) integer operations whatever the exponent, so powers are exact at
@@ -178,28 +178,91 @@ def product_matrix(genus: int, factors: Iterable[tuple[MCGWord, int]]) -> IntMat
     ``(word, sign)`` pairs in ``factors``, each sign 1 or -1, without
     forming the product (rightmost letter applied first).
 
-    The product of the letter matrices is accumulated left to right as one
-    mutable list of columns, factor after factor; a -1 factor is read as its
-    letters reversed with negated exponents.  Multiplying on the right by a
-    letter's matrix only combines columns:
+    The product of the letter matrices is accumulated from the rightmost
+    letter of the last factor to the leftmost of the first, as one mutable
+    list of rows; a -1 factor is read as its letters reversed with negated
+    exponents.  Multiplying on the left by a letter's matrix only combines
+    rows:
 
     * ``Y(a, b)^e`` with e odd sends a_a -> -a_a and a_b -> a_b + 2 a_a, so
-      ``col_b += 2 col_a`` and then ``col_a = -col_a``; the slide action is
-      an involution on H_1, so an even power does nothing.
+      ``row_a = 2 row_b - row_a``; the slide action is an involution on
+      H_1, so an even power does nothing.
     * ``T(I)^e`` acts as I + e u w^T, with u the indicator vector of I and w
       the alternating sign vector (-1 at the 1st, 3rd, ... smallest indices,
       +1 at the rest).  Since w . u = 0 this is exactly the e-th power of
-      the single twist, and it is the rank-1 update ``col_j += e w_j mu``
-      with ``mu`` the sum of the columns indexed by I.
+      the single twist, and it adds the one row ``e sum_j w_j row_j`` to
+      each row indexed by I.
     * Torelli tags act trivially; boundary twists have no action here.
 
-    A factor of another genus raises :class:`GenusMismatchError`, and the
-    first letter without an action raises as :func:`_check_letter` does.
+    Errors are raised as if the factors were read left to right: the first
+    factor of another genus raises :class:`GenusMismatchError`, a sign
+    other than 1 or -1 raises ``ValueError``, and the first letter without
+    an action, in the order its factor is read, raises as
+    :func:`_check_letter` does.  So on any failure the factors are checked
+    again in that order, and the first failure found is raised.
     """
     g = genus
     if g < 1:
         raise DimensionError("dimension must be >= 1")
-    cols = [[0] * j + [1] + [0] * (g - 1 - j) for j in range(g)]
+    factors = list(factors)
+    try:
+        rows = _product_rows(g, factors)
+    except Exception as exc:
+        error = exc
+    else:
+        return IntMatrix(tuple(map(tuple, rows)))
+    _check_factors(g, factors)
+    raise error
+
+
+def _product_rows(g: int, factors: list[tuple[MCGWord, int]]) -> list:
+    """The rows of :func:`product_matrix`, read from its last letter back."""
+    rows = list(IntMatrix.identity(g).rows)
+    for w, sign in reversed(factors):
+        if w.genus != g:
+            raise GenusMismatchError(f"factor of genus {w.genus} in a product of genus {g}")
+        if sign == 1:
+            letters = reversed(w.letters)
+        elif sign == -1:
+            letters = w.letters
+        else:
+            raise ValueError(f"factor sign must be 1 or -1, got {sign!r}")
+        for sym, exp in letters:
+            kind = type(sym)
+            if kind is Slide:
+                a, b = sym.moving, sym.along
+                if a > g or b > g:
+                    _check_letter(sym, g)
+                if exp % 2:
+                    rows[a - 1] = [2 * y - x for x, y in zip(rows[a - 1], rows[b - 1])]
+            elif kind is Twist:
+                idx = sym.indices
+                if idx[-1] > g:
+                    _check_letter(sym, g)
+                e = sign * exp
+                if len(idx) == 2:
+                    i, j = idx[0] - 1, idx[1] - 1
+                    ri, rj = rows[i], rows[j]
+                    r = [e * (y - x) for x, y in zip(ri, rj)]
+                    rows[i] = [x + t for x, t in zip(ri, r)]
+                    rows[j] = [y + t for y, t in zip(rj, r)]
+                else:
+                    idx = [j - 1 for j in idx]
+                    r = [
+                        e * (sum(entries[1::2]) - sum(entries[::2]))
+                        for entries in zip(*(rows[j] for j in idx))
+                    ]
+                    for j in idx:
+                        rows[j] = [x + t for x, t in zip(rows[j], r)]
+            else:
+                _check_letter(sym, g)
+    return rows
+
+
+def _check_factors(g: int, factors: list[tuple[MCGWord, int]]) -> None:
+    """Raise the first error :func:`product_matrix` reports, reading the
+    factors left to right: each factor's genus, then its sign, then its
+    letters in the order the factor is read."""
     for w, sign in factors:
         if w.genus != g:
             raise GenusMismatchError(f"factor of genus {w.genus} in a product of genus {g}")
@@ -209,37 +272,8 @@ def product_matrix(genus: int, factors: Iterable[tuple[MCGWord, int]]) -> IntMat
             letters = reversed(w.letters)
         else:
             raise ValueError(f"factor sign must be 1 or -1, got {sign!r}")
-        for sym, exp in letters:
-            if isinstance(sym, Slide):
-                a, b = sym.moving, sym.along
-                if a > g or b > g:
-                    _check_letter(sym, g)
-                if exp % 2:
-                    ca = cols[a - 1]
-                    cols[b - 1] = [cb + 2 * c for cb, c in zip(cols[b - 1], ca)]
-                    cols[a - 1] = [-c for c in ca]
-            elif isinstance(sym, Twist):
-                idx = sym.indices
-                if idx[-1] > g:
-                    _check_letter(sym, g)
-                e = sign * exp
-                if len(idx) == 2:
-                    i, j = idx[0] - 1, idx[1] - 1
-                    ci, cj = cols[i], cols[j]
-                    mu = [e * (x + y) for x, y in zip(ci, cj)]
-                    cols[i] = [x - m for x, m in zip(ci, mu)]
-                    cols[j] = [y + m for y, m in zip(cj, mu)]
-                else:
-                    idx = [j - 1 for j in idx]
-                    mu = [e * sum(entries) for entries in zip(*(cols[j] for j in idx))]
-                    for pos, j in enumerate(idx):
-                        if pos % 2:
-                            cols[j] = [c + m for c, m in zip(cols[j], mu)]
-                        else:
-                            cols[j] = [c - m for c, m in zip(cols[j], mu)]
-            else:
-                _check_letter(sym, g)
-    return IntMatrix(tuple(zip(*cols)))
+        for sym, _ in letters:
+            _check_letter(sym, g)
 
 
 def word_matrix(w: MCGWord) -> IntMatrix:
@@ -282,9 +316,8 @@ def collapse_total_class(m: IntMatrix) -> IntMatrix:
     g = m.n
     if g < 2:
         raise ValueError("need genus >= 2 to collapse")
-    return IntMatrix.from_rows(
-        [[m.rows[i][j] - m.rows[g - 1][j] for j in range(g - 1)] for i in range(g - 1)]
-    )
+    last = m.rows[-1]
+    return IntMatrix(tuple(tuple(x - y for x, y in zip(row, last[:-1])) for row in m.rows[:-1]))
 
 
 def reduced_action(w: MCGWord) -> IntMatrix:

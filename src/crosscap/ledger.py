@@ -119,20 +119,33 @@ class CheckSpec(Frozen):
 
 def gamma_generators(n: int, d: int) -> list[IntMatrix]:
     """The standard generating family of the level-d congruence subgroup of
-    SL(n, Z) for n >= 3: d-th elementary powers plus their first-row
-    conjugates."""
-    plain = [elementary(n, i, j, d) for i in range(1, n + 1) for j in range(1, n + 1) if i != j]
+    SL(n, Z) for n >= 3: d-th elementary powers e_ij^d = I + d E_ij plus
+    their first-row conjugates."""
+    eye = list(IntMatrix.identity(n).rows)
+    plain = []
+    for i, row in enumerate(eye):
+        for j in range(n):
+            if i != j:
+                rows = eye.copy()
+                rows[i] = row[:j] + (d,) + row[j + 1 :]
+                plain.append(IntMatrix(tuple(rows)))
     return plain + conjugated_gamma_generators(n, d)
 
 
 def conjugated_gamma_generators(n: int, d: int) -> list[IntMatrix]:
     """Only the conjugated part e_{k1} e_{1k}^d e_{k1}^{-1}; for odd d these
     are the elementary-based elements realized by mapping classes (the plain
-    e_{ij}^d are obstructed)."""
-    return [
-        elementary(n, k, 1) * elementary(n, 1, k, d) * elementary(n, k, 1, -1)
-        for k in range(2, n + 1)
-    ]
+    e_{ij}^d are obstructed).  Each is I + d (E_1k + E_kk - E_11 - E_k1),
+    written row by row."""
+    eye = list(IntMatrix.identity(n).rows)
+    out = []
+    for k in range(1, n):
+        rows = eye.copy()
+        middle, rest = (0,) * (k - 1), (0,) * (n - k - 1)
+        rows[0] = (1 - d,) + middle + (d,) + rest
+        rows[k] = (-d,) + middle + (1 + d,) + rest
+        out.append(IntMatrix(tuple(rows)))
+    return out
 
 
 def conjugating_letters(g: int) -> list[MCGWord]:

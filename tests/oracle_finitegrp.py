@@ -26,6 +26,13 @@ test and the transversal action table that enumerated the level-2 image mod
 4 and walked RS-GAMMA24's Schreier stream before it moved to the level
 layer; they are kept as references for that layer walk.
 
+``reduce_all_rows`` is ``crosscap.finitegrp._Span.reduce`` as it was
+before it read only the vector's pivot bits: it walks every row of the
+span.  ``half_split_conjugation`` is ``crosscap.finitegrp._conjugation`` as
+it was before its tables went to 8-bit chunks: row r of X A^-1 is looked up
+in two tables, of the first n/2 rows of A^-1 and of the rest.  The engine's
+forms must give the same vectors and keys.
+
 ``todd_coxeter`` is the coset enumeration as it was before it moved onto
 ``crosscap.finitegrp._CosetRows``: the same HLT scans and coincidence queue
 on a table held in closures.  The engine must give the same ``CosetTable``.
@@ -33,7 +40,7 @@ on a table held in closures.  The engine must give the same ``CosetTable``.
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -45,8 +52,13 @@ from crosscap.finitegrp import (
     ScaleGuardError,
     SectionError,
     _column,
+    _inverse,
+    _key as _int_key,
+    _row_table,
+    _rows,
+    _Span,
 )
-from crosscap.intmat import ModMatrix, ModulusMismatchError
+from crosscap.intmat import IntMatrix, ModMatrix, ModulusMismatchError
 
 MAX_KEY_MODULUS = 1 << 16
 _BATCH = 1 << 15  # matrices per numpy batch
@@ -99,6 +111,45 @@ def identity_offsets(gens: Sequence[ModMatrix], d: int) -> list[int]:
                 x |= (q & 1) << (r * n + c)
         vectors.append(x)
     return vectors
+
+
+def reduce_all_rows(span: _Span, v: int) -> int:
+    """``v`` with every pivot bit of ``span`` cleared, each row of the span
+    tried in turn."""
+    for pivot, row in span.rows.items():
+        if v >> pivot & 1:
+            v ^= row
+    return v
+
+
+def half_split_conjugation(
+    ambient_gens: Sequence[IntMatrix], n: int
+) -> Callable[[Sequence[int]], list[int]]:
+    """The keys of every A X A^-1 for the keys X, A-major over the distinct
+    ambient generators mod 2, with each row of X A^-1 looked up in two
+    tables of about 2^(n/2) entries."""
+    half = n // 2
+    mask, low = (1 << n) - 1, (1 << half) - 1
+    actions = []
+    for key in dict.fromkeys(map(_int_key, ambient_gens)):
+        columns = [sum((key >> k * n + c & 1) << k * n for k in range(n)) for c in range(n)]
+        inverse = _rows(_inverse(key, n), n)
+        actions.append((columns, _row_table(inverse[:half]), _row_table(inverse[half:])))
+    shifts = range(0, n * n, n)
+
+    def conjugate(xs: Sequence[int]) -> list[int]:
+        out = []
+        for columns, first, rest in actions:
+            for x in xs:
+                y = 0
+                for column, shift in zip(columns, shifts):
+                    v = x >> shift & mask
+                    if v:
+                        y ^= column * (first[v & low] ^ rest[v >> half])
+                out.append(y)
+        return out
+
+    return conjugate
 
 
 def _as_array(m: ModMatrix) -> np.ndarray:

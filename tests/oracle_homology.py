@@ -6,12 +6,21 @@ correct definition that ``crosscap.homology.word_matrix`` must reproduce.
 ``oracle_act`` is the image of a class as ``word_matrix`` times its
 coefficient vector, which the matrix-free ``crosscap.homology.act`` must
 reproduce, errors included.
+
+``column_product_matrix`` is ``product_matrix`` as it was before it moved
+to row operations: the letter matrices multiplied on the right, first
+factor first, as column updates on one mutable matrix, each letter checked
+as it is read.  The row form must give the same matrix and raise the same
+first error.
 """
 
-from crosscap.homology import H1Class, NoHomologyActionError, word_matrix
-from crosscap.intmat import IntMatrix
+from typing import Iterable
+
+from crosscap.homology import H1Class, NoHomologyActionError, _check_letter, word_matrix
+from crosscap.intmat import DimensionError, IntMatrix
 from crosscap.words import (
     BoundaryTwist,
+    GenusMismatchError,
     MCGWord,
     Slide,
     Symbol,
@@ -108,3 +117,54 @@ def oracle_act(w: MCGWord, x: H1Class) -> H1Class:
         sum(m.rows[r][c] * x.coeffs[c] for c in range(w.genus)) for r in range(w.genus)
     )
     return H1Class(w.genus, coeffs)
+
+
+def column_product_matrix(genus: int, factors: Iterable[tuple[MCGWord, int]]) -> IntMatrix:
+    """Exact g x g action of w_1^s_1 ... w_k^s_k, accumulated left to right
+    by column updates: ``Y(a, b)^odd`` adds 2 col_a to col_b and negates
+    col_a, and ``T(I)^e`` adds e w_j mu to each col_j, mu the sum of the
+    columns indexed by I."""
+    g = genus
+    if g < 1:
+        raise DimensionError("dimension must be >= 1")
+    cols = [[0] * j + [1] + [0] * (g - 1 - j) for j in range(g)]
+    for w, sign in factors:
+        if w.genus != g:
+            raise GenusMismatchError(f"factor of genus {w.genus} in a product of genus {g}")
+        if sign == 1:
+            letters = w.letters
+        elif sign == -1:
+            letters = reversed(w.letters)
+        else:
+            raise ValueError(f"factor sign must be 1 or -1, got {sign!r}")
+        for sym, exp in letters:
+            if isinstance(sym, Slide):
+                a, b = sym.moving, sym.along
+                if a > g or b > g:
+                    _check_letter(sym, g)
+                if exp % 2:
+                    ca = cols[a - 1]
+                    cols[b - 1] = [cb + 2 * c for cb, c in zip(cols[b - 1], ca)]
+                    cols[a - 1] = [-c for c in ca]
+            elif isinstance(sym, Twist):
+                idx = sym.indices
+                if idx[-1] > g:
+                    _check_letter(sym, g)
+                e = sign * exp
+                if len(idx) == 2:
+                    i, j = idx[0] - 1, idx[1] - 1
+                    ci, cj = cols[i], cols[j]
+                    mu = [e * (x + y) for x, y in zip(ci, cj)]
+                    cols[i] = [x - m for x, m in zip(ci, mu)]
+                    cols[j] = [y + m for y, m in zip(cj, mu)]
+                else:
+                    idx = [j - 1 for j in idx]
+                    mu = [e * sum(entries) for entries in zip(*(cols[j] for j in idx))]
+                    for pos, j in enumerate(idx):
+                        if pos % 2:
+                            cols[j] = [c + m for c, m in zip(cols[j], mu)]
+                        else:
+                            cols[j] = [c - m for c, m in zip(cols[j], mu)]
+            else:
+                _check_letter(sym, g)
+    return IntMatrix(tuple(zip(*cols)))

@@ -46,6 +46,11 @@ generator alphabet; the registry's runner conjugates by g + 1 letters and
 certifies the result by the trace bound at even d and by the orthogonal
 bound at odd d, and must reach the same layer or group.
 
+``product_gamma_generators`` and ``product_conjugated_gamma_generators``
+are the congruence generators as ``IntMatrix`` products of elementary
+matrices, e_ij^d and e_k1 e_1k^d e_k1^-1; the registry writes their rows in
+closed form and must give the same matrices in the same order.
+
 The int64 ``einsum`` exhaustion of the mod-2 orthogonal group, keyed by
 uint16 entries, and THM41-MOD8's ``np.unique(..., axis=0)`` dedupe over the
 whole stream are kept here too: the bit-sliced
@@ -80,7 +85,7 @@ from crosscap.homology import (
     reduced_action,
     word_matrix,
 )
-from crosscap.intmat import IntMatrix, ModMatrix
+from crosscap.intmat import IntMatrix, ModMatrix, elementary
 from crosscap.ledger import (
     _collapsed,
     _named,
@@ -504,6 +509,20 @@ def ambient_phi_images(g: int) -> list[IntMatrix]:
     """The reduced actions of the whole generator alphabet, 2^(g-1) - 1 +
     g(g-1) matrices: 35 at g = 5 and 33,007 at g = 16."""
     return [reduced_action(w) for w in families.generator_alphabet(g)]
+
+
+def product_gamma_generators(n: int, d: int) -> list[IntMatrix]:
+    """The d-th elementary powers e_ij^d, then their first-row conjugates."""
+    plain = [elementary(n, i, j, d) for i in range(1, n + 1) for j in range(1, n + 1) if i != j]
+    return plain + product_conjugated_gamma_generators(n, d)
+
+
+def product_conjugated_gamma_generators(n: int, d: int) -> list[IntMatrix]:
+    """e_k1 e_1k^d e_k1^-1 for k = 2..n, as two matrix products each."""
+    return [
+        elementary(n, k, 1) * elementary(n, 1, k, d) * elementary(n, k, 1, -1)
+        for k in range(2, n + 1)
+    ]
 
 
 def thm31_whole_alphabet_closure(g: int, d: int) -> LevelLayer | FiniteMatrixGroup:

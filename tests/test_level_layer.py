@@ -3,7 +3,8 @@ bases, explicit preconditions, and the registry checks that run on it at
 genera where listing the elements is out of reach.
 
 The comparisons with the enumerating closure engine are in
-``test_closure_engine.py``.
+``test_closure_engine.py``; the span's reduction and the conjugation step
+are compared here with the forms they replaced in ``oracle_finitegrp``.
 """
 
 import random
@@ -13,7 +14,7 @@ import pytest
 
 import oracle_finitegrp
 from conftest import random_word
-from crosscap import families, ledger
+from crosscap import families, finitegrp, ledger
 from crosscap.families import Main2Generator
 from crosscap.finitegrp import (
     LayerError,
@@ -149,6 +150,57 @@ def test_normal_closure_of_one_elementary_vector_is_the_trace_zero_layer():
     assert layer.order == 1 << (n * n - 1)
     assert layer_normal_closure([], [layer_element(n, d, (1, 2))], d).order == 2
     assert layer_normal_closure(ambient, [IntMatrix.identity(n)], d).order == 1
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_reduction_at_the_pivot_bits_matches_the_all_rows_reduction(seed):
+    rng = random.Random(seed)
+    bits = rng.choice((3, 16, 64, 400))
+    # vectors drawn from a few random ones, so that many are dependent
+    pool = [rng.getrandbits(bits) for _ in range(rng.randint(1, 30))]
+    span = finitegrp._Span()
+    for _ in range(40):
+        v = 0
+        for u in rng.sample(pool, rng.randint(1, len(pool))):
+            v ^= u
+        span.add([v])
+        assert span.pivots == sum(1 << p for p in span.rows)
+        for w in [rng.getrandbits(bits) for _ in range(5)] + [v, v ^ pool[0]]:
+            assert span.reduce(w) == oracle_finitegrp.reduce_all_rows(span, w)
+        assert span.reduce(v) == 0
+
+
+def random_invertible(rng, n):
+    """An exact n x n matrix, invertible mod 2, with entries of both signs."""
+    if n == 1:
+        return IntMatrix(((rng.choice((1, -1, 3, -5)),),))
+    m = IntMatrix.identity(n)
+    for _ in range(3 * n):
+        i, j = rng.sample(range(1, n + 1), 2)
+        m = m * elementary(n, i, j, rng.choice((1, -1, 2, 3)))
+    return m
+
+
+@pytest.mark.parametrize("n", range(1, 13))
+def test_chunked_conjugation_matches_the_half_split_tables(n):
+    rng = random.Random(100 + n)
+    ambient = [random_invertible(rng, n) for _ in range(4)]
+    ambient.append(ambient[0])  # a repeated generator is conjugated by once
+    xs = [0, (1 << n * n) - 1] + [rng.getrandbits(n * n) for _ in range(40)]
+    want = oracle_finitegrp.half_split_conjugation(ambient, n)(xs)
+    assert finitegrp._conjugation(ambient, n)(xs) == want
+    assert len(want) == len({finitegrp._key(a) for a in ambient}) * len(xs)
+
+
+def test_thm31_closure_at_16_2_matches_the_oracle_span_and_tables(monkeypatch):
+    record = ledger.run_check("THM31-CLOSURE", {"g": 16, "d": 2}).to_json()
+    monkeypatch.setattr(finitegrp, "_conjugation", oracle_finitegrp.half_split_conjugation)
+    monkeypatch.setattr(finitegrp._Span, "reduce", oracle_finitegrp.reduce_all_rows)
+    oracle = ledger.run_check("THM31-CLOSURE", {"g": 16, "d": 2}).to_json()
+    assert record["status"] == "pass"
+    assert record["details"]["closure_order"] == 1 << 224
+    del record["runtime_ms"], oracle["runtime_ms"]
+    assert record == oracle
 
 
 def conjugated_twist_action(rng, g, multiple):

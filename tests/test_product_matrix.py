@@ -1,14 +1,16 @@
 """``product_matrix`` (the action of a product of words, read factor by
-factor) against the dense-product oracle of the spelled product, and the
-slide-commutator rows' factors against the word-spelling oracle table."""
+factor) against the dense-product oracle of the spelled product and the
+column-update evaluator it replaced, and the slide-commutator rows'
+factors against the word-spelling oracle table."""
 
 import itertools
 import random
 
 import pytest
 
-from crosscap import families
-from crosscap.homology import NoHomologyActionError, product_matrix, word_matrix
+import oracle_ledger
+from crosscap import families, intmat, ledger
+from crosscap.homology import NoHomologyActionError, product_matrix, reduced_action, word_matrix
 from crosscap.intmat import DimensionError, IntMatrix
 from crosscap.words import (
     BoundaryTwist,
@@ -22,7 +24,7 @@ from crosscap.words import (
     word,
 )
 from oracle_families import slide_commutator_rows as oracle_rows
-from oracle_homology import oracle_word_matrix
+from oracle_homology import column_product_matrix, oracle_word_matrix
 
 HUGE = 10**20
 EXPONENTS = (0, 1, -1, 2, -2, 3, -5, HUGE, -HUGE - 1)
@@ -64,7 +66,9 @@ def test_random_factor_lists_match_the_spelled_product(g):
         if ws:
             w = rng.choice(ws)
             factors.insert(rng.randrange(len(factors) + 1), (w, rng.choice(SIGNS)))
-        assert product_matrix(g, factors) == oracle_word_matrix(spelled(g, factors)), factors
+        got = product_matrix(g, factors)
+        assert got == oracle_word_matrix(spelled(g, factors)), factors
+        assert got == column_product_matrix(g, factors), factors
 
 
 @pytest.mark.parametrize("sign", SIGNS)
@@ -124,6 +128,38 @@ def test_errors_match_word_matrix(sign, bad, error):
             word_matrix(bad if sign == 1 else bad.inverse())
 
 
+def raised(evaluate, g, factors) -> tuple[type, str]:
+    with pytest.raises(Exception) as info:
+        evaluate(g, factors)
+    return info.type, str(info.value)
+
+
+BAD_SLIDE = MCGWord(4, ((Slide(1, 2), 1), (Slide(2, 5), 1)))
+BAD_TWIST_AND_BOUNDARY = MCGWord(4, ((Twist((1, 6)), 1), (BoundaryTwist("delta", (1,)), 2)))
+
+
+@pytest.mark.parametrize(
+    "factors, error",
+    [
+        # a bad letter in factor 2 and a factor of genus 5 at position 3
+        ([(word(4, Slide(3, 1)), 1), (BAD_SLIDE, 1), (word(5, Slide(1, 5)), 1)], InvalidSymbolError),
+        # a -1 factor is read from its last letter: the boundary twist first
+        ([(BAD_TWIST_AND_BOUNDARY, -1)], NoHomologyActionError),
+        ([(BAD_TWIST_AND_BOUNDARY, 1)], InvalidSymbolError),
+        # a bad letter before a bad sign, and a bad sign before a bad letter
+        ([(BAD_SLIDE, -1), (word(4, Slide(3, 1)), 2)], InvalidSymbolError),
+        ([(word(4, Slide(3, 1)), 0), (BAD_SLIDE, 1)], ValueError),
+        ([(word(5, Slide(1, 2)), 1), (BAD_SLIDE, 1)], GenusMismatchError),
+    ],
+)
+def test_the_first_error_read_left_to_right_is_raised(factors, error):
+    want = raised(column_product_matrix, 4, factors)
+    assert want[0] is error
+    # an iterator of factors is read once, so the second reading of a failed
+    # product must not see it exhausted
+    assert raised(product_matrix, 4, iter(factors)) == want
+
+
 def test_genus_and_sign_are_checked():
     with pytest.raises(DimensionError):
         product_matrix(0, [])
@@ -147,6 +183,26 @@ def test_no_word_or_matrix_products(monkeypatch):
     monkeypatch.setattr(MCGWord, "__mul__", refuse)
     monkeypatch.setattr(ReducedWord, "inverse", refuse)
     assert product_matrix(g, factors) == expected
+
+
+def test_generators_and_reduced_actions_form_no_products(monkeypatch):
+    g = 6
+    w = word(g, (Twist((1, 2, 3, 5)), -HUGE), (Slide(5, 1), 1), (Twist((2, 6)), 3), Slide(6, 4))
+    m = oracle_word_matrix(w).rows
+    expected = IntMatrix(tuple(tuple(x - y for x, y in zip(row, m[-1][:-1])) for row in m[:-1]))
+    generators = {
+        (n, d): oracle_ledger.product_gamma_generators(n, d) for n in (3, 5) for d in (2, 3, HUGE)
+    }
+
+    def refuse(*args):
+        raise AssertionError("must not form matrix products or re-validate entries")
+
+    monkeypatch.setattr(IntMatrix, "__mul__", refuse)
+    monkeypatch.setattr(intmat, "_freeze", refuse)
+    assert reduced_action(w) == expected
+    for (n, d), gens in generators.items():
+        assert ledger.gamma_generators(n, d) == gens
+        assert ledger.conjugated_gamma_generators(n, d) == gens[n * (n - 1) :]
 
 
 @pytest.mark.parametrize("g", range(4, 9))

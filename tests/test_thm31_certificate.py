@@ -5,7 +5,9 @@ bound mod 2 at odd d, and the refusal of an odd-d bound the closure engine
 could never hold.
 
 ``oracle_ledger.thm31_whole_alphabet_closure`` is the closure under the
-whole alphabet that the certified one must equal."""
+whole alphabet that the certified one must equal, and
+``oracle_ledger.product_gamma_generators`` the reference generators as
+matrix products, which the rows written in closed form must equal."""
 
 import time
 
@@ -19,6 +21,14 @@ from crosscap.finitegrp import CLOSURE_CAP, layer_normal_closure, normal_closure
 from crosscap.homology import reduced_action
 from crosscap.intmat import elementary
 from crosscap.words import Slide, Twist, word
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+@pytest.mark.parametrize("d", [1, 2, 3, 4, 1 << 40])
+def test_reference_generators_equal_their_matrix_products(n, d):
+    assert ledger.gamma_generators(n, d) == oracle_ledger.product_gamma_generators(n, d)
+    conjugated = oracle_ledger.product_conjugated_gamma_generators(n, d)
+    assert ledger.conjugated_gamma_generators(n, d) == conjugated
 
 
 def spy_normal_closures(monkeypatch):
