@@ -21,7 +21,7 @@ import sys
 from typing import Sequence
 
 from . import families, ledger, pi1free, words
-from .finitegrp import ScaleGuardError, todd_coxeter
+from .finitegrp import COSET_CAP, ScaleGuardError, todd_coxeter
 from .homology import (
     act,
     format_h1,
@@ -268,7 +268,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(p, genus=False)
     p.add_argument("--rank", type=int, required=True)
     p.add_argument("--relators", required=True, help="';'-separated words in x1..xr")
-    p.add_argument("--cap", type=int, default=100_000)
+    p.add_argument("--cap", type=int, default=COSET_CAP)
     p.set_defaults(func=_cmd_coset)
 
     p = sub.add_parser("verify", help="run verification checks")

@@ -57,6 +57,8 @@ class ScaleGuardError(ValueError):
 
 # the most elements a matrix-group closure lists before it stops
 CLOSURE_CAP = 1 << 22
+# the most cosets a Todd-Coxeter enumeration defines before it stops
+COSET_CAP = 100_000
 
 
 class SectionError(ValueError):
@@ -319,10 +321,11 @@ def identity_offsets(gens: Sequence[IntMatrix], d: int) -> list[int]:
         x = 0
         for r, row in enumerate(m.rows):
             for c, e in enumerate(row):
-                q, rest = divmod(e - (r == c), d)
-                if rest:
-                    raise LayerError(index, f"is not congruent to I mod {d}")
-                x |= (q & 1) << (r * n + c)
+                if e != (r == c):
+                    q, rest = divmod(e - (r == c), d)
+                    if rest:
+                        raise LayerError(index, f"is not congruent to I mod {d}")
+                    x |= (q & 1) << (r * n + c)
         vectors.append(x)
     return vectors
 
@@ -715,7 +718,7 @@ def eliminate_generators(
 
 
 def todd_coxeter(
-    rank: int, relators: Iterable[Sequence[int]], cap: int = 100_000
+    rank: int, relators: Iterable[Sequence[int]], cap: int = COSET_CAP
 ) -> CosetTable:
     """HLT-style enumeration of the cosets of the trivial subgroup in
     ``<x_1..x_rank | relators>``; the coset count is the group order.

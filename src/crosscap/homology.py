@@ -13,12 +13,13 @@ one mutable matrix, last letter first, without forming the product or the
 inverses as words (``product_matrix``; a single word is its one-factor
 case, ``word_matrix``): a slide costs O(g) and a twist about I costs
 O(g |I|) integer operations whatever the exponent, so powers are exact at
-any size.  The image of one class (``act``) needs no matrix: the letters
-are applied right to left to its coefficient vector, a slide in O(1) and
-a twist about I in O(|I|).  Collapsing the total class a_1 + ... + a_g to
-zero gives the (g-1) x (g-1) reduced action; reducing entries mod 2 gives
-the action on mod-2 homology, which preserves the mod-2 intersection
-pairing.  Level-d membership is read from the exact entries of one action
+any size.  The same pass finds the failure a left-to-right reading meets
+first, so a failed product is read only once.  The image of one class
+(``act``) needs no matrix: the letters are applied right to left to its
+coefficient vector, a slide in O(1) and a twist about I in O(|I|).
+Collapsing the total class a_1 + ... + a_g to zero gives the
+(g-1) x (g-1) reduced action; reducing entries mod 2 gives the action on
+mod-2 homology, which preserves the mod-2 intersection pairing.  Level-d membership is read from the exact entries of one action
 at a time, in plain Python ints: each column of M - I must be a constant
 vector mod d, and an even one for even d.
 
@@ -173,6 +174,15 @@ def _check_letter(sym, genus: int) -> None:
         raise TypeError(f"not a generator symbol: {sym!r}")
 
 
+def _letter_error(sym, genus: int) -> Optional[ValueError | TypeError]:
+    """What :func:`_check_letter` raises for ``sym``, or None."""
+    try:
+        _check_letter(sym, genus)
+    except (ValueError, TypeError) as exc:
+        return exc
+    return None
+
+
 def product_matrix(genus: int, factors: Iterable[tuple[MCGWord, int]]) -> IntMatrix:
     """Exact g x g action of the product w_1^s_1 ... w_k^s_k of the
     ``(word, sign)`` pairs in ``factors``, each sign 1 or -1, without
@@ -198,47 +208,33 @@ def product_matrix(genus: int, factors: Iterable[tuple[MCGWord, int]]) -> IntMat
     factor of another genus raises :class:`GenusMismatchError`, a sign
     other than 1 or -1 raises ``ValueError``, and the first letter without
     an action, in the order its factor is read, raises as
-    :func:`_check_letter` does.  So on any failure the factors are checked
-    again in that order, and the first failure found is raised.
+    :func:`_check_letter` does.  The one right-to-left pass meets these in
+    the opposite order, so it remembers each failure, keeps reading, and
+    raises the last one it met; a factor whose genus or sign fails is not
+    read further, since its letters come after those in reading order.  A
+    factor that is not a ``(word, sign)`` pair raises the Python error the
+    pass meets first, wherever other failures sit.
     """
     g = genus
     if g < 1:
         raise DimensionError("dimension must be >= 1")
-    factors = list(factors)
-    try:
-        rows = _product_rows(g, factors)
-    except Exception as exc:
-        error = exc
-    else:
-        return IntMatrix(tuple(map(tuple, rows)))
-    _check_factors(g, factors)
-    raise error
-
-
-def _product_rows(g: int, factors: list[tuple[MCGWord, int]]) -> list:
-    """The rows of :func:`product_matrix`, read from its last letter back."""
     rows = list(IntMatrix.identity(g).rows)
-    for w, sign in reversed(factors):
+    error = None
+    for w, sign in reversed(list(factors)):
         if w.genus != g:
-            raise GenusMismatchError(f"factor of genus {w.genus} in a product of genus {g}")
-        if sign == 1:
-            letters = reversed(w.letters)
-        elif sign == -1:
-            letters = w.letters
-        else:
-            raise ValueError(f"factor sign must be 1 or -1, got {sign!r}")
-        for sym, exp in letters:
+            error = GenusMismatchError(f"factor of genus {w.genus} in a product of genus {g}")
+            continue
+        if sign != 1 and sign != -1:
+            error = ValueError(f"factor sign must be 1 or -1, got {sign!r}")
+            continue
+        for sym, exp in reversed(w.letters) if sign == 1 else w.letters:
             kind = type(sym)
-            if kind is Slide:
-                a, b = sym.moving, sym.along
-                if a > g or b > g:
-                    _check_letter(sym, g)
+            if kind is Slide and sym.moving <= g and sym.along <= g:
                 if exp % 2:
-                    rows[a - 1] = [2 * y - x for x, y in zip(rows[a - 1], rows[b - 1])]
-            elif kind is Twist:
+                    a, b = sym.moving - 1, sym.along - 1
+                    rows[a] = [2 * y - x for x, y in zip(rows[a], rows[b])]
+            elif kind is Twist and sym.indices[-1] <= g:
                 idx = sym.indices
-                if idx[-1] > g:
-                    _check_letter(sym, g)
                 e = sign * exp
                 if len(idx) == 2:
                     i, j = idx[0] - 1, idx[1] - 1
@@ -255,25 +251,10 @@ def _product_rows(g: int, factors: list[tuple[MCGWord, int]]) -> list:
                     for j in idx:
                         rows[j] = [x + t for x, t in zip(rows[j], r)]
             else:
-                _check_letter(sym, g)
-    return rows
-
-
-def _check_factors(g: int, factors: list[tuple[MCGWord, int]]) -> None:
-    """Raise the first error :func:`product_matrix` reports, reading the
-    factors left to right: each factor's genus, then its sign, then its
-    letters in the order the factor is read."""
-    for w, sign in factors:
-        if w.genus != g:
-            raise GenusMismatchError(f"factor of genus {w.genus} in a product of genus {g}")
-        if sign == 1:
-            letters = w.letters
-        elif sign == -1:
-            letters = reversed(w.letters)
-        else:
-            raise ValueError(f"factor sign must be 1 or -1, got {sign!r}")
-        for sym, _ in letters:
-            _check_letter(sym, g)
+                error = _letter_error(sym, g) or error
+    if error is not None:
+        raise error
+    return IntMatrix(tuple(map(tuple, rows)))
 
 
 def word_matrix(w: MCGWord) -> IntMatrix:

@@ -487,13 +487,14 @@ def _orthogonal_bound(g: int) -> int:
 
 def _check_thm31_closure(p: dict) -> tuple[bool, dict]:
     g, d = p["g"], p["d"]
-    # the bound grows with g, so the search stops at a small genus
-    first = next((h for h in range(2, g + 1) if _orthogonal_bound(h) > CLOSURE_CAP), None)
-    if d % 2 and first:
-        raise ScaleGuardError(
-            f"the orthogonal bound at g = {g} exceeds the closure cap of {CLOSURE_CAP}"
-            f" elements: it is {_orthogonal_bound(first)} at g = {first} and grows with g"
-        )
+    if d % 2:
+        # the bound grows with g, so the search stops at a small genus
+        first = next((h for h in range(2, g + 1) if _orthogonal_bound(h) > CLOSURE_CAP), None)
+        if first:
+            raise ScaleGuardError(
+                f"the orthogonal bound at g = {g} exceeds the closure cap of {CLOSURE_CAP}"
+                f" elements: it is {_orthogonal_bound(first)} at g = {first} and grows with g"
+            )
     closed = [r for r in families.main2_normal_generators(g, 0, d) if r.closed_surface]
     seeds = [reduced_action(r.word) for r in closed]
     seed_names = [f"seed {r.name}" for r in closed]

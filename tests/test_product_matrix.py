@@ -136,6 +136,9 @@ def raised(evaluate, g, factors) -> tuple[type, str]:
 
 BAD_SLIDE = MCGWord(4, ((Slide(1, 2), 1), (Slide(2, 5), 1)))
 BAD_TWIST_AND_BOUNDARY = MCGWord(4, ((Twist((1, 6)), 1), (BoundaryTwist("delta", (1,)), 2)))
+# a valid tag read after a failure must not clear it
+TAG = word(4, TorelliTag("gamma"))
+TAG_THEN_BAD_SLIDE = MCGWord(4, ((TorelliTag("gamma"), 1), (Slide(2, 5), 1)))
 
 
 @pytest.mark.parametrize(
@@ -150,14 +153,28 @@ BAD_TWIST_AND_BOUNDARY = MCGWord(4, ((Twist((1, 6)), 1), (BoundaryTwist("delta",
         ([(BAD_SLIDE, -1), (word(4, Slide(3, 1)), 2)], InvalidSymbolError),
         ([(word(4, Slide(3, 1)), 0), (BAD_SLIDE, 1)], ValueError),
         ([(word(5, Slide(1, 2)), 1), (BAD_SLIDE, 1)], GenusMismatchError),
+        # a bad sign on a factor that also holds a bad letter
+        ([(TAG, 1), (BAD_SLIDE, 2)], ValueError),
+        # a genus-5 factor whose letters pass genus 4, and whose bad sign
+        # comes after its genus in reading order
+        ([(TAG, 1), (word(5, Slide(1, 2)), 0)], GenusMismatchError),
+        ([(TAG_THEN_BAD_SLIDE, 1)], InvalidSymbolError),
     ],
 )
 def test_the_first_error_read_left_to_right_is_raised(factors, error):
     want = raised(column_product_matrix, 4, factors)
     assert want[0] is error
-    # an iterator of factors is read once, so the second reading of a failed
-    # product must not see it exhausted
+    # an iterator of factors must be read whole, once
     assert raised(product_matrix, 4, iter(factors)) == want
+
+
+def test_a_malformed_factor_still_raises():
+    # the Python error the right-to-left pass meets first, even with a
+    # well-formed failure further left
+    with pytest.raises(AttributeError):
+        product_matrix(4, [(BAD_SLIDE, 1), ("junk", 1)])
+    with pytest.raises(TypeError):
+        product_matrix(4, [(BAD_SLIDE, 1), 5])
 
 
 def test_genus_and_sign_are_checked():
