@@ -112,16 +112,18 @@ def named_element(family: str, indices: tuple[int, ...], g: int) -> NamedFamilyE
         _require_increasing((i, j), g, family)
         if not 1 <= k <= g or k in (i, j):
             raise FamilyIndexError(f"C{idx}: third index must avoid {{{i},{j}}}")
-        from .homology import word_matrix
+        from .homology import acts_trivially
 
         t2 = _twist_word(g, (i, j), 2)
+        s = _slide_word(g, k, i)
+        # the slide form as a word, the twist form as factors
         if i < k < j:
-            primary = (_slide_word(g, k, j) * _slide_word(g, k, i)) ** 2
-            twist_form = t2.inverse() * conjugate(t2, _slide_word(g, k, i))
+            primary = (_slide_word(g, k, j) * s) ** 2
+            twist_form = ((t2, -1), (s, 1), (t2, 1), (s, -1))
         else:
-            primary = (_slide_word(g, k, i) * _slide_word(g, k, j)) ** 2
-            twist_form = t2 * conjugate(t2.inverse(), _slide_word(g, k, i).inverse())
-        if word_matrix(primary).rows != word_matrix(twist_form).rows:
+            primary = (s * _slide_word(g, k, j)) ** 2
+            twist_form = ((t2, 1), (s, -1), (t2, -1), (s, 1))
+        if not acts_trivially(g, ((primary, 1),) + inverse_factors(twist_form)):
             raise FamilyIndexError(f"C{idx}: slide and twist realizations disagree on homology")
         return NamedFamilyElement("C", idx, primary)
     if family == "D":
@@ -457,7 +459,8 @@ class GenNSets(Frozen):
 
 
 # a product w_1^s_1 ... w_k^s_k of words, each sign 1 or -1, as the
-# (word, sign) pairs ``homology.product_matrix`` evaluates without forming it
+# (word, sign) pairs ``homology.product_matrix`` and
+# ``homology.acts_trivially`` read without forming it
 Factors = tuple[tuple[MCGWord, int], ...]
 
 
@@ -466,7 +469,7 @@ def _conj(a: Factors, x: MCGWord) -> Factors:
     return ((x, 1),) + a + ((x, -1),)
 
 
-def _inv(a: Factors) -> Factors:
+def inverse_factors(a: Factors) -> Factors:
     """a^-1: the factors reversed, each with its sign negated."""
     return tuple((w, -s) for w, s in reversed(a))
 
@@ -582,7 +585,7 @@ def _commutator_factors(
         return (
             _conj(b(i, k, -1), x1)
             + _conj(b(i, l, -1), x1)
-            + _inv(q)
+            + inverse_factors(q)
             + _conj(_conj(b(i, k, -1), x1), y_il)
             + q
             + _conj(b(i, l), x1)
@@ -605,7 +608,7 @@ def _commutator_factors(
     if l < i < k < j:
         return (
             _conj(b(l, i, -1), x1)
-            + _inv(q)
+            + inverse_factors(q)
             + _conj(_conj(b(i, k), x1), y_il)
             + q
             + _conj(b(l, i), x1)

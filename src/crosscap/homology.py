@@ -17,10 +17,18 @@ any size.  The same pass finds the failure a left-to-right reading meets
 first, so a failed product is read only once.  The image of one class
 (``act``) needs no matrix: the letters are applied right to left to its
 coefficient vector, a slide in O(1) and a twist about I in O(|I|).
+Whether a product acts as the identity (``acts_trivially``) is decided
+by that same vector pass on one packed class x = (1, B, ..., B^(g-1)):
+a reading pass bounds the product's entries, B is a power of two above
+twice the bound, and M = I exactly when M x = x, since balanced base-B
+digits are unique.  Past ``KRONECKER_BITS`` bits of bound the packed
+class would cost more than the matrix, and ``product_matrix`` decides.
+
 Collapsing the total class a_1 + ... + a_g to zero gives the
 (g-1) x (g-1) reduced action; reducing entries mod 2 gives the action on
-mod-2 homology, which preserves the mod-2 intersection pairing.  Level-d membership is read from the exact entries of one action
-at a time, in plain Python ints: each column of M - I must be a constant
+mod-2 homology, which preserves the mod-2 intersection pairing.
+Level-d membership is read from the exact entries of one action at a
+time, in plain Python ints: each column of M - I must be a constant
 vector mod d, and an even one for even d.
 
 The basis pairing a_i * a_j = delta_ij is reconstructed, not axiomatic: it
@@ -32,6 +40,7 @@ exactly that.
 from __future__ import annotations
 
 import itertools
+import math
 import re
 from typing import Iterable, Optional
 
@@ -276,20 +285,100 @@ def act(w: MCGWord, x: H1Class) -> H1Class:
     g = w.genus
     if g != x.genus:
         raise ValueError(f"genus mismatch: word {g}, class {x.genus}")
-    for sym, _ in w.letters:
-        _check_letter(sym, g)
-    v = list(x.coeffs)
-    for sym, exp in reversed(w.letters):
-        if isinstance(sym, Slide):
-            if exp % 2:
-                a = sym.moving - 1
-                v[a] = 2 * v[sym.along - 1] - v[a]
-        elif isinstance(sym, Twist):
-            idx = sym.indices
-            step = exp * sum(v[j - 1] if pos % 2 else -v[j - 1] for pos, j in enumerate(idx))
-            for j in idx:
-                v[j - 1] += step
-    return H1Class(g, v)
+    factors = ((w, 1),)
+    _entry_bits(g, factors)
+    return H1Class(g, _apply(factors, list(x.coeffs)))
+
+
+# the most bits acts_trivially lets its entry bound b reach before it
+# decides by product_matrix instead.  Each letter of the packed pass costs
+# in proportion to the g (b + 2) bits of the class; on random words of
+# slides and twists at g = 4, 10 and 30 it still beat product_matrix at
+# b = 1024, and no longer did from about b = 2048 (g = 30) or 4096 (g = 4)
+KRONECKER_BITS = 1024
+
+
+def acts_trivially(genus: int, factors: Iterable[tuple[MCGWord, int]]) -> bool:
+    """Does the product w_1^s_1 ... w_k^s_k of the ``(word, sign)`` pairs
+    in ``factors`` act as the identity on H_1?  Decided without a matrix,
+    and exactly.
+
+    The factors are read once in reading order, raising the error
+    :func:`product_matrix` raises, and the product M's entries are bounded
+    on the way: a slide at most triples them and ``T(I)^e`` multiplies
+    them by at most 1 + |e| |I|, so every entry of M - I is at most
+    2^b + 1 in absolute value.  The letters are then applied, rightmost
+    first, to the one class x = (1, B, ..., B^(g-1)) with B = 2^(b+2), at
+    least twice that bound.  Row r of (M - I) x is sum_c (M - I)_rc B^c,
+    and balanced base-B digits are unique, so M = I exactly when M x = x
+    (Kronecker substitution).  Once b passes :data:`KRONECKER_BITS`, the
+    answer is ``product_matrix(...).is_identity()`` instead.  A factor
+    that is not a ``(word, sign)`` pair raises the Python error the
+    reading pass meets first.
+    """
+    g = genus
+    if g < 1:
+        raise DimensionError("dimension must be >= 1")
+    factors = tuple(factors)
+    bits = _entry_bits(g, factors, KRONECKER_BITS)
+    if bits is None:
+        return product_matrix(g, factors).is_identity()
+    width = bits + 2
+    x = [1 << (width * c) for c in range(g)]
+    return _apply(factors, x[:]) == x
+
+
+def _entry_bits(genus: int, factors: tuple, limit: float = math.inf) -> Optional[int]:
+    """Read ``factors`` in reading order, raise the first failure
+    :func:`product_matrix` raises, and return b with every entry of the
+    product at most 2^b in absolute value; None as soon as b passes
+    ``limit``, leaving the rest unread."""
+    g = genus
+    bits = 0
+    for w, sign in factors:
+        if w.genus != g:
+            raise GenusMismatchError(f"factor of genus {w.genus} in a product of genus {g}")
+        if sign != 1 and sign != -1:
+            raise ValueError(f"factor sign must be 1 or -1, got {sign!r}")
+        for sym, exp in w.letters if sign == 1 else reversed(w.letters):
+            kind = type(sym)
+            if kind is Slide and sym.moving <= g and sym.along <= g:
+                if exp % 2:
+                    bits += 2
+            elif kind is Twist and sym.indices[-1] <= g:
+                # 1 + |e| |I| <= 2^bit_length(|e| |I|)
+                bits += (exp * len(sym.indices)).bit_length()
+            else:
+                _check_letter(sym, g)
+            if bits > limit:
+                return None
+    return bits
+
+
+def _apply(factors: tuple, v: list) -> list:
+    """The checked ``factors``' product applied to the coefficient vector
+    ``v`` in place, rightmost letter first: a slide in O(1), a twist about
+    I in O(|I|) additions."""
+    for w, sign in reversed(factors):
+        for sym, exp in reversed(w.letters) if sign == 1 else w.letters:
+            kind = type(sym)
+            if kind is Slide:
+                if exp % 2:
+                    a = sym.moving - 1
+                    v[a] = 2 * v[sym.along - 1] - v[a]
+            elif kind is Twist:
+                idx = sym.indices
+                if len(idx) == 2:
+                    i, j = idx[0] - 1, idx[1] - 1
+                    step = sign * exp * (v[j] - v[i])
+                    v[i] += step
+                    v[j] += step
+                else:
+                    step = sum(v[j - 1] if pos % 2 else -v[j - 1] for pos, j in enumerate(idx))
+                    step *= sign * exp
+                    for j in idx:
+                        v[j - 1] += step
+    return v
 
 
 def collapse_total_class(m: IntMatrix) -> IntMatrix:
@@ -318,16 +407,24 @@ def matrix_level_trivial(m: IntMatrix, d: int) -> bool:
 
     Column j must differ from e_j by a constant vector 2l mod d; for odd d
     every constant qualifies (2 is invertible), for even d it must be even.
-    Entries are exact integers of any size or residues, reduced mod d here.
+    Entries are exact integers of any size or residues, reduced mod d here;
+    an entry equal to the identity's needs no reduction, only a zero
+    constant in its column.
     """
     if d < 2:
         raise ValueError("level must be >= 2")
     first = [(e - (c == 0)) % d for c, e in enumerate(m.rows[0])]
     if d % 2 == 0 and any(e % 2 for e in first):
         return False
-    return all(
-        (e - (r == c)) % d == first[c] for r, row in enumerate(m.rows) for c, e in enumerate(row)
-    )
+    # row 0 matches ``first`` by construction
+    for r, row in enumerate(m.rows[1:], 1):
+        for c, e in enumerate(row):
+            if e == (r == c):
+                if first[c]:
+                    return False
+            elif (e - (r == c)) % d != first[c]:
+                return False
+    return True
 
 
 def level_member(w: MCGWord, d: int) -> bool:

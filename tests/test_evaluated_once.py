@@ -1,15 +1,18 @@
 """The hot checks build and evaluate each word once: LEM43-COMM looks every
-A, B and C element up in one table per genus and hands its rows to
-``product_matrix`` as factor lists; RS-GAMMA24 evaluates each Y and D word
-once, k + |D| actions in all, and reads its closure, section and the
-verdicts on its sampled Schreier words from their layer vectors mod 4,
-with no ``reduced_action`` or ``product_matrix`` call;
-GEN-FIX-ONES applies each generator to the total class with ``act``,
-which builds no matrix.  None of them forms a word product or inverse per
-row or sample.  A C element compares its two realizations on homology on
-every build, so how many words a check evaluates does not depend on what
-ran before it.  No modular check makes a reduced copy of an exact action:
-the closures and layers read the exact matrices themselves."""
+A, B and C element up in one table per genus and hands each row, its
+commutator times the inverse of its factors, to ``acts_trivially`` as one
+factor list; RS-GAMMA24 evaluates each Y and D word once, k + |D| actions
+in all, and reads its closure, section and the verdicts on its sampled
+Schreier words from their layer vectors mod 4, with no ``reduced_action``
+or ``product_matrix`` call.  None of them forms a word product or inverse
+per row or sample.  The identity checks (LEM43-COMM, T2-EQ-YY,
+LEM42-3CHAIN) and a C build decide each identity with ``acts_trivially``
+on one packed class, and GEN-FIX-ONES applies each generator to the total
+class with ``act``: none of them builds a matrix.  A C element decides
+its two realizations equal on homology on every build, so how many words
+a check evaluates does not depend on what ran before it.  No modular
+check makes a reduced copy of an exact action: the closures and layers
+read the exact matrices themselves."""
 
 from collections import Counter
 
@@ -46,6 +49,15 @@ def spy(seen, binding, real):
     return evaluate
 
 
+def _spy_on_matrices(monkeypatch, seen):
+    """Count every ``word_matrix`` and ``product_matrix`` call made through
+    ledger's or homology's binding (ledger imports no ``product_matrix``)."""
+    for module in (ledger, homology):
+        for name in ("word_matrix", "product_matrix"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, spy(seen, "matrix", getattr(module, name)))
+
+
 def test_rs_gamma24_evaluates_each_sampled_word_once(monkeypatch):
     g = 4
     run_check("RS-GAMMA24", {"g": g})  # fills the per-genus D sign cache
@@ -53,7 +65,6 @@ def test_rs_gamma24_evaluates_each_sampled_word_once(monkeypatch):
     # no sampled word is evaluated, and no generator twice: each Y and D
     # word is evaluated once by ledger's word_matrix, and its closure
     # image, coordinates and verdict are read off that one action mod 4
-    monkeypatch.setattr(ledger, "product_matrix", spy(seen, "product", homology.product_matrix))
     monkeypatch.setattr(ledger, "word_matrix", spy(seen, "ledger", homology.word_matrix))
     monkeypatch.setattr(homology, "word_matrix", spy(seen, "homology", homology.word_matrix))
     for module in (ledger, homology):
@@ -89,21 +100,52 @@ def test_modular_checks_make_no_reduced_copy(monkeypatch):
 
 def test_a_c_element_evaluates_its_two_realizations_on_every_build(monkeypatch):
     seen = Counter()
-    monkeypatch.setattr(homology, "word_matrix", spy(seen, "word_matrix", homology.word_matrix))
+    decide = spy(seen, "acts_trivially", homology.acts_trivially)
+    monkeypatch.setattr(homology, "acts_trivially", decide)
     counts = []
     for _ in range(2):
         families.named_element("C", (1, 3, 2), 5)
-        counts.append(seen["word_matrix"])
+        counts.append(seen["acts_trivially"])
         seen.clear()
-    # the slide form and the twist form, compared on homology each time
-    assert counts == [2, 2]
+    # the slide form times the inverse of the twist form, decided trivial
+    # on homology each time
+    assert counts == [1, 1]
+
+
+@pytest.mark.parametrize(
+    "check_id, params, decisions",
+    [
+        # one decision per row
+        ("LEM43-COMM", {"gmax": 6}, 36 + 120 + 300),
+        # one per pair
+        ("T2-EQ-YY", {"gmax": 6}, 3 + 6 + 10 + 15),
+        # two per tuple: the paired form and the slide form
+        ("LEM42-3CHAIN", {"gmax": 6}, 2 * (1 + 4 + 10)),
+    ],
+)
+def test_identity_checks_build_no_matrix(monkeypatch, check_id, params, decisions):
+    run_check(check_id, params)  # fills the per-genus D sign cache
+    seen = Counter()
+    _spy_on_matrices(monkeypatch, seen)
+    monkeypatch.setattr(ledger, "acts_trivially", spy(seen, "decided", homology.acts_trivially))
+    record = run_check(check_id, params)
+    assert record.status == "pass"
+    assert seen["matrix"] == 0
+    assert seen["decided"] == decisions
+
+
+def test_a_c_build_builds_no_matrix(monkeypatch):
+    seen = Counter()
+    _spy_on_matrices(monkeypatch, seen)
+    for g in (4, 5, 6):
+        for idx in families.family_indices("C", g):
+            families.named_element("C", idx, g)
+    assert seen["matrix"] == 0
 
 
 def test_gen_fix_ones_builds_no_matrix(monkeypatch):
     seen = Counter()
-    for module in (ledger, homology):
-        for name in ("word_matrix", "product_matrix"):
-            monkeypatch.setattr(module, name, spy(seen, "matrix", getattr(module, name)))
+    _spy_on_matrices(monkeypatch, seen)
     monkeypatch.setattr(ledger, "act", spy(seen, "act", homology.act))
     record = run_check("GEN-FIX-ONES", {"gmax": 8})
     assert record.status == "pass"

@@ -1,0 +1,84 @@
+"""The word-identity checks fail, by name, when one side of an identity is
+planted wrong: a LEM43-COMM row with a factor dropped, a C element whose
+twist form is off, a T2-EQ-YY pair and a LEM42-3CHAIN tuple.  Each check
+decides its identities with ``acts_trivially``; a decision that always
+said yes would pass every record and fail these."""
+
+import re
+
+import pytest
+
+from crosscap import families, ledger
+from crosscap.families import FamilyIndexError
+from crosscap.ledger import run_check
+from crosscap.words import Slide, Twist
+
+
+def test_a_lem43_row_with_a_factor_dropped_fails_by_name(monkeypatch):
+    real = families.slide_commutator_rows
+    planted = []
+
+    def rows(g):
+        for x1, x2, factors in real(g):
+            if g == 5 and factors and not planted:
+                planted.append((g, x1, x2))
+                factors = factors[:-1]
+            yield x1, x2, factors
+
+    monkeypatch.setattr(families, "slide_commutator_rows", rows)
+    record = run_check("LEM43-COMM", {"gmax": 5})
+    assert record.status == "fail"
+    assert record.details["failures"] == planted
+    assert record.details["pairs"] == 36 + 120
+
+
+@pytest.mark.parametrize("idx", [(1, 3, 2), (1, 2, 3), (2, 4, 1)])
+def test_a_c_element_with_a_wrong_twist_form_raises_by_name(monkeypatch, idx):
+    real = families._twist_word
+
+    def twist_word(g, indices, exp=1):
+        # the C twist forms square a twist; A raises one to the 4th power
+        return real(g, indices, 3 if exp == 2 else exp)
+
+    # the true forms pass, and the planted ones fail by name
+    families.named_element("C", idx, 5)
+    monkeypatch.setattr(families, "_twist_word", twist_word)
+    with pytest.raises(FamilyIndexError, match=re.escape(f"C{idx}: slide and twist realizations disagree")):
+        families.named_element("C", idx, 5)
+    families.named_element("A", (1, 2), 5)
+
+
+def test_a_t2_pair_with_a_wrong_twist_power_fails_by_name(monkeypatch):
+    real = ledger.word
+
+    def word(g, *letters):
+        if g == 4 and letters == ((Twist((1, 3)), 2),):
+            letters = ((Twist((1, 3)), 4),)
+        return real(g, *letters)
+
+    monkeypatch.setattr(ledger, "word", word)
+    record = run_check("T2-EQ-YY", {"gmax": 5})
+    assert record.status == "fail"
+    assert record.details["failures"] == [(4, 1, 3)]
+    assert record.details["pairs"] == 3 + 6 + 10
+
+
+@pytest.mark.parametrize("form", ["paired", "slides"])
+def test_a_3chain_tuple_with_a_wrong_form_fails_by_name(monkeypatch, form):
+    real = families.three_chain_words
+
+    def three_chain_words(j, k, l, g):
+        chain, paired, slide_form = real(j, k, l, g)
+        if (g, j, k, l) == (5, 2, 4, 5):
+            extra = families.word(g, Slide(1, 3))
+            if form == "paired":
+                paired = paired * extra
+            else:
+                slide_form = extra * slide_form
+        return chain, paired, slide_form
+
+    monkeypatch.setattr(families, "three_chain_words", three_chain_words)
+    record = run_check("LEM42-3CHAIN", {"gmax": 5})
+    assert record.status == "fail"
+    assert record.details["failures"] == [(5, 2, 4, 5, form)]
+    assert record.details["tuples"] == 1 + 4
