@@ -21,8 +21,9 @@ Whether a product acts as the identity (``acts_trivially``) is decided
 by that same vector pass on one packed class x = (1, B, ..., B^(g-1)):
 a reading pass bounds the product's entries, B is a power of two above
 twice the bound, and M = I exactly when M x = x, since balanced base-B
-digits are unique.  Past ``KRONECKER_BITS`` bits of bound the packed
-class would cost more than the matrix, and ``product_matrix`` decides.
+digits are unique.  It is meant for short products, such as the
+relations of the paper: the bound grows with every letter, and so does
+the cost of each step of the packed pass.
 
 Collapsing the total class a_1 + ... + a_g to zero gives the
 (g-1) x (g-1) reduced action; reducing entries mod 2 gives the action on
@@ -40,7 +41,6 @@ exactly that.
 from __future__ import annotations
 
 import itertools
-import math
 import re
 from typing import Iterable, Optional
 
@@ -285,17 +285,9 @@ def act(w: MCGWord, x: H1Class) -> H1Class:
     g = w.genus
     if g != x.genus:
         raise ValueError(f"genus mismatch: word {g}, class {x.genus}")
-    factors = ((w, 1),)
-    _entry_bits(g, factors)
-    return H1Class(g, _apply(factors, list(x.coeffs)))
-
-
-# the most bits acts_trivially lets its entry bound b reach before it
-# decides by product_matrix instead.  Each letter of the packed pass costs
-# in proportion to the g (b + 2) bits of the class; on random words of
-# slides and twists at g = 4, 10 and 30 it still beat product_matrix at
-# b = 1024, and no longer did from about b = 2048 (g = 30) or 4096 (g = 4)
-KRONECKER_BITS = 1024
+    for sym, _ in w.letters:
+        _check_letter(sym, g)
+    return H1Class(g, _apply(((w, 1),), list(x.coeffs)))
 
 
 def acts_trivially(genus: int, factors: Iterable[tuple[MCGWord, int]]) -> bool:
@@ -311,28 +303,25 @@ def acts_trivially(genus: int, factors: Iterable[tuple[MCGWord, int]]) -> bool:
     first, to the one class x = (1, B, ..., B^(g-1)) with B = 2^(b+2), at
     least twice that bound.  Row r of (M - I) x is sum_c (M - I)_rc B^c,
     and balanced base-B digits are unique, so M = I exactly when M x = x
-    (Kronecker substitution).  Once b passes :data:`KRONECKER_BITS`, the
-    answer is ``product_matrix(...).is_identity()`` instead.  A factor
-    that is not a ``(word, sign)`` pair raises the Python error the
-    reading pass meets first.
+    (Kronecker substitution).  The class has g (b + 2) bits and b grows
+    with every letter, so this is for short products; a long one is
+    cheaper as ``product_matrix(...).is_identity()``.  A factor that is
+    not a ``(word, sign)`` pair raises the Python error the reading pass
+    meets first.
     """
     g = genus
     if g < 1:
         raise DimensionError("dimension must be >= 1")
     factors = tuple(factors)
-    bits = _entry_bits(g, factors, KRONECKER_BITS)
-    if bits is None:
-        return product_matrix(g, factors).is_identity()
-    width = bits + 2
+    width = _entry_bits(g, factors) + 2
     x = [1 << (width * c) for c in range(g)]
     return _apply(factors, x[:]) == x
 
 
-def _entry_bits(genus: int, factors: tuple, limit: float = math.inf) -> Optional[int]:
+def _entry_bits(genus: int, factors: tuple) -> int:
     """Read ``factors`` in reading order, raise the first failure
     :func:`product_matrix` raises, and return b with every entry of the
-    product at most 2^b in absolute value; None as soon as b passes
-    ``limit``, leaving the rest unread."""
+    product at most 2^b in absolute value."""
     g = genus
     bits = 0
     for w, sign in factors:
@@ -350,8 +339,6 @@ def _entry_bits(genus: int, factors: tuple, limit: float = math.inf) -> Optional
                 bits += (exp * len(sym.indices)).bit_length()
             else:
                 _check_letter(sym, g)
-            if bits > limit:
-                return None
     return bits
 
 

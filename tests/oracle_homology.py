@@ -7,9 +7,6 @@ correct definition that ``crosscap.homology.word_matrix`` must reproduce.
 coefficient vector, which the matrix-free ``crosscap.homology.act`` must
 reproduce, errors included.
 
-``every_entry_level_trivial`` is ``matrix_level_trivial`` as it was
-before it skipped the entries equal to the identity's.
-
 ``column_product_matrix`` is ``product_matrix`` as it was before it moved
 to row operations: the letter matrices multiplied on the right, first
 factor first, as column updates on one mutable matrix, each letter checked
@@ -108,20 +105,6 @@ def matrix_level_trivial(m: IntMatrix, d: int) -> bool:
         if d % 2 == 0 and c % 2 != 0:
             return False
     return True
-
-
-def every_entry_level_trivial(m: IntMatrix, d: int) -> bool:
-    """``matrix_level_trivial`` as it was before it skipped the entries
-    equal to the identity's: every entry of M - I is reduced mod d and
-    compared with the first row's residue in its column."""
-    if d < 2:
-        raise ValueError("level must be >= 2")
-    first = [(e - (c == 0)) % d for c, e in enumerate(m.rows[0])]
-    if d % 2 == 0 and any(e % 2 for e in first):
-        return False
-    return all(
-        (e - (r == c)) % d == first[c] for r, row in enumerate(m.rows) for c, e in enumerate(row)
-    )
 
 
 def oracle_act(w: MCGWord, x: H1Class) -> H1Class:

@@ -1,23 +1,14 @@
 """``acts_trivially`` (is a product of words the identity on H_1, decided on
 one Kronecker-packed class) against ``product_matrix(...).is_identity()``,
-errors included, on both sides of ``KRONECKER_BITS``; and
-``matrix_level_trivial`` against the forms it replaced."""
+errors included."""
 
 import itertools
 import random
 
 import pytest
 
-import oracle_homology
 from crosscap import homology
-from crosscap.homology import (
-    KRONECKER_BITS,
-    NoHomologyActionError,
-    acts_trivially,
-    matrix_level_trivial,
-    product_matrix,
-    word_matrix,
-)
+from crosscap.homology import NoHomologyActionError, acts_trivially, product_matrix
 from crosscap.intmat import DimensionError, IntMatrix
 from crosscap.words import (
     BoundaryTwist,
@@ -27,7 +18,6 @@ from crosscap.words import (
     Slide,
     TorelliTag,
     Twist,
-    commutator,
     word,
 )
 
@@ -114,10 +104,6 @@ def test_the_packed_base_is_above_twice_the_entries(monkeypatch, g):
         factors = _random_product(rng, g)
         classes.clear()
         acts_trivially(g, factors)
-        if not classes:
-            # decided by product_matrix
-            assert homology._entry_bits(g, tuple(factors)) > KRONECKER_BITS
-            continue
         (x,) = classes
         base = x[1]
         assert base & (base - 1) == 0
@@ -126,85 +112,21 @@ def test_the_packed_base_is_above_twice_the_entries(monkeypatch, g):
         assert base > 2 * max(abs(e - (r == c)) for r, row in enumerate(m.rows) for c, e in enumerate(row))
 
 
-@pytest.mark.parametrize("k", list(range(0, 80)) + list(range(KRONECKER_BITS - 6, KRONECKER_BITS + 2)))
-def test_a_twist_power_at_the_width_edge_is_nontrivial(monkeypatch, k):
+@pytest.mark.parametrize("k", range(0, 80))
+def test_a_twist_power_at_the_width_edge_is_nontrivial(k):
     g = 3
     e = 1 << k
     t = word(g, (Twist((1, 2)), e))
-    # its bound is k + 2 bits; up to KRONECKER_BITS the packed pass decides
+    # its bound is k + 2 bits, so B = 2^(k + 4) and the entry e of M - I
+    # sits just below B / 2
     assert homology._entry_bits(g, ((t, 1),)) == k + 2
-    fallbacks = []
-    real = homology.product_matrix
-
-    def spy(*args):
-        fallbacks.append(args)
-        return real(*args)
-
-    monkeypatch.setattr(homology, "product_matrix", spy)
     assert not acts_trivially(g, [(t, 1)])
-    assert len(fallbacks) == (k + 2 > KRONECKER_BITS)
     assert not acts_trivially(g, [(t, -1), (word(g, (Twist((1, 2)), e - 1)), 1)])
-    assert not acts_trivially(g, [(word(g, Slide(3, 1)), 1), (t, 1), (word(g, Slide(3, 1)), 1)])
+    y = word(g, Slide(3, 1))
+    # a slide at most triples the entries: 2 bits each
+    assert homology._entry_bits(g, ((y, 1), (t, 1), (y, 1))) == k + 6
+    assert not acts_trivially(g, [(y, 1), (t, 1), (y, 1)])
     assert acts_trivially(g, [(t, 1), (word(g, (Twist((1, 2)), -e)), 1)])
-
-
-def _with_bits(g: int, bits: int) -> tuple[MCGWord, MCGWord]:
-    """A word whose entry bound is exactly ``bits`` (at least 2), and the
-    same word with its last slide dropped: slides of 2 bits each and one
-    twist T(1,2)^e of bit_length(2e) bits."""
-    slides, rest = divmod(bits - 2, 2)
-    twist = (Twist((1, 2)), 1 << rest)
-    letters = [(Slide(*ab), 1) for _, ab in zip(range(slides), itertools.cycle([(1, 2), (2, 1)]))]
-    full = MCGWord(g, tuple([twist] + letters))
-    assert homology._entry_bits(g, ((full, 1),)) == bits
-    return full, MCGWord(g, tuple([twist] + letters[:-1]))
-
-
-@pytest.mark.parametrize("offset", [-3, -2, -1, 0, 1, 2, 3])
-def test_both_sides_of_the_bound_constant(monkeypatch, offset):
-    g = 4
-    calls = []
-    real = homology.product_matrix
-
-    def spy(*args):
-        calls.append(args)
-        return real(*args)
-
-    monkeypatch.setattr(homology, "product_matrix", spy)
-    half = KRONECKER_BITS // 2 + offset
-    u, v = _with_bits(g, half)
-    y = word(g, Slide(3, 4))
-    # trivial: u u^-1, bound 2 * half; nontrivial: u v^-1, which leaves a slide
-    for factors, want in [
-        ([(u, 1), (u, -1)], True),
-        ([(u, 1), (v, -1)], False),
-        ([(y, 1), (u, -1), (y, 1), (u, 1)], True),
-        ([(y, 1), (u, -1), (y, -1), (v, 1)], False),
-    ]:
-        calls.clear()
-        bits = homology._entry_bits(g, tuple(factors))
-        assert acts_trivially(g, factors) is want
-        assert real(g, factors).is_identity() is want
-        # the packed pass up to the constant, product_matrix past it
-        assert len(calls) == (bits > KRONECKER_BITS)
-
-
-def test_a_lowered_constant_gives_the_same_answers(monkeypatch):
-    monkeypatch.setattr(homology, "KRONECKER_BITS", 6)
-    rng = random.Random(7000)
-    for g in range(2, 7):
-        for _ in range(150):
-            factors = _random_product(rng, g)
-            assert acts_trivially(g, factors) is product_matrix(g, factors).is_identity()
-
-
-def test_a_long_word_is_decided_exactly():
-    g = 4
-    w = commutator(word(g, Twist((1, 2))), word(g, Slide(3, 2))) ** (1 << 12)
-    assert homology._entry_bits(g, ((w, 1),), KRONECKER_BITS) is None
-    assert not acts_trivially(g, [(w, 1)])
-    assert acts_trivially(g, [(w, 1), (w, -1)])
-    assert acts_trivially(g, [(w, 1), (w, -1)]) is product_matrix(g, [(w, 1), (w, -1)]).is_identity()
 
 
 def raised(evaluate, g, factors) -> tuple[type, str]:
@@ -217,9 +139,8 @@ BAD_SLIDE = MCGWord(4, ((Slide(1, 2), 1), (Slide(2, 5), 1)))
 BAD_TWIST_AND_BOUNDARY = MCGWord(4, ((Twist((1, 6)), 1), (BoundaryTwist("delta", (1,)), 2)))
 TAG = word(4, TorelliTag("gamma"))
 TAG_THEN_BAD_SLIDE = MCGWord(4, ((TorelliTag("gamma"), 1), (Slide(2, 5), 1)))
-# a product whose bound passes KRONECKER_BITS before its bad letter, so
-# product_matrix reads it
-PAST_THE_BOUND = word(4, (Twist((1, 2)), 1 << (KRONECKER_BITS + 1)))
+# a factor with a bound of over a thousand bits before the bad letter
+BIG_TWIST = word(4, (Twist((1, 2)), 1 << 1025))
 
 
 @pytest.mark.parametrize(
@@ -236,9 +157,9 @@ PAST_THE_BOUND = word(4, (Twist((1, 2)), 1 << (KRONECKER_BITS + 1)))
         ([(TAG, 1), (word(5, Slide(1, 2)), 0)], GenusMismatchError),
         ([(TAG_THEN_BAD_SLIDE, 1)], InvalidSymbolError),
         ([(MCGWord(4, ((Slide(1, 2), 1), (BoundaryTwist("delta", (1,)), 1))), -1)], NoHomologyActionError),
-        ([(PAST_THE_BOUND, 1), (BAD_SLIDE, -1)], InvalidSymbolError),
-        ([(PAST_THE_BOUND, 1), (TAG, 3)], ValueError),
-        ([(PAST_THE_BOUND, 1), (word(5, Slide(1, 2)), 1)], GenusMismatchError),
+        ([(BIG_TWIST, 1), (BAD_SLIDE, -1)], InvalidSymbolError),
+        ([(BIG_TWIST, 1), (TAG, 3)], ValueError),
+        ([(BIG_TWIST, 1), (word(5, Slide(1, 2)), 1)], GenusMismatchError),
     ],
 )
 def test_errors_match_product_matrix(factors, error):
@@ -266,37 +187,3 @@ def test_no_matrix_is_built(monkeypatch):
     u = word(g, (Slide(2, 4), 1), (Twist((1, 2, 3, 5)), -(10**20)), (TorelliTag("gamma"), 3))
     assert acts_trivially(g, [(u, 1), (u, -1)])
     assert not acts_trivially(g, [(u, 1)])
-
-
-# -- matrix_level_trivial ---------------------------------------------------
-
-
-def _near_level(rng: random.Random, g: int, d: int, scale: int) -> IntMatrix:
-    """I plus a constant per column plus d times noise of size ``scale``;
-    half of them keep some entries equal to the identity's, and half have
-    one entry moved off the level."""
-    shifts = [rng.randrange(d) if rng.random() < 0.7 else 0 for _ in range(g)]
-    rows = [
-        [int(r == c) + shifts[c] + d * rng.randint(-scale, scale) for c in range(g)]
-        for r in range(g)
-    ]
-    if rng.random() < 0.5:
-        for _ in range(rng.randrange(g * g)):
-            r, c = rng.randrange(g), rng.randrange(g)
-            rows[r][c] = int(r == c)
-    if rng.random() < 0.5:
-        rows[rng.randrange(g)][rng.randrange(g)] += rng.randrange(1, d)
-    return IntMatrix.from_rows(rows)
-
-
-@pytest.mark.parametrize("d", range(2, 10))
-@pytest.mark.parametrize("g", range(2, 9))
-def test_level_trivial_matches_the_every_entry_form(g, d):
-    rng = random.Random(100 * g + d)
-    mats = [_near_level(rng, g, d, scale) for scale in (0, 3, 10**20) for _ in range(40)]
-    mats += [IntMatrix.identity(g), word_matrix(word(g, (Twist((1, 2)), d * 10**30)))]
-    mats += [word_matrix(word(g, (Twist((1, 2)), 2 * d * 3**60 + 1)))]
-    expected = [oracle_homology.every_entry_level_trivial(m, d) for m in mats]
-    assert any(expected) and not all(expected)
-    assert [matrix_level_trivial(m, d) for m in mats] == expected
-    assert [oracle_homology.matrix_level_trivial(m, d) for m in mats] == expected

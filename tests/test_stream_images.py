@@ -126,11 +126,24 @@ def test_array_predicate_matches_the_scalar_loop(d):
         for g in (2, 4)
         for e in (-(10**20), 10**20, 4 * 10**20, 2 * 10**20 + 1)
     ]
+    huge += [
+        word_matrix(word(g, (Twist((1, 2)), e)))
+        for g in (3, 5)
+        for e in (d * 10**30, -d * 10**30, 2 * d * 3**60 + 1)
+    ]
     mats = huge + [
         m
         for g in (2, 3, 4, 5)
         for m in random_matrices(rng, g, 40, 3) + near_level(rng, g, d, 80)
     ]
+    # with many entries equal to the identity's, which the scalar loop
+    # does not reduce
+    for m in [m for g in range(2, 9) for m in near_level(rng, g, d, 20)]:
+        rows = [list(row) for row in m.rows]
+        for _ in range(rng.randrange(m.n * m.n)):
+            r, c = rng.randrange(m.n), rng.randrange(m.n)
+            rows[r][c] = int(r == c)
+        mats.append(IntMatrix.from_rows(rows))
     expected = [oracle_homology.matrix_level_trivial(m, d) for m in mats]
     assert any(expected) and not all(expected)
     assert [matrix_level_trivial(m, d) for m in mats] == expected
