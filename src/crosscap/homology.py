@@ -13,15 +13,15 @@ one mutable matrix, last letter first, without forming the product or the
 inverses as words (``product_matrix``; a single word is its one-factor
 case, ``word_matrix``): a slide costs O(g) and a twist about I costs
 O(g |I|) integer operations whatever the exponent, so powers are exact at
-any size.  The same pass finds the failure a left-to-right reading meets
-first, so a failed product is read only once.  The image of one class
+any size.  The factors are first checked by one reading pass, left to
+right, which raises the first failure it meets.  The image of one class
 (``act``) needs no matrix: the letters are applied right to left to its
 coefficient vector, a slide in O(1) and a twist about I in O(|I|).
 Whether a product acts as the identity (``acts_trivially``) is decided
 by that same vector pass on one packed class x = (1, B, ..., B^(g-1)):
-a reading pass bounds the product's entries, B is a power of two above
-twice the bound, and M = I exactly when M x = x, since balanced base-B
-digits are unique.  It is meant for short products, such as the
+the reading pass also bounds the product's entries, B is a power of two
+above twice the bound, and M = I exactly when M x = x, since balanced
+base-B digits are unique.  It is meant for short products, such as the
 relations of the paper: the bound grows with every letter, and so does
 the cost of each step of the packed pass.
 
@@ -40,7 +40,6 @@ exactly that.
 
 from __future__ import annotations
 
-import itertools
 import re
 from typing import Iterable, Optional
 
@@ -183,15 +182,6 @@ def _check_letter(sym, genus: int) -> None:
         raise TypeError(f"not a generator symbol: {sym!r}")
 
 
-def _letter_error(sym, genus: int) -> Optional[ValueError | TypeError]:
-    """What :func:`_check_letter` raises for ``sym``, or None."""
-    try:
-        _check_letter(sym, genus)
-    except (ValueError, TypeError) as exc:
-        return exc
-    return None
-
-
 def product_matrix(genus: int, factors: Iterable[tuple[MCGWord, int]]) -> IntMatrix:
     """Exact g x g action of the product w_1^s_1 ... w_k^s_k of the
     ``(word, sign)`` pairs in ``factors``, each sign 1 or -1, without
@@ -213,36 +203,24 @@ def product_matrix(genus: int, factors: Iterable[tuple[MCGWord, int]]) -> IntMat
       each row indexed by I.
     * Torelli tags act trivially; boundary twists have no action here.
 
-    Errors are raised as if the factors were read left to right: the first
-    factor of another genus raises :class:`GenusMismatchError`, a sign
-    other than 1 or -1 raises ``ValueError``, and the first letter without
-    an action, in the order its factor is read, raises as
-    :func:`_check_letter` does.  The one right-to-left pass meets these in
-    the opposite order, so it remembers each failure, keeps reading, and
-    raises the last one it met; a factor whose genus or sign fails is not
-    read further, since its letters come after those in reading order.  A
-    factor that is not a ``(word, sign)`` pair raises the Python error the
-    pass meets first, wherever other failures sit.
+    The factors are first read left to right by the checking pass of
+    :func:`acts_trivially`, which raises the first failure it meets, so
+    the row pass needs no checks of its own.
     """
     g = genus
     if g < 1:
         raise DimensionError("dimension must be >= 1")
+    factors = tuple(factors)
+    _entry_bits(g, factors)
     rows = list(IntMatrix.identity(g).rows)
-    error = None
-    for w, sign in reversed(list(factors)):
-        if w.genus != g:
-            error = GenusMismatchError(f"factor of genus {w.genus} in a product of genus {g}")
-            continue
-        if sign != 1 and sign != -1:
-            error = ValueError(f"factor sign must be 1 or -1, got {sign!r}")
-            continue
+    for w, sign in reversed(factors):
         for sym, exp in reversed(w.letters) if sign == 1 else w.letters:
             kind = type(sym)
-            if kind is Slide and sym.moving <= g and sym.along <= g:
+            if kind is Slide:
                 if exp % 2:
                     a, b = sym.moving - 1, sym.along - 1
                     rows[a] = [2 * y - x for x, y in zip(rows[a], rows[b])]
-            elif kind is Twist and sym.indices[-1] <= g:
+            elif kind is Twist:
                 idx = sym.indices
                 e = sign * exp
                 if len(idx) == 2:
@@ -259,10 +237,6 @@ def product_matrix(genus: int, factors: Iterable[tuple[MCGWord, int]]) -> IntMat
                     ]
                     for j in idx:
                         rows[j] = [x + t for x, t in zip(rows[j], r)]
-            else:
-                error = _letter_error(sym, g) or error
-    if error is not None:
-        raise error
     return IntMatrix(tuple(map(tuple, rows)))
 
 
@@ -295,19 +269,18 @@ def acts_trivially(genus: int, factors: Iterable[tuple[MCGWord, int]]) -> bool:
     in ``factors`` act as the identity on H_1?  Decided without a matrix,
     and exactly.
 
-    The factors are read once in reading order, raising the error
-    :func:`product_matrix` raises, and the product M's entries are bounded
-    on the way: a slide at most triples them and ``T(I)^e`` multiplies
-    them by at most 1 + |e| |I|, so every entry of M - I is at most
-    2^b + 1 in absolute value.  The letters are then applied, rightmost
-    first, to the one class x = (1, B, ..., B^(g-1)) with B = 2^(b+2), at
-    least twice that bound.  Row r of (M - I) x is sum_c (M - I)_rc B^c,
-    and balanced base-B digits are unique, so M = I exactly when M x = x
-    (Kronecker substitution).  The class has g (b + 2) bits and b grows
+    The factors are read once in reading order by the checking pass that
+    :func:`product_matrix` also runs, which raises the first failure it
+    meets, and the product M's entries are bounded on the way: a slide at
+    most triples them and ``T(I)^e`` multiplies them by at most
+    1 + |e| |I|, so every entry of M - I is at most 2^b + 1 in absolute
+    value.  The letters are then applied, rightmost first, to the one
+    class x = (1, B, ..., B^(g-1)) with B = 2^(b+2), at least twice that
+    bound.  Row r of (M - I) x is sum_c (M - I)_rc B^c, and balanced
+    base-B digits are unique, so M = I exactly when M x = x (Kronecker
+    substitution).  The class has g (b + 2) bits and b grows
     with every letter, so this is for short products; a long one is
-    cheaper as ``product_matrix(...).is_identity()``.  A factor that is
-    not a ``(word, sign)`` pair raises the Python error the reading pass
-    meets first.
+    cheaper as ``product_matrix(...).is_identity()``.
     """
     g = genus
     if g < 1:
@@ -319,9 +292,12 @@ def acts_trivially(genus: int, factors: Iterable[tuple[MCGWord, int]]) -> bool:
 
 
 def _entry_bits(genus: int, factors: tuple) -> int:
-    """Read ``factors`` in reading order, raise the first failure
-    :func:`product_matrix` raises, and return b with every entry of the
-    product at most 2^b in absolute value."""
+    """Read ``factors`` left to right, raise the first failure met, and
+    return b with every entry of the product at most 2^b in absolute
+    value.  A factor of another genus raises :class:`GenusMismatchError`,
+    a sign other than 1 or -1 ``ValueError``, a letter without an action
+    what :func:`_check_letter` raises, and a factor that is not a
+    ``(word, sign)`` pair the Python error its reading meets."""
     g = genus
     bits = 0
     for w, sign in factors:
@@ -425,7 +401,7 @@ def level_member(w: MCGWord, d: int) -> bool:
 
 
 class LiftSearch(Frozen):
-    """Outcome of the exhaustive lift search for a reduced-action target."""
+    """Outcome of the lift search for a reduced-action target."""
 
     __slots__ = ("obstructed", "witness", "candidates_checked")
 
@@ -438,44 +414,47 @@ class LiftSearch(Frozen):
 
 
 def lift_obstruction(target: IntMatrix, genus: int) -> LiftSearch:
-    """Search the 2^g lifts of a (g-1) x (g-1) target for one preserving
-    the mod-2 pairing on basis classes.
+    """Find a lift of a (g-1) x (g-1) target that preserves the mod-2
+    pairing on basis classes, or report the obstruction.
 
-    Each lift sends a_j to the target column optionally plus the total class
-    a_1 + ... + a_g.  Returns the first preserving lift, columns in normal
-    form, or reports the obstruction.
+    A lift sends a_j to the target's column c_j (last coordinate 0, and
+    c_g = -(c_1 + ... + c_{g-1})) plus e_j times the total class t, for
+    some e in F_2^g.  Mod 2, with s_j = c_j . c_j = c_j . t, the pairing
+    conditions on e are linear.  For odd g (t . t = 1) the diagonal forces
+    e_j = 1 + s_j.  For even g (t . t = 0) every s_j must be 1, and then
+    e_a + e_b = c_a . c_b, so e_1 = 0 gives e_b = c_1 . c_b; the other
+    solution is its complement, and fails when it does.  The candidate is
+    checked on every pair of columns.  ``candidates_checked`` counts as
+    the search of all 2^g lifts in order would, e_1 most significant:
+    1 + e read in binary when a lift exists, 2^g when none does.  The
+    witness's columns are in normal form.
     """
     if genus < 3:
         raise ValueError("lift search needs genus >= 3")
     if target.n != genus - 1:
         raise ValueError(f"target must be {genus - 1} x {genus - 1}")
     g = genus
-    base_cols = []
-    for j in range(g - 1):
-        base_cols.append([target.rows[i][j] for i in range(g - 1)] + [0])
-    last = [-sum(col[i] for col in base_cols) for i in range(g)]
-    base_cols.append(last)
-
-    checked = 0
-    for eps in itertools.product((0, 1), repeat=g):
-        checked += 1
-        cols = [[base_cols[j][i] + eps[j] for i in range(g)] for j in range(g)]
-        ok = True
-        for a in range(g):
-            for b in range(a, g):
-                pair = sum(cols[a][i] * cols[b][i] for i in range(g)) % 2
-                if pair != (1 if a == b else 0):
-                    ok = False
-                    break
-            if not ok:
-                break
-        if ok:
-            normalized = []
-            for col in cols:
-                shift = col[-1] - (col[-1] % 2)
-                normalized.append([c - shift for c in col])
-            witness = IntMatrix.from_rows(
-                [[normalized[j][i] for j in range(g)] for i in range(g)]
-            )
-            return LiftSearch(False, witness, checked)
-    return LiftSearch(True, None, checked)
+    cols = [[row[j] for row in target.rows] + [0] for j in range(g - 1)]
+    cols.append([-sum(entries) for entries in zip(*cols)])
+    # each column mod 2 as a bit mask; t is the all-ones mask
+    masks = [int("".join(["1" if c & 1 else "0" for c in col]), 2) for col in cols]
+    parity = [m.bit_count() & 1 for m in masks]
+    if g % 2:
+        eps = [1 - s for s in parity]
+    elif all(parity):
+        eps = [0] + [(masks[0] & m).bit_count() & 1 for m in masks[1:]]
+    else:
+        return LiftSearch(True, None, 2**g)
+    t = (1 << g) - 1
+    lifted = [m ^ (t if e else 0) for m, e in zip(masks, eps)]
+    for a in range(g):
+        for b in range(a, g):
+            if (lifted[a] & lifted[b]).bit_count() & 1 != (a == b):
+                return LiftSearch(True, None, 2**g)
+    normalized = []
+    for col, e in zip(cols, eps):
+        col = [c + e for c in col]
+        shift = col[-1] - (col[-1] % 2)
+        normalized.append([c - shift for c in col])
+    witness = IntMatrix.from_rows([[normalized[j][i] for j in range(g)] for i in range(g)])
+    return LiftSearch(False, witness, 1 + int("".join(map(str, eps)), 2))

@@ -12,11 +12,22 @@ to row operations: the letter matrices multiplied on the right, first
 factor first, as column updates on one mutable matrix, each letter checked
 as it is read.  The row form must give the same matrix and raise the same
 first error.
+
+``lift_search`` tries the 2^g lifts of a reduced-action target one by one,
+which ``crosscap.homology.lift_obstruction`` must match, counts and
+witness included.
 """
 
+import itertools
 from typing import Iterable
 
-from crosscap.homology import H1Class, NoHomologyActionError, _check_letter, word_matrix
+from crosscap.homology import (
+    H1Class,
+    LiftSearch,
+    NoHomologyActionError,
+    _check_letter,
+    word_matrix,
+)
 from crosscap.intmat import DimensionError, IntMatrix
 from crosscap.words import (
     BoundaryTwist,
@@ -168,3 +179,48 @@ def column_product_matrix(genus: int, factors: Iterable[tuple[MCGWord, int]]) ->
             else:
                 _check_letter(sym, g)
     return IntMatrix(tuple(zip(*cols)))
+
+
+def lift_search(target: IntMatrix, genus: int) -> LiftSearch:
+    """Search the 2^g lifts of a (g-1) x (g-1) target for one preserving
+    the mod-2 pairing on basis classes.
+
+    Each lift sends a_j to the target column optionally plus the total class
+    a_1 + ... + a_g.  Returns the first preserving lift, columns in normal
+    form, or reports the obstruction.  This is ``lift_obstruction`` as it
+    was before it solved for the lift over F_2.
+    """
+    if genus < 3:
+        raise ValueError("lift search needs genus >= 3")
+    if target.n != genus - 1:
+        raise ValueError(f"target must be {genus - 1} x {genus - 1}")
+    g = genus
+    base_cols = []
+    for j in range(g - 1):
+        base_cols.append([target.rows[i][j] for i in range(g - 1)] + [0])
+    last = [-sum(col[i] for col in base_cols) for i in range(g)]
+    base_cols.append(last)
+
+    checked = 0
+    for eps in itertools.product((0, 1), repeat=g):
+        checked += 1
+        cols = [[base_cols[j][i] + eps[j] for i in range(g)] for j in range(g)]
+        ok = True
+        for a in range(g):
+            for b in range(a, g):
+                pair = sum(cols[a][i] * cols[b][i] for i in range(g)) % 2
+                if pair != (1 if a == b else 0):
+                    ok = False
+                    break
+            if not ok:
+                break
+        if ok:
+            normalized = []
+            for col in cols:
+                shift = col[-1] - (col[-1] % 2)
+                normalized.append([c - shift for c in col])
+            witness = IntMatrix.from_rows(
+                [[normalized[j][i] for j in range(g)] for i in range(g)]
+            )
+            return LiftSearch(False, witness, checked)
+    return LiftSearch(True, None, checked)

@@ -160,6 +160,11 @@ BIG_TWIST = word(4, (Twist((1, 2)), 1 << 1025))
         ([(BIG_TWIST, 1), (BAD_SLIDE, -1)], InvalidSymbolError),
         ([(BIG_TWIST, 1), (TAG, 3)], ValueError),
         ([(BIG_TWIST, 1), (word(5, Slide(1, 2)), 1)], GenusMismatchError),
+        # malformed factors: first in reading order, and after a failure
+        ([("junk", 1), (BAD_SLIDE, 1)], AttributeError),
+        ([5, (BAD_SLIDE, 1)], TypeError),
+        ([(BAD_SLIDE, 1), ("junk", 1)], InvalidSymbolError),
+        ([(BAD_SLIDE, 1), 5], InvalidSymbolError),
     ],
 )
 def test_errors_match_product_matrix(factors, error):

@@ -17,6 +17,7 @@ from crosscap.homology import (
 )
 from crosscap.intmat import IntMatrix, congruence_member, elementary
 from crosscap.words import BoundaryTwist, MCGWord, Slide, TorelliTag, Twist, parse, word
+from oracle_homology import lift_search
 
 
 def test_normalize_examples():
@@ -121,7 +122,8 @@ def test_lift_obstruction_identity_target():
     assert result.witness is not None and result.witness.is_identity()
 
 
-@pytest.mark.parametrize("g", (4, 5))
+# g = 200 would never finish as a search of the 2^g lifts
+@pytest.mark.parametrize("g", (4, 5, 200))
 @pytest.mark.parametrize("d,expect", ((3, True), (5, True), (2, False), (4, False)))
 def test_lift_obstruction_elementary_targets(g, d, expect):
     target = elementary(g - 1, 1, 2, d)
@@ -130,6 +132,37 @@ def test_lift_obstruction_elementary_targets(g, d, expect):
     assert result.candidates_checked <= 2**g
     if not expect:
         assert collapse_total_class(result.witness).rows == target.rows
+
+
+def lift_targets(g: int, rng) -> list[IntMatrix]:
+    """E_ij^d for d = 1..8, random integer targets and random products of
+    six elementary matrices.  The search costs 2^g per obstructed target,
+    so past genus 7 the pairs (i, j) and the random targets are sampled."""
+    n = g - 1
+    if g <= 7:
+        pairs, count = [(i, j) for i in range(1, g) for j in range(1, g) if i != j], 40
+    else:
+        pairs, count = [(1, 2), (2, 1), (1, n), (n, 1)], 4
+    targets = [elementary(n, i, j, d) for i, j in pairs for d in range(1, 9)]
+    for _ in range(count):
+        rows = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(n)]
+        targets.append(IntMatrix.from_rows(rows))
+        m = IntMatrix.identity(n)
+        for _ in range(6):
+            i, j = rng.sample(range(1, g), 2)
+            m = m * elementary(n, i, j, rng.randint(-5, 5))
+        targets.append(m)
+    return targets
+
+
+@pytest.mark.parametrize("g", range(3, 13))
+def test_lift_obstruction_matches_the_exhaustive_search(g, rng):
+    outcomes = set()
+    for target in lift_targets(g, rng):
+        result = lift_obstruction(target, g)
+        assert result == lift_search(target, g)
+        outcomes.add(result.obstructed)
+    assert outcomes == {True, False}
 
 
 def test_every_generator_fixes_total_class():

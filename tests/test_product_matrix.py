@@ -169,11 +169,15 @@ def test_the_first_error_read_left_to_right_is_raised(factors, error):
 
 
 def test_a_malformed_factor_still_raises():
-    # the Python error the right-to-left pass meets first, even with a
-    # well-formed failure further left
+    # first in reading order: its own Python error
     with pytest.raises(AttributeError):
-        product_matrix(4, [(BAD_SLIDE, 1), ("junk", 1)])
+        product_matrix(4, [("junk", 1), (BAD_SLIDE, 1)])
     with pytest.raises(TypeError):
+        product_matrix(4, [5, (BAD_SLIDE, 1)])
+    # after a well-formed failure: that failure
+    with pytest.raises(InvalidSymbolError):
+        product_matrix(4, [(BAD_SLIDE, 1), ("junk", 1)])
+    with pytest.raises(InvalidSymbolError):
         product_matrix(4, [(BAD_SLIDE, 1), 5])
 
 
