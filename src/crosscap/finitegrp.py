@@ -24,7 +24,10 @@ I + dX generate there as F_2 subspaces of n x n matrices (a
 ``LevelLayer``) without listing any element: the order is 2^dim, and equal
 subgroups have equal reduced echelon bases.  The vector X
 of I + dX is keyed as a matrix is, and both normal closures share one
-conjugation step.  ``layer_span`` is the subgroup that given vectors
+conjugation step, a few sparse row and column operations on the whole key
+per conjugating matrix.  A span grows in semi-echelon form, each row keyed
+by its top bit, and is brought to reduced echelon form once, when its
+layer is read.  ``layer_span`` is the subgroup that given vectors
 span, and ``vector_coordinates`` writes vectors in a basis of given
 vectors, so a transversal of products of that basis is walked by XOR on
 coordinate masks instead of by a table of matrix products.  Every
@@ -81,7 +84,17 @@ def _check_gens(gens: Sequence[IntMatrix]) -> int:
 def _key(m: IntMatrix) -> int:
     """The key of a matrix mod 2: bit r*n + c is entry (r, c) mod 2."""
     n = m.n
-    return sum((x & 1) << (r * n + c) for r, row in enumerate(m.rows) for c, x in enumerate(row))
+    return sum(1 << r * n + c for r, row in enumerate(m.rows) for c, x in enumerate(row) if x & 1)
+
+
+def _ones(v: int) -> list[int]:
+    """The positions of the set bits of ``v``, lowest first."""
+    out = []
+    while v:
+        low = v & -v
+        out.append(low.bit_length() - 1)
+        v ^= low
+    return out
 
 
 def _rows(key: int, n: int) -> list[int]:
@@ -202,42 +215,39 @@ class _Closure:
 def _conjugation(ambient_gens: Sequence[IntMatrix], n: int) -> Callable[[Sequence[int]], list[int]]:
     """The map sending a list of keys of matrices X over F_2 to the keys of
     every A X A^-1, for A running over the distinct ambient generators mod 2
-    (A-major).
+    (A-major) but I: an A that is I mod 2, such as a slide, fixes every X.
 
-    Row r of X A^-1 is the XOR of one lookup per 8-bit chunk of row r of X,
-    in the ``_row_table`` of the 8 rows of A^-1 that the chunk picks, so
-    that each A costs ceil(n/8) tables of at most 256 entries.  A (X A^-1)
-    is the XOR over r of column r of A times that row: column r, held with
-    entry k at bit k*n, times an n-bit row spreads the row over the rows k
-    of A X A^-1 without carries.
+    With M = A^-1 - I and N = A - I mod 2, A X A^-1 = Y + N Y for
+    Y = X + X M.  Each nonzero (k, c) of M adds column k of X to column c
+    of Y, and each nonzero (r, k) of N adds row k of Y to row r, each one
+    shift-and-mask of the whole key.  The conjugating letters have a few
+    nonzeros each, so a conjugate costs a few big-int operations.
 
     Only A, never A^-1, is needed by the normal closures: an invertible map
     that sends a finite set into itself sends it onto itself, so a finite
     group or span stable under X -> A X A^-1 is stable under its inverse.
     """
-    mask = (1 << n) - 1
+    identity = sum(1 << r * (n + 1) for r in range(n))
+    col0, row0 = sum(1 << r * n for r in range(n)), (1 << n) - 1
     actions = []
     for key in dict.fromkeys(map(_key, ambient_gens)):
-        columns = [sum((key >> k * n + c & 1) << k * n for k in range(n)) for c in range(n)]
-        inverse = _rows(_inverse(key, n), n)
-        tables = [_row_table(inverse[c : c + 8]) for c in range(0, n, 8)]
-        actions.append((columns, tables))
-    shifts = range(0, n * n, n)
+        if key != identity:
+            # the (k, c) of M, and the shifts k*n and r*n of the (r, k) of N
+            columns = [divmod(b, n) for b in _ones(_inverse(key, n) ^ identity)]
+            rows = [(b % n * n, b - b % n) for b in _ones(key ^ identity)]
+            actions.append((columns, rows))
 
     def conjugate(xs: Sequence[int]) -> list[int]:
         out = []
-        for columns, tables in actions:
+        for columns, rows in actions:
             for x in xs:
-                y = 0
-                for column, shift in zip(columns, shifts):
-                    v = x >> shift & mask
-                    if v:
-                        row = 0
-                        for table in tables:
-                            row ^= table[v & 255]
-                            v >>= 8
-                        y ^= column * row
-                out.append(y)
+                y = x
+                for k, c in columns:
+                    y ^= (x >> k & col0) << c
+                z = y
+                for down, up in rows:
+                    z ^= (y >> down & row0) << up
+                out.append(z)
         return out
 
     return conjugate
@@ -340,24 +350,23 @@ def _layer_vectors(gens: Sequence[IntMatrix], d: int) -> list[int]:
 
 
 class _Span:
-    """An F_2 subspace of bit vectors in reduced echelon form, grown in
-    place: ``rows`` maps each pivot to the one basis vector that has it,
-    and ``pivots`` is the OR of the pivot bits."""
+    """An F_2 subspace of bit vectors in semi-echelon form, grown in place:
+    ``rows`` maps each pivot to the one basis vector whose top bit it is.
+    A row may still have lower pivot bits set; ``layer`` clears them."""
 
     def __init__(self) -> None:
         self.rows: dict[int, int] = {}
-        self.pivots = 0
 
     def reduce(self, v: int) -> int:
-        """``v`` with every pivot bit cleared by adding the row that has it;
-        zero exactly when ``v`` lies in the span.  A row sets no pivot bit
-        but its own, so the rows to add are those at the pivot bits of v."""
+        """``v`` plus the row at its top bit, in turn, until that bit is not
+        a pivot; zero exactly when ``v`` lies in the span, since the top bit
+        of a sum of rows is the highest of their pivots."""
         rows = self.rows
-        hits = v & self.pivots
-        while hits:
-            low = hits & -hits
-            v ^= rows[low.bit_length() - 1]
-            hits ^= low
+        while v:
+            row = rows.get(v.bit_length() - 1)
+            if row is None:
+                break
+            v ^= row
         return v
 
     def add(self, vectors: Iterable[int]) -> list[int]:
@@ -367,19 +376,23 @@ class _Span:
         for v in vectors:
             v = self.reduce(v)
             if v:
-                # v has no pivot bit, so its top bit is new and lies below the
-                # pivot of every row it is cleared from
-                top = v.bit_length() - 1
-                for pivot, row in self.rows.items():
-                    if row >> top & 1:
-                        self.rows[pivot] = row ^ v
-                self.rows[top] = v
-                self.pivots |= 1 << top
+                self.rows[v.bit_length() - 1] = v
                 added.append(v)
         return added
 
     def layer(self, d: int, n: int) -> LevelLayer:
-        return LevelLayer(2 * d, n, tuple(self.rows[p] for p in sorted(self.rows, reverse=True)))
+        """The span with its basis in reduced echelon form, by one
+        back-substitution, lowest pivot first: each row below is reduced by
+        then, so adding it clears its pivot and sets no other."""
+        reduced: dict[int, int] = {}
+        below = 0
+        for pivot in sorted(self.rows):
+            row = self.rows[pivot]
+            for p in _ones(row & below):
+                row ^= reduced[p]
+            reduced[pivot] = row
+            below |= 1 << pivot
+        return LevelLayer(2 * d, n, tuple(reduced[p] for p in sorted(reduced, reverse=True)))
 
 
 def layer_closure(gens: Sequence[IntMatrix], d: int) -> LevelLayer:

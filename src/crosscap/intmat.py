@@ -224,9 +224,10 @@ def elementary(n: int, i: int, j: int, k: int = 1) -> IntMatrix:
         raise DimensionError(f"indices ({i},{j}) out of range for dimension {n}")
     if i == j:
         raise ValueError("elementary matrix requires i != j")
-    rows = [[1 if r == c else 0 for c in range(n)] for r in range(n)]
-    rows[i - 1][j - 1] = int(k)
-    return IntMatrix.from_rows(rows)
+    # the identity's rows are tuples already, so no entry is re-validated
+    rows = list(IntMatrix.identity(n).rows)
+    rows[i - 1] = rows[i - 1][: j - 1] + (int(k),) + rows[i - 1][j:]
+    return IntMatrix(tuple(rows))
 
 
 def congruence_member(a: IntMatrix, d: int, variant: str = "gamma") -> bool:

@@ -117,26 +117,11 @@ class CheckSpec(Frozen):
 # ---------------------------------------------------------------------------
 
 
-def gamma_generators(n: int, d: int) -> list[IntMatrix]:
-    """The standard generating family of the level-d congruence subgroup of
-    SL(n, Z) for n >= 3: d-th elementary powers e_ij^d = I + d E_ij plus
-    their first-row conjugates."""
-    eye = list(IntMatrix.identity(n).rows)
-    plain = []
-    for i, row in enumerate(eye):
-        for j in range(n):
-            if i != j:
-                rows = eye.copy()
-                rows[i] = row[:j] + (d,) + row[j + 1 :]
-                plain.append(IntMatrix(tuple(rows)))
-    return plain + conjugated_gamma_generators(n, d)
-
-
 def conjugated_gamma_generators(n: int, d: int) -> list[IntMatrix]:
-    """Only the conjugated part e_{k1} e_{1k}^d e_{k1}^{-1}; for odd d these
-    are the elementary-based elements realized by mapping classes (the plain
-    e_{ij}^d are obstructed).  Each is I + d (E_1k + E_kk - E_11 - E_k1),
-    written row by row."""
+    """The conjugated congruence generators e_{k1} e_{1k}^d e_{k1}^{-1}; for
+    odd d these are the elementary-based elements realized by mapping classes
+    (the plain e_{ij}^d are obstructed).  Each is
+    I + d (E_1k + E_kk - E_11 - E_k1), written row by row."""
     eye = list(IntMatrix.identity(n).rows)
     out = []
     for k in range(1, n):
@@ -146,6 +131,16 @@ def conjugated_gamma_generators(n: int, d: int) -> list[IntMatrix]:
         rows[k] = (-d,) + middle + (1 + d,) + rest
         out.append(IntMatrix(tuple(rows)))
     return out
+
+
+def congruence_vectors(n: int) -> list[int]:
+    """The layer vectors, at every even d, of the standard generators of the
+    level-d congruence subgroup of SL(n, Z) for n >= 3: the d-th elementary
+    powers e_ij^d = I + d E_ij, with the one bit i*n + j (0-based), then
+    their first-row conjugates I + d (E_1k + E_kk - E_11 - E_k1)
+    (``conjugated_gamma_generators``), with the bits 0, k, k*n and k*n + k."""
+    plain = [1 << i * n + j for i in range(n) for j in range(n) if i != j]
+    return plain + [1 | 1 << k | 1 << k * n | 1 << k * n + k for k in range(1, n)]
 
 
 def conjugating_letters(g: int) -> list[MCGWord]:
@@ -248,12 +243,6 @@ def _named(names: list[str], run: Callable[[], T]) -> T:
         return run()
     except LayerError as exc:
         raise LayerError(exc.index, exc.problem, names[exc.index]) from None
-
-
-def _reference_layer(refs: list[IntMatrix], d: int) -> LevelLayer:
-    """The layer closure of the reference generators ``refs``."""
-    names = [f"reference generator {i}" for i in range(len(refs))]
-    return _named(names, lambda: layer_closure(refs, d))
 
 
 def _collapsed(x: int, g: int) -> int:
@@ -504,7 +493,7 @@ def _check_thm31_closure(p: dict) -> tuple[bool, dict]:
         closure = _named(seed_names, lambda: layer_normal_closure(conjugators, seeds, d))
         measure, size = "dimension", _trace_bound(closure)
         bound, reached = {"kind": "trace", "dim": size}, {"seeds'": len(closure.basis)}
-        reference = _reference_layer(gamma_generators(g - 1, d), d)
+        reference = layer_span(congruence_vectors(g - 1), d, g - 1)
         ok, order = closure == reference, closure.order
         ref_kind = "generated congruence family"
     else:
@@ -593,10 +582,9 @@ def _check_rs_gamma24(p: dict) -> tuple[bool, dict]:
     expected = 1 << k
     order_ok = grp.order == expected
     # independent reference: the level-2 GL-congruence image at modulus 4,
-    # generated by elementary squares, their conjugates and a determinant flip
-    flip = [[-1 if r == c == 0 else (1 if r == c else 0) for c in range(g - 1)] for r in range(g - 1)]
-    ref_gens = gamma_generators(g - 1, 2) + [IntMatrix.from_rows(flip)]
-    reference_ok = grp == _reference_layer(ref_gens, 2)
+    # generated by elementary squares, their conjugates and the determinant
+    # flip diag(-1, 1, ..., 1) = I + 2X, X = -E_11
+    reference_ok = grp == layer_span(congruence_vectors(g - 1) + [1], 2, g - 1)
 
     # the first k generators are the single slides subset_word(g, 1 << t);
     # their subset products are a section of phi mod 4 exactly when their
@@ -670,7 +658,7 @@ def _check_thm41_mod8(p: dict) -> tuple[bool, dict]:
         [f"family {el.family}{el.indices}" for el in fams],
         lambda: layer_closure([reduced_action(el.word) for el in fams], 4),
     )
-    reference = _reference_layer(gamma_generators(g - 1, 4), 4)
+    reference = layer_span(congruence_vectors(g - 1), 4, g - 1)
     ok = closure == reference
     return ok, {
         "family_images": len(fams),
@@ -682,7 +670,7 @@ def _check_thm41_mod8(p: dict) -> tuple[bool, dict]:
 def _check_tower_2l(p: dict) -> tuple[bool, dict]:
     g, l = p["g"], p["l"]
     n = g - 1
-    grp = layer_closure(gamma_generators(n, 1 << (l - 1)), 1 << (l - 1))
+    grp = layer_span(congruence_vectors(n), 1 << (l - 1), n)
     expected = 1 << (n * n - 1)
     return grp.order == expected, {"order": grp.order, "expected": expected}
 
@@ -802,7 +790,8 @@ CHECKS: dict[str, CheckSpec] = {
         _check_thm23_obstruct,
         "odd elementary powers admit no pairing-preserving lift; even ones do",
         {"g": 4, "d": 3},
-        {"g": 3, "d": 1},
+        # the paper's genus range: at g = 3 an odd power does lift
+        {"g": 4, "d": 1},
     ),
     "THM23-KER": CheckSpec(
         _check_thm23_ker,

@@ -26,12 +26,18 @@ test and the transversal action table that enumerated the level-2 image mod
 4 and walked RS-GAMMA24's Schreier stream before it moved to the level
 layer; they are kept as references for that layer walk.
 
-``reduce_all_rows`` is ``crosscap.finitegrp._Span.reduce`` as it was
-before it read only the vector's pivot bits: it walks every row of the
-span.  ``half_split_conjugation`` is ``crosscap.finitegrp._conjugation`` as
-it was before its tables went to 8-bit chunks: row r of X A^-1 is looked up
-in two tables, of the first n/2 rows of A^-1 and of the rest.  The engine's
-forms must give the same vectors and keys.
+``ReducedSpan`` is ``crosscap.finitegrp._Span`` as it was before it went
+to semi-echelon form: it keeps its rows in reduced echelon form as they
+arrive, clearing each new pivot from every older row, and reduces a vector
+by the rows at its pivot bits.  ``reduce_all_rows`` is its ``reduce`` as it
+was before that, walking every row of the span.  ``chunked_conjugation`` is
+``crosscap.finitegrp._conjugation`` as it was before it went to sparse row
+and column operations: row r of X A^-1 is the XOR of one lookup per 8-bit
+chunk of row r, in tables of the rows of A^-1, and it conjugates by every
+distinct generator mod 2, I included.  ``half_split_conjugation`` is the
+form before that: row r of X A^-1 is looked up in two tables, of the first
+n/2 rows of A^-1 and of the rest.  The engine's forms must give the same
+bases, vectors and keys.
 
 ``todd_coxeter`` is the coset enumeration as it was before it moved onto
 ``crosscap.finitegrp._CosetRows``: the same HLT scans and coincidence queue
@@ -56,7 +62,6 @@ from crosscap.finitegrp import (
     _key as _int_key,
     _row_table,
     _rows,
-    _Span,
 )
 from crosscap.intmat import IntMatrix, ModMatrix, ModulusMismatchError
 
@@ -113,13 +118,90 @@ def identity_offsets(gens: Sequence[ModMatrix], d: int) -> list[int]:
     return vectors
 
 
-def reduce_all_rows(span: _Span, v: int) -> int:
+class ReducedSpan:
+    """An F_2 subspace of bit vectors in reduced echelon form, grown in
+    place: ``rows`` maps each pivot to the one basis vector that has it,
+    and ``pivots`` is the OR of the pivot bits."""
+
+    def __init__(self) -> None:
+        self.rows: dict[int, int] = {}
+        self.pivots = 0
+
+    def reduce(self, v: int) -> int:
+        """``v`` with every pivot bit cleared by adding the row that has it;
+        zero exactly when ``v`` lies in the span.  A row sets no pivot bit
+        but its own, so the rows to add are those at the pivot bits of v."""
+        rows = self.rows
+        hits = v & self.pivots
+        while hits:
+            low = hits & -hits
+            v ^= rows[low.bit_length() - 1]
+            hits ^= low
+        return v
+
+    def add(self, vectors: Iterable[int]) -> list[int]:
+        """Add the vectors in turn; returns, reduced, those that were not
+        already in the span."""
+        added = []
+        for v in vectors:
+            v = self.reduce(v)
+            if v:
+                # v has no pivot bit, so its top bit is new and lies below the
+                # pivot of every row it is cleared from
+                top = v.bit_length() - 1
+                for pivot, row in self.rows.items():
+                    if row >> top & 1:
+                        self.rows[pivot] = row ^ v
+                self.rows[top] = v
+                self.pivots |= 1 << top
+                added.append(v)
+        return added
+
+    def layer(self, d: int, n: int) -> LevelLayer:
+        return LevelLayer(2 * d, n, tuple(self.rows[p] for p in sorted(self.rows, reverse=True)))
+
+
+def reduce_all_rows(span: ReducedSpan, v: int) -> int:
     """``v`` with every pivot bit of ``span`` cleared, each row of the span
     tried in turn."""
     for pivot, row in span.rows.items():
         if v >> pivot & 1:
             v ^= row
     return v
+
+
+def chunked_conjugation(ambient_gens: Sequence[IntMatrix], n: int) -> Callable[[Sequence[int]], list[int]]:
+    """The keys of every A X A^-1 for the keys X, A-major over the distinct
+    ambient generators mod 2.  Row r of X A^-1 is the XOR of one lookup per
+    8-bit chunk of row r of X, in ceil(n/8) tables of at most 256 row
+    combinations of A^-1; column r of A, held with entry k at bit k*n, times
+    that row spreads it over the rows of A X A^-1 without carries."""
+    mask = (1 << n) - 1
+    actions = []
+    for key in dict.fromkeys(map(_int_key, ambient_gens)):
+        columns = [sum((key >> k * n + c & 1) << k * n for k in range(n)) for c in range(n)]
+        inverse = _rows(_inverse(key, n), n)
+        tables = [_row_table(inverse[c : c + 8]) for c in range(0, n, 8)]
+        actions.append((columns, tables))
+    shifts = range(0, n * n, n)
+
+    def conjugate(xs: Sequence[int]) -> list[int]:
+        out = []
+        for columns, tables in actions:
+            for x in xs:
+                y = 0
+                for column, shift in zip(columns, shifts):
+                    v = x >> shift & mask
+                    if v:
+                        row = 0
+                        for table in tables:
+                            row ^= table[v & 255]
+                            v >>= 8
+                        y ^= column * row
+                out.append(y)
+        return out
+
+    return conjugate
 
 
 def half_split_conjugation(

@@ -48,8 +48,12 @@ bound at odd d, and must reach the same layer or group.
 
 ``product_gamma_generators`` and ``product_conjugated_gamma_generators``
 are the congruence generators as ``IntMatrix`` products of elementary
-matrices, e_ij^d and e_k1 e_1k^d e_k1^-1; the registry writes their rows in
-closed form and must give the same matrices in the same order.
+matrices, e_ij^d and e_k1 e_1k^d e_k1^-1; ``gamma_generators`` writes
+their rows in closed form, as the registry does for the conjugated ones,
+and must give the same matrices in the same order.  ``_reference_layer``
+closes them on the layer, reading each matrix's entries: the registry
+writes their layer vectors in closed form
+(``crosscap.ledger.congruence_vectors``) and must reach the same layer.
 
 The int64 ``einsum`` exhaustion of the mod-2 orthogonal group, keyed by
 uint16 entries, and THM41-MOD8's ``np.unique(..., axis=0)`` dedupe over the
@@ -89,11 +93,9 @@ from crosscap.intmat import IntMatrix, ModMatrix, elementary
 from crosscap.ledger import (
     _collapsed,
     _named,
-    _reference_layer,
     _single_slides,
     _y_union_d_words,
     conjugated_gamma_generators,
-    gamma_generators,
     rs_stream_factors as xor_stream_factors,
 )
 from crosscap.pi1free import ScaleGuardError
@@ -509,6 +511,28 @@ def ambient_phi_images(g: int) -> list[IntMatrix]:
     """The reduced actions of the whole generator alphabet, 2^(g-1) - 1 +
     g(g-1) matrices: 35 at g = 5 and 33,007 at g = 16."""
     return [reduced_action(w) for w in families.generator_alphabet(g)]
+
+
+def gamma_generators(n: int, d: int) -> list[IntMatrix]:
+    """The standard generating family of the level-d congruence subgroup of
+    SL(n, Z) for n >= 3: d-th elementary powers e_ij^d = I + d E_ij plus
+    their first-row conjugates, each written row by row."""
+    eye = list(IntMatrix.identity(n).rows)
+    plain = []
+    for i, row in enumerate(eye):
+        for j in range(n):
+            if i != j:
+                rows = eye.copy()
+                rows[i] = row[:j] + (d,) + row[j + 1 :]
+                plain.append(IntMatrix(tuple(rows)))
+    return plain + conjugated_gamma_generators(n, d)
+
+
+def _reference_layer(refs: list[IntMatrix], d: int) -> LevelLayer:
+    """The layer closure of the reference generators ``refs``, read from
+    their entries."""
+    names = [f"reference generator {i}" for i in range(len(refs))]
+    return _named(names, lambda: layer_closure(refs, d))
 
 
 def product_gamma_generators(n: int, d: int) -> list[IntMatrix]:

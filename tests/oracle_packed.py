@@ -25,9 +25,9 @@ from crosscap.finitegrp import (
     LayerError,
     LevelLayer,
     ScaleGuardError,
-    _Span,
 )
 from crosscap.intmat import ModMatrix, ModulusMismatchError
+from oracle_finitegrp import ReducedSpan
 
 MAX_STACK_MODULUS = 1 << 62
 _BATCH = 1 << 15  # matrices per numpy batch
@@ -215,7 +215,7 @@ def layer_closure(gens: Sequence[ModMatrix], d: int) -> LevelLayer:
     """The subgroup of Gamma_d / Gamma_2d (d even) that ``gens`` generate."""
     vectors = _layer_vectors(gens, d)
     _, n = _check_gens(gens)
-    span = _Span()
+    span = ReducedSpan()
     span.add(vectors)
     return span.layer(d, n)
 
@@ -229,7 +229,7 @@ def layer_normal_closure(
     _, n = _check_gens(list(ambient_gens) + list(normal_gens))
     conjugate = _conjugation(ambient_gens, n)
     width = (n * n + 7) // 8
-    span = _Span()
+    span = ReducedSpan()
     added = span.add(vectors)
     while added:
         xs = _unpack([v.to_bytes(width, "little") for v in added], n)

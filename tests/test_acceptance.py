@@ -11,6 +11,7 @@ import pytest
 import oracle_families
 import oracle_finitegrp
 from conftest import Budget, random_word
+from oracle_ledger import gamma_generators
 from crosscap import families
 from crosscap.finitegrp import bfs_closure, layer_closure, schreier_generators, todd_coxeter
 from crosscap.homology import (
@@ -26,11 +27,7 @@ from crosscap.homology import (
     word_matrix,
 )
 from crosscap.intmat import elementary
-from crosscap.ledger import (
-    brute_force_mod2_orthogonal,
-    gamma_generators,
-    run_check,
-)
+from crosscap.ledger import brute_force_mod2_orthogonal, run_check
 from crosscap.pi1free import (
     FreeWord,
     StallingsGraph,

@@ -404,7 +404,8 @@ def test_verify_repeated_param_key_exits_2(capsys, params, key):
         ("PSI-O2", "g=2", "parameter 'g' must be >= 4, got 2"),
         ("TOWER-2L", "g=2", "parameter 'g' must be >= 3, got 2"),
         ("THETA-BASIS", "g=1", "parameter 'g' must be >= 2, got 1"),
-        ("THM23-OBSTRUCT", "g=2", "parameter 'g' must be >= 3, got 2"),
+        ("THM23-OBSTRUCT", "g=2", "parameter 'g' must be >= 4, got 2"),
+        ("THM23-OBSTRUCT", "g=3", "parameter 'g' must be >= 4, got 3"),
         ("THM51-COUNTS", "n=0", "parameter 'n' must be >= 1, got 0"),
         ("EX21-MATRICES", "dmax=0", "parameter 'dmax' must be >= 1, got 0"),
         ("EX21-MATRICES", "gmax=2", "parameter 'gmax' must be >= 3, got 2"),

@@ -131,10 +131,11 @@ def assert_every_call_matches(calls):
 def test_closure_workload_points_match_the_oracle(monkeypatch, check_id, params):
     calls = record_closures(monkeypatch)
     assert ledger.run_check(check_id, params).status == "pass"
-    # THM31-CLOSURE: the normal closure and its reference; TOWER-2L: one span
+    # THM31-CLOSURE: the normal closure and its reference's span; TOWER-2L:
+    # one span, both of layer vectors written in closed form
     expected = {
-        "THM31-CLOSURE": ["layer_closure", "layer_normal_closure"],
-        "TOWER-2L": ["layer_closure"],
+        "THM31-CLOSURE": ["layer_normal_closure", "layer_span"],
+        "TOWER-2L": ["layer_span"],
     }[check_id]
     assert sorted(name for name, _ in calls) == expected
     assert_every_call_matches(calls)
@@ -143,11 +144,12 @@ def test_closure_workload_points_match_the_oracle(monkeypatch, check_id, params)
 def test_every_closure_of_the_default_suite_matches_the_oracle(monkeypatch):
     calls = record_closures(monkeypatch)
     assert all(r.status == "pass" for r in ledger.run_suite())
-    # engine: PSI-O2 1; layer, plain: RS-GAMMA24 1 (its reference),
-    # THM31-CLOSURE 1, THM41-MOD8 2, TOWER-2L 1; layer, normal:
-    # THM31-CLOSURE 1; span of vectors: RS-GAMMA24's phi mod 4 images
+    # engine: PSI-O2 1; layer, plain: THM41-MOD8's family images; layer,
+    # normal: THM31-CLOSURE 1; span of vectors: RS-GAMMA24's phi mod 4
+    # images, and the closed-form references of RS-GAMMA24, THM31-CLOSURE,
+    # THM41-MOD8 and TOWER-2L
     assert sorted(name for name, _ in calls) == (
-        ["bfs_closure"] + ["layer_closure"] * 5 + ["layer_normal_closure", "layer_span"]
+        ["bfs_closure", "layer_closure", "layer_normal_closure"] + ["layer_span"] * 5
     )
     assert_every_call_matches(calls)
 
@@ -166,7 +168,7 @@ def test_every_closure_of_the_default_suite_matches_the_oracle(monkeypatch):
 def test_even_level_closures_match_the_engine(monkeypatch, check_id, params):
     calls = record_closures(monkeypatch)
     assert ledger.run_check(check_id, params).status == "pass"
-    assert {name for name, _ in calls} <= set(ORACLE_OF)
+    assert {name for name, _ in calls} <= {*ORACLE_OF, "layer_span"}
     assert calls
     assert_every_call_matches(calls)
 

@@ -134,6 +134,17 @@ def test_lift_obstruction_elementary_targets(g, d, expect):
         assert collapse_total_class(result.witness).rows == target.rows
 
 
+@pytest.mark.parametrize("d", [1, 3, 5, 7, 99])
+def test_odd_elementary_powers_lift_at_genus_3(d):
+    # why THM23-OBSTRUCT starts at g = 4, the paper's range: at g = 3 the
+    # exhaustive search finds a pairing-preserving lift of an odd power
+    target = elementary(2, 1, 2, d)
+    result = lift_search(target, 3)
+    assert not result.obstructed
+    assert collapse_total_class(result.witness).rows == target.rows
+    assert lift_obstruction(target, 3) == result
+
+
 def lift_targets(g: int, rng) -> list[IntMatrix]:
     """E_ij^d for d = 1..8, random integer targets and random products of
     six elementary matrices.  The search costs 2^g per obstructed target,

@@ -14,7 +14,7 @@ from crosscap.homology import level_member, matrix_level_trivial, word_matrix
 from crosscap.intmat import IntMatrix, ModMatrix, NotUnimodularError
 from crosscap.words import Slide, Twist, word
 
-CLOSURES = ("bfs_closure", "normal_closure", "layer_closure", "layer_normal_closure")
+CLOSURES = ("bfs_closure", "normal_closure", "layer_closure", "layer_normal_closure", "layer_span")
 
 
 def recorded_calls(monkeypatch, check_id, params):
@@ -39,7 +39,16 @@ def assert_same_as_packed(name, args, cap=None):
     """The int engine's closure of exact generators equals the numpy
     engine's closure of them reduced mod 2, or mod 2d on a layer: the same
     key set read as ints, or the same ``LevelLayer``; or both raise at the
-    cap."""
+    cap.  A span of layer vectors X equals the numpy engine's layer closure
+    of the matrices I + dX mod 2d they stand for."""
+    if name == "layer_span":
+        vectors, d, n = args
+        gens = [
+            ModMatrix.from_rows(2 * d, [[(r == c) + d * (x >> r * n + c & 1) for c in range(n)] for r in range(n)])
+            for x in vectors
+        ]
+        assert finitegrp.layer_span(vectors, d, n) == oracle_packed.layer_closure(gens, d)
+        return
     kwargs = {} if cap is None else {"cap": cap}
     modulus = 2 * args[-1] if name.startswith("layer") else 2
     packed = [[m.reduce_mod(modulus) for m in a] if isinstance(a, list) else a for a in args]
@@ -79,7 +88,7 @@ def test_psi_o2_closures_match_the_numpy_engine(g):
 @pytest.mark.parametrize("d", [2, 4])
 def test_even_level_thm31_layers_match_the_numpy_engine(monkeypatch, g, d):
     calls = recorded_calls(monkeypatch, "THM31-CLOSURE", {"g": g, "d": d})
-    assert sorted(name for name, _ in calls) == ["layer_closure", "layer_normal_closure"]
+    assert sorted(name for name, _ in calls) == ["layer_normal_closure", "layer_span"]
     for name, args in calls:
         assert_same_as_packed(name, args)
 

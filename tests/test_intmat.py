@@ -69,6 +69,26 @@ def test_elementary_examples():
         elementary(3, 2, 2, 1)
 
 
+def test_elementary_is_the_matrix_of_its_rows():
+    rng = random.Random(3)
+    for n in (1, 2, 3, 5, 9, 40):
+        for _ in range(10):
+            i, j = rng.randint(1, n), rng.randint(1, n)
+            k = rng.choice((0, 1, -1, 7, -(1 << 70), True))
+            if i == j:
+                with pytest.raises(ValueError, match="requires i != j"):
+                    elementary(n, i, j, k)
+                continue
+            rows = [[int(r == c) for c in range(n)] for r in range(n)]
+            rows[i - 1][j - 1] = k
+            m = elementary(n, i, j, k)
+            assert m == IntMatrix.from_rows(rows)
+            assert all(type(e) is int for row in m.rows for e in row)
+        for i, j in ((0, 1), (1, n + 1), (n + 1, 1), (-1, 1)):
+            with pytest.raises(DimensionError, match=f"indices \\({i},{j}\\) out of range"):
+                elementary(n, i, j, 2)
+
+
 def test_reduce_mod_examples():
     assert I3.reduce_mod(5).is_identity()
     assert elementary(2, 1, 2, 4).reduce_mod(4).is_identity()

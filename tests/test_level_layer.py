@@ -3,8 +3,9 @@ bases, explicit preconditions, and the registry checks that run on it at
 genera where listing the elements is out of reach.
 
 The comparisons with the enumerating closure engine are in
-``test_closure_engine.py``; the span's reduction and the conjugation step
-are compared here with the forms they replaced in ``oracle_finitegrp``.
+``test_closure_engine.py``; the span, the conjugation step and the
+reference vectors written in closed form are compared here with the forms
+they replaced in ``oracle_finitegrp`` and ``oracle_ledger``.
 """
 
 import random
@@ -13,6 +14,7 @@ import time
 import pytest
 
 import oracle_finitegrp
+import oracle_ledger
 from conftest import random_word
 from crosscap import families, finitegrp, ledger
 from crosscap.families import Main2Generator
@@ -23,7 +25,7 @@ from crosscap.finitegrp import (
     layer_normal_closure,
     vector_coordinates,
 )
-from crosscap.homology import word_matrix
+from crosscap.homology import reduced_action, word_matrix
 from crosscap.intmat import IntMatrix, elementary
 from crosscap.words import MCGWord, Twist, word
 
@@ -154,20 +156,45 @@ def test_normal_closure_of_one_elementary_vector_is_the_trace_zero_layer():
 
 @pytest.mark.parametrize("seed", range(8))
 def test_reduction_at_the_pivot_bits_matches_the_all_rows_reduction(seed):
+    # the semi-echelon span against the reduced echelon span it replaced,
+    # whose pivot-bit reduction is held to the all-rows reduction
     rng = random.Random(seed)
     bits = rng.choice((3, 16, 64, 400))
     # vectors drawn from a few random ones, so that many are dependent
     pool = [rng.getrandbits(bits) for _ in range(rng.randint(1, 30))]
-    span = finitegrp._Span()
+    span, oracle = finitegrp._Span(), oracle_finitegrp.ReducedSpan()
     for _ in range(40):
         v = 0
         for u in rng.sample(pool, rng.randint(1, len(pool))):
             v ^= u
         span.add([v])
-        assert span.pivots == sum(1 << p for p in span.rows)
+        oracle.add([v])
+        assert span.layer(2, bits).basis == oracle.layer(2, bits).basis
         for w in [rng.getrandbits(bits) for _ in range(5)] + [v, v ^ pool[0]]:
-            assert span.reduce(w) == oracle_finitegrp.reduce_all_rows(span, w)
+            want = oracle_finitegrp.reduce_all_rows(oracle, w)
+            assert oracle.reduce(w) == want
+            got = span.reduce(w)
+            assert (got == 0) == (want == 0)
+            assert oracle.reduce(w ^ got) == 0
         assert span.reduce(v) == 0
+
+
+@pytest.mark.parametrize("seed", range(30))
+def test_semi_echelon_bases_are_the_reduced_echelon_bases(seed):
+    rng = random.Random(1000 + seed)
+    bits = rng.choice((1, 5, 24, 81, 225, 961))
+    pool = [rng.getrandbits(bits) for _ in range(rng.randint(1, 40))]
+    vectors = []
+    for _ in range(rng.randint(1, 60)):
+        # sparse and dense, dependent and not
+        v = 1 << rng.randrange(bits) if rng.random() < 0.3 else 0
+        for u in rng.sample(pool, rng.randint(0, len(pool))):
+            v ^= u
+        vectors.append(v)
+    span, oracle = finitegrp._Span(), oracle_finitegrp.ReducedSpan()
+    assert len(span.add(vectors)) == len(oracle.add(vectors))
+    assert span.layer(4, bits) == oracle.layer(4, bits)
+    assert finitegrp.layer_span(vectors, 4, bits) == oracle.layer(4, bits)
 
 
 def random_invertible(rng, n):
@@ -186,16 +213,56 @@ def test_chunked_conjugation_matches_the_half_split_tables(n):
     rng = random.Random(100 + n)
     ambient = [random_invertible(rng, n) for _ in range(4)]
     ambient.append(ambient[0])  # a repeated generator is conjugated by once
+    if n > 1:
+        ambient.insert(2, elementary(n, 1, n, 2))  # I mod 2, so dropped
+    # an ambient generator that is I mod 2 fixes every X: the sparse form
+    # drops it, and the forms it replaced conjugate by it
+    identity = finitegrp._key(IntMatrix.identity(n))
+    moving = [a for a in ambient if finitegrp._key(a) != identity]
     xs = [0, (1 << n * n) - 1] + [rng.getrandbits(n * n) for _ in range(40)]
-    want = oracle_finitegrp.half_split_conjugation(ambient, n)(xs)
+    want = oracle_finitegrp.half_split_conjugation(moving, n)(xs)
+    assert oracle_finitegrp.chunked_conjugation(moving, n)(xs) == want
     assert finitegrp._conjugation(ambient, n)(xs) == want
-    assert len(want) == len({finitegrp._key(a) for a in ambient}) * len(xs)
+    assert len(want) == len({finitegrp._key(a) for a in moving}) * len(xs)
+
+
+def test_sparse_conjugation_by_the_letters_matches_the_tables():
+    # the letters THM31-CLOSURE conjugates by, at every genus up to 64; the
+    # half-split tables hold 2^(n/2) entries, so they stop at n = 16
+    for g in range(5, 65):
+        n = g - 1
+        rng = random.Random(g)
+        letters = [reduced_action(w) for w in ledger.conjugating_letters(g)]
+        xs = [rng.getrandbits(n * n) for _ in range(3)] + [1 << rng.randrange(n * n)]
+        # the slide, last, is I mod 2: the tables conjugate by it, each X to
+        # itself, and the sparse form leaves it out
+        want = finitegrp._conjugation(letters, n)(xs)
+        assert oracle_finitegrp.chunked_conjugation(letters, n)(xs) == want + xs
+        if n <= 16:
+            assert oracle_finitegrp.half_split_conjugation(letters[:-1], n)(xs) == want
+
+
+@pytest.mark.parametrize("n", [16, 31, 63])
+def test_sparse_conjugation_matches_the_tables_on_random_ambients(n):
+    # dense: L U for random unitriangular L and U, invertible mod 2
+    rng = random.Random(7 * n)
+    ambient = []
+    for _ in range(2):
+        lower = [[int(r == c) or rng.randrange(2) * (r > c) for c in range(n)] for r in range(n)]
+        upper = [[int(r == c) or rng.randrange(2) * (r < c) for c in range(n)] for r in range(n)]
+        ambient.append(IntMatrix.from_rows(lower) * IntMatrix.from_rows(upper))
+    xs = [rng.getrandbits(n * n) for _ in range(6)]
+    want = oracle_finitegrp.chunked_conjugation(ambient, n)(xs)
+    assert finitegrp._conjugation(ambient, n)(xs) == want
+    if n <= 16:
+        assert oracle_finitegrp.half_split_conjugation(ambient, n)(xs) == want
 
 
 def test_thm31_closure_at_16_2_matches_the_oracle_span_and_tables(monkeypatch):
     record = ledger.run_check("THM31-CLOSURE", {"g": 16, "d": 2}).to_json()
     monkeypatch.setattr(finitegrp, "_conjugation", oracle_finitegrp.half_split_conjugation)
-    monkeypatch.setattr(finitegrp._Span, "reduce", oracle_finitegrp.reduce_all_rows)
+    monkeypatch.setattr(finitegrp, "_Span", oracle_finitegrp.ReducedSpan)
+    monkeypatch.setattr(oracle_finitegrp.ReducedSpan, "reduce", oracle_finitegrp.reduce_all_rows)
     oracle = ledger.run_check("THM31-CLOSURE", {"g": 16, "d": 2}).to_json()
     assert record["status"] == "pass"
     assert record["details"]["closure_order"] == 1 << 224
@@ -276,3 +343,12 @@ def test_coordinates_refuse_a_dependent_basis_and_name_what_lies_outside():
     assert err.value.index == 3
     with pytest.raises(LayerError, match="generator 1 is not congruent to I mod 2"):
         layer_coordinates([e12], [elementary(n, 1, 2, 1)], d)
+
+
+@pytest.mark.parametrize("n", range(2, 17))
+def test_closed_form_reference_vectors_are_the_generators_vectors(n):
+    for d in (2, 4, 6, 8, 16):
+        assert ledger.congruence_vectors(n) == identity_offsets(oracle_ledger.gamma_generators(n, d), d)
+    # RS-GAMMA24's determinant flip diag(-1, 1, ..., 1) is I + 2X, X = -E_11
+    flip = IntMatrix.from_rows([[(-1 if r == 0 else 1) * (r == c) for c in range(n)] for r in range(n)])
+    assert identity_offsets([flip], 2) == [1]

@@ -222,7 +222,7 @@ def test_generators_and_reduced_actions_form_no_products(monkeypatch):
     monkeypatch.setattr(intmat, "_freeze", refuse)
     assert reduced_action(w) == expected
     for (n, d), gens in generators.items():
-        assert ledger.gamma_generators(n, d) == gens
+        assert oracle_ledger.gamma_generators(n, d) == gens
         assert ledger.conjugated_gamma_generators(n, d) == gens[n * (n - 1) :]
 
 
