@@ -237,16 +237,16 @@ def zset(g: int, l: int) -> list[MCGWord]:
         for k in range(1, g)
         if k != j
     ]
-    # a power of a word of k letters has at most k * exp of them, and as
-    # many for the cyclically reduced C words
-    exp = 1 << (l - 3)
+    # a power of a word of k letters has at most k * 2^(l - 3) of them, as many
+    # for the cyclically reduced C words; capping the shift at the limit's bit
+    # length decides the bound without forming the power of two
     longest = max((len(w.letters) for w in bases), default=0)
-    if longest * exp > SEED_LETTER_LIMIT:
+    if longest << min(l - 3, SEED_LETTER_LIMIT.bit_length()) > SEED_LETTER_LIMIT:
         raise ScaleGuardError(
             f"the tower set at l = {l} raises a {longest}-letter word to the power 2^{l - 3},"
-            f" {longest * exp} letters, over SEED_LETTER_LIMIT = {SEED_LETTER_LIMIT}"
+            f" {longest} x 2^{l - 3} letters, over SEED_LETTER_LIMIT = {SEED_LETTER_LIMIT}"
         )
-    return [w**exp for w in bases]
+    return [w ** (1 << (l - 3)) for w in bases]
 
 
 def transversal_2z(g: int, l: int) -> Iterator[MCGWord]:

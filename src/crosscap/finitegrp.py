@@ -6,16 +6,17 @@ and takes the residues it needs itself: no caller reduces a matrix first,
 so no caller can pair a reduction with the wrong level.  One encoding serves
 every matrix group here: a matrix over F_2 is keyed by the Python int whose
 bit r*n + c is entry (r, c) mod 2, so row r is the n-bit field at r*n.
+One product serves every matrix group too: ``_product`` multiplies keys
+by G on the right through the row terms of G - I, or on the left through
+its column terms (``_terms``), one shift, mask and multiply per term.
 ``bfs_closure`` and ``normal_closure`` hold the group that the generators
 mod 2 generate as the set of its element keys.  They drive one
 closure engine, ``_Closure``, which grows a group in place as generators
 arrive instead of restarting, coset by coset (Dimino's algorithm; Holt-Eick-
-O'Brien, *Handbook of Computational Group Theory*, 2005, ch. 4).  A product
-x G is n lookups of the rows of x in a 2^n-entry table of G's row
-combinations.  Caps are explicit and hitting one raises
-``ScaleGuardError``, the one exception that marks a computation stopped by
-a guard or cap, so callers report "inconclusive" instead of silently
-truncating.
+O'Brien, *Handbook of Computational Group Theory*, 2005, ch. 4).  Caps are
+explicit and hitting one raises ``ScaleGuardError``, the one exception that
+marks a computation stopped by a guard or cap, so callers report
+"inconclusive" instead of silently truncating.
 
 For even d the layer Gamma_d / Gamma_2d of matrices congruent to I mod d,
 taken mod 2d, is elementary abelian, so ``layer_closure`` and
@@ -24,15 +25,15 @@ I + dX generate there as F_2 subspaces of n x n matrices (a
 ``LevelLayer``) without listing any element: the order is 2^dim, and equal
 subgroups have equal reduced echelon bases.  The vector X
 of I + dX is keyed as a matrix is, and both normal closures share one
-conjugation step, a few sparse row and column operations on the whole key
-per conjugating matrix.  A span grows in semi-echelon form, each row keyed
-by its top bit, and is brought to reduced echelon form once, when its
-layer is read.  ``layer_span`` is the subgroup that given vectors
-span, and ``vector_coordinates`` writes vectors in a basis of given
-vectors, so a transversal of products of that basis is walked by XOR on
-coordinate masks instead of by a table of matrix products.  Every
-generator is checked to lie in the layer; one that does not raises
-``LayerError``, and nothing falls back to enumeration.
+conjugation step, the row terms of A^-1 and then the column terms of A
+on the whole key.  A span grows in semi-echelon form, each row keyed by
+its top bit, and is brought to reduced echelon form once, when its layer
+is read.  ``layer_span`` is the subgroup that given vectors span, and
+``vector_coordinates`` writes vectors in a basis of given vectors, so a
+transversal of products of that basis is walked by XOR on coordinate
+masks instead of by a table of matrix products.  Every generator is
+checked to lie in the layer; one that does not raises ``LayerError``, and
+nothing falls back to enumeration.
 
 ``schreier_generators`` is generic over words: it keys every product
 y x^+-1 through a quotient callback and builds every output word.
@@ -97,36 +98,46 @@ def _ones(v: int) -> list[int]:
     return out
 
 
-def _rows(key: int, n: int) -> list[int]:
-    """The n-bit rows of the matrix that ``key`` encodes."""
-    mask = (1 << n) - 1
-    return [key >> r * n & mask for r in range(n)]
+def _spaced(n: int, step: int) -> int:
+    """n ones, ``step`` bits apart: column 0 of ones, the bits r*n, for
+    step n, and the key of I for step n + 1."""
+    return ((1 << n * step) - 1) // ((1 << step) - 1)
 
 
-def _row_table(rows: Sequence[int]) -> list[int]:
-    """Entry v is the XOR of the rows that the bits of v pick: the row
-    vector v times the matrix of those rows, over F_2."""
-    table = [0] * (1 << len(rows))
-    for v in range(1, len(table)):
-        low = v & -v
-        table[v] = table[v ^ low] ^ rows[low.bit_length() - 1]
-    return table
+def _terms(key: int, n: int) -> tuple[list[tuple[int, int]], list[tuple[int, int]]]:
+    """The row and the column terms of D = G - I over F_2, G the matrix of
+    ``key``: (k, row k of D) for each nonzero row, and (k*n, column k of D
+    held as the bits r*n of its ones) for each nonzero column."""
+    d, row0, col0 = key ^ _spaced(n, n + 1), (1 << n) - 1, _spaced(n, n)
+    rows = [(k, row) for k in range(n) if (row := d >> k * n & row0)]
+    columns = [(k * n, column) for k in range(n) if (column := d >> k & col0)]
+    return rows, columns
 
 
-def _times(xs: Sequence[int], table: list[int], n: int) -> list[int]:
-    """The keys x G of the matrices x of ``xs``, for the matrix G whose
-    ``_row_table`` is ``table``: row r of x G is row r of x looked up."""
-    mask = (1 << n) - 1
-    out = [table[x & mask] for x in xs]
-    for shift in range(n, n * n, n):
-        out = [o | table[x >> shift & mask] << shift for o, x in zip(out, xs)]
+def _product(xs: Sequence[int], terms: Sequence[tuple[int, int]], mask: int) -> list[int]:
+    """The keys x G of the keys x, for the row terms of G and ``mask`` =
+    col0, or G x, for its column terms and ``mask`` = row0 (n ones):
+
+        x G = x + sum over the row terms of (x >> k & col0) * row k,
+        G x = x + sum over the column terms of (x >> k*n & row0) * column k.
+
+    ``x >> k & col0`` has bit r*n where row r of x has a one in column k,
+    and the multiply lays row k in each such n-bit field; ``x >> k*n & row0``
+    is row k of x, laid in field r wherever column k has a one in row r.
+    The fields are disjoint, so no multiply carries."""
+    out = []
+    for x in xs:
+        y = x
+        for shift, spread in terms:
+            y ^= (x >> shift & mask) * spread
+        out.append(y)
     return out
 
 
 def _inverse(key: int, n: int) -> int:
     """The key of the inverse over F_2 of the matrix that ``key`` encodes,
     by Gauss-Jordan elimination on its rows beside those of I."""
-    rows = [row | 1 << (n + r) for r, row in enumerate(_rows(key, n))]
+    rows = [key >> r * n & (1 << n) - 1 | 1 << (n + r) for r in range(n)]
     for c in range(n):
         pivot = next((r for r in range(c, n) if rows[r] >> c & 1), None)
         if pivot is None:
@@ -167,13 +178,14 @@ class _Closure:
     for every kept generator t, a representative x with x t outside the keys
     so far gives the new coset H x t, which is the block of x times t.  When
     no block gives one, the keys are closed under right multiplication by
-    every generator, so they are the group.
+    every generator, so they are the group.  A block times t is a
+    ``_product`` over the row terms of t.
     """
 
     def __init__(self, n: int, cap: int) -> None:
         self.n, self.cap = n, cap
-        self.tables: list[list[int]] = []
-        self.keys = [sum(1 << (r * n + r) for r in range(n))]
+        self.terms: list[list[tuple[int, int]]] = []
+        self.keys = [_spaced(n, n + 1)]
         self.members = set(self.keys)
 
     def add(self, gens: Iterable[int]) -> list[int]:
@@ -184,7 +196,7 @@ class _Closure:
             if key in self.members:
                 continue
             kept.append(key)
-            self.tables.append(_row_table(_rows(key, self.n)))
+            self.terms.append(_terms(key, self.n)[0])
             self._cosets()
         return kept
 
@@ -196,16 +208,17 @@ class _Closure:
         return FiniteMatrixGroup(self.n, frozenset(self.keys))
 
     def _cosets(self) -> None:
-        n, keys, members = self.n, self.keys, self.members
+        keys, members = self.keys, self.members
+        col0 = _spaced(self.n, self.n)
         size, start = len(keys), 0
         while start < len(keys):
             block = keys[start : start + size]
             start += size
-            for table in self.tables:
+            for terms in self.terms:
                 # the block's first key is its representative
-                if _times(block[:1], table, n)[0] in members:
+                if _product(block[:1], terms, col0)[0] in members:
                     continue
-                coset = _times(block, table, n)
+                coset = _product(block, terms, col0)
                 members.update(coset)
                 keys.extend(coset)
                 if len(keys) > self.cap:
@@ -217,37 +230,25 @@ def _conjugation(ambient_gens: Sequence[IntMatrix], n: int) -> Callable[[Sequenc
     every A X A^-1, for A running over the distinct ambient generators mod 2
     (A-major) but I: an A that is I mod 2, such as a slide, fixes every X.
 
-    With M = A^-1 - I and N = A - I mod 2, A X A^-1 = Y + N Y for
-    Y = X + X M.  Each nonzero (k, c) of M adds column k of X to column c
-    of Y, and each nonzero (r, k) of N adds row k of Y to row r, each one
-    shift-and-mask of the whole key.  The conjugating letters have a few
-    nonzeros each, so a conjugate costs a few big-int operations.
+    A X A^-1 = A (X A^-1): ``_product`` applies the row terms of A^-1 and
+    then the column terms of A.  Most conjugating letters have two terms of
+    each kind; T(g-1,g) has n - 1 row terms and one column term.
 
     Only A, never A^-1, is needed by the normal closures: an invertible map
     that sends a finite set into itself sends it onto itself, so a finite
     group or span stable under X -> A X A^-1 is stable under its inverse.
     """
-    identity = sum(1 << r * (n + 1) for r in range(n))
-    col0, row0 = sum(1 << r * n for r in range(n)), (1 << n) - 1
-    actions = []
-    for key in dict.fromkeys(map(_key, ambient_gens)):
-        if key != identity:
-            # the (k, c) of M, and the shifts k*n and r*n of the (r, k) of N
-            columns = [divmod(b, n) for b in _ones(_inverse(key, n) ^ identity)]
-            rows = [(b % n * n, b - b % n) for b in _ones(key ^ identity)]
-            actions.append((columns, rows))
+    identity, col0, row0 = _spaced(n, n + 1), _spaced(n, n), (1 << n) - 1
+    actions = [
+        (_terms(_inverse(key, n), n)[0], _terms(key, n)[1])
+        for key in dict.fromkeys(map(_key, ambient_gens))
+        if key != identity
+    ]
 
     def conjugate(xs: Sequence[int]) -> list[int]:
-        out = []
-        for columns, rows in actions:
-            for x in xs:
-                y = x
-                for k, c in columns:
-                    y ^= (x >> k & col0) << c
-                z = y
-                for down, up in rows:
-                    z ^= (y >> down & row0) << up
-                out.append(z)
+        out: list[int] = []
+        for inverse_rows, columns in actions:
+            out += _product(_product(xs, inverse_rows, col0), columns, row0)
         return out
 
     return conjugate

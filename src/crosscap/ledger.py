@@ -681,7 +681,7 @@ def _check_theta_basis(p: dict) -> tuple[bool, dict]:
     values = derive_theta_basis(g)
     ok = True
     details: dict = {}
-    # forced values reproduce the defining constraints
+    # the closed form that theta is read from reproduces the defining constraints
     for i in range(1, g):
         vec = push_coefficients_int(x_(i) * x_(g), g)
         expect = tuple(

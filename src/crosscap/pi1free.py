@@ -15,8 +15,8 @@ The coefficient map ``theta`` records how pushing the base point along a
 two-sided loop moves each crosscap class across the last boundary.  Its
 basis values are pinned by three defining constraints -- theta(x_i x_g) =
 -e_i + e_g, theta(x_i^2) = 0 and theta(y_k) = theta(z_k) = 0 -- which force
-theta(u_i) = -e_i + e_g and theta(v_i) = e_i - e_g; see
-``derive_theta_basis`` for the oracle that re-derives them.  The integral
+theta(u_i) = -e_i + e_g and theta(v_i) = e_i - e_g; theta is read from
+these closed forms, and ``derive_theta_basis`` re-derives them.  The integral
 map is implemented once and reduced mod d on demand, making its image the
 rank-(g-1) sum-zero lattice, a checkable statement.
 
@@ -39,12 +39,10 @@ cross-check.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 import re
-import types
-from typing import Iterable, Iterator, Mapping, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 from ._frozen import Frozen, set_field
 from .finitegrp import (
@@ -233,23 +231,22 @@ def derive_theta_basis(g: int) -> dict[Atom, tuple[int, ...]]:
     return values
 
 
-@functools.cache
-def _theta_basis(g: int) -> Mapping[Atom, tuple[int, ...]]:
-    """``derive_theta_basis(g)``, derived once per genus and read-only."""
-    return types.MappingProxyType(derive_theta_basis(g))
+def _theta_sign(atom: Atom, g: int) -> int:
+    """The s with theta(atom) = s (e_i - e_g), atom = (kind, i): -1 for u_i
+    and 1 for v_i when i < g, 0 on v_g, y_k and z_k, as ``derive_theta_basis``
+    forces."""
+    kind, i = atom
+    return (kind == "v") - (kind == "u") if i < g else 0
 
 
 def push_coefficients_int(w: FreeWord, g: int) -> tuple[int, ...]:
     """The integral coefficient vector of a two-sided word."""
-    values = _theta_basis(g)
     total = [0] * g
     for atom, exp in rewrite_two_sided(w, g).letters:
-        kind = atom[0]
-        if kind in ("y", "z"):
-            continue
-        vec = values[atom]
-        for t in range(g):
-            total[t] += exp * vec[t]
+        step = exp * _theta_sign(atom, g)
+        if step:
+            total[atom[1] - 1] += step
+            total[g - 1] -= step
     return tuple(total)
 
 
@@ -493,8 +490,9 @@ def theta_graph(g: int, n: int, d: int) -> StallingsGraph:
     """
     kernel_guard(g, n, d)
     alpha = tuple(plus_basis_alphabet(g, n))
-    values = _theta_basis(g)
-    moves = [[(d**t, v % d) for t, v in enumerate(values.get(atom, ())) if v % d] for atom in alpha]
+    # theta(a) = s (e_i - e_g) moves digit i - 1 by s and digit g - 1 by -s
+    moves = [[(d ** (a[1] - 1), s % d), (d ** (g - 1), -s % d)] if (s := _theta_sign(a, g)) else []
+             for a in alpha]
     label = {0: 0}
     classes = [0]
     rows: list[list[Optional[int]]] = []

@@ -30,14 +30,17 @@ layer; they are kept as references for that layer walk.
 to semi-echelon form: it keeps its rows in reduced echelon form as they
 arrive, clearing each new pivot from every older row, and reduces a vector
 by the rows at its pivot bits.  ``reduce_all_rows`` is its ``reduce`` as it
-was before that, walking every row of the span.  ``chunked_conjugation`` is
-``crosscap.finitegrp._conjugation`` as it was before it went to sparse row
-and column operations: row r of X A^-1 is the XOR of one lookup per 8-bit
-chunk of row r, in tables of the rows of A^-1, and it conjugates by every
-distinct generator mod 2, I included.  ``half_split_conjugation`` is the
-form before that: row r of X A^-1 is looked up in two tables, of the first
-n/2 rows of A^-1 and of the rest.  The engine's forms must give the same
-bases, vectors and keys.
+was before that, walking every row of the span.  ``sparse_conjugation`` is
+``crosscap.finitegrp._conjugation`` as it was before it went to
+shift-and-multiply terms: one shift-and-mask of the whole key per nonzero
+of A^-1 - I and of A - I.  ``chunked_conjugation`` is the form before
+that: row r of X A^-1 is the XOR of one lookup per 8-bit chunk of row r,
+in tables of the rows of A^-1 (``_row_table``, which ``crosscap.finitegrp``
+used for its closures too), and it conjugates by every distinct generator
+mod 2, I included.  ``half_split_conjugation`` is the form before that:
+row r of X A^-1 is looked up in two tables, of the first n/2 rows of A^-1
+and of the rest.  The engine's forms must give the same bases, vectors and
+keys.
 
 ``todd_coxeter`` is the coset enumeration as it was before it moved onto
 ``crosscap.finitegrp._CosetRows``: the same HLT scans and coincidence queue
@@ -60,8 +63,7 @@ from crosscap.finitegrp import (
     _column,
     _inverse,
     _key as _int_key,
-    _row_table,
-    _rows,
+    _ones,
 )
 from crosscap.intmat import IntMatrix, ModMatrix, ModulusMismatchError
 
@@ -168,6 +170,56 @@ def reduce_all_rows(span: ReducedSpan, v: int) -> int:
         if v >> pivot & 1:
             v ^= row
     return v
+
+
+def _rows(key: int, n: int) -> list[int]:
+    """The n-bit rows of the matrix that ``key`` encodes."""
+    mask = (1 << n) - 1
+    return [key >> r * n & mask for r in range(n)]
+
+
+def _row_table(rows: Sequence[int]) -> list[int]:
+    """Entry v is the XOR of the rows that the bits of v pick: the row
+    vector v times the matrix of those rows, over F_2."""
+    table = [0] * (1 << len(rows))
+    for v in range(1, len(table)):
+        low = v & -v
+        table[v] = table[v ^ low] ^ rows[low.bit_length() - 1]
+    return table
+
+
+def sparse_conjugation(
+    ambient_gens: Sequence[IntMatrix], n: int
+) -> Callable[[Sequence[int]], list[int]]:
+    """The keys of every A X A^-1 for the keys X, A-major over the distinct
+    ambient generators mod 2 but I.  With M = A^-1 - I and N = A - I,
+    A X A^-1 = Y + N Y for Y = X + X M: each nonzero (k, c) of M adds
+    column k of X to column c of Y, and each nonzero (r, k) of N adds row k
+    of Y to row r, one shift-and-mask of the whole key per nonzero."""
+    identity = sum(1 << r * (n + 1) for r in range(n))
+    col0, row0 = sum(1 << r * n for r in range(n)), (1 << n) - 1
+    actions = []
+    for key in dict.fromkeys(map(_int_key, ambient_gens)):
+        if key != identity:
+            # the (k, c) of M, and the shifts k*n and r*n of the (r, k) of N
+            columns = [divmod(b, n) for b in _ones(_inverse(key, n) ^ identity)]
+            rows = [(b % n * n, b - b % n) for b in _ones(key ^ identity)]
+            actions.append((columns, rows))
+
+    def conjugate(xs: Sequence[int]) -> list[int]:
+        out = []
+        for columns, rows in actions:
+            for x in xs:
+                y = x
+                for k, c in columns:
+                    y ^= (x >> k & col0) << c
+                z = y
+                for down, up in rows:
+                    z ^= (y >> down & row0) << up
+                out.append(z)
+        return out
+
+    return conjugate
 
 
 def chunked_conjugation(ambient_gens: Sequence[IntMatrix], n: int) -> Callable[[Sequence[int]], list[int]]:

@@ -11,6 +11,10 @@ the numbering of the vertices.
 ``expand_basis`` substitutes the ambient spelling of each plus-basis letter,
 the inverse of ``crosscap.pi1free.rewrite_two_sided``.
 
+``basis_push_coefficients`` is ``crosscap.pi1free.push_coefficients_int``
+as it was before theta was read from its closed form: it sums, letter by
+letter, the values that ``derive_theta_basis`` derives.
+
 ``certify_in_words`` is the kernel certificate spelled out in words: every
 conjugate w r w^-1 of a normal relator by a transversal word, and every
 Schreier generator of the kernel, is built, rewritten into the plus basis and
@@ -32,6 +36,7 @@ from crosscap.pi1free import (
     Atom,
     FreeWord,
     StallingsGraph,
+    derive_theta_basis,
     fold_in_plus_basis,
     gtilde,
     kernel_guard,
@@ -61,6 +66,17 @@ def expand_basis(w: FreeWord, g: int) -> FreeWord:
             raise ValueError(f"not a basis letter: {kind}{idx}")
         out = out * piece**exp
     return out
+
+
+def basis_push_coefficients(w: FreeWord, g: int) -> tuple[int, ...]:
+    """The integral coefficient vector of a two-sided word, read from the
+    derived basis values; the boundary letters y_k and z_k push nothing."""
+    values = derive_theta_basis(g)
+    total = [0] * g
+    for atom, exp in rewrite_two_sided(w, g).letters:
+        for t, c in enumerate(values.get(atom, ())):
+            total[t] += exp * c
+    return tuple(total)
 
 
 def fold(words: Sequence[FreeWord], alphabet: Sequence[Atom]) -> StallingsGraph:

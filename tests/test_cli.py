@@ -76,7 +76,20 @@ def test_enum_tower_guard_is_inconclusive(capsys):
     )
     assert code == 3 and err == ""
     assert out.startswith("inconclusive: the tower set at l = 70 ")
-    assert f"{4 << 67} letters, over SEED_LETTER_LIMIT = 1048576" in out
+    assert "4 x 2^67 letters, over SEED_LETTER_LIMIT = 1048576" in out
+
+
+@pytest.mark.parametrize("l", [20000, 10**9])
+def test_enum_tower_guard_names_the_count_without_forming_it(capsys, l):
+    # 4 * 2^19997 has over 4300 digits, past Python's int-to-string limit
+    code, out, err = run_cli(
+        capsys, "enum", "--set", "2Z", "--genus", "4", "--tower", str(l), "--limit", "2"
+    )
+    assert code == 3 and err == ""
+    assert out == (
+        f"inconclusive: the tower set at l = {l} raises a 4-letter word to the power"
+        f" 2^{l - 3}, 4 x 2^{l - 3} letters, over SEED_LETTER_LIMIT = 1048576\n"
+    )
 
 
 def test_enum_tower_at_the_letter_limit_enumerates(capsys):

@@ -64,6 +64,20 @@ def test_bad_indices_raise():
         families.zset(4, 2)
 
 
+@pytest.mark.parametrize("l", [24, 20000, 10**9])
+def test_tower_guard_refuses_before_forming_a_power(monkeypatch, l):
+    # the family words themselves use small powers; the tower power is 2^(l-3)
+    real = MCGWord.__pow__
+
+    def small_power(self, e):
+        assert abs(e) < 1 << 20, "the tower power was formed"
+        return real(self, e)
+
+    monkeypatch.setattr(MCGWord, "__pow__", small_power)
+    with pytest.raises(families.ScaleGuardError, match=rf"4 x 2\^{l - 3} letters"):
+        families.zset(4, l)
+
+
 def test_transversal_order_and_count():
     stream = families.transversal_2y(4)
     first = next(stream)

@@ -242,6 +242,42 @@ def test_sparse_conjugation_by_the_letters_matches_the_tables():
             assert oracle_finitegrp.half_split_conjugation(letters[:-1], n)(xs) == want
 
 
+def test_term_conjugation_by_the_letters_matches_the_per_nonzero_form():
+    # the letters THM31-CLOSURE conjugates by, at every genus up to 64, where
+    # the table oracles stop at n = 16
+    for g in range(5, 65):
+        n = g - 1
+        rng = random.Random(1000 + g)
+        letters = [reduced_action(w) for w in ledger.conjugating_letters(g)]
+        xs = [0, (1 << n * n) - 1] + [rng.getrandbits(n * n) for _ in range(3)]
+        xs += [1 << rng.randrange(n * n)]
+        want = oracle_finitegrp.sparse_conjugation(letters, n)(xs)
+        assert finitegrp._conjugation(letters, n)(xs) == want
+
+
+def sample_matrices(rng, n):
+    """I, a permutation, the all-ones matrix and random exact matrices."""
+    perm = rng.sample(range(n), n)
+    yield IntMatrix.identity(n)
+    yield IntMatrix.from_rows([[int(perm[r] == c) for c in range(n)] for r in range(n)])
+    yield IntMatrix.from_rows([[1] * n for _ in range(n)])
+    for _ in range(4):
+        yield IntMatrix.from_rows([[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)])
+
+
+@pytest.mark.parametrize("n", range(1, 13))
+def test_terms_multiply_as_the_integer_product_mod_2(n):
+    rng = random.Random(500 + n)
+    col0, row0 = sum(1 << r * n for r in range(n)), (1 << n) - 1
+    matrices = list(sample_matrices(rng, n))
+    key = finitegrp._key
+    xs = [key(x) for x in matrices]
+    for m in matrices:
+        rows, columns = finitegrp._terms(key(m), n)
+        assert finitegrp._product(xs, rows, col0) == [key(x * m) for x in matrices]
+        assert finitegrp._product(xs, columns, row0) == [key(m * x) for x in matrices]
+
+
 @pytest.mark.parametrize("n", [16, 31, 63])
 def test_sparse_conjugation_matches_the_tables_on_random_ambients(n):
     # dense: L U for random unitriangular L and U, invertible mod 2

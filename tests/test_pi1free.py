@@ -27,7 +27,12 @@ from crosscap.pi1free import (
     x_run,
     y_,
 )
-from oracle_pi1free import claimed_ker_theta_generators, expand_basis, schreier_ker_theta_generators
+from oracle_pi1free import (
+    basis_push_coefficients,
+    claimed_ker_theta_generators,
+    expand_basis,
+    schreier_ker_theta_generators,
+)
 
 
 def random_two_sided(rng, g, n, length):
@@ -111,27 +116,13 @@ def test_theta_basis_is_forced():
     assert values[("v", 4)] == (0, 0, 0, 0)
 
 
-def test_theta_basis_is_derived_once_per_genus(monkeypatch):
-    from crosscap import pi1free
-
-    derived = []
-    real = pi1free.derive_theta_basis
-    monkeypatch.setattr(pi1free, "derive_theta_basis", lambda g: derived.append(g) or real(g))
-    pi1free._theta_basis.cache_clear()
-    try:
-        for _ in range(3):
-            assert push_coefficients_int(x_(1) * x_(4), 4) == (-1, 0, 0, 1)
-        assert push_coefficients_int(x_(1) * x_(3), 3) == (-1, 0, 1)
-        assert derived == [4, 3]
-    finally:
-        pi1free._theta_basis.cache_clear()
-    # the derivation still hands out a fresh dict; the cached basis is read-only
-    values = derive_theta_basis(4)
-    values[("u", 1)] = (7, 7, 7, 7)
-    assert derive_theta_basis(4)[("u", 1)] == (-1, 0, 0, 1)
-    assert push_coefficients_int(x_(1) * x_(4), 4) == (-1, 0, 0, 1)
-    with pytest.raises(TypeError):
-        pi1free._theta_basis(4)[("u", 1)] = (7, 7, 7, 7)
+@pytest.mark.parametrize("g", range(2, 11))
+def test_closed_form_theta_equals_the_derived_basis(g):
+    rng = random.Random(g)
+    for n in (1, 2, 3):
+        for _ in range(40):
+            w = random_two_sided(rng, g, n, rng.randint(0, 12))
+            assert push_coefficients_int(w, g) == basis_push_coefficients(w, g)
 
 
 def test_theta_examples():
