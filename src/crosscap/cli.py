@@ -217,10 +217,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, genus=True):
+    def common(p, genus=True, formats=("text", "json")):
+        # each subcommand offers only the formats it prints differently
         if genus:
             p.add_argument("--genus", type=int, required=True)
-        p.add_argument("--format", choices=("text", "json", "md"), default="text")
+        if formats:
+            p.add_argument("--format", choices=formats, default="text")
 
     p = sub.add_parser("act", help="image of a homology class under a word")
     common(p)
@@ -229,17 +231,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_act)
 
     p = sub.add_parser("phi", help="reduced (g-1)x(g-1) action matrix")
-    common(p)
+    common(p, formats=("text", "json", "md"))
     p.add_argument("--word", required=True)
     p.set_defaults(func=_cmd_phi)
 
     p = sub.add_parser("psi", help="mod-2 action matrix")
-    common(p)
+    common(p, formats=("text", "json", "md"))
     p.add_argument("--word", required=True)
     p.set_defaults(func=_cmd_psi)
 
     p = sub.add_parser("member", help="level-d membership of a word")
-    common(p)
+    common(p, formats=())
     p.add_argument("--word", required=True)
     p.add_argument("--level", type=int, required=True)
     p.set_defaults(func=_cmd_member)
@@ -272,7 +274,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_coset)
 
     p = sub.add_parser("verify", help="run verification checks")
-    common(p, genus=False)
+    common(p, genus=False, formats=("text", "json", "md"))
     p.add_argument("--suite", default="all", help="'all' or comma-separated check ids")
     p.add_argument("--params", help="comma-separated k=v overrides, e.g. g=4,d=2")
     p.add_argument("--seed", type=int, default=0)

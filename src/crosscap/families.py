@@ -32,6 +32,12 @@ class FamilyIndexError(ValueError):
     """Indices violate a family's constraints."""
 
 
+class RealizationError(ValueError):
+    """Two realizations of a family element that must agree on homology do
+    not, or no sign makes a D word act trivially: an identity of the paper
+    failed, not a bad index."""
+
+
 # the most letters of an explicit long word: the even-d seed word of
 # main2_normal_generators (2d letters at level d) and the C words of the tower
 # set zset (2^(l-1) letters at level 2^l).  THM31-CLOSURE at d = 2^19 builds
@@ -77,7 +83,7 @@ def _resolve_d_sign(g: int, indices: tuple[int, ...]) -> int:
         if word_matrix(candidate).is_identity():
             winners.append(sign)
     if len(winners) != 1:
-        raise FamilyIndexError(
+        raise RealizationError(
             f"conjugated-twist sign for D{indices} is not determined (candidates {winners})"
         )
     _D_SIGN_CACHE[key] = winners[0]
@@ -124,7 +130,7 @@ def named_element(family: str, indices: tuple[int, ...], g: int) -> NamedFamilyE
             primary = (s * _slide_word(g, k, j)) ** 2
             twist_form = ((t2, 1), (s, -1), (t2, -1), (s, 1))
         if not acts_trivially(g, ((primary, 1),) + inverse_factors(twist_form)):
-            raise FamilyIndexError(f"C{idx}: slide and twist realizations disagree on homology")
+            raise RealizationError(f"C{idx}: slide and twist realizations disagree on homology")
         return NamedFamilyElement("C", idx, primary)
     if family == "D":
         i, j, k, l = _expect(idx, 4, family)
@@ -250,8 +256,18 @@ def zset(g: int, l: int) -> list[MCGWord]:
 
 
 def transversal_2z(g: int, l: int) -> Iterator[MCGWord]:
+    """The ordered products of the tower set's subsets, in mask order
+    (empty first).  A product whose factors have more than
+    SEED_LETTER_LIMIT letters between them is refused before it is formed."""
     elements = zset(g, l)
+    sizes = [len(w.letters) for w in elements]
     for mask in range(1 << len(elements)):
+        count = sum(n for t, n in enumerate(sizes) if mask >> t & 1)
+        if count > SEED_LETTER_LIMIT:
+            raise ScaleGuardError(
+                f"the tower-set product of mask {mask} would have up to {count} letters,"
+                f" over SEED_LETTER_LIMIT = {SEED_LETTER_LIMIT}"
+            )
         out = MCGWord.identity(g)
         for t, element in enumerate(elements):
             if mask >> t & 1:

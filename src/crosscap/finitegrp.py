@@ -24,16 +24,18 @@ taken mod 2d, is elementary abelian, so ``layer_closure`` and
 I + dX generate there as F_2 subspaces of n x n matrices (a
 ``LevelLayer``) without listing any element: the order is 2^dim, and equal
 subgroups have equal reduced echelon bases.  The vector X
-of I + dX is keyed as a matrix is, and both normal closures share one
-conjugation step, the row terms of A^-1 and then the column terms of A
-on the whole key.  A span grows in semi-echelon form, each row keyed by
-its top bit, and is brought to reduced echelon form once, when its layer
-is read.  ``layer_span`` is the subgroup that given vectors span, and
-``vector_coordinates`` writes vectors in a basis of given vectors, so a
-transversal of products of that basis is walked by XOR on coordinate
-masks instead of by a table of matrix products.  Every generator is
-checked to lie in the layer; one that does not raises ``LayerError``, and
-nothing falls back to enumeration.
+of I + dX is keyed as a matrix is, and both normal closures run one
+round loop, ``_close_normally``, on either store: it adds the seeds, then
+the conjugates of what the last round added, until a round adds nothing.
+Its one conjugation step applies the row terms of A^-1 and then the
+column terms of A to the whole key.  A span grows in semi-echelon form,
+each row keyed by its top bit, and is brought to reduced echelon form
+once, when its layer is read.  ``layer_span`` is the subgroup that given
+vectors span, and ``vector_coordinates`` writes vectors in a basis of
+given vectors, so a transversal of products of that basis is walked by
+XOR on coordinate masks instead of by a table of matrix products.  Every
+generator is checked to lie in the layer; one that does not raises
+``LayerError``, and nothing falls back to enumeration.
 
 ``schreier_generators`` is generic over words: it keys every product
 y x^+-1 through a quotient callback and builds every output word.
@@ -254,6 +256,19 @@ def _conjugation(ambient_gens: Sequence[IntMatrix], n: int) -> Callable[[Sequenc
     return conjugate
 
 
+def _close_normally(store, ambient_gens: Sequence[IntMatrix], seeds: Iterable[int], n: int):
+    """The one normal-closure loop, on a ``_Closure`` or a ``_Span``: add
+    the seed keys to ``store``, then in each round the conjugates by every
+    ambient generator of the keys the last round added (``store.add``
+    returns those), until a round adds none.  Then the conjugates of every
+    key added lie in the store, so it is normal; it is returned."""
+    conjugate = _conjugation(ambient_gens, n)
+    added = store.add(seeds)
+    while added:
+        added = store.add(conjugate(added))
+    return store
+
+
 def bfs_closure(gens: Sequence[IntMatrix], cap: int = CLOSURE_CAP) -> FiniteMatrixGroup:
     """The subgroup of the matrices over F_2 that ``gens`` mod 2 generate,
     as an explicit element set."""
@@ -270,20 +285,10 @@ def normal_closure(
 ) -> FiniteMatrixGroup:
     """Smallest subgroup of the matrices over F_2 containing ``normal_gens``
     mod 2 and closed under conjugation by the group the ambient generators
-    produce mod 2.
-
-    Each round conjugates the generators the previous round kept by the
-    ambient generators and adds those conjugates to the group; a conjugate
-    already inside is skipped.  When a round keeps none, the conjugates of
-    every kept generator lie in the group, so it is normal.
-    """
+    produce mod 2, grown by ``_close_normally`` on a ``_Closure``, which
+    skips a conjugate already inside."""
     n = _check_gens(list(ambient_gens) + list(normal_gens))
-    conjugate = _conjugation(ambient_gens, n)
-    group = _Closure(n, cap)
-    added = group.add(map(_key, normal_gens))
-    while added:
-        added = group.add(conjugate(added))
-    return group.freeze()
+    return _close_normally(_Closure(n, cap), ambient_gens, map(_key, normal_gens), n).freeze()
 
 
 # ---------------------------------------------------------------------------
@@ -421,18 +426,13 @@ def layer_normal_closure(
     ``normal_gens`` and is closed under conjugation by the ambient group.
 
     A(I + dX)A^-1 = I + d A X A^-1, so conjugation by A acts on the vectors
-    as the invertible linear map X -> A X A^-1 over F_2.  Each round
-    conjugates the vectors the previous round added by every distinct
-    ambient generator mod 2, until the span stops growing.
+    as the invertible linear map X -> A X A^-1 over F_2, and
+    ``_close_normally`` grows the span on a ``_Span``.  The even-level
+    refusal comes before any closure work.
     """
     vectors = _layer_vectors(normal_gens, d)
     n = _check_gens(list(ambient_gens) + list(normal_gens))
-    conjugate = _conjugation(ambient_gens, n)
-    span = _Span()
-    added = span.add(vectors)
-    while added:
-        added = span.add(conjugate(added))
-    return span.layer(d, n)
+    return _close_normally(_Span(), ambient_gens, vectors, n).layer(d, n)
 
 
 def vector_coordinates(vectors: Sequence[int], k: int) -> list[int] | None:

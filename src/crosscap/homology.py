@@ -13,15 +13,15 @@ one mutable matrix, last letter first, without forming the product or the
 inverses as words (``product_matrix``; a single word is its one-factor
 case, ``word_matrix``): a slide costs O(g) and a twist about I costs
 O(g |I|) integer operations whatever the exponent, so powers are exact at
-any size.  The factors are first checked by one reading pass, left to
-right, which raises the first failure it meets.  The image of one class
-(``act``) needs no matrix: the letters are applied right to left to its
-coefficient vector, a slide in O(1) and a twist about I in O(|I|).
-Whether a product acts as the identity (``acts_trivially``) is decided
-by that same vector pass on one packed class x = (1, B, ..., B^(g-1)):
-the reading pass also bounds the product's entries, B is a power of two
-above twice the bound, and M = I exactly when M x = x, since balanced
-base-B digits are unique.  It is meant for short products, such as the
+any size.  Every evaluator here first checks its factors by the same one
+reading pass (``_entry_bits``), left to right, which raises the first
+failure it meets.  The image of one class (``act``) needs no matrix: the
+letters are applied right to left to its coefficient vector, a slide in
+O(1) and a twist about I in O(|I|).  Whether a product acts as the
+identity (``acts_trivially``) is decided by that same vector pass on one
+packed class x = (1, B, ..., B^(g-1)): the reading pass also bounds the
+product's entries, B is a power of two above twice the bound, and M = I
+exactly when M x = x, since balanced base-B digits are unique.  It is meant for short products, such as the
 relations of the paper: the bound grows with every letter, and so does
 the cost of each step of the packed pass.
 
@@ -253,14 +253,14 @@ def act(w: MCGWord, x: H1Class) -> H1Class:
     ``Y(a, b)^e`` with e odd sets x_a to 2 x_b - x_a; ``T(I)^e`` adds
     e (w . x) to x_j for each j in I, with w the alternating sign vector of
     :func:`product_matrix`; Torelli tags change nothing.  The letters are
-    checked left to right first, so the leftmost letter without an action
-    raises, as in :func:`word_matrix`.
+    first read by the checking pass of :func:`product_matrix` and
+    :func:`acts_trivially`, so the leftmost letter without an action
+    raises, as it does there.
     """
     g = w.genus
     if g != x.genus:
         raise ValueError(f"genus mismatch: word {g}, class {x.genus}")
-    for sym, _ in w.letters:
-        _check_letter(sym, g)
+    _entry_bits(g, ((w, 1),))
     return H1Class(g, _apply(((w, 1),), list(x.coeffs)))
 
 

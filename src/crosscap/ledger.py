@@ -42,7 +42,6 @@ from .homology import (
 from .intmat import IntMatrix, elementary
 from .pi1free import (
     coset_count_ker_theta,
-    derive_theta_basis,
     gtilde,
     ker_theta_normal_relators,
     kernel_guard,
@@ -678,7 +677,6 @@ def _check_tower_2l(p: dict) -> tuple[bool, dict]:
 def _check_theta_basis(p: dict) -> tuple[bool, dict]:
     g, n, d = p["g"], p["n"], p["d"]
     kernel_guard(g, n, d)
-    values = derive_theta_basis(g)
     ok = True
     details: dict = {}
     # the closed form that theta is read from reproduces the defining constraints
@@ -712,7 +710,8 @@ def _check_theta_basis(p: dict) -> tuple[bool, dict]:
         push_coefficients(w, g, d) == (0,) * g
         for w in ker_theta_normal_relators(g, n, d)
     )
-    details["basis_letters"] = len(values)
+    # the plus-basis letters u_1..u_(g-1) and v_1..v_g that theta is read on
+    details["basis_letters"] = 2 * g - 1
     return ok, details
 
 
@@ -948,8 +947,8 @@ def _validated(ids: list[str] | None, params: dict) -> list[tuple[str, dict]]:
 def run_check(check_id: str, params: dict | None = None) -> CheckRecord:
     """Run one catalog check, once ``_validated`` has accepted its id and
     parameters.  Guard violations come back as an ``inconclusive`` record,
-    and a generator outside the level layer a check works in as a ``fail``
-    naming it."""
+    a generator outside the level layer a check works in, or a family
+    element whose realizations disagree, as a ``fail`` naming it."""
     ((_, own),) = _validated([check_id], params or {})
     spec = CHECKS[check_id]
     effective = {**spec.defaults, **own}
@@ -960,7 +959,7 @@ def run_check(check_id: str, params: dict | None = None) -> CheckRecord:
     except ScaleGuardError as exc:
         status = "inconclusive"
         details = {"reason": str(exc)}
-    except LayerError as exc:
+    except (LayerError, families.RealizationError) as exc:
         status = "fail"
         details = {"reason": str(exc)}
     runtime_ms = int((time.perf_counter() - start) * 1000)

@@ -15,9 +15,9 @@ The coefficient map ``theta`` records how pushing the base point along a
 two-sided loop moves each crosscap class across the last boundary.  Its
 basis values are pinned by three defining constraints -- theta(x_i x_g) =
 -e_i + e_g, theta(x_i^2) = 0 and theta(y_k) = theta(z_k) = 0 -- which force
-theta(u_i) = -e_i + e_g and theta(v_i) = e_i - e_g; theta is read from
-these closed forms, and ``derive_theta_basis`` re-derives them.  The integral
-map is implemented once and reduced mod d on demand, making its image the
+theta(u_i) = -e_i + e_g and theta(v_i) = e_i - e_g; theta is read only
+from these closed forms (``_theta_sign``).  The integral map is
+implemented once and reduced mod d on demand, making its image the
 rank-(g-1) sum-zero lattice, a checkable statement.
 
 Subgroup questions are decided on folded graphs over the plus-basis
@@ -211,30 +211,10 @@ def rewrite_two_sided(w: FreeWord, g: int) -> FreeWord:
 # ---------------------------------------------------------------------------
 
 
-def derive_theta_basis(g: int) -> dict[Atom, tuple[int, ...]]:
-    """Re-derive the basis values of the coefficient map from its defining
-    constraints instead of hard-coding them.
-
-    Constraints: pushing along x_i x_g sends e_i -> -1, e_g -> +1; squares
-    x_i^2 and the boundary loops y_k, z_k push nothing.  Writing x_i x_g =
-    u_i v_g and x_i^2 = u_i v_i forces theta(v_g) = 0, theta(u_i) = -e_i +
-    e_g and theta(v_i) = e_i - e_g.
-    """
-    zero = (0,) * g
-    values: dict[Atom, tuple[int, ...]] = {("v", g): zero}
-    for i in range(1, g):
-        target = tuple(
-            (-1 if t == i - 1 else 0) + (1 if t == g - 1 else 0) for t in range(g)
-        )
-        values[("u", i)] = target  # theta(x_i x_g) - theta(v_g)
-        values[("v", i)] = tuple(-c for c in target)  # theta(x_i^2) - theta(u_i)
-    return values
-
-
 def _theta_sign(atom: Atom, g: int) -> int:
     """The s with theta(atom) = s (e_i - e_g), atom = (kind, i): -1 for u_i
-    and 1 for v_i when i < g, 0 on v_g, y_k and z_k, as ``derive_theta_basis``
-    forces."""
+    and 1 for v_i when i < g, 0 on v_g, y_k and z_k: since x_i x_g =
+    u_i v_g and x_i^2 = u_i v_i, the defining constraints force them."""
     kind, i = atom
     return (kind == "v") - (kind == "u") if i < g else 0
 

@@ -11,9 +11,11 @@ the numbering of the vertices.
 ``expand_basis`` substitutes the ambient spelling of each plus-basis letter,
 the inverse of ``crosscap.pi1free.rewrite_two_sided``.
 
-``basis_push_coefficients`` is ``crosscap.pi1free.push_coefficients_int``
-as it was before theta was read from its closed form: it sums, letter by
-letter, the values that ``derive_theta_basis`` derives.
+``derive_theta_basis`` re-derives the basis values of theta from its
+defining constraints; ``crosscap.pi1free`` reads theta only from their
+closed form.  ``basis_push_coefficients`` is
+``crosscap.pi1free.push_coefficients_int`` as it was before theta was read
+from that closed form: it sums, letter by letter, the derived values.
 
 ``certify_in_words`` is the kernel certificate spelled out in words: every
 conjugate w r w^-1 of a normal relator by a transversal word, and every
@@ -36,7 +38,6 @@ from crosscap.pi1free import (
     Atom,
     FreeWord,
     StallingsGraph,
-    derive_theta_basis,
     fold_in_plus_basis,
     gtilde,
     kernel_guard,
@@ -66,6 +67,26 @@ def expand_basis(w: FreeWord, g: int) -> FreeWord:
             raise ValueError(f"not a basis letter: {kind}{idx}")
         out = out * piece**exp
     return out
+
+
+def derive_theta_basis(g: int) -> dict[Atom, tuple[int, ...]]:
+    """Re-derive the basis values of the coefficient map from its defining
+    constraints instead of hard-coding them.
+
+    Constraints: pushing along x_i x_g sends e_i -> -1, e_g -> +1; squares
+    x_i^2 and the boundary loops y_k, z_k push nothing.  Writing x_i x_g =
+    u_i v_g and x_i^2 = u_i v_i forces theta(v_g) = 0, theta(u_i) = -e_i +
+    e_g and theta(v_i) = e_i - e_g.
+    """
+    zero = (0,) * g
+    values: dict[Atom, tuple[int, ...]] = {("v", g): zero}
+    for i in range(1, g):
+        target = tuple(
+            (-1 if t == i - 1 else 0) + (1 if t == g - 1 else 0) for t in range(g)
+        )
+        values[("u", i)] = target  # theta(x_i x_g) - theta(v_g)
+        values[("v", i)] = tuple(-c for c in target)  # theta(x_i^2) - theta(u_i)
+    return values
 
 
 def basis_push_coefficients(w: FreeWord, g: int) -> tuple[int, ...]:

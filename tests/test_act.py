@@ -10,7 +10,7 @@ import random
 import pytest
 
 from crosscap import homology
-from crosscap.homology import H1Class, NoHomologyActionError, act, word_matrix
+from crosscap.homology import H1Class, NoHomologyActionError, act, acts_trivially, word_matrix
 from crosscap.words import (
     BoundaryTwist,
     InvalidSymbolError,
@@ -97,6 +97,12 @@ def _outcome(evaluate, *args):
         return type(exc), str(exc)
 
 
+def _raised(evaluate, *args):
+    with pytest.raises(Exception) as info:
+        evaluate(*args)
+    return info.type, str(info.value)
+
+
 BAD_LETTERS = [
     (Slide(2, 5), InvalidSymbolError),
     (Slide(5, 1), InvalidSymbolError),
@@ -120,6 +126,8 @@ def test_a_bad_letter_raises_as_the_oracle_does(bad, error, position):
     got = _outcome(act, w, x)
     assert got == _outcome(oracle_act, w, x)
     assert got[0] is error
+    # act and acts_trivially read their letters by the one checking pass
+    assert got == _raised(acts_trivially, 4, ((w, 1),))
 
 
 @pytest.mark.parametrize("first, second", itertools.permutations(range(len(BAD_LETTERS)), 2))
@@ -130,6 +138,7 @@ def test_the_leftmost_bad_letter_raises(first, second):
     got = _outcome(act, w, x)
     assert got == _outcome(oracle_act, w, x)
     assert got == _outcome(lambda w, x: word_matrix(w), w, x)
+    assert got == _raised(acts_trivially, 4, ((w, 1),))
 
 
 def test_a_class_of_another_genus_raises_as_the_oracle_does():

@@ -101,6 +101,21 @@ def test_enum_tower_at_the_letter_limit_enumerates(capsys):
     assert out.splitlines() == ["", "T(1,3)^1048576", "... truncated at 2"]
 
 
+def test_enum_tower_refuses_a_product_past_the_letter_limit(capsys):
+    # masks 0..4 are the empty word, the two A powers, their product and one
+    # 2^20-letter C word; mask 5 would join an A power to that C word
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "enum", "--set", "2Z", "--genus", "4", "--tower", "21")
+    assert time.perf_counter() - start < 10
+    assert code == 3 and err == ""
+    lines = out.splitlines()
+    assert len(lines) == 6 and lines[:2] == ["", "T(1,3)^1048576"]
+    assert lines[-1] == (
+        "inconclusive: the tower-set product of mask 5 would have up to 1048577 letters,"
+        " over SEED_LETTER_LIMIT = 1048576"
+    )
+
+
 @pytest.mark.parametrize(
     "argv, message",
     [
@@ -610,3 +625,33 @@ def test_python_dash_m_runs_the_cli(suite, code):
         ]
     else:
         assert "unknown check id 'NOPE'" in done.stderr
+
+
+FORMAT_RUNS = [
+    ("act", ["--genus", "4", "--word", "Y(1,2)", "--on", "a2"], ("text", "json")),
+    ("phi", ["--genus", "3", "--word", "T(1,3)^2"], ("text", "json", "md")),
+    ("psi", ["--genus", "3", "--word", "Y(1,2)"], ("text", "json", "md")),
+    ("member", ["--genus", "4", "--level", "4", "--word", "A(1,2)"], ()),
+    ("enum", ["--set", "2Y", "--genus", "3", "--limit", "2"], ("text", "json")),
+    ("fold", ["--genus", "2", "--words", "x1 x1"], ("text", "json")),
+    ("coset", ["--rank", "1", "--relators", "x1^3"], ("text", "json")),
+    ("verify", ["--suite", "PSI-O2"], ("text", "json", "md")),
+]
+
+
+@pytest.mark.parametrize("command, argv, formats", FORMAT_RUNS)
+def test_every_accepted_format_changes_the_output(capsys, command, argv, formats):
+    outputs = []
+    for fmt in formats:
+        code, out, err = run_cli(capsys, command, *argv, "--format", fmt)
+        assert code == 0 and err == ""
+        outputs.append(out)
+    assert len(set(outputs)) == len(outputs)
+    for fmt in {"text", "json", "md"} - set(formats):
+        # a value that would print what another prints is refused as usage
+        with pytest.raises(SystemExit) as info:
+            main([command, *argv, "--format", fmt])
+        assert info.value.code == 2
+    if not formats:
+        code, out, _ = run_cli(capsys, command, *argv)
+        assert code == 0 and out == "true\n"

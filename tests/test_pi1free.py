@@ -4,13 +4,13 @@ import random
 
 import pytest
 
+from crosscap.ledger import run_check
 from crosscap.pi1free import (
     FreeWord,
     NotTwoSidedError,
     ScaleGuardError,
     StallingsGraph,
     coset_count_ker_theta,
-    derive_theta_basis,
     format_free,
     gtilde,
     is_two_sided,
@@ -30,6 +30,7 @@ from crosscap.pi1free import (
 from oracle_pi1free import (
     basis_push_coefficients,
     claimed_ker_theta_generators,
+    derive_theta_basis,
     expand_basis,
     schreier_ker_theta_generators,
 )
@@ -123,6 +124,13 @@ def test_closed_form_theta_equals_the_derived_basis(g):
         for _ in range(40):
             w = random_two_sided(rng, g, n, rng.randint(0, 12))
             assert push_coefficients_int(w, g) == basis_push_coefficients(w, g)
+
+
+@pytest.mark.parametrize("g", range(2, 13))
+def test_theta_basis_counts_the_derived_basis_letters(g):
+    record = run_check("THETA-BASIS", {"g": g})
+    assert record.status == "pass"
+    assert record.details["basis_letters"] == len(derive_theta_basis(g))
 
 
 def test_theta_examples():

@@ -4,12 +4,15 @@ twist form is off, a T2-EQ-YY pair and a LEM42-3CHAIN tuple.  Each check
 decides its identities with ``acts_trivially``; a decision that always
 said yes would pass every record and fail these."""
 
+import json
 import re
 
 import pytest
 
-from crosscap import families, ledger
-from crosscap.families import FamilyIndexError
+from crosscap import families, homology, ledger
+from crosscap.cli import main
+from crosscap.families import RealizationError
+from crosscap.intmat import IntMatrix
 from crosscap.ledger import run_check
 from crosscap.words import Slide, Twist
 
@@ -43,9 +46,44 @@ def test_a_c_element_with_a_wrong_twist_form_raises_by_name(monkeypatch, idx):
     # the true forms pass, and the planted ones fail by name
     families.named_element("C", idx, 5)
     monkeypatch.setattr(families, "_twist_word", twist_word)
-    with pytest.raises(FamilyIndexError, match=re.escape(f"C{idx}: slide and twist realizations disagree")):
+    with pytest.raises(RealizationError, match=re.escape(f"C{idx}: slide and twist realizations disagree")):
         families.named_element("C", idx, 5)
     families.named_element("A", (1, 2), 5)
+
+
+def _verify(capsys, suite):
+    """The exit code of ``verify`` on ``suite`` and its one record."""
+    code = main(["verify", "--suite", suite, "--format", "json"])
+    (record,) = json.loads(capsys.readouterr().out)
+    return code, record
+
+
+@pytest.mark.parametrize(
+    "suite, element", [("THM41-MEMBER", "C(1, 2, 3)"), ("LEM43-COMM", "C(2, 3, 1)")]
+)
+def test_a_c_element_whose_realizations_disagree_is_a_fail_record(monkeypatch, capsys, suite, element):
+    monkeypatch.setattr(homology, "acts_trivially", lambda genus, factors: False)
+    code, record = _verify(capsys, suite)
+    assert code == 1 and record["status"] == "fail"
+    assert record["details"] == {
+        "reason": f"{element}: slide and twist realizations disagree on homology"
+    }
+
+
+def test_a_d_element_with_no_sign_is_a_fail_record(monkeypatch, capsys):
+    saved = dict(families._D_SIGN_CACHE)
+    families._D_SIGN_CACHE.clear()
+    # no candidate word acts as the identity, so neither sign is chosen
+    monkeypatch.setattr(homology, "word_matrix", lambda w: IntMatrix.from_rows([[2] * w.genus] * w.genus))
+    try:
+        code, record = _verify(capsys, "THM31-MEMBER")
+    finally:
+        families._D_SIGN_CACHE.clear()
+        families._D_SIGN_CACHE.update(saved)
+    assert code == 1 and record["status"] == "fail"
+    assert record["details"] == {
+        "reason": "conjugated-twist sign for D(1, 2, 3, 4) is not determined (candidates [])"
+    }
 
 
 def test_a_t2_pair_with_a_wrong_twist_power_fails_by_name(monkeypatch):
