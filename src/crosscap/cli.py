@@ -5,8 +5,9 @@ and mod-2 action matrices), ``member`` (level membership), ``enum`` (family
 and generating-set streams), ``fold`` (subgroup graphs), ``coset`` (coset
 enumeration) and ``verify`` (the check registry).
 
-Exit codes: 0 success / all checks pass, 1 check failure, 2 usage error,
-3 inconclusive (a guard or cap was hit).
+Exit codes: 0 success / all checks pass, 1 check failure (also a failed
+realization identity in any command), 2 usage error, 3 inconclusive (a
+guard or cap was hit).
 
 Verification reports are written as ``report-<suite>-<params>.json`` into
 ``--out`` or ``$CROSSCAP_REPORT_DIR`` when either is set.
@@ -292,6 +293,10 @@ def main(argv: Sequence[str] | None = None) -> int:
     except ScaleGuardError as exc:
         print(f"inconclusive: {exc}")
         return 3
+    except families.RealizationError as exc:
+        # an identity of the paper failed: a failed claim, as in ``verify``
+        print(f"fail: {exc}", file=sys.stderr)
+        return 1
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

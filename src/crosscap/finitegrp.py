@@ -578,37 +578,47 @@ class _CosetRows:
         return beta
 
     def coincidence(self, a: int, b: int) -> None:
-        """Identify cosets a and b and every pair of cosets this forces."""
+        """Identify cosets a and b and every pair of cosets this forces.
+
+        A FIFO queue holds the pairs still owed.  Merging b into the smaller
+        a reads each filled entry of b's row once and moves it to a; where a
+        already has that entry, or its target already has the inverse
+        entry, the pair this forces is queued instead.  A coset is resolved
+        through the union-find only when it is dead."""
         rows, parent, rep = self.rows, self.parent, self.rep
         queue = deque([(a, b)])
         while queue:
             a, b = queue.popleft()
-            a, b = rep(a), rep(b)
+            if parent[a] != a:
+                a = rep(a)
+            if parent[b] != b:
+                b = rep(b)
             if a == b:
                 continue
             if a > b:
                 a, b = b, a
             parent[b] = a
             self.changes += 1
-            for col in range(self.ncols):
-                delta = rows[b][col]
+            row_a, row_b = rows[a], rows[b]
+            for col, delta in enumerate(row_b):
                 if delta is None:
                     continue
-                rows[b][col] = None
-                delta_r = rep(delta)
-                if rows[delta_r][col ^ 1] == b:
-                    rows[delta_r][col ^ 1] = None
-                mu, nu = rep(a), delta_r
-                existing = rows[mu][col]
+                row_b[col] = None
+                if parent[delta] != delta:
+                    delta = rep(delta)
+                row_delta, inverse = rows[delta], col ^ 1
+                if row_delta[inverse] == b:
+                    row_delta[inverse] = None
+                existing = row_a[col]
                 if existing is not None:
-                    queue.append((existing, nu))
+                    queue.append((existing, delta))
                 else:
-                    back = rows[nu][col ^ 1]
+                    back = row_delta[inverse]
                     if back is not None:
-                        queue.append((back, mu))
+                        queue.append((back, a))
                     else:
-                        rows[mu][col] = nu
-                        rows[nu][col ^ 1] = mu
+                        row_a[col] = delta
+                        row_delta[inverse] = a
 
     def scan_and_fill(self, alpha: int, rel: Sequence[int]) -> None:
         """Close the columns ``rel`` into a loop at the live coset alpha (HLT):

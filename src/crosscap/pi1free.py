@@ -30,11 +30,11 @@ generator is closed into a loop at the base by the HLT scan, folds are its
 coincidences, and the live rows are renumbered breadth-first from the
 base, so two graphs are equal exactly when their subgroups are.  The
 kernel certificate never spells out a long word: the reference graph of
-ker theta is its coset graph, read off theta (``theta_graph``), and the
-claimed generators w r w^-1 are scanned on the table as relator loops r at
-the ends of the transversal paths w (``claimed_kernel_graph``), in
-O(index x rank) work; coset enumeration of the relators is the independent
-cross-check.
+ker theta is its coset graph, read off theta by digits (``theta_graph``),
+and the claimed generators w r w^-1 are scanned on the table as relator
+loops r at the end of each transversal path w as it is reached
+(``claimed_kernel_graph``), in O(index x rank) work; coset enumeration of
+the relators is the independent cross-check.
 """
 
 from __future__ import annotations
@@ -460,38 +460,42 @@ def theta_graph(g: int, n: int, d: int) -> StallingsGraph:
     """The folded graph of ker theta mod d inside the two-sided subgroup,
     built from theta alone: its Schreier coset graph.
 
-    The vertices are the classes of (Z/d)^g reached from 0 (the d^(g-1)
-    sum-zero ones) and each plus-basis letter a is the edge k -> k + theta(a)
-    mod d.  A finite-index subgroup's folded graph is its coset graph
-    (Stallings 1983), so with the fold's numbering this is the graph that
-    folding the Schreier generators gives.  A class k is held as the integer
-    sum of k_t d^t, so a letter moves the digits where theta(a) is nonzero
-    (two at most), each with wrap-around.
+    The vertices are the d^(g-1) sum-zero classes of (Z/d)^g, and each
+    plus-basis letter a is the edge k -> k + theta(a) mod d.  A finite-index
+    subgroup's folded graph is its coset graph (Stallings 1983), so with the
+    fold's numbering this is the graph that folding the Schreier generators
+    gives.  A sum-zero class is fixed by its first g - 1 digits, so vertex k
+    is the class whose digits are those of k in base d: u_i and v_i (i < g)
+    move digit i - 1 by -1 and +1 with wrap-around, and every other letter
+    is a loop.
     """
     kernel_guard(g, n, d)
     alpha = tuple(plus_basis_alphabet(g, n))
-    # theta(a) = s (e_i - e_g) moves digit i - 1 by s and digit g - 1 by -s
-    moves = [[(d ** (a[1] - 1), s % d), (d ** (g - 1), -s % d)] if (s := _theta_sign(a, g)) else []
-             for a in alpha]
-    label = {0: 0}
-    classes = [0]
-    rows: list[list[Optional[int]]] = []
-    for k in classes:
-        row: list[Optional[int]] = [None] * (2 * len(alpha))
-        for col, letter in enumerate(moves):
-            t = k
-            for place, v in letter:
-                digit = k // place % d
-                t += (v - d if digit + v >= d else v) * place
-            if t not in label:
-                label[t] = len(classes)
-                classes.append(t)
-            row[2 * col] = label[t]
-        rows.append(row)
-    for v, row in enumerate(rows):
-        for col in range(0, len(row), 2):
-            rows[row[col]][col + 1] = v
-    return _numbered(alpha, rows)
+    index = d ** (g - 1)
+    stay = list(range(index))
+
+    def rotated(place: int, shift: int) -> list[int]:
+        # each block of d * place consecutive vertices rotated left by
+        # shift, in slices of ``stay``, so all columns share its ints
+        out: list[int] = []
+        for b in range(0, index, d * place):
+            out += stay[b + shift:b + d * place]
+            out += stay[b:b + shift]
+        return out
+
+    # up[i] and down[i] are the columns that move digit i by +1 and -1
+    up = [rotated(d**i, d**i) for i in range(g - 1)]
+    down = [rotated(d**i, (d - 1) * d**i) for i in range(g - 1)]
+    columns = []
+    for a in alpha:
+        s = _theta_sign(a, g)
+        if not s:
+            columns += (stay, stay)
+        elif s > 0:
+            columns += (up[a[1] - 1], down[a[1] - 1])
+        else:
+            columns += (down[a[1] - 1], up[a[1] - 1])
+    return _numbered(alpha, list(zip(*columns)))
 
 
 def claimed_kernel_graph(g: int, n: int, d: int) -> StallingsGraph:
@@ -501,16 +505,26 @@ def claimed_kernel_graph(g: int, n: int, d: int) -> StallingsGraph:
 
     The transversal words are prefix-closed, so their plus-basis spellings
     form a tree of paths from the base; each relator, rewritten once, is
-    folded in as a loop at the end of every path.
+    folded in as a loop at the end of every path, as soon as the path is
+    spelled.
     """
     kernel_guard(g, n, d)
     return _claimed_graph(g, n, d, _relator_loops(g, n, d))
 
 
 def _claimed_graph(g: int, n: int, d: int, relators: list[list[int]]) -> StallingsGraph:
-    """:func:`claimed_kernel_graph` from its relators, already rewritten."""
+    """:func:`claimed_kernel_graph` from its relators, already rewritten.
+
+    Every relator is scanned at the base, and then at the end of each
+    transversal path as soon as ``path`` reaches it, so later paths follow
+    edges that earlier loops defined.  A coincidence keeps "w leads from
+    the base to rep(end of w)" true, so each end is read through ``rep``.
+    """
     alpha = tuple(plus_basis_alphabet(g, n))
     table = _CosetRows(2 * len(alpha))
+    rep, scan = table.rep, table.scan_and_fill
+    for relator in relators:
+        scan(0, relator)
     ends = [0]
     # (x_1 x_g)^{m_1} ... (x_i x_g)^{m_i} extends the path of the words
     # with one block fewer by m_i copies of x_i x_g
@@ -519,12 +533,11 @@ def _claimed_graph(g: int, n: int, d: int, relators: list[list[int]]) -> Stallin
         for v in ends:
             longer.append(v)
             for _ in range(d - 1):
-                v = table.path(v, block)
+                v = table.path(rep(v), block)
+                for relator in relators:
+                    scan(rep(v), relator)
                 longer.append(v)
         ends = longer
-    for v in ends:
-        for relator in relators:
-            table.scan_and_fill(table.rep(v), relator)
     return _numbered(alpha, table.rows)
 
 

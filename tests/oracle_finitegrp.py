@@ -45,6 +45,10 @@ keys.
 ``todd_coxeter`` is the coset enumeration as it was before it moved onto
 ``crosscap.finitegrp._CosetRows``: the same HLT scans and coincidence queue
 on a table held in closures.  The engine must give the same ``CosetTable``.
+``coincidence`` is ``_CosetRows.coincidence`` as it was before it read only
+the filled entries of the merged row: it walks every column and resolves
+every coset it reads through the union-find.  Patched in as the method, it
+must leave every table as the engine's does.
 """
 
 from collections import deque
@@ -61,6 +65,7 @@ from crosscap.finitegrp import (
     ScaleGuardError,
     SectionError,
     _column,
+    _CosetRows,
     _inverse,
     _key as _int_key,
     _ones,
@@ -616,3 +621,38 @@ def todd_coxeter(
         tuple(relabel[rep(table[c][col])] for col in range(ncols)) for c in live_cosets
     )
     return CosetTable(rank, len(live_cosets), compact)
+
+
+def coincidence(table: _CosetRows, a: int, b: int) -> None:
+    """Identify cosets a and b of ``table`` and every pair of cosets this
+    forces, reading every column of each merged row."""
+    rows, parent, rep = table.rows, table.parent, table.rep
+    queue = deque([(a, b)])
+    while queue:
+        a, b = queue.popleft()
+        a, b = rep(a), rep(b)
+        if a == b:
+            continue
+        if a > b:
+            a, b = b, a
+        parent[b] = a
+        table.changes += 1
+        for col in range(table.ncols):
+            delta = rows[b][col]
+            if delta is None:
+                continue
+            rows[b][col] = None
+            delta_r = rep(delta)
+            if rows[delta_r][col ^ 1] == b:
+                rows[delta_r][col ^ 1] = None
+            mu, nu = rep(a), delta_r
+            existing = rows[mu][col]
+            if existing is not None:
+                queue.append((existing, nu))
+            else:
+                back = rows[nu][col ^ 1]
+                if back is not None:
+                    queue.append((back, mu))
+                else:
+                    rows[mu][col] = nu
+                    rows[nu][col ^ 1] = mu

@@ -25,6 +25,11 @@ theta and the relator loops and must give the same report.  Its coset count
 is ``coset_count_ker_theta`` here: Todd-Coxeter on the plus-basis relators
 without the Tietze elimination that the package runs first.
 
+``theta_graph`` is ``crosscap.pi1free.theta_graph`` as it was before it
+numbered the classes by their first g - 1 digits: a breadth-first search
+from the class 0 over all g digits, labelling each class as it is reached,
+then a pass that fills in the backward edges.
+
 ``loops_at_every_vertex`` is the loop check as ``verify_ker_theta`` read it
 before it read the base alone: every relator followed from every vertex of
 the theta graph.
@@ -457,3 +462,34 @@ def claimed_kernel_graph(g: int, n: int, d: int) -> StallingsGraph:
         for relator in relators:
             folder.spell(relator, v, v)
     return folder.graph(plus_basis_alphabet(g, n))
+
+
+def theta_graph(g: int, n: int, d: int) -> StallingsGraph:
+    """The folded graph of ker theta mod d, its classes of (Z/d)^g reached
+    from 0 by breadth-first search.  A class k is held as the integer sum
+    of k_t d^t, so a letter moves the digits where theta(a) is nonzero (two
+    at most), each with wrap-around."""
+    kernel_guard(g, n, d)
+    alpha = tuple(plus_basis_alphabet(g, n))
+    # theta(a) = s (e_i - e_g) moves digit i - 1 by s and digit g - 1 by -s
+    moves = [[(d ** (a[1] - 1), s % d), (d ** (g - 1), -s % d)] if (s := pi1free._theta_sign(a, g)) else []
+             for a in alpha]
+    label = {0: 0}
+    classes = [0]
+    rows: list[list[Optional[int]]] = []
+    for k in classes:
+        row: list[Optional[int]] = [None] * (2 * len(alpha))
+        for col, letter in enumerate(moves):
+            t = k
+            for place, v in letter:
+                digit = k // place % d
+                t += (v - d if digit + v >= d else v) * place
+            if t not in label:
+                label[t] = len(classes)
+                classes.append(t)
+            row[2 * col] = label[t]
+        rows.append(row)
+    for v, row in enumerate(rows):
+        for col in range(0, len(row), 2):
+            rows[row[col]][col + 1] = v
+    return pi1free._numbered(alpha, rows)

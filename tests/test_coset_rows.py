@@ -6,6 +6,9 @@ replaced, and scans read table entries without resolving them through the
 union-find.  That is sound only while, after every completed coincidence,
 live rows point only at live rows and every entry has its inverse entry; a
 hook on ``coincidence`` asserts this on enumeration and folding inputs.
+``coincidence`` reads only the filled entries of a merged row; with the
+all-columns form of ``oracle_finitegrp`` patched in, every table must come
+out the same.
 """
 
 import random
@@ -19,6 +22,7 @@ from crosscap.finitegrp import ScaleGuardError, todd_coxeter
 from crosscap.pi1free import (
     StallingsGraph,
     claimed_kernel_graph,
+    coset_count_ker_theta,
     relators_for_enumeration,
 )
 from test_fold import random_word
@@ -140,3 +144,38 @@ def test_every_coincidence_leaves_a_sound_table_in_folding(coincidences):
         words = [random_word(rng, alphabet) for _ in range(rng.randint(1, 5))]
         StallingsGraph.fold(words, alphabet)
     assert coincidences
+
+
+def with_oracle_coincidence(monkeypatch, build):
+    """``build()`` on the engine's coincidence and then on the oracle's."""
+    ours = build()
+    with monkeypatch.context() as patch:
+        patch.setattr(finitegrp._CosetRows, "coincidence", oracle_finitegrp.coincidence)
+        return ours, build()
+
+
+@pytest.mark.parametrize("name", PRESENTATIONS)
+def test_coincidence_matches_the_all_columns_oracle_on_small_groups(monkeypatch, name):
+    rank, rels = PRESENTATIONS[name]
+    ours, theirs = with_oracle_coincidence(monkeypatch, lambda: todd_coxeter(rank, rels))
+    assert ours == theirs
+
+
+@pytest.mark.parametrize("g,n,d", KERNEL_POINTS)
+def test_coincidence_matches_the_all_columns_oracle_at_kernel_points(monkeypatch, g, n, d):
+    rank, rels = relators_for_enumeration(g, n, d)
+    ours, theirs = with_oracle_coincidence(
+        monkeypatch,
+        lambda: (todd_coxeter(rank, rels), coset_count_ker_theta(g, n, d), claimed_kernel_graph(g, n, d)),
+    )
+    assert ours == theirs
+
+
+def test_coincidence_matches_the_all_columns_oracle_in_folding(monkeypatch):
+    rng = random.Random(5)
+    alphabet = [("x", 1), ("x", 2), ("x", 3)]
+    inputs = [[random_word(rng, alphabet) for _ in range(rng.randint(1, 5))] for _ in range(200)]
+    ours, theirs = with_oracle_coincidence(
+        monkeypatch, lambda: [StallingsGraph.fold(words, alphabet) for words in inputs]
+    )
+    assert ours == theirs

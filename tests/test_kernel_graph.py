@@ -6,7 +6,11 @@ the transversal paths.  Both must equal the folds of the spelled-out
 Schreier generators and conjugates, the claimed graph must equal the one the
 dict-keyed union-find of the oracle folds, and ``verify_ker_theta`` must
 give the oracle's report, also on certificates that are wrong on purpose.
+``theta_graph`` must equal the breadth-first form it replaced, and the
+claimed graph must scan every claimed generator exactly once.
 """
+
+from collections import Counter
 
 import pytest
 
@@ -41,6 +45,43 @@ def test_graphs_and_report_match_the_word_level_oracle(g, n, d):
 def test_claimed_graph_matches_the_dict_folder(g, n, d):
     expected = oracle_pi1free.claimed_kernel_graph(g, n, d).to_json()
     assert claimed_kernel_graph(g, n, d).to_json() == expected
+
+
+THETA_GRID = [(g, n, d) for g in range(1, 7) for n in (1, 2, 3) for d in range(2, 8)]
+
+
+@pytest.mark.parametrize("g,n,d", THETA_GRID)
+def test_theta_graph_by_digits_matches_the_breadth_first_oracle(g, n, d):
+    # g = 1 is one vertex, and at d = 2 a digit's +1 and -1 moves coincide
+    pi1free.kernel_guard(g, n, d)
+    assert theta_graph(g, n, d).to_json() == oracle_pi1free.theta_graph(g, n, d).to_json()
+
+
+@pytest.mark.parametrize("g,n,d", KERNEL_CERT_POINTS + [(4, 1, 8), (3, 2, 6)])
+def test_the_claimed_graph_scans_each_word_and_relator_once_where_the_word_ends(monkeypatch, g, n, d):
+    scans = []
+    original = finitegrp._CosetRows.scan_and_fill
+
+    def recorded(table, alpha, rel):
+        scans.append((table, alpha, tuple(rel)))
+        original(table, alpha, rel)
+
+    monkeypatch.setattr(finitegrp._CosetRows, "scan_and_fill", recorded)
+    assert claimed_kernel_graph(g, n, d).index() == d ** (g - 1)
+    relators = [tuple(cols) for cols in pi1free._relator_loops(g, n, d)]
+    assert len(scans) == d ** (g - 1) * len(relators)
+    (table,) = {table for table, _, _ in scans}
+    # each transversal word w leads from the base to a distinct vertex of the
+    # final table, and every relator is scanned there once
+    ends = []
+    for cols in pi1free._plus_columns(pi1free.gtilde(g, d), g, n):
+        v = 0
+        for col in cols:
+            v = table.rows[v][col]
+        ends.append(v)
+    assert len(set(ends)) == d ** (g - 1)
+    expected = Counter((v, rel) for v in ends for rel in relators)
+    assert Counter((table.rep(alpha), rel) for _, alpha, rel in scans) == expected
 
 
 def test_kernel_rank_is_the_schreier_formula():

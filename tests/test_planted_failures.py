@@ -120,3 +120,21 @@ def test_a_3chain_tuple_with_a_wrong_form_fails_by_name(monkeypatch, form):
     assert record.status == "fail"
     assert record.details["failures"] == [(5, 2, 4, 5, form)]
     assert record.details["tuples"] == 1 + 4
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["enum", "--set", "C", "--genus", "4", "--limit", "1"],
+        ["phi", "--genus", "4", "--word", "C(1,2;3)"],
+        ["member", "--genus", "4", "--word", "C(1,2;3)", "--level", "2"],
+        ["act", "--genus", "4", "--word", "C(1,2;3)", "--on", "a1"],
+    ],
+)
+def test_a_failed_realization_outside_verify_exits_1(monkeypatch, capsys, argv):
+    # a failed identity of the paper is a failed claim, not a usage error
+    monkeypatch.setattr(homology, "acts_trivially", lambda genus, factors: False)
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert captured.err == "fail: C(1, 2, 3): slide and twist realizations disagree on homology\n"
