@@ -95,7 +95,9 @@ def _stream_for_set(args):
     g = args.genus
     name = args.set
     if name in ("Y", "A", "B", "C", "D"):
-        return (el.word for el in families.family_elements(name, g))
+        # each element is built, and checked, only when the stream reaches it
+        indices = families.family_indices(name, g)
+        return (families.named_element(name, idx, g).word for idx in indices)
     if name == "2Y":
         return families.transversal_2y(g)
     if name == "2Z":

@@ -12,8 +12,9 @@ from __future__ import annotations
 
 import functools
 import itertools
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Hashable, Iterable, Iterator, Sequence
 
+from . import homology
 from ._frozen import Frozen, set_field
 from .finitegrp import ScaleGuardError
 from .words import (
@@ -118,8 +119,6 @@ def named_element(family: str, indices: tuple[int, ...], g: int) -> NamedFamilyE
         _require_increasing((i, j), g, family)
         if not 1 <= k <= g or k in (i, j):
             raise FamilyIndexError(f"C{idx}: third index must avoid {{{i},{j}}}")
-        from .homology import acts_trivially
-
         t2 = _twist_word(g, (i, j), 2)
         s = _slide_word(g, k, i)
         # the slide form as a word, the twist form as factors
@@ -129,7 +128,7 @@ def named_element(family: str, indices: tuple[int, ...], g: int) -> NamedFamilyE
         else:
             primary = (s * _slide_word(g, k, j)) ** 2
             twist_form = ((t2, 1), (s, -1), (t2, -1), (s, 1))
-        if not acts_trivially(g, ((primary, 1),) + inverse_factors(twist_form)):
+        if failing([(f"C{idx}", g, ((primary, 1),) + inverse_factors(twist_form))]):
             raise RealizationError(f"C{idx}: slide and twist realizations disagree on homology")
         return NamedFamilyElement("C", idx, primary)
     if family == "D":
@@ -470,7 +469,7 @@ class GenNSets(Frozen):
 
 
 # ---------------------------------------------------------------------------
-# the slide-commutator decomposition table
+# the relations: the slide-commutator table, the twist squares, the 3-chain
 # ---------------------------------------------------------------------------
 
 
@@ -478,6 +477,9 @@ class GenNSets(Frozen):
 # (word, sign) pairs ``homology.product_matrix`` and
 # ``homology.acts_trivially`` read without forming it
 Factors = tuple[tuple[MCGWord, int], ...]
+# a claim that a product of factors at a genus acts as I, under the name a
+# failing check reports
+Relation = tuple[Hashable, int, Factors]
 
 
 def _conj(a: Factors, x: MCGWord) -> Factors:
@@ -490,30 +492,41 @@ def inverse_factors(a: Factors) -> Factors:
     return tuple((w, -s) for w, s in reversed(a))
 
 
-def slide_commutator_rows(g: int) -> Iterator[tuple[tuple[int, int], tuple[int, int], Factors]]:
-    """The rows ``(x1, x2, factors)`` of the slide-commutator table at genus
-    g, one for each pair x1 < x2 of Y indices, in Y order: ``factors`` is
-    the decomposition of [Y_{x1}, Y_{x2}] as a product of conjugated A/B/C
-    elements, with every conjugate left unexpanded, and empty for the pairs
-    whose slides commute.
+def failing(relations: Iterable[Relation]) -> list:
+    """The names of the ``(name, genus, factors)`` relations whose product
+    does not act as I on H_1, in order, each decided as it is drawn.  This
+    is the one place a relation is decided."""
+    return [name for name, g, factors in relations if not homology.acts_trivially(g, factors)]
+
+
+def slide_commutator_relations(gmax: int) -> Iterator[Relation]:
+    """The slide-commutator table at each genus 4..gmax as relations, one
+    for each pair x1 < x2 of Y indices, in Y order, named ``(g, x1, x2)``:
+    [Y_{x1}, Y_{x2}] as its four factors, then the inverse of the row's
+    decomposition of it as a product of conjugated A/B/C elements, with
+    every conjugate left unexpanded.  A row whose slides commute is empty,
+    so its relation is the four commutator factors alone.
 
     Each A, B and C element is built by :func:`named_element` and each slide
-    word by ``word`` at most once per call, and looked up after; no row
+    word by ``word`` at most once per genus, and looked up after; no row
     forms a word product or inverse.
     """
+    for g in range(4, gmax + 1):
 
-    @functools.cache
-    def element(family: str, *indices: int) -> MCGWord:
-        return named_element(family, indices, g).word
+        @functools.cache
+        def element(family: str, *indices: int) -> MCGWord:
+            return named_element(family, indices, g).word
 
-    @functools.cache
-    def slide(a: int, b: int) -> MCGWord:
-        return _slide_word(g, a, b)
+        @functools.cache
+        def slide(a: int, b: int) -> MCGWord:
+            return _slide_word(g, a, b)
 
-    ys = family_indices("Y", g)
-    for pos, x1 in enumerate(ys):
-        for x2 in ys[pos + 1 :]:
-            yield x1, x2, _commutator_factors(x1, x2, element, slide)
+        ys = family_indices("Y", g)
+        for pos, x1 in enumerate(ys):
+            for x2 in ys[pos + 1 :]:
+                y1, y2 = slide(*x1), slide(*x2)
+                row = _commutator_factors(x1, x2, element, slide)
+                yield (g, x1, x2), g, ((y1, 1), (y2, 1), (y1, -1), (y2, -1)) + inverse_factors(row)
 
 
 def _commutator_factors(
@@ -522,8 +535,8 @@ def _commutator_factors(
     element: Callable[..., MCGWord],
     slide: Callable[[int, int], MCGWord],
 ) -> Factors:
-    """The row of ``slide_commutator_rows`` for x1 < x2, with the A, B and
-    C element words ``element(family, *indices)`` and the slide words
+    """The row of ``slide_commutator_relations`` for x1 < x2, with the A, B
+    and C element words ``element(family, *indices)`` and the slide words
     ``slide(a, b)``.
 
     The bracketed conjugator in the four-distinct-index rows is read as a
@@ -637,37 +650,41 @@ def _commutator_factors(
     return ()
 
 
-# ---------------------------------------------------------------------------
-# the 3-chain decomposition
-# ---------------------------------------------------------------------------
+def twist_square_relations(gmax: int) -> Iterator[Relation]:
+    """T(i,j)^2 = Y(j,i)^-1 Y(i,j) for each i < j at each genus 3..gmax,
+    named ``(g, i, j)``."""
+    for g in range(3, gmax + 1):
+        for i, j in family_indices("A", g):
+            pair = word(g, (Slide(j, i), -1), (Slide(i, j), 1))
+            yield (g, i, j), g, ((_twist_word(g, (i, j), 2), 1), (pair, -1))
 
 
-def three_chain_words(j: int, k: int, l: int, g: int) -> tuple[MCGWord, MCGWord, MCGWord]:
-    """Three realizations of the same mapping class for 1 < j < k < l <= g:
-    the 4th power of the twist chain, the paired-twist form, and the full
-    slide-word expansion.  All three must agree on homology.
-    """
-    if not 1 < j < k < l <= g:
-        raise FamilyIndexError(f"need 1 < j < k < l <= g, got {(j, k, l)}")
-    chain = (_twist_word(g, (1, j)) * _twist_word(g, (j, k)) * _twist_word(g, (k, l))) ** 4
+def three_chain_relations(gmax: int) -> Iterator[Relation]:
+    """Lemma 4.2 for each 1 < j < k < l <= g at each genus 4..gmax: the 4th
+    power of the twist chain equals the paired-twist form T T'^-1, named
+    ``(g, j, k, l, "paired")``, and the full slide-word expansion, named
+    ``(g, j, k, l, "slides")``.  The D element of the same indices is
+    T T', so the paired form's inverse is T^-1 D T^-1."""
+    for g in range(4, gmax + 1):
 
-    sign = _resolve_d_sign(g, (1, j, k, l))
-    conjugator = _slide_word(g, j, 1) * _slide_word(g, k, l).inverse()
-    twist = _twist_word(g, (1, j, k, l))
-    paired = twist * conjugate(twist**sign, conjugator).inverse()
+        def yw(a: int, b: int, e: int = 1) -> MCGWord:
+            return _slide_word(g, a, b) ** e
 
-    def yw(a: int, b: int, e: int = 1) -> MCGWord:
-        return _slide_word(g, a, b) ** e
-
-    slide_form = (
-        yw(j, 1, -1)
-        * yw(1, j)
-        * yw(k, j, -1)
-        * yw(j, k)
-        * conjugate(yw(k, 1, -1) * yw(1, k), yw(j, 1))
-        * yw(l, k, -1)
-        * yw(k, l)
-        * conjugate(yw(l, j, -1) * yw(j, l), yw(k, j))
-        * conjugate(yw(l, 1, -1) * yw(1, l), yw(j, 1) * yw(k, l, -1))
-    )
-    return chain, paired, slide_form
+        for idx in family_indices("D", g):
+            _, j, k, l = idx
+            chain = (_twist_word(g, (1, j)) * _twist_word(g, (j, k)) * _twist_word(g, (k, l))) ** 4
+            twist = _twist_word(g, idx)
+            paired_inverse = ((twist, -1), (named_element("D", idx, g).word, 1), (twist, -1))
+            slide_form = (
+                yw(j, 1, -1)
+                * yw(1, j)
+                * yw(k, j, -1)
+                * yw(j, k)
+                * conjugate(yw(k, 1, -1) * yw(1, k), yw(j, 1))
+                * yw(l, k, -1)
+                * yw(k, l)
+                * conjugate(yw(l, j, -1) * yw(j, l), yw(k, j))
+                * conjugate(yw(l, 1, -1) * yw(1, l), yw(j, 1) * yw(k, l, -1))
+            )
+            yield (g, j, k, l, "paired"), g, ((chain, 1),) + paired_inverse
+            yield (g, j, k, l, "slides"), g, ((chain, 1), (slide_form, -1))

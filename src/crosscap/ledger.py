@@ -8,6 +8,7 @@ is reserved for explicit scale guards and caps, never silent truncation.
 
 from __future__ import annotations
 
+import math
 import random
 import time
 from collections import deque
@@ -56,6 +57,16 @@ from .words import MCGWord, Slide, TorelliTag, Twist, commutator, word
 
 
 T = TypeVar("T")
+
+# the most words GEN-FIX-ONES acts with: gmax = 18 acts with 264,097 in 2
+# to 5 s, and each step of gmax doubles them
+ALPHABET_WORD_LIMIT = 1 << 19
+# the most entries of THM23-OBSTRUCT's (g-1) x (g-1) target: g = 2000 holds
+# about 4.0 million in 0.5 s and 78 MB, and the work grows as g^2
+OBSTRUCTION_ENTRY_LIMIT = 1 << 22
+# the most words THM51-COUNTS lists: (18,1,2) and (4,1,50) list about
+# 131,000 and 125,000 in 3 to 6 s, the second in 167 MB
+BOUNDARY_WORD_LIMIT = 1 << 18
 
 class UnknownCheckError(ValueError):
     """The requested check id is not in the catalog."""
@@ -353,6 +364,15 @@ def _check_ex21_matrices(p: dict) -> tuple[bool, dict]:
 
 
 def _check_gen_fix_ones(p: dict) -> tuple[bool, dict]:
+    gmax = p["gmax"]
+    # at each genus 2..gmax, 2^(g-1) - 1 twists, g(g-1) slides and two
+    # Torelli tags; past the limit's bit length 2^gmax is not formed
+    rest = (gmax - 1) * gmax * (gmax + 1) // 3 + gmax - 3
+    if gmax >= ALPHABET_WORD_LIMIT.bit_length() or (1 << gmax) + rest > ALPHABET_WORD_LIMIT:
+        raise ScaleGuardError(
+            f"GEN-FIX-ONES at gmax = {gmax} would act with 2^{gmax} + {rest} generators,"
+            f" over ALPHABET_WORD_LIMIT = {ALPHABET_WORD_LIMIT}"
+        )
     bad = []
     checked = 0
     for g in range(2, p["gmax"] + 1):
@@ -370,16 +390,8 @@ def _check_gen_fix_ones(p: dict) -> tuple[bool, dict]:
 
 
 def _check_t2_eq_yy(p: dict) -> tuple[bool, dict]:
-    bad = []
-    pairs = 0
-    for g in range(3, p["gmax"] + 1):
-        for i in range(1, g + 1):
-            for j in range(i + 1, g + 1):
-                pairs += 1
-                lhs = word(g, (Twist((i, j)), 2))
-                rhs = word(g, (Slide(j, i), -1), (Slide(i, j), 1))
-                if not acts_trivially(g, ((lhs, 1), (rhs, -1))):
-                    bad.append((g, i, j))
+    bad = families.failing(families.twist_square_relations(p["gmax"]))
+    pairs = sum(math.comb(g, 2) for g in range(3, p["gmax"] + 1))
     return not bad, {"pairs": pairs, "failures": bad}
 
 
@@ -406,6 +418,11 @@ def _check_thm23_elem(p: dict) -> tuple[bool, dict]:
 
 def _check_thm23_obstruct(p: dict) -> tuple[bool, dict]:
     g, d = p["g"], p["d"]
+    if (g - 1) ** 2 > OBSTRUCTION_ENTRY_LIMIT:
+        raise ScaleGuardError(
+            f"THM23-OBSTRUCT at g = {g} would hold a target of (g-1)^2 = {(g - 1) ** 2} entries,"
+            f" over OBSTRUCTION_ENTRY_LIMIT = {OBSTRUCTION_ENTRY_LIMIT}"
+        )
     target = elementary(g - 1, 1, 2, d)
     result = lift_obstruction(target, g)
     expect_obstructed = d % 2 == 1
@@ -532,37 +549,24 @@ def _check_thm31_closure(p: dict) -> tuple[bool, dict]:
 
 
 def _check_lem42_3chain(p: dict) -> tuple[bool, dict]:
-    bad = []
-    tuples = 0
-    for g in range(4, p["gmax"] + 1):
-        for j in range(2, g + 1):
-            for k in range(j + 1, g + 1):
-                for l in range(k + 1, g + 1):
-                    tuples += 1
-                    chain, paired, slide_form = families.three_chain_words(j, k, l, g)
-                    if not acts_trivially(g, ((chain, 1), (paired, -1))):
-                        bad.append((g, j, k, l, "paired"))
-                    if not acts_trivially(g, ((chain, 1), (slide_form, -1))):
-                        bad.append((g, j, k, l, "slides"))
+    bad = families.failing(families.three_chain_relations(p["gmax"]))
+    # the tuples 1 < j < k < l <= g
+    tuples = sum(math.comb(g - 1, 3) for g in range(4, p["gmax"] + 1))
     return not bad, {"tuples": tuples, "failures": bad}
 
 
 def _check_lem43_comm(p: dict) -> tuple[bool, dict]:
-    bad = []
-    pairs = 0
-    nontrivial = 0
-    for g in range(4, p["gmax"] + 1):
-        slides = {x: word(g, Slide(*x)) for x in families.family_indices("Y", g)}
-        for x1, x2, factors in families.slide_commutator_rows(g):
-            pairs += 1
-            y1, y2 = slides[x1], slides[x2]
-            if factors:
-                nontrivial += 1
-            # [Y_x1, Y_x2] times the inverse of the row's factors
-            inverse = families.inverse_factors(factors)
-            if not acts_trivially(g, ((y1, 1), (y2, 1), (y1, -1), (y2, -1)) + inverse):
-                bad.append((g, x1, x2))
-    return not bad, {"pairs": pairs, "nontrivial_rows": nontrivial, "failures": bad[:10]}
+    counts = {"pairs": 0, "nontrivial_rows": 0}
+
+    def counted():
+        # a nontrivial row adds its factors to the commutator's four
+        for relation in families.slide_commutator_relations(p["gmax"]):
+            counts["pairs"] += 1
+            counts["nontrivial_rows"] += len(relation[2]) > 4
+            yield relation
+
+    bad = families.failing(counted())
+    return not bad, {**counts, "failures": bad[:10]}
 
 
 def _check_rs_gamma24(p: dict) -> tuple[bool, dict]:
@@ -732,6 +736,14 @@ def _check_prop52_stallings(p: dict) -> tuple[bool, dict]:
 def _check_thm51_counts(p: dict) -> tuple[bool, dict]:
     g, n, d = p["g"], p["n"], p["d"]
     sets = families.GenNSets(g, n, d)
+    # the F list of each boundary, boundary 1's again, and the d^(g-1) words
+    # of G; d >= 2, so past the limit's bit length d^(g-1) is not formed
+    f_words = (n + 1) * sets.f_count(1) + n * (n - 1)
+    if g - 1 >= BOUNDARY_WORD_LIMIT.bit_length() or f_words + d ** (g - 1) > BOUNDARY_WORD_LIMIT:
+        raise ScaleGuardError(
+            f"THM51-COUNTS at (g, n, d) = ({g}, {n}, {d}) would list {f_words} F words and"
+            f" d^(g-1) = {d}^{g - 1} G words, over BOUNDARY_WORD_LIMIT = {BOUNDARY_WORD_LIMIT}"
+        )
     ok = True
     details: dict = {"g_count": sets.g_count(), "h_count": sets.h_count()}
     ok = ok and sets.g_count() == d ** (g - 1)

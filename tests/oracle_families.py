@@ -1,10 +1,10 @@
 """Reference slide-commutator table, each row spelled out as one freely
 reduced word, and the alternate realizations of the A, B and C elements.
 
-The table is the word-level definition that
-``crosscap.families.slide_commutator_rows`` must reproduce: the factors of
-each of its rows, multiplied out with word products, are the word this
-table gives for that row.
+The table is the word-level definition that the relations of
+``crosscap.families.slide_commutator_relations`` must reproduce: the
+factors of each relation after the commutator's four, multiplied out with
+word products, are the inverse of the word this table gives for that row.
 
 ``alternates`` gives the other words that realize an A, B or C element,
 each of which must act on homology as ``named_element``'s word does.

@@ -60,6 +60,15 @@ uint16 entries, and THM41-MOD8's ``np.unique(..., axis=0)`` dedupe over the
 whole stream are kept here too: the bit-sliced
 ``crosscap.ledger.brute_force_mod2_orthogonal`` must give the same matrices,
 and the stacked stream's dedupe, a stack at a time, the same images.
+
+``t2_eq_yy``, ``lem42_3chain`` and ``lem43_comm`` are the word-identity
+checks as they were before the relation families: each builds its words
+in its own loop and decides each identity with its own ``acts_trivially``
+call.  LEM42-3CHAIN's three realizations come from ``three_chain_words``,
+and LEM43-COMM's rows are the spelled words of
+``oracle_families.slide_commutator_rows``.
+The registry's runners, which draw ``(name, genus, factors)`` relations
+and hand them to ``families.failing``, must give the same records.
 """
 
 import random
@@ -68,6 +77,7 @@ from typing import Callable, Iterator
 
 import numpy as np
 from oracle_families import main3_word
+from oracle_families import slide_commutator_rows as oracle_commutator_rows
 from oracle_finitegrp import bfs_closure, coset_action_table, elements, identity_offsets
 from oracle_homology import matrix_level_trivial
 from oracle_packed import level_trivial_residues
@@ -83,6 +93,7 @@ from crosscap.finitegrp import (
     vector_coordinates,
 )
 from crosscap.homology import (
+    acts_trivially,
     collapse_total_class,
     level_member,
     product_matrix,
@@ -99,7 +110,7 @@ from crosscap.ledger import (
     rs_stream_factors as xor_stream_factors,
 )
 from crosscap.pi1free import ScaleGuardError
-from crosscap.words import MCGWord, TorelliTag, word
+from crosscap.words import MCGWord, Slide, TorelliTag, Twist, conjugate, word
 
 
 # the most stream words whose actions ``main3_stream_images`` forms in one
@@ -618,3 +629,79 @@ def rs_stream_factors(
             if len(outputs) >= cap:
                 return outputs
     return outputs
+
+
+def t2_eq_yy(p: dict) -> tuple[bool, dict]:
+    bad = []
+    pairs = 0
+    for g in range(3, p["gmax"] + 1):
+        for i in range(1, g + 1):
+            for j in range(i + 1, g + 1):
+                pairs += 1
+                lhs = word(g, (Twist((i, j)), 2))
+                rhs = word(g, (Slide(j, i), -1), (Slide(i, j), 1))
+                if not acts_trivially(g, ((lhs, 1), (rhs, -1))):
+                    bad.append((g, i, j))
+    return not bad, {"pairs": pairs, "failures": bad}
+
+
+def three_chain_words(j: int, k: int, l: int, g: int) -> tuple[MCGWord, MCGWord, MCGWord]:
+    """Three realizations of the same mapping class for 1 < j < k < l <= g:
+    the 4th power of the twist chain, the paired-twist form, and the full
+    slide-word expansion."""
+
+    def tw(indices: tuple[int, ...]) -> MCGWord:
+        return word(g, Twist(indices))
+
+    def yw(a: int, b: int, e: int = 1) -> MCGWord:
+        return word(g, (Slide(a, b), e))
+
+    chain = (tw((1, j)) * tw((j, k)) * tw((k, l))) ** 4
+    sign = families._resolve_d_sign(g, (1, j, k, l))
+    twist = tw((1, j, k, l))
+    paired = twist * conjugate(twist**sign, yw(j, 1) * yw(k, l, -1)).inverse()
+    slide_form = (
+        yw(j, 1, -1)
+        * yw(1, j)
+        * yw(k, j, -1)
+        * yw(j, k)
+        * conjugate(yw(k, 1, -1) * yw(1, k), yw(j, 1))
+        * yw(l, k, -1)
+        * yw(k, l)
+        * conjugate(yw(l, j, -1) * yw(j, l), yw(k, j))
+        * conjugate(yw(l, 1, -1) * yw(1, l), yw(j, 1) * yw(k, l, -1))
+    )
+    return chain, paired, slide_form
+
+
+def lem42_3chain(p: dict) -> tuple[bool, dict]:
+    bad = []
+    tuples = 0
+    for g in range(4, p["gmax"] + 1):
+        for j in range(2, g + 1):
+            for k in range(j + 1, g + 1):
+                for l in range(k + 1, g + 1):
+                    tuples += 1
+                    chain, paired, slide_form = three_chain_words(j, k, l, g)
+                    if not acts_trivially(g, ((chain, 1), (paired, -1))):
+                        bad.append((g, j, k, l, "paired"))
+                    if not acts_trivially(g, ((chain, 1), (slide_form, -1))):
+                        bad.append((g, j, k, l, "slides"))
+    return not bad, {"tuples": tuples, "failures": bad}
+
+
+def lem43_comm(p: dict) -> tuple[bool, dict]:
+    bad = []
+    pairs = 0
+    nontrivial = 0
+    for g in range(4, p["gmax"] + 1):
+        slides = {x: word(g, Slide(*x)) for x in families.family_indices("Y", g)}
+        for x1, x2, rhs in oracle_commutator_rows(g):
+            pairs += 1
+            y1, y2 = slides[x1], slides[x2]
+            if not rhs.is_identity():
+                nontrivial += 1
+            # [Y_x1, Y_x2] times the inverse of the row's word
+            if not acts_trivially(g, ((y1, 1), (y2, 1), (y1, -1), (y2, -1), (rhs, -1))):
+                bad.append((g, x1, x2))
+    return not bad, {"pairs": pairs, "nontrivial_rows": nontrivial, "failures": bad[:10]}

@@ -116,21 +116,20 @@ def test_criterion_4_identity_suites():
                         assert word_matrix(alt).rows == m.rows
             for idx in families.family_indices("D", g):
                 assert word_matrix(families.named_element("D", idx, g).word).is_identity()
-            for j in range(2, g + 1):
-                for k in range(j + 1, g + 1):
-                    for l in range(k + 1, g + 1):
-                        chain, paired, slide_form = families.three_chain_words(j, k, l, g)
-                        mc = word_matrix(chain)
-                        assert mc.rows == word_matrix(paired).rows
-                        assert mc.rows == word_matrix(slide_form).rows
+            # the chain power times the inverse of each of its two other forms
+            for name, genus, factors in families.three_chain_relations(g):
+                if genus == g:
+                    assert product_matrix(g, factors).is_identity(), name
             ys = families.family_indices("Y", g)
-            rows = list(families.slide_commutator_rows(g))
-            assert [(x1, x2) for x1, x2, _ in rows] == [
-                (x1, x2) for pos, x1 in enumerate(ys) for x2 in ys[pos + 1 :]
+            relations = [r for r in families.slide_commutator_relations(g) if r[1] == g]
+            assert [name for name, _, _ in relations] == [
+                (g, x1, x2) for pos, x1 in enumerate(ys) for x2 in ys[pos + 1 :]
             ]
-            for x1, x2, factors in rows:
+            # a relation is the commutator's four factors, then its row inverted
+            for (_, x1, x2), _, factors in relations:
                 lhs = word_matrix(commutator(word(g, Slide(*x1)), word(g, Slide(*x2))))
-                assert lhs.rows == product_matrix(g, factors).rows
+                row = families.inverse_factors(factors[4:])
+                assert lhs.rows == product_matrix(g, row).rows
 
 
 def test_criterion_5_finite_quotient_orders():

@@ -6,8 +6,9 @@ in all, and reads its closure, section and the verdicts on its sampled
 Schreier words from their layer vectors mod 4, with no ``reduced_action``
 or ``product_matrix`` call.  None of them forms a word product or inverse
 per row or sample.  The identity checks (LEM43-COMM, T2-EQ-YY,
-LEM42-3CHAIN) and a C build decide each identity with ``acts_trivially``
-on one packed class, and GEN-FIX-ONES applies each generator to the total
+LEM42-3CHAIN) and a C build decide each relation through
+``families.failing`` with one ``acts_trivially`` call on one packed class,
+and GEN-FIX-ONES applies each generator to the total
 class with ``act``: none of them builds a matrix.  A C element decides
 its two realizations equal on homology on every build, so how many words
 a check evaluates does not depend on what ran before it.  No modular
@@ -127,11 +128,20 @@ def test_identity_checks_build_no_matrix(monkeypatch, check_id, params, decision
     run_check(check_id, params)  # fills the per-genus D sign cache
     seen = Counter()
     _spy_on_matrices(monkeypatch, seen)
-    monkeypatch.setattr(ledger, "acts_trivially", spy(seen, "decided", homology.acts_trivially))
+    monkeypatch.setattr(homology, "acts_trivially", spy(seen, "decided", homology.acts_trivially))
+    real_named = families.named_element
+
+    def named(family, indices, g):
+        seen["C builds"] += family == "C"
+        return real_named(family, indices, g)
+
+    monkeypatch.setattr(families, "named_element", named)
     record = run_check(check_id, params)
     assert record.status == "pass"
     assert seen["matrix"] == 0
-    assert seen["decided"] == decisions
+    # and one more for each C element built, which decides its own relation
+    assert seen["decided"] == decisions + seen["C builds"]
+    assert seen["C builds"] == (83 if check_id == "LEM43-COMM" else 0)
 
 
 def test_a_c_build_builds_no_matrix(monkeypatch):

@@ -198,16 +198,22 @@ def test_gen_n_f2_has_between_boundary_curves():
     assert sets.g_count() == 27
 
 
-def test_three_chain_requires_valid_tuple():
-    with pytest.raises(families.FamilyIndexError):
-        families.three_chain_words(2, 2, 4, 4)
+def test_three_chain_relations_name_each_tuple_twice():
+    names = [name for name, _, _ in families.three_chain_relations(6)]
+    tuples = [
+        (g, j, k, l) for g in (4, 5, 6) for j in range(2, g + 1)
+        for k in range(j + 1, g + 1) for l in range(k + 1, g + 1)
+    ]
+    assert names == [t + (form,) for t in tuples for form in ("paired", "slides")]
+    assert list(families.three_chain_relations(3)) == []
 
 
 def test_commutator_rhs_trivial_cases_commute():
     # non-crossing pairs of slides with four distinct indices act commutatively
     g = 6
-    rows = {(x1, x2): factors for x1, x2, factors in families.slide_commutator_rows(g)}
+    relations = {name: factors for name, _, factors in families.slide_commutator_relations(g)}
     for x1, x2 in (((1, 2), (3, 4)), ((1, 4), (2, 3)), ((2, 3), (4, 5))):
-        assert rows[x1, x2] == ()
+        # an empty row leaves the commutator's four factors alone
+        assert len(relations[g, x1, x2]) == 4
         lhs = commutator(word(g, Slide(*x1)), word(g, Slide(*x2)))
         assert word_matrix(lhs).is_identity()

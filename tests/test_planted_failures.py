@@ -1,7 +1,8 @@
 """The word-identity checks fail, by name, when one side of an identity is
 planted wrong: a LEM43-COMM row with a factor dropped, a C element whose
-twist form is off, a T2-EQ-YY pair and a LEM42-3CHAIN tuple.  Each check
-decides its identities with ``acts_trivially``; a decision that always
+twist form is off, a T2-EQ-YY pair and a LEM42-3CHAIN tuple.  Each defect
+is planted in the relation family its check draws from, and every check
+decides its relations with ``families.failing``; a decision that always
 said yes would pass every record and fail these."""
 
 import json
@@ -9,7 +10,7 @@ import re
 
 import pytest
 
-from crosscap import families, homology, ledger
+from crosscap import families, homology
 from crosscap.cli import main
 from crosscap.families import RealizationError
 from crosscap.intmat import IntMatrix
@@ -18,17 +19,18 @@ from crosscap.words import Slide, Twist
 
 
 def test_a_lem43_row_with_a_factor_dropped_fails_by_name(monkeypatch):
-    real = families.slide_commutator_rows
+    real = families.slide_commutator_relations
     planted = []
 
-    def rows(g):
-        for x1, x2, factors in real(g):
-            if g == 5 and factors and not planted:
-                planted.append((g, x1, x2))
-                factors = factors[:-1]
-            yield x1, x2, factors
+    def relations(gmax):
+        # the four commutator factors, then the row's last factor inverted
+        for name, g, factors in real(gmax):
+            if g == 5 and len(factors) > 4 and not planted:
+                planted.append(name)
+                factors = factors[:4] + factors[5:]
+            yield name, g, factors
 
-    monkeypatch.setattr(families, "slide_commutator_rows", rows)
+    monkeypatch.setattr(families, "slide_commutator_relations", relations)
     record = run_check("LEM43-COMM", {"gmax": 5})
     assert record.status == "fail"
     assert record.details["failures"] == planted
@@ -87,14 +89,15 @@ def test_a_d_element_with_no_sign_is_a_fail_record(monkeypatch, capsys):
 
 
 def test_a_t2_pair_with_a_wrong_twist_power_fails_by_name(monkeypatch):
-    real = ledger.word
+    real = families.twist_square_relations
 
-    def word(g, *letters):
-        if g == 4 and letters == ((Twist((1, 3)), 2),):
-            letters = ((Twist((1, 3)), 4),)
-        return real(g, *letters)
+    def relations(gmax):
+        for name, g, factors in real(gmax):
+            if name == (4, 1, 3):
+                factors = ((families.word(g, (Twist((1, 3)), 4)), 1),) + factors[1:]
+            yield name, g, factors
 
-    monkeypatch.setattr(ledger, "word", word)
+    monkeypatch.setattr(families, "twist_square_relations", relations)
     record = run_check("T2-EQ-YY", {"gmax": 5})
     assert record.status == "fail"
     assert record.details["failures"] == [(4, 1, 3)]
@@ -103,19 +106,18 @@ def test_a_t2_pair_with_a_wrong_twist_power_fails_by_name(monkeypatch):
 
 @pytest.mark.parametrize("form", ["paired", "slides"])
 def test_a_3chain_tuple_with_a_wrong_form_fails_by_name(monkeypatch, form):
-    real = families.three_chain_words
+    real = families.three_chain_relations
 
-    def three_chain_words(j, k, l, g):
-        chain, paired, slide_form = real(j, k, l, g)
-        if (g, j, k, l) == (5, 2, 4, 5):
-            extra = families.word(g, Slide(1, 3))
-            if form == "paired":
-                paired = paired * extra
-            else:
-                slide_form = extra * slide_form
-        return chain, paired, slide_form
+    def relations(gmax):
+        # the chain power times the inverse of the planted form: paired
+        # Y(1,3), or Y(1,3) slides
+        for name, g, factors in real(gmax):
+            if name == (5, 2, 4, 5, form):
+                extra = ((families.word(g, Slide(1, 3)), -1),)
+                factors = factors[:1] + extra + factors[1:] if form == "paired" else factors + extra
+            yield name, g, factors
 
-    monkeypatch.setattr(families, "three_chain_words", three_chain_words)
+    monkeypatch.setattr(families, "three_chain_relations", relations)
     record = run_check("LEM42-3CHAIN", {"gmax": 5})
     assert record.status == "fail"
     assert record.details["failures"] == [(5, 2, 4, 5, form)]

@@ -228,11 +228,14 @@ def test_generators_and_reduced_actions_form_no_products(monkeypatch):
 
 @pytest.mark.parametrize("g", range(4, 9))
 def test_commutator_rows_spell_the_oracle_words(g):
-    rows = list(families.slide_commutator_rows(g))
+    # each relation is [Y_x1, Y_x2] as four factors, then its row inverted
+    relations = [(name, factors) for name, genus, factors in families.slide_commutator_relations(g) if genus == g]
     reference = list(oracle_rows(g))
-    assert [(x1, x2) for x1, x2, _ in rows] == [(x1, x2) for x1, x2, _ in reference]
-    for (x1, x2, factors), (_, _, rhs) in zip(rows, reference):
-        assert spelled(g, factors) == rhs, (x1, x2)
-        assert (factors == ()) == rhs.is_identity(), (x1, x2)
+    assert [name for name, _ in relations] == [(g, x1, x2) for x1, x2, _ in reference]
+    for (name, factors), (_, _, rhs) in zip(relations, reference):
+        y1, y2 = (word(g, Slide(*x)) for x in name[1:])
+        assert factors[:4] == ((y1, 1), (y2, 1), (y1, -1), (y2, -1)), name
+        assert spelled(g, factors[4:]) == rhs.inverse(), name
+        assert (len(factors) == 4) == rhs.is_identity(), name
     # the pairs of commuting slides, whose rows are empty
-    assert sum(factors == () for _, _, factors in rows) == {4: 4, 5: 24, 6: 80, 7: 200, 8: 420}[g]
+    assert sum(len(factors) == 4 for _, factors in relations) == {4: 4, 5: 24, 6: 80, 7: 200, 8: 420}[g]
