@@ -121,12 +121,12 @@ def named_element(family: str, indices: tuple[int, ...], g: int) -> NamedFamilyE
             raise FamilyIndexError(f"C{idx}: third index must avoid {{{i},{j}}}")
         t2 = _twist_word(g, (i, j), 2)
         s = _slide_word(g, k, i)
-        # the slide form as a word, the twist form as factors
+        # the slide form as one word, the twist form as factors
         if i < k < j:
-            primary = (_slide_word(g, k, j) * s) ** 2
+            primary = word(g, Slide(k, j), Slide(k, i), Slide(k, j), Slide(k, i))
             twist_form = ((t2, -1), (s, 1), (t2, 1), (s, -1))
         else:
-            primary = (s * _slide_word(g, k, j)) ** 2
+            primary = word(g, Slide(k, i), Slide(k, j), Slide(k, i), Slide(k, j))
             twist_form = ((t2, 1), (s, -1), (t2, -1), (s, 1))
         if failing([(f"C{idx}", g, ((primary, 1),) + inverse_factors(twist_form))]):
             raise RealizationError(f"C{idx}: slide and twist realizations disagree on homology")
@@ -383,11 +383,18 @@ def main3_generator(g: int, index: int) -> MCGWord:
 
 
 def main3_generators(g: int) -> Iterator[MCGWord]:
-    fams = main3_families(g)
+    """The stream of ``main3_generator`` in order.  Each family element is
+    built when the mask-0 pass first reaches it and reused for the later
+    masks, so the first word comes before the rest are built."""
+    _require_main3_genus(g)
+    keys = [(family, idx) for family in ("A", "B", "C", "D") for idx in family_indices(family, g)]
+    elements: list[MCGWord] = []
     for mask in range(transversal_count(g)):
         y = subset_word(g, mask)
-        for element in fams:
-            yield conjugate(element.word, y)
+        for pos, (family, idx) in enumerate(keys):
+            if not mask:
+                elements.append(named_element(family, idx, g).word)
+            yield conjugate(elements[pos], y)
 
 
 # ---------------------------------------------------------------------------
@@ -502,10 +509,12 @@ def failing(relations: Iterable[Relation]) -> list:
 def slide_commutator_relations(gmax: int) -> Iterator[Relation]:
     """The slide-commutator table at each genus 4..gmax as relations, one
     for each pair x1 < x2 of Y indices, in Y order, named ``(g, x1, x2)``:
-    [Y_{x1}, Y_{x2}] as its four factors, then the inverse of the row's
-    decomposition of it as a product of conjugated A/B/C elements, with
-    every conjugate left unexpanded.  A row whose slides commute is empty,
-    so its relation is the four commutator factors alone.
+    [Y_{x1}, Y_{x2}]^-1 = Y_{x2} Y_{x1} Y_{x2}^-1 Y_{x1}^-1 as its four
+    factors, then the row's decomposition of the commutator as a product
+    of conjugated A/B/C elements, with every conjugate left unexpanded.
+    The product is trivial exactly when the row equals the commutator.  A
+    row whose slides commute is empty, so its relation is the four
+    commutator factors alone.
 
     Each A, B and C element is built by :func:`named_element` and each slide
     word by ``word`` at most once per genus, and looked up after; no row
@@ -526,7 +535,7 @@ def slide_commutator_relations(gmax: int) -> Iterator[Relation]:
             for x2 in ys[pos + 1 :]:
                 y1, y2 = slide(*x1), slide(*x2)
                 row = _commutator_factors(x1, x2, element, slide)
-                yield (g, x1, x2), g, ((y1, 1), (y2, 1), (y1, -1), (y2, -1)) + inverse_factors(row)
+                yield (g, x1, x2), g, ((y2, 1), (y1, 1), (y2, -1), (y1, -1)) + row
 
 
 def _commutator_factors(
@@ -659,32 +668,59 @@ def twist_square_relations(gmax: int) -> Iterator[Relation]:
             yield (g, i, j), g, ((_twist_word(g, (i, j), 2), 1), (pair, -1))
 
 
+def three_chain_factors(
+    j: int, k: int, l: int, twist: Callable[[tuple[int, ...]], MCGWord]
+) -> Factors:
+    """(T(1,j) T(j,k) T(k,l))^4, the 4th power of the twist chain, as its
+    twelve twist factors, with the twist words ``twist(indices)``."""
+    chain = ((twist((1, j)), 1), (twist((j, k)), 1), (twist((k, l)), 1))
+    return chain * 4
+
+
+def three_chain_slide_factors(
+    j: int, k: int, l: int, slide: Callable[[int, int], MCGWord]
+) -> Factors:
+    """Lemma 4.2's slide-word expansion of the chain power for
+    1 < j < k < l, with the slide words ``slide(a, b)`` and its three
+    conjugates left unexpanded: Y(j,1)^-1 Y(1,j) Y(k,j)^-1 Y(j,k) .
+    x Y(k,1)^-1 Y(1,k) x^-1 with x = Y(j,1), then Y(l,k)^-1 Y(k,l) .
+    x Y(l,j)^-1 Y(j,l) x^-1 with x = Y(k,j), then x Y(l,1)^-1 Y(1,l) x^-1
+    with x = Y(j,1) Y(k,l)^-1."""
+
+    def y(a: int, b: int, sign: int = 1) -> tuple[MCGWord, int]:
+        return slide(a, b), sign
+
+    return (
+        y(j, 1, -1), y(1, j), y(k, j, -1), y(j, k),
+        y(j, 1), y(k, 1, -1), y(1, k), y(j, 1, -1),
+        y(l, k, -1), y(k, l),
+        y(k, j), y(l, j, -1), y(j, l), y(k, j, -1),
+        y(j, 1), y(k, l, -1), y(l, 1, -1), y(1, l), y(k, l), y(j, 1, -1),
+    )
+
+
 def three_chain_relations(gmax: int) -> Iterator[Relation]:
-    """Lemma 4.2 for each 1 < j < k < l <= g at each genus 4..gmax: the 4th
-    power of the twist chain equals the paired-twist form T T'^-1, named
-    ``(g, j, k, l, "paired")``, and the full slide-word expansion, named
-    ``(g, j, k, l, "slides")``.  The D element of the same indices is
-    T T', so the paired form's inverse is T^-1 D T^-1."""
+    """Lemma 4.2 for each 1 < j < k < l <= g at each genus 4..gmax: the
+    inverse of the 4th power of the twist chain times the paired-twist
+    form T T'^-1, named ``(g, j, k, l, "paired")``, and times the slide
+    form, named ``(g, j, k, l, "slides")``, each trivial exactly when its
+    form equals the chain power.  The D element of the same indices is
+    T T', so the paired form is T D^-1 T.  Both forms and the chain are
+    factors, so no word product is formed but in the D element, and each
+    twist and slide word is built at most once per genus."""
     for g in range(4, gmax + 1):
 
-        def yw(a: int, b: int, e: int = 1) -> MCGWord:
-            return _slide_word(g, a, b) ** e
+        @functools.cache
+        def twist(indices: tuple[int, ...]) -> MCGWord:
+            return _twist_word(g, indices)
+
+        @functools.cache
+        def slide(a: int, b: int) -> MCGWord:
+            return _slide_word(g, a, b)
 
         for idx in family_indices("D", g):
             _, j, k, l = idx
-            chain = (_twist_word(g, (1, j)) * _twist_word(g, (j, k)) * _twist_word(g, (k, l))) ** 4
-            twist = _twist_word(g, idx)
-            paired_inverse = ((twist, -1), (named_element("D", idx, g).word, 1), (twist, -1))
-            slide_form = (
-                yw(j, 1, -1)
-                * yw(1, j)
-                * yw(k, j, -1)
-                * yw(j, k)
-                * conjugate(yw(k, 1, -1) * yw(1, k), yw(j, 1))
-                * yw(l, k, -1)
-                * yw(k, l)
-                * conjugate(yw(l, j, -1) * yw(j, l), yw(k, j))
-                * conjugate(yw(l, 1, -1) * yw(1, l), yw(j, 1) * yw(k, l, -1))
-            )
-            yield (g, j, k, l, "paired"), g, ((chain, 1),) + paired_inverse
-            yield (g, j, k, l, "slides"), g, ((chain, 1), (slide_form, -1))
+            chain_inverse = inverse_factors(three_chain_factors(j, k, l, twist))
+            paired = ((twist(idx), 1), (named_element("D", idx, g).word, -1), (twist(idx), 1))
+            yield (g, j, k, l, "paired"), g, chain_inverse + paired
+            yield (g, j, k, l, "slides"), g, chain_inverse + three_chain_slide_factors(j, k, l, slide)

@@ -40,6 +40,7 @@ exactly that.
 
 from __future__ import annotations
 
+import operator
 import re
 from typing import Iterable, Optional
 
@@ -73,7 +74,7 @@ class H1Class(Frozen):
     def __init__(self, genus: int, coeffs) -> None:
         if genus < 1:
             raise ValueError("genus must be >= 1")
-        coeffs = tuple(int(c) for c in coeffs)
+        coeffs = tuple(map(int, coeffs))
         if len(coeffs) != genus:
             raise ValueError(f"need {genus} coefficients, got {len(coeffs)}")
         set_field(self, "genus", genus)
@@ -349,8 +350,9 @@ def collapse_total_class(m: IntMatrix) -> IntMatrix:
     g = m.n
     if g < 2:
         raise ValueError("need genus >= 2 to collapse")
-    last = m.rows[-1]
-    return IntMatrix(tuple(tuple(x - y for x, y in zip(row, last[:-1])) for row in m.rows[:-1]))
+    # map stops at the end of ``last``, so the last column is dropped
+    last = m.rows[-1][:-1]
+    return IntMatrix(tuple(tuple(map(operator.sub, row, last)) for row in m.rows[:-1]))
 
 
 def reduced_action(w: MCGWord) -> IntMatrix:

@@ -26,9 +26,9 @@ class ModulusMismatchError(ValueError):
 
 
 def _freeze(rows: Iterable[Iterable[int]]) -> tuple[tuple[int, ...], ...]:
-    frozen = tuple(tuple(int(e) for e in row) for row in rows)
-    n = len(frozen)
-    if n == 0 or any(len(row) != n for row in frozen):
+    frozen = tuple(tuple(map(int, row)) for row in rows)
+    # no row at all gives the empty set, never {0}
+    if set(map(len, frozen)) != {len(frozen)}:
         raise DimensionError("matrix must be square and non-empty")
     return frozen
 

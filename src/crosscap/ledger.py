@@ -8,10 +8,10 @@ is reserved for explicit scale guards and caps, never silent truncation.
 
 from __future__ import annotations
 
+import bisect
 import math
 import random
 import time
-from collections import deque
 from typing import Callable, Optional, TypeVar
 
 from . import families
@@ -67,6 +67,18 @@ OBSTRUCTION_ENTRY_LIMIT = 1 << 22
 # the most words THM51-COUNTS lists: (18,1,2) and (4,1,50) list about
 # 131,000 and 125,000 in 3 to 6 s, the second in 167 MB
 BOUNDARY_WORD_LIMIT = 1 << 18
+# the most entries of the g x g action THM23-KER evaluates: g = 2048 holds
+# about 4.2 million in 0.8 s and 82 MB, and the work grows as g^2
+LEVEL_MATRIX_ENTRY_LIMIT = 1 << 22
+# the most relations T2-EQ-YY decides, C(gmax + 1, 3) - 1: gmax = 92
+# decides 129,765 in 1.9 s, and gmax = 116 twice as many in 7 s
+TWIST_SQUARE_LIMIT = 1 << 17
+# the most relations LEM42-3CHAIN decides, 2 C(gmax, 4): gmax = 26 decides
+# 29,900 in 5 s, most of it choosing the D signs
+THREE_CHAIN_LIMIT = 1 << 15
+# the most relations LEM43-COMM decides, the sum of C((g - 1)^2, 2) over
+# g = 4..gmax: gmax = 19 decides 215,112 in 3.2 s
+SLIDE_COMMUTATOR_LIMIT = 1 << 18
 
 class UnknownCheckError(ValueError):
     """The requested check id is not in the catalog."""
@@ -177,7 +189,8 @@ def expected_twist_phi(i: int, j: int, d: int, g: int) -> IntMatrix:
         for r in range(1, g):
             if r != i:
                 rows[r - 1][i - 1] = d
-    return IntMatrix.from_rows(rows)
+    # the entries are the ints just written, so none is re-validated
+    return IntMatrix(tuple(map(tuple, rows)))
 
 
 def expected_slide_phi(a: int, b: int, g: int) -> IntMatrix:
@@ -194,7 +207,7 @@ def expected_slide_phi(a: int, b: int, g: int) -> IntMatrix:
         for r in range(1, g):
             if r != b:
                 rows[r - 1][b - 1] = -2
-    return IntMatrix.from_rows(rows)
+    return IntMatrix(tuple(map(tuple, rows)))
 
 
 def brute_force_mod2_orthogonal(g: int) -> frozenset[int]:
@@ -277,40 +290,72 @@ def _level_4_offset(v: int, g: int) -> bool:
     return v == last * sum(1 << r * g for r in range(g))
 
 
-def rs_stream_factors(g: int, coords: list[int], cap: int) -> list[tuple[int, int]]:
-    """The first ``cap`` Schreier generators y s u^-1 of the kernel of phi
-    mod 4 on the group RS-GAMMA24's signed generators generate, as pairs
-    (c, j) in stream order: y is ``subset_word(g, c)``, s is signed
-    generator j and u is ``subset_word(g, c ^ coords[j])``.  No word is
-    built.
+def rs_stream_layout(
+    g: int, coords: list[int], cap: int
+) -> tuple[list[int], list[int], int]:
+    """Where the first ``cap`` Schreier generators y s u^-1 of the kernel of
+    phi mod 4 sit in stream order, on the group RS-GAMMA24's signed
+    generators generate, without listing them: the cosets in walk order,
+    the stream position of each one's first output, and the stream's
+    length, at most ``cap``.  ``rs_stream_entry`` reads the (c, j) pair at
+    a position: y is ``subset_word(g, c)``, s is signed generator j and u
+    is ``subset_word(g, c ^ coords[j])``.  No word is built.
 
     The signed generators are Y_t, Y_t^-1 for each t in subset-bit order,
     then D, D^-1 for each D element, and ``coords`` holds each one's mask
     in the single slides' basis, so the coset of y_c s_j is c XOR
     ``coords[j]``.  Cosets are walked breadth-first from mask 0, the empty
-    word.  A product y s that already equals u as a reduced word is
-    skipped, as in ``finitegrp.schreier_generators``.  That happens exactly
-    when s = Y_t and c has no bit at or above t, or s = Y_t^-1 and t is the
-    top bit of c: every other product ends out of order, or with an inverse
-    letter, or with a D letter, and no subset word does.
+    word, in the order of ``finitegrp.schreier_generators``; x and x^-1
+    share a mask, so the walk steps over the distinct masks.  A product
+    y s that already equals u as a reduced word is skipped, as there.  That
+    happens exactly when s = Y_t and c has no bit at or above t, or
+    s = Y_t^-1 and t is the top bit of c: every other product ends out of
+    order, or with an inverse letter, or with a D letter, and no subset
+    word does.  So coset c has 2(k + |D|) - (k - c.bit_length()) - [c != 0]
+    outputs, with k the number of single slides; the whole stream has
+    2^k (2(k + |D|) - 2) + 2.  The walk stops at the coset that reaches
+    ``cap`` and discovers no coset from it: every coset before it has at
+    least as many outputs as it has distinct masks, so the walk holds at
+    most one coset per counted output, plus the first.
     """
-    slides = 2 * families.y_count(g)
+    per = len(coords) - families.y_count(g)
+    masks = list(dict.fromkeys(coords))
     seen = {0}
-    queue = deque([0])
-    outputs: list[tuple[int, int]] = []
-    while queue:
-        c = queue.popleft()
-        for j, step in enumerate(coords):
+    # the walk's queue: a coset is appended when found and read in turn
+    cosets = [0]
+    starts: list[int] = []
+    total = 0
+    for c in cosets:
+        starts.append(total)
+        total += per + c.bit_length() - (c != 0)
+        if total >= cap:
+            return cosets[: len(starts)], starts, cap
+        for step in masks:
             target = c ^ step
             if target not in seen:
                 seen.add(target)
-                queue.append(target)
-            if j < slides and c >> (j // 2) == j % 2:
-                continue
-            outputs.append((c, j))
-            if len(outputs) >= cap:
-                return outputs
-    return outputs
+                cosets.append(target)
+    return cosets, starts, total
+
+
+def rs_stream_entry(
+    layout: tuple[list[int], list[int], int], k: int, position: int
+) -> tuple[int, int]:
+    """The (c, j) pair at stream ``position`` of ``rs_stream_layout``, for
+    k single slides.  Coset c with top bit b - 1 has its outputs in j
+    order: Y_t and Y_t^-1 for t < b - 1, Y_(b-1), then Y_t^-1 for each
+    t >= b, then every signed D generator."""
+    cosets, starts, _ = layout
+    at = bisect.bisect_right(starts, position) - 1
+    c, offset = cosets[at], position - starts[at]
+    b = c.bit_length()
+    head = 2 * b - (c != 0)
+    if offset < head:
+        return c, offset
+    offset -= head
+    if offset < k - b:
+        return c, 2 * (b + offset) + 1
+    return c, 2 * k + offset - (k - b)
 
 
 # ---------------------------------------------------------------------------
@@ -390,8 +435,14 @@ def _check_gen_fix_ones(p: dict) -> tuple[bool, dict]:
 
 
 def _check_t2_eq_yy(p: dict) -> tuple[bool, dict]:
+    # the pairs i < j at each genus 3..gmax
+    pairs = math.comb(p["gmax"] + 1, 3) - 1
+    if pairs > TWIST_SQUARE_LIMIT:
+        raise ScaleGuardError(
+            f"T2-EQ-YY at gmax = {p['gmax']} would decide {pairs} relations,"
+            f" over TWIST_SQUARE_LIMIT = {TWIST_SQUARE_LIMIT}"
+        )
     bad = families.failing(families.twist_square_relations(p["gmax"]))
-    pairs = sum(math.comb(g, 2) for g in range(3, p["gmax"] + 1))
     return not bad, {"pairs": pairs, "failures": bad}
 
 
@@ -441,6 +492,11 @@ def _check_thm23_obstruct(p: dict) -> tuple[bool, dict]:
 
 def _check_thm23_ker(p: dict) -> tuple[bool, dict]:
     g, d = p["g"], p["d"]
+    if g * g > LEVEL_MATRIX_ENTRY_LIMIT:
+        raise ScaleGuardError(
+            f"THM23-KER at g = {g} would evaluate a g x g action of g^2 = {g * g} entries,"
+            f" over LEVEL_MATRIX_ENTRY_LIMIT = {LEVEL_MATRIX_ENTRY_LIMIT}"
+        )
     w = word(g, (Twist(tuple(range(1, g + 1))), d))
     member = level_member(w, d)
     nontrivial = not acts_trivially(g, ((w, 1),))
@@ -549,19 +605,33 @@ def _check_thm31_closure(p: dict) -> tuple[bool, dict]:
 
 
 def _check_lem42_3chain(p: dict) -> tuple[bool, dict]:
+    # the tuples 1 < j < k < l <= g at each genus 4..gmax, two relations each
+    tuples = math.comb(p["gmax"], 4)
+    if 2 * tuples > THREE_CHAIN_LIMIT:
+        raise ScaleGuardError(
+            f"LEM42-3CHAIN at gmax = {p['gmax']} would decide 2 x {tuples} relations,"
+            f" over THREE_CHAIN_LIMIT = {THREE_CHAIN_LIMIT}"
+        )
     bad = families.failing(families.three_chain_relations(p["gmax"]))
-    # the tuples 1 < j < k < l <= g
-    tuples = sum(math.comb(g - 1, 3) for g in range(4, p["gmax"] + 1))
     return not bad, {"tuples": tuples, "failures": bad}
 
 
 def _check_lem43_comm(p: dict) -> tuple[bool, dict]:
-    counts = {"pairs": 0, "nontrivial_rows": 0}
+    # the pairs of Y indices at each genus 4..gmax; the sum stops once it
+    # is past the limit, since each term grows as g^4
+    pairs = 0
+    for g in range(4, p["gmax"] + 1):
+        pairs += math.comb(families.y_count(g), 2)
+        if pairs > SLIDE_COMMUTATOR_LIMIT:
+            raise ScaleGuardError(
+                f"LEM43-COMM at gmax = {p['gmax']} would decide {pairs} relations by g = {g},"
+                f" over SLIDE_COMMUTATOR_LIMIT = {SLIDE_COMMUTATOR_LIMIT}"
+            )
+    counts = {"pairs": pairs, "nontrivial_rows": 0}
 
     def counted():
         # a nontrivial row adds its factors to the commutator's four
         for relation in families.slide_commutator_relations(p["gmax"]):
-            counts["pairs"] += 1
             counts["nontrivial_rows"] += len(relation[2]) > 4
             yield relation
 
@@ -600,9 +670,10 @@ def _check_rs_gamma24(p: dict) -> tuple[bool, dict]:
         masks = [1 << t for t in range(k)] + coords
         # the signed generators x, x^-1 in turn: an inverse has the same
         # image mod 4, since (I + 2X)^2 = I mod 4
-        stream = rs_stream_factors(g, [m for m in masks for _ in (1, -1)], p["rs_cap"])
-        # the positions rng.sample(stream, n) would pick
-        picked = rng.sample(range(len(stream)), min(p["sample"], len(stream)))
+        layout = rs_stream_layout(g, [m for m in masks for _ in (1, -1)], p["rs_cap"])
+        # the positions rng.sample(stream, n) would pick from the listed stream
+        length = layout[2]
+        picked = rng.sample(range(length), min(p["sample"], length))
         sampled = len(picked)
         # Gamma_2 / Gamma_4 is elementary abelian and u = y_(c XOR mask), so
         # an output y x^+-1 u^-1 acts mod 4 as I + 2V whatever y is, with V
@@ -615,7 +686,7 @@ def _check_rs_gamma24(p: dict) -> tuple[bool, dict]:
                 v ^= full[low.bit_length() - 1]
                 mask ^= low
             passes.append(_level_4_offset(v, g))
-        sample_ok = all(passes[stream[i][1] // 2] for i in picked)
+        sample_ok = all(passes[rs_stream_entry(layout, k, i)[1] // 2] for i in picked)
     ok = order_ok and reference_ok and section_ok and sample_ok
     return ok, {
         "order": grp.order,
@@ -846,7 +917,9 @@ CHECKS: dict[str, CheckSpec] = {
         "the level-2 image mod 4 is elementary abelian of rank equal to the slide family size",
         {"g": 4, "seed": 0, "sample": 200, "rs_cap": 20000},
         {"g": 3, "sample": 1, "rs_cap": 1},
-        # the walk keeps about 100 bytes per Schreier output it lists
+        # the walk lists no output, but holds up to one coset per output it
+        # counts, with a stream position per coset it reads: at g = 10,
+        # rs_cap = 10^6 takes 0.16 s at a 26 MB peak
         {"rs_cap": 1_000_000},
     ),
     "THM41-MEMBER": CheckSpec(

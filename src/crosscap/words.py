@@ -46,7 +46,7 @@ class Twist(Frozen):
     __slots__ = ("indices",)
 
     def __init__(self, indices: tuple[int, ...]) -> None:
-        idx = tuple(sorted(int(i) for i in indices))
+        idx = tuple(sorted(map(int, indices)))
         if len(set(idx)) != len(idx):
             raise InvalidSymbolError(f"repeated twist index in {idx}")
         if len(idx) % 2 != 0 or len(idx) < 2:

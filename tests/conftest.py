@@ -36,21 +36,22 @@ def rs_runner_layer(monkeypatch):
     """``run(g)`` runs the registry's RS-GAMMA24 at genus g and returns the
     mask of each signed generator that it walks its stream on and its
     verdict on each generator of ``_y_union_d_words``, read by spying on
-    ``rs_stream_factors`` and ``_level_4_offset``."""
-    stream, offset = ledger.rs_stream_factors, ledger._level_4_offset
+    the ``coords`` argument of ``rs_stream_layout`` and on
+    ``_level_4_offset``."""
+    layout, offset = ledger.rs_stream_layout, ledger._level_4_offset
 
     def run(g):
         walked, verdicts = [], []
 
         def walk(genus, coords, cap):
             walked.append(list(coords))
-            return stream(genus, coords, cap)
+            return layout(genus, coords, cap)
 
         def decide(v, genus):
             verdicts.append(offset(v, genus))
             return verdicts[-1]
 
-        monkeypatch.setattr(ledger, "rs_stream_factors", walk)
+        monkeypatch.setattr(ledger, "rs_stream_layout", walk)
         monkeypatch.setattr(ledger, "_level_4_offset", decide)
         ledger.run_check("RS-GAMMA24", {"g": g})
         assert len(walked) == 1

@@ -11,6 +11,18 @@ each of which must act on homology as ``named_element``'s word does.
 
 ``main3_word`` indexes the level-4 generating stream on family elements
 built once by the caller.
+
+``three_chain_relations`` is LEM42-3CHAIN's relation family as it was
+before its forms became factors: the chain power and the slide form are
+each multiplied out into one word with word products and conjugates, and
+each relation is the chain power times the inverse of a form.  The factors
+of ``crosscap.families.three_chain_factors`` and
+``three_chain_slide_factors`` must act as these words do.
+
+``main3_generators`` is the level-4 stream as it was before it built its
+family elements lazily: every A, B, C and D element first, then each
+conjugate.  ``crosscap.families.main3_generators`` must give the same
+words in the same order.
 """
 
 from __future__ import annotations
@@ -20,10 +32,13 @@ from typing import Callable, Iterator
 
 from crosscap.families import (
     NamedFamilyElement,
+    Relation,
     family_indices,
+    main3_families,
     main3_position,
     named_element,
     subset_word,
+    transversal_count,
 )
 from crosscap.words import MCGWord, Slide, Twist, commutator, conjugate, word
 
@@ -59,6 +74,48 @@ def main3_word(g: int, index: int, fams: list[NamedFamilyElement]) -> MCGWord:
     family elements ``fams`` (``main3_families(g)``) built once."""
     mask, k = main3_position(g, index, len(fams))
     return conjugate(fams[k].word, subset_word(g, mask))
+
+
+def main3_generators(g: int) -> Iterator[MCGWord]:
+    fams = main3_families(g)
+    for mask in range(transversal_count(g)):
+        y = subset_word(g, mask)
+        for element in fams:
+            yield conjugate(element.word, y)
+
+
+def three_chain_relations(gmax: int) -> Iterator[Relation]:
+    """Lemma 4.2 for each 1 < j < k < l <= g at each genus 4..gmax: the 4th
+    power of the twist chain equals the paired-twist form T T'^-1, named
+    ``(g, j, k, l, "paired")``, and the full slide-word expansion, named
+    ``(g, j, k, l, "slides")``.  The D element of the same indices is
+    T T', so the paired form's inverse is T^-1 D T^-1."""
+    for g in range(4, gmax + 1):
+
+        def yw(a: int, b: int, e: int = 1) -> MCGWord:
+            return word(g, (Slide(a, b), e))
+
+        def tw(indices: tuple[int, ...]) -> MCGWord:
+            return word(g, Twist(indices))
+
+        for idx in family_indices("D", g):
+            _, j, k, l = idx
+            chain = (tw((1, j)) * tw((j, k)) * tw((k, l))) ** 4
+            twist = tw(idx)
+            paired_inverse = ((twist, -1), (named_element("D", idx, g).word, 1), (twist, -1))
+            slide_form = (
+                yw(j, 1, -1)
+                * yw(1, j)
+                * yw(k, j, -1)
+                * yw(j, k)
+                * conjugate(yw(k, 1, -1) * yw(1, k), yw(j, 1))
+                * yw(l, k, -1)
+                * yw(k, l)
+                * conjugate(yw(l, j, -1) * yw(j, l), yw(k, j))
+                * conjugate(yw(l, 1, -1) * yw(1, l), yw(j, 1) * yw(k, l, -1))
+            )
+            yield (g, j, k, l, "paired"), g, ((chain, 1),) + paired_inverse
+            yield (g, j, k, l, "slides"), g, ((chain, 1), (slide_form, -1))
 
 
 def slide_commutator_rows(g: int) -> Iterator[tuple[tuple[int, int], tuple[int, int], MCGWord]]:

@@ -7,8 +7,7 @@ batched ``main3_stream_images`` below must reproduce.  RS-GAMMA24
 here keys every transversal word and every product y x^+-1 through
 ``phi_mod``, the reduced action reduced mod a modulus, and builds every
 Schreier word through the word-level ``finitegrp.schreier_generators``,
-which ``crosscap.ledger.rs_stream_factors`` and the registry's runner must
-reproduce.
+which ``xor_stream_factors`` and the registry's runner must reproduce.
 
 ``main3_stream_images`` evaluates the level-4 stream in numpy stacks, and
 ``thm41_member_stacked`` counts the words it reads that act nontrivially
@@ -19,7 +18,11 @@ F is.
 Two matrix-level forms sit between those and the registry's layer runners.
 ``rs_stream_factors`` walks RS-GAMMA24's stream over the coset action table
 of all 2^((g-1)^2) transversal images (``subset_images``), the walk that the
-XOR walk on layer coordinates must reproduce word for word.
+XOR walk on layer coordinates, ``xor_stream_factors``, must reproduce word
+for word.  ``xor_stream_factors`` lists every (c, j) pair of the stream up
+to the cap, where the registry's ``rs_stream_layout`` only counts each
+coset's outputs in closed form and ``rs_stream_entry`` reads a pair at a
+position; both must give the same pair at every position.
 ``thm41_mod8_stacked`` reads the whole level-4 stream mod 8 in stacks and
 closes its distinct images, the closure that the family images' closure
 must equal.
@@ -107,7 +110,6 @@ from crosscap.ledger import (
     _single_slides,
     _y_union_d_words,
     conjugated_gamma_generators,
-    rs_stream_factors as xor_stream_factors,
 )
 from crosscap.pi1free import ScaleGuardError
 from crosscap.words import MCGWord, Slide, TorelliTag, Twist, conjugate, word
@@ -404,6 +406,42 @@ def slide_layer(g: int, ws: list[MCGWord]) -> tuple[list[int], list[int]] | None
             mask ^= low
         outputs.append(v)
     return coords, outputs
+
+
+def xor_stream_factors(g: int, coords: list[int], cap: int) -> list[tuple[int, int]]:
+    """The first ``cap`` Schreier generators y s u^-1 of the kernel of phi
+    mod 4 on the group RS-GAMMA24's signed generators generate, as pairs
+    (c, j) in stream order: y is ``subset_word(g, c)``, s is signed
+    generator j and u is ``subset_word(g, c ^ coords[j])``.  No word is
+    built.
+
+    The signed generators are Y_t, Y_t^-1 for each t in subset-bit order,
+    then D, D^-1 for each D element, and ``coords`` holds each one's mask
+    in the single slides' basis, so the coset of y_c s_j is c XOR
+    ``coords[j]``.  Cosets are walked breadth-first from mask 0, the empty
+    word.  A product y s that already equals u as a reduced word is
+    skipped, as in ``finitegrp.schreier_generators``.  That happens exactly
+    when s = Y_t and c has no bit at or above t, or s = Y_t^-1 and t is the
+    top bit of c: every other product ends out of order, or with an inverse
+    letter, or with a D letter, and no subset word does.
+    """
+    slides = 2 * families.y_count(g)
+    seen = {0}
+    queue = deque([0])
+    outputs: list[tuple[int, int]] = []
+    while queue:
+        c = queue.popleft()
+        for j, step in enumerate(coords):
+            target = c ^ step
+            if target not in seen:
+                seen.add(target)
+                queue.append(target)
+            if j < slides and c >> (j // 2) == j % 2:
+                continue
+            outputs.append((c, j))
+            if len(outputs) >= cap:
+                return outputs
+    return outputs
 
 
 def rs_gamma24_products(p: dict) -> tuple[bool, dict]:

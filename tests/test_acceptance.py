@@ -116,7 +116,7 @@ def test_criterion_4_identity_suites():
                         assert word_matrix(alt).rows == m.rows
             for idx in families.family_indices("D", g):
                 assert word_matrix(families.named_element("D", idx, g).word).is_identity()
-            # the chain power times the inverse of each of its two other forms
+            # the inverse of the chain power times each of its two other forms
             for name, genus, factors in families.three_chain_relations(g):
                 if genus == g:
                     assert product_matrix(g, factors).is_identity(), name
@@ -125,11 +125,12 @@ def test_criterion_4_identity_suites():
             assert [name for name, _, _ in relations] == [
                 (g, x1, x2) for pos, x1 in enumerate(ys) for x2 in ys[pos + 1 :]
             ]
-            # a relation is the commutator's four factors, then its row inverted
+            # a relation is the commutator's inverse as four factors, then its row
             for (_, x1, x2), _, factors in relations:
-                lhs = word_matrix(commutator(word(g, Slide(*x1)), word(g, Slide(*x2))))
-                row = families.inverse_factors(factors[4:])
-                assert lhs.rows == product_matrix(g, row).rows
+                y1, y2 = word(g, Slide(*x1)), word(g, Slide(*x2))
+                assert factors[:4] == ((y2, 1), (y1, 1), (y2, -1), (y1, -1))
+                lhs = word_matrix(commutator(y1, y2))
+                assert lhs.rows == product_matrix(g, factors[4:]).rows
 
 
 def test_criterion_5_finite_quotient_orders():

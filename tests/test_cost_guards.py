@@ -1,15 +1,20 @@
 """Work that grows without bound is refused before it starts.
 
-GEN-FIX-ONES (``gmax``), THM23-OBSTRUCT (``g``) and THM51-COUNTS (``g``,
-``n``, ``d``) compute their work in closed form before they build a word,
-and past a named limit of ``ledger`` end inconclusive (exit 3) at once,
-naming it.  The points below the limits reach the work itself.  ``enum``
-builds a family element only when its stream reaches it, so ``--limit``
-bounds the work and not only the output."""
+GEN-FIX-ONES (``gmax``), THM23-OBSTRUCT (``g``), THM23-KER (``g``),
+THM51-COUNTS (``g``, ``n``, ``d``) and the identity checks T2-EQ-YY,
+LEM42-3CHAIN and LEM43-COMM (``gmax``) compute their work in closed form
+before they build a word, and past a named limit of ``ledger`` end
+inconclusive (exit 3) at once, naming it.  The points at or below the
+limits reach the work itself.  ``enum`` builds a family element only when
+its stream reaches it, so ``--limit`` bounds the work and not only the
+output; ``thm-main3`` builds each family element when the stream's first
+pass reaches it."""
 
+import itertools
 import json
 import time
 
+import oracle_families
 import pytest
 
 from crosscap import families, ledger
@@ -38,6 +43,14 @@ def reached(*args, **kwargs):
         ("THM51-COUNTS", "g=4,n=1000000,d=2", "BOUNDARY_WORD_LIMIT"),
         ("THM51-COUNTS", "g=4,n=1,d=1000000", "BOUNDARY_WORD_LIMIT"),
         ("THM51-COUNTS", "g=19,n=1,d=2", "BOUNDARY_WORD_LIMIT"),
+        ("THM23-KER", "g=100000", "LEVEL_MATRIX_ENTRY_LIMIT"),
+        ("THM23-KER", "g=2050", "LEVEL_MATRIX_ENTRY_LIMIT"),
+        ("T2-EQ-YY", "gmax=1000000", "TWIST_SQUARE_LIMIT"),
+        ("T2-EQ-YY", "gmax=93", "TWIST_SQUARE_LIMIT"),
+        ("LEM42-3CHAIN", "gmax=1000000", "THREE_CHAIN_LIMIT"),
+        ("LEM42-3CHAIN", "gmax=27", "THREE_CHAIN_LIMIT"),
+        ("LEM43-COMM", "gmax=1000000", "SLIDE_COMMUTATOR_LIMIT"),
+        ("LEM43-COMM", "gmax=20", "SLIDE_COMMUTATOR_LIMIT"),
     ],
 )
 def test_a_point_past_its_limit_is_inconclusive_at_once(capsys, suite, params, limit):
@@ -59,6 +72,10 @@ def test_a_point_past_its_limit_is_inconclusive_at_once(capsys, suite, params, l
         ("THM51-COUNTS", {"g": 18, "n": 1, "d": 2}, families.GenNSets, "f_set"),
         ("THM51-COUNTS", {"g": 4, "n": 1, "d": 50}, families.GenNSets, "f_set"),
         ("THM51-COUNTS", {"g": 4, "n": 1, "d": 63}, families.GenNSets, "f_set"),
+        ("THM23-KER", {"g": 2048, "d": 3}, ledger, "level_member"),
+        ("T2-EQ-YY", {"gmax": 92}, families, "twist_square_relations"),
+        ("LEM42-3CHAIN", {"gmax": 26}, families, "three_chain_relations"),
+        ("LEM43-COMM", {"gmax": 19}, families, "slide_commutator_relations"),
     ],
 )
 def test_a_point_within_its_limit_reaches_the_work(monkeypatch, check_id, params, module, name):
@@ -112,3 +129,30 @@ def test_enum_streams_every_family_element_in_order(capsys, family, g):
     assert main(["enum", "--set", family, "--genus", str(g)]) == 0
     want = [format_word(el.word) for el in families.family_elements(family, g)]
     assert capsys.readouterr().out.splitlines() == want
+
+
+def test_enum_thm_main3_streams_its_first_word_at_once(capsys):
+    start = time.perf_counter()
+    code = main(["enum", "--set", "thm-main3", "--genus", "40", "--limit", "1"])
+    elapsed = time.perf_counter() - start
+    lines = capsys.readouterr().out.splitlines()
+    assert code == 0 and lines[1:] == ["... truncated at 1"]
+    assert lines[0] == format_word(families.named_element("A", (1, 2), 40).word)
+    assert elapsed < 0.5
+
+
+# the whole stream at g = 4, 12,800 words; at g = 5 and 6 it has 2^16 and
+# 2^25 cosets, so only its prefixes are read there
+@pytest.mark.parametrize(
+    "g, limit", [(4, None)] + [(g, limit) for g in (4, 5, 6) for limit in (1, 40, 500)]
+)
+def test_enum_thm_main3_is_the_eager_stream(capsys, g, limit):
+    argv = ["enum", "--set", "thm-main3", "--genus", str(g)]
+    if limit is not None:
+        argv += ["--limit", str(limit)]
+    assert main(argv) == 0
+    lines = capsys.readouterr().out.splitlines()
+    want = [format_word(w) for w in itertools.islice(oracle_families.main3_generators(g), limit)]
+    if limit is not None:
+        assert lines.pop() == f"... truncated at {limit}"
+    assert lines == want

@@ -1,11 +1,16 @@
 """The hot checks build and evaluate each word once: LEM43-COMM looks every
 A, B and C element up in one table per genus and hands each row, its
-commutator times the inverse of its factors, to ``acts_trivially`` as one
+commutator's inverse times its factors, to ``acts_trivially`` as one
 factor list; RS-GAMMA24 evaluates each Y and D word once, k + |D| actions
 in all, and reads its closure, section and the verdicts on its sampled
 Schreier words from their layer vectors mod 4, with no ``reduced_action``
 or ``product_matrix`` call.  None of them forms a word product or inverse
-per row or sample.  The identity checks (LEM43-COMM, T2-EQ-YY,
+per row or sample.  LEM42-3CHAIN hands its chain power, slide form and
+paired form to ``acts_trivially`` as factors, so its only word products
+are those of its D elements, and a C element's slide form is one
+4-letter word: at the defaults ``MCGWord.__mul__`` is called 0 times in
+LEM43-COMM, 165 in LEM42-3CHAIN and 236 in the whole suite, counted from
+an empty D sign cache.  The identity checks (LEM43-COMM, T2-EQ-YY,
 LEM42-3CHAIN) and a C build decide each relation through
 ``families.failing`` with one ``acts_trivially`` call on one packed class,
 and GEN-FIX-ONES applies each generator to the total
@@ -111,6 +116,27 @@ def test_a_c_element_evaluates_its_two_realizations_on_every_build(monkeypatch):
     # the slide form times the inverse of the twist form, decided trivial
     # on homology each time
     assert counts == [1, 1]
+
+
+def test_the_suite_forms_its_counted_word_products(monkeypatch):
+    monkeypatch.setattr(families, "_D_SIGN_CACHE", {})
+    products = Counter()
+    current = [None]
+    real = words.MCGWord.__mul__
+
+    def mul(self, other):
+        products[current[0]] += 1
+        return real(self, other)
+
+    monkeypatch.setattr(words.MCGWord, "__mul__", mul)
+    for check_id in sorted(ledger.CHECKS):
+        current[0] = check_id
+        assert run_check(check_id).status == "pass", check_id
+    assert products["LEM43-COMM"] == 0
+    # 15 D elements, each 7 products to choose its sign (its conjugator,
+    # then 3 per candidate) and 4 to build it
+    assert products["LEM42-3CHAIN"] == 15 * (7 + 4) == 165
+    assert sum(products.values()) == 236
 
 
 @pytest.mark.parametrize(

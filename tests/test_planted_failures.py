@@ -1,6 +1,7 @@
 """The word-identity checks fail, by name, when one side of an identity is
 planted wrong: a LEM43-COMM row with a factor dropped, a C element whose
-twist form is off, a T2-EQ-YY pair and a LEM42-3CHAIN tuple.  Each defect
+twist form is off, a T2-EQ-YY pair, a LEM42-3CHAIN tuple and a wrong
+factor of its slide form.  Each defect
 is planted in the relation family its check draws from, and every check
 decides its relations with ``families.failing``; a decision that always
 said yes would pass every record and fail these."""
@@ -23,7 +24,7 @@ def test_a_lem43_row_with_a_factor_dropped_fails_by_name(monkeypatch):
     planted = []
 
     def relations(gmax):
-        # the four commutator factors, then the row's last factor inverted
+        # the commutator's four factors inverted, then the row's first factor
         for name, g, factors in real(gmax):
             if g == 5 and len(factors) > 4 and not planted:
                 planted.append(name)
@@ -109,8 +110,8 @@ def test_a_3chain_tuple_with_a_wrong_form_fails_by_name(monkeypatch, form):
     real = families.three_chain_relations
 
     def relations(gmax):
-        # the chain power times the inverse of the planted form: paired
-        # Y(1,3), or Y(1,3) slides
+        # the chain power inverted times the planted form: a Y(1,3)^-1
+        # inside the chain power, or after the slides
         for name, g, factors in real(gmax):
             if name == (5, 2, 4, 5, form):
                 extra = ((families.word(g, Slide(1, 3)), -1),)
@@ -121,6 +122,29 @@ def test_a_3chain_tuple_with_a_wrong_form_fails_by_name(monkeypatch, form):
     record = run_check("LEM42-3CHAIN", {"gmax": 5})
     assert record.status == "fail"
     assert record.details["failures"] == [(5, 2, 4, 5, form)]
+    assert record.details["tuples"] == 1 + 4
+
+
+@pytest.mark.parametrize("position", [0, 5, 9, 16, 19])
+def test_a_3chain_slide_form_with_a_wrong_factor_fails_by_name(monkeypatch, position):
+    real = families.three_chain_slide_factors
+
+    def slide_factors(j, k, l, slide):
+        factors = real(j, k, l, slide)
+        g = factors[0][0].genus
+        if (g, j, k, l) != (5, 2, 4, 5):
+            return factors
+        # the planted factor's slide reversed: Y(b,a) for Y(a,b), with its
+        # sign kept (a slide and its inverse act alike on H_1)
+        w, sign = factors[position]
+        ((sym, _),) = w.letters
+        wrong = families.word(g, Slide(sym.along, sym.moving))
+        return factors[:position] + ((wrong, sign),) + factors[position + 1 :]
+
+    monkeypatch.setattr(families, "three_chain_slide_factors", slide_factors)
+    record = run_check("LEM42-3CHAIN", {"gmax": 5})
+    assert record.status == "fail"
+    assert record.details["failures"] == [(5, 2, 4, 5, "slides")]
     assert record.details["tuples"] == 1 + 4
 
 

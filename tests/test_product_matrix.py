@@ -1,7 +1,8 @@
 """``product_matrix`` (the action of a product of words, read factor by
 factor) against the dense-product oracle of the spelled product and the
-column-update evaluator it replaced, and the slide-commutator rows'
-factors against the word-spelling oracle table."""
+column-update evaluator it replaced, the slide-commutator rows' factors
+against the word-spelling oracle table, and LEM42-3CHAIN's chain and
+slide-form factors against the words they replaced."""
 
 import itertools
 import random
@@ -24,6 +25,7 @@ from crosscap.words import (
     word,
 )
 from oracle_families import slide_commutator_rows as oracle_rows
+from oracle_families import three_chain_relations as oracle_three_chain
 from oracle_homology import column_product_matrix, oracle_word_matrix
 
 HUGE = 10**20
@@ -228,14 +230,37 @@ def test_generators_and_reduced_actions_form_no_products(monkeypatch):
 
 @pytest.mark.parametrize("g", range(4, 9))
 def test_commutator_rows_spell_the_oracle_words(g):
-    # each relation is [Y_x1, Y_x2] as four factors, then its row inverted
+    # each relation is [Y_x1, Y_x2]^-1 as four factors, then its row
     relations = [(name, factors) for name, genus, factors in families.slide_commutator_relations(g) if genus == g]
     reference = list(oracle_rows(g))
     assert [name for name, _ in relations] == [(g, x1, x2) for x1, x2, _ in reference]
     for (name, factors), (_, _, rhs) in zip(relations, reference):
         y1, y2 = (word(g, Slide(*x)) for x in name[1:])
-        assert factors[:4] == ((y1, 1), (y2, 1), (y1, -1), (y2, -1)), name
-        assert spelled(g, factors[4:]) == rhs.inverse(), name
+        assert factors[:4] == ((y2, 1), (y1, 1), (y2, -1), (y1, -1)), name
+        assert spelled(g, factors[4:]) == rhs, name
         assert (len(factors) == 4) == rhs.is_identity(), name
     # the pairs of commuting slides, whose rows are empty
     assert sum(len(factors) == 4 for _, factors in relations) == {4: 4, 5: 24, 6: 80, 7: 200, 8: 420}[g]
+
+
+@pytest.mark.parametrize("g", range(4, 9))
+def test_three_chain_factors_act_as_the_words_they_replace(g):
+    # the oracle's relations hold the chain power and the slide form as
+    # words: (chain, 1) first, and (slide form, -1) last of "slides"
+    words = {name: factors for name, genus, factors in oracle_three_chain(g) if genus == g}
+    relations = {name: factors for name, genus, factors in families.three_chain_relations(g) if genus == g}
+    assert list(relations) == list(words)
+    for _, j, k, l in families.family_indices("D", g):
+        chain, slide_form = words[g, j, k, l, "slides"]
+        chain_factors = families.three_chain_factors(j, k, l, lambda idx: word(g, Twist(idx)))
+        slide_factors = families.three_chain_slide_factors(j, k, l, lambda a, b: word(g, Slide(a, b)))
+        assert product_matrix(g, chain_factors).rows == word_matrix(chain[0]).rows
+        assert product_matrix(g, slide_factors).rows == word_matrix(slide_form[0]).rows
+        assert spelled(g, chain_factors) == chain[0]
+        assert spelled(g, slide_factors) == slide_form[0]
+        # the chain power inverted, then the paired form T D^-1 T or the slide form
+        twist = word(g, Twist((1, j, k, l)))
+        d = families.named_element("D", (1, j, k, l), g).word
+        inverse = families.inverse_factors(chain_factors)
+        assert relations[g, j, k, l, "paired"] == inverse + ((twist, 1), (d, -1), (twist, 1))
+        assert relations[g, j, k, l, "slides"] == inverse + slide_factors

@@ -1,6 +1,9 @@
 """The records, minus ``runtime_ms``, pinned by the sha256 of their
 canonical JSON (sorted keys, no spaces): every record of ``verify --suite
-all`` at seeds 0, 1 and 2, and the word-identity checks at gmax = 4..8.  A
+all`` at seeds 0, 1 and 2, the word-identity checks at gmax = 4..8,
+RS-GAMMA24 at g in {3, 5, 6}, rs_cap in {1, 97, 9218, 20000} and sample in
+{1, 200}, EX21-MATRICES at (gmax 8, dmax 4), GEN-FIX-ONES at gmax 10,
+THM41-MEMBER at g = 5 and THM41-MOD8 at g = 6.  A
 change that alters any record fails here; a declared record change edits
 its digest line and says so in CHANGES.md."""
 
@@ -92,6 +95,42 @@ IDENTITY = {
 }
 
 
+# RS-GAMMA24 at (g, rs_cap, sample), with the default seed
+RS_GRID = {
+    (3, 1, 1): "703fbd2f9ff9aebaca7e7f87f9cff227f6a37d41fa3bfdd656f28a86cf7b240b",
+    (3, 1, 200): "3cc31afbd50e4cbbbc97988a2b6034ce326cc3f8a168387f31b93f53c91c79b9",
+    (3, 97, 1): "63090d01a84866282f0db018dbac5dd0d1b820d6e2222599bae30646064b9b98",
+    (3, 97, 200): "31acf686c552cb6f6252eec410e420afbdcf261d1dc5ec06665078bfecb0f8ec",
+    (3, 9218, 1): "c42236050331cc46f926d21100c9814778e098736884d83123f24f4b2b35890c",
+    (3, 9218, 200): "20da2c39c2a266f10b21930b998f7205a2db3010ce1c459ca9e9d46c13caa116",
+    (3, 20000, 1): "e509169bceb96ff1ee086693e5edd31d79239ffd959e1df80a14191d628b241b",
+    (3, 20000, 200): "a0dfca3b834e874b70c86aaeab40a674627c662436da85219d2804dc5810c47f",
+    (5, 1, 1): "0b8088a247390ad73f8d9cbd94b2e39932d4aa2db31f816e1a854e44229a9eb2",
+    (5, 1, 200): "3faa1275045c1a6ec4bdecfe61c7dd341ac2db2fbedf571c40ae3db5b753ecc9",
+    (5, 97, 1): "5e8ac0d0523f33a76046495fc7d1d533050aa86683b2e4f10d351d4932b7aca4",
+    (5, 97, 200): "5c76b56b9dd13f7dac09cb0b951c8a70236f83216e21fc7685a465c8d48f5ee5",
+    (5, 9218, 1): "e5494711ccf341821b7a868836f7c42b479e55b0ea6c23c06e3d0a075a50e8f1",
+    (5, 9218, 200): "3fda01b268f46fb5b713200d50688efb55b5929ea6a188f5ddbe9ae976f1a4fa",
+    (5, 20000, 1): "0ad3a1e4692016183f387c5ab7c9e0e8de10a04103be8eb3656138762e37ccb3",
+    (5, 20000, 200): "d30c394006ffbd06d008d63762e7f6c6d4cc371fbe406749f542048f34e9888a",
+    (6, 1, 1): "6da891c2c88c6991b39dd4d87b765137684019be3198dfa7c9786f8f4b04a347",
+    (6, 1, 200): "58274f3853ea08679ca3b146cc3d9dab8090a887ef1070208d16a59050b54d3c",
+    (6, 97, 1): "77c3095005284c9f6e1228a7512f81bba81d97482acd72b92daa5b90b008c7ec",
+    (6, 97, 200): "a5f04db04971990373220bcb4f90127a27a62b764dfb51636652e5feb3c6f813",
+    (6, 9218, 1): "edfde80ae391a066f1fcc5fe58d18f03302eb420334cb3f968f122833092a68b",
+    (6, 9218, 200): "d938f1e15d54999dfcbb36a73666b639286ca07e91a3b3ab9cb42197bf5f72b6",
+    (6, 20000, 1): "10c7d4f2a2fdd0deb9549eba240ba4ed755efc408eeb416e1b170ddc50c15ef3",
+    (6, 20000, 200): "955448a304b3e43b56b83b82a3087dabd16b52bb2a50b7492b963ce7e32e5f50",
+}
+
+POINTS = {
+    ("EX21-MATRICES", (("dmax", 4), ("gmax", 8))): "08b6fd1c9d40a0cc14d3af786ac0350585f24c99a71571c103dfb336d6c2ba01",
+    ("GEN-FIX-ONES", (("gmax", 10),)): "2d7f68a9c60010c82f0d787dd2fed9f43384316eec93cf42817ca3d23377d986",
+    ("THM41-MEMBER", (("g", 5),)): "13e0f7b71e725eef41128c85b959cfe6db6a973af11c5a10cd32147ae7bcb92b",
+    ("THM41-MOD8", (("g", 6),)): "c9994751697d2c96b715663054295d609e8b652a829001075ae26f8f5f5e7e05",
+}
+
+
 def digest(record: dict) -> str:
     """The sha256 of ``record`` without its ``runtime_ms``, in canonical JSON."""
     rest = {k: v for k, v in record.items() if k != "runtime_ms"}
@@ -110,6 +149,20 @@ def test_verify_all_records_are_pinned(capsys, seed):
 @pytest.mark.parametrize("check_id, gmax", sorted(IDENTITY))
 def test_identity_check_records_are_pinned(check_id, gmax):
     assert digest(run_check(check_id, {"gmax": gmax}).to_json()) == IDENTITY[check_id, gmax]
+
+
+@pytest.mark.parametrize("g, rs_cap, sample", sorted(RS_GRID))
+def test_rs_gamma24_records_are_pinned(g, rs_cap, sample):
+    record = run_check("RS-GAMMA24", {"g": g, "rs_cap": rs_cap, "sample": sample}).to_json()
+    assert record["status"] == "pass"
+    assert digest(record) == RS_GRID[g, rs_cap, sample]
+
+
+@pytest.mark.parametrize("check_id, params", sorted(POINTS))
+def test_records_off_the_defaults_are_pinned(check_id, params):
+    record = run_check(check_id, dict(params)).to_json()
+    assert record["status"] == "pass"
+    assert digest(record) == POINTS[check_id, params]
 
 
 def test_a_planted_record_change_fails_its_digest(monkeypatch):

@@ -1,7 +1,11 @@
-"""RS-GAMMA24's Schreier stream, walked by XOR on level-layer coordinates,
-against the table walk and the word-level oracle it replaced
-(``oracle_ledger``), and the batched coset action table and exponent test
-kept as references in ``oracle_finitegrp``."""
+"""RS-GAMMA24's Schreier stream, located in closed form by
+``rs_stream_layout`` and ``rs_stream_entry``, against the XOR walk that
+lists it (``oracle_ledger.xor_stream_factors``); the XOR walk against the
+table walk and the word-level oracle it replaced (``oracle_ledger``); and
+the batched coset action table and exponent test kept as references in
+``oracle_finitegrp``."""
+
+import random
 
 import numpy as np
 import pytest
@@ -13,7 +17,7 @@ from crosscap import families, ledger
 from crosscap.finitegrp import SectionError
 from crosscap.homology import reduced_action
 from crosscap.intmat import ModMatrix, elementary
-from crosscap.ledger import rs_stream_factors, run_check
+from crosscap.ledger import rs_stream_entry, rs_stream_layout, run_check
 from crosscap.words import Twist, word
 
 
@@ -31,8 +35,39 @@ def xor_walk(g, cap):
     coords = oracle_ledger.slide_coordinates(g, signed)
     return [
         (families.subset_word(g, c), signed[j], families.subset_word(g, c ^ coords[j]))
-        for c, j in rs_stream_factors(g, coords, cap)
+        for c, j in oracle_ledger.xor_stream_factors(g, coords, cap)
     ]
+
+
+def signed_coordinates(g):
+    signed = [s for x in ledger._y_union_d_words(g) for s in (x, x.inverse())]
+    return oracle_ledger.slide_coordinates(g, signed)
+
+
+@pytest.mark.parametrize("cap", [1, 97, 777, 9217, 9218, 9219, 20000])
+@pytest.mark.parametrize("g", [3, 4, 5, 6])
+def test_the_layout_locates_every_pair_of_the_walk(g, cap):
+    # every position at g = 3 and 4, where the whole stream has 98 and
+    # 9,218 outputs, and 500 seeded positions at g = 5 and 6
+    coords = signed_coordinates(g)
+    walk = oracle_ledger.xor_stream_factors(g, coords, cap)
+    layout = rs_stream_layout(g, coords, cap)
+    assert layout[2] == len(walk)
+    cosets, starts, _ = layout
+    assert len(cosets) == len(starts) <= len(walk)
+    positions = range(len(walk))
+    if g > 4:
+        positions = sorted(random.Random(cap).sample(positions, min(500, len(walk))))
+    k = families.y_count(g)
+    assert [rs_stream_entry(layout, k, i) for i in positions] == [walk[i] for i in positions]
+
+
+@pytest.mark.parametrize("g", [3, 4, 5])
+def test_the_whole_stream_has_its_closed_form_length(g):
+    k, d = families.y_count(g), len(families.family_indices("D", g))
+    total = (1 << k) * (2 * (k + d) - 2) + 2
+    assert rs_stream_layout(g, signed_coordinates(g), total + 1)[2] == total
+    assert total == {3: 98, 4: 9218, 5: 65536 * 38 + 2}[g]
 
 
 @pytest.mark.parametrize("g", [3, 4])
