@@ -16,7 +16,7 @@ from typing import Callable, Hashable, Iterable, Iterator, Sequence
 
 from . import homology
 from ._frozen import Frozen, set_field
-from .finitegrp import ScaleGuardError
+from .finitegrp import check_budget
 from .words import (
     BoundaryTwist,
     MCGWord,
@@ -243,14 +243,13 @@ def zset(g: int, l: int) -> list[MCGWord]:
         if k != j
     ]
     # a power of a word of k letters has at most k * 2^(l - 3) of them, as many
-    # for the cyclically reduced C words; capping the shift at the limit's bit
-    # length decides the bound without forming the power of two
+    # for the cyclically reduced C words; the power of two is capped, not formed
     longest = max((len(w.letters) for w in bases), default=0)
-    if longest << min(l - 3, SEED_LETTER_LIMIT.bit_length()) > SEED_LETTER_LIMIT:
-        raise ScaleGuardError(
-            f"the tower set at l = {l} raises a {longest}-letter word to the power 2^{l - 3},"
-            f" {longest} x 2^{l - 3} letters, over SEED_LETTER_LIMIT = {SEED_LETTER_LIMIT}"
-        )
+    check_budget(
+        "SEED_LETTER_LIMIT", SEED_LETTER_LIMIT, longest << min(l - 3, SEED_LETTER_LIMIT.bit_length()),
+        f"the tower set at l = {l} raises a {longest}-letter word to the power 2^{l - 3},"
+        f" {longest} x 2^{l - 3} letters",
+    )
     return [w ** (1 << (l - 3)) for w in bases]
 
 
@@ -262,11 +261,10 @@ def transversal_2z(g: int, l: int) -> Iterator[MCGWord]:
     sizes = [len(w.letters) for w in elements]
     for mask in range(1 << len(elements)):
         count = sum(n for t, n in enumerate(sizes) if mask >> t & 1)
-        if count > SEED_LETTER_LIMIT:
-            raise ScaleGuardError(
-                f"the tower-set product of mask {mask} would have up to {count} letters,"
-                f" over SEED_LETTER_LIMIT = {SEED_LETTER_LIMIT}"
-            )
+        check_budget(
+            "SEED_LETTER_LIMIT", SEED_LETTER_LIMIT, count,
+            f"the tower-set product of mask {mask} would have up to {count} letters",
+        )
         out = MCGWord.identity(g)
         for t, element in enumerate(elements):
             if mask >> t & 1:
@@ -309,11 +307,10 @@ def main2_normal_generators(g: int, n: int, d: int) -> list[Main2Generator]:
         # t' is the twist about the slide image of a_{1,2}; the product with
         # the inverse twist is the commutator [t_{a12}, Y_{3,2}], a cyclically
         # reduced word of 4 letters, so its (d/2)-th power has 2d letters
-        if 2 * d > SEED_LETTER_LIMIT:
-            raise ScaleGuardError(
-                f"the seed (twist(a12) twist(a12')^-1)^(d/2) would have {2 * d} letters,"
-                f" over the limit of {SEED_LETTER_LIMIT}"
-            )
+        check_budget(
+            "SEED_LETTER_LIMIT", SEED_LETTER_LIMIT, 2 * d,
+            f"the seed (twist(a12) twist(a12')^-1)^(d/2) would have {2 * d} letters",
+        )
         half = commutator(_twist_word(g, (1, 2)), _slide_word(g, 3, 2)) ** (d // 2)
         out.append(Main2Generator("(twist(a12) twist(a12')^-1)^(d/2)", half, True))
     paired = named_element("D", (1, 2, 3, 4), g).word

@@ -61,6 +61,13 @@ class ScaleGuardError(ValueError):
     """A scale guard or size cap was hit; the computation is inconclusive."""
 
 
+def check_budget(name: str, limit: int, count: int, work: str) -> None:
+    """Raise ``ScaleGuardError`` "WORK, over NAME = LIMIT" when ``count`` is past ``limit``; a
+    count too large to form is passed capped at the limit's bit length."""
+    if count > limit:
+        raise ScaleGuardError(f"{work}, over {name} = {limit}")
+
+
 # the most elements a matrix-group closure lists before it stops
 CLOSURE_CAP = 1 << 22
 # the most cosets a Todd-Coxeter enumeration defines before it stops

@@ -22,6 +22,7 @@ from .finitegrp import (
     LevelLayer,
     ScaleGuardError,
     bfs_closure,
+    check_budget,
     identity_offsets,
     layer_closure,
     layer_normal_closure,
@@ -79,6 +80,34 @@ THREE_CHAIN_LIMIT = 1 << 15
 # the most relations LEM43-COMM decides, the sum of C((g - 1)^2, 2) over
 # g = 4..gmax: gmax = 19 decides 215,112 in 3.2 s
 SLIDE_COMMUTATOR_LIMIT = 1 << 18
+# the most matrices PSI-O2's exhaustion enumerates, 2^(g^2): g <= 4, in milliseconds
+ORTHOGONAL_MATRIX_LIMIT = 1 << 16
+# the most genus-3 twist powers EX21-MATRICES evaluates, 3 per level up to
+# dmax: dmax = 43,690 evaluates 131,070 in 1.9 s, and the work grows as dmax
+TWIST_POWER_LIMIT = 1 << 17
+# the most actions EX21-MATRICES compares at genus 3..gmax, 5 C(gmax + 1, 3)
+# - 5 + 3 (gmax // 2 - 1): gmax = 34 compares 32,768 in 3.4 s
+GENERAL_ACTION_LIMIT = 1 << 15
+# the most entry products THM23-ELEM spends raising its (g-1)(g-2)
+# commutator actions to the power d/2: (26, 4) spends 28 million in 2.0 s
+COMMUTATOR_POWER_LIMIT = 1 << 25
+# the most conjugates even-d THM31-CLOSURE can form, the (g-1)^2 layer
+# dimensions times its g + 1 letters: (101, 2) bounds 1,020,000 in 4.7 s
+LAYER_CONJUGATE_LIMIT = 1 << 20
+# the most g x g entries RS-GAMMA24 evaluates, (g-1)^2 + C(g-1, 3) Y and D
+# words: g = 34 evaluates 7.6 million in 4.0 s at 94 MB
+GENERATOR_ACTION_LIMIT = 1 << 23
+# the most g x g entries THM41-MEMBER and THM41-MOD8 evaluate, g C(g, 2) +
+# C(g-1, 3) A, B, C and D elements: g = 30 evaluates 15 million in 3.2 and
+# 4.2 s, the second at 162 MB
+FAMILY_ACTION_LIMIT = 1 << 24
+# the most dimensions of TOWER-2L's (g-1)^2 layer: g = 182 spans 32,761 in
+# 0.1 s at 89 MB, and the memory grows as (g-1)^4
+LAYER_DIMENSION_LIMIT = 1 << 15
+# the greatest l of TOWER-2L, whose layer's level 2^(l-1) is formed: at
+# l = 2^20 an int of 128 KB, in milliseconds
+TOWER_EXPONENT_LIMIT = 1 << 20
+
 
 class UnknownCheckError(ValueError):
     """The requested check id is not in the catalog."""
@@ -221,9 +250,11 @@ def brute_force_mod2_orthogonal(g: int) -> frozenset[int]:
     survivors, the t with M^T M = I, are the set bits of the AND of the
     Gram conditions.
     """
-    if g > 4:
-        raise ScaleGuardError(f"2^(g^2) enumeration unreasonable for g = {g}")
-    count = 1 << (g * g)
+    count = 1 << min(g * g, ORTHOGONAL_MATRIX_LIMIT.bit_length())
+    check_budget(
+        "ORTHOGONAL_MATRIX_LIMIT", ORTHOGONAL_MATRIX_LIMIT, count,
+        f"the mod-2 orthogonal exhaustion at g = {g} would enumerate 2^(g^2) = 2^{g * g} matrices",
+    )
     entries = []
     for k in range(g * g):
         # 2^k clear bits then 2^k set bits, doubled until it fills count bits
@@ -364,6 +395,18 @@ def rs_stream_entry(
 
 
 def _check_ex21_matrices(p: dict) -> tuple[bool, dict]:
+    dmax, gmax = p["dmax"], p["gmax"]
+    check_budget(
+        "TWIST_POWER_LIMIT", TWIST_POWER_LIMIT, 3 * dmax,
+        f"EX21-MATRICES at dmax = {dmax} would evaluate 3 x {dmax} genus-3 twist powers",
+    )
+    # at each genus g, 3 C(g, 2) twist powers, g(g-1) slides and, for even g,
+    # 3 full twists
+    actions = 5 * math.comb(gmax + 1, 3) - 5 + 3 * (gmax // 2 - 1)
+    check_budget(
+        "GENERAL_ACTION_LIMIT", GENERAL_ACTION_LIMIT, actions,
+        f"EX21-MATRICES at gmax = {gmax} would compare {actions} actions of genus 3..{gmax}",
+    )
     g3_slides = {
         (1, 2): ((-1, 2), (0, 1)),
         (2, 1): ((1, 0), (2, -1)),
@@ -377,7 +420,7 @@ def _check_ex21_matrices(p: dict) -> tuple[bool, dict]:
         got = reduced_action(word(3, Slide(a, b))).rows
         if got != expect:
             failures.append(("slide", a, b, got))
-    for d in range(1, p["dmax"] + 1):
+    for d in range(1, dmax + 1):
         fixed = {
             (1, 2): ((1 - d, d), (-d, 1 + d)),
             (1, 3): ((1, 0), (d, 1)),
@@ -388,7 +431,7 @@ def _check_ex21_matrices(p: dict) -> tuple[bool, dict]:
             if got != expect:
                 failures.append(("twist", i, j, d, got))
     # the general-genus closed forms, against independent prose constructors
-    for g in range(3, p["gmax"] + 1):
+    for g in range(3, gmax + 1):
         for d in (1, 2, 3):
             for i in range(1, g + 1):
                 for j in range(i + 1, g + 1):
@@ -413,11 +456,10 @@ def _check_gen_fix_ones(p: dict) -> tuple[bool, dict]:
     # at each genus 2..gmax, 2^(g-1) - 1 twists, g(g-1) slides and two
     # Torelli tags; past the limit's bit length 2^gmax is not formed
     rest = (gmax - 1) * gmax * (gmax + 1) // 3 + gmax - 3
-    if gmax >= ALPHABET_WORD_LIMIT.bit_length() or (1 << gmax) + rest > ALPHABET_WORD_LIMIT:
-        raise ScaleGuardError(
-            f"GEN-FIX-ONES at gmax = {gmax} would act with 2^{gmax} + {rest} generators,"
-            f" over ALPHABET_WORD_LIMIT = {ALPHABET_WORD_LIMIT}"
-        )
+    check_budget(
+        "ALPHABET_WORD_LIMIT", ALPHABET_WORD_LIMIT, (1 << min(gmax, ALPHABET_WORD_LIMIT.bit_length())) + rest,
+        f"GEN-FIX-ONES at gmax = {gmax} would act with 2^{gmax} + {rest} generators",
+    )
     bad = []
     checked = 0
     for g in range(2, p["gmax"] + 1):
@@ -437,11 +479,10 @@ def _check_gen_fix_ones(p: dict) -> tuple[bool, dict]:
 def _check_t2_eq_yy(p: dict) -> tuple[bool, dict]:
     # the pairs i < j at each genus 3..gmax
     pairs = math.comb(p["gmax"] + 1, 3) - 1
-    if pairs > TWIST_SQUARE_LIMIT:
-        raise ScaleGuardError(
-            f"T2-EQ-YY at gmax = {p['gmax']} would decide {pairs} relations,"
-            f" over TWIST_SQUARE_LIMIT = {TWIST_SQUARE_LIMIT}"
-        )
+    check_budget(
+        "TWIST_SQUARE_LIMIT", TWIST_SQUARE_LIMIT, pairs,
+        f"T2-EQ-YY at gmax = {p['gmax']} would decide {pairs} relations",
+    )
     bad = families.failing(families.twist_square_relations(p["gmax"]))
     return not bad, {"pairs": pairs, "failures": bad}
 
@@ -449,6 +490,15 @@ def _check_t2_eq_yy(p: dict) -> tuple[bool, dict]:
 def _check_thm23_elem(p: dict) -> tuple[bool, dict]:
     g, d = p["g"], p["d"]
     n = g - 1
+    # square-and-multiply to the power d/2 takes one product per bit and one
+    # per set bit, each of n^3 entry products
+    products = (d // 2).bit_length() + (d // 2).bit_count()
+    count = n * (n - 1) * products * n**3
+    check_budget(
+        "COMMUTATOR_POWER_LIMIT", COMMUTATOR_POWER_LIMIT, count,
+        f"THM23-ELEM at (g, d) = ({g}, {d}) would raise {n * (n - 1)} commutator actions to the power"
+        f" d/2 with {products} matrix products each, {count} entry products in all",
+    )
     bad = []
     for i in range(1, g):
         for j in range(i + 1, g):
@@ -469,11 +519,10 @@ def _check_thm23_elem(p: dict) -> tuple[bool, dict]:
 
 def _check_thm23_obstruct(p: dict) -> tuple[bool, dict]:
     g, d = p["g"], p["d"]
-    if (g - 1) ** 2 > OBSTRUCTION_ENTRY_LIMIT:
-        raise ScaleGuardError(
-            f"THM23-OBSTRUCT at g = {g} would hold a target of (g-1)^2 = {(g - 1) ** 2} entries,"
-            f" over OBSTRUCTION_ENTRY_LIMIT = {OBSTRUCTION_ENTRY_LIMIT}"
-        )
+    check_budget(
+        "OBSTRUCTION_ENTRY_LIMIT", OBSTRUCTION_ENTRY_LIMIT, (g - 1) ** 2,
+        f"THM23-OBSTRUCT at g = {g} would hold a target of (g-1)^2 = {(g - 1) ** 2} entries",
+    )
     target = elementary(g - 1, 1, 2, d)
     result = lift_obstruction(target, g)
     expect_obstructed = d % 2 == 1
@@ -492,11 +541,10 @@ def _check_thm23_obstruct(p: dict) -> tuple[bool, dict]:
 
 def _check_thm23_ker(p: dict) -> tuple[bool, dict]:
     g, d = p["g"], p["d"]
-    if g * g > LEVEL_MATRIX_ENTRY_LIMIT:
-        raise ScaleGuardError(
-            f"THM23-KER at g = {g} would evaluate a g x g action of g^2 = {g * g} entries,"
-            f" over LEVEL_MATRIX_ENTRY_LIMIT = {LEVEL_MATRIX_ENTRY_LIMIT}"
-        )
+    check_budget(
+        "LEVEL_MATRIX_ENTRY_LIMIT", LEVEL_MATRIX_ENTRY_LIMIT, g * g,
+        f"THM23-KER at g = {g} would evaluate a g x g action of g^2 = {g * g} entries",
+    )
     w = word(g, (Twist(tuple(range(1, g + 1))), d))
     member = level_member(w, d)
     nontrivial = not acts_trivially(g, ((w, 1),))
@@ -514,6 +562,10 @@ def _check_psi_o2(p: dict) -> tuple[bool, dict]:
 
 def _check_thm31_member(p: dict) -> tuple[bool, dict]:
     g, d = p["g"], p["d"]
+    check_budget(
+        "LEVEL_MATRIX_ENTRY_LIMIT", LEVEL_MATRIX_ENTRY_LIMIT, g * g,
+        f"THM31-MEMBER at g = {g} would evaluate g x g actions of g^2 = {g * g} entries",
+    )
     gens = families.main2_normal_generators(g, 0, d)
     bad = [r.name for r in gens if not level_member(r.word, d)]
     return not bad, {"generators": [r.name for r in gens], "failures": bad}
@@ -550,12 +602,18 @@ def _check_thm31_closure(p: dict) -> tuple[bool, dict]:
     g, d = p["g"], p["d"]
     if d % 2:
         # the bound grows with g, so the search stops at a small genus
-        first = next((h for h in range(2, g + 1) if _orthogonal_bound(h) > CLOSURE_CAP), None)
-        if first:
-            raise ScaleGuardError(
-                f"the orthogonal bound at g = {g} exceeds the closure cap of {CLOSURE_CAP}"
-                f" elements: it is {_orthogonal_bound(first)} at g = {first} and grows with g"
-            )
+        h = next((h for h in range(2, g + 1) if _orthogonal_bound(h) > CLOSURE_CAP), g)
+        check_budget(
+            "CLOSURE_CAP", CLOSURE_CAP, _orthogonal_bound(h),
+            f"the orthogonal bound at g = {g} is at least {_orthogonal_bound(h)}, its value at g = {h}",
+        )
+    else:
+        count = (g - 1) ** 2 * (g + 1)
+        check_budget(
+            "LAYER_CONJUGATE_LIMIT", LAYER_CONJUGATE_LIMIT, count,
+            f"THM31-CLOSURE at g = {g} would conjugate up to (g-1)^2 = {(g - 1) ** 2} layer vectors"
+            f" by g + 1 = {g + 1} letters, {count} conjugates",
+        )
     closed = [r for r in families.main2_normal_generators(g, 0, d) if r.closed_surface]
     seeds = [reduced_action(r.word) for r in closed]
     seed_names = [f"seed {r.name}" for r in closed]
@@ -607,11 +665,10 @@ def _check_thm31_closure(p: dict) -> tuple[bool, dict]:
 def _check_lem42_3chain(p: dict) -> tuple[bool, dict]:
     # the tuples 1 < j < k < l <= g at each genus 4..gmax, two relations each
     tuples = math.comb(p["gmax"], 4)
-    if 2 * tuples > THREE_CHAIN_LIMIT:
-        raise ScaleGuardError(
-            f"LEM42-3CHAIN at gmax = {p['gmax']} would decide 2 x {tuples} relations,"
-            f" over THREE_CHAIN_LIMIT = {THREE_CHAIN_LIMIT}"
-        )
+    check_budget(
+        "THREE_CHAIN_LIMIT", THREE_CHAIN_LIMIT, 2 * tuples,
+        f"LEM42-3CHAIN at gmax = {p['gmax']} would decide 2 x {tuples} relations",
+    )
     bad = families.failing(families.three_chain_relations(p["gmax"]))
     return not bad, {"tuples": tuples, "failures": bad}
 
@@ -622,11 +679,10 @@ def _check_lem43_comm(p: dict) -> tuple[bool, dict]:
     pairs = 0
     for g in range(4, p["gmax"] + 1):
         pairs += math.comb(families.y_count(g), 2)
-        if pairs > SLIDE_COMMUTATOR_LIMIT:
-            raise ScaleGuardError(
-                f"LEM43-COMM at gmax = {p['gmax']} would decide {pairs} relations by g = {g},"
-                f" over SLIDE_COMMUTATOR_LIMIT = {SLIDE_COMMUTATOR_LIMIT}"
-            )
+        check_budget(
+            "SLIDE_COMMUTATOR_LIMIT", SLIDE_COMMUTATOR_LIMIT, pairs,
+            f"LEM43-COMM at gmax = {p['gmax']} would decide {pairs} relations by g = {g}",
+        )
     counts = {"pairs": pairs, "nontrivial_rows": 0}
 
     def counted():
@@ -639,8 +695,18 @@ def _check_lem43_comm(p: dict) -> tuple[bool, dict]:
     return not bad, {**counts, "failures": bad[:10]}
 
 
+def _action_budget(check_id: str, g: int, words: int, name: str, limit: int) -> None:
+    """Refuse a check that evaluates ``words`` g x g actions past ``limit``."""
+    check_budget(
+        name, limit, words * g * g,
+        f"{check_id} at g = {g} would evaluate {words} g x g actions, {words * g * g} entries",
+    )
+
+
 def _check_rs_gamma24(p: dict) -> tuple[bool, dict]:
     g = p["g"]
+    words = (g - 1) ** 2 + math.comb(g - 1, 3)
+    _action_budget("RS-GAMMA24", g, words, "GENERATOR_ACTION_LIMIT", GENERATOR_ACTION_LIMIT)
     rng = random.Random(p["seed"])
     gens_words = _y_union_d_words(g)
     names = [f"generator {w}" for w in gens_words]
@@ -700,8 +766,15 @@ def _check_rs_gamma24(p: dict) -> tuple[bool, dict]:
     }
 
 
+def _main3_elements(g: int) -> int:
+    """The A, B, C and D elements, C(g, 2) each of A and B, C(g, 2)(g - 2)
+    of C and C(g - 1, 3) of D, counted without listing them."""
+    return g * math.comb(g, 2) + math.comb(g - 1, 3)
+
+
 def _check_thm41_member(p: dict) -> tuple[bool, dict]:
     g = p["g"]
+    _action_budget("THM41-MEMBER", g, _main3_elements(g), "FAMILY_ACTION_LIMIT", FAMILY_ACTION_LIMIT)
     fams = families.main3_families(g)
     # the level-4 subgroup is the kernel of the action on H_1(N_g; Z/4), so
     # it is normal: a stream word y F y^-1 is level 4 exactly when its family
@@ -719,6 +792,7 @@ def _check_thm41_member(p: dict) -> tuple[bool, dict]:
 
 def _check_thm41_mod8(p: dict) -> tuple[bool, dict]:
     g = p["g"]
+    _action_budget("THM41-MOD8", g, _main3_elements(g), "FAMILY_ACTION_LIMIT", FAMILY_ACTION_LIMIT)
     fams = families.main3_families(g)
     # every single slide acts as I mod 2, so a stream word y F y^-1 has the
     # layer vector M(y) X(F) M(y)^-1 = X(F) mod 2: the stream spans exactly
@@ -744,6 +818,14 @@ def _check_thm41_mod8(p: dict) -> tuple[bool, dict]:
 def _check_tower_2l(p: dict) -> tuple[bool, dict]:
     g, l = p["g"], p["l"]
     n = g - 1
+    check_budget(
+        "LAYER_DIMENSION_LIMIT", LAYER_DIMENSION_LIMIT, n * n,
+        f"TOWER-2L at g = {g} would span a layer of (g-1)^2 = {n * n} dimensions",
+    )
+    check_budget(
+        "TOWER_EXPONENT_LIMIT", TOWER_EXPONENT_LIMIT, l,
+        f"TOWER-2L at l = {l} would form the level 2^{l - 1}",
+    )
     grp = layer_span(congruence_vectors(n), 1 << (l - 1), n)
     expected = 1 << (n * n - 1)
     return grp.order == expected, {"order": grp.order, "expected": expected}
@@ -810,11 +892,11 @@ def _check_thm51_counts(p: dict) -> tuple[bool, dict]:
     # the F list of each boundary, boundary 1's again, and the d^(g-1) words
     # of G; d >= 2, so past the limit's bit length d^(g-1) is not formed
     f_words = (n + 1) * sets.f_count(1) + n * (n - 1)
-    if g - 1 >= BOUNDARY_WORD_LIMIT.bit_length() or f_words + d ** (g - 1) > BOUNDARY_WORD_LIMIT:
-        raise ScaleGuardError(
-            f"THM51-COUNTS at (g, n, d) = ({g}, {n}, {d}) would list {f_words} F words and"
-            f" d^(g-1) = {d}^{g - 1} G words, over BOUNDARY_WORD_LIMIT = {BOUNDARY_WORD_LIMIT}"
-        )
+    check_budget(
+        "BOUNDARY_WORD_LIMIT", BOUNDARY_WORD_LIMIT, f_words + d ** min(g - 1, BOUNDARY_WORD_LIMIT.bit_length()),
+        f"THM51-COUNTS at (g, n, d) = ({g}, {n}, {d}) would list {f_words} F words and"
+        f" d^(g-1) = {d}^{g - 1} G words",
+    )
     ok = True
     details: dict = {"g_count": sets.g_count(), "h_count": sets.h_count()}
     ok = ok and sets.g_count() == d ** (g - 1)

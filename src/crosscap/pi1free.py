@@ -47,8 +47,8 @@ from typing import Iterable, Iterator, Optional, Sequence
 from ._frozen import Frozen, set_field
 from .finitegrp import (
     CosetTable,
-    ScaleGuardError,
     _CosetRows,
+    check_budget,
     eliminate_generators,
     todd_coxeter,
 )
@@ -368,7 +368,7 @@ def gtilde(g: int, d: int) -> list[FreeWord]:
 # kernel certificates take on: the claimed graph reads every relator letter
 # at every vertex.  THETA-BASIS, which spells all d^(g-1) transversal words,
 # is held to it too
-_KERNEL_WORK_BUDGET = 1 << 22
+KERNEL_WORK_BUDGET = 1 << 22
 
 
 def _relator_letters(g: int, n: int, d: int) -> int:
@@ -392,16 +392,13 @@ def kernel_guard(g: int, n: int, d: int) -> None:
     letters = _relator_letters(g, n, d)
     # d >= 2, so the work is at least 2^(g-1) x 2^(bits of letters - 1); far
     # past the budget the power d^(g-1) is neither formed nor printed
-    if g - 1 + letters.bit_length() - 1 > 64:
-        raise ScaleGuardError(
-            f"kernel work d^(g-1) x relator letters > 2^64 exceeds budget {_KERNEL_WORK_BUDGET}"
-        )
-    index = d ** (g - 1)
-    if index * letters > _KERNEL_WORK_BUDGET:
-        raise ScaleGuardError(
-            f"kernel work d^(g-1) x relator letters = {index} x {letters} = {index * letters}"
-            f" exceeds budget {_KERNEL_WORK_BUDGET}"
-        )
+    count, size = 1 << 65, "> 2^64"
+    if g - 1 + letters.bit_length() - 1 <= 64:
+        index = d ** (g - 1)
+        count, size = index * letters, f"= {index} x {letters} = {index * letters}"
+    check_budget(
+        "KERNEL_WORK_BUDGET", KERNEL_WORK_BUDGET, count, f"kernel work d^(g-1) x relator letters {size}"
+    )
 
 
 def fold_in_plus_basis(

@@ -89,6 +89,7 @@ from crosscap import families
 from crosscap.finitegrp import (
     FiniteMatrixGroup,
     LevelLayer,
+    ScaleGuardError,
     layer_closure,
     layer_normal_closure,
     normal_closure,
@@ -111,7 +112,6 @@ from crosscap.ledger import (
     _y_union_d_words,
     conjugated_gamma_generators,
 )
-from crosscap.pi1free import ScaleGuardError
 from crosscap.words import MCGWord, Slide, TorelliTag, Twist, conjugate, word
 
 

@@ -67,7 +67,7 @@ def test_enum_seed_guard_is_inconclusive(capsys):
     )
     assert code == 3 and err == ""
     assert out.startswith("inconclusive: ")
-    assert f"would have {1 << 41} letters, over the limit of 1048576" in out
+    assert f"would have {1 << 41} letters, over SEED_LETTER_LIMIT = 1048576" in out
 
 
 def test_enum_tower_guard_is_inconclusive(capsys):
@@ -267,8 +267,8 @@ def test_verify_odd_level_closure_past_the_orthogonal_bound_exits_3_at_once(caps
     (record,) = json.loads(out)
     assert record["status"] == "inconclusive"
     assert record["details"]["reason"] == (
-        "the orthogonal bound at g = 100000 exceeds the closure cap of 4194304 elements:"
-        " it is 92897280 at g = 8 and grows with g"
+        "the orthogonal bound at g = 100000 is at least 92897280, its value at g = 8,"
+        " over CLOSURE_CAP = 4194304"
     )
 
 
@@ -280,8 +280,8 @@ def test_verify_theta_basis_past_the_kernel_work_budget_exits_3_at_once(capsys):
         )
     assert code == 3 and err == ""
     assert json.loads(out)[0]["details"] == {
-        "reason": "kernel work d^(g-1) x relator letters = 2097152 x 232 = 486539264"
-        " exceeds budget 4194304"
+        "reason": "kernel work d^(g-1) x relator letters = 2097152 x 232 = 486539264,"
+        " over KERNEL_WORK_BUDGET = 4194304"
     }
 
 
@@ -568,7 +568,7 @@ def test_verify_thm31_at_level_2_to_the_40_is_inconclusive(capsys, suite):
     assert code == 3 and err == ""
     (record,) = json.loads(out)
     assert record["status"] == "inconclusive"
-    assert f"would have {2 * d} letters, over the limit of 1048576" in record["details"]["reason"]
+    assert f"would have {2 * d} letters, over SEED_LETTER_LIMIT = 1048576" in record["details"]["reason"]
 
 
 def test_verify_thm31_at_an_even_level_2_to_the_62_stops_at_the_seed_letter_limit(capsys):
@@ -580,7 +580,7 @@ def test_verify_thm31_at_an_even_level_2_to_the_62_stops_at_the_seed_letter_limi
     (record,) = json.loads(out)
     assert record["status"] == "inconclusive"
     limit = families.SEED_LETTER_LIMIT
-    assert record["details"]["reason"].endswith(f"would have {2 * d} letters, over the limit of {limit}")
+    assert record["details"]["reason"].endswith(f"would have {2 * d} letters, over SEED_LETTER_LIMIT = {limit}")
 
 
 @pytest.mark.parametrize("suite", [",", " , ,"])

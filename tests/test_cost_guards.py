@@ -1,10 +1,12 @@
 """Work that grows without bound is refused before it starts.
 
 GEN-FIX-ONES (``gmax``), THM23-OBSTRUCT (``g``), THM23-KER (``g``),
-THM51-COUNTS (``g``, ``n``, ``d``) and the identity checks T2-EQ-YY,
-LEM42-3CHAIN and LEM43-COMM (``gmax``) compute their work in closed form
-before they build a word, and past a named limit of ``ledger`` end
-inconclusive (exit 3) at once, naming it.  The points at or below the
+THM51-COUNTS (``g``, ``n``, ``d``), the identity checks T2-EQ-YY,
+LEM42-3CHAIN and LEM43-COMM (``gmax``), EX21-MATRICES (``dmax``, ``gmax``),
+THM23-ELEM, PSI-O2, THM31-MEMBER, THM31-CLOSURE, RS-GAMMA24, THM41-MEMBER
+and THM41-MOD8 (``g``) and TOWER-2L (``g``, ``l``) compute their work in
+closed form before they build a word, and past a named limit of ``ledger``
+end inconclusive (exit 3) at once, naming it.  The points at or below the
 limits reach the work itself.  ``enum`` builds a family element only when
 its stream reaches it, so ``--limit`` bounds the work and not only the
 output; ``thm-main3`` builds each family element when the stream's first
@@ -51,6 +53,31 @@ def reached(*args, **kwargs):
         ("LEM42-3CHAIN", "gmax=27", "THREE_CHAIN_LIMIT"),
         ("LEM43-COMM", "gmax=1000000", "SLIDE_COMMUTATOR_LIMIT"),
         ("LEM43-COMM", "gmax=20", "SLIDE_COMMUTATOR_LIMIT"),
+        ("EX21-MATRICES", "dmax=1000000", "TWIST_POWER_LIMIT"),
+        ("EX21-MATRICES", "dmax=43691", "TWIST_POWER_LIMIT"),
+        ("EX21-MATRICES", "gmax=1000000", "GENERAL_ACTION_LIMIT"),
+        ("EX21-MATRICES", "gmax=35", "GENERAL_ACTION_LIMIT"),
+        ("THM23-ELEM", "g=1000000", "COMMUTATOR_POWER_LIMIT"),
+        ("THM23-ELEM", "g=27", "COMMUTATOR_POWER_LIMIT"),
+        ("THM23-ELEM", "g=6,d=2" + "0" * 3000, "COMMUTATOR_POWER_LIMIT"),
+        ("PSI-O2", "g=5", "ORTHOGONAL_MATRIX_LIMIT"),
+        ("PSI-O2", "g=1000000", "ORTHOGONAL_MATRIX_LIMIT"),
+        ("THM31-MEMBER", "g=100000", "LEVEL_MATRIX_ENTRY_LIMIT"),
+        ("THM31-MEMBER", "g=2049", "LEVEL_MATRIX_ENTRY_LIMIT"),
+        ("THM31-CLOSURE", "g=1000000,d=2", "LAYER_CONJUGATE_LIMIT"),
+        ("THM31-CLOSURE", "g=102,d=4", "LAYER_CONJUGATE_LIMIT"),
+        ("THM31-CLOSURE", "g=8,d=3", "CLOSURE_CAP"),
+        ("THM31-CLOSURE", "g=1000000,d=3", "CLOSURE_CAP"),
+        ("RS-GAMMA24", "g=1000000", "GENERATOR_ACTION_LIMIT"),
+        ("RS-GAMMA24", "g=35", "GENERATOR_ACTION_LIMIT"),
+        ("THM41-MEMBER", "g=1000000", "FAMILY_ACTION_LIMIT"),
+        ("THM41-MEMBER", "g=31", "FAMILY_ACTION_LIMIT"),
+        ("THM41-MOD8", "g=1000000", "FAMILY_ACTION_LIMIT"),
+        ("THM41-MOD8", "g=31", "FAMILY_ACTION_LIMIT"),
+        ("TOWER-2L", "g=1000000", "LAYER_DIMENSION_LIMIT"),
+        ("TOWER-2L", "g=183", "LAYER_DIMENSION_LIMIT"),
+        ("TOWER-2L", "l=1000000000000", "TOWER_EXPONENT_LIMIT"),
+        ("TOWER-2L", "l=1048577", "TOWER_EXPONENT_LIMIT"),
     ],
 )
 def test_a_point_past_its_limit_is_inconclusive_at_once(capsys, suite, params, limit):
@@ -76,6 +103,18 @@ def test_a_point_past_its_limit_is_inconclusive_at_once(capsys, suite, params, l
         ("T2-EQ-YY", {"gmax": 92}, families, "twist_square_relations"),
         ("LEM42-3CHAIN", {"gmax": 26}, families, "three_chain_relations"),
         ("LEM43-COMM", {"gmax": 19}, families, "slide_commutator_relations"),
+        ("EX21-MATRICES", {"dmax": 43690}, ledger, "reduced_action"),
+        ("EX21-MATRICES", {"gmax": 34}, ledger, "reduced_action"),
+        ("THM23-ELEM", {"g": 26, "d": 4}, ledger, "commutator"),
+        ("PSI-O2", {"g": 4}, ledger, "bfs_closure"),
+        ("THM31-MEMBER", {"g": 2048, "d": 2}, families, "main2_normal_generators"),
+        ("THM31-CLOSURE", {"g": 101, "d": 2}, families, "main2_normal_generators"),
+        ("THM31-CLOSURE", {"g": 7, "d": 3}, families, "main2_normal_generators"),
+        ("RS-GAMMA24", {"g": 34}, ledger, "_y_union_d_words"),
+        ("THM41-MEMBER", {"g": 30}, families, "main3_families"),
+        ("THM41-MOD8", {"g": 30}, families, "main3_families"),
+        ("TOWER-2L", {"g": 182, "l": 3}, ledger, "layer_span"),
+        ("TOWER-2L", {"g": 4, "l": 1 << 20}, ledger, "layer_span"),
     ],
 )
 def test_a_point_within_its_limit_reaches_the_work(monkeypatch, check_id, params, module, name):

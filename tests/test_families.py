@@ -7,6 +7,7 @@ import oracle_families
 import oracle_ledger
 from crosscap import families
 from crosscap.families import FamilyIndexError
+from crosscap.finitegrp import ScaleGuardError
 from crosscap.homology import level_member, reduced_action, word_matrix
 from crosscap.words import BoundaryTwist, MCGWord, Slide, Twist, commutator, word
 
@@ -74,7 +75,7 @@ def test_tower_guard_refuses_before_forming_a_power(monkeypatch, l):
         return real(self, e)
 
     monkeypatch.setattr(MCGWord, "__pow__", small_power)
-    with pytest.raises(families.ScaleGuardError, match=rf"4 x 2\^{l - 3} letters"):
+    with pytest.raises(ScaleGuardError, match=rf"4 x 2\^{l - 3} letters"):
         families.zset(4, l)
 
 

@@ -17,9 +17,9 @@ import pytest
 import oracle_pi1free
 from conftest import Budget
 from crosscap import finitegrp, ledger, pi1free
+from crosscap.finitegrp import ScaleGuardError
 from crosscap.ledger import run_check
 from crosscap.pi1free import (
-    ScaleGuardError,
     claimed_kernel_graph,
     theta_graph,
     verify_ker_theta,
@@ -181,8 +181,8 @@ def test_points_past_the_work_budget_end_inconclusive_before_any_enumeration(
     monkeypatch.setattr(finitegrp._CosetRows, "__init__", refuse)
     monkeypatch.setattr(ledger, "gtilde", refuse)
     reason = (
-        f"kernel work d^(g-1) x relator letters = {index} x {letters} = {index * letters}"
-        " exceeds budget 4194304"
+        f"kernel work d^(g-1) x relator letters = {index} x {letters} = {index * letters},"
+        " over KERNEL_WORK_BUDGET = 4194304"
     )
     for check_id in ("PROP34-TC", "PROP52-STALLINGS", "THETA-BASIS"):
         record = run_check(check_id, {"g": g, "n": n, "d": d})
@@ -199,7 +199,7 @@ def test_huge_points_end_inconclusive_without_forming_the_index(g, n, d):
             record = run_check(check_id, {"g": g, "n": n, "d": d})
             assert record.status == "inconclusive"
             assert record.details == {
-                "reason": "kernel work d^(g-1) x relator letters > 2^64 exceeds budget 4194304"
+                "reason": "kernel work d^(g-1) x relator letters > 2^64, over KERNEL_WORK_BUDGET = 4194304"
             }
 
 

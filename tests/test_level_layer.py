@@ -81,7 +81,7 @@ def test_thm31_at_a_huge_even_level_stops_before_the_seed_word(monkeypatch, chec
     assert record.status == "inconclusive"
     assert record.details == {
         "reason": f"the seed (twist(a12) twist(a12')^-1)^(d/2) would have {2 * d} letters,"
-        f" over the limit of {families.SEED_LETTER_LIMIT}"
+        f" over SEED_LETTER_LIMIT = {families.SEED_LETTER_LIMIT}"
     }
 
 

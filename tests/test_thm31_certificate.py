@@ -214,6 +214,6 @@ def test_an_odd_level_bound_over_the_cap_stops_before_any_word(monkeypatch, g):
     assert time.perf_counter() - start < 0.1
     assert record.status == "inconclusive"
     assert record.details == {
-        "reason": f"the orthogonal bound at g = {g} exceeds the closure cap of {CLOSURE_CAP}"
-        " elements: it is 92897280 at g = 8 and grows with g"
+        "reason": f"the orthogonal bound at g = {g} is at least 92897280, its value at g = 8,"
+        f" over CLOSURE_CAP = {CLOSURE_CAP}"
     }

@@ -10,10 +10,9 @@ import oracle_finitegrp
 import oracle_ledger
 import oracle_packed
 from crosscap import families, homology, ledger
-from crosscap.finitegrp import FiniteMatrixGroup
+from crosscap.finitegrp import FiniteMatrixGroup, ScaleGuardError
 from crosscap.intmat import IntMatrix
 from crosscap.ledger import brute_force_mod2_orthogonal, run_check, run_suite
-from crosscap.pi1free import ScaleGuardError
 
 # the traced peak of a default run_suite(); the whole-array forms peaked at
 # 24.6 MiB, almost all of it PSI-O2's int64 exhaustion
@@ -34,7 +33,11 @@ def test_bit_packed_exhaustion_matches_the_einsum_oracle(g, order):
 
 
 def test_exhaustion_keeps_its_genus_guard():
-    with pytest.raises(ScaleGuardError, match="2\\^\\(g\\^2\\) enumeration unreasonable for g = 5"):
+    with pytest.raises(
+        ScaleGuardError,
+        match=r"^the mod-2 orthogonal exhaustion at g = 5 would enumerate 2\^\(g\^2\) = 2\^25 matrices,"
+        r" over ORTHOGONAL_MATRIX_LIMIT = 65536$",
+    ):
         brute_force_mod2_orthogonal(5)
 
 
